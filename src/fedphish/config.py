@@ -8,14 +8,15 @@ clients can share one corpus without coordination.
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .data import (
     DataError,
     load_jsonl,
-    pair_samples,
     stack_html,
     stack_image,
     stack_pairs,
@@ -30,7 +31,8 @@ from .heads import LossConfig, ModelSpec
 from .preproc import PreprocConfig
 
 __all__ = ["ConfigError", "DatasetSpec", "ClientSpec", "ExperimentConfig",
-           "parse_config", "build_clients", "bundled_config_path", "bundled_config_names"]
+           "parse_config", "config_hash", "build_clients", "bundled_config_path",
+           "bundled_config_names"]
 
 
 class ConfigError(ValueError):
@@ -40,8 +42,7 @@ class ConfigError(ValueError):
 _TOP_KEYS = {
     "name", "seed", "rounds", "epochs", "lr", "batch_size", "mu", "clip",
     "focal_gamma", "lambda_aux", "lambda_js", "modal_dropout_p",
-    "html_weight_by_count", "detach_branches", "optimizer", "workers",
-    "model_profile", "preproc", "clients", "out_dir",
+    "html_weight_by_count", "optimizer", "model_profile", "preproc", "clients", "out_dir",
 }
 _CLIENT_KEYS = {"id", "datasets"}
 _DATASET_KEYS = {"modality", "synth", "path", "train_range", "test_range",
@@ -77,16 +78,7 @@ class ExperimentConfig:
     model: ModelSpec
     preproc: PreprocConfig
     clients: tuple[ClientSpec, ...]
-    workers: int = 1
     out_dir: str = "runs"
-
-    def as_manifest(self) -> dict:
-        return {
-            "name": self.name,
-            "seed": self.train.seed,
-            "rounds": self.train.rounds,
-            "clients": [c.client_id for c in self.clients],
-        }
 
 
 def _reject_unknown(obj: dict, allowed: set[str], where: str) -> None:
@@ -141,34 +133,31 @@ def parse_config(path) -> ExperimentConfig:
         raise ConfigError(f"{path}: top level must be an object")
     _reject_unknown(raw, _TOP_KEYS, str(path))
 
-    loss = LossConfig(
-        focal_gamma=raw.get("focal_gamma", 2.0),
-        lambda_aux=raw.get("lambda_aux", 0.30),
-        lambda_js=raw.get("lambda_js", 0.10),
-        modal_dropout_p=raw.get("modal_dropout_p", 0.20),
-    )
-    mu = raw.get("mu", 0.0)
-    if mu < 0:
-        raise ConfigError("mu must be non-negative")
-    train = TrainConfig(
-        rounds=raw.get("rounds", 100),
-        epochs=raw.get("epochs", 5),
-        lr=raw.get("lr", 0.001),
-        batch_size=raw.get("batch_size", 64),
-        mu=mu,
-        clip=raw.get("clip", 1.0),
-        loss=loss,
-        optimizer=raw.get("optimizer", "adam"),
-        html_weight_by_count=raw.get("html_weight_by_count", False),
-        detach_branches=raw.get("detach_branches", False),
-        seed=raw.get("seed", 42),
-    )
-    if train.optimizer not in ("adam", "sgd"):
-        raise ConfigError(f"optimizer must be 'adam' or 'sgd', got {train.optimizer!r}")
-
     preproc_raw = raw.get("preproc", {})
     _reject_unknown(preproc_raw, _PREPROC_KEYS, "preproc")
-    preproc = PreprocConfig(**preproc_raw) if preproc_raw else PreprocConfig()
+    # the dataclasses check ranges and types; report their errors as config errors
+    try:
+        loss = LossConfig(
+            focal_gamma=raw.get("focal_gamma", 2.0),
+            lambda_aux=raw.get("lambda_aux", 0.30),
+            lambda_js=raw.get("lambda_js", 0.10),
+            modal_dropout_p=raw.get("modal_dropout_p", 0.20),
+        )
+        train = TrainConfig(
+            rounds=raw.get("rounds", 100),
+            epochs=raw.get("epochs", 5),
+            lr=raw.get("lr", 0.001),
+            batch_size=raw.get("batch_size", 64),
+            mu=raw.get("mu", 0.0),
+            clip=raw.get("clip", 1.0),
+            loss=loss,
+            optimizer=raw.get("optimizer", "adam"),
+            html_weight_by_count=raw.get("html_weight_by_count", False),
+            seed=raw.get("seed", 42),
+        )
+        preproc = PreprocConfig(**preproc_raw)
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
 
     profile = raw.get("model_profile", "paper")
     if profile == "paper":
@@ -213,9 +202,15 @@ def parse_config(path) -> ExperimentConfig:
         model=model,
         preproc=preproc,
         clients=tuple(clients),
-        workers=raw.get("workers", 1),
         out_dir=raw.get("out_dir", "runs"),
     )
+
+
+def config_hash(cfg: ExperimentConfig) -> str:
+    """Digest of the whole resolved config except where its outputs go."""
+    fields = dataclasses.asdict(cfg)
+    del fields["out_dir"]
+    return hashlib.sha256(json.dumps(fields, sort_keys=True).encode()).hexdigest()[:16]
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,4 @@
-"""Dataset ingestion, deterministic partitioning into client shards, and
-synthetic generators for desk-scale verification.
+"""Dataset ingestion and synthetic generators for desk-scale verification.
 
 Real embeddings (frozen image and URL encoders) arrive as JSON Lines; HTML
 arrives as raw text and runs through the preprocessing pipeline. The
@@ -18,15 +17,12 @@ from .preproc import HtmlStreams, PreprocConfig, preprocess
 __all__ = [
     "Sample",
     "PairedSample",
-    "PartitionSpec",
     "DataError",
     "load_jsonl",
-    "partition",
     "synth_embeddings",
     "synth_image_tokens",
     "synth_html",
     "synth_paired",
-    "pair_samples",
     "stack_url",
     "stack_image",
     "stack_html",
@@ -67,16 +63,6 @@ class PairedSample:
     label: int
     image_tokens: np.ndarray
     html_streams: HtmlStreams
-
-
-@dataclass(frozen=True)
-class PartitionSpec:
-    """Client demands and the held-out test range on the shuffled order."""
-
-    client_counts: tuple[int, ...]
-    test_range: tuple[int, int]  # half-open [start, stop) index interval
-    seed: int = 42
-    preshuffled: bool = False
 
 
 def load_jsonl(path, modality: str, *, preproc_cfg: PreprocConfig | None = None,
@@ -122,33 +108,6 @@ def load_jsonl(path, modality: str, *, preproc_cfg: PreprocConfig | None = None,
                     raise DataError(f"{path}: line {lineno}: 'html' must be a string")
                 samples.append(Sample(label=label, html_streams=preprocess(html, cfg)))
     return samples
-
-
-def partition(samples: list, spec: PartitionSpec) -> tuple[list[list], list]:
-    """Shuffle (unless preshuffled), carve the test range, deal the client
-    counts in order. Shards and test set are disjoint by construction."""
-    n = len(samples)
-    start, stop = spec.test_range
-    if not (0 <= start <= stop <= n):
-        raise DataError(f"test range [{start}, {stop}) does not fit {n} samples")
-    order = np.arange(n)
-    if not spec.preshuffled:
-        order = np.random.default_rng(spec.seed).permutation(n)
-    shuffled = [samples[i] for i in order]
-    test = shuffled[start:stop]
-    pool = shuffled[:start] + shuffled[stop:]
-    demanded = sum(spec.client_counts)
-    if demanded > len(pool):
-        raise DataError(
-            f"clients demand {demanded} samples but only {len(pool)} remain "
-            f"after the test carve (short by {demanded - len(pool)})"
-        )
-    shards: list[list] = []
-    offset = 0
-    for count in spec.client_counts:
-        shards.append(pool[offset : offset + count])
-        offset += count
-    return shards, test
 
 
 # ---------------------------------------------------------------------------
@@ -292,23 +251,6 @@ def synth_paired(n: int, seed: int = 0, *, image_length: int = 4,
             )
         )
     return out
-
-
-def pair_samples(image_samples: list[Sample], html_samples: list[Sample]) -> list[PairedSample]:
-    """Positionally link image and html samples; labels must agree."""
-    if len(image_samples) != len(html_samples):
-        raise DataError(
-            f"cannot pair {len(image_samples)} image with {len(html_samples)} html samples"
-        )
-    pairs = []
-    for idx, (img, html) in enumerate(zip(image_samples, html_samples)):
-        if img.label != html.label:
-            raise DataError(f"label mismatch at index {idx}: {img.label} vs {html.label}")
-        pairs.append(
-            PairedSample(label=img.label, image_tokens=img.image_tokens,
-                         html_streams=html.html_streams)
-        )
-    return pairs
 
 
 # ---------------------------------------------------------------------------

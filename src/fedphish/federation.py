@@ -1,26 +1,28 @@
 """Role-aware FedProx orchestration.
 
-The server groups every parameter into a role bucket by name prefix and
-aggregates each bucket only over the clients that own that role, weighted
-per role (sample counts, or equal weight for html). Buckets nobody can
-aggregate keep their old values. Clients train each present head locally
+The server groups every parameter into one of four role buckets by name
+prefix and aggregates each bucket only over the clients that own that role,
+weighted per role (sample counts, or equal weight for html). Buckets nobody
+can aggregate keep their old values. Clients train each present head locally
 with a focal loss plus the proximal pull toward the broadcast snapshot, and
 run a paired fusion phase with batch-level modality dropout.
 
-Everything is deterministic: client RNG streams are seeded by (global seed,
-client index, round), sums run in sorted client order, and the worker count
-changes wall time only.
+Everything is deterministic: clients train one after another in sorted
+client-id order, client RNG streams are seeded by (global seed, client
+index, round), and weighted sums run in sorted client order.
 """
 
 from __future__ import annotations
 
 import enum
-import hashlib
 import json
 import logging
+import math
+import numbers
+import os
 import struct
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -36,7 +38,7 @@ from .heads import (
     proximal_term,
 )
 from .metrics import Metrics, RoundEntry, RoundLog, compute_metrics, confusion
-from .numerics import Tensor, backward, clip_global_norm, make_optimizer, zero_grads
+from .numerics import GradientError, Tensor, backward, clip_global_norm, make_optimizer, zero_grads
 
 __all__ = [
     "Role",
@@ -72,65 +74,30 @@ class Role(enum.Enum):
     HTML = "html"
     URL = "url"
     FUSION = "fusion"
-    SHARED = "shared"
 
 
 def group_of(param_name: str) -> Role:
-    """Longest-prefix match against the four head prefixes; shared otherwise."""
+    """The role whose head prefix starts the name."""
     if not param_name:
         raise ValueError("empty parameter name")
     for prefix, role in _PREFIX_TO_ROLE.items():
         if param_name.startswith(prefix):
             return Role(role)
-    return Role.SHARED
+    raise ValueError(f"parameter {param_name!r} has no head prefix")
 
 
 @dataclass
 class ClientReport:
-    """One client's returned parameters plus counts, capability flags and a
-    small training-metrics snapshot."""
+    """One client's returned parameters plus its per-role sample counts and
+    mean training loss per phase."""
 
     client_id: str
     params: dict[str, np.ndarray]
-    n_total: int = 0
     n_image: int = 0
     n_html: int = 0
     n_url: int = 0
     n_pair: int = 0
-    has_image: bool = False
-    has_html: bool = False
-    has_url: bool = False
-    has_fusion: bool = False
     train_loss: dict[str, float] = field(default_factory=dict)
-
-    @staticmethod
-    def from_counts(client_id: str, params: dict[str, np.ndarray], *, n_image=0,
-                    n_html=0, n_url=0, n_pair=0,
-                    train_loss: dict[str, float] | None = None) -> "ClientReport":
-        """Derive the has_* flags from the counts (has_X iff n_X > 0).
-
-        A paired sample counts into both n_image and n_html but only once
-        into n_total.
-        """
-        return ClientReport(
-            client_id=client_id,
-            params=params,
-            n_total=n_image + n_html + n_url - n_pair,
-            n_image=n_image,
-            n_html=n_html,
-            n_url=n_url,
-            n_pair=n_pair,
-            has_image=n_image > 0,
-            has_html=n_html > 0,
-            has_url=n_url > 0,
-            has_fusion=n_pair > 0,
-            train_loss=train_loss or {},
-        )
-
-    def has_role(self, role: Role) -> bool:
-        if role is Role.SHARED:
-            return True
-        return getattr(self, f"has_{role.value}")
 
 
 @dataclass
@@ -167,9 +134,13 @@ class ClientData:
     def n_pair(self) -> int:
         return self.count("pair")
 
-    @property
-    def n_total(self) -> int:
-        return self.count("image") + self.count("html") + self.count("url") + self.count("pair")
+
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -183,42 +154,54 @@ class TrainConfig:
     loss: LossConfig = field(default_factory=LossConfig)
     optimizer: str = "adam"
     html_weight_by_count: bool = False  # equal weight by default, switchable to n_html
-    detach_branches: bool = False
     seed: int = 0
 
     def __post_init__(self):
-        if self.rounds < 1 or self.epochs < 1:
-            raise ValueError("rounds and epochs must be at least 1")
-        if self.mu < 0:
-            raise ValueError("mu must be non-negative")
+        for name in ("rounds", "epochs", "batch_size"):
+            value = getattr(self, name)
+            if not (_is_int(value) and value >= 1):
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+        for name in ("lr", "clip"):
+            value = getattr(self, name)
+            if not (_is_real(value) and math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be a finite number > 0, got {value!r}")
+        if not (_is_real(self.mu) and self.mu >= 0):
+            raise ValueError(f"mu must be a number >= 0, got {self.mu!r}")
+        if not _is_int(self.seed):
+            raise ValueError(f"seed must be an integer, got {self.seed!r}")
+        if self.optimizer not in ("adam", "sgd"):
+            raise ValueError(f"optimizer must be 'adam' or 'sgd', got {self.optimizer!r}")
+        if not isinstance(self.html_weight_by_count, bool):
+            raise ValueError(f"html_weight_by_count must be true or false, got {self.html_weight_by_count!r}")
 
 
 # ---------------------------------------------------------------------------
 # server side
 # ---------------------------------------------------------------------------
 
-def select_clients(role: Role, reports: list[ClientReport]) -> list[ClientReport]:
-    """Clients owning this role, in sorted client-id order; shared selects all."""
-    return sorted(
-        (r for r in reports if r.has_role(role)), key=lambda r: r.client_id
-    )
-
-
 def role_weight(role: Role, report: ClientReport, cfg: TrainConfig | None = None) -> float:
-    """Aggregation weight of one selected client for one role."""
+    """Aggregation weight of one client for one role; 0 for a non-owner."""
     if role is Role.IMAGE:
         return float(report.n_image)
     if role is Role.HTML:
+        if report.n_html == 0:
+            return 0.0
         if cfg is not None and cfg.html_weight_by_count:
             return float(report.n_html)
         return 1.0
     if role is Role.URL:
         return float(report.n_url)
-    if role is Role.FUSION:
-        if report.n_pair > 0:
-            return float(report.n_pair)
-        return float(min(report.n_image, report.n_html))
-    return float(report.n_total)
+    return float(report.n_pair)
+
+
+def select_clients(
+    role: Role, reports: list[ClientReport], cfg: TrainConfig | None = None
+) -> list[tuple[float, ClientReport]]:
+    """The owners of one role as (weight, report) pairs in sorted client-id
+    order. A client owns a role iff its weight for that role is positive."""
+    ordered = sorted(reports, key=lambda r: r.client_id)
+    weighted = [(role_weight(role, r, cfg), r) for r in ordered]
+    return [(w, r) for w, r in weighted if w > 0]
 
 
 def _finite_reports(reports: list[ClientReport]) -> list[ClientReport]:
@@ -243,12 +226,7 @@ def aggregate(
     client-id order for reproducibility.
     """
     reports = _finite_reports(reports)
-    role_pool: dict[Role, list[tuple[float, ClientReport]]] = {}
-    for role in Role:
-        selected = select_clients(role, reports)
-        weighted = [(role_weight(role, r, cfg), r) for r in selected]
-        # zero-weight clients are treated as non-owners
-        role_pool[role] = [(w, r) for w, r in weighted if w > 0]
+    role_pool = {role: select_clients(role, reports, cfg) for role in Role}
 
     new_params: dict[str, np.ndarray] = {}
     for name in sorted(global_params):
@@ -350,8 +328,6 @@ def client_train(
                     params, arrays["char"][idx], arrays["word"][idx], arrays["dom"][idx],
                     train=True, rng=rng,
                 )
-                if cfg.detach_branches:
-                    l_i, l_h = l_i.detach(), l_h.detach()
                 # batch-level modality dropout
                 l_i_star, l_h_star = l_i, l_h
                 r = rng.random()
@@ -370,14 +346,12 @@ def client_train(
                     loss = loss + loss_cfg.lambda_js * js_consistency(l_i, l_h)
                 loss = loss + proximal_term(params, snapshot, cfg.mu, FUSION_PREFIX)
                 backward(loss)
-                touched = (FUSION_PREFIX,) if cfg.detach_branches else (
-                    FUSION_PREFIX, IMAGE_PREFIX, HTML_PREFIX,
-                )
-                _step(params, _head_param_names(params, touched), optimizer, cfg.clip)
+                touched = _head_param_names(params, (FUSION_PREFIX, IMAGE_PREFIX, HTML_PREFIX))
+                _step(params, touched, optimizer, cfg.clip)
                 loss_sums["fusion"] = loss_sums.get("fusion", 0.0) + float(loss.data)
                 loss_counts["fusion"] = loss_counts.get("fusion", 0) + 1
 
-    return ClientReport.from_counts(
+    return ClientReport(
         data.client_id,
         {k: p.data for k, p in params.items()},
         n_image=data.n_image,
@@ -468,11 +442,14 @@ def run_experiment(
     model: ModelSpec,
     cfg: TrainConfig,
     clients: list[ClientData],
-    workers: int = 1,
     round_hook=None,
 ) -> ExperimentResult:
     """Full-participation rounds of broadcast, local training, role-wise
-    aggregation and evaluation. Results do not depend on ``workers``."""
+    aggregation and evaluation.
+
+    A client whose training hits a non-finite loss is dropped from that
+    round; any other exception ends the run.
+    """
     if not clients:
         raise ValueError("need at least one client")
     ids = [c.client_id for c in clients]
@@ -483,37 +460,20 @@ def run_experiment(
     logs: list[RoundLog] = []
 
     for round_index in range(cfg.rounds):
-        def train_one(pair):
-            index, client = pair
-            rng = _client_rng(cfg.seed, index, round_index)
-            return client_train(client, params, model, cfg, rng)
-
-        jobs = list(enumerate(clients))
         reports: list[ClientReport] = []
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                futures = [pool.submit(train_one, job) for job in jobs]
-                for client, future in zip(clients, futures):
-                    try:
-                        reports.append(future.result())
-                    except Exception:
-                        log.exception("client %s failed in round %d", client.client_id, round_index)
-        else:
-            for job in jobs:
-                try:
-                    reports.append(train_one(job))
-                except Exception:
-                    log.exception("client %s failed in round %d", job[1].client_id, round_index)
+        for index, client in enumerate(clients):
+            rng = _client_rng(cfg.seed, index, round_index)
+            try:
+                reports.append(client_train(client, params, model, cfg, rng))
+            except GradientError:
+                log.exception("client %s failed in round %d", client.client_id, round_index)
         if not reports:
             raise RuntimeError(f"round {round_index}: every client failed")
 
         params = aggregate(params, reports, cfg)
 
         entries = []
-        role_counts = {
-            role.value: len([r for r in select_clients(role, reports) if role_weight(role, r, cfg) > 0])
-            for role in Role
-        }
+        role_counts = {role.value: len(select_clients(role, reports, cfg)) for role in Role}
         for client in clients:
             for head, (loss, m) in sorted(client_evaluate(params, client, model, cfg).items()):
                 entries.append(RoundEntry(client_id=client.client_id, head=head, loss=loss, metrics=m))
@@ -529,46 +489,60 @@ def run_experiment(
 # checkpoints
 # ---------------------------------------------------------------------------
 
-def config_hash(obj) -> str:
-    return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()[:16]
-
-
 def save_checkpoint(path, params: dict[str, np.ndarray], run_id: str,
                     round_index: int, cfg_hash: str) -> None:
-    """Manifest header plus (name, shape, little-endian float64) records."""
+    """Manifest header plus (name, shape, little-endian float64) records.
+
+    The file is written under a temporary name in the same directory and
+    then renamed over ``path``, so ``path`` never holds a partial file.
+    """
     manifest = json.dumps(
         {"run_id": run_id, "round": round_index, "config_hash": cfg_hash,
          "n_params": len(params)},
         sort_keys=True,
     ).encode()
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<I", len(manifest)))
-        fh.write(manifest)
-        for name in sorted(params):
-            # asarray, not ascontiguousarray: the latter promotes 0-d to 1-d
-            arr = np.asarray(params[name], dtype="<f8")
-            encoded = name.encode()
-            fh.write(struct.pack("<H", len(encoded)))
-            fh.write(encoded)
-            fh.write(struct.pack("<B", arr.ndim))
-            fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape) if arr.ndim else b"")
-            fh.write(arr.tobytes())
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(CHECKPOINT_MAGIC)
+            fh.write(struct.pack("<I", len(manifest)))
+            fh.write(manifest)
+            for name in sorted(params):
+                # asarray, not ascontiguousarray: the latter promotes 0-d to 1-d
+                arr = np.asarray(params[name], dtype="<f8")
+                encoded = name.encode()
+                fh.write(struct.pack("<H", len(encoded)))
+                fh.write(encoded)
+                fh.write(struct.pack("<B", arr.ndim))
+                fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape) if arr.ndim else b"")
+                fh.write(arr.tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def _read_exact(fh, n: int, path) -> bytes:
+    data = fh.read(n)
+    if len(data) != n:
+        raise ValueError(f"{path}: checkpoint truncated at byte {fh.tell()}")
+    return data
 
 
 def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
     with open(path, "rb") as fh:
-        if fh.read(4) != CHECKPOINT_MAGIC:
+        if _read_exact(fh, 4, path) != CHECKPOINT_MAGIC:
             raise ValueError(f"{path} is not a checkpoint file")
-        (mlen,) = struct.unpack("<I", fh.read(4))
-        manifest = json.loads(fh.read(mlen).decode())
+        (mlen,) = struct.unpack("<I", _read_exact(fh, 4, path))
+        manifest = json.loads(_read_exact(fh, mlen, path).decode())
         params: dict[str, np.ndarray] = {}
         for _ in range(manifest["n_params"]):
-            (nlen,) = struct.unpack("<H", fh.read(2))
-            name = fh.read(nlen).decode()
-            (ndim,) = struct.unpack("<B", fh.read(1))
-            shape = struct.unpack(f"<{ndim}I", fh.read(4 * ndim)) if ndim else ()
+            (nlen,) = struct.unpack("<H", _read_exact(fh, 2, path))
+            name = _read_exact(fh, nlen, path).decode()
+            (ndim,) = struct.unpack("<B", _read_exact(fh, 1, path))
+            shape = struct.unpack(f"<{ndim}I", _read_exact(fh, 4 * ndim, path)) if ndim else ()
             count = int(np.prod(shape)) if shape else 1
-            arr = np.frombuffer(fh.read(8 * count), dtype="<f8").reshape(shape)
+            arr = np.frombuffer(_read_exact(fh, 8 * count, path), dtype="<f8").reshape(shape)
             params[name] = arr.astype(np.float64)
     return manifest, params

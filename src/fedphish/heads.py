@@ -114,7 +114,6 @@ class UrlHeadConfig:
     in_dim: int = 768
     hidden: int = 512
     dropout: float = 0.2
-    weight_norm: bool = True
     init_scale: float = 10.0
     n_classes: int = 2
 
@@ -342,10 +341,13 @@ class UrlHead:
     def init_params(self, rng: np.random.Generator) -> dict[str, Tensor]:
         cfg = self.cfg
         v = _xavier(rng, cfg.in_dim, cfg.hidden)
-        params = {
+        # gain starts at the column norm so the initial map equals v
+        norms = np.sqrt((v.data * v.data).sum(axis=0))
+        return {
             URL_PREFIX + "ln.gamma": _ones(cfg.in_dim),
             URL_PREFIX + "ln.beta": _zeros(cfg.in_dim),
             URL_PREFIX + "fc.v": v,
+            URL_PREFIX + "fc.g": Tensor(norms, requires_grad=True),
             URL_PREFIX + "fc.b": _zeros(cfg.hidden),
             URL_PREFIX + "cls.w": _xavier(rng, cfg.hidden, cfg.n_classes),
             # exp parameterization keeps the scale strictly positive
@@ -353,11 +355,6 @@ class UrlHead:
                 np.array(np.log(cfg.init_scale)), requires_grad=True
             ),
         }
-        if cfg.weight_norm:
-            # gain starts at the column norm so the initial map equals v
-            norms = np.sqrt((v.data * v.data).sum(axis=0))
-            params[URL_PREFIX + "fc.g"] = Tensor(norms, requires_grad=True)
-        return params
 
     def forward(self, params, emb, train: bool = False, rng=None) -> Tensor:
         cfg = self.cfg
@@ -367,11 +364,8 @@ class UrlHead:
             emb = emb.reshape(1, -1)
         h = layer_norm(emb, params[URL_PREFIX + "ln.gamma"], params[URL_PREFIX + "ln.beta"])
         v = params[URL_PREFIX + "fc.v"]
-        if cfg.weight_norm:
-            col_norm = (v * v).sum(axis=0, keepdims=True).sqrt()
-            w = v * (params[URL_PREFIX + "fc.g"].reshape(1, -1) / col_norm)
-        else:
-            w = v
+        col_norm = (v * v).sum(axis=0, keepdims=True).sqrt()
+        w = v * (params[URL_PREFIX + "fc.g"].reshape(1, -1) / col_norm)
         f = gelu(h @ w + params[URL_PREFIX + "fc.b"])
         f = dropout(f, cfg.dropout, rng, train)
 

@@ -51,11 +51,9 @@ class Adam:
         self.m = {k: np.zeros_like(p.data) for k, p in params.items()}
         self.v = {k: np.zeros_like(p.data) for k, p in params.items()}
         self.t = {k: 0 for k in params}
-        self.step_count = 0
 
     def step(self, names=None) -> None:
         """Update every named parameter that has a gradient."""
-        self.step_count += 1
         keys = self.params.keys() if names is None else names
         for k in sorted(keys):
             p = self.params[k]
@@ -81,10 +79,8 @@ class Sgd:
     def __init__(self, params: dict[str, Tensor], lr: float = 1e-3):
         self.params = params
         self.lr = lr
-        self.step_count = 0
 
     def step(self, names=None) -> None:
-        self.step_count += 1
         keys = self.params.keys() if names is None else names
         for k in sorted(keys):
             p = self.params[k]

@@ -103,10 +103,6 @@ class Tensor:
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
-    def detach(self) -> "Tensor":
-        """A constant view of this value, cut off from the graph."""
-        return Tensor(self.data)
-
     # -- graph construction ---------------------------------------------
 
     @staticmethod
@@ -355,7 +351,7 @@ def backward(loss: Tensor) -> None:
     if loss.data.size != 1:
         raise ValueError(f"backward requires a scalar loss, got shape {loss.shape}")
     if not np.isfinite(loss.data):
-        raise GradientError(f"non-finite loss {float(loss.data)!r}; batch aborted")
+        raise GradientError(f"non-finite loss {float(loss.data)!r}; cannot backpropagate")
 
     # iterative topological order (graphs can exceed the recursion limit)
     order: list[Tensor] = []

@@ -12,6 +12,7 @@ from fedphish.config import (
     build_clients,
     bundled_config_names,
     bundled_config_path,
+    config_hash,
     parse_config,
 )
 from fedphish.preproc import PreprocConfig, read_records
@@ -70,6 +71,25 @@ def test_parse_rejects_duplicate_client_id(tmp_path):
 def test_parse_rejects_negative_mu(tmp_path):
     with pytest.raises(ConfigError):
         parse_config(write_config(tmp_path, minimal_config(mu=-0.1)))
+
+
+@pytest.mark.parametrize("over", [
+    {"lr": -1}, {"batch_size": 0}, {"clip": 0}, {"epochs": 1.5}, {"rounds": "3"},
+    {"seed": "x"}, {"workers": 2}, {"detach_branches": True},
+], ids=lambda over: next(iter(over)))
+def test_cli_run_bad_train_setting_exit_one(tmp_path, over):
+    cfg_path = write_config(tmp_path, minimal_config(**over))
+    assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == EXIT_VALIDATION
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_hash_covers_every_setting(tmp_path):
+    def hashed(**over):
+        return config_hash(parse_config(write_config(tmp_path, minimal_config(**over))))
+
+    assert hashed(lr=0.01) == hashed(lr=0.01)
+    assert hashed(lr=0.01) != hashed(lr=0.02)
+    assert hashed(out_dir="a") == hashed(out_dir="b")
 
 
 def test_parse_mu_propagates(tmp_path):
@@ -241,8 +261,10 @@ def test_cli_gradcheck_ok_exit_zero():
     assert main(["gradcheck", "--seeds", "1"]) == EXIT_OK
 
 
-def test_cli_gradcheck_corrupted_exit_nonzero():
-    assert main(["gradcheck", "--seeds", "1", "--inject-error"]) == EXIT_RUNTIME
+def test_cli_gradcheck_corrupted_exit_nonzero(monkeypatch, capsys):
+    monkeypatch.setattr("fedphish.numerics.finite_difference_check", lambda *a, **k: 1.0)
+    assert main(["gradcheck", "--seeds", "1"]) == EXIT_RUNTIME
+    assert capsys.readouterr().out.count("[FAIL]") == 4
 
 
 def test_cli_gradcheck_repeat_identical(capsys):

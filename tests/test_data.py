@@ -1,4 +1,4 @@
-"""Ingestion, partitioning and the synthetic generators."""
+"""Ingestion and the synthetic generators."""
 
 import json
 
@@ -7,11 +7,8 @@ import pytest
 
 from fedphish.data import (
     DataError,
-    PartitionSpec,
     Sample,
     load_jsonl,
-    pair_samples,
-    partition,
     synth_embeddings,
     synth_html,
     synth_image_tokens,
@@ -83,52 +80,6 @@ def test_sample_requires_exactly_one_payload():
         Sample(label=1)
     with pytest.raises(DataError):
         Sample(label=1, url_embedding=np.zeros(4), image_tokens=np.zeros((2, 4)))
-
-
-# ---------------------------------------------------------------------------
-# partitioning
-# ---------------------------------------------------------------------------
-
-def test_partition_test_carve_and_deal():
-    samples = list(range(5000))
-    spec = PartitionSpec(client_counts=(1750, 1750), test_range=(3500, 5000))
-    shards, test = partition(samples, spec)
-    assert [len(s) for s in shards] == [1750, 1750]
-    assert len(test) == 1500
-    everything = set(shards[0]) | set(shards[1]) | set(test)
-    assert len(everything) == 5000
-    assert not (set(shards[0]) & set(shards[1]))
-    assert not (set(shards[0]) & set(test))
-
-
-def test_partition_non_iid_split():
-    samples = list(range(5000))
-    spec = PartitionSpec(client_counts=(1000, 2500), test_range=(3500, 5000))
-    shards, test = partition(samples, spec)
-    assert [len(s) for s in shards] == [1000, 2500]
-    assert len(test) == 1500
-
-
-def test_partition_deterministic():
-    samples = list(range(200))
-    spec = PartitionSpec(client_counts=(50, 50), test_range=(100, 200), seed=42)
-    a = partition(samples, spec)
-    b = partition(samples, spec)
-    assert a == b
-
-
-def test_partition_preshuffled_keeps_order():
-    samples = list(range(10))
-    spec = PartitionSpec(client_counts=(2, 2), test_range=(6, 10), preshuffled=True)
-    shards, test = partition(samples, spec)
-    assert shards == [[0, 1], [2, 3]]
-    assert test == [6, 7, 8, 9]
-
-
-def test_partition_shortfall_is_named():
-    spec = PartitionSpec(client_counts=(8, 8), test_range=(10, 20))
-    with pytest.raises(DataError, match="short by 6"):
-        partition(list(range(20)), spec)
 
 
 # ---------------------------------------------------------------------------
@@ -222,36 +173,6 @@ def test_synth_html_uninformative_mode():
 # ---------------------------------------------------------------------------
 # pairing
 # ---------------------------------------------------------------------------
-
-def test_pair_samples_positional():
-    imgs = synth_image_tokens(10, length=2, dim=4, seed=9)
-    htmls = [Sample(label=s.label, html_streams=h.html_streams)
-             for s, h in zip(imgs, synth_html(10, seed=9))]
-    # force aligned labels
-    htmls = [Sample(label=i.label, html_streams=h.html_streams) for i, h in zip(imgs, htmls)]
-    pairs = pair_samples(imgs, htmls)
-    assert len(pairs) == 10
-    assert all(p.label == i.label for p, i in zip(pairs, imgs))
-
-
-def test_pair_samples_label_mismatch_names_index():
-    imgs = synth_image_tokens(6, length=2, dim=4, seed=10)
-    htmls = synth_html(6, seed=11)
-    htmls = [Sample(label=i.label, html_streams=h.html_streams) for i, h in zip(imgs, htmls)]
-    htmls[3] = Sample(label=1 - htmls[3].label, html_streams=htmls[3].html_streams)
-    with pytest.raises(DataError, match="index 3"):
-        pair_samples(imgs, htmls)
-
-
-def test_pair_samples_empty():
-    assert pair_samples([], []) == []
-
-
-def test_pair_samples_length_mismatch():
-    imgs = synth_image_tokens(4, length=2, dim=4, seed=12)
-    with pytest.raises(DataError):
-        pair_samples(imgs, [])
-
 
 def test_synth_paired_complementary_structure():
     cfg = PreprocConfig(char_len=64, word_len=16, dom_len=16, word_buckets=257, dom_buckets=61)

@@ -1,8 +1,11 @@
 """Role-bucketed aggregation, local training and the experiment loop."""
 
+import logging
+
 import numpy as np
 import pytest
 
+import fedphish.federation as federation
 from fedphish.data import stack_image, stack_url, synth_embeddings, synth_image_tokens
 from fedphish.federation import (
     ClientData,
@@ -13,7 +16,6 @@ from fedphish.federation import (
     aggregate,
     client_evaluate,
     client_train,
-    config_hash,
     group_of,
     load_checkpoint,
     role_weight,
@@ -25,7 +27,7 @@ from fedphish.heads import HTML_PREFIX, IMAGE_PREFIX, URL_PREFIX, LossConfig, Mo
 
 
 def report(cid, value, **counts):
-    return ClientReport.from_counts(cid, {"p": np.array([value])}, **counts)
+    return ClientReport(cid, {"p": np.array([value])}, **counts)
 
 
 # ---------------------------------------------------------------------------
@@ -39,8 +41,9 @@ def test_group_of_prefixes():
     assert group_of("html_head.word.embed") is Role.HTML
 
 
-def test_group_of_fallback_is_shared():
-    assert group_of("bn_stats.counter") is Role.SHARED
+def test_group_of_rejects_unknown_prefix():
+    with pytest.raises(ValueError, match="no head prefix"):
+        group_of("bn_stats.counter")
 
 
 def test_group_of_rejects_empty():
@@ -54,10 +57,11 @@ def test_select_clients_by_role():
         report("b", 2.0, n_image=5),
         report("c", 3.0, n_image=2),
     ]
-    assert [r.client_id for r in select_clients(Role.URL, reports)] == ["a"]
-    assert [r.client_id for r in select_clients(Role.IMAGE, reports)] == ["b", "c"]
+    assert [(w, r.client_id) for w, r in select_clients(Role.URL, reports)] == [(10.0, "a")]
+    assert [(w, r.client_id) for w, r in select_clients(Role.IMAGE, reports)] == [
+        (5.0, "b"), (2.0, "c")]
     assert select_clients(Role.HTML, reports) == []
-    assert [r.client_id for r in select_clients(Role.SHARED, reports)] == ["a", "b", "c"]
+    assert select_clients(Role.FUSION, reports) == []
 
 
 # ---------------------------------------------------------------------------
@@ -72,25 +76,24 @@ def test_role_weight_html_equal_by_default_switchable():
     r = report("a", 0.0, n_html=37)
     assert role_weight(Role.HTML, r) == 1.0
     assert role_weight(Role.HTML, r, TrainConfig(html_weight_by_count=True)) == 37.0
+    assert role_weight(Role.HTML, report("b", 0.0, n_url=5)) == 0.0
 
 
-def test_role_weight_fusion_fallback_min():
+def test_role_weight_fusion_uses_pair_count():
     r = report("a", 0.0, n_image=30, n_html=20)
-    assert role_weight(Role.FUSION, r) == 20.0
+    assert role_weight(Role.FUSION, r) == 0.0
     r2 = report("b", 0.0, n_image=30, n_html=20, n_pair=7)
     assert role_weight(Role.FUSION, r2) == 7.0
 
 
-def test_role_weight_shared_uses_total():
-    r = report("a", 0.0, n_image=4, n_url=6)
-    assert role_weight(Role.SHARED, r) == 10.0
+def test_client_data_counts_pairs_overlap():
+    def rows(n):
+        return {"y": np.zeros(n, dtype=np.int64)}
 
-
-def test_from_counts_pairs_overlap():
-    r = report("a", 0.0, n_image=10, n_html=8, n_url=3, n_pair=5)
-    assert r.n_total == 16  # 5 image-only + 3 html-only + 3 url + 5 pairs
-    assert r.n_total >= max(r.n_image, r.n_html, r.n_url, r.n_pair)
-    assert r.has_fusion and r.has_image and r.has_html and r.has_url
+    data = ClientData("a", train={"image": rows(5), "html": rows(3), "url": rows(3),
+                                  "pair": rows(5)})
+    # a paired sample carries an image payload and an html payload
+    assert (data.n_image, data.n_html, data.n_url, data.n_pair) == (10, 8, 3, 5)
 
 
 # ---------------------------------------------------------------------------
@@ -99,15 +102,15 @@ def test_from_counts_pairs_overlap():
 
 def test_aggregate_single_owner_takes_its_value():
     g = {"url_head.w": np.array([0.0])}
-    new = aggregate(g, [ClientReport.from_counts("a", {"url_head.w": np.array([4.5])}, n_url=3)])
+    new = aggregate(g, [ClientReport("a", {"url_head.w": np.array([4.5])}, n_url=3)])
     assert new["url_head.w"][0] == 4.5
 
 
 def test_aggregate_weighted_mean():
     g = {"url_head.w": np.array([0.0])}
     reports = [
-        ClientReport.from_counts("a", {"url_head.w": np.array([1.0])}, n_url=10),
-        ClientReport.from_counts("b", {"url_head.w": np.array([5.0])}, n_url=30),
+        ClientReport("a", {"url_head.w": np.array([1.0])}, n_url=10),
+        ClientReport("b", {"url_head.w": np.array([5.0])}, n_url=30),
     ]
     new = aggregate(g, reports)
     assert abs(new["url_head.w"][0] - 4.0) < 1e-12
@@ -115,7 +118,7 @@ def test_aggregate_weighted_mean():
 
 def test_aggregate_keeps_old_when_no_owner():
     g = {"image_head.w": np.array([7.0]), "url_head.w": np.array([1.0])}
-    reports = [ClientReport.from_counts("a", {"image_head.w": np.array([9.9]),
+    reports = [ClientReport("a", {"image_head.w": np.array([9.9]),
                                               "url_head.w": np.array([2.0])}, n_url=5)]
     new = aggregate(g, reports)
     assert new["image_head.w"] is g["image_head.w"]  # bitwise kept, same array
@@ -125,8 +128,8 @@ def test_aggregate_keeps_old_when_no_owner():
 def test_aggregate_excludes_nan_reports():
     g = {"url_head.w": np.array([1.0])}
     reports = [
-        ClientReport.from_counts("a", {"url_head.w": np.array([np.nan])}, n_url=5),
-        ClientReport.from_counts("b", {"url_head.w": np.array([3.0])}, n_url=5),
+        ClientReport("a", {"url_head.w": np.array([np.nan])}, n_url=5),
+        ClientReport("b", {"url_head.w": np.array([3.0])}, n_url=5),
     ]
     new = aggregate(g, reports)
     assert new["url_head.w"][0] == 3.0
@@ -136,7 +139,7 @@ def test_aggregate_order_invariant():
     rng = np.random.default_rng(0)
     g = {"html_head.w": rng.normal(size=4), "url_head.w": rng.normal(size=4)}
     reports = [
-        ClientReport.from_counts(f"c{i}", {"html_head.w": rng.normal(size=4),
+        ClientReport(f"c{i}", {"html_head.w": rng.normal(size=4),
                                            "url_head.w": rng.normal(size=4)},
                                  n_html=int(rng.integers(1, 9)), n_url=int(rng.integers(1, 9)))
         for i in range(5)
@@ -154,19 +157,16 @@ def brute_force_aggregate(global_params, reports, cfg=None):
         role = group_of(name)
         owners = []
         for r in sorted(reports, key=lambda r: r.client_id):
-            if role is Role.SHARED or getattr(r, f"has_{role.value}"):
-                if role is Role.IMAGE:
-                    w = r.n_image
-                elif role is Role.HTML:
-                    w = r.n_html if (cfg and cfg.html_weight_by_count) else 1
-                elif role is Role.URL:
-                    w = r.n_url
-                elif role is Role.FUSION:
-                    w = r.n_pair if r.n_pair > 0 else min(r.n_image, r.n_html)
-                else:
-                    w = r.n_total
-                if w > 0:
-                    owners.append((w, r.params[name]))
+            if role is Role.IMAGE:
+                w = r.n_image
+            elif role is Role.HTML:
+                w = (r.n_html if (cfg and cfg.html_weight_by_count) else 1) if r.n_html else 0
+            elif role is Role.URL:
+                w = r.n_url
+            else:
+                w = r.n_pair
+            if w > 0:
+                owners.append((w, r.params[name]))
         if not owners:
             out[name] = old
         else:
@@ -177,14 +177,14 @@ def brute_force_aggregate(global_params, reports, cfg=None):
 
 def test_aggregate_matches_brute_force_oracle_randomized():
     rng = np.random.default_rng(1)
-    names = ["image_head.a", "html_head.b", "url_head.c", "fusion_head.d", "stats.e"]
+    names = ["image_head.a", "html_head.b", "url_head.c", "fusion_head.d"]
     for trial in range(50):
-        k = int(rng.integers(1, 6))
+        k = int(rng.integers(1, 5))
         g = {n: rng.normal(size=1) for n in names[:k]}
         reports = []
         for i in range(int(rng.integers(1, 4))):
             reports.append(
-                ClientReport.from_counts(
+                ClientReport(
                     f"c{i}", {n: rng.normal(size=1) for n in names[:k]},
                     n_image=int(rng.integers(0, 5)), n_html=int(rng.integers(0, 5)),
                     n_url=int(rng.integers(0, 5)), n_pair=int(rng.integers(0, 3)),
@@ -334,17 +334,6 @@ def test_single_client_single_round_adopts_client_params():
             assert np.array_equal(res.params[name], init[name]), name
 
 
-def test_run_deterministic_across_workers():
-    spec = ModelSpec.desk()
-    cfg = TrainConfig(rounds=2, epochs=2, batch_size=16, seed=14)
-    clients = [desk_url_client(f"u{i}", seed=20 + i) for i in range(3)]
-    runs = [run_experiment(spec, cfg, clients, workers=w) for w in (1, 4)]
-    for k in runs[0].params:
-        assert np.array_equal(runs[0].params[k], runs[1].params[k])
-    for la, lb in zip(runs[0].rounds, runs[1].rounds):
-        assert la.entries == lb.entries
-
-
 def test_run_shuffled_client_list_same_result():
     spec = ModelSpec.desk()
     cfg = TrainConfig(rounds=2, epochs=2, batch_size=16, seed=15)
@@ -380,8 +369,32 @@ def test_round_log_role_counts():
     res = run_experiment(spec, cfg, clients)
     counts = res.rounds[0].role_counts
     assert counts["url"] == 2
-    assert counts["image"] == 0 and counts["html"] == 0 and counts["fusion"] == 0
-    assert counts["shared"] == 2
+    assert counts == {"image": 0, "html": 0, "url": 2, "fusion": 0}
+
+
+def test_nan_client_dropped_and_other_owner_aggregates(caplog):
+    spec = ModelSpec.desk()
+    cfg = TrainConfig(rounds=2, epochs=1, batch_size=16, seed=18)
+    good = desk_url_client("a", seed=60)
+    poisoned = desk_url_client("b", seed=61)
+    poisoned.train["url"]["x"] = np.full_like(poisoned.train["url"]["x"], np.nan)
+    with caplog.at_level(logging.ERROR, logger="fedphish.federation"):
+        res = run_experiment(spec, cfg, [good, poisoned])
+    failures = [r.getMessage() for r in caplog.records]
+    assert failures == ["client b failed in round 0", "client b failed in round 1"]
+    assert [log.role_counts["url"] for log in res.rounds] == [1, 1]
+    alone = run_experiment(spec, cfg, [good])
+    for k in res.params:
+        assert np.array_equal(res.params[k], alone.params[k]), k
+
+
+def test_programming_error_in_training_propagates(monkeypatch):
+    def broken(*args, **kwargs):
+        raise TypeError("bug in our own code")
+
+    monkeypatch.setattr(federation, "client_train", broken)
+    with pytest.raises(TypeError, match="bug in our own code"):
+        run_experiment(ModelSpec.desk(), TrainConfig(rounds=1), [desk_url_client()])
 
 
 def test_duplicate_client_ids_rejected():
@@ -398,7 +411,7 @@ def test_checkpoint_round_trip(tmp_path):
     spec = ModelSpec.desk()
     params = {k: p.data for k, p in spec.init_params(18).items()}
     path = tmp_path / "model.ckpt"
-    save_checkpoint(path, params, run_id="trial", round_index=7, cfg_hash=config_hash({"a": 1}))
+    save_checkpoint(path, params, run_id="trial", round_index=7, cfg_hash="0123456789abcdef")
     manifest, loaded = load_checkpoint(path)
     assert manifest["run_id"] == "trial"
     assert manifest["round"] == 7
@@ -412,3 +425,29 @@ def test_checkpoint_rejects_garbage(tmp_path):
     path.write_bytes(b"not a checkpoint")
     with pytest.raises(ValueError):
         load_checkpoint(path)
+
+
+def test_checkpoint_truncated_at_any_offset_is_named(tmp_path):
+    params = {k: p.data for k, p in ModelSpec.desk().init_params(19).items()}
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, params, run_id="trial", round_index=0, cfg_hash="0123456789abcdef")
+    whole = path.read_bytes()
+    cut = tmp_path / "cut.ckpt"
+    # inside the magic, the manifest length, the manifest, a record and the last value
+    for offset in (2, 6, 20, len(whole) // 2, len(whole) - 1):
+        cut.write_bytes(whole[:offset])
+        with pytest.raises(ValueError, match="truncated"):
+            load_checkpoint(cut)
+
+
+def test_failed_save_keeps_existing_checkpoint(tmp_path):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, {"a": np.arange(3.0)}, run_id="old", round_index=0,
+                    cfg_hash="0123456789abcdef")
+    before = path.read_bytes()
+    with pytest.raises(ValueError):
+        # "b" cannot be written as float64 after "a" already was
+        save_checkpoint(path, {"a": np.zeros(3), "b": "not a number"}, run_id="new",
+                        round_index=1, cfg_hash="0123456789abcdef")
+    assert path.read_bytes() == before
+    assert [f.name for f in tmp_path.iterdir()] == ["model.ckpt"]
