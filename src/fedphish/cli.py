@@ -114,20 +114,21 @@ def cmd_synth(args) -> int:
 def gradcheck_suite(seeds: int) -> dict[str, float]:
     """Max relative finite-difference error per head at desk dims.
 
-    Each seed sweeps every parameter tensor at its 24 largest-gradient
+    The checked function is ``federation.batch_loss``, the loss that
+    ``client_train`` minimises, on one image, html, url and pair batch (the
+    pair without modality dropout, so both branches are live). Each seed
+    sweeps every parameter tensor the loss reaches at its 24 largest-gradient
     coordinates (10 for the fusion loss); small tensors are swept in full.
-    Completeness of each primitive's backward is covered exhaustively by
-    the unit suite, so the head-level sweep focuses on the coordinates
-    that carry numerically meaningful gradient mass.
+    Completeness of each primitive's backward is covered exhaustively by the
+    unit suite, so the head-level sweep focuses on the coordinates that
+    carry numerically meaningful gradient mass.
     """
-    from .heads import (
-        FUSION_PREFIX, HTML_PREFIX, IMAGE_PREFIX, URL_PREFIX,
-        LossConfig, ModelSpec, focal_loss, js_consistency, proximal_term,
-    )
-    from .numerics import finite_difference_check
+    from .federation import TrainConfig, batch_loss
+    from .heads import LossConfig, ModelSpec
+    from .numerics import backward, finite_difference_check, zero_grads
 
     spec = ModelSpec.desk()
-    loss_cfg = LossConfig()
+    cfg = TrainConfig(mu=0.02, loss=LossConfig(modal_dropout_p=0.0))
     worst: dict[str, float] = {}
 
     for seed in range(seeds):
@@ -141,58 +142,29 @@ def gradcheck_suite(seeds: int) -> dict[str, float]:
             p.data = p.data + jitter.normal(scale=0.1, size=p.data.shape)
         heads = spec.heads()
         rng = np.random.default_rng(1000 + seed)
-        x_img = rng.normal(size=(2, 4, 16))
-        char = rng.integers(0, 33, size=(2, 32))
-        word = rng.integers(0, 17, size=(2, 8))
-        dom = rng.integers(0, 9, size=(2, 8))
-        x_url = rng.normal(size=(2, 16))
-        labels = rng.integers(0, 2, size=2)
+        page = {"x": rng.normal(size=(2, 4, 16)), "char": rng.integers(0, 33, size=(2, 32)),
+                "word": rng.integers(0, 17, size=(2, 8)), "dom": rng.integers(0, 9, size=(2, 8))}
+        url = {"x": rng.normal(size=(2, 16))}
+        page["y"] = url["y"] = rng.integers(0, 2, size=2)
         snap = {k: p.data + rng.normal(scale=0.05, size=p.data.shape)
                 for k, p in params.items()}
 
-        def subset(prefix):
-            return {k: v for k, v in params.items() if k.startswith(prefix)}
+        # (head, batch kind, batch, coordinates per tensor). The fusion loss
+        # reaches every branch parameter; it samples those more sparsely, the
+        # per-head checks already cover them densely.
+        checks = (("image", "image", page, 24), ("html", "html", page, 24),
+                  ("url", "url", url, 24), ("fusion", "pair", page, 10))
+        for offset, (name, kind, batch, limit) in enumerate(checks, start=1):
+            def loss_fn(kind=kind, batch=batch, offset=offset):
+                # dropout reseeded per call: every evaluation sees one function
+                drop = np.random.default_rng(seed + offset)
+                return batch_loss(heads, kind, params, batch, snap, cfg, drop)
 
-        def check(name, loss_fn, checked, limit=24):
-            err = finite_difference_check(loss_fn, checked, coord_limit=limit)
+            zero_grads(params)
+            backward(loss_fn())
+            reached = {k: p for k, p in params.items() if p.grad is not None}
+            err = finite_difference_check(loss_fn, reached, coord_limit=limit)
             worst[name] = max(worst.get(name, 0.0), err)
-
-        def image_loss():
-            drop = np.random.default_rng(seed + 1)
-            logits = heads["image"].forward(params, x_img, train=True, rng=drop)
-            return focal_loss(logits, labels, loss_cfg.focal_gamma) + proximal_term(
-                params, snap, 0.02, IMAGE_PREFIX)
-
-        def html_loss():
-            drop = np.random.default_rng(seed + 2)
-            logits = heads["html"].forward(params, char, word, dom, train=True, rng=drop)
-            return focal_loss(logits, labels, loss_cfg.focal_gamma) + proximal_term(
-                params, snap, 0.02, HTML_PREFIX)
-
-        def url_loss():
-            drop = np.random.default_rng(seed + 3)
-            logits = heads["url"].forward(params, x_url, train=True, rng=drop)
-            return focal_loss(logits, labels, loss_cfg.focal_gamma) + proximal_term(
-                params, snap, 0.02, URL_PREFIX)
-
-        def fusion_loss():
-            drop = np.random.default_rng(seed + 4)
-            l_i = heads["image"].forward(params, x_img, train=True, rng=drop)
-            l_h = heads["html"].forward(params, char, word, dom, train=True, rng=drop)
-            fused, _ = heads["fusion"].forward(params, l_i, l_h)
-            loss = focal_loss(fused, labels, loss_cfg.focal_gamma)
-            loss = loss + loss_cfg.lambda_aux * (
-                focal_loss(l_i, labels, loss_cfg.focal_gamma)
-                + focal_loss(l_h, labels, loss_cfg.focal_gamma))
-            loss = loss + loss_cfg.lambda_js * js_consistency(l_i, l_h)
-            return loss + proximal_term(params, snap, 0.02, FUSION_PREFIX)
-
-        check("image", image_loss, subset(IMAGE_PREFIX))
-        check("html", html_loss, subset(HTML_PREFIX))
-        check("url", url_loss, subset(URL_PREFIX))
-        # the fusion loss reaches every branch parameter; sample those more
-        # sparsely, the per-head sweeps above already cover them densely
-        check("fusion", fusion_loss, params, limit=10)
     return worst
 
 

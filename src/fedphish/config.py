@@ -11,6 +11,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -26,7 +27,7 @@ from .data import (
     synth_image_tokens,
     synth_paired,
 )
-from .federation import ClientData, TrainConfig
+from .federation import ClientData, TrainConfig, _is_int, _is_real
 from .heads import LossConfig, ModelSpec
 from .preproc import PreprocConfig
 
@@ -49,9 +50,16 @@ _DATASET_KEYS = {"modality", "synth", "path", "train_range", "test_range",
                  "shuffle_seed", "preshuffled"}
 _SYNTH_KEYS = {"kind", "train_n", "test_n", "seed", "separation", "length",
                "informative"}
-_PREPROC_KEYS = {"char_len", "word_len", "dom_len", "word_buckets",
-                 "dom_buckets", "shuffle_seed"}
-_MODALITIES = ("image", "html", "url", "pair")
+_PREPROC_KEYS = {"char_len", "word_len", "dom_len", "word_buckets", "dom_buckets"}
+_SYNTH_KIND = {"image": "image_tokens", "html": "html", "url": "embeddings", "pair": "paired"}
+_SYNTH_CHECKS = {  # key -> (what it must be, test)
+    "train_n": ("an integer >= 0", lambda v: _is_int(v) and v >= 0),
+    "test_n": ("an integer >= 0", lambda v: _is_int(v) and v >= 0),
+    "seed": ("an integer", _is_int),
+    "separation": ("a finite number >= 0", lambda v: _is_real(v) and math.isfinite(v) and v >= 0),
+    "length": ("an integer >= 1", lambda v: _is_int(v) and v >= 1),
+    "informative": ("true or false", lambda v: isinstance(v, bool)),
+}
 
 
 @dataclass(frozen=True)
@@ -92,23 +100,39 @@ def _parse_dataset(obj: dict, where: str) -> DatasetSpec:
         raise ConfigError(f"{where}: dataset must be an object")
     _reject_unknown(obj, _DATASET_KEYS, where)
     modality = obj.get("modality")
-    if modality not in _MODALITIES:
-        raise ConfigError(f"{where}: modality must be one of {_MODALITIES}, got {modality!r}")
+    if modality not in _SYNTH_KIND:
+        raise ConfigError(f"{where}: modality must be one of {tuple(_SYNTH_KIND)}, got {modality!r}")
     synth = obj.get("synth")
     path = obj.get("path")
     if (synth is None) == (path is None):
         raise ConfigError(f"{where}: exactly one of 'synth' or 'path' is required")
+    if modality == "pair" and path is not None:
+        raise ConfigError(f"{where}: paired data from paths is not supported; "
+                          "pair image and html files upstream or use synth")
     if synth is not None:
+        if not isinstance(synth, dict):
+            raise ConfigError(f"{where}.synth: must be an object")
         _reject_unknown(synth, _SYNTH_KEYS, f"{where}.synth")
-        if "kind" not in synth:
-            raise ConfigError(f"{where}.synth: missing 'kind'")
+        if synth.get("kind") != _SYNTH_KIND[modality]:
+            raise ConfigError(f"{where}.synth: kind must be {_SYNTH_KIND[modality]!r} for "
+                              f"{modality} data, got {synth.get('kind')!r}")
+        for key, (what, ok) in _SYNTH_CHECKS.items():
+            if key in synth and not ok(synth[key]):
+                raise ConfigError(f"{where}.synth: {key} must be {what}, got {synth[key]!r}")
+        if synth.get("train_n", 32) + synth.get("test_n", 32) < 2:
+            raise ConfigError(f"{where}.synth: train_n + test_n must be at least 2")
     train_range = obj.get("train_range")
     test_range = obj.get("test_range")
     if path is not None:
-        if train_range is None or test_range is None:
-            raise ConfigError(f"{where}: path datasets need 'train_range' and 'test_range'")
+        if not isinstance(path, str):
+            raise ConfigError(f"{where}: path must be a string, got {path!r}")
+        for name, value in (("train_range", train_range), ("test_range", test_range)):
+            if not (isinstance(value, list) and len(value) == 2 and all(map(_is_int, value))):
+                raise ConfigError(f"{where}: path datasets need {name} as [start, stop] integers")
         train_range = tuple(train_range)
         test_range = tuple(test_range)
+    if not (_is_int(obj.get("shuffle_seed", 42)) and isinstance(obj.get("preshuffled", False), bool)):
+        raise ConfigError(f"{where}: shuffle_seed must be an integer and preshuffled true or false")
     return DatasetSpec(
         modality=modality,
         synth=synth,
@@ -134,6 +158,8 @@ def parse_config(path) -> ExperimentConfig:
     _reject_unknown(raw, _TOP_KEYS, str(path))
 
     preproc_raw = raw.get("preproc", {})
+    if not isinstance(preproc_raw, dict):
+        raise ConfigError(f"{path}: preproc must be an object")
     _reject_unknown(preproc_raw, _PREPROC_KEYS, "preproc")
     # the dataclasses check ranges and types; report their errors as config errors
     try:
@@ -172,8 +198,8 @@ def parse_config(path) -> ExperimentConfig:
         raise ConfigError(f"model_profile must be paper, desk or desk_pages, got {profile!r}")
 
     clients_raw = raw.get("clients")
-    if not clients_raw:
-        raise ConfigError("config needs at least one client")
+    if not clients_raw or not isinstance(clients_raw, list):
+        raise ConfigError("config needs a list of at least one client")
     clients = []
     seen = set()
     for i, cobj in enumerate(clients_raw):
@@ -188,8 +214,8 @@ def parse_config(path) -> ExperimentConfig:
             raise ConfigError(f"duplicate client id {cid!r}")
         seen.add(cid)
         datasets = cobj.get("datasets")
-        if not datasets:
-            raise ConfigError(f"{where}: needs at least one dataset")
+        if not datasets or not isinstance(datasets, list):
+            raise ConfigError(f"{where}: needs a list of at least one dataset")
         specs = tuple(_parse_dataset(d, f"{where}.datasets[{j}]") for j, d in enumerate(datasets))
         clients.append(ClientSpec(client_id=cid, datasets=specs))
         for spec in specs:
@@ -238,24 +264,21 @@ def _synth_split(spec: DatasetSpec, cfg: ExperimentConfig):
             total, seed=seed, informative=s.get("informative", True),
             preproc_cfg=cfg.preproc,
         )
-    elif kind == "paired":
+    else:  # paired
         samples = synth_paired(
             total, seed=seed, image_length=s.get("length", 4),
             image_dim=cfg.model.image.d_model,
             separation=s.get("separation", 8.0), preproc_cfg=cfg.preproc,
         )
-    else:
-        raise ConfigError(f"unknown synth kind {kind!r}")
     return samples[:train_n], samples[train_n:]
 
 
 def _path_split(spec: DatasetSpec, cfg: ExperimentConfig):
     import numpy as np
 
-    modality = "url" if spec.modality == "pair" else spec.modality
     samples = load_jsonl(
-        spec.path, modality, preproc_cfg=cfg.preproc,
-        embed_dim=cfg.model.url.in_dim if modality == "url" else cfg.model.image.d_model,
+        spec.path, spec.modality, preproc_cfg=cfg.preproc,
+        embed_dim=cfg.model.url.in_dim if spec.modality == "url" else cfg.model.image.d_model,
     )
     order = np.arange(len(samples))
     if not spec.preshuffled:
@@ -284,11 +307,6 @@ def build_clients(cfg: ExperimentConfig) -> list[ClientData]:
         train: dict = {}
         val: dict = {}
         for dspec in cspec.datasets:
-            if dspec.modality == "pair" and dspec.path is not None:
-                raise ConfigError(
-                    f"client {cspec.client_id}: paired data from paths is not "
-                    "supported; pair image and html files upstream or use synth"
-                )
             tr, te = (_synth_split if dspec.synth is not None else _path_split)(dspec, cfg)
             stack = _STACKERS[dspec.modality]
             if dspec.modality in train:

@@ -282,7 +282,7 @@ def stack_html(samples: list[Sample]) -> dict[str, np.ndarray]:
 
 def stack_pairs(pairs: list[PairedSample]) -> dict[str, np.ndarray]:
     return {
-        "img_x": np.stack([p.image_tokens for p in pairs]),
+        "x": np.stack([p.image_tokens for p in pairs]),
         "char": np.stack([p.html_streams.char_ids for p in pairs]),
         "word": np.stack([p.html_streams.word_ids for p in pairs]),
         "dom": np.stack([p.html_streams.dom_ids for p in pairs]),

@@ -3,9 +3,14 @@
 The server groups every parameter into one of four role buckets by name
 prefix and aggregates each bucket only over the clients that own that role,
 weighted per role (sample counts, or equal weight for html). Buckets nobody
-can aggregate keep their old values. Clients train each present head locally
-with a focal loss plus the proximal pull toward the broadcast snapshot, and
-run a paired fusion phase with batch-level modality dropout.
+can aggregate keep their old values.
+
+Each epoch a client trains its image, html and url batches, in that order,
+then its pair batches. ``batch_loss`` is the one training objective: a focal
+loss plus the proximal pull toward the broadcast snapshot, and for pairs the
+fused loss with batch-level modality dropout, auxiliary branch losses and JS
+consistency. Only the parameters a batch's loss reaches get a gradient, and
+only those are clipped and stepped.
 
 Everything is deterministic: clients train one after another in sorted
 client-id order, client RNG streams are seeded by (global seed, client
@@ -50,6 +55,8 @@ __all__ = [
     "select_clients",
     "role_weight",
     "aggregate",
+    "head_logits",
+    "batch_loss",
     "client_train",
     "client_evaluate",
     "run_experiment",
@@ -59,12 +66,7 @@ __all__ = [
 
 log = logging.getLogger(__name__)
 
-_PREFIX_TO_ROLE = {
-    IMAGE_PREFIX: "image",
-    HTML_PREFIX: "html",
-    URL_PREFIX: "url",
-    FUSION_PREFIX: "fusion",
-}
+_ROLE_PREFIX = {"image": IMAGE_PREFIX, "html": HTML_PREFIX, "url": URL_PREFIX, "fusion": FUSION_PREFIX}
 
 CHECKPOINT_MAGIC = b"FPCK"
 
@@ -80,7 +82,7 @@ def group_of(param_name: str) -> Role:
     """The role whose head prefix starts the name."""
     if not param_name:
         raise ValueError("empty parameter name")
-    for prefix, role in _PREFIX_TO_ROLE.items():
+    for role, prefix in _ROLE_PREFIX.items():
         if param_name.startswith(prefix):
             return Role(role)
     raise ValueError(f"parameter {param_name!r} has no head prefix")
@@ -105,7 +107,9 @@ class ClientData:
     """One simulated client's local shards, already stacked into arrays.
 
     train/val keys: "image" {x, y}, "html" {char, word, dom, y},
-    "url" {x, y}, "pair" {img_x, char, word, dom, y}.
+    "url" {x, y}, "pair" {x, char, word, dom, y}. A pair stores its image
+    tokens under "x" and its html streams under the html keys, so one pair
+    batch feeds both the image and the html head.
     """
 
     client_id: str
@@ -254,24 +258,50 @@ def _batches(n: int, batch_size: int, rng: np.random.Generator):
         yield order[start : start + batch_size]
 
 
-def _head_param_names(params: dict[str, Tensor], prefixes) -> list[str]:
-    if isinstance(prefixes, str):
-        prefixes = (prefixes,)
-    return [k for k in params if k.startswith(tuple(prefixes))]
+def head_logits(heads, kind: str, params, batch, train: bool = False, rng=None) -> Tensor:
+    """Logits of the image, html or url head on a stacked batch. A pair
+    batch holds both an image and an html payload, so it feeds either head."""
+    if kind == "html":
+        return heads["html"].forward(
+            params, batch["char"], batch["word"], batch["dom"], train=train, rng=rng
+        )
+    return heads[kind].forward(params, batch["x"], train=train, rng=rng)
 
 
-def _step(params, names, optimizer, clip):
-    grads = [params[k].grad for k in sorted(names) if params[k].grad is not None]
-    if grads:
-        clip_global_norm(grads, clip)
-        optimizer.step(names)
+def batch_loss(heads, kind: str, params, batch, snapshot, cfg: TrainConfig, rng) -> Tensor:
+    """The training loss of one batch of ``kind`` (image, html, url or pair).
 
-
-_MODALITY_PHASES = (  # training order fixed: image, html, url
-    ("image", IMAGE_PREFIX),
-    ("html", HTML_PREFIX),
-    ("url", URL_PREFIX),
-)
+    A single-modality batch gives the focal loss of its head. A pair batch
+    runs both branches, drops one of them with probability p/2 each
+    (batch-level modality dropout, one ``rng.random()`` per batch), fuses
+    what is left, and adds the auxiliary branch losses and the JS
+    consistency term. Either way the proximal pull toward ``snapshot``
+    covers the head being trained (fusion for pairs).
+    """
+    loss_cfg = cfg.loss
+    labels = batch["y"]
+    if kind != "pair":
+        logits = head_logits(heads, kind, params, batch, train=True, rng=rng)
+        loss = focal_loss(logits, labels, loss_cfg.focal_gamma)
+        return loss + proximal_term(params, snapshot, cfg.mu, _ROLE_PREFIX[kind])
+    l_i = head_logits(heads, "image", params, batch, train=True, rng=rng)
+    l_h = head_logits(heads, "html", params, batch, train=True, rng=rng)
+    l_i_star, l_h_star = l_i, l_h
+    r = rng.random()
+    if r < loss_cfg.modal_dropout_p / 2.0:
+        l_i_star = None
+    elif r < loss_cfg.modal_dropout_p:
+        l_h_star = None
+    fused, _ = heads["fusion"].forward(params, l_i_star, l_h_star)
+    loss = focal_loss(fused, labels, loss_cfg.focal_gamma)
+    if loss_cfg.lambda_aux > 0:
+        loss = loss + loss_cfg.lambda_aux * (
+            focal_loss(l_i, labels, loss_cfg.focal_gamma)
+            + focal_loss(l_h, labels, loss_cfg.focal_gamma)
+        )
+    if loss_cfg.lambda_js > 0:
+        loss = loss + loss_cfg.lambda_js * js_consistency(l_i, l_h)
+    return loss + proximal_term(params, snapshot, cfg.mu, FUSION_PREFIX)
 
 
 def client_train(
@@ -287,69 +317,26 @@ def client_train(
         raise ValueError(f"client {data.client_id} has no training data")
     heads = model.heads()
     params = {k: Tensor(v.copy(), requires_grad=True) for k, v in broadcast.items()}
-    snapshot = broadcast
     optimizer = make_optimizer(cfg.optimizer, params, cfg.lr)
-    loss_cfg = cfg.loss
     loss_sums: dict[str, float] = {}
     loss_counts: dict[str, int] = {}
 
-    def forward_for(kind: str, arrays, idx):
-        if kind == "image":
-            return heads["image"].forward(params, arrays["x"][idx], train=True, rng=rng)
-        if kind == "html":
-            return heads["html"].forward(
-                params, arrays["char"][idx], arrays["word"][idx], arrays["dom"][idx],
-                train=True, rng=rng,
-            )
-        return heads["url"].forward(params, arrays["x"][idx], train=True, rng=rng)
-
     for _ in range(cfg.epochs):
-        for kind, prefix in _MODALITY_PHASES:
+        for kind in ("image", "html", "url", "pair"):
             if kind not in data.train:
                 continue
             arrays = data.train[kind]
+            head = "fusion" if kind == "pair" else kind
             for idx in _batches(len(arrays["y"]), cfg.batch_size, rng):
                 zero_grads(params)
-                logits = forward_for(kind, arrays, idx)
-                loss = focal_loss(logits, arrays["y"][idx], loss_cfg.focal_gamma)
-                loss = loss + proximal_term(params, snapshot, cfg.mu, prefix)
+                batch = {k: v[idx] for k, v in arrays.items()}
+                loss = batch_loss(heads, kind, params, batch, broadcast, cfg, rng)
                 backward(loss)
-                _step(params, _head_param_names(params, prefix), optimizer, cfg.clip)
-                loss_sums[kind] = loss_sums.get(kind, 0.0) + float(loss.data)
-                loss_counts[kind] = loss_counts.get(kind, 0) + 1
-
-        if "pair" in data.train:
-            arrays = data.train["pair"]
-            for idx in _batches(len(arrays["y"]), cfg.batch_size, rng):
-                zero_grads(params)
-                labels = arrays["y"][idx]
-                l_i = heads["image"].forward(params, arrays["img_x"][idx], train=True, rng=rng)
-                l_h = heads["html"].forward(
-                    params, arrays["char"][idx], arrays["word"][idx], arrays["dom"][idx],
-                    train=True, rng=rng,
-                )
-                # batch-level modality dropout
-                l_i_star, l_h_star = l_i, l_h
-                r = rng.random()
-                if r < loss_cfg.modal_dropout_p / 2.0:
-                    l_i_star = None
-                elif r < loss_cfg.modal_dropout_p:
-                    l_h_star = None
-                fused, _ = heads["fusion"].forward(params, l_i_star, l_h_star)
-                loss = focal_loss(fused, labels, loss_cfg.focal_gamma)
-                if loss_cfg.lambda_aux > 0:
-                    loss = loss + loss_cfg.lambda_aux * (
-                        focal_loss(l_i, labels, loss_cfg.focal_gamma)
-                        + focal_loss(l_h, labels, loss_cfg.focal_gamma)
-                    )
-                if loss_cfg.lambda_js > 0:
-                    loss = loss + loss_cfg.lambda_js * js_consistency(l_i, l_h)
-                loss = loss + proximal_term(params, snapshot, cfg.mu, FUSION_PREFIX)
-                backward(loss)
-                touched = _head_param_names(params, (FUSION_PREFIX, IMAGE_PREFIX, HTML_PREFIX))
-                _step(params, touched, optimizer, cfg.clip)
-                loss_sums["fusion"] = loss_sums.get("fusion", 0.0) + float(loss.data)
-                loss_counts["fusion"] = loss_counts.get("fusion", 0) + 1
+                grads = [params[k].grad for k in sorted(params) if params[k].grad is not None]
+                clip_global_norm(grads, cfg.clip)
+                optimizer.step()
+                loss_sums[head] = loss_sums.get(head, 0.0) + float(loss.data)
+                loss_counts[head] = loss_counts.get(head, 0) + 1
 
     return ClientReport(
         data.client_id,
@@ -377,48 +364,32 @@ def client_evaluate(
     fusion path; otherwise every present single-modality head is scored."""
     heads = model.heads()
     tensors = {k: Tensor(v) for k, v in params.items()}
+    if "pair" in data.val and len(data.val["pair"]["y"]):
+        kinds = ["pair"]
+    else:
+        kinds = [k for k in ("image", "html", "url") if k in data.val and len(data.val[k]["y"])]
     results: dict[str, tuple[float, Metrics]] = {}
-
-    def score(head_name: str, logits_fn, labels: np.ndarray):
+    for kind in kinds:
+        arrays = data.val[kind]
+        labels = arrays["y"]
         losses = []
         preds = []
         for idx in _eval_batches(len(labels), cfg.batch_size):
-            logits = logits_fn(idx)
-            losses.append(float(focal_loss(logits, labels[idx], cfg.loss.focal_gamma).data) * len(idx))
+            batch = {k: v[idx] for k, v in arrays.items()}
+            if kind == "pair":
+                logits, _ = heads["fusion"].forward(
+                    tensors,
+                    head_logits(heads, "image", tensors, batch),
+                    head_logits(heads, "html", tensors, batch),
+                )
+            else:
+                logits = head_logits(heads, kind, tensors, batch)
+            losses.append(float(focal_loss(logits, batch["y"], cfg.loss.focal_gamma).data) * len(idx))
             preds.append(np.argmax(logits.data, axis=-1))
-        preds = np.concatenate(preds)
-        results[head_name] = (
+        results["fusion" if kind == "pair" else kind] = (
             sum(losses) / len(labels),
-            compute_metrics(confusion(preds, labels)),
+            compute_metrics(confusion(np.concatenate(preds), labels)),
         )
-
-    if "pair" in data.val and len(data.val["pair"]["y"]):
-        arrays = data.val["pair"]
-
-        def fused_logits(idx):
-            l_i = heads["image"].forward(tensors, arrays["img_x"][idx])
-            l_h = heads["html"].forward(
-                tensors, arrays["char"][idx], arrays["word"][idx], arrays["dom"][idx]
-            )
-            fused, _ = heads["fusion"].forward(tensors, l_i, l_h)
-            return fused
-
-        score("fusion", fused_logits, arrays["y"])
-        return results
-
-    for kind in ("image", "html", "url"):
-        if kind not in data.val or not len(data.val[kind]["y"]):
-            continue
-        arrays = data.val[kind]
-        if kind == "image":
-            fn = lambda idx: heads["image"].forward(tensors, arrays["x"][idx])
-        elif kind == "html":
-            fn = lambda idx: heads["html"].forward(
-                tensors, arrays["char"][idx], arrays["word"][idx], arrays["dom"][idx]
-            )
-        else:
-            fn = lambda idx: heads["url"].forward(tensors, arrays["x"][idx])
-        score(kind, fn, arrays["y"])
     return results
 
 
@@ -545,4 +516,7 @@ def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
             count = int(np.prod(shape)) if shape else 1
             arr = np.frombuffer(_read_exact(fh, 8 * count, path), dtype="<f8").reshape(shape)
             params[name] = arr.astype(np.float64)
+        trailing = len(fh.read())
+    if trailing:
+        raise ValueError(f"{path}: {trailing} trailing bytes after the last record")
     return manifest, params

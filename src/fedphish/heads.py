@@ -68,7 +68,6 @@ class ImageHeadConfig:
     ff_dim: int = 1024
     dropout: float = 0.2
     classifier_hidden: int = 512
-    second_summary_mean: bool = False  # second summary token = mean instead of max
 
     def __post_init__(self):
         if self.d_model % self.n_heads != 0:
@@ -218,13 +217,10 @@ class ImageHead:
         return params
 
     def summary_tokens(self, tokens: Tensor) -> Tensor:
-        """Two non-learnable global tokens prepended to the sequence."""
+        """Two non-learnable global tokens, both the token-wise max, prepended
+        to the sequence."""
         first = tokens.max(axis=-2, keepdims=True)
-        if self.cfg.second_summary_mean:
-            second = tokens.mean(axis=-2, keepdims=True)
-        else:
-            second = first
-        return concat([first, second, tokens], axis=-2)
+        return concat([first, first, tokens], axis=-2)
 
     def forward(self, params, tokens, train: bool = False, rng=None) -> Tensor:
         tokens = tokens if isinstance(tokens, Tensor) else Tensor(tokens)

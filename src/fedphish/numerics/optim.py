@@ -52,10 +52,9 @@ class Adam:
         self.v = {k: np.zeros_like(p.data) for k, p in params.items()}
         self.t = {k: 0 for k in params}
 
-    def step(self, names=None) -> None:
-        """Update every named parameter that has a gradient."""
-        keys = self.params.keys() if names is None else names
-        for k in sorted(keys):
+    def step(self) -> None:
+        """Update every parameter that has a gradient, in sorted name order."""
+        for k in sorted(self.params):
             p = self.params[k]
             if p.grad is None:
                 continue
@@ -80,9 +79,8 @@ class Sgd:
         self.params = params
         self.lr = lr
 
-    def step(self, names=None) -> None:
-        keys = self.params.keys() if names is None else names
-        for k in sorted(keys):
+    def step(self) -> None:
+        for k in sorted(self.params):
             p = self.params[k]
             if p.grad is not None:
                 p.data -= self.lr * p.grad

@@ -8,6 +8,7 @@ markup degrades to text, never to an exception.
 
 from __future__ import annotations
 
+import numbers
 import re
 import struct
 import unicodedata
@@ -52,16 +53,19 @@ _TAG_NAME_RE = re.compile(r"[a-zA-Z][a-zA-Z0-9:_-]*")
 
 @dataclass(frozen=True)
 class PreprocConfig:
-    """Stream lengths, hash bucket counts and the optional shuffle seed."""
+    """Stream lengths and hash bucket counts."""
 
     char_len: int = 4096
     word_len: int = 1024
     dom_len: int = 1024
     word_buckets: int = 131071
     dom_buckets: int = 8190
-    shuffle_seed: int | None = 42
 
     def __post_init__(self):
+        for field in ("char_len", "word_len", "dom_len", "word_buckets", "dom_buckets"):
+            value = getattr(self, field)
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+                raise ValueError(f"{field} must be an integer, got {value!r}")
         for field in ("char_len", "word_len", "dom_len"):
             if getattr(self, field) <= 0:
                 raise ValueError(f"{field} must be positive")

@@ -1,5 +1,7 @@
 """Config parsing, bundled scenarios and the command line surface."""
 
+import contextlib
+import io
 import json
 from pathlib import Path
 
@@ -79,6 +81,55 @@ def test_parse_rejects_negative_mu(tmp_path):
 ], ids=lambda over: next(iter(over)))
 def test_cli_run_bad_train_setting_exit_one(tmp_path, over):
     cfg_path = write_config(tmp_path, minimal_config(**over))
+    assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == EXIT_VALIDATION
+    assert not (tmp_path / "out").exists()
+
+
+def with_synth(**synth):
+    cfg = minimal_config()
+    cfg["clients"][0]["datasets"][0]["synth"].update(synth)
+    return cfg
+
+
+PAIR_FROM_PATH = {"modality": "pair", "path": "x.jsonl", "train_range": [0, 1], "test_range": [1, 2]}
+
+
+def with_path(**dataset):
+    return minimal_config(clients=[{"id": "p", "datasets": [
+        {"modality": "url", "path": "x.jsonl", "train_range": [0, 1], "test_range": [1, 2], **dataset}]}])
+
+
+@pytest.mark.parametrize("cfg, match", [
+    pytest.param(minimal_config(preproc=5), "preproc must be an object", id="preproc-not-object"),
+    pytest.param(minimal_config(preproc={"shuffle_seed": 1}), "shuffle_seed", id="preproc-shuffle_seed"),
+    pytest.param(minimal_config(preproc={"char_len": 2.5}), "char_len", id="char_len-float"),
+    pytest.param(minimal_config(preproc={"word_buckets": "9"}), "word_buckets", id="word_buckets-str"),
+    pytest.param(minimal_config(clients=5), "list of at least one client", id="clients-not-list"),
+    pytest.param(minimal_config(clients=[{"id": "p", "datasets": 5}]), "list of at least one dataset",
+                 id="datasets-not-list"),
+    pytest.param(minimal_config(clients=[{"id": "p", "datasets": [PAIR_FROM_PATH]}]),
+                 "paired data from paths", id="pair-from-path"),
+    pytest.param(with_path(path=5), "path must be a string", id="path-not-str"),
+    pytest.param(with_path(train_range=5), "train_range", id="train_range-int"),
+    pytest.param(with_path(test_range=[1, "2"]), "test_range", id="test_range-str"),
+    pytest.param(with_path(shuffle_seed="x"), "shuffle_seed", id="shuffle_seed-str"),
+    pytest.param(with_path(preshuffled="yes"), "preshuffled", id="preshuffled-str"),
+    pytest.param(with_synth(train_n="x"), "train_n", id="train_n-str"),
+    pytest.param(with_synth(train_n=-3), "train_n", id="train_n-negative"),
+    pytest.param(with_synth(test_n=True), "test_n", id="test_n-bool"),
+    pytest.param(with_synth(train_n=1, test_n=0), "at least 2", id="one-sample"),
+    pytest.param(with_synth(seed=1.5), "seed", id="seed-float"),
+    pytest.param(with_synth(separation="x"), "separation", id="separation-str"),
+    pytest.param(with_synth(separation=-1.0), "separation", id="separation-negative"),
+    pytest.param(with_synth(length=0), "length", id="length-zero"),
+    pytest.param(with_synth(informative=1), "informative", id="informative-int"),
+    pytest.param(with_synth(kind="image_tokens"), "kind must be 'embeddings'", id="kind-mismatch"),
+    pytest.param(with_synth(kind="pixels"), "kind must be 'embeddings'", id="kind-unknown"),
+])
+def test_cli_run_bad_data_setting_exit_one(tmp_path, cfg, match):
+    cfg_path = write_config(tmp_path, cfg)
+    with pytest.raises(ConfigError, match=match):
+        parse_config(cfg_path)
     assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == EXIT_VALIDATION
     assert not (tmp_path / "out").exists()
 
@@ -257,19 +308,30 @@ def test_cli_synth_html_roundtrips_through_loader(tmp_path):
         s.html_streams.validate(cfg)
 
 
-def test_cli_gradcheck_ok_exit_zero():
-    assert main(["gradcheck", "--seeds", "1"]) == EXIT_OK
-
-
 def test_cli_gradcheck_corrupted_exit_nonzero(monkeypatch, capsys):
     monkeypatch.setattr("fedphish.numerics.finite_difference_check", lambda *a, **k: 1.0)
     assert main(["gradcheck", "--seeds", "1"]) == EXIT_RUNTIME
     assert capsys.readouterr().out.count("[FAIL]") == 4
 
 
-def test_cli_gradcheck_repeat_identical(capsys):
-    main(["gradcheck", "--seeds", "1"])
-    first = capsys.readouterr().out
-    main(["gradcheck", "--seeds", "1"])
-    second = capsys.readouterr().out
+@pytest.fixture(scope="module")
+def gradcheck_twice():
+    """Two runs of `gradcheck --seeds 1` as (exit code, stdout) pairs, shared by the tests below."""
+    runs = []
+    for _ in range(2):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(["gradcheck", "--seeds", "1"])
+        runs.append((code, out.getvalue()))
+    return runs
+
+
+def test_cli_gradcheck_ok_exit_zero(gradcheck_twice):
+    for code, out in gradcheck_twice:
+        assert code == EXIT_OK
+        assert out.count("[ok]") == 4
+
+
+def test_cli_gradcheck_repeat_identical(gradcheck_twice):
+    (_, first), (_, second) = gradcheck_twice
     assert first == second

@@ -14,6 +14,7 @@ from fedphish.federation import (
     TrainConfig,
     _client_rng,
     aggregate,
+    batch_loss,
     client_evaluate,
     client_train,
     group_of,
@@ -23,7 +24,8 @@ from fedphish.federation import (
     save_checkpoint,
     select_clients,
 )
-from fedphish.heads import HTML_PREFIX, IMAGE_PREFIX, URL_PREFIX, LossConfig, ModelSpec
+from fedphish.heads import FUSION_PREFIX, HTML_PREFIX, IMAGE_PREFIX, URL_PREFIX, LossConfig, ModelSpec
+from fedphish.numerics import backward, zero_grads
 
 
 def report(cid, value, **counts):
@@ -256,6 +258,43 @@ def test_proximal_drift_non_increasing_in_mu():
     assert all(a >= b - 1e-12 for a, b in zip(dists, dists[1:])), dists
 
 
+class FixedDraw:
+    """A Generator whose size-less ``random()`` returns ``r``; sized draws
+    (dropout masks) come from a real stream."""
+
+    def __init__(self, r):
+        self.r = r
+        self.rng = np.random.default_rng(0)
+
+    def random(self, size=None):
+        return self.r if size is None else self.rng.random(size)
+
+
+@pytest.mark.parametrize("r, dropped", [(0.05, "image"), (0.15, "html"), (0.5, None)])
+def test_pair_modality_dropout_split(r, dropped):
+    from fedphish.data import stack_pairs, synth_paired
+    from fedphish.preproc import PreprocConfig
+
+    pcfg = PreprocConfig(char_len=32, word_len=8, dom_len=8, word_buckets=257, dom_buckets=61)
+    spec = ModelSpec.desk_pages()
+    batch = stack_pairs(synth_paired(4, seed=1, image_length=4, image_dim=16, preproc_cfg=pcfg))
+    params = spec.init_params(12)
+    snapshot = {k: p.data for k, p in params.items()}
+    cfg = TrainConfig(rounds=1, loss=LossConfig(modal_dropout_p=0.2))
+    zero_grads(params)
+    backward(batch_loss(spec.heads(), "pair", params, batch, snapshot, cfg, FixedDraw(r)))
+    reached = {k for k, p in params.items() if p.grad is not None}
+    # both branch heads learn from the auxiliary losses whichever branch is dropped
+    branches = {k for k in params if k.startswith((IMAGE_PREFIX, HTML_PREFIX))}
+    assert branches <= reached
+    assert (FUSION_PREFIX + "log_t_image" in reached) == (dropped != "image")
+    assert (FUSION_PREFIX + "log_t_html" in reached) == (dropped != "html")
+    gate = {k for k in params if k.startswith(FUSION_PREFIX + "gate.")}
+    assert len(gate) == 4
+    assert gate & reached == (gate if dropped is None else set())
+    assert not any(k.startswith(URL_PREFIX) for k in reached)
+
+
 def test_client_rng_streams_differ_by_round_and_client():
     a = _client_rng(1, 0, 0).random(4)
     b = _client_rng(1, 0, 1).random(4)
@@ -438,6 +477,15 @@ def test_checkpoint_truncated_at_any_offset_is_named(tmp_path):
         cut.write_bytes(whole[:offset])
         with pytest.raises(ValueError, match="truncated"):
             load_checkpoint(cut)
+
+
+def test_checkpoint_trailing_bytes_are_named(tmp_path):
+    params = {k: p.data for k, p in ModelSpec.desk().init_params(19).items()}
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, params, run_id="trial", round_index=0, cfg_hash="0123456789abcdef")
+    path.write_bytes(path.read_bytes() + b"garbage")
+    with pytest.raises(ValueError, match="7 trailing bytes after the last record"):
+        load_checkpoint(path)
 
 
 def test_failed_save_keeps_existing_checkpoint(tmp_path):

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from fedphish.federation import TrainConfig, batch_loss
 from fedphish.heads import (
     FUSION_PREFIX,
     HTML_PREFIX,
@@ -53,17 +54,6 @@ def test_image_summary_tokens_single_token():
     assert out.shape == (1, 3, 4)
     assert np.array_equal(out[0, 0], x.data[0, 0])
     assert np.array_equal(out[0, 1], x.data[0, 0])
-
-
-def test_image_summary_second_token_mean_mode():
-    head = ImageHead(
-        ImageHeadConfig(d_model=4, n_heads=2, ff_dim=4, classifier_hidden=4, second_summary_mean=True)
-    )
-    rng = np.random.default_rng(0)
-    x = rng.normal(size=(1, 5, 4))
-    out = head.summary_tokens(Tensor(x)).data
-    assert np.allclose(out[0, 0], x[0].max(axis=0))
-    assert np.allclose(out[0, 1], x[0].mean(axis=0))
 
 
 def test_image_head_permutation_invariant():
@@ -556,28 +546,16 @@ def test_proximal_only_touches_prefix():
 def full_loss_closure(spec, params, seed):
     heads = spec.heads()
     rng = np.random.default_rng(seed)
-    x_img = rng.normal(size=(2, 4, 16))
-    char = rng.integers(0, 33, size=(2, 32))
-    word = rng.integers(0, 17, size=(2, 8))
-    dom = rng.integers(0, 9, size=(2, 8))
-    labels = rng.integers(0, 2, size=2)
+    batch = {
+        "x": rng.normal(size=(2, 4, 16)),
+        "char": rng.integers(0, 33, size=(2, 32)),
+        "word": rng.integers(0, 17, size=(2, 8)),
+        "dom": rng.integers(0, 9, size=(2, 8)),
+        "y": rng.integers(0, 2, size=2),
+    }
     snap = {k: p.data + rng.normal(scale=0.05, size=p.data.shape) for k, p in params.items()}
-    loss_cfg = LossConfig()
-
-    def loss_fn():
-        drop_rng = np.random.default_rng(seed + 999)
-        l_i = heads["image"].forward(params, x_img, train=True, rng=drop_rng)
-        l_h = heads["html"].forward(params, char, word, dom, train=True, rng=drop_rng)
-        fused, _ = heads["fusion"].forward(params, l_i, l_h)
-        loss = focal_loss(fused, labels, loss_cfg.focal_gamma)
-        loss = loss + loss_cfg.lambda_aux * (
-            focal_loss(l_i, labels, loss_cfg.focal_gamma)
-            + focal_loss(l_h, labels, loss_cfg.focal_gamma)
-        )
-        loss = loss + loss_cfg.lambda_js * js_consistency(l_i, l_h)
-        return loss + proximal_term(params, snap, 0.02, FUSION_PREFIX)
-
-    return loss_fn
+    cfg = TrainConfig(mu=0.02, loss=LossConfig(modal_dropout_p=0.0))
+    return lambda: batch_loss(heads, "pair", params, batch, snap, cfg, np.random.default_rng(seed + 999))
 
 
 def test_fusion_full_loss_gradient_fidelity_sampled():
@@ -591,17 +569,15 @@ def test_fusion_full_loss_gradient_fidelity_sampled():
 
 def test_url_full_loss_gradient_fidelity():
     spec, params = desk_params(seed=34)
-    head = spec.heads()["url"]
+    heads = spec.heads()
     rng = np.random.default_rng(35)
-    x = rng.normal(size=(2, 16))
-    labels = np.array([0, 1])
+    batch = {"x": rng.normal(size=(2, 16)), "y": np.array([0, 1])}
     snap = {k: p.data + rng.normal(scale=0.05, size=p.data.shape) for k, p in params.items()}
     url_params = {k: v for k, v in params.items() if k.startswith(URL_PREFIX)}
+    cfg = TrainConfig(mu=0.02)
 
     def loss_fn():
-        drop_rng = np.random.default_rng(36)
-        logits = head.forward(params, x, train=True, rng=drop_rng)
-        return focal_loss(logits, labels, 2.0) + proximal_term(params, snap, 0.02, URL_PREFIX)
+        return batch_loss(heads, "url", params, batch, snap, cfg, np.random.default_rng(36))
 
     err = finite_difference_check(loss_fn, url_params)
     assert err < 1e-4, err
