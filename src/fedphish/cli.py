@@ -66,26 +66,13 @@ def cmd_run(args) -> int:
 
 
 def cmd_preprocess(args) -> int:
-    from .preproc import PreprocConfig, preprocess, write_records
+    from .data import load_jsonl
+    from .preproc import PreprocConfig, write_records
 
     cfg = PreprocConfig(char_len=args.char_len, word_len=args.word_len,
                         dom_len=args.dom_len, word_buckets=args.word_buckets,
                         dom_buckets=args.dom_buckets)
-    items = []
-    with open(args.input) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-                label = obj["label"]
-                html = obj["html"]
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
-                raise ValueError(f"{args.input}: line {lineno}: {exc}") from exc
-            if label not in (0, 1) or not isinstance(html, str):
-                raise ValueError(f"{args.input}: line {lineno}: need label 0|1 and html string")
-            items.append((label, preprocess(html, cfg)))
+    items = [(s.label, s.html_streams) for s in load_jsonl(args.input, "html", preproc_cfg=cfg)]
     with open(args.output, "wb") as fh:
         write_records(fh, items, cfg)
     print(f"wrote {len(items)} records to {args.output}")

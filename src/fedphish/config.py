@@ -11,7 +11,6 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -27,9 +26,9 @@ from .data import (
     synth_image_tokens,
     synth_paired,
 )
-from .federation import ClientData, TrainConfig, _is_int, _is_real
-from .heads import LossConfig, ModelSpec
-from .preproc import PreprocConfig
+from .federation import ClientData, TrainConfig
+from .heads import LossConfig, ModelSpec, _is_finite_nonneg, _is_int
+from .preproc import CHAR_PAD, PreprocConfig
 
 __all__ = ["ConfigError", "DatasetSpec", "ClientSpec", "ExperimentConfig",
            "parse_config", "config_hash", "build_clients", "bundled_config_path",
@@ -56,7 +55,7 @@ _SYNTH_CHECKS = {  # key -> (what it must be, test)
     "train_n": ("an integer >= 0", lambda v: _is_int(v) and v >= 0),
     "test_n": ("an integer >= 0", lambda v: _is_int(v) and v >= 0),
     "seed": ("an integer", _is_int),
-    "separation": ("a finite number >= 0", lambda v: _is_real(v) and math.isfinite(v) and v >= 0),
+    "separation": ("a finite number >= 0", _is_finite_nonneg),
     "length": ("an integer >= 1", lambda v: _is_int(v) and v >= 1),
     "informative": ("true or false", lambda v: isinstance(v, bool)),
 }
@@ -222,13 +221,27 @@ def parse_config(path) -> ExperimentConfig:
             if spec.path is not None and not Path(spec.path).exists():
                 raise ConfigError(f"{where}: referenced path does not exist: {spec.path}")
 
+    html = model.html
+    # the largest preprocessed id of each stream is its PAD id
+    if any(d.modality in ("html", "pair") for c in clients for d in c.datasets) and (
+        html.char_vocab <= CHAR_PAD or html.word_vocab <= preproc.word_pad or html.dom_vocab <= preproc.dom_pad
+    ):
+        raise ConfigError(
+            f"model_profile {profile!r}: html vocabularies (char {html.char_vocab}, word "
+            f"{html.word_vocab}, dom {html.dom_vocab}) cannot hold the preprocessed ids (need at least "
+            f"{CHAR_PAD + 1}, {preproc.word_pad + 1} and {preproc.dom_pad + 1} rows)"
+        )
+    out_dir = raw.get("out_dir", "runs")
+    if not isinstance(out_dir, str):
+        raise ConfigError(f"out_dir must be a string, got {out_dir!r}")
+
     return ExperimentConfig(
         name=raw.get("name", path.stem),
         train=train,
         model=model,
         preproc=preproc,
         clients=tuple(clients),
-        out_dir=raw.get("out_dir", "runs"),
+        out_dir=out_dir,
     )
 
 

@@ -1,9 +1,10 @@
 """Role-aware FedProx orchestration.
 
-The server groups every parameter into one of four role buckets by name
-prefix and aggregates each bucket only over the clients that own that role,
-weighted per role (sample counts, or equal weight for html). Buckets nobody
-can aggregate keep their old values.
+Every parameter belongs to one of four roles (image, html, url, fusion) by
+name prefix. A client owns the roles its training data reaches, with one
+weight per role (sample counts, or equal weight for html); it copies, trains
+and reports only the parameters of those roles. The server averages each
+role only over its owners, and a role nobody owns keeps its old values.
 
 Each epoch a client trains its image, html and url batches, in that order,
 then its pair batches. ``batch_loss`` is the one training objective: a focal
@@ -19,11 +20,9 @@ index, round), and weighted sums run in sorted client order.
 
 from __future__ import annotations
 
-import enum
 import json
 import logging
 import math
-import numbers
 import os
 import struct
 from dataclasses import dataclass, field
@@ -38,6 +37,9 @@ from .heads import (
     URL_PREFIX,
     LossConfig,
     ModelSpec,
+    _is_finite_nonneg,
+    _is_int,
+    _is_real,
     focal_loss,
     js_consistency,
     proximal_term,
@@ -46,14 +48,12 @@ from .metrics import Metrics, RoundEntry, RoundLog, compute_metrics, confusion
 from .numerics import GradientError, Tensor, backward, clip_global_norm, make_optimizer, zero_grads
 
 __all__ = [
-    "Role",
     "ClientReport",
     "ClientData",
     "TrainConfig",
     "ExperimentResult",
     "group_of",
     "select_clients",
-    "role_weight",
     "aggregate",
     "head_logits",
     "batch_loss",
@@ -71,34 +71,22 @@ _ROLE_PREFIX = {"image": IMAGE_PREFIX, "html": HTML_PREFIX, "url": URL_PREFIX, "
 CHECKPOINT_MAGIC = b"FPCK"
 
 
-class Role(enum.Enum):
-    IMAGE = "image"
-    HTML = "html"
-    URL = "url"
-    FUSION = "fusion"
-
-
-def group_of(param_name: str) -> Role:
+def group_of(param_name: str) -> str:
     """The role whose head prefix starts the name."""
-    if not param_name:
-        raise ValueError("empty parameter name")
     for role, prefix in _ROLE_PREFIX.items():
         if param_name.startswith(prefix):
-            return Role(role)
+            return role
     raise ValueError(f"parameter {param_name!r} has no head prefix")
 
 
 @dataclass
 class ClientReport:
-    """One client's returned parameters plus its per-role sample counts and
-    mean training loss per phase."""
+    """One client's trained parameters of the roles it owns, its aggregation
+    weight per owned role and its mean training loss per phase."""
 
     client_id: str
     params: dict[str, np.ndarray]
-    n_image: int = 0
-    n_html: int = 0
-    n_url: int = 0
-    n_pair: int = 0
+    weights: dict[str, float]
     train_loss: dict[str, float] = field(default_factory=dict)
 
 
@@ -116,35 +104,20 @@ class ClientData:
     train: dict[str, dict[str, np.ndarray]] = field(default_factory=dict)
     val: dict[str, dict[str, np.ndarray]] = field(default_factory=dict)
 
-    def count(self, kind: str) -> int:
-        if kind not in self.train:
-            return 0
-        return len(self.train[kind]["y"])
-
-    @property
-    def n_image(self) -> int:
-        # pairs overlap: a paired sample owns an image payload too
-        return self.count("image") + self.count("pair")
-
-    @property
-    def n_html(self) -> int:
-        return self.count("html") + self.count("pair")
-
-    @property
-    def n_url(self) -> int:
-        return self.count("url")
-
-    @property
-    def n_pair(self) -> int:
-        return self.count("pair")
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
-def _is_real(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+    def role_weights(self, html_weight_by_count: bool = False) -> dict[str, float]:
+        """Aggregation weight of each role the training data reaches: its
+        sample count, where a pair counts for image, html and fusion; html
+        weighs 1 unless ``html_weight_by_count``."""
+        n = {kind: len(arrays["y"]) for kind, arrays in self.train.items()}
+        pair = n.get("pair", 0)
+        html = n.get("html", 0) + pair
+        counts = {
+            "image": n.get("image", 0) + pair,
+            "html": html if html_weight_by_count else min(html, 1),
+            "url": n.get("url", 0),
+            "fusion": pair,
+        }
+        return {role: float(c) for role, c in counts.items() if c > 0}
 
 
 @dataclass(frozen=True)
@@ -157,7 +130,7 @@ class TrainConfig:
     clip: float = 1.0
     loss: LossConfig = field(default_factory=LossConfig)
     optimizer: str = "adam"
-    html_weight_by_count: bool = False  # equal weight by default, switchable to n_html
+    html_weight_by_count: bool = False  # equal html weight by default, switchable to the sample count
     seed: int = 0
 
     def __post_init__(self):
@@ -169,8 +142,8 @@ class TrainConfig:
             value = getattr(self, name)
             if not (_is_real(value) and math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be a finite number > 0, got {value!r}")
-        if not (_is_real(self.mu) and self.mu >= 0):
-            raise ValueError(f"mu must be a number >= 0, got {self.mu!r}")
+        if not _is_finite_nonneg(self.mu):
+            raise ValueError(f"mu must be a finite number >= 0, got {self.mu!r}")
         if not _is_int(self.seed):
             raise ValueError(f"seed must be an integer, got {self.seed!r}")
         if self.optimizer not in ("adam", "sgd"):
@@ -183,28 +156,11 @@ class TrainConfig:
 # server side
 # ---------------------------------------------------------------------------
 
-def role_weight(role: Role, report: ClientReport, cfg: TrainConfig | None = None) -> float:
-    """Aggregation weight of one client for one role; 0 for a non-owner."""
-    if role is Role.IMAGE:
-        return float(report.n_image)
-    if role is Role.HTML:
-        if report.n_html == 0:
-            return 0.0
-        if cfg is not None and cfg.html_weight_by_count:
-            return float(report.n_html)
-        return 1.0
-    if role is Role.URL:
-        return float(report.n_url)
-    return float(report.n_pair)
-
-
-def select_clients(
-    role: Role, reports: list[ClientReport], cfg: TrainConfig | None = None
-) -> list[tuple[float, ClientReport]]:
+def select_clients(role: str, reports: list[ClientReport]) -> list[tuple[float, ClientReport]]:
     """The owners of one role as (weight, report) pairs in sorted client-id
     order. A client owns a role iff its weight for that role is positive."""
     ordered = sorted(reports, key=lambda r: r.client_id)
-    weighted = [(role_weight(role, r, cfg), r) for r in ordered]
+    weighted = [(r.weights.get(role, 0.0), r) for r in ordered]
     return [(w, r) for w, r in weighted if w > 0]
 
 
@@ -218,11 +174,7 @@ def _finite_reports(reports: list[ClientReport]) -> list[ClientReport]:
     return ok
 
 
-def aggregate(
-    global_params: dict[str, np.ndarray],
-    reports: list[ClientReport],
-    cfg: TrainConfig | None = None,
-) -> dict[str, np.ndarray]:
+def aggregate(global_params: dict[str, np.ndarray], reports: list[ClientReport]) -> dict[str, np.ndarray]:
     """Role-wise weighted average; a role with no owners keeps the old value.
 
     Parameters kept unchanged are returned as the same array objects, so
@@ -230,7 +182,7 @@ def aggregate(
     client-id order for reproducibility.
     """
     reports = _finite_reports(reports)
-    role_pool = {role: select_clients(role, reports, cfg) for role in Role}
+    role_pool = {role: select_clients(role, reports) for role in _ROLE_PREFIX}
 
     new_params: dict[str, np.ndarray] = {}
     for name in sorted(global_params):
@@ -311,12 +263,16 @@ def client_train(
     cfg: TrainConfig,
     rng: np.random.Generator,
 ) -> ClientReport:
-    """Local training from the broadcast snapshot; returns the new parameters
-    with sample counts. The broadcast also serves as the proximal anchor."""
-    if not data.train:
+    """Local training from the broadcast snapshot, which also serves as the
+    proximal anchor. Only the parameters of the roles the client owns are
+    copied, optimised and returned; no other parameter gets a gradient."""
+    weights = data.role_weights(cfg.html_weight_by_count)
+    if not weights:
         raise ValueError(f"client {data.client_id} has no training data")
     heads = model.heads()
-    params = {k: Tensor(v.copy(), requires_grad=True) for k, v in broadcast.items()}
+    params = {
+        k: Tensor(v.copy(), requires_grad=True) for k, v in broadcast.items() if group_of(k) in weights
+    }
     optimizer = make_optimizer(cfg.optimizer, params, cfg.lr)
     loss_sums: dict[str, float] = {}
     loss_counts: dict[str, int] = {}
@@ -341,10 +297,7 @@ def client_train(
     return ClientReport(
         data.client_id,
         {k: p.data for k, p in params.items()},
-        n_image=data.n_image,
-        n_html=data.n_html,
-        n_url=data.n_url,
-        n_pair=data.n_pair,
+        weights,
         train_loss={k: loss_sums[k] / loss_counts[k] for k in loss_sums},
     )
 
@@ -441,10 +394,10 @@ def run_experiment(
         if not reports:
             raise RuntimeError(f"round {round_index}: every client failed")
 
-        params = aggregate(params, reports, cfg)
+        params = aggregate(params, reports)
 
         entries = []
-        role_counts = {role.value: len(select_clients(role, reports, cfg)) for role in Role}
+        role_counts = {role: len(select_clients(role, reports)) for role in _ROLE_PREFIX}
         for client in clients:
             for head, (loss, m) in sorted(client_evaluate(params, client, model, cfg).items()):
                 entries.append(RoundEntry(client_id=client.client_id, head=head, loss=loss, metrics=m))

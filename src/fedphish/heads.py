@@ -8,6 +8,8 @@ defaults are the production values.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,8 +44,6 @@ __all__ = [
     "HtmlHead",
     "UrlHead",
     "FusionHead",
-    "BranchStats",
-    "branch_stats",
     "focal_loss",
     "js_divergence",
     "js_consistency",
@@ -54,6 +54,18 @@ IMAGE_PREFIX = "image_head."
 HTML_PREFIX = "html_head."
 URL_PREFIX = "url_head."
 FUSION_PREFIX = "fusion_head."
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _is_finite_nonneg(value) -> bool:
+    return _is_real(value) and math.isfinite(value) and value >= 0
 
 
 # ---------------------------------------------------------------------------
@@ -130,10 +142,12 @@ class LossConfig:
     modal_dropout_p: float = 0.20
 
     def __post_init__(self):
-        if self.focal_gamma < 0 or self.lambda_aux < 0 or self.lambda_js < 0:
-            raise ConfigurationError("loss coefficients must be non-negative")
-        if not 0.0 <= self.modal_dropout_p < 1.0:
-            raise ConfigurationError("modal dropout p must be in [0, 1)")
+        for name in ("focal_gamma", "lambda_aux", "lambda_js"):
+            value = getattr(self, name)
+            if not _is_finite_nonneg(value):
+                raise ConfigurationError(f"{name} must be a finite number >= 0, got {value!r}")
+        if not (_is_real(self.modal_dropout_p) and 0.0 <= self.modal_dropout_p < 1.0):
+            raise ConfigurationError(f"modal_dropout_p must be in [0, 1), got {self.modal_dropout_p!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -377,26 +391,6 @@ class UrlHead:
 # ---------------------------------------------------------------------------
 # fusion head
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class BranchStats:
-    """Confidence statistics of one branch after temperature scaling."""
-
-    margin: float
-    entropy: float
-
-
-def branch_stats(logits: np.ndarray, temperature: float) -> BranchStats:
-    if temperature <= 0:
-        raise ValueError(f"temperature must be positive, got {temperature}")
-    scaled = np.asarray(logits, dtype=np.float64) / temperature
-    margin = float(abs(scaled[0] - scaled[1]))
-    shifted = scaled - scaled.max()
-    p = np.exp(shifted)
-    p /= p.sum()
-    entropy = float(-(p * np.log(np.maximum(p, 1e-300))).sum())
-    return BranchStats(margin=margin, entropy=entropy)
-
 
 def _stats_columns(scaled: Tensor) -> tuple[Tensor, Tensor]:
     """Margin and entropy of temperature-scaled logits, as [B, 1] tensors."""

@@ -78,6 +78,11 @@ def test_parse_rejects_negative_mu(tmp_path):
 @pytest.mark.parametrize("over", [
     {"lr": -1}, {"batch_size": 0}, {"clip": 0}, {"epochs": 1.5}, {"rounds": "3"},
     {"seed": "x"}, {"workers": 2}, {"detach_branches": True},
+    pytest.param({"lambda_aux": float("nan")}, id="lambda_aux-nan"),
+    pytest.param({"focal_gamma": float("nan")}, id="focal_gamma-nan"),
+    pytest.param({"focal_gamma": float("inf")}, id="focal_gamma-inf"),
+    pytest.param({"lambda_aux": True}, id="lambda_aux-bool"),
+    pytest.param({"mu": float("inf")}, id="mu-inf"),
 ], ids=lambda over: next(iter(over)))
 def test_cli_run_bad_train_setting_exit_one(tmp_path, over):
     cfg_path = write_config(tmp_path, minimal_config(**over))
@@ -92,6 +97,10 @@ def with_synth(**synth):
 
 
 PAIR_FROM_PATH = {"modality": "pair", "path": "x.jsonl", "train_range": [0, 1], "test_range": [1, 2]}
+
+
+HTML_CLIENT = {"id": "h", "datasets": [{"modality": "html", "synth": {
+    "kind": "html", "train_n": 4, "test_n": 4, "seed": 1}}]}
 
 
 def with_path(**dataset):
@@ -125,6 +134,12 @@ def with_path(**dataset):
     pytest.param(with_synth(informative=1), "informative", id="informative-int"),
     pytest.param(with_synth(kind="image_tokens"), "kind must be 'embeddings'", id="kind-mismatch"),
     pytest.param(with_synth(kind="pixels"), "kind must be 'embeddings'", id="kind-unknown"),
+    pytest.param(minimal_config(clients=[HTML_CLIENT]), "cannot hold the preprocessed ids",
+                 id="desk-html-vocab"),
+    pytest.param(minimal_config(model_profile="paper", preproc={"word_buckets": 200000},
+                                clients=[HTML_CLIENT]),
+                 "cannot hold the preprocessed ids", id="paper-word-buckets"),
+    pytest.param(minimal_config(out_dir=5), "out_dir must be a string", id="out_dir-int"),
 ])
 def test_cli_run_bad_data_setting_exit_one(tmp_path, cfg, match):
     cfg_path = write_config(tmp_path, cfg)

@@ -10,7 +10,6 @@ from fedphish.data import stack_image, stack_url, synth_embeddings, synth_image_
 from fedphish.federation import (
     ClientData,
     ClientReport,
-    Role,
     TrainConfig,
     _client_rng,
     aggregate,
@@ -19,7 +18,6 @@ from fedphish.federation import (
     client_train,
     group_of,
     load_checkpoint,
-    role_weight,
     run_experiment,
     save_checkpoint,
     select_clients,
@@ -28,8 +26,8 @@ from fedphish.heads import FUSION_PREFIX, HTML_PREFIX, IMAGE_PREFIX, URL_PREFIX,
 from fedphish.numerics import backward, zero_grads
 
 
-def report(cid, value, **counts):
-    return ClientReport(cid, {"p": np.array([value])}, **counts)
+def report(cid, value, **weights):
+    return ClientReport(cid, {"p": np.array([value])}, weights)
 
 
 # ---------------------------------------------------------------------------
@@ -37,10 +35,10 @@ def report(cid, value, **counts):
 # ---------------------------------------------------------------------------
 
 def test_group_of_prefixes():
-    assert group_of("url_head.classifier.scale") is Role.URL
-    assert group_of("fusion_head.gate.w1") is Role.FUSION
-    assert group_of("image_head.block0.attn.wq") is Role.IMAGE
-    assert group_of("html_head.word.embed") is Role.HTML
+    assert group_of("url_head.classifier.scale") == "url"
+    assert group_of("fusion_head.gate.w1") == "fusion"
+    assert group_of("image_head.block0.attn.wq") == "image"
+    assert group_of("html_head.word.embed") == "html"
 
 
 def test_group_of_rejects_unknown_prefix():
@@ -49,53 +47,47 @@ def test_group_of_rejects_unknown_prefix():
 
 
 def test_group_of_rejects_empty():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="no head prefix"):
         group_of("")
 
 
 def test_select_clients_by_role():
     reports = [
-        report("a", 1.0, n_url=10),
-        report("b", 2.0, n_image=5),
-        report("c", 3.0, n_image=2),
+        report("a", 1.0, url=10.0),
+        report("b", 2.0, image=5.0),
+        report("c", 3.0, image=2.0),
     ]
-    assert [(w, r.client_id) for w, r in select_clients(Role.URL, reports)] == [(10.0, "a")]
-    assert [(w, r.client_id) for w, r in select_clients(Role.IMAGE, reports)] == [
+    assert [(w, r.client_id) for w, r in select_clients("url", reports)] == [(10.0, "a")]
+    assert [(w, r.client_id) for w, r in select_clients("image", reports)] == [
         (5.0, "b"), (2.0, "c")]
-    assert select_clients(Role.HTML, reports) == []
-    assert select_clients(Role.FUSION, reports) == []
+    assert select_clients("html", reports) == []
+    assert select_clients("fusion", reports) == []
 
 
 # ---------------------------------------------------------------------------
 # weights
 # ---------------------------------------------------------------------------
 
-def test_role_weight_url_uses_count():
-    assert role_weight(Role.URL, report("a", 0.0, n_url=10)) == 10.0
+def rows(n):
+    return {"y": np.zeros(n, dtype=np.int64)}
 
 
-def test_role_weight_html_equal_by_default_switchable():
-    r = report("a", 0.0, n_html=37)
-    assert role_weight(Role.HTML, r) == 1.0
-    assert role_weight(Role.HTML, r, TrainConfig(html_weight_by_count=True)) == 37.0
-    assert role_weight(Role.HTML, report("b", 0.0, n_url=5)) == 0.0
-
-
-def test_role_weight_fusion_uses_pair_count():
-    r = report("a", 0.0, n_image=30, n_html=20)
-    assert role_weight(Role.FUSION, r) == 0.0
-    r2 = report("b", 0.0, n_image=30, n_html=20, n_pair=7)
-    assert role_weight(Role.FUSION, r2) == 7.0
-
-
-def test_client_data_counts_pairs_overlap():
-    def rows(n):
-        return {"y": np.zeros(n, dtype=np.int64)}
-
+def test_role_weights_pairs_overlap():
     data = ClientData("a", train={"image": rows(5), "html": rows(3), "url": rows(3),
                                   "pair": rows(5)})
     # a paired sample carries an image payload and an html payload
-    assert (data.n_image, data.n_html, data.n_url, data.n_pair) == (10, 8, 3, 5)
+    assert data.role_weights(html_weight_by_count=True) == {
+        "image": 10.0, "html": 8.0, "url": 3.0, "fusion": 5.0}
+    assert ClientData("b", train={"url": rows(4)}).role_weights() == {"url": 4.0}
+    assert ClientData("c", train={"url": rows(0)}).role_weights() == {}
+
+
+def test_role_weights_html_equal_by_default_switchable():
+    data = ClientData("a", train={"html": rows(37)})
+    assert data.role_weights() == {"html": 1.0}
+    assert data.role_weights(html_weight_by_count=True) == {"html": 37.0}
+    pairs = ClientData("b", train={"pair": rows(7)})
+    assert pairs.role_weights() == {"image": 7.0, "html": 1.0, "fusion": 7.0}
 
 
 # ---------------------------------------------------------------------------
@@ -104,15 +96,15 @@ def test_client_data_counts_pairs_overlap():
 
 def test_aggregate_single_owner_takes_its_value():
     g = {"url_head.w": np.array([0.0])}
-    new = aggregate(g, [ClientReport("a", {"url_head.w": np.array([4.5])}, n_url=3)])
+    new = aggregate(g, [ClientReport("a", {"url_head.w": np.array([4.5])}, {"url": 3.0})])
     assert new["url_head.w"][0] == 4.5
 
 
 def test_aggregate_weighted_mean():
     g = {"url_head.w": np.array([0.0])}
     reports = [
-        ClientReport("a", {"url_head.w": np.array([1.0])}, n_url=10),
-        ClientReport("b", {"url_head.w": np.array([5.0])}, n_url=30),
+        ClientReport("a", {"url_head.w": np.array([1.0])}, {"url": 10.0}),
+        ClientReport("b", {"url_head.w": np.array([5.0])}, {"url": 30.0}),
     ]
     new = aggregate(g, reports)
     assert abs(new["url_head.w"][0] - 4.0) < 1e-12
@@ -121,7 +113,7 @@ def test_aggregate_weighted_mean():
 def test_aggregate_keeps_old_when_no_owner():
     g = {"image_head.w": np.array([7.0]), "url_head.w": np.array([1.0])}
     reports = [ClientReport("a", {"image_head.w": np.array([9.9]),
-                                              "url_head.w": np.array([2.0])}, n_url=5)]
+                                  "url_head.w": np.array([2.0])}, {"url": 5.0})]
     new = aggregate(g, reports)
     assert new["image_head.w"] is g["image_head.w"]  # bitwise kept, same array
     assert new["url_head.w"][0] == 2.0
@@ -130,8 +122,8 @@ def test_aggregate_keeps_old_when_no_owner():
 def test_aggregate_excludes_nan_reports():
     g = {"url_head.w": np.array([1.0])}
     reports = [
-        ClientReport("a", {"url_head.w": np.array([np.nan])}, n_url=5),
-        ClientReport("b", {"url_head.w": np.array([3.0])}, n_url=5),
+        ClientReport("a", {"url_head.w": np.array([np.nan])}, {"url": 5.0}),
+        ClientReport("b", {"url_head.w": np.array([3.0])}, {"url": 5.0}),
     ]
     new = aggregate(g, reports)
     assert new["url_head.w"][0] == 3.0
@@ -141,9 +133,8 @@ def test_aggregate_order_invariant():
     rng = np.random.default_rng(0)
     g = {"html_head.w": rng.normal(size=4), "url_head.w": rng.normal(size=4)}
     reports = [
-        ClientReport(f"c{i}", {"html_head.w": rng.normal(size=4),
-                                           "url_head.w": rng.normal(size=4)},
-                                 n_html=int(rng.integers(1, 9)), n_url=int(rng.integers(1, 9)))
+        ClientReport(f"c{i}", {"html_head.w": rng.normal(size=4), "url_head.w": rng.normal(size=4)},
+                     {"html": float(rng.integers(1, 9)), "url": float(rng.integers(1, 9))})
         for i in range(5)
     ]
     a = aggregate(g, reports)
@@ -152,23 +143,13 @@ def test_aggregate_order_invariant():
         assert np.array_equal(a[k], b[k])
 
 
-def brute_force_aggregate(global_params, reports, cfg=None):
+def brute_force_aggregate(global_params, reports):
     """Independent oracle: per-parameter weighted mean over role owners."""
     out = {}
     for name, old in global_params.items():
-        role = group_of(name)
-        owners = []
-        for r in sorted(reports, key=lambda r: r.client_id):
-            if role is Role.IMAGE:
-                w = r.n_image
-            elif role is Role.HTML:
-                w = (r.n_html if (cfg and cfg.html_weight_by_count) else 1) if r.n_html else 0
-            elif role is Role.URL:
-                w = r.n_url
-            else:
-                w = r.n_pair
-            if w > 0:
-                owners.append((w, r.params[name]))
+        role = name.split(".", 1)[0].removesuffix("_head")
+        owners = [(r.weights[role], r.params[name])
+                  for r in sorted(reports, key=lambda r: r.client_id) if r.weights.get(role, 0) > 0]
         if not owners:
             out[name] = old
         else:
@@ -179,19 +160,14 @@ def brute_force_aggregate(global_params, reports, cfg=None):
 
 def test_aggregate_matches_brute_force_oracle_randomized():
     rng = np.random.default_rng(1)
-    names = ["image_head.a", "html_head.b", "url_head.c", "fusion_head.d"]
+    roles = ["image", "html", "url", "fusion"]
     for trial in range(50):
         k = int(rng.integers(1, 5))
-        g = {n: rng.normal(size=1) for n in names[:k]}
+        g = {f"{role}_head.p": rng.normal(size=1) for role in roles[:k]}
         reports = []
         for i in range(int(rng.integers(1, 4))):
-            reports.append(
-                ClientReport(
-                    f"c{i}", {n: rng.normal(size=1) for n in names[:k]},
-                    n_image=int(rng.integers(0, 5)), n_html=int(rng.integers(0, 5)),
-                    n_url=int(rng.integers(0, 5)), n_pair=int(rng.integers(0, 3)),
-                )
-            )
+            weights = {role: float(rng.integers(0, 5)) for role in roles}
+            reports.append(ClientReport(f"c{i}", {n: rng.normal(size=1) for n in g}, weights))
         got = aggregate(g, reports)
         ref = brute_force_aggregate(g, reports)
         for n in g:
@@ -212,14 +188,34 @@ def test_client_train_untouched_heads_stay_bitwise_equal():
     spec = ModelSpec.desk()
     cfg = TrainConfig(rounds=1, epochs=2, batch_size=16, seed=3)
     broadcast = {k: p.data for k, p in spec.init_params(3).items()}
+    before = {k: v.copy() for k, v in broadcast.items()}
     rep = client_train(desk_url_client(), broadcast, spec, cfg, _client_rng(3, 0, 0))
-    for name, arr in rep.params.items():
-        if name.startswith(URL_PREFIX):
-            continue
-        assert np.array_equal(arr, broadcast[name]), name
-    changed = [n for n in rep.params if n.startswith(URL_PREFIX)
-               and not np.array_equal(rep.params[n], broadcast[n])]
+    for name in broadcast:
+        assert np.array_equal(broadcast[name], before[name]), name
+    changed = [n for n in rep.params if not np.array_equal(rep.params[n], broadcast[n])]
     assert changed
+
+
+def pair_client(cid="f0", n=8, seed=1):
+    from fedphish.data import stack_pairs, synth_paired
+    from fedphish.preproc import PreprocConfig
+
+    pcfg = PreprocConfig(char_len=32, word_len=8, dom_len=8, word_buckets=257, dom_buckets=61)
+    pairs = stack_pairs(synth_paired(n, seed=seed, image_length=4, image_dim=16, preproc_cfg=pcfg))
+    return ClientData(client_id=cid, train={"pair": pairs}, val={"pair": pairs})
+
+
+@pytest.mark.parametrize("make_client, owned", [
+    (desk_url_client, {"url": 32.0}),
+    (pair_client, {"image": 8.0, "html": 1.0, "fusion": 8.0}),
+], ids=["url", "pair"])
+def test_client_train_reports_only_owned_roles(make_client, owned):
+    spec = ModelSpec.desk_pages()
+    cfg = TrainConfig(rounds=1, epochs=1, batch_size=8, seed=3)
+    broadcast = {k: p.data for k, p in spec.init_params(3).items()}
+    rep = client_train(make_client(), broadcast, spec, cfg, _client_rng(3, 0, 0))
+    assert rep.weights == owned
+    assert set(rep.params) == {k for k in broadcast if group_of(k) in owned}
 
 
 def test_client_train_mu_zero_equals_plain_training():

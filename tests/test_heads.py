@@ -11,7 +11,6 @@ from fedphish.heads import (
     HTML_PREFIX,
     IMAGE_PREFIX,
     URL_PREFIX,
-    BranchStats,
     FusionHead,
     HtmlHead,
     HtmlHeadConfig,
@@ -21,7 +20,7 @@ from fedphish.heads import (
     ModelSpec,
     UrlHead,
     UrlHeadConfig,
-    branch_stats,
+    _stats_columns,
     focal_loss,
     js_consistency,
     js_divergence,
@@ -276,34 +275,35 @@ def test_url_head_zero_feature_guard():
 # branch stats
 # ---------------------------------------------------------------------------
 
+def branch_stats(logits, temperature):
+    """(margin, entropy) of one branch, as the fusion gate computes them."""
+    margin, entropy = _stats_columns(Tensor(np.array([logits]) / temperature))
+    return margin.data.item(), entropy.data.item()
+
+
 def test_branch_stats_uniform():
-    s = branch_stats(np.array([0.0, 0.0]), 1.0)
-    assert s.margin == 0.0
-    assert abs(s.entropy - LN2) < 1e-12
+    margin, entropy = branch_stats([0.0, 0.0], 1.0)
+    assert margin == 0.0
+    assert abs(entropy - LN2) < 1e-12
 
 
 def test_branch_stats_margin():
-    s = branch_stats(np.array([2.0, -1.0]), 1.0)
-    assert abs(s.margin - 3.0) < 1e-12
+    margin, _ = branch_stats([2.0, -1.0], 1.0)
+    assert abs(margin - 3.0) < 1e-12
 
 
 def test_branch_stats_temperature_softens():
-    cold = branch_stats(np.array([2.0, -1.0]), 1.0)
-    warm = branch_stats(np.array([2.0, -1.0]), 3.0)
-    assert abs(warm.margin - 1.0) < 1e-12
+    cold = branch_stats([2.0, -1.0], 1.0)
+    warm = branch_stats([2.0, -1.0], 3.0)
+    assert abs(warm[0] - 1.0) < 1e-12
     # hand oracle: entropy of sigmoid(+-margin) distribution
     def entropy_of_margin(m):
         p = 1.0 / (1.0 + math.exp(-m))
         return -(p * math.log(p) + (1 - p) * math.log(1 - p))
 
-    assert abs(cold.entropy - entropy_of_margin(3.0)) < 1e-12
-    assert abs(warm.entropy - entropy_of_margin(1.0)) < 1e-12
-    assert warm.entropy > cold.entropy
-
-
-def test_branch_stats_rejects_bad_temperature():
-    with pytest.raises(ValueError):
-        branch_stats(np.array([1.0, 0.0]), 0.0)
+    assert abs(cold[1] - entropy_of_margin(3.0)) < 1e-12
+    assert abs(warm[1] - entropy_of_margin(1.0)) < 1e-12
+    assert warm[1] > cold[1]
 
 
 # ---------------------------------------------------------------------------
