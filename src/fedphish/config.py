@@ -222,14 +222,17 @@ def parse_config(path) -> ExperimentConfig:
                 raise ConfigError(f"{where}: referenced path does not exist: {spec.path}")
 
     html = model.html
-    # the largest preprocessed id of each stream is its PAD id
+    # the largest preprocessed id of each stream is its PAD id, and the head
+    # masks attention with its last row, so the two must be the same id
     if any(d.modality in ("html", "pair") for c in clients for d in c.datasets) and (
-        html.char_vocab <= CHAR_PAD or html.word_vocab <= preproc.word_pad or html.dom_vocab <= preproc.dom_pad
-    ):
+        html.char_vocab, html.word_vocab, html.dom_vocab
+    ) != (CHAR_PAD + 1, preproc.word_pad + 1, preproc.dom_pad + 1):
         raise ConfigError(
             f"model_profile {profile!r}: html vocabularies (char {html.char_vocab}, word "
-            f"{html.word_vocab}, dom {html.dom_vocab}) cannot hold the preprocessed ids (need at least "
-            f"{CHAR_PAD + 1}, {preproc.word_pad + 1} and {preproc.dom_pad + 1} rows)"
+            f"{html.word_vocab}, dom {html.dom_vocab}) need exactly {CHAR_PAD + 1}, "
+            f"{preproc.word_pad + 1} and {preproc.dom_pad + 1} rows: a smaller table cannot hold "
+            "the preprocessed ids, and in a larger one the head's PAD id (its last row) is not "
+            "the preprocessor's"
         )
     out_dir = raw.get("out_dir", "runs")
     if not isinstance(out_dir, str):

@@ -175,7 +175,8 @@ def _finite_reports(reports: list[ClientReport]) -> list[ClientReport]:
 
 
 def aggregate(global_params: dict[str, np.ndarray], reports: list[ClientReport]) -> dict[str, np.ndarray]:
-    """Role-wise weighted average; a role with no owners keeps the old value.
+    """Role-wise weighted average; a role with no owners keeps the old value,
+    and a role with one owner takes that owner's reported array.
 
     Parameters kept unchanged are returned as the same array objects, so
     role isolation is bitwise by construction. Weighted sums run in sorted
@@ -190,11 +191,17 @@ def aggregate(global_params: dict[str, np.ndarray], reports: list[ClientReport])
         if not pool:
             new_params[name] = global_params[name]
             continue
-        total = sum(w for w, _ in pool)
-        acc = np.zeros_like(global_params[name])
-        for w, r in pool:
+        for _, r in pool:
             if name not in r.params:
                 raise ValueError(f"client {r.client_id} report is missing {name!r}")
+        (w0, r0), rest = pool[0], pool[1:]
+        if not rest:
+            # a sole owner's weight share is exactly 1.0
+            new_params[name] = r0.params[name]
+            continue
+        total = sum(w for w, _ in pool)
+        acc = (w0 / total) * r0.params[name]
+        for w, r in rest:
             acc += (w / total) * r.params[name]
         new_params[name] = acc
     return new_params

@@ -11,7 +11,6 @@ from .layers import (
     gelu,
     layer_norm,
     log_softmax,
-    lstm_cell_step,
     lstm_sequence,
     mhsa_block,
     multiscale_conv_encode,
@@ -47,7 +46,6 @@ __all__ = [
     "layer_norm",
     "log_softmax",
     "logsumexp",
-    "lstm_cell_step",
     "lstm_sequence",
     "make_optimizer",
     "maximum",

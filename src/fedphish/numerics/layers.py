@@ -2,14 +2,17 @@
 
 Everything here is a pure function from (inputs, parameter tensors) to an
 output tensor; dropout is the only stochastic piece and is a no-op outside
-training mode.
+training mode. Most are compositions of ``Tensor`` operations, one graph
+node per operation. ``lstm_sequence`` is the exception: a whole scan is one
+node whose backward is hand-written BPTT, because an unrolled cell costs
+about twenty nodes per time step.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .tensor import Tensor, concat, logsumexp
+from .tensor import Tensor, concat, logsumexp, stable_sigmoid
 
 __all__ = [
     "ConfigurationError",
@@ -20,7 +23,6 @@ __all__ = [
     "gelu",
     "dropout",
     "mhsa_block",
-    "lstm_cell_step",
     "lstm_sequence",
     "bilstm_sequence",
     "attention_pool",
@@ -123,37 +125,80 @@ def mhsa_block(
     return x.reshape(L, d) if squeeze else x
 
 
-def lstm_cell_step(
-    x: Tensor, h_prev: Tensor, c_prev: Tensor, wx: Tensor, wh: Tensor, b: Tensor
-) -> tuple[Tensor, Tensor]:
-    """One LSTM cell update; gate order in the 4h axis is i, f, g, o."""
-    hidden = wh.shape[0]
-    z = x @ wx + h_prev @ wh + b
-    i = z[..., 0 * hidden : 1 * hidden].sigmoid()
-    f = z[..., 1 * hidden : 2 * hidden].sigmoid()
-    g = z[..., 2 * hidden : 3 * hidden].tanh()
-    o = z[..., 3 * hidden : 4 * hidden].sigmoid()
-    c = f * c_prev + i * g
-    h = o * c.tanh()
-    return h, c
-
-
 def lstm_sequence(xs: Tensor, wx: Tensor, wh: Tensor, b: Tensor, reverse: bool = False) -> Tensor:
-    """Run the cell over [B, T, d_in]; returns states [B, T, h].
+    """Run an LSTM over [B, T, d_in]; returns states [B, T, h].
 
-    Initial h and c are zero vectors. ``reverse`` scans right to left and
-    returns states aligned with the input positions.
+    Gate order in the 4h axis is i, f, g, o. Initial h and c are zero
+    vectors. ``reverse`` scans right to left and returns states aligned
+    with the input positions.
+
+    The whole scan is one graph node. The input projection is a single
+    [B*T, d_in] @ wx product taken before the recurrence; the backward
+    closure runs BPTT over the saved gates and cells and then takes dxs,
+    dwx, dwh and db each as one product or sum over the stacked gate
+    gradients.
     """
-    B, T, _ = xs.shape
+    B, T, d_in = xs.shape
     hidden = wh.shape[0]
-    h = Tensor(np.zeros((B, hidden)))
-    c = Tensor(np.zeros((B, hidden)))
+    x2 = xs.data.reshape(B * T, d_in)
+    xw = (x2 @ wx.data).reshape(B, T, 4 * hidden)
+    whd, bd = wh.data, b.data
     steps = range(T - 1, -1, -1) if reverse else range(T)
-    states: list[Tensor | None] = [None] * T
+
+    # per position: activated gates [B, T, 4, h], cell c and tanh(c), state h
+    gates = np.empty((B, T, 4, hidden))
+    cells = np.empty((B, T, hidden))
+    tanh_c = np.empty((B, T, hidden))
+    states = np.empty((B, T, hidden))
+    h = np.zeros((B, hidden))
+    c = np.zeros((B, hidden))
     for t in steps:
-        h, c = lstm_cell_step(xs[:, t, :], h, c, wx, wh, b)
-        states[t] = h.reshape(B, 1, hidden)
-    return concat(states, axis=1)
+        z = (xw[:, t] + h @ whd + bd).reshape(B, 4, hidden)
+        act = stable_sigmoid(z)
+        act[:, 2] = np.tanh(z[:, 2])
+        c = act[:, 1] * c + act[:, 0] * act[:, 2]
+        tc = np.tanh(c)
+        h = act[:, 3] * tc
+        gates[:, t] = act
+        cells[:, t] = c
+        tanh_c[:, t] = tc
+        states[:, t] = h
+
+    def previous(a: np.ndarray) -> np.ndarray:
+        """The value one scan step earlier at each position; zero at the first."""
+        out = np.zeros_like(a)
+        if reverse:
+            out[:, :-1] = a[:, 1:]
+        else:
+            out[:, 1:] = a[:, :-1]
+        return out
+
+    def bw(g: np.ndarray):
+        i, f, gg, o = (gates[:, :, k] for k in range(4))
+        # d(gate pre-activation) per unit of dc for i, f, g, and per unit of dh for o
+        dz_dc = np.stack(
+            [gg * i * (1.0 - i), previous(cells) * f * (1.0 - f), i * (1.0 - gg * gg)], axis=2
+        )
+        dz_dh = tanh_c * o * (1.0 - o)
+        dc_dh = o * (1.0 - tanh_c * tanh_c)
+        dz = np.empty((B, T, 4, hidden))
+        whT = whd.T
+        dh_next = np.zeros((B, hidden))
+        dc_next = np.zeros((B, hidden))
+        for t in reversed(steps):
+            dh = g[:, t] + dh_next
+            dc = dh * dc_dh[:, t] + dc_next
+            dz[:, t, :3] = dc[:, None, :] * dz_dc[:, t]
+            dz[:, t, 3] = dh * dz_dh[:, t]
+            dc_next = dc * f[:, t]
+            dh_next = dz[:, t].reshape(B, 4 * hidden) @ whT
+        dz2 = dz.reshape(B * T, 4 * hidden)
+        dxs = (dz2 @ wx.data.T).reshape(B, T, d_in)
+        dwx = x2.T @ dz2
+        dwh = previous(states).reshape(B * T, hidden).T @ dz2
+        return dxs, dwx, dwh, dz2.sum(axis=0)
+
+    return Tensor._node(states, (xs, wx, wh, b), bw)
 
 
 def bilstm_sequence(xs: Tensor, p: dict[str, Tensor]) -> Tensor:

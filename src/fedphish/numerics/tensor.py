@@ -44,6 +44,12 @@ class no_grad:
 _TWO_OVER_SQRT_PI = 2.0 / np.sqrt(np.pi)
 
 
+def stable_sigmoid(x: np.ndarray) -> np.ndarray:
+    """Logistic function of an array; exp of the negated magnitude never overflows."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+
+
 class GradientError(RuntimeError):
     """Raised when a backward pass is started from a non-finite loss."""
 
@@ -243,9 +249,7 @@ class Tensor:
         return self._node(out, (self,), lambda g: (g * (1.0 - out * out),))
 
     def sigmoid(self) -> "Tensor":
-        # exp of the negated magnitude never overflows
-        x = self.data
-        out = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))), np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+        out = stable_sigmoid(self.data)
         return self._node(out, (self,), lambda g: (g * out * (1.0 - out),))
 
     def relu(self) -> "Tensor":

@@ -139,6 +139,9 @@ def with_path(**dataset):
     pytest.param(minimal_config(model_profile="paper", preproc={"word_buckets": 200000},
                                 clients=[HTML_CLIENT]),
                  "cannot hold the preprocessed ids", id="paper-word-buckets"),
+    pytest.param(minimal_config(model_profile="paper", preproc={"word_buckets": 1000},
+                                clients=[HTML_CLIENT]),
+                 "PAD id \\(its last row\\) is not the preprocessor's", id="paper-word-buckets-1000"),
     pytest.param(minimal_config(out_dir=5), "out_dir must be a string", id="out_dir-int"),
 ])
 def test_cli_run_bad_data_setting_exit_one(tmp_path, cfg, match):

@@ -95,9 +95,12 @@ def test_role_weights_html_equal_by_default_switchable():
 # ---------------------------------------------------------------------------
 
 def test_aggregate_single_owner_takes_its_value():
-    g = {"url_head.w": np.array([0.0])}
-    new = aggregate(g, [ClientReport("a", {"url_head.w": np.array([4.5])}, {"url": 3.0})])
+    g = {"url_head.w": np.array([0.0, 0.0])}
+    reported = np.array([4.5, -0.0])
+    new = aggregate(g, [ClientReport("a", {"url_head.w": reported}, {"url": 3.0})])
     assert new["url_head.w"][0] == 4.5
+    # the report's own array, with no zero buffer or scaled copy: -0.0 stays -0.0
+    assert new["url_head.w"] is reported
 
 
 def test_aggregate_weighted_mean():

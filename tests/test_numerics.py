@@ -21,7 +21,6 @@ from fedphish.numerics import (
     layer_norm,
     log_softmax,
     logsumexp,
-    lstm_cell_step,
     lstm_sequence,
     mhsa_block,
     multiscale_conv_encode,
@@ -273,33 +272,64 @@ def zero_lstm_params(d_in, hidden):
     )
 
 
+def lstm_sequence_oracle(xs, wx, wh, b, reverse):
+    """``lstm_cell_oracle`` unrolled over [B, T, d] from zero state, one row at a time."""
+    B, T, _ = xs.shape
+    hidden = wh.shape[0]
+    out = np.zeros((B, T, hidden))
+    for row in range(B):
+        h = np.zeros(hidden)
+        c = np.zeros(hidden)
+        for t in (range(T - 1, -1, -1) if reverse else range(T)):
+            h, c = lstm_cell_oracle(xs[row, t], h, c, wx, wh, b)
+            out[row, t] = h
+    return out
+
+
 def test_lstm_zero_fixed_point():
     wx, wh, b = zero_lstm_params(3, 2)
-    h, c = lstm_cell_step(Tensor(np.ones(3)), Tensor(np.zeros(2)), Tensor(np.zeros(2)), wx, wh, b)
-    assert np.allclose(h.data, 0.0) and np.allclose(c.data, 0.0)
+    states = lstm_sequence(Tensor(np.ones((2, 4, 3))), wx, wh, b)
+    assert np.array_equal(states.data, np.zeros((2, 4, 2)))
 
 
 def test_lstm_zero_params_halve_cell():
-    wx, wh, b = zero_lstm_params(3, 2)
-    c_prev = np.array([2.0, -4.0])
-    h, c = lstm_cell_step(Tensor(np.ones(3)), Tensor(np.zeros(2)), Tensor(c_prev), wx, wh, b)
-    assert np.allclose(c.data, 0.5 * c_prev, atol=1e-12)
-    assert np.allclose(h.data, 0.5 * np.tanh(0.5 * c_prev), atol=1e-12)
+    # zero weights: i = f = o = 1/2, so c_t = (c_{t-1} + g) / 2 and c_t = g (1 - 2^-t)
+    wx, wh, _ = zero_lstm_params(3, 2)
+    g_pre = np.array([0.7, -1.3])
+    b = Tensor(np.concatenate([np.zeros(4), g_pre, np.zeros(2)]))
+    states = lstm_sequence(Tensor(np.ones((1, 5, 3))), wx, wh, b).data[0]
+    c = np.tanh(g_pre) * (1.0 - 0.5 ** np.arange(1, 6))[:, None]
+    assert np.allclose(states, 0.5 * np.tanh(c), atol=1e-12)
 
 
 def test_lstm_matches_scalar_oracle():
     rng = np.random.default_rng(8)
-    d_in, hidden = 5, 4
-    x = rng.normal(size=d_in)
-    h0 = rng.normal(size=hidden)
-    c0 = rng.normal(size=hidden)
+    B, T, d_in, hidden = 2, 6, 5, 4
+    xs = rng.normal(size=(B, T, d_in))
     wx = rng.normal(size=(d_in, 4 * hidden))
     wh = rng.normal(size=(hidden, 4 * hidden))
     b = rng.normal(size=4 * hidden)
-    h, c = lstm_cell_step(Tensor(x), Tensor(h0), Tensor(c0), Tensor(wx), Tensor(wh), Tensor(b))
-    h_ref, c_ref = lstm_cell_oracle(x, h0, c0, wx, wh, b)
-    assert np.allclose(h.data, h_ref, atol=1e-12)
-    assert np.allclose(c.data, c_ref, atol=1e-12)
+    for reverse in (False, True):
+        states = lstm_sequence(Tensor(xs), Tensor(wx), Tensor(wh), Tensor(b), reverse=reverse)
+        assert np.allclose(states.data, lstm_sequence_oracle(xs, wx, wh, b, reverse), atol=1e-12)
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+@pytest.mark.parametrize("steps", [1, 5])
+def test_lstm_sequence_gradients_include_inputs(reverse, steps):
+    for seed in range(5):
+        rng = np.random.default_rng(300 + seed)
+        xs = Tensor(rng.normal(size=(3, steps, 4)), requires_grad=True)
+        wx = Tensor(rng.normal(scale=0.5, size=(4, 12)), requires_grad=True)
+        wh = Tensor(rng.normal(scale=0.5, size=(3, 12)), requires_grad=True)
+        b = Tensor(rng.normal(scale=0.5, size=12), requires_grad=True)
+        weights = Tensor(rng.normal(size=(3, steps, 3)))
+
+        def loss_fn():
+            return (lstm_sequence(xs, wx, wh, b, reverse=reverse) * weights).sum()
+
+        err = finite_difference_check(loss_fn, {"xs": xs, "wx": wx, "wh": wh, "b": b})
+        assert err < 1e-4, f"lstm seed {seed}: {err}"
 
 
 def test_lstm_sequence_reverse_matches_flipped_forward():
