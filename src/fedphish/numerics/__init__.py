@@ -1,4 +1,8 @@
-"""Dense-tensor math: reverse-mode autodiff, layer primitives, optimizers."""
+"""Tensor math: reverse-mode autodiff, layer primitives, optimizers.
+
+Arrays are dense float64, except an embedding table's gradient, which is a
+row-sparse ``RowSparse`` over the rows the batch looked up.
+"""
 
 from .gradcheck import finite_difference_check
 from .layers import (
@@ -19,6 +23,7 @@ from .layers import (
 from .optim import Adam, Sgd, clip_global_norm, make_optimizer
 from .tensor import (
     GradientError,
+    RowSparse,
     Tensor,
     backward,
     concat,
@@ -31,6 +36,7 @@ __all__ = [
     "Adam",
     "ConfigurationError",
     "GradientError",
+    "RowSparse",
     "Sgd",
     "Tensor",
     "affine",

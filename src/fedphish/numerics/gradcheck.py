@@ -35,8 +35,9 @@ def finite_difference_check(
     zero_grads(params)
     loss = loss_fn()
     backward(loss)
+    # np.array copies a dense gradient and densifies a row-sparse one
     analytic = {
-        k: (p.grad.copy() if p.grad is not None else np.zeros_like(p.data))
+        k: (np.array(p.grad) if p.grad is not None else np.zeros_like(p.data))
         for k, p in params.items()
     }
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor import Tensor, concat, logsumexp, stable_sigmoid
+from .tensor import RowSparse, Tensor, concat, logsumexp, stable_sigmoid
 
 __all__ = [
     "ConfigurationError",
@@ -238,13 +238,30 @@ def attention_pool(
 
 
 def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
-    """Row lookup; the gradient scatter-adds into the table."""
+    """Row lookup ``table[ids]``.
+
+    The table's gradient is a ``RowSparse`` over the distinct ids: each
+    looked-up position's gradient is scatter-added into its row, in
+    position order, and no other row is stored.
+    """
     ids = np.asarray(ids)
     if ids.min(initial=0) < 0 or ids.max(initial=0) >= table.shape[0]:
         raise ConfigurationError(
             f"ids out of range for embedding table with {table.shape[0]} rows"
         )
-    return table[ids]
+
+    def bw(g: np.ndarray):
+        # a mask and a position map are cheaper than np.unique's sort
+        touched = np.zeros(table.shape[0], dtype=bool)
+        touched[ids] = True
+        rows = np.flatnonzero(touched)
+        position = np.empty(table.shape[0], dtype=np.intp)
+        position[rows] = np.arange(rows.size)
+        values = np.zeros((rows.size,) + table.shape[1:])
+        np.add.at(values, position[ids], g)
+        return (RowSparse(rows, values, table.shape),)
+
+    return Tensor._node(table.data[ids], (table,), bw)
 
 
 def multiscale_conv_encode(

@@ -4,35 +4,44 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor import Tensor
+from .tensor import RowSparse, Tensor
 
 __all__ = ["clip_global_norm", "Adam", "Sgd", "make_optimizer"]
 
 
-def clip_global_norm(grads: list[np.ndarray], tau: float) -> list[np.ndarray]:
+def clip_global_norm(grads: list, tau: float) -> list:
     """Scale all gradients by tau/norm when the global L2 norm exceeds tau.
 
-    Scaling happens in place; applying the clip twice equals applying it
-    once (the scaled norm is exactly tau, which no longer exceeds tau).
+    A row-sparse gradient contributes and is scaled through its stored rows
+    only. Scaling happens in place; applying the clip twice equals applying
+    it once (the scaled norm is exactly tau, which no longer exceeds tau).
     """
     if tau <= 0:
         raise ValueError(f"clip threshold must be positive, got {tau}")
+    arrays = [g.values if isinstance(g, RowSparse) else g for g in grads]
     total = 0.0
-    for g in grads:
-        total += float(np.sum(g * g))
+    for a in arrays:
+        total += float(np.sum(a * a))
     norm = np.sqrt(total)
     if norm > tau:
         scale = tau / norm
-        for g in grads:
-            g *= scale
+        for a in arrays:
+            a *= scale
     return grads
 
 
 class Adam:
-    """Bias-corrected adaptive moment estimation.
+    """Bias-corrected adaptive moment estimation (Kingma & Ba, 2014).
 
     Moments and step counters are tracked per parameter name so heads
-    trained in separate phases keep independent bias corrections.
+    trained in separate phases keep independent bias corrections. The
+    moments start as lazily mapped zeros, and the update runs in place
+    through two reused scratch buffers.
+
+    A row-sparse gradient updates only the rows touched so far in this
+    optimizer's life. That is exact: a row touched earlier keeps decaying
+    as in the dense update, and a row never touched has m = v = 0, so its
+    dense update is exactly 0.
     """
 
     def __init__(
@@ -48,32 +57,69 @@ class Adam:
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
-        self.m = {k: np.zeros_like(p.data) for k, p in params.items()}
-        self.v = {k: np.zeros_like(p.data) for k, p in params.items()}
+        self.m = {k: np.zeros(p.shape) for k, p in params.items()}
+        self.v = {k: np.zeros(p.shape) for k, p in params.items()}
         self.t = {k: 0 for k in params}
+        self._touched: dict[str, np.ndarray] = {}  # per table: rows whose moments may be nonzero
+        # lazily mapped, like m and v: an update maps only the prefix it uses
+        self._scratch = np.empty((2, max((p.size for p in params.values()), default=0)))
+        self._views: dict[tuple[int, ...], tuple[np.ndarray, ...]] = {}  # per shape: scratch views
 
     def step(self) -> None:
         """Update every parameter that has a gradient, in sorted name order."""
         for k in sorted(self.params):
             p = self.params[k]
-            if p.grad is None:
-                continue
             g = p.grad
+            if g is None:
+                continue
             self.t[k] += 1
-            t = self.t[k]
-            m = self.m[k]
-            v = self.v[k]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            m_hat = m / (1.0 - self.beta1**t)
-            v_hat = v / (1.0 - self.beta2**t)
-            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            if isinstance(g, RowSparse) and (self.t[k] == 1 or k in self._touched):
+                self._sparse_step(k, g)
+            else:
+                # after a dense step any row's moments may be nonzero, so the
+                # parameter stays on the dense path (a sparse gradient densifies)
+                self._touched.pop(k, None)
+                self._update(p.data, self.m[k], self.v[k], np.asarray(g), self.t[k])
+
+    def _sparse_step(self, k: str, g: RowSparse) -> None:
+        p, m, v = self.params[k].data, self.m[k], self.v[k]
+        touched = self._touched.get(k)
+        if touched is None:
+            touched = self._touched[k] = np.zeros(p.shape[0], dtype=bool)
+        touched[g.rows] = True
+        idx = np.flatnonzero(touched)
+        rows_g = np.zeros((idx.size,) + p.shape[1:])
+        rows_g[np.searchsorted(idx, g.rows)] = g.values
+        rows_p, rows_m, rows_v = p[idx], m[idx], v[idx]
+        self._update(rows_p, rows_m, rows_v, rows_g, self.t[k])
+        p[idx], m[idx], v[idx] = rows_p, rows_m, rows_v
+
+    def _update(self, p: np.ndarray, m: np.ndarray, v: np.ndarray, g: np.ndarray, t: int) -> None:
+        """One Adam step on same-shape arrays, in place. The operations and
+        their order are those of ``p -= lr * m_hat / (sqrt(v_hat) + eps)``."""
+        views = self._views.get(g.shape)
+        if views is None:
+            views = self._views[g.shape] = tuple(s[: g.size].reshape(g.shape) for s in self._scratch)
+        s1, s2 = views
+        m *= self.beta1
+        np.multiply(g, 1.0 - self.beta1, out=s1)
+        m += s1
+        v *= self.beta2
+        np.multiply(g, g, out=s1)
+        s1 *= 1.0 - self.beta2
+        v += s1
+        np.divide(m, 1.0 - self.beta1**t, out=s1)
+        s1 *= self.lr
+        np.divide(v, 1.0 - self.beta2**t, out=s2)
+        np.sqrt(s2, out=s2)
+        s2 += self.eps
+        s1 /= s2
+        p -= s1
 
 
 class Sgd:
-    """Plain gradient descent, used for controlled proximal-drift runs."""
+    """Plain gradient descent, used for controlled proximal-drift runs.
+    A row-sparse gradient updates only its rows."""
 
     def __init__(self, params: dict[str, Tensor], lr: float = 1e-3):
         self.params = params
@@ -82,8 +128,11 @@ class Sgd:
     def step(self) -> None:
         for k in sorted(self.params):
             p = self.params[k]
-            if p.grad is not None:
-                p.data -= self.lr * p.grad
+            g = p.grad
+            if isinstance(g, RowSparse):
+                p.data[g.rows] -= self.lr * g.values
+            elif g is not None:
+                p.data -= self.lr * g
 
 
 def make_optimizer(kind: str, params: dict[str, Tensor], lr: float):

@@ -1,9 +1,13 @@
-"""Reverse-mode automatic differentiation over dense float64 arrays.
+"""Reverse-mode automatic differentiation over float64 arrays.
 
 Every operation builds a graph node holding its parents and a closure that
 maps the output gradient to parent gradients. ``backward(loss)`` walks that
 graph once in reverse topological order; the graph itself is the tape. All
 arithmetic stays in 64-bit precision.
+
+Values and gradients are dense arrays, with one exception: the gradient of
+an embedding table is a ``RowSparse`` holding only the rows a batch looked
+up, so its cost scales with the batch rather than with the vocabulary.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ from scipy.special import erf as _erf
 
 __all__ = [
     "Tensor",
+    "RowSparse",
     "GradientError",
     "backward",
     "zero_grads",
@@ -54,6 +59,52 @@ class GradientError(RuntimeError):
     """Raised when a backward pass is started from a non-finite loss."""
 
 
+class RowSparse:
+    """Gradient of a table that is zero outside a few rows.
+
+    ``rows`` are sorted and unique; ``values[i]`` is the gradient of row
+    ``rows[i]`` of a table of ``shape``. numpy conversions see the dense
+    table.
+    """
+
+    __slots__ = ("rows", "values", "shape")
+
+    def __init__(self, rows: np.ndarray, values: np.ndarray, shape: tuple[int, ...]):
+        self.rows = rows
+        self.values = values
+        self.shape = shape
+
+    def dense(self) -> np.ndarray:
+        out = np.zeros(self.shape)
+        out[self.rows] = self.values
+        return out
+
+    def __array__(self, dtype=None, copy=None):
+        return np.asarray(self.dense(), dtype=dtype)
+
+
+def _accumulate(a, b):
+    """``a + b`` for two gradients of one tensor, either possibly row-sparse.
+
+    Sparse plus sparse merges rows; sparse plus dense adds the rows into a
+    dense copy. Each element gets the value of the dense sum, up to the
+    sign of a zero.
+    """
+    if isinstance(b, RowSparse):
+        a, b = b, a
+    if not isinstance(a, RowSparse):
+        return np.asarray(a + b)
+    if isinstance(b, RowSparse):
+        rows = np.union1d(a.rows, b.rows)
+        values = np.zeros((rows.size,) + a.values.shape[1:])
+        values[np.searchsorted(rows, a.rows)] += a.values
+        values[np.searchsorted(rows, b.rows)] += b.values
+        return RowSparse(rows, values, a.shape)
+    out = np.array(b, dtype=np.float64)
+    out[a.rows] += a.values
+    return out
+
+
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Sum ``grad`` down to ``shape``, undoing numpy broadcasting."""
     if grad.shape == shape:
@@ -74,7 +125,7 @@ class Tensor:
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = data
-        self.grad: np.ndarray | None = None
+        self.grad: np.ndarray | RowSparse | None = None
         self.requires_grad = requires_grad
         self._parents: tuple[Tensor, ...] = ()
         self._backward: Callable[[np.ndarray], tuple[np.ndarray | None, ...]] | None = None
@@ -194,8 +245,12 @@ class Tensor:
 
         def bw(g: np.ndarray):
             ga = g @ np.swapaxes(b, -1, -2)
-            gb = np.swapaxes(a, -1, -2) @ g
-            return _unbroadcast(ga, a.shape), _unbroadcast(gb, b.shape)
+            if b.ndim == 2 and a.ndim > 2:
+                # a weight shared by every leading index: one GEMM over all rows
+                gb = a.reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+            else:
+                gb = _unbroadcast(np.swapaxes(a, -1, -2) @ g, b.shape)
+            return _unbroadcast(ga, a.shape), gb
 
         return self._node(a @ b, (self, other), bw)
 
@@ -381,16 +436,16 @@ def backward(loss: Tensor) -> None:
             continue
         if node._backward is None:
             if node.requires_grad:
-                node.grad = np.asarray(g if node.grad is None else node.grad + g)
+                node.grad = g if node.grad is None else _accumulate(node.grad, g)
             continue
         for parent, pg in zip(node._parents, node._backward(g)):
             if pg is None or not parent.requires_grad:
                 continue
             key = id(parent)
             if key in grads:
-                grads[key] = np.asarray(grads[key] + pg)
+                grads[key] = _accumulate(grads[key], pg)
             else:
-                grads[key] = np.asarray(pg)
+                grads[key] = pg if isinstance(pg, RowSparse) else np.asarray(pg)
 
 
 def zero_grads(params) -> None:

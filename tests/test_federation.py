@@ -23,7 +23,7 @@ from fedphish.federation import (
     select_clients,
 )
 from fedphish.heads import FUSION_PREFIX, HTML_PREFIX, IMAGE_PREFIX, URL_PREFIX, LossConfig, ModelSpec
-from fedphish.numerics import backward, zero_grads
+from fedphish.numerics import RowSparse, backward, clip_global_norm, zero_grads
 
 
 def report(cid, value, **weights):
@@ -255,6 +255,30 @@ def test_proximal_drift_non_increasing_in_mu():
                         for k in rep.params if k.startswith(URL_PREFIX)))
         dists.append(d)
     assert all(a >= b - 1e-12 for a, b in zip(dists, dists[1:])), dists
+
+
+def test_html_step_leaves_embedding_gradients_row_sparse():
+    # guards against a silent dense fallback of the table gradients
+    from fedphish.data import stack_html, synth_html
+    from fedphish.preproc import PreprocConfig
+
+    pcfg = PreprocConfig(char_len=64, word_len=16, dom_len=16, word_buckets=257, dom_buckets=61)
+    spec = ModelSpec.desk_pages()
+    batch = stack_html(synth_html(8, seed=2, preproc_cfg=pcfg))
+    params = spec.init_params(13)
+    snapshot = {k: p.data for k, p in params.items()}
+    zero_grads(params)
+    loss = batch_loss(spec.heads(), "html", params, batch, snapshot, TrainConfig(rounds=1),
+                      np.random.default_rng(0))
+    backward(loss)
+    grads = [params[k].grad for k in sorted(params) if params[k].grad is not None]
+    clip_global_norm(grads, 1.0)
+    for branch, ids in (("char", batch["char"]), ("word", batch["word"]), ("dom", batch["dom"])):
+        grad = params[HTML_PREFIX + f"{branch}.embed"].grad
+        assert isinstance(grad, RowSparse), branch
+        assert np.array_equal(grad.rows, np.unique(ids))
+        assert grad.shape == params[HTML_PREFIX + f"{branch}.embed"].shape
+    assert len(params[HTML_PREFIX + "word.embed"].grad.rows) < spec.html.word_vocab
 
 
 class FixedDraw:

@@ -8,6 +8,8 @@ import pytest
 from fedphish.numerics import (
     Adam,
     ConfigurationError,
+    RowSparse,
+    Sgd,
     Tensor,
     affine,
     attention_pool,
@@ -562,6 +564,28 @@ def test_adam_deterministic():
     assert np.array_equal(outs[0], outs[1])
 
 
+def test_adam_matches_textbook_formula_bitwise():
+    # Kingma & Ba (2014), Algorithm 1, written out with fresh arrays per step
+    rng = np.random.default_rng(29)
+    b1, b2, eps, lr = 0.9, 0.999, 1e-8, 0.01
+    init = rng.normal(size=(3, 4))
+    p = Tensor(init.copy(), requires_grad=True)
+    opt = Adam({"p": p}, lr=lr, beta1=b1, beta2=b2, eps=eps)
+    theta, m, v = init.copy(), np.zeros((3, 4)), np.zeros((3, 4))
+    for t in range(1, 6):
+        g = rng.normal(size=(3, 4))
+        p.grad = g.copy()
+        opt.step()
+        m = b1 * m + (1.0 - b1) * g
+        v = b2 * v + (1.0 - b2) * (g * g)
+        m_hat = m / (1.0 - b1**t)
+        v_hat = v / (1.0 - b2**t)
+        theta = theta - lr * m_hat / (np.sqrt(v_hat) + eps)
+        assert np.array_equal(p.data, theta)
+        assert np.array_equal(opt.m["p"], m) and np.array_equal(opt.v["p"], v)
+        assert np.array_equal(p.grad, g)
+
+
 # ---------------------------------------------------------------------------
 # finite differences
 # ---------------------------------------------------------------------------
@@ -692,7 +716,11 @@ def test_embedding_gradient_scatter_adds():
     ids = np.array([1, 1, 3])
     out = embedding(table, ids)
     backward(out.sum())
-    assert np.allclose(table.grad, [[0, 0], [2, 2], [0, 0], [1, 1]])
+    assert isinstance(table.grad, RowSparse)
+    assert np.array_equal(table.grad.rows, [1, 3])
+    assert np.array_equal(table.grad.values, [[2, 2], [1, 1]])
+    assert table.grad.shape == (4, 2)
+    assert np.array_equal(table.grad.dense(), [[0, 0], [2, 2], [0, 0], [1, 1]])
 
 
 def test_logsumexp_matches_numpy_reference():
@@ -717,3 +745,120 @@ def test_softmax_rows_sum_to_one():
     z = rng.normal(scale=30, size=(4, 6))
     s = softmax(Tensor(z), axis=-1).data
     assert np.allclose(s.sum(axis=-1), 1.0, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# row-sparse table gradients
+# ---------------------------------------------------------------------------
+
+def row_sparse(rows, rng, shape):
+    rows = np.unique(rows)
+    return RowSparse(rows, rng.normal(size=(rows.size,) + shape[1:]), shape)
+
+
+OPTIMIZERS = {
+    "adam": lambda params: Adam(params, lr=0.01),
+    "sgd": lambda params: Sgd(params, lr=0.1),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(OPTIMIZERS))
+def test_touched_rows_optimizer_equals_dense_over_seven_steps(kind):
+    rng = np.random.default_rng(30)
+    shape = (50, 3)
+    init = rng.normal(size=shape)
+    # row 7 is touched only at step 1; Adam must keep decaying it afterwards
+    row_sets = [[7, 2, 2], [2, 11], [11, 40, 3], [3], [2, 40], [49], [0, 11]]
+    sparse_p = Tensor(init.copy(), requires_grad=True)
+    dense_p = Tensor(init.copy(), requires_grad=True)
+    sparse_opt = OPTIMIZERS[kind]({"table": sparse_p})
+    dense_opt = OPTIMIZERS[kind]({"table": dense_p})
+    for rows in row_sets:
+        g = row_sparse(rows, rng, shape)
+        sparse_p.grad, dense_p.grad = g, g.dense()
+        sparse_opt.step()
+        dense_opt.step()
+        assert np.array_equal(sparse_p.data, dense_p.data)
+    assert not np.array_equal(sparse_p.data[7], init[7])
+    assert np.array_equal(sparse_p.data[1], init[1])  # never touched
+
+
+def test_adam_dense_step_between_sparse_steps_stays_exact():
+    # a dense gradient (a proximal pull) can leave any row's moments nonzero
+    rng = np.random.default_rng(31)
+    shape = (30, 2)
+    init = rng.normal(size=shape)
+    grads = [row_sparse([4], rng, shape), rng.normal(size=shape),
+             row_sparse([4, 9], rng, shape), row_sparse([20], rng, shape)]
+    sparse_p = Tensor(init.copy(), requires_grad=True)
+    dense_p = Tensor(init.copy(), requires_grad=True)
+    sparse_opt, dense_opt = Adam({"t": sparse_p}), Adam({"t": dense_p})
+    for g in grads:
+        sparse_p.grad = g
+        dense_p.grad = np.asarray(g)
+        sparse_opt.step()
+        dense_opt.step()
+        assert np.array_equal(sparse_p.data, dense_p.data)
+
+
+def test_table_looked_up_twice_accumulates_bitwise():
+    rng = np.random.default_rng(32)
+    init = rng.normal(size=(20, 4))
+    a_ids, b_ids = rng.integers(0, 20, size=(3, 5)), rng.integers(0, 20, size=(2, 6))
+    w = Tensor(rng.normal(size=4))
+    grads = []
+    for lookup in (embedding, lambda t, ids: t[ids]):  # row-sparse, then dense scatter
+        table = Tensor(init.copy(), requires_grad=True)
+        a, b = lookup(table, a_ids), lookup(table, b_ids)
+        backward((a * w).sum() + (b * b).sum())
+        grads.append(table.grad)
+    sparse, dense = grads
+    assert isinstance(sparse, RowSparse)
+    assert np.array_equal(sparse.rows, np.union1d(a_ids, b_ids))
+    assert np.array_equal(sparse.dense(), dense)
+
+
+def test_table_plus_proximal_term_accumulates_bitwise():
+    rng = np.random.default_rng(33)
+    init = rng.normal(size=(20, 4))
+    snapshot = Tensor(init + rng.normal(scale=0.01, size=init.shape))
+    ids = rng.integers(0, 20, size=(4, 3))
+    w = Tensor(rng.normal(size=4))
+    grads = []
+    for lookup in (embedding, lambda t, ids: t[ids]):
+        table = Tensor(init.copy(), requires_grad=True)
+        diff = table - snapshot
+        backward((lookup(table, ids) * w).sum() + (diff * diff).sum() * 0.05)
+        grads.append(table.grad)
+    assert isinstance(grads[0], np.ndarray)
+    assert np.array_equal(grads[0], grads[1])
+
+
+def test_clip_mixed_row_sparse_and_dense_matches_densified():
+    rng = np.random.default_rng(34)
+    for _ in range(5):
+        mixed = [row_sparse(rng.integers(0, 40, size=6), rng, (40, 3)),
+                 rng.normal(size=(5, 2)) * 3.0,
+                 row_sparse(rng.integers(0, 9, size=3), rng, (9,))]
+        densified = [np.array(g) for g in mixed]
+        clip_global_norm(mixed, 1.0)
+        clip_global_norm(densified, 1.0)
+        assert isinstance(mixed[0], RowSparse) and isinstance(mixed[2], RowSparse)
+        for g, d in zip(mixed, densified):
+            assert np.allclose(np.asarray(g), d, rtol=0.0, atol=1e-15)
+        assert abs(math.sqrt(sum(float(np.sum(d * d)) for d in densified)) - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("a_shape", [(4, 5, 6), (2, 3, 5, 6)])
+def test_shared_weight_gradient_matches_per_sample_sum(a_shape):
+    rng = np.random.default_rng(35)
+    x = Tensor(rng.normal(size=a_shape), requires_grad=True)
+    w = Tensor(rng.normal(size=(6, 3)), requires_grad=True)
+    c = rng.normal(size=a_shape[:-1] + (3,))
+    backward(((x @ w) * Tensor(c)).sum())
+    xs, cs = x.data.reshape(-1, a_shape[-2], 6), c.reshape(-1, a_shape[-2], 3)
+    oracle = sum(xs[i].T @ cs[i] for i in range(len(xs)))
+    assert w.grad.shape == (6, 3)
+    assert np.allclose(w.grad, oracle, rtol=0.0, atol=1e-13 * np.abs(oracle).max())
+    assert np.array_equal(x.grad, c @ w.data.T)
+
