@@ -1,10 +1,10 @@
 """Command line entry point.
 
 Subcommands: ``run`` (execute an experiment config, clients one after
-another), ``preprocess`` (JSONL pages to binary stream records), ``synth``
-(write synthetic datasets), ``gradcheck`` (finite-difference sweep over all
-four heads at desk dims). Exit codes: 0 success, 1 validation error (a bad
-config fails before any data is built), 2 runtime failure.
+another), ``synth`` (write synthetic JSONL datasets), ``gradcheck``
+(finite-difference sweep over all four heads at desk dims). Exit codes:
+0 success, 1 validation error (a bad config fails before any data is
+built, bad data before any output is written), 2 runtime failure.
 """
 
 from __future__ import annotations
@@ -62,20 +62,6 @@ def cmd_run(args) -> int:
         print(f"{cfg.name} round {last.round_index} {e.client_id}/{e.head}: "
               f"acc={e.metrics.accuracy:.4f} fpr={e.metrics.fpr:.4f}")
     print(f"wrote {csv_path} and {ckpt_path}")
-    return EXIT_OK
-
-
-def cmd_preprocess(args) -> int:
-    from .data import load_jsonl
-    from .preproc import PreprocConfig, write_records
-
-    cfg = PreprocConfig(char_len=args.char_len, word_len=args.word_len,
-                        dom_len=args.dom_len, word_buckets=args.word_buckets,
-                        dom_buckets=args.dom_buckets)
-    items = [(s.label, s.html_streams) for s in load_jsonl(args.input, "html", preproc_cfg=cfg)]
-    with open(args.output, "wb") as fh:
-        write_records(fh, items, cfg)
-    print(f"wrote {len(items)} records to {args.output}")
     return EXIT_OK
 
 
@@ -178,16 +164,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--out", default=None, help="output directory (overrides config)")
     p_run.add_argument("--seed", type=int, default=None, help="override the config seed")
     p_run.set_defaults(fn=cmd_run)
-
-    p_pre = sub.add_parser("preprocess", help="JSONL pages to binary stream records")
-    p_pre.add_argument("--input", required=True, help="JSON Lines with 'label' and 'html'")
-    p_pre.add_argument("--output", required=True, help="binary record stream path")
-    p_pre.add_argument("--char-len", type=int, default=4096)
-    p_pre.add_argument("--word-len", type=int, default=1024)
-    p_pre.add_argument("--dom-len", type=int, default=1024)
-    p_pre.add_argument("--word-buckets", type=int, default=131071)
-    p_pre.add_argument("--dom-buckets", type=int, default=8190)
-    p_pre.set_defaults(fn=cmd_preprocess)
 
     p_syn = sub.add_parser("synth", help="write a synthetic dataset")
     p_syn.add_argument("kind", choices=("embeddings", "html"))

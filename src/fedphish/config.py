@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .data import (
-    DataError,
     load_jsonl,
     stack_html,
     stack_image,
@@ -42,7 +41,7 @@ class ConfigError(ValueError):
 _TOP_KEYS = {
     "name", "seed", "rounds", "epochs", "lr", "batch_size", "mu", "clip",
     "focal_gamma", "lambda_aux", "lambda_js", "modal_dropout_p",
-    "html_weight_by_count", "optimizer", "model_profile", "preproc", "clients", "out_dir",
+    "html_weight_by_count", "model_profile", "preproc", "clients", "out_dir",
 }
 _CLIENT_KEYS = {"id", "datasets"}
 _DATASET_KEYS = {"modality", "synth", "path", "train_range", "test_range",
@@ -126,8 +125,10 @@ def _parse_dataset(obj: dict, where: str) -> DatasetSpec:
         if not isinstance(path, str):
             raise ConfigError(f"{where}: path must be a string, got {path!r}")
         for name, value in (("train_range", train_range), ("test_range", test_range)):
-            if not (isinstance(value, list) and len(value) == 2 and all(map(_is_int, value))):
-                raise ConfigError(f"{where}: path datasets need {name} as [start, stop] integers")
+            if not (isinstance(value, list) and len(value) == 2 and all(map(_is_int, value))
+                    and 0 <= value[0] <= value[1]):
+                raise ConfigError(f"{where}: path datasets need {name} as [start, stop] integers "
+                                  "with 0 <= start <= stop")
         train_range = tuple(train_range)
         test_range = tuple(test_range)
     if not (_is_int(obj.get("shuffle_seed", 42)) and isinstance(obj.get("preshuffled", False), bool)):
@@ -141,6 +142,13 @@ def _parse_dataset(obj: dict, where: str) -> DatasetSpec:
         shuffle_seed=obj.get("shuffle_seed", 42),
         preshuffled=obj.get("preshuffled", False),
     )
+
+
+def _train_size(spec: DatasetSpec) -> int:
+    if spec.synth is not None:
+        return spec.synth.get("train_n", 32)
+    start, stop = spec.train_range
+    return stop - start
 
 
 def parse_config(path) -> ExperimentConfig:
@@ -176,7 +184,6 @@ def parse_config(path) -> ExperimentConfig:
             mu=raw.get("mu", 0.0),
             clip=raw.get("clip", 1.0),
             loss=loss,
-            optimizer=raw.get("optimizer", "adam"),
             html_weight_by_count=raw.get("html_weight_by_count", False),
             seed=raw.get("seed", 42),
         )
@@ -216,6 +223,12 @@ def parse_config(path) -> ExperimentConfig:
         if not datasets or not isinstance(datasets, list):
             raise ConfigError(f"{where}: needs a list of at least one dataset")
         specs = tuple(_parse_dataset(d, f"{where}.datasets[{j}]") for j, d in enumerate(datasets))
+        modalities = [spec.modality for spec in specs]
+        for modality in modalities:
+            if modalities.count(modality) > 1:
+                raise ConfigError(f"client {cid}: duplicate {modality} dataset")
+        if not any(_train_size(spec) for spec in specs):
+            raise ConfigError(f"client {cid} has no training data")
         clients.append(ClientSpec(client_id=cid, datasets=specs))
         for spec in specs:
             if spec.path is not None and not Path(spec.path).exists():
@@ -304,7 +317,7 @@ def _path_split(spec: DatasetSpec, cfg: ExperimentConfig):
     def take(rng_pair, what):
         start, stop = rng_pair
         if not (0 <= start <= stop <= len(shuffled)):
-            raise DataError(
+            raise ValueError(
                 f"{spec.path}: {what} range [{start}, {stop}) does not fit "
                 f"{len(shuffled)} samples"
             )
@@ -325,10 +338,6 @@ def build_clients(cfg: ExperimentConfig) -> list[ClientData]:
         for dspec in cspec.datasets:
             tr, te = (_synth_split if dspec.synth is not None else _path_split)(dspec, cfg)
             stack = _STACKERS[dspec.modality]
-            if dspec.modality in train:
-                raise ConfigError(
-                    f"client {cspec.client_id}: duplicate {dspec.modality} dataset"
-                )
             if tr:
                 train[dspec.modality] = stack(tr)
             if te:

@@ -17,7 +17,6 @@ from .preproc import HtmlStreams, PreprocConfig, preprocess
 __all__ = [
     "Sample",
     "PairedSample",
-    "DataError",
     "load_jsonl",
     "synth_embeddings",
     "synth_image_tokens",
@@ -30,10 +29,6 @@ __all__ = [
 ]
 
 EMBED_DIM = 768
-
-
-class DataError(ValueError):
-    """Malformed input data (bad line, wrong width, label mismatch)."""
 
 
 @dataclass(frozen=True)
@@ -51,9 +46,9 @@ class Sample:
             for x in (self.url_embedding, self.image_tokens, self.html_streams)
         )
         if kinds != 1:
-            raise DataError(f"sample must carry exactly one payload, got {kinds}")
+            raise ValueError(f"sample must carry exactly one payload, got {kinds}")
         if self.label not in (0, 1):
-            raise DataError(f"label must be 0 or 1, got {self.label}")
+            raise ValueError(f"label must be 0 or 1, got {self.label}")
 
 
 @dataclass(frozen=True)
@@ -69,7 +64,7 @@ def load_jsonl(path, modality: str, *, preproc_cfg: PreprocConfig | None = None,
                embed_dim: int = EMBED_DIM) -> list[Sample]:
     """Read one sample per line; html text is preprocessed on the way in."""
     if modality not in ("url", "image", "html"):
-        raise DataError(f"unknown modality {modality!r}")
+        raise ValueError(f"unknown modality {modality!r}")
     cfg = preproc_cfg or PreprocConfig()
     samples: list[Sample] = []
     with open(path) as fh:
@@ -80,17 +75,17 @@ def load_jsonl(path, modality: str, *, preproc_cfg: PreprocConfig | None = None,
             try:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
-                raise DataError(f"{path}: line {lineno}: invalid JSON ({exc})") from exc
+                raise ValueError(f"{path}: line {lineno}: invalid JSON ({exc})") from exc
             if not isinstance(obj, dict) or "label" not in obj:
-                raise DataError(f"{path}: line {lineno}: missing 'label'")
+                raise ValueError(f"{path}: line {lineno}: missing 'label'")
             label = obj["label"]
             if label not in (0, 1):
-                raise DataError(f"{path}: line {lineno}: label must be 0 or 1")
+                raise ValueError(f"{path}: line {lineno}: label must be 0 or 1")
             if modality == "url":
                 emb = obj.get("embedding")
                 if not isinstance(emb, list) or len(emb) != embed_dim:
                     got = len(emb) if isinstance(emb, list) else type(emb).__name__
-                    raise DataError(
+                    raise ValueError(
                         f"{path}: line {lineno}: 'embedding' must be {embed_dim} floats, got {got}"
                     )
                 samples.append(Sample(label=label, url_embedding=np.asarray(emb, dtype=np.float64)))
@@ -98,14 +93,14 @@ def load_jsonl(path, modality: str, *, preproc_cfg: PreprocConfig | None = None,
                 toks = obj.get("tokens")
                 arr = np.asarray(toks, dtype=np.float64) if isinstance(toks, list) else None
                 if arr is None or arr.ndim != 2 or arr.shape[1] != embed_dim:
-                    raise DataError(
+                    raise ValueError(
                         f"{path}: line {lineno}: 'tokens' must be an L x {embed_dim} float matrix"
                     )
                 samples.append(Sample(label=label, image_tokens=arr))
             else:
                 html = obj.get("html")
                 if not isinstance(html, str):
-                    raise DataError(f"{path}: line {lineno}: 'html' must be a string")
+                    raise ValueError(f"{path}: line {lineno}: 'html' must be a string")
                 samples.append(Sample(label=label, html_streams=preprocess(html, cfg)))
     return samples
 
@@ -136,9 +131,9 @@ def synth_embeddings(n: int, dim: int = EMBED_DIM, separation: float = 4.0,
     Bayes error around Phi(-4) ~ 3e-5.
     """
     if n < 2:
-        raise DataError("need at least two samples")
+        raise ValueError("need at least two samples")
     if separation < 0:
-        raise DataError("separation must be non-negative")
+        raise ValueError("separation must be non-negative")
     rng = np.random.default_rng(seed)
     u = _unit_direction(dim)
     labels = _balanced_labels(n, rng)
@@ -153,7 +148,7 @@ def synth_image_tokens(n: int, length: int = 16, dim: int = EMBED_DIM,
                        separation: float = 4.0, seed: int = 0) -> list[Sample]:
     """Token sequences tiled from the same cluster scheme as the embeddings."""
     if n < 2:
-        raise DataError("need at least two samples")
+        raise ValueError("need at least two samples")
     rng = np.random.default_rng(seed)
     u = _unit_direction(dim)
     labels = _balanced_labels(n, rng)
@@ -199,7 +194,7 @@ def synth_html(n: int, seed: int = 0, *, informative: bool = True,
     label 0 never uses. With informative=False every page draws from a
     neutral template and carries no label signal."""
     if n < 2:
-        raise DataError("need at least two samples")
+        raise ValueError("need at least two samples")
     cfg = preproc_cfg or PreprocConfig()
     rng = np.random.default_rng(seed)
     labels = _balanced_labels(n, rng)
@@ -226,7 +221,7 @@ def synth_paired(n: int, seed: int = 0, *, image_length: int = 4,
     modalities carries the label, the other is noise, so either branch
     alone tops out near 75% while the pair decides every sample."""
     if n < 2:
-        raise DataError("need at least two samples")
+        raise ValueError("need at least two samples")
     cfg = preproc_cfg or PreprocConfig()
     rng = np.random.default_rng(seed)
     labels = _balanced_labels(n, rng)

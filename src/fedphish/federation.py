@@ -129,7 +129,6 @@ class TrainConfig:
     mu: float = 0.0
     clip: float = 1.0
     loss: LossConfig = field(default_factory=LossConfig)
-    optimizer: str = "adam"
     html_weight_by_count: bool = False  # equal html weight by default, switchable to the sample count
     seed: int = 0
 
@@ -146,8 +145,6 @@ class TrainConfig:
             raise ValueError(f"mu must be a finite number >= 0, got {self.mu!r}")
         if not _is_int(self.seed):
             raise ValueError(f"seed must be an integer, got {self.seed!r}")
-        if self.optimizer not in ("adam", "sgd"):
-            raise ValueError(f"optimizer must be 'adam' or 'sgd', got {self.optimizer!r}")
         if not isinstance(self.html_weight_by_count, bool):
             raise ValueError(f"html_weight_by_count must be true or false, got {self.html_weight_by_count!r}")
 
@@ -280,7 +277,7 @@ def client_train(
     params = {
         k: Tensor(v.copy(), requires_grad=True) for k, v in broadcast.items() if group_of(k) in weights
     }
-    optimizer = make_optimizer(cfg.optimizer, params, cfg.lr)
+    optimizer = make_optimizer(params, cfg.lr)
     loss_sums: dict[str, float] = {}
     loss_counts: dict[str, int] = {}
 

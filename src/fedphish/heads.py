@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .numerics import (
-    ConfigurationError,
     Tensor,
     affine,
     attention_pool,
@@ -29,7 +28,6 @@ from .numerics import (
     maximum,
     mhsa_block,
     multiscale_conv_encode,
-    softmax,
 )
 from .numerics.tensor import logsumexp
 
@@ -45,7 +43,6 @@ __all__ = [
     "UrlHead",
     "FusionHead",
     "focal_loss",
-    "js_divergence",
     "js_consistency",
     "proximal_term",
 ]
@@ -83,7 +80,7 @@ class ImageHeadConfig:
 
     def __post_init__(self):
         if self.d_model % self.n_heads != 0:
-            raise ConfigurationError(
+            raise ValueError(
                 f"d_model {self.d_model} not divisible by {self.n_heads} heads"
             )
 
@@ -145,9 +142,9 @@ class LossConfig:
         for name in ("focal_gamma", "lambda_aux", "lambda_js"):
             value = getattr(self, name)
             if not _is_finite_nonneg(value):
-                raise ConfigurationError(f"{name} must be a finite number >= 0, got {value!r}")
+                raise ValueError(f"{name} must be a finite number >= 0, got {value!r}")
         if not (_is_real(self.modal_dropout_p) and 0.0 <= self.modal_dropout_p < 1.0):
-            raise ConfigurationError(f"modal_dropout_p must be in [0, 1), got {self.modal_dropout_p!r}")
+            raise ValueError(f"modal_dropout_p must be in [0, 1), got {self.modal_dropout_p!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -478,19 +475,6 @@ def focal_loss(logits: Tensor, labels: np.ndarray, gamma: float = 2.0) -> Tensor
     return -(((1.0 - p) ** gamma) * picked).mean()
 
 
-def js_divergence(p, q) -> float:
-    """Jensen-Shannon divergence of two distributions in nats; 0 log 0 = 0."""
-    p = np.asarray(p, dtype=np.float64)
-    q = np.asarray(q, dtype=np.float64)
-    m = 0.5 * (p + q)
-
-    def kl(a, b):
-        mask = a > 0
-        return float(np.sum(a[mask] * (np.log(a[mask]) - np.log(b[mask]))))
-
-    return 0.5 * (kl(p, m) + kl(q, m))
-
-
 def js_consistency(logits_a: Tensor, logits_b: Tensor) -> Tensor:
     """Differentiable batch-mean JS between softmax(logits_a), softmax(logits_b).
 
@@ -519,7 +503,7 @@ def proximal_term(local: dict[str, Tensor], snapshot: dict[str, np.ndarray], mu:
         if not name.startswith(tuple(prefixes)):
             continue
         if name not in snapshot:
-            raise ConfigurationError(f"snapshot is missing parameter {name!r}")
+            raise ValueError(f"snapshot is missing parameter {name!r}")
         diff = local[name] - Tensor(snapshot[name])
         total = total + (diff * diff).sum()
     return total * (mu / 2.0)

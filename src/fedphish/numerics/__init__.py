@@ -1,4 +1,4 @@
-"""Tensor math: reverse-mode autodiff, layer primitives, optimizers.
+"""Tensor math: reverse-mode autodiff, layer primitives, the optimizer.
 
 Arrays are dense float64, except an embedding table's gradient, which is a
 row-sparse ``RowSparse`` over the rows the batch looked up.
@@ -6,7 +6,6 @@ row-sparse ``RowSparse`` over the rows the batch looked up.
 
 from .gradcheck import finite_difference_check
 from .layers import (
-    ConfigurationError,
     affine,
     attention_pool,
     bilstm_sequence,
@@ -20,7 +19,7 @@ from .layers import (
     multiscale_conv_encode,
     softmax,
 )
-from .optim import Adam, Sgd, clip_global_norm, make_optimizer
+from .optim import Adam, clip_global_norm, make_optimizer
 from .tensor import (
     GradientError,
     RowSparse,
@@ -34,10 +33,8 @@ from .tensor import (
 
 __all__ = [
     "Adam",
-    "ConfigurationError",
     "GradientError",
     "RowSparse",
-    "Sgd",
     "Tensor",
     "affine",
     "attention_pool",

@@ -15,7 +15,6 @@ import numpy as np
 from .tensor import RowSparse, Tensor, concat, logsumexp, stable_sigmoid
 
 __all__ = [
-    "ConfigurationError",
     "affine",
     "layer_norm",
     "softmax",
@@ -33,14 +32,10 @@ __all__ = [
 MASK_OFFSET = -1e30  # exp(MASK_OFFSET - max) underflows to exactly 0.0
 
 
-class ConfigurationError(ValueError):
-    """Mismatched shapes, names or hyperparameters."""
-
-
 def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """Row-wise x @ w + b."""
     if x.shape[-1] != w.shape[0] or w.shape[1] != b.shape[-1]:
-        raise ConfigurationError(
+        raise ValueError(
             f"affine shapes do not conform: x{x.shape} w{w.shape} b{b.shape}"
         )
     return x @ w + b
@@ -73,7 +68,7 @@ def dropout(x: Tensor, p: float, rng: np.random.Generator | None, train: bool) -
     if not train or p <= 0.0:
         return x
     if rng is None:
-        raise ConfigurationError("training-mode dropout needs an RNG")
+        raise ValueError("training-mode dropout needs an RNG")
     keep = (rng.random(x.shape) >= p).astype(np.float64) / (1.0 - p)
     return x * Tensor(keep)
 
@@ -98,7 +93,7 @@ def mhsa_block(
         x = x.reshape(1, *x.shape)
     B, L, d = x.shape
     if d % n_heads != 0:
-        raise ConfigurationError(f"model dim {d} not divisible by {n_heads} heads")
+        raise ValueError(f"model dim {d} not divisible by {n_heads} heads")
     dh = d // n_heads
 
     h = layer_norm(x, p["ln1.gamma"], p["ln1.beta"])
@@ -246,7 +241,7 @@ def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
     """
     ids = np.asarray(ids)
     if ids.min(initial=0) < 0 or ids.max(initial=0) >= table.shape[0]:
-        raise ConfigurationError(
+        raise ValueError(
             f"ids out of range for embedding table with {table.shape[0]} rows"
         )
 

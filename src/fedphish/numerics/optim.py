@@ -1,4 +1,4 @@
-"""Gradient clipping and optimizers."""
+"""Gradient clipping and the Adam optimizer."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ import numpy as np
 
 from .tensor import RowSparse, Tensor
 
-__all__ = ["clip_global_norm", "Adam", "Sgd", "make_optimizer"]
+__all__ = ["clip_global_norm", "Adam", "make_optimizer"]
 
 
 def clip_global_norm(grads: list, tau: float) -> list:
@@ -117,27 +117,7 @@ class Adam:
         p -= s1
 
 
-class Sgd:
-    """Plain gradient descent, used for controlled proximal-drift runs.
-    A row-sparse gradient updates only its rows."""
-
-    def __init__(self, params: dict[str, Tensor], lr: float = 1e-3):
-        self.params = params
-        self.lr = lr
-
-    def step(self) -> None:
-        for k in sorted(self.params):
-            p = self.params[k]
-            g = p.grad
-            if isinstance(g, RowSparse):
-                p.data[g.rows] -= self.lr * g.values
-            elif g is not None:
-                p.data -= self.lr * g
-
-
-def make_optimizer(kind: str, params: dict[str, Tensor], lr: float):
-    if kind == "adam":
-        return Adam(params, lr=lr)
-    if kind == "sgd":
-        return Sgd(params, lr=lr)
-    raise ValueError(f"unknown optimizer {kind!r}")
+def make_optimizer(params: dict[str, Tensor], lr: float) -> Adam:
+    """The optimizer of local training: Adam at learning rate ``lr``. Local
+    training creates it only here, so tracing can observe every one made."""
+    return Adam(params, lr=lr)

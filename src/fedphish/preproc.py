@@ -10,11 +10,10 @@ from __future__ import annotations
 
 import numbers
 import re
-import struct
 import unicodedata
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import BinaryIO, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -29,8 +28,6 @@ __all__ = [
     "word_stream",
     "dom_stream",
     "preprocess",
-    "write_records",
-    "read_records",
 ]
 
 FNV_OFFSET_BASIS = 0xCBF29CE484222325
@@ -313,41 +310,3 @@ def preprocess(html: str, cfg: PreprocConfig | None = None) -> HtmlStreams:
                     break
     return HtmlStreams(char_ids=chars, word_ids=words, dom_ids=doms)
 
-
-# ---------------------------------------------------------------------------
-# binary record stream (CLI `preprocess` output)
-# ---------------------------------------------------------------------------
-
-def record_size(cfg: PreprocConfig) -> int:
-    return 1 + 2 * cfg.char_len + 4 * cfg.word_len + 2 * cfg.dom_len
-
-
-def write_records(fh: BinaryIO, items: list[tuple[int, HtmlStreams]], cfg: PreprocConfig) -> None:
-    """Per record, little-endian: label u8, char u16[], word u32[], dom u16[]."""
-    for label, streams in items:
-        streams.validate(cfg)
-        fh.write(struct.pack("<B", label))
-        fh.write(streams.char_ids.astype("<u2").tobytes())
-        fh.write(streams.word_ids.astype("<u4").tobytes())
-        fh.write(streams.dom_ids.astype("<u2").tobytes())
-
-
-def read_records(fh: BinaryIO, cfg: PreprocConfig) -> list[tuple[int, HtmlStreams]]:
-    size = record_size(cfg)
-    out: list[tuple[int, HtmlStreams]] = []
-    while True:
-        blob = fh.read(size)
-        if not blob:
-            return out
-        if len(blob) != size:
-            raise ValueError(f"truncated record: got {len(blob)} of {size} bytes")
-        label = blob[0]
-        off = 1
-        chars = np.frombuffer(blob, dtype="<u2", count=cfg.char_len, offset=off).astype(np.int64)
-        off += 2 * cfg.char_len
-        words = np.frombuffer(blob, dtype="<u4", count=cfg.word_len, offset=off).astype(np.int64)
-        off += 4 * cfg.word_len
-        doms = np.frombuffer(blob, dtype="<u2", count=cfg.dom_len, offset=off).astype(np.int64)
-        streams = HtmlStreams(char_ids=chars, word_ids=words, dom_ids=doms)
-        streams.validate(cfg)
-        out.append((label, streams))

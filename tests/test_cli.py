@@ -17,7 +17,7 @@ from fedphish.config import (
     config_hash,
     parse_config,
 )
-from fedphish.preproc import PreprocConfig, read_records
+from fedphish.preproc import PreprocConfig
 
 
 def write_config(tmp_path, obj, name="cfg.json"):
@@ -77,7 +77,7 @@ def test_parse_rejects_negative_mu(tmp_path):
 
 @pytest.mark.parametrize("over", [
     {"lr": -1}, {"batch_size": 0}, {"clip": 0}, {"epochs": 1.5}, {"rounds": "3"},
-    {"seed": "x"}, {"workers": 2}, {"detach_branches": True},
+    {"seed": "x"}, {"workers": 2}, {"detach_branches": True}, {"optimizer": "adam"},
     pytest.param({"lambda_aux": float("nan")}, id="lambda_aux-nan"),
     pytest.param({"focal_gamma": float("nan")}, id="focal_gamma-nan"),
     pytest.param({"focal_gamma": float("inf")}, id="focal_gamma-inf"),
@@ -94,6 +94,9 @@ def with_synth(**synth):
     cfg = minimal_config()
     cfg["clients"][0]["datasets"][0]["synth"].update(synth)
     return cfg
+
+
+URL_SYNTH = minimal_config()["clients"][0]["datasets"][0]
 
 
 PAIR_FROM_PATH = {"modality": "pair", "path": "x.jsonl", "train_range": [0, 1], "test_range": [1, 2]}
@@ -121,12 +124,18 @@ def with_path(**dataset):
     pytest.param(with_path(path=5), "path must be a string", id="path-not-str"),
     pytest.param(with_path(train_range=5), "train_range", id="train_range-int"),
     pytest.param(with_path(test_range=[1, "2"]), "test_range", id="test_range-str"),
+    pytest.param(with_path(train_range=[3, 1]), "0 <= start <= stop", id="train_range-reversed"),
     pytest.param(with_path(shuffle_seed="x"), "shuffle_seed", id="shuffle_seed-str"),
     pytest.param(with_path(preshuffled="yes"), "preshuffled", id="preshuffled-str"),
     pytest.param(with_synth(train_n="x"), "train_n", id="train_n-str"),
     pytest.param(with_synth(train_n=-3), "train_n", id="train_n-negative"),
     pytest.param(with_synth(test_n=True), "test_n", id="test_n-bool"),
     pytest.param(with_synth(train_n=1, test_n=0), "at least 2", id="one-sample"),
+    pytest.param(with_synth(train_n=0), "client u0 has no training data", id="train_n-zero"),
+    pytest.param(with_path(train_range=[2, 2]), "client p has no training data",
+                 id="train_range-empty"),
+    pytest.param(minimal_config(clients=[{"id": "u1", "datasets": [URL_SYNTH, URL_SYNTH]}]),
+                 "client u1: duplicate url dataset", id="duplicate-modality"),
     pytest.param(with_synth(seed=1.5), "seed", id="seed-float"),
     pytest.param(with_synth(separation="x"), "separation", id="separation-str"),
     pytest.param(with_synth(separation=-1.0), "separation", id="separation-negative"),
@@ -280,27 +289,15 @@ def test_cli_out_root_env(tmp_path, monkeypatch):
     assert (tmp_path / "root" / "nested" / "run" / "rounds.csv").exists()
 
 
-def test_cli_preprocess_three_records(tmp_path):
-    src = tmp_path / "pages.jsonl"
-    with open(src, "w") as fh:
-        for i in range(3):
-            fh.write(json.dumps({"label": i % 2, "html": f"<p>page {i}</p>"}) + "\n")
-    out = tmp_path / "pages.bin"
-    rc = main(["preprocess", "--input", str(src), "--output", str(out),
-               "--char-len", "64", "--word-len", "16", "--dom-len", "8"])
-    assert rc == EXIT_OK
-    cfg = PreprocConfig(char_len=64, word_len=16, dom_len=8)
-    with open(out, "rb") as fh:
-        records = read_records(fh, cfg)
-    assert len(records) == 3
-    assert [label for label, _ in records] == [0, 1, 0]
-
-
-def test_cli_preprocess_bad_line_exit_one(tmp_path):
-    src = tmp_path / "bad.jsonl"
-    src.write_text('{"label": 1, "html": "<p>x</p>"}\n{"label": 3, "html": "y"}\n')
-    out = tmp_path / "out.bin"
-    assert main(["preprocess", "--input", str(src), "--output", str(out)]) == EXIT_VALIDATION
+def test_cli_run_bad_html_line_exit_one(tmp_path, capsys):
+    pages = tmp_path / "pages.jsonl"
+    pages.write_text('{"label": 1, "html": "<p>x</p>"}\n{"label": 3, "html": "y"}\n')
+    cfg = minimal_config(model_profile="desk_pages", clients=[{"id": "h", "datasets": [
+        {"modality": "html", "path": str(pages), "train_range": [0, 1], "test_range": [1, 2]}]}])
+    cfg_path = write_config(tmp_path, cfg)
+    assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == EXIT_VALIDATION
+    assert "line 2: label must be 0 or 1" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_synth_embeddings_deterministic(tmp_path):

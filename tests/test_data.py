@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from fedphish.data import (
-    DataError,
     Sample,
     load_jsonl,
     synth_embeddings,
@@ -39,14 +38,14 @@ def test_load_url_jsonl(tmp_path):
 def test_load_rejects_wrong_embedding_length(tmp_path):
     path = tmp_path / "u.jsonl"
     write_lines(path, [{"label": 0, "embedding": [0.5] * 767}])
-    with pytest.raises(DataError, match="line 1"):
+    with pytest.raises(ValueError, match="line 1: 'embedding' must be 768 floats, got 767"):
         load_jsonl(path, "url")
 
 
 def test_load_rejects_bad_json_with_line_number(tmp_path):
     path = tmp_path / "u.jsonl"
     path.write_text('{"label": 1, "embedding": [0.1]}\nnot json\n')
-    with pytest.raises(DataError, match="line 2"):
+    with pytest.raises(ValueError, match="line 2: invalid JSON"):
         load_jsonl(path, "url", embed_dim=1)
 
 
@@ -76,9 +75,9 @@ def test_load_image_tokens(tmp_path):
 
 
 def test_sample_requires_exactly_one_payload():
-    with pytest.raises(DataError):
+    with pytest.raises(ValueError, match="exactly one payload, got 0"):
         Sample(label=1)
-    with pytest.raises(DataError):
+    with pytest.raises(ValueError, match="exactly one payload, got 2"):
         Sample(label=1, url_embedding=np.zeros(4), image_tokens=np.zeros((2, 4)))
 
 

@@ -22,7 +22,15 @@ from fedphish.federation import (
     save_checkpoint,
     select_clients,
 )
-from fedphish.heads import FUSION_PREFIX, HTML_PREFIX, IMAGE_PREFIX, URL_PREFIX, LossConfig, ModelSpec
+from fedphish.heads import (
+    FUSION_PREFIX,
+    HTML_PREFIX,
+    IMAGE_PREFIX,
+    URL_PREFIX,
+    LossConfig,
+    ModelSpec,
+    proximal_term,
+)
 from fedphish.numerics import RowSparse, backward, clip_global_norm, zero_grads
 
 
@@ -242,19 +250,40 @@ def test_client_train_empty_loaders_rejected():
                      TrainConfig(rounds=1), _client_rng(0, 0, 0))
 
 
-def test_proximal_drift_non_increasing_in_mu():
-    # plain SGD, fixed data and seed: distance to the broadcast shrinks as mu grows
+def test_proximal_pull_through_batch_loss_is_exact():
+    # with the snapshot away from the params, mu adds exactly proximal_term to
+    # the url loss and exactly mu (theta - theta_t) to every url gradient
     spec = ModelSpec.desk()
+    params = spec.init_params(6)
+    rng = np.random.default_rng(7)
+    snapshot = {k: p.data + rng.normal(scale=0.1, size=p.shape) for k, p in params.items()}
+    batch = desk_url_client(seed=7, n=16).train["url"]
+    mu = 0.2
+    losses, grads = [], []
+    for m in (0.0, mu):
+        zero_grads(params)
+        cfg = TrainConfig(rounds=1, mu=m)
+        loss = batch_loss(spec.heads(), "url", params, batch, snapshot, cfg, np.random.default_rng(0))
+        backward(loss)
+        losses.append(float(loss.data))
+        grads.append({k: p.grad for k, p in params.items() if p.grad is not None})
+    url_names = sorted(k for k in params if k.startswith(URL_PREFIX))
+    assert sorted(grads[0]) == sorted(grads[1]) == url_names
+    prox = float(proximal_term(params, snapshot, mu, URL_PREFIX).data)
+    assert prox > 0
+    assert abs((losses[1] - losses[0]) - prox) <= 1e-12 * prox
+    for k in url_names:
+        pull = mu * (params[k].data - snapshot[k])
+        assert np.max(np.abs((grads[1][k] - grads[0][k]) - pull)) <= 1e-12, k
+
+    # and local training feels it: mu > 0 reports different url params
     broadcast = {k: p.data for k, p in spec.init_params(6).items()}
     client = desk_url_client(seed=7, n=48)
-    dists = []
-    for mu in (0.0, 0.02, 0.2, 2.0):
-        cfg = TrainConfig(rounds=1, epochs=5, batch_size=16, seed=6, mu=mu, optimizer="sgd", lr=0.05)
-        rep = client_train(client, broadcast, spec, cfg, _client_rng(6, 0, 0))
-        d = np.sqrt(sum(float(((rep.params[k] - broadcast[k]) ** 2).sum())
-                        for k in rep.params if k.startswith(URL_PREFIX)))
-        dists.append(d)
-    assert all(a >= b - 1e-12 for a, b in zip(dists, dists[1:])), dists
+    reps = [client_train(client, broadcast, spec,
+                         TrainConfig(rounds=1, epochs=2, batch_size=16, seed=6, mu=m),
+                         _client_rng(6, 0, 0))
+            for m in (0.0, mu)]
+    assert any(not np.array_equal(reps[0].params[k], reps[1].params[k]) for k in url_names)
 
 
 def test_html_step_leaves_embedding_gradients_row_sparse():

@@ -23,11 +23,9 @@ from fedphish.heads import (
     _stats_columns,
     focal_loss,
     js_consistency,
-    js_divergence,
     proximal_term,
 )
 from fedphish.numerics import (
-    ConfigurationError,
     Tensor,
     backward,
     finite_difference_check,
@@ -81,7 +79,7 @@ def test_image_head_rejects_empty_sequence():
 
 
 def test_image_config_rejects_bad_head_count():
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ValueError, match="d_model 10 not divisible by 4 heads"):
         ImageHeadConfig(d_model=10, n_heads=4)
 
 
@@ -449,6 +447,20 @@ def test_focal_batch_is_mean():
 # JS divergence
 # ---------------------------------------------------------------------------
 
+def js_divergence(p, q) -> float:
+    """Jensen-Shannon divergence of two distributions in nats; 0 log 0 = 0.
+    A plain float oracle for ``js_consistency``."""
+    p = np.asarray(p, dtype=np.float64)
+    q = np.asarray(q, dtype=np.float64)
+    m = 0.5 * (p + q)
+
+    def kl(a, b):
+        mask = a > 0
+        return float(np.sum(a[mask] * (np.log(a[mask]) - np.log(b[mask]))))
+
+    return 0.5 * (kl(p, m) + kl(q, m))
+
+
 def test_js_identical_is_zero():
     assert js_divergence([0.3, 0.7], [0.3, 0.7]) == 0.0
 
@@ -522,7 +534,7 @@ def test_proximal_gradient_is_mu_times_diff():
 
 def test_proximal_missing_name_is_configuration_error():
     local = {"url_head.w": Tensor(np.array(1.0), requires_grad=True)}
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ValueError, match="snapshot is missing parameter 'url_head.w'"):
         proximal_term(local, {}, 0.1, URL_PREFIX)
 
 

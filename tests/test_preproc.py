@@ -1,7 +1,5 @@
 """HTML preprocessing: normalization, scanning, hashing and the streams."""
 
-import io
-
 import numpy as np
 import pytest
 
@@ -15,10 +13,8 @@ from fedphish.preproc import (
     fnv1a64,
     normalize_html,
     preprocess,
-    read_records,
     tokenize_words,
     word_stream,
-    write_records,
 )
 
 CFG = PreprocConfig()
@@ -306,34 +302,3 @@ def test_streams_validate_rejects_bad_pad_suffix():
     with pytest.raises(ValueError):
         HtmlStreams(s.char_ids, bad, s.dom_ids).validate(CFG)
 
-
-# ---------------------------------------------------------------------------
-# binary records
-# ---------------------------------------------------------------------------
-
-def test_records_round_trip():
-    cfg = PreprocConfig(char_len=64, word_len=16, dom_len=8)
-    items = [
-        (1, preprocess("<html><body>Sign in now</body></html>", cfg)),
-        (0, preprocess("<div>weather report</div>", cfg)),
-    ]
-    buf = io.BytesIO()
-    write_records(buf, items, cfg)
-    assert len(buf.getvalue()) == 2 * (1 + 2 * 64 + 4 * 16 + 2 * 8)
-    buf.seek(0)
-    back = read_records(buf, cfg)
-    assert len(back) == 2
-    for (la, sa), (lb, sb) in zip(items, back):
-        assert la == lb
-        assert np.array_equal(sa.char_ids, sb.char_ids)
-        assert np.array_equal(sa.word_ids, sb.word_ids)
-        assert np.array_equal(sa.dom_ids, sb.dom_ids)
-
-
-def test_records_reject_truncated_stream():
-    cfg = PreprocConfig(char_len=16, word_len=4, dom_len=4)
-    buf = io.BytesIO()
-    write_records(buf, [(1, preprocess("<p>x</p>", cfg))], cfg)
-    blob = buf.getvalue()[:-3]
-    with pytest.raises(ValueError):
-        read_records(io.BytesIO(blob), cfg)
