@@ -242,14 +242,23 @@ class Tensor:
     def __matmul__(self, other) -> "Tensor":
         other = self._lift(other)
         a, b = self.data, other.data
+        if b.ndim == 2 and a.ndim > 2:
+            # A weight shared by every leading index: numpy's matmul would
+            # loop over those indices and read the whole weight once per
+            # slice, so the forward and both gradients are each one GEMM
+            # over all rows.
+            rows = a.reshape(-1, a.shape[-1])
+
+            def shared_bw(g: np.ndarray):
+                g2 = g.reshape(-1, g.shape[-1])
+                return (g2 @ b.T).reshape(a.shape), rows.T @ g2
+
+            out = (rows @ b).reshape(a.shape[:-1] + (b.shape[1],))
+            return self._node(out, (self, other), shared_bw)
 
         def bw(g: np.ndarray):
             ga = g @ np.swapaxes(b, -1, -2)
-            if b.ndim == 2 and a.ndim > 2:
-                # a weight shared by every leading index: one GEMM over all rows
-                gb = a.reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1])
-            else:
-                gb = _unbroadcast(np.swapaxes(a, -1, -2) @ g, b.shape)
+            gb = _unbroadcast(np.swapaxes(a, -1, -2) @ g, b.shape)
             return _unbroadcast(ga, a.shape), gb
 
         return self._node(a @ b, (self, other), bw)

@@ -853,3 +853,47 @@ def test_shared_weight_gradient_matches_per_sample_sum(a_shape):
     assert np.allclose(w.grad, oracle, rtol=0.0, atol=1e-13 * np.abs(oracle).max())
     assert np.array_equal(x.grad, c @ w.data.T)
 
+
+
+# the N-D activation a shared weight multiplies: laid out in memory as is,
+# as a transposed view of its input, or as a strided slice of it. Each view
+# is a (leaf shape, view) pair; the view works on a Tensor and on an ndarray.
+SHARED_WEIGHT_LAYOUTS = {
+    "contiguous": (lambda s: s, lambda t: t),
+    "transposed": (lambda s: (s[1], s[0]) + s[2:], lambda t: t.swapaxes(0, 1)),
+    "sliced": (lambda s: (s[0] + 2,) + s[1:-1] + (s[-1] + 1,),
+               lambda t: t[1:-1, ..., 1:]),
+}
+
+
+@pytest.mark.parametrize("layout", sorted(SHARED_WEIGHT_LAYOUTS))
+@pytest.mark.parametrize("shape", [(3, 5, 6), (2, 3, 5, 6)], ids=["3d", "4d"])
+def test_shared_weight_matmul_matches_einsum(shape, layout):
+    leaf_shape, view = SHARED_WEIGHT_LAYOUTS[layout]
+    rng = np.random.default_rng(36)
+    x = Tensor(rng.normal(size=leaf_shape(shape)), requires_grad=True)
+    w = Tensor(rng.normal(size=(6, 4)), requires_grad=True)
+    c = rng.normal(size=shape[:-1] + (4,))
+    a = view(x)
+    assert a.shape == shape
+    out = a @ w
+    tol = {"rtol": 0.0, "atol": 1e-12}
+    assert out.shape == shape[:-1] + (4,)
+    assert np.allclose(out.data, np.einsum("...d,dn->...n", a.data, w.data), **tol)
+
+    backward((out * Tensor(c)).sum())
+    x_oracle = np.zeros(x.shape)
+    view(x_oracle)[...] += np.einsum("...n,dn->...d", c, w.data)
+    assert np.allclose(x.grad, x_oracle, **tol)
+    lead = "abc"[: len(shape) - 1]  # einsum sums only axes it names
+    assert np.allclose(w.grad, np.einsum(f"{lead}d,{lead}n->dn", a.data, c), **tol)
+
+
+@pytest.mark.parametrize("layout", sorted(SHARED_WEIGHT_LAYOUTS))
+def test_shared_weight_matmul_finite_differences(layout):
+    leaf_shape, view = SHARED_WEIGHT_LAYOUTS[layout]
+    rng = np.random.default_rng(37)
+    x = Tensor(rng.normal(size=leaf_shape((2, 3, 2, 4))), requires_grad=True)
+    w = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+    err = finite_difference_check(lambda: ((view(x) @ w).tanh() ** 2.0).sum(), {"x": x, "w": w})
+    assert err < 1e-4
