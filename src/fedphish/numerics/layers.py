@@ -3,9 +3,11 @@
 Everything here is a pure function from (inputs, parameter tensors) to an
 output tensor; dropout is the only stochastic piece and is a no-op outside
 training mode. Most are compositions of ``Tensor`` operations, one graph
-node per operation. ``lstm_sequence`` is the exception: a whole scan is one
-node whose backward is hand-written BPTT, because an unrolled cell costs
-about twenty nodes per time step.
+node per operation. Two are single nodes with hand-written backwards:
+``lstm_sequence``, because an unrolled cell costs about twenty nodes per
+time step, and ``multiscale_conv_encode``, because after its global
+max-pool only a few windows get any gradient, which a per-offset
+composition would still spread over full-length buffers.
 """
 
 from __future__ import annotations
@@ -232,31 +234,43 @@ def attention_pool(
     return pooled, all_masked
 
 
-def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
-    """Row lookup ``table[ids]``.
+def _scatter_rows(looked_up: np.ndarray, ids: np.ndarray, g: np.ndarray,
+                  shape: tuple[int, ...]) -> RowSparse:
+    """The gradient of a table of ``shape`` over the rows ``looked_up``:
+    each ``g[i]`` is scatter-added into row ``ids[i]``, in position order,
+    where ``ids`` are some of the looked-up rows. No other row is stored."""
+    # a mask and a position map are cheaper than np.unique's sort
+    touched = np.zeros(shape[0], dtype=bool)
+    touched[looked_up] = True
+    rows = np.flatnonzero(touched)
+    position = np.empty(shape[0], dtype=np.intp)
+    position[rows] = np.arange(rows.size)
+    # bincount adds in input order, as np.add.at would, and is faster
+    width = int(np.prod(shape[1:]))
+    flat = (position[ids].reshape(-1, 1) * width + np.arange(width)).reshape(-1)
+    values = np.bincount(flat, weights=g.reshape(-1), minlength=rows.size * width)
+    return RowSparse(rows, values.reshape((rows.size,) + shape[1:]), shape)
 
-    The table's gradient is a ``RowSparse`` over the distinct ids: each
-    looked-up position's gradient is scatter-added into its row, in
-    position order, and no other row is stored.
-    """
-    ids = np.asarray(ids)
+
+def _check_ids(table: Tensor, ids: np.ndarray) -> None:
     if ids.min(initial=0) < 0 or ids.max(initial=0) >= table.shape[0]:
         raise ValueError(
             f"ids out of range for embedding table with {table.shape[0]} rows"
         )
 
-    def bw(g: np.ndarray):
-        # a mask and a position map are cheaper than np.unique's sort
-        touched = np.zeros(table.shape[0], dtype=bool)
-        touched[ids] = True
-        rows = np.flatnonzero(touched)
-        position = np.empty(table.shape[0], dtype=np.intp)
-        position[rows] = np.arange(rows.size)
-        values = np.zeros((rows.size,) + table.shape[1:])
-        np.add.at(values, position[ids], g)
-        return (RowSparse(rows, values, table.shape),)
 
-    return Tensor._node(table.data[ids], (table,), bw)
+def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
+    """Row lookup ``table[ids]``.
+
+    The table's gradient is a ``RowSparse`` over the distinct ids: each
+    looked-up position's gradient is scatter-added into its row, in position
+    order, and no other row is stored.
+    """
+    ids = np.asarray(ids)
+    _check_ids(table, ids)
+    return Tensor._node(
+        table.data[ids], (table,), lambda g: (_scatter_rows(ids, ids, g, table.shape),)
+    )
 
 
 def multiscale_conv_encode(
@@ -271,25 +285,69 @@ def multiscale_conv_encode(
     ``conv_w[k]`` has shape [k, embed_dim, filters]; outputs of all sizes
     are concatenated to [B, n_sizes * filters]. Sequences shorter than the
     largest kernel are padded with ``pad_id`` first.
+
+    The whole encoder is one graph node. The forward sums one product per
+    kernel offset, each looped over the batch by numpy: for these tall,
+    thin slices that beats one GEMM over a flattened copy. After the
+    max-pool only the max windows carry gradient, so the backward routes
+    each filter's gradient to its max windows alone, shared equally
+    between tied ones as in ``Tensor.max``; a filter whose max is 0 after
+    the ReLU gets none. ``dW``, ``db`` and the table gradient are built
+    from those windows; the table gradient is a ``RowSparse`` over every
+    looked-up id, as from ``embedding``.
     """
     ids = np.asarray(ids)
     squeeze = ids.ndim == 1
     if squeeze:
         ids = ids[None, :]
-    max_k = max(conv_w)
+    sizes = sorted(conv_w)
+    max_k = sizes[-1]
     if ids.shape[1] < max_k:
         pad = np.full((ids.shape[0], max_k - ids.shape[1]), pad_id, dtype=ids.dtype)
         ids = np.concatenate([ids, pad], axis=1)
-    emb = embedding(embed_table, ids)  # [B, L, e]
+    _check_ids(embed_table, ids)
     L = ids.shape[1]
-    feats = []
-    for k in sorted(conv_w):
-        w, b = conv_w[k], conv_b[k]
+    emb = embed_table.data[ids]  # [B, L, e]
+    e = emb.shape[2]
+    pooled = []
+    maxes = []  # per size: (ReLU output [B, L - k + 1, F], its max over positions [B, F])
+    for k in sizes:
+        w = conv_w[k].data
         out_len = L - k + 1
-        y = emb[:, 0:out_len, :] @ w[0]
+        y = emb[:, 0:out_len] @ w[0]
         for j in range(1, k):
-            y = y + emb[:, j : j + out_len, :] @ w[j]
-        y = (y + b).relu()
-        feats.append(y.max(axis=1))  # [B, filters]
-    out = concat(feats, axis=1)
+            y += emb[:, j : j + out_len] @ w[j]
+        y += conv_b[k].data
+        np.maximum(y, 0.0, out=y)
+        m = y.max(axis=1)
+        maxes.append((y, m))
+        pooled.append(m)
+    n_filters = [conv_w[k].shape[2] for k in sizes]
+    seams = np.cumsum([0] + n_filters)
+
+    def bw(g: np.ndarray):
+        dws, dbs, win_ids, win_grads = [], [], [], []
+        for i, k in enumerate(sizes):
+            y, m = maxes[i]
+            gk = g[:, seams[i] : seams[i + 1]]
+            hit = (y == m[:, None, :]) & (m > 0.0)[:, None, :]
+            bi, ti, fi = np.nonzero(hit)
+            share = 1.0 / hit.sum(axis=1)[bi, fi]
+            # [windows, F]: each max window's gradient, in its filter's column
+            dz = np.zeros((bi.size, n_filters[i]))
+            dz[np.arange(bi.size), fi] = share * gk[bi, fi]
+            pos = ti[:, None] + np.arange(k)  # [windows, k]
+            windows = emb[bi[:, None], pos].reshape(bi.size, k * e)
+            w2 = conv_w[k].data.reshape(k * e, n_filters[i])
+            dws.append((windows.T @ dz).reshape(k, e, n_filters[i]))
+            dbs.append(dz.sum(axis=0))
+            win_ids.append(ids[bi[:, None], pos].ravel())
+            win_grads.append((dz @ w2.T).reshape(bi.size * k, e))
+        d_table = _scatter_rows(
+            ids, np.concatenate(win_ids), np.concatenate(win_grads), embed_table.shape
+        )
+        return (d_table, *dws, *dbs)
+
+    parents = (embed_table, *(conv_w[k] for k in sizes), *(conv_b[k] for k in sizes))
+    out = Tensor._node(np.concatenate(pooled, axis=1), parents, bw)
     return out.reshape(out.shape[1]) if squeeze else out

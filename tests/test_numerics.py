@@ -438,6 +438,92 @@ def test_conv_pads_short_sequence():
     assert np.allclose(out, ref, atol=1e-12)
 
 
+def conv_composition(ids, table, conv_w, conv_b, pad_id):
+    """The multiscale conv as one graph node per operation: embedding lookup,
+    per-offset slice and product, bias, ReLU, max-pool and concat. The
+    single-node encoder must match it: forward bitwise, gradients to 1e-12."""
+    ids = np.atleast_2d(ids)
+    max_k = max(conv_w)
+    if ids.shape[1] < max_k:
+        ids = np.pad(ids, ((0, 0), (0, max_k - ids.shape[1])), constant_values=pad_id)
+    emb = embedding(table, ids)
+    out_len = {k: ids.shape[1] - k + 1 for k in conv_w}
+    feats = []
+    for k in sorted(conv_w):
+        # a [1, e, F] weight keeps numpy's per-sample product, as in the encoder
+        e, filters = conv_w[k].shape[1:]
+        w = [conv_w[k][j].reshape(1, e, filters) for j in range(k)]
+        y = emb[:, 0 : out_len[k], :] @ w[0]
+        for j in range(1, k):
+            y = y + emb[:, j : j + out_len[k], :] @ w[j]
+        feats.append((y + conv_b[k]).relu().max(axis=1))
+    return concat(feats, axis=1)
+
+
+def conv_grads(encode, ids, table, conv_w, conv_b, pad_id, c):
+    """Forward output and densified gradients of sum(encode(...) * c)."""
+    params = {"table": table, **{f"w{k}": w for k, w in conv_w.items()},
+              **{f"b{k}": b for k, b in conv_b.items()}}
+    zero_grads(params)
+    out = encode(ids, table, conv_w, conv_b, pad_id)
+    backward((out * Tensor(c)).sum())
+    return out.data, {k: np.array(p.grad) for k, p in params.items()}
+
+
+def conv_params(rng, vocab, e, sizes, filters, bias=0.0):
+    table = Tensor(rng.normal(size=(vocab, e)), requires_grad=True)
+    w = {k: Tensor(rng.normal(size=(k, e, filters)), requires_grad=True) for k in sizes}
+    b = {k: Tensor(bias + rng.normal(scale=0.1, size=filters), requires_grad=True)
+         for k in sizes}
+    return table, w, b
+
+
+# pages: random ids; a repeated substring, so that max windows tie exactly;
+# two ids shorter than the largest kernel, so that pads are convolved
+CONV_PAGES = {
+    "random": lambda rng: rng.integers(0, 10, size=(3, 40)),
+    "tied": lambda rng: np.tile([1, 4, 2, 7, 3], (2, 8)),
+    "padded": lambda rng: rng.integers(0, 10, size=(2, 2)),
+}
+
+
+@pytest.mark.parametrize("page", sorted(CONV_PAGES))
+def test_conv_single_node_matches_per_offset_composition(page):
+    rng = np.random.default_rng(40)
+    ids = CONV_PAGES[page](rng)
+    table, w, b = conv_params(rng, 11, 4, (2, 3, 5), 6)
+    c = rng.normal(size=(ids.shape[0], 18))
+    out, grads = conv_grads(multiscale_conv_encode, ids, table, w, b, 10, c)
+    ref_out, ref_grads = conv_grads(conv_composition, ids, table, w, b, 10, c)
+    assert np.array_equal(out, ref_out)
+    assert isinstance(table.grad, RowSparse)
+    for name, ref in ref_grads.items():
+        assert np.max(np.abs(grads[name] - ref)) <= 1e-12 * np.max(np.abs(ref)), name
+
+
+def test_conv_tied_page_finite_differences():
+    rng = np.random.default_rng(41)
+    table, w, b = conv_params(rng, 11, 3, (2, 4), 3, bias=0.5)
+    ids = CONV_PAGES["tied"](rng)
+    err = finite_difference_check(
+        lambda: (multiscale_conv_encode(ids, table, w, b, pad_id=10) ** 2.0).sum(),
+        {"table": table, **{f"w{k}": v for k, v in w.items()},
+         **{f"b{k}": v for k, v in b.items()}},
+    )
+    assert err < 1e-4
+
+
+def test_conv_all_negative_preactivations_give_zero_gradients():
+    rng = np.random.default_rng(42)
+    table, w, b = conv_params(rng, 11, 4, (2, 3), 5, bias=-1e3)
+    ids = rng.integers(0, 10, size=(2, 12))
+    c = rng.normal(size=(2, 10))
+    out, grads = conv_grads(multiscale_conv_encode, ids, table, w, b, 10, c)
+    assert np.array_equal(out, np.zeros((2, 10)))
+    for name, grad in grads.items():
+        assert np.array_equal(grad, np.zeros_like(grad)), name
+
+
 # ---------------------------------------------------------------------------
 # backprop
 # ---------------------------------------------------------------------------
