@@ -444,18 +444,40 @@ def save_checkpoint(path, params: dict[str, np.ndarray], run_id: str,
                 fh.write(encoded)
                 fh.write(struct.pack("<B", arr.ndim))
                 fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape) if arr.ndim else b"")
-                fh.write(arr.tobytes())
+                fh.write(_raw_bytes(arr))
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
 
 
+def _raw_bytes(arr: np.ndarray) -> memoryview:
+    """The bytes of ``arr`` in C order; no copy when it is C-contiguous."""
+    return memoryview(arr.reshape(-1).view(np.uint8))
+
+
+def _truncated(fh, path) -> ValueError:
+    return ValueError(f"{path}: checkpoint truncated at byte {fh.tell()}")
+
+
 def _read_exact(fh, n: int, path) -> bytes:
     data = fh.read(n)
     if len(data) != n:
-        raise ValueError(f"{path}: checkpoint truncated at byte {fh.tell()}")
+        raise _truncated(fh, path)
     return data
+
+
+def _read_array(fh, shape: tuple[int, ...], path) -> np.ndarray:
+    """The next ``shape`` little-endian float64 values, read straight into
+    a new array. A record longer than the rest of the file is truncated
+    before anything is allocated for it."""
+    if 8 * math.prod(shape) > os.fstat(fh.fileno()).st_size - fh.tell():
+        fh.seek(0, os.SEEK_END)
+        raise _truncated(fh, path)
+    arr = np.empty(shape, dtype="<f8")
+    if fh.readinto(_raw_bytes(arr)) != arr.nbytes:
+        raise _truncated(fh, path)
+    return arr.astype(np.float64, copy=False)
 
 
 def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
@@ -470,9 +492,7 @@ def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
             name = _read_exact(fh, nlen, path).decode()
             (ndim,) = struct.unpack("<B", _read_exact(fh, 1, path))
             shape = struct.unpack(f"<{ndim}I", _read_exact(fh, 4 * ndim, path)) if ndim else ()
-            count = int(np.prod(shape)) if shape else 1
-            arr = np.frombuffer(_read_exact(fh, 8 * count, path), dtype="<f8").reshape(shape)
-            params[name] = arr.astype(np.float64)
+            params[name] = _read_array(fh, shape, path)
         trailing = len(fh.read())
     if trailing:
         raise ValueError(f"{path}: {trailing} trailing bytes after the last record")

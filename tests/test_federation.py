@@ -1,6 +1,8 @@
 """Role-bucketed aggregation, local training and the experiment loop."""
 
+import json
 import logging
+import struct
 
 import numpy as np
 import pytest
@@ -509,6 +511,41 @@ def test_checkpoint_round_trip(tmp_path):
     assert set(loaded) == set(params)
     for k in params:
         assert np.array_equal(loaded[k], params[k])
+
+
+def test_checkpoint_bytes_match_the_record_format(tmp_path):
+    # 0-d, negative zero, a transposed view and an empty array, against the
+    # format written out by hand: magic, manifest, then per sorted name
+    # (name length, name, ndim, shape, little-endian float64 values)
+    params = {"z": np.asarray(-0.0), "t": np.arange(6.0).reshape(2, 3).T,
+              "e": np.zeros((0, 4)), "v": np.array([1.5, -0.0, np.inf])}
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, params, run_id="r", round_index=3, cfg_hash="0123456789abcdef")
+    manifest = json.dumps({"run_id": "r", "round": 3, "config_hash": "0123456789abcdef",
+                           "n_params": 4}, sort_keys=True).encode()
+    expected = b"FPCK" + struct.pack("<I", len(manifest)) + manifest
+    for name in sorted(params):
+        arr = params[name]
+        expected += struct.pack("<H", len(name)) + name.encode() + struct.pack("<B", arr.ndim)
+        expected += struct.pack(f"<{arr.ndim}I", *arr.shape) + arr.astype("<f8").tobytes()
+    assert path.read_bytes() == expected
+    _, loaded = load_checkpoint(path)
+    for name, arr in params.items():
+        assert loaded[name].shape == arr.shape
+        assert loaded[name].dtype == np.float64
+        assert loaded[name].tobytes() == np.ascontiguousarray(arr).tobytes()
+
+
+def test_checkpoint_record_longer_than_file_is_truncated(tmp_path):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, {"a": np.zeros(2)}, run_id="r", round_index=0,
+                    cfg_hash="0123456789abcdef")
+    whole = bytearray(path.read_bytes())
+    # the record's one dimension, just before its 16 value bytes: claim 2**32 - 1
+    whole[-20:-16] = struct.pack("<I", 2**32 - 1)
+    path.write_bytes(bytes(whole))
+    with pytest.raises(ValueError, match=f"truncated at byte {len(whole)}"):
+        load_checkpoint(path)
 
 
 def test_checkpoint_rejects_garbage(tmp_path):
