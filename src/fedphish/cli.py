@@ -3,8 +3,9 @@
 Subcommands: ``run`` (execute an experiment config, clients one after
 another), ``synth`` (write synthetic JSONL datasets), ``gradcheck``
 (finite-difference sweep over all four heads at desk dims). Exit codes:
-0 success, 1 validation error (a bad config fails before any data is
-built, bad data before any output is written), 2 runtime failure.
+0 success; 1 the run's config or data was rejected while it was parsed or
+its clients were built, before any output was written; 2 any other
+failure, including one inside the experiment.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import json
 import logging
 import os
 import sys
+import traceback
 from dataclasses import replace
 from pathlib import Path
 
@@ -41,10 +43,14 @@ def cmd_run(args) -> int:
     from .federation import run_experiment, save_checkpoint
     from .metrics import write_round_csv
 
-    cfg = parse_config(args.config)
-    if args.seed is not None:
-        cfg = replace(cfg, train=replace(cfg.train, seed=args.seed))
-    clients = build_clients(cfg)
+    try:
+        cfg = parse_config(args.config)
+        if args.seed is not None:
+            cfg = replace(cfg, train=replace(cfg.train, seed=args.seed))
+        clients = build_clients(cfg)
+    except (ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
     out = _out_dir(cfg.out_dir, args.out)
 
     log.info("running %s: %d clients, %d rounds", cfg.name, len(clients), cfg.train.rounds)
@@ -185,10 +191,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
     except Exception as exc:  # noqa: BLE001 - CLI boundary
+        traceback.print_exc()
         print(f"runtime failure: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

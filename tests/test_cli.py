@@ -282,6 +282,18 @@ def test_cli_run_invalid_config_exit_one(tmp_path):
     assert main(["run", "--config", str(cfg_path)]) == EXIT_VALIDATION
 
 
+def test_cli_run_fault_after_build_exit_two(tmp_path, monkeypatch, capsys):
+    # a ValueError inside the experiment is a program fault, not a rejected config
+    def broken_aggregate(*args, **kwargs):
+        raise ValueError("report is missing")
+
+    monkeypatch.setattr("fedphish.federation.aggregate", broken_aggregate)
+    cfg_path = write_config(tmp_path, minimal_config(rounds=1))
+    assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == EXIT_RUNTIME
+    assert "report is missing" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "rounds.csv").exists()
+
+
 def test_cli_out_root_env(tmp_path, monkeypatch):
     monkeypatch.setenv("FEDPHISH_OUT_ROOT", str(tmp_path / "root"))
     cfg_path = write_config(tmp_path, minimal_config(rounds=1, out_dir="nested/run"))
