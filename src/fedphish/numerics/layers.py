@@ -309,7 +309,6 @@ def multiscale_conv_encode(
     L = ids.shape[1]
     emb = embed_table.data[ids]  # [B, L, e]
     e = emb.shape[2]
-    pooled = []
     maxes = []  # per size: (ReLU output [B, L - k + 1, F], its max over positions [B, F])
     for k in sizes:
         w = conv_w[k].data
@@ -319,9 +318,7 @@ def multiscale_conv_encode(
             y += emb[:, j : j + out_len] @ w[j]
         y += conv_b[k].data
         np.maximum(y, 0.0, out=y)
-        m = y.max(axis=1)
-        maxes.append((y, m))
-        pooled.append(m)
+        maxes.append((y, y.max(axis=1)))
     n_filters = [conv_w[k].shape[2] for k in sizes]
     seams = np.cumsum([0] + n_filters)
 
@@ -349,5 +346,5 @@ def multiscale_conv_encode(
         return (d_table, *dws, *dbs)
 
     parents = (embed_table, *(conv_w[k] for k in sizes), *(conv_b[k] for k in sizes))
-    out = Tensor._node(np.concatenate(pooled, axis=1), parents, bw)
+    out = Tensor._node(np.concatenate([m for _, m in maxes], axis=1), parents, bw)
     return out.reshape(out.shape[1]) if squeeze else out

@@ -940,7 +940,6 @@ def test_shared_weight_gradient_matches_per_sample_sum(a_shape):
     assert np.array_equal(x.grad, c @ w.data.T)
 
 
-
 # the N-D activation a shared weight multiplies: laid out in memory as is,
 # as a transposed view of its input, or as a strided slice of it. Each view
 # is a (leaf shape, view) pair; the view works on a Tensor and on an ndarray.
