@@ -157,6 +157,14 @@ def cmd_gradcheck(args) -> int:
     return EXIT_RUNTIME if failed else EXIT_OK
 
 
+def _positive_int(raw: str) -> int:
+    """``--seeds`` below 1 would check nothing and still exit 0."""
+    value = int(raw)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fedphish",
@@ -181,7 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_syn.set_defaults(fn=cmd_synth)
 
     p_gc = sub.add_parser("gradcheck", help="finite-difference check of all four heads")
-    p_gc.add_argument("--seeds", type=int, default=1)
+    p_gc.add_argument("--seeds", type=_positive_int, default=1)
     p_gc.set_defaults(fn=cmd_gradcheck)
     return parser
 

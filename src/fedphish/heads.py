@@ -23,13 +23,13 @@ from .numerics import (
     dropout,
     embedding,
     gelu,
+    l2_normalize,
     layer_norm,
     log_softmax,
-    maximum,
+    log_softmax_parts,
     mhsa_block,
     multiscale_conv_encode,
 )
-from .numerics.tensor import logsumexp
 
 __all__ = [
     "ImageHeadConfig",
@@ -376,10 +376,8 @@ class UrlHead:
         f = gelu(h @ w + params[URL_PREFIX + "fc.b"])
         f = dropout(f, cfg.dropout, rng, train)
 
-        f_norm = maximum((f * f).sum(axis=1, keepdims=True).sqrt(), Tensor(1e-12))
         cw = params[URL_PREFIX + "cls.w"]
-        cw_norm = maximum((cw * cw).sum(axis=0, keepdims=True).sqrt(), Tensor(1e-12))
-        cosine = (f / f_norm) @ (cw / cw_norm)
+        cosine = l2_normalize(f, 1, 1e-12) @ l2_normalize(cw, 0, 1e-12)
         scale = params[URL_PREFIX + "cls.log_scale"].exp()
         logits = cosine * scale
         return logits.reshape(cfg.n_classes) if squeeze else logits
@@ -451,8 +449,7 @@ class FusionHead:
         alpha = affine(hidden, params[FUSION_PREFIX + "gate.w2"], params[FUSION_PREFIX + "gate.b2"]).sigmoid()
 
         combined = alpha * log_softmax(scaled_i, axis=-1) + (1.0 - alpha) * log_softmax(scaled_h, axis=-1)
-        fused = combined - logsumexp(combined, axis=-1, keepdims=True)
-        return fused, alpha
+        return log_softmax(combined, axis=-1), alpha
 
 
 # ---------------------------------------------------------------------------
@@ -460,19 +457,50 @@ class FusionHead:
 # ---------------------------------------------------------------------------
 
 def focal_loss(logits: Tensor, labels: np.ndarray, gamma: float = 2.0) -> Tensor:
-    """Mean of -(1 - p_t)^gamma * log(p_t); gamma=0 is plain cross-entropy."""
+    """Mean of -(1 - p_t)^gamma * log(p_t); gamma=0 is plain cross-entropy.
+
+    One graph node from the logits to the loss. It runs the numpy
+    operations of the log-softmax, pick, power and mean composition in that
+    composition's order, with one gradient term per path to the logits, as
+    ``log_softmax`` does. Where a sample is saturated (``1 - p_t`` is
+    exactly 0 in float64) and gamma > 0, its gradient is the limit 0; for
+    gamma < 1 the chain rule through ``(1 - p_t)^gamma`` would give
+    ``0 * inf`` there.
+    """
     if gamma < 0:
         raise ValueError(f"gamma must be non-negative, got {gamma}")
     logits = logits if isinstance(logits, Tensor) else Tensor(logits)
-    if logits.ndim == 1:
-        logits = logits.reshape(1, -1)
+    z = logits.data.reshape(1, -1) if logits.ndim == 1 else logits.data
     labels = np.asarray(labels).reshape(-1)
-    logp = log_softmax(logits, axis=-1)
-    picked = logp[np.arange(labels.size), labels]
+    rows = np.arange(labels.size)
+    logp, exps, total = log_softmax_parts(z)
+    picked = logp[rows, labels]
+    inv_n = 1.0 / picked.size
     if gamma == 0.0:
-        return -picked.mean()
-    p = picked.exp()
-    return -(((1.0 - p) ** gamma) * picked).mean()
+        out = -(picked.sum() * inv_n)
+    else:
+        e = float(gamma)
+        p = np.exp(picked)
+        q = 1.0 - p
+        weight = q ** e
+        out = -((weight * picked).sum() * inv_n)
+
+    def bw(g: np.ndarray):
+        # d loss / d picked per sample; then through the log-softmax
+        if gamma == 0.0:
+            d_picked = np.full(labels.size, -inv_n * g)
+        else:
+            live = q > 0.0
+            g_mean = -inv_n * g
+            slope = np.where(live, q, 1.0) ** (e - 1.0)
+            d_picked = np.where(live, g_mean * weight - g_mean * picked * e * slope * p, 0.0)
+        direct = np.zeros(z.shape)
+        direct[rows, labels] = d_picked
+        through_lse = -d_picked[:, None] / total * exps
+        return direct.reshape(logits.shape), through_lse.reshape(logits.shape)
+
+    # the logits twice: directly and through the log-sum-exp, as in log_softmax
+    return Tensor._node(out, (logits, logits), bw)
 
 
 def js_consistency(logits_a: Tensor, logits_b: Tensor) -> Tensor:

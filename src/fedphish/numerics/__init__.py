@@ -12,8 +12,10 @@ from .layers import (
     dropout,
     embedding,
     gelu,
+    l2_normalize,
     layer_norm,
     log_softmax,
+    log_softmax_parts,
     lstm_sequence,
     mhsa_block,
     multiscale_conv_encode,
@@ -26,8 +28,6 @@ from .tensor import (
     Tensor,
     backward,
     concat,
-    logsumexp,
-    maximum,
     zero_grads,
 )
 
@@ -46,12 +46,12 @@ __all__ = [
     "embedding",
     "finite_difference_check",
     "gelu",
+    "l2_normalize",
     "layer_norm",
     "log_softmax",
-    "logsumexp",
+    "log_softmax_parts",
     "lstm_sequence",
     "make_optimizer",
-    "maximum",
     "mhsa_block",
     "multiscale_conv_encode",
     "softmax",

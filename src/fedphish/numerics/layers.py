@@ -2,25 +2,42 @@
 
 Everything here is a pure function from (inputs, parameter tensors) to an
 output tensor; dropout is the only stochastic piece and is a no-op outside
-training mode. Most are compositions of ``Tensor`` operations, one graph
-node per operation. Two are single nodes with hand-written backwards:
-``lstm_sequence``, because an unrolled cell costs about twenty nodes per
-time step, and ``multiscale_conv_encode``, because after its global
-max-pool only a few windows get any gradient, which a per-offset
-composition would still spread over full-length buffers.
+training mode. ``affine``, ``softmax``, ``dropout``, ``mhsa_block`` and
+``attention_pool`` are compositions of ``Tensor`` operations, one graph
+node per operation. The rest are single nodes with hand-written
+backwards:
+
+- ``layer_norm``, ``gelu``, ``log_softmax`` and ``l2_normalize``, because
+  every classifier head runs them and as compositions they cost 11, 5, 6
+  and 5 nodes each: in a small head such as the url expert, the per-node
+  Python overhead, not the arithmetic, sets the step time. Each runs the
+  numpy operations of the composition it replaces in the same order,
+  forward and backward. An input that the composition reached along k
+  paths is listed k times among the node's parents, with one gradient term
+  per path, so ``backward`` adds the terms in the composition's order and
+  every gradient in the graph stays bitwise the composition's;
+- ``lstm_sequence``, because an unrolled cell costs about twenty nodes per
+  time step;
+- ``multiscale_conv_encode``, because after its global max-pool only a
+  few windows get any gradient, which a per-offset composition would still
+  spread over full-length buffers;
+- ``embedding``, whose table gradient is row-sparse.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy.special import erf
 
-from .tensor import RowSparse, Tensor, concat, logsumexp, stable_sigmoid
+from .tensor import RowSparse, Tensor, _unbroadcast, concat, stable_sigmoid
 
 __all__ = [
     "affine",
     "layer_norm",
     "softmax",
     "log_softmax",
+    "log_softmax_parts",
+    "l2_normalize",
     "gelu",
     "dropout",
     "mhsa_block",
@@ -45,24 +62,79 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
     """Normalize the last axis to zero mean / unit population variance."""
-    mu = x.mean(axis=-1, keepdims=True)
-    centered = x - mu
-    var = (centered * centered).mean(axis=-1, keepdims=True)
-    return centered / (var + eps).sqrt() * gamma + beta
+    inv_n = 1.0 / x.shape[-1]
+    centered = x.data - x.data.sum(axis=-1, keepdims=True) * inv_n
+    std = np.sqrt((centered * centered).sum(axis=-1, keepdims=True) * inv_n + eps)
+    xhat = centered / std
+
+    def bw(g: np.ndarray):
+        g_xhat = g * gamma.data
+        g_std = (-g_xhat * centered / (std * std)).sum(axis=-1, keepdims=True)
+        g_sq = g_std * 0.5 / std * inv_n * centered  # through the variance, once per factor
+        g_centered = g_xhat / std + g_sq + g_sq
+        g_mean = (-g_centered).sum(axis=-1, keepdims=True) * inv_n
+        return (g_centered, np.broadcast_to(g_mean, x.shape),
+                _unbroadcast(g * xhat, gamma.shape), _unbroadcast(g, beta.shape))
+
+    # x twice: through the centering and through the mean
+    return Tensor._node(xhat * gamma.data + beta.data, (x, x, gamma, beta), bw)
 
 
 def softmax(z: Tensor, axis: int = -1) -> Tensor:
     return log_softmax(z, axis=axis).exp()
 
 
+def log_softmax_parts(z: np.ndarray, axis: int = -1):
+    """``(log_softmax(z), exp(z - max), their sum)`` along ``axis``; the
+    last two give the softmax, ``exp / sum``, for a backward pass."""
+    m = np.max(z, axis=axis, keepdims=True)
+    exps = np.exp(z - m)
+    total = exps.sum(axis=axis, keepdims=True)
+    return z - (np.log(total) + m), exps, total
+
+
 def log_softmax(z: Tensor, axis: int = -1) -> Tensor:
     """z - logsumexp(z), stable via max subtraction."""
-    return z - logsumexp(z, axis=axis, keepdims=True)
+    out, exps, total = log_softmax_parts(z.data, axis)
+    # z twice: directly and through the log-sum-exp
+    return Tensor._node(
+        out, (z, z), lambda g: (g, (-g).sum(axis=axis, keepdims=True) / total * exps)
+    )
+
+
+def l2_normalize(x: Tensor, axis: int, floor: float) -> Tensor:
+    """``x`` divided by its L2 norm along ``axis``, or by ``floor`` where the
+    norm is below it; there the gradient is the plain ``1 / floor`` scaling."""
+    norm = np.sqrt((x.data * x.data).sum(axis=axis, keepdims=True))
+    above = norm >= floor
+    denom = np.where(above, norm, floor)
+
+    def bw(g: np.ndarray):
+        g_denom = (-g * x.data / (denom * denom)).sum(axis=axis, keepdims=True)
+        # through the norm where it is the divisor; ``denom`` is the norm
+        # there, and dividing by it keeps a zero vector free of 0/0
+        g_sq = g_denom * above * 0.5 / denom * x.data
+        return g / denom, g_sq, g_sq
+
+    # x three times: as the dividend and as both factors of the squares
+    return Tensor._node(x.data / denom, (x, x, x), bw)
+
+
+_INV_SQRT_2 = 1.0 / np.sqrt(2.0)
+_TWO_OVER_SQRT_PI = 2.0 / np.sqrt(np.pi)
 
 
 def gelu(x: Tensor) -> Tensor:
     """x * Phi(x) with the exact Gaussian CDF (erf form)."""
-    return x * ((x * (1.0 / np.sqrt(2.0))).erf() + 1.0) * 0.5
+    u = x.data * _INV_SQRT_2
+    two_cdf = erf(u) + 1.0
+
+    def bw(g: np.ndarray):
+        half = g * 0.5
+        return half * two_cdf, half * x.data * _TWO_OVER_SQRT_PI * np.exp(-u * u) * _INV_SQRT_2
+
+    # x twice: as the factor and inside the CDF
+    return Tensor._node(x.data * two_cdf * 0.5, (x, x), bw)
 
 
 def dropout(x: Tensor, p: float, rng: np.random.Generator | None, train: bool) -> Tensor:

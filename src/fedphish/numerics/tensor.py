@@ -15,7 +15,6 @@ from __future__ import annotations
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import erf as _erf
 
 __all__ = [
     "Tensor",
@@ -24,8 +23,6 @@ __all__ = [
     "backward",
     "zero_grads",
     "concat",
-    "maximum",
-    "logsumexp",
     "no_grad",
 ]
 
@@ -45,8 +42,6 @@ class no_grad:
         global _grad_enabled
         _grad_enabled = self._prev
         return False
-
-_TWO_OVER_SQRT_PI = 2.0 / np.sqrt(np.pi)
 
 
 def stable_sigmoid(x: np.ndarray) -> np.ndarray:
@@ -168,11 +163,22 @@ class Tensor:
 
     @staticmethod
     def _node(data, parents, backward_fn) -> "Tensor":
-        out = Tensor(data)
-        if _grad_enabled and any(p.requires_grad for p in parents):
-            out.requires_grad = True
-            out._parents = tuple(parents)
-            out._backward = backward_fn
+        # built field by field: every graph operation passes through here
+        out = Tensor.__new__(Tensor)
+        if type(data) is not np.ndarray or data.dtype != np.float64:
+            data = np.asarray(data, dtype=np.float64)
+        out._data = data
+        out.grad = None
+        out.requires_grad = False
+        out._parents = ()
+        out._backward = None
+        if _grad_enabled:
+            for p in parents:
+                if p.requires_grad:
+                    out.requires_grad = True
+                    out._parents = tuple(parents)
+                    out._backward = backward_fn
+                    break
         return out
 
     # -- arithmetic -----------------------------------------------------
@@ -323,10 +329,6 @@ class Tensor:
     def abs(self) -> "Tensor":
         return self._node(np.abs(self.data), (self,), lambda g: (g * np.sign(self.data),))
 
-    def erf(self) -> "Tensor":
-        x = self.data
-        return self._node(_erf(x), (self,), lambda g: (g * _TWO_OVER_SQRT_PI * np.exp(-x * x),))
-
     # -- shape ----------------------------------------------------------
 
     def reshape(self, *shape) -> "Tensor":
@@ -380,34 +382,6 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
         return tuple(grads)
 
     return Tensor._node(np.concatenate([t.data for t in tensors], axis=axis), tensors, bw)
-
-
-def maximum(a: Tensor, b) -> Tensor:
-    """Elementwise max; ties route the gradient to the first argument."""
-    b = Tensor._lift(b)
-    take_a = a.data >= b.data
-    return Tensor._node(
-        np.where(take_a, a.data, b.data),
-        (a, b),
-        lambda g: (
-            _unbroadcast(g * take_a, a.shape),
-            _unbroadcast(g * ~take_a, b.shape),
-        ),
-    )
-
-
-def logsumexp(z: Tensor, axis: int = -1, keepdims: bool = False) -> Tensor:
-    """Numerically stable log-sum-exp along ``axis``.
-
-    The max shift is a constant; the identity lse(z) = m + log Σ exp(z - m)
-    holds (with the exact gradient) for any constant m.
-    """
-    m = np.max(z.data, axis=axis, keepdims=True)
-    shifted = z - Tensor(m)
-    out = shifted.exp().sum(axis=axis, keepdims=True).log() + Tensor(m)
-    if not keepdims:
-        out = out.reshape(tuple(n for i, n in enumerate(out.shape) if i != (axis % out.ndim)))
-    return out
 
 
 def backward(loss: Tensor) -> None:

@@ -341,6 +341,20 @@ def test_cli_gradcheck_corrupted_exit_nonzero(monkeypatch, capsys):
     assert capsys.readouterr().out.count("[FAIL]") == 4
 
 
+@pytest.mark.parametrize("seeds", ["0", "-2"])
+def test_cli_gradcheck_rejects_fewer_than_one_seed(seeds, monkeypatch, capsys):
+    # zero seeds would check nothing and exit 0; argparse rejects it as a
+    # usage error before any check runs
+    def never(*_):
+        raise AssertionError("gradcheck ran")
+
+    monkeypatch.setattr("fedphish.cli.gradcheck_suite", never)
+    with pytest.raises(SystemExit) as exc:
+        main(["gradcheck", "--seeds", seeds])
+    assert exc.value.code == 2
+    assert f"--seeds: must be at least 1, got {seeds}" in capsys.readouterr().err
+
+
 @pytest.fixture(scope="module")
 def gradcheck_twice():
     """Two runs of `gradcheck --seeds 1` as (exit code, stdout) pairs, shared by the tests below."""

@@ -312,6 +312,40 @@ def test_html_step_leaves_embedding_gradients_row_sparse():
     assert len(params[HTML_PREFIX + "word.embed"].grad.rows) < spec.html.word_vocab
 
 
+def graph_nodes(loss) -> int:
+    """Nodes that ``backward`` visits: everything reachable from the loss
+    through parents that require a gradient, the loss and leaves included."""
+    seen = {id(loss)}
+    stack = [loss]
+    while stack:
+        for p in stack.pop()._parents:
+            if p.requires_grad and id(p) not in seen:
+                seen.add(id(p))
+                stack.append(p)
+    return len(seen)
+
+
+# layer norm, GELU, log-softmax, focal loss and unit normalisation are one
+# node each; a primitive that turns back into a chain of nodes fails here
+BATCH_LOSS_NODES = {"image": 110, "html": 68, "url": 25, "pair": 249}
+
+
+@pytest.mark.parametrize("kind", sorted(BATCH_LOSS_NODES))
+def test_batch_loss_graph_node_count(kind):
+    spec = ModelSpec.desk()
+    params = spec.init_params(0)
+    rng = np.random.default_rng(1)
+    batch = {"x": rng.normal(size=(3, 4, 16)), "char": rng.integers(0, 33, size=(3, 32)),
+             "word": rng.integers(0, 17, size=(3, 8)), "dom": rng.integers(0, 9, size=(3, 8)),
+             "y": np.array([0, 1, 1])}
+    if kind == "url":
+        batch["x"] = rng.normal(size=(3, 16))
+    snapshot = {k: p.data for k, p in params.items()}
+    cfg = TrainConfig(loss=LossConfig(modal_dropout_p=0.0))
+    loss = batch_loss(spec.heads(), kind, params, batch, snapshot, cfg, np.random.default_rng(2))
+    assert graph_nodes(loss) == BATCH_LOSS_NODES[kind]
+
+
 class FixedDraw:
     """A Generator whose size-less ``random()`` returns ``r``; sized draws
     (dropout masks) come from a real stream."""

@@ -4,7 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from test_numerics import (
+    gelu_composition,
+    l2_normalize_composition,
+    layer_norm_composition,
+    log_softmax_composition,
+)
 
+import fedphish.federation
+import fedphish.heads
 from fedphish.federation import TrainConfig, batch_loss
 from fedphish.heads import (
     FUSION_PREFIX,
@@ -29,6 +37,7 @@ from fedphish.numerics import (
     Tensor,
     backward,
     finite_difference_check,
+    layers,
     zero_grads,
 )
 
@@ -441,6 +450,104 @@ def test_focal_batch_is_mean():
     z = np.array([[0.0, 0.0], [0.0, 0.0]])
     loss = focal_loss(Tensor(z), np.array([1, 0]), gamma=2.0)
     assert abs(float(loss.data) - 0.25 * LN2) < 1e-12
+
+
+def focal_loss_composition(logits, labels, gamma):
+    """The focal loss as a chain of Tensor operations, one node each: the
+    oracle for the single-node ``focal_loss``."""
+    if logits.ndim == 1:
+        logits = logits.reshape(1, -1)
+    labels = np.asarray(labels).reshape(-1)
+    picked = log_softmax_composition(logits)[np.arange(labels.size), labels]
+    if gamma == 0.0:
+        return -picked.mean()
+    p = picked.exp()
+    return -(((1.0 - p) ** gamma) * picked).mean()
+
+
+def focal_value_and_grad(fn, z, labels, gamma):
+    logits = Tensor(z.copy(), requires_grad=True)
+    loss = fn(logits, labels, gamma)
+    backward(loss)
+    return loss.data, logits.grad
+
+
+@pytest.mark.parametrize("gamma", [0.0, 0.5, 2.0, 3])
+@pytest.mark.parametrize("shape", [(6, 2), (4, 3), (2,)], ids=["binary", "three-class", "1d"])
+def test_focal_node_matches_composition(gamma, shape):
+    rng = np.random.default_rng(70)
+    for _ in range(5):
+        z = rng.normal(scale=rng.uniform(0.5, 8.0), size=shape)
+        labels = rng.integers(0, shape[-1], size=shape[0] if len(shape) == 2 else 1)
+        loss, grad = focal_value_and_grad(focal_loss, z, labels, gamma)
+        ref_loss, ref_grad = focal_value_and_grad(focal_loss_composition, z, labels, gamma)
+        assert np.array_equal(loss, ref_loss)
+        assert grad.shape == z.shape
+        assert np.array_equal(grad, ref_grad)
+
+
+@pytest.mark.parametrize("gamma", [0.0, 0.5, 2.0])
+def test_focal_saturated_sample_gradient_is_finite_limit(gamma):
+    # row 0 is saturated: p_t rounds to exactly 1, so 1 - p_t == 0, where
+    # the composition's (1 - p)^gamma backward gives 0 * inf for gamma < 1
+    z = np.array([[40.0, -40.0], [0.3, -0.2]])
+    labels = np.array([0, 1])
+    loss, grad = focal_value_and_grad(focal_loss, z, labels, gamma)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ref_loss, ref_grad = focal_value_and_grad(focal_loss_composition, z, labels, gamma)
+    assert np.array_equal(loss, ref_loss)
+    assert np.all(np.isfinite(grad))
+    assert np.array_equal(grad[1], ref_grad[1])
+    if gamma == 0.0:
+        # cross-entropy: (softmax - onehot) / n, finite in the composition too
+        assert np.array_equal(grad[0], ref_grad[0])
+    else:
+        assert np.array_equal(grad[0], [0.0, 0.0])
+
+
+def test_focal_node_finite_differences():
+    for seed in range(5):
+        rng = np.random.default_rng(80 + seed)
+        z = Tensor(rng.normal(scale=2.0, size=(4, 3)), requires_grad=True)
+        labels = rng.integers(0, 3, size=4)
+        for gamma in (0.0, 0.5, 2.0):
+            err = finite_difference_check(lambda: focal_loss(z, labels, gamma), {"z": z})
+            assert err < 1e-4, f"gamma {gamma} seed {seed}: {err}"
+
+
+@pytest.mark.parametrize("kind", ["image", "html", "url", "pair"])
+def test_batch_loss_gradients_match_compositions(kind, monkeypatch):
+    # every fused primitive swapped back for its old composition: the loss
+    # and every parameter gradient stay bitwise equal, including where an
+    # input has several consumers (the MHSA residual, the fused branches)
+    spec, params = desk_params(seed=3)
+    rng = np.random.default_rng(4)
+    batch = {"x": rng.normal(size=(3, 4, 16)), "char": rng.integers(0, 33, size=(3, 32)),
+             "word": rng.integers(0, 17, size=(3, 8)), "dom": rng.integers(0, 9, size=(3, 8)),
+             "y": np.array([0, 1, 1])}
+    if kind == "url":
+        batch["x"] = rng.normal(size=(3, 16))
+    snap = {k: p.data + rng.normal(scale=0.05, size=p.data.shape) for k, p in params.items()}
+    cfg = TrainConfig(mu=0.02, loss=LossConfig(modal_dropout_p=0.0))
+
+    def loss_and_grads():
+        zero_grads(params)
+        loss = batch_loss(spec.heads(), kind, params, batch, snap, cfg, np.random.default_rng(5))
+        backward(loss)
+        return loss.data, {k: np.array(p.grad) for k, p in params.items() if p.grad is not None}
+
+    loss, grads = loss_and_grads()
+    for module in (layers, fedphish.heads):
+        monkeypatch.setattr(module, "layer_norm", layer_norm_composition)
+        monkeypatch.setattr(module, "gelu", gelu_composition)
+        monkeypatch.setattr(module, "log_softmax", log_softmax_composition)
+    monkeypatch.setattr(fedphish.heads, "l2_normalize", l2_normalize_composition)
+    monkeypatch.setattr(fedphish.federation, "focal_loss", focal_loss_composition)
+    ref_loss, ref_grads = loss_and_grads()
+    assert np.array_equal(loss, ref_loss)
+    assert grads.keys() == ref_grads.keys()
+    for name in grads:
+        assert np.array_equal(grads[name], ref_grads[name]), name
 
 
 # ---------------------------------------------------------------------------

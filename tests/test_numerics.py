@@ -18,15 +18,16 @@ from fedphish.numerics import (
     embedding,
     finite_difference_check,
     gelu,
+    l2_normalize,
     layer_norm,
     log_softmax,
-    logsumexp,
     lstm_sequence,
     mhsa_block,
     multiscale_conv_encode,
     softmax,
     zero_grads,
 )
+from fedphish.numerics import layers
 from fedphish.numerics.tensor import GradientError
 
 
@@ -810,7 +811,8 @@ def test_embedding_gradient_scatter_adds():
 def test_logsumexp_matches_numpy_reference():
     rng = np.random.default_rng(27)
     z = rng.normal(scale=10.0, size=(3, 5))
-    out = logsumexp(Tensor(z), axis=-1).data
+    # log_softmax(z) = z - logsumexp(z)
+    out = (z - log_softmax(Tensor(z), axis=-1).data)[:, 0]
     ref = np.log(np.exp(z - z.max(axis=-1, keepdims=True)).sum(axis=-1)) + z.max(axis=-1)
     assert np.allclose(out, ref, atol=1e-12)
 
@@ -982,3 +984,196 @@ def test_shared_weight_matmul_finite_differences(layout):
     w = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
     err = finite_difference_check(lambda: ((view(x) @ w).tanh() ** 2.0).sum(), {"x": x, "w": w})
     assert err < 1e-4
+
+
+# ---------------------------------------------------------------------------
+# single-node primitives against the compositions they replace
+# ---------------------------------------------------------------------------
+#
+# Each oracle is the chain of Tensor operations the primitive used to be,
+# one graph node per operation. The primitive runs the same numpy
+# operations in the same order, forward and backward, so its output and
+# its input gradients must be bitwise the oracle's.
+
+def erf_node(x):
+    """erf as its own node: the derivative is 2/sqrt(pi) * exp(-x^2)."""
+    from scipy.special import erf
+
+    return Tensor._node(
+        erf(x.data), (x,), lambda g: (g * (2.0 / np.sqrt(np.pi)) * np.exp(-x.data * x.data),)
+    )
+
+
+def maximum_node(a, b):
+    """Elementwise max; ties route the gradient to the first argument."""
+    take_a = a.data >= b.data
+    return Tensor._node(
+        np.where(take_a, a.data, b.data), (a, b), lambda g: (g * take_a, g * ~take_a)
+    )
+
+
+def layer_norm_composition(x, gamma, beta, eps=1e-5):
+    mu = x.mean(axis=-1, keepdims=True)
+    centered = x - mu
+    var = (centered * centered).mean(axis=-1, keepdims=True)
+    return centered / (var + eps).sqrt() * gamma + beta
+
+
+def log_softmax_composition(z, axis=-1):
+    m = np.max(z.data, axis=axis, keepdims=True)
+    lse = (z - Tensor(m)).exp().sum(axis=axis, keepdims=True).log() + Tensor(m)
+    return z - lse
+
+
+def gelu_composition(x):
+    return x * (erf_node(x * (1.0 / np.sqrt(2.0))) + 1.0) * 0.5
+
+
+def l2_normalize_composition(x, axis, floor):
+    norm = (x * x).sum(axis=axis, keepdims=True).sqrt()
+    return x / maximum_node(norm, Tensor(floor))
+
+
+def forward_and_grads(fn, arrays, seed=0):
+    """``fn``'s output on leaves holding ``arrays`` and the leaves' gradients
+    under a random upstream gradient drawn from ``seed``."""
+    leaves = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+    out = fn(*leaves)
+    upstream = np.random.default_rng(seed).normal(size=out.shape)
+    backward((out * Tensor(upstream)).sum())
+    return out.data, [leaf.grad for leaf in leaves]
+
+
+def assert_same_outputs(got, ref):
+    (out, grads), (ref_out, ref_grads) = got, ref
+    assert np.array_equal(out, ref_out), "forward is not bitwise the composition's"
+    for i, (g, r) in enumerate(zip(grads, ref_grads)):
+        assert np.all(np.isfinite(g)), f"input {i}: non-finite gradient"
+        assert np.array_equal(g, r), f"input {i}: gradient is not bitwise the composition's"
+
+
+def assert_matches_composition(fused, oracle, arrays, seed=0):
+    assert_same_outputs(forward_and_grads(fused, arrays, seed), forward_and_grads(oracle, arrays, seed))
+
+
+def ln_arrays(rng, shape):
+    d = shape[-1]
+    return [rng.normal(scale=3.0, size=shape), 1.0 + rng.normal(scale=0.3, size=d),
+            rng.normal(scale=0.3, size=d)]
+
+
+@pytest.mark.parametrize("shape", [(4, 7), (2, 3, 7)], ids=["2d", "3d"])
+def test_layer_norm_node_matches_composition(shape):
+    rng = np.random.default_rng(40)
+    for seed in range(5):
+        assert_matches_composition(layer_norm, layer_norm_composition, ln_arrays(rng, shape), seed)
+
+
+def test_layer_norm_node_constant_row_matches_composition():
+    # variance 0: the normalised row is 0 and the gradient is the centered
+    # upstream gradient over sqrt(eps)
+    rng = np.random.default_rng(41)
+    arrays = ln_arrays(rng, (3, 6))
+    arrays[0][1] = 2.5
+    assert_matches_composition(layer_norm, layer_norm_composition, arrays)
+    out, _ = forward_and_grads(layer_norm, arrays)
+    assert np.array_equal(out[1], arrays[2])
+
+
+@pytest.mark.parametrize("shape", [(5, 3), (2, 4, 6)], ids=["2d", "3d"])
+@pytest.mark.parametrize("axis", [-1, 0])
+def test_log_softmax_node_matches_composition(shape, axis):
+    rng = np.random.default_rng(42)
+    for seed in range(5):
+        z = rng.normal(scale=rng.uniform(0.1, 30.0), size=shape)
+        assert_matches_composition(
+            lambda t: log_softmax(t, axis=axis),
+            lambda t: log_softmax_composition(t, axis=axis), [z], seed,
+        )
+
+
+def test_log_softmax_node_masked_row_matches_composition():
+    rng = np.random.default_rng(43)
+    z = rng.normal(size=(3, 5))
+    z[0, 1:4] += layers.MASK_OFFSET
+    z[2] += layers.MASK_OFFSET  # every position masked
+    assert_matches_composition(log_softmax, log_softmax_composition, [z])
+
+
+def test_attention_pool_masked_rows_match_composition(monkeypatch):
+    # attention_pool's softmax reaches log_softmax through the layers module
+    rng = np.random.default_rng(44)
+    states = rng.normal(size=(3, 5, 4))
+    score = rng.normal(size=4)
+    mask = np.array([[True, False, True, True, False], [False] * 5, [True] * 5])
+
+    def pool(s, v):
+        return attention_pool(s, v, mask)[0]
+
+    got = forward_and_grads(pool, [states, score])
+    monkeypatch.setattr(layers, "log_softmax", log_softmax_composition)
+    assert_same_outputs(got, forward_and_grads(pool, [states, score]))
+    d_states = got[1][0]
+    assert np.all(d_states[0, [1, 4]] == 0.0) and np.all(d_states[1] == 0.0)
+
+
+@pytest.mark.parametrize("shape", [(4, 9), (2, 3, 5)], ids=["2d", "3d"])
+def test_gelu_node_matches_composition(shape):
+    rng = np.random.default_rng(45)
+    for seed in range(5):
+        x = rng.normal(scale=rng.uniform(0.5, 6.0), size=shape)
+        assert_matches_composition(gelu, gelu_composition, [x], seed)
+
+
+@pytest.mark.parametrize("shape,axis", [((4, 6), 1), ((6, 3), 0), ((2, 3, 5), -1)],
+                         ids=["rows", "columns", "3d"])
+def test_l2_normalize_node_matches_composition(shape, axis):
+    rng = np.random.default_rng(46)
+    for seed in range(5):
+        x = rng.normal(scale=rng.uniform(0.1, 10.0), size=shape)
+        assert_matches_composition(
+            lambda t: l2_normalize(t, axis, 1e-12),
+            lambda t: l2_normalize_composition(t, axis, 1e-12), [x], seed,
+        )
+
+
+def test_l2_normalize_below_floor_matches_composition():
+    # row 1 has norm ~3e-14, below the floor: it is divided by the floor
+    rng = np.random.default_rng(47)
+    x = rng.normal(size=(3, 4))
+    x[1] *= 1e-14
+    assert_matches_composition(
+        lambda t: l2_normalize(t, 1, 1e-12), lambda t: l2_normalize_composition(t, 1, 1e-12), [x]
+    )
+    out = l2_normalize(Tensor(x), 1, 1e-12).data
+    assert np.array_equal(out[1], x[1] / 1e-12)
+
+
+def test_l2_normalize_zero_vector_gradient_is_plain_scaling():
+    # the composition's sqrt backward gives 0/0 here; the floor's
+    # derivative is the 1/floor scaling alone
+    x = Tensor(np.zeros((2, 3)), requires_grad=True)
+    upstream = np.arange(6.0).reshape(2, 3)
+    out = l2_normalize(x, 1, 1e-12)
+    backward((out * Tensor(upstream)).sum())
+    assert np.array_equal(out.data, np.zeros((2, 3)))
+    assert np.array_equal(x.grad, upstream / 1e-12)
+
+
+def test_single_node_primitives_finite_differences():
+    for seed in range(5):
+        rng = np.random.default_rng(60 + seed)
+        x = Tensor(rng.normal(size=(2, 3, 5)), requires_grad=True)
+        gamma = Tensor(1.0 + rng.normal(scale=0.3, size=5), requires_grad=True)
+        beta = Tensor(rng.normal(scale=0.3, size=5), requires_grad=True)
+        c = Tensor(rng.normal(size=(2, 3, 5)))
+        losses = {
+            "layer_norm": (lambda: (layer_norm(x, gamma, beta) * c).sum(),
+                           {"x": x, "gamma": gamma, "beta": beta}),
+            "gelu": (lambda: (gelu(x) * c).sum(), {"x": x}),
+            "log_softmax": (lambda: (log_softmax(x, axis=1) * c).sum(), {"x": x}),
+            "l2_normalize": (lambda: (l2_normalize(x, 2, 1e-12) * c).sum(), {"x": x}),
+        }
+        for name, (loss_fn, params) in losses.items():
+            err = finite_difference_check(loss_fn, params)
+            assert err < 1e-4, f"{name} seed {seed}: {err}"
