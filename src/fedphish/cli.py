@@ -75,17 +75,14 @@ def cmd_synth(args) -> int:
     from .data import synth_embeddings, synth_html
 
     if args.kind == "embeddings":
-        samples = synth_embeddings(args.n, dim=args.dim, separation=args.separation,
-                                   seed=args.seed)
-        with open(args.out, "w") as fh:
-            for s in samples:
-                fh.write(json.dumps({"label": s.label,
-                                     "embedding": s.url_embedding.tolist()}) + "\n")
+        data = synth_embeddings(args.n, dim=args.dim, separation=args.separation, seed=args.seed)
+        rows = ({"label": int(y), "embedding": x.tolist()} for x, y in zip(data["x"], data["y"]))
     else:
-        _, pages = synth_html(args.n, seed=args.seed, return_html=True)
-        with open(args.out, "w") as fh:
-            for label, html in pages:
-                fh.write(json.dumps({"label": label, "html": html}) + "\n")
+        data, pages = synth_html(args.n, seed=args.seed, return_html=True)
+        rows = ({"label": int(y), "html": html} for y, html in zip(data["y"], pages))
+    with open(args.out, "w") as fh:
+        for row in rows:
+            fh.write(json.dumps(row) + "\n")
     print(f"wrote {args.n} {args.kind} samples to {args.out}")
     return EXIT_OK
 

@@ -14,17 +14,9 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .data import (
-    load_jsonl,
-    stack_html,
-    stack_image,
-    stack_pairs,
-    stack_url,
-    synth_embeddings,
-    synth_html,
-    synth_image_tokens,
-    synth_paired,
-)
+import numpy as np
+
+from .data import load_jsonl, synth_embeddings, synth_html, synth_image_tokens, synth_paired
 from .federation import ClientData, TrainConfig
 from .heads import LossConfig, ModelSpec, _is_finite_nonneg, _is_int
 from .preproc import CHAR_PAD, PreprocConfig
@@ -41,13 +33,21 @@ class ConfigError(ValueError):
 _TOP_KEYS = {
     "name", "seed", "rounds", "epochs", "lr", "batch_size", "mu", "clip",
     "focal_gamma", "lambda_aux", "lambda_js", "modal_dropout_p",
-    "html_weight_by_count", "model_profile", "preproc", "clients", "out_dir",
+    "model_profile", "preproc", "clients", "out_dir",
 }
 _CLIENT_KEYS = {"id", "datasets"}
 _DATASET_KEYS = {"modality", "synth", "path", "train_range", "test_range",
                  "shuffle_seed", "preshuffled"}
-_SYNTH_KEYS = {"kind", "train_n", "test_n", "seed", "separation", "length",
-               "informative"}
+# every synth setting with its default; paired data defaults to separation 8
+_SYNTH_DEFAULTS = {"train_n": 32, "test_n": 32, "seed": 0, "separation": 4.0, "length": 4,
+                   "informative": True}
+_SYNTH_KEYS = {"kind", *_SYNTH_DEFAULTS}
+_SYNTH_READS = {  # synth kind -> the settings its generator reads besides train_n, test_n, seed
+    "embeddings": ("separation",),
+    "image_tokens": ("separation", "length"),
+    "html": ("informative",),
+    "paired": ("separation", "length"),
+}
 _PREPROC_KEYS = {"char_len", "word_len", "dom_len", "word_buckets", "dom_buckets"}
 _SYNTH_KIND = {"image": "image_tokens", "html": "html", "url": "embeddings", "pair": "paired"}
 _SYNTH_CHECKS = {  # key -> (what it must be, test)
@@ -67,8 +67,8 @@ class DatasetSpec:
     path: str | None = None
     train_range: tuple[int, int] | None = None
     test_range: tuple[int, int] | None = None
-    shuffle_seed: int = 42
-    preshuffled: bool = False
+    shuffle_seed: int | None = None  # set for path datasets only
+    preshuffled: bool | None = None
 
 
 @dataclass(frozen=True)
@@ -117,10 +117,18 @@ def _parse_dataset(obj: dict, where: str) -> DatasetSpec:
         for key, (what, ok) in _SYNTH_CHECKS.items():
             if key in synth and not ok(synth[key]):
                 raise ConfigError(f"{where}.synth: {key} must be {what}, got {synth[key]!r}")
-        if synth.get("train_n", 32) + synth.get("test_n", 32) < 2:
+        kind = synth["kind"]
+        defaults = dict(_SYNTH_DEFAULTS, separation=8.0) if kind == "paired" else _SYNTH_DEFAULTS
+        reads = ("train_n", "test_n", "seed", *_SYNTH_READS[kind])
+        synth = {**{key: defaults[key] for key in reads}, **synth}
+        if synth["train_n"] + synth["test_n"] < 2:
             raise ConfigError(f"{where}.synth: train_n + test_n must be at least 2")
     train_range = obj.get("train_range")
     test_range = obj.get("test_range")
+    shuffle_seed = obj.get("shuffle_seed", 42)
+    preshuffled = obj.get("preshuffled", False)
+    if not (_is_int(shuffle_seed) and isinstance(preshuffled, bool)):
+        raise ConfigError(f"{where}: shuffle_seed must be an integer and preshuffled true or false")
     if path is not None:
         if not isinstance(path, str):
             raise ConfigError(f"{where}: path must be a string, got {path!r}")
@@ -129,24 +137,15 @@ def _parse_dataset(obj: dict, where: str) -> DatasetSpec:
                     and 0 <= value[0] <= value[1]):
                 raise ConfigError(f"{where}: path datasets need {name} as [start, stop] integers "
                                   "with 0 <= start <= stop")
-        train_range = tuple(train_range)
-        test_range = tuple(test_range)
-    if not (_is_int(obj.get("shuffle_seed", 42)) and isinstance(obj.get("preshuffled", False), bool)):
-        raise ConfigError(f"{where}: shuffle_seed must be an integer and preshuffled true or false")
-    return DatasetSpec(
-        modality=modality,
-        synth=synth,
-        path=path,
-        train_range=train_range,
-        test_range=test_range,
-        shuffle_seed=obj.get("shuffle_seed", 42),
-        preshuffled=obj.get("preshuffled", False),
-    )
+        return DatasetSpec(modality=modality, path=path, train_range=tuple(train_range),
+                           test_range=tuple(test_range), shuffle_seed=shuffle_seed,
+                           preshuffled=preshuffled)
+    return DatasetSpec(modality=modality, synth=synth)
 
 
 def _train_size(spec: DatasetSpec) -> int:
     if spec.synth is not None:
-        return spec.synth.get("train_n", 32)
+        return spec.synth["train_n"]
     start, stop = spec.train_range
     return stop - start
 
@@ -184,7 +183,6 @@ def parse_config(path) -> ExperimentConfig:
             mu=raw.get("mu", 0.0),
             clip=raw.get("clip", 1.0),
             loss=loss,
-            html_weight_by_count=raw.get("html_weight_by_count", False),
             seed=raw.get("seed", 42),
         )
         preproc = PreprocConfig(**preproc_raw)
@@ -272,61 +270,48 @@ def config_hash(cfg: ExperimentConfig) -> str:
 # turning specs into client shards
 # ---------------------------------------------------------------------------
 
+def _rows(data: dict, start: int, stop: int) -> dict:
+    return {key: arr[start:stop] for key, arr in data.items()}
+
+
 def _synth_split(spec: DatasetSpec, cfg: ExperimentConfig):
     s = spec.synth
-    kind = s["kind"]
-    train_n = s.get("train_n", 32)
-    test_n = s.get("test_n", 32)
-    seed = s.get("seed", 0)
-    total = train_n + test_n
+    kind, train_n, seed = s["kind"], s["train_n"], s["seed"]
+    total = train_n + s["test_n"]
     if kind == "embeddings":
-        sep = s.get("separation", 4.0)
-        samples = synth_embeddings(total, dim=cfg.model.url.in_dim, separation=sep, seed=seed)
+        data = synth_embeddings(total, dim=cfg.model.url.in_dim, separation=s["separation"], seed=seed)
     elif kind == "image_tokens":
-        sep = s.get("separation", 4.0)
-        samples = synth_image_tokens(
-            total, length=s.get("length", 4), dim=cfg.model.image.d_model,
-            separation=sep, seed=seed,
+        data = synth_image_tokens(
+            total, length=s["length"], dim=cfg.model.image.d_model,
+            separation=s["separation"], seed=seed,
         )
     elif kind == "html":
-        samples = synth_html(
-            total, seed=seed, informative=s.get("informative", True),
-            preproc_cfg=cfg.preproc,
-        )
+        data = synth_html(total, seed=seed, informative=s["informative"], preproc_cfg=cfg.preproc)
     else:  # paired
-        samples = synth_paired(
-            total, seed=seed, image_length=s.get("length", 4),
-            image_dim=cfg.model.image.d_model,
-            separation=s.get("separation", 8.0), preproc_cfg=cfg.preproc,
+        data = synth_paired(
+            total, seed=seed, image_length=s["length"], image_dim=cfg.model.image.d_model,
+            separation=s["separation"], preproc_cfg=cfg.preproc,
         )
-    return samples[:train_n], samples[train_n:]
+    return _rows(data, 0, train_n), _rows(data, train_n, total)
 
 
 def _path_split(spec: DatasetSpec, cfg: ExperimentConfig):
-    import numpy as np
-
-    samples = load_jsonl(
+    data = load_jsonl(
         spec.path, spec.modality, preproc_cfg=cfg.preproc,
         embed_dim=cfg.model.url.in_dim if spec.modality == "url" else cfg.model.image.d_model,
     )
-    order = np.arange(len(samples))
+    n = len(data["y"])
     if not spec.preshuffled:
-        order = np.random.default_rng(spec.shuffle_seed).permutation(len(samples))
-    shuffled = [samples[i] for i in order]
+        order = np.random.default_rng(spec.shuffle_seed).permutation(n)
+        data = {key: arr[order] for key, arr in data.items()}
 
-    def take(rng_pair, what):
-        start, stop = rng_pair
-        if not (0 <= start <= stop <= len(shuffled)):
-            raise ValueError(
-                f"{spec.path}: {what} range [{start}, {stop}) does not fit "
-                f"{len(shuffled)} samples"
-            )
-        return shuffled[start:stop]
+    def take(bounds, what):
+        start, stop = bounds
+        if stop > n:
+            raise ValueError(f"{spec.path}: {what} range [{start}, {stop}) does not fit {n} samples")
+        return _rows(data, start, stop)
 
     return take(spec.train_range, "train"), take(spec.test_range, "test")
-
-
-_STACKERS = {"image": stack_image, "html": stack_html, "url": stack_url, "pair": stack_pairs}
 
 
 def build_clients(cfg: ExperimentConfig) -> list[ClientData]:
@@ -337,11 +322,10 @@ def build_clients(cfg: ExperimentConfig) -> list[ClientData]:
         val: dict = {}
         for dspec in cspec.datasets:
             tr, te = (_synth_split if dspec.synth is not None else _path_split)(dspec, cfg)
-            stack = _STACKERS[dspec.modality]
-            if tr:
-                train[dspec.modality] = stack(tr)
-            if te:
-                val[dspec.modality] = stack(te)
+            if len(tr["y"]):
+                train[dspec.modality] = tr
+            if len(te["y"]):
+                val[dspec.modality] = te
         clients.append(ClientData(client_id=cspec.client_id, train=train, val=val))
     return clients
 

@@ -1,5 +1,14 @@
 """Dataset ingestion and synthetic generators for desk-scale verification.
 
+A dataset is a dict of arrays stacked along a leading sample axis, with
+int64 labels 0 or 1 under "y". The other keys depend on the modality:
+
+- url: "x" [N, dim] embeddings;
+- image: "x" [N, L, dim] token sequences;
+- html: "char", "word" and "dom" [N, stream length] preprocessed id streams;
+- pair: an image and an html payload of the same page, so "x", "char",
+  "word" and "dom".
+
 Real embeddings (frozen image and URL encoders) arrive as JSON Lines; HTML
 arrives as raw text and runs through the preprocessing pipeline. The
 synthetic generators stand in for those feeds with controllable difficulty.
@@ -8,101 +17,107 @@ synthetic generators stand in for those feeds with controllable difficulty.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
 import numpy as np
 
-from .preproc import HtmlStreams, PreprocConfig, preprocess
+from .preproc import PreprocConfig, preprocess
 
 __all__ = [
-    "Sample",
-    "PairedSample",
     "load_jsonl",
     "synth_embeddings",
     "synth_image_tokens",
     "synth_html",
     "synth_paired",
-    "stack_url",
-    "stack_image",
-    "stack_html",
-    "stack_pairs",
 ]
 
 EMBED_DIM = 768
 
 
-@dataclass(frozen=True)
-class Sample:
-    """One labelled page with exactly one payload kind."""
-
-    label: int
-    url_embedding: np.ndarray | None = None
-    image_tokens: np.ndarray | None = None
-    html_streams: HtmlStreams | None = None
-
-    def __post_init__(self):
-        kinds = sum(
-            x is not None
-            for x in (self.url_embedding, self.image_tokens, self.html_streams)
-        )
-        if kinds != 1:
-            raise ValueError(f"sample must carry exactly one payload, got {kinds}")
-        if self.label not in (0, 1):
-            raise ValueError(f"label must be 0 or 1, got {self.label}")
+def _html_rows(n: int, cfg: PreprocConfig) -> dict[str, np.ndarray]:
+    """Empty "char", "word" and "dom" arrays for ``n`` preprocessed pages."""
+    return {key: np.empty((n, length), dtype=np.int64)
+            for key, length in (("char", cfg.char_len), ("word", cfg.word_len), ("dom", cfg.dom_len))}
 
 
-@dataclass(frozen=True)
-class PairedSample:
-    """An image payload and an html payload for the same page, one label."""
+def _put_page(rows: dict[str, np.ndarray], i: int, html: str, cfg: PreprocConfig) -> None:
+    streams = preprocess(html, cfg)
+    rows["char"][i] = streams.char_ids
+    rows["word"][i] = streams.word_ids
+    rows["dom"][i] = streams.dom_ids
 
-    label: int
-    image_tokens: np.ndarray
-    html_streams: HtmlStreams
+
+def _float_payload(value, key: str, shape: tuple, where: str, what: str) -> np.ndarray:
+    """``value`` as a finite float array of ``shape``; a None in ``shape``
+    matches any length."""
+    arr = None
+    if isinstance(value, list):
+        try:
+            arr = np.asarray(value, dtype=np.float64)
+        except (TypeError, ValueError):  # ragged rows or non-numbers
+            pass
+    if arr is None or arr.ndim != len(shape) or any(
+            want not in (None, got) for got, want in zip(arr.shape, shape)):
+        raise ValueError(f"{where}: {key!r} must be {what}")
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{where}: {key!r} holds a NaN or infinite value")
+    return arr
 
 
 def load_jsonl(path, modality: str, *, preproc_cfg: PreprocConfig | None = None,
-               embed_dim: int = EMBED_DIM) -> list[Sample]:
-    """Read one sample per line; html text is preprocessed on the way in."""
+               embed_dim: int = EMBED_DIM) -> dict[str, np.ndarray]:
+    """Read one labelled page per line into a url, image or html dataset;
+    html text is preprocessed on the way in. A rejected line is named as
+    ``path: line N``."""
     if modality not in ("url", "image", "html"):
         raise ValueError(f"unknown modality {modality!r}")
     cfg = preproc_cfg or PreprocConfig()
-    samples: list[Sample] = []
+    labels: list[int] = []
+    payloads: list = []  # per line: an embedding, a token matrix or the html text
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
+            where = f"{path}: line {lineno}"
             try:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}: line {lineno}: invalid JSON ({exc})") from exc
+                raise ValueError(f"{where}: invalid JSON ({exc})") from exc
             if not isinstance(obj, dict) or "label" not in obj:
-                raise ValueError(f"{path}: line {lineno}: missing 'label'")
+                raise ValueError(f"{where}: missing 'label'")
             label = obj["label"]
-            if label not in (0, 1):
-                raise ValueError(f"{path}: line {lineno}: label must be 0 or 1")
+            # json reads true as a bool and 1.0 as a float; neither is a label
+            if type(label) is not int or label not in (0, 1):
+                raise ValueError(f"{where}: label must be 0 or 1 as an integer, got {label!r}")
             if modality == "url":
                 emb = obj.get("embedding")
-                if not isinstance(emb, list) or len(emb) != embed_dim:
-                    got = len(emb) if isinstance(emb, list) else type(emb).__name__
-                    raise ValueError(
-                        f"{path}: line {lineno}: 'embedding' must be {embed_dim} floats, got {got}"
-                    )
-                samples.append(Sample(label=label, url_embedding=np.asarray(emb, dtype=np.float64)))
+                got = len(emb) if isinstance(emb, list) else type(emb).__name__
+                payload = _float_payload(emb, "embedding", (embed_dim,), where,
+                                         f"{embed_dim} floats, got {got}")
             elif modality == "image":
-                toks = obj.get("tokens")
-                arr = np.asarray(toks, dtype=np.float64) if isinstance(toks, list) else None
-                if arr is None or arr.ndim != 2 or arr.shape[1] != embed_dim:
-                    raise ValueError(
-                        f"{path}: line {lineno}: 'tokens' must be an L x {embed_dim} float matrix"
-                    )
-                samples.append(Sample(label=label, image_tokens=arr))
+                # the first line sets the token count of every later one
+                length = payloads[0].shape[0] if payloads else None
+                what = (f"a {length} x {embed_dim} float matrix, as on the lines before it"
+                        if length else f"an L x {embed_dim} float matrix")
+                payload = _float_payload(obj.get("tokens"), "tokens", (length, embed_dim), where, what)
             else:
-                html = obj.get("html")
-                if not isinstance(html, str):
-                    raise ValueError(f"{path}: line {lineno}: 'html' must be a string")
-                samples.append(Sample(label=label, html_streams=preprocess(html, cfg)))
-    return samples
+                payload = obj.get("html")
+                if not isinstance(payload, str):
+                    raise ValueError(f"{where}: 'html' must be a string")
+            labels.append(label)
+            payloads.append(payload)
+    n = len(labels)
+    out = {"y": np.array(labels, dtype=np.int64)}
+    if modality == "html":
+        out.update(_html_rows(n, cfg))
+        for i, html in enumerate(payloads):
+            _put_page(out, i, html, cfg)
+        return out
+    empty = (0, embed_dim) if modality == "image" else (embed_dim,)
+    out["x"] = np.empty((n, *(payloads[0].shape if payloads else empty)))
+    for i, payload in enumerate(payloads):
+        out["x"][i] = payload
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -124,7 +139,7 @@ def _balanced_labels(n: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def synth_embeddings(n: int, dim: int = EMBED_DIM, separation: float = 4.0,
-                     seed: int = 0) -> list[Sample]:
+                     seed: int = 0) -> dict[str, np.ndarray]:
     """Two unit-covariance Gaussian clusters with means +-(separation/2) u.
 
     separation 0 makes the classes indistinguishable; separation 8 puts the
@@ -137,27 +152,26 @@ def synth_embeddings(n: int, dim: int = EMBED_DIM, separation: float = 4.0,
     rng = np.random.default_rng(seed)
     u = _unit_direction(dim)
     labels = _balanced_labels(n, rng)
-    out = []
-    for label in labels:
+    x = np.empty((n, dim))
+    for i, label in enumerate(labels):
         mean = (separation / 2.0) * u * (1.0 if label == 1 else -1.0)
-        out.append(Sample(label=int(label), url_embedding=mean + rng.standard_normal(dim)))
-    return out
+        x[i] = mean + rng.standard_normal(dim)
+    return {"x": x, "y": labels}
 
 
 def synth_image_tokens(n: int, length: int = 16, dim: int = EMBED_DIM,
-                       separation: float = 4.0, seed: int = 0) -> list[Sample]:
+                       separation: float = 4.0, seed: int = 0) -> dict[str, np.ndarray]:
     """Token sequences tiled from the same cluster scheme as the embeddings."""
     if n < 2:
         raise ValueError("need at least two samples")
     rng = np.random.default_rng(seed)
     u = _unit_direction(dim)
     labels = _balanced_labels(n, rng)
-    out = []
-    for label in labels:
+    x = np.empty((n, length, dim))
+    for i, label in enumerate(labels):
         mean = (separation / 2.0) * u * (1.0 if label == 1 else -1.0)
-        toks = mean[None, :] + rng.standard_normal((length, dim))
-        out.append(Sample(label=int(label), image_tokens=toks))
-    return out
+        x[i] = mean[None, :] + rng.standard_normal((length, dim))
+    return {"x": x, "y": labels}
 
 
 # disjoint vocabularies: planted tokens mark phishing pages, clean tokens
@@ -192,31 +206,32 @@ def synth_html(n: int, seed: int = 0, *, informative: bool = True,
                return_html: bool = False):
     """Template pages; label 1 plants a token vocabulary and tag motif that
     label 0 never uses. With informative=False every page draws from a
-    neutral template and carries no label signal."""
+    neutral template and carries no label signal. ``return_html`` also
+    returns the page texts, in row order."""
     if n < 2:
         raise ValueError("need at least two samples")
     cfg = preproc_cfg or PreprocConfig()
     rng = np.random.default_rng(seed)
     labels = _balanced_labels(n, rng)
-    samples = []
+    out = {**_html_rows(n, cfg), "y": labels}
     pages = []
-    for label in labels:
+    for i, label in enumerate(labels):
         if not informative:
             html = _render_page(rng, NEUTRAL_VOCAB, CLEAN_TAGS)
         elif label == 1:
             html = _render_page(rng, PLANTED_VOCAB, PLANTED_TAGS)
         else:
             html = _render_page(rng, CLEAN_VOCAB, CLEAN_TAGS)
-        pages.append((int(label), html))
-        samples.append(Sample(label=int(label), html_streams=preprocess(html, cfg)))
+        pages.append(html)
+        _put_page(out, i, html, cfg)
     if return_html:
-        return samples, pages
-    return samples
+        return out, pages
+    return out
 
 
 def synth_paired(n: int, seed: int = 0, *, image_length: int = 4,
                  image_dim: int = 16, separation: float = 8.0,
-                 preproc_cfg: PreprocConfig | None = None) -> list[PairedSample]:
+                 preproc_cfg: PreprocConfig | None = None) -> dict[str, np.ndarray]:
     """Complementary paired task: for each page exactly one of the two
     modalities carries the label, the other is noise, so either branch
     alone tops out near 75% while the pair decides every sample."""
@@ -227,59 +242,16 @@ def synth_paired(n: int, seed: int = 0, *, image_length: int = 4,
     labels = _balanced_labels(n, rng)
     image_informative = rng.random(n) < 0.5
     u = _unit_direction(image_dim)
-    out = []
-    for label, img_inf in zip(labels, image_informative):
+    out = {"x": np.empty((n, image_length, image_dim)), **_html_rows(n, cfg), "y": labels}
+    for i, (label, img_inf) in enumerate(zip(labels, image_informative)):
         if img_inf:
             mean = (separation / 2.0) * u * (1.0 if label == 1 else -1.0)
-            toks = mean[None, :] + rng.standard_normal((image_length, image_dim))
+            out["x"][i] = mean[None, :] + rng.standard_normal((image_length, image_dim))
             html = _render_page(rng, NEUTRAL_VOCAB, CLEAN_TAGS)
         else:
-            toks = rng.standard_normal((image_length, image_dim))
+            out["x"][i] = rng.standard_normal((image_length, image_dim))
             vocab = PLANTED_VOCAB if label == 1 else CLEAN_VOCAB
             tags = PLANTED_TAGS if label == 1 else CLEAN_TAGS
             html = _render_page(rng, vocab, tags)
-        out.append(
-            PairedSample(
-                label=int(label),
-                image_tokens=toks,
-                html_streams=preprocess(html, cfg),
-            )
-        )
+        _put_page(out, i, html, cfg)
     return out
-
-
-# ---------------------------------------------------------------------------
-# array stacking for the training loops
-# ---------------------------------------------------------------------------
-
-def stack_url(samples: list[Sample]) -> dict[str, np.ndarray]:
-    return {
-        "x": np.stack([s.url_embedding for s in samples]),
-        "y": np.array([s.label for s in samples], dtype=np.int64),
-    }
-
-
-def stack_image(samples: list[Sample]) -> dict[str, np.ndarray]:
-    return {
-        "x": np.stack([s.image_tokens for s in samples]),
-        "y": np.array([s.label for s in samples], dtype=np.int64),
-    }
-
-
-def stack_html(samples: list[Sample]) -> dict[str, np.ndarray]:
-    return {
-        "char": np.stack([s.html_streams.char_ids for s in samples]),
-        "word": np.stack([s.html_streams.word_ids for s in samples]),
-        "dom": np.stack([s.html_streams.dom_ids for s in samples]),
-        "y": np.array([s.label for s in samples], dtype=np.int64),
-    }
-
-
-def stack_pairs(pairs: list[PairedSample]) -> dict[str, np.ndarray]:
-    return {
-        "x": np.stack([p.image_tokens for p in pairs]),
-        "char": np.stack([p.html_streams.char_ids for p in pairs]),
-        "word": np.stack([p.html_streams.word_ids for p in pairs]),
-        "dom": np.stack([p.html_streams.dom_ids for p in pairs]),
-        "y": np.array([p.label for p in pairs], dtype=np.int64),
-    }

@@ -92,7 +92,8 @@ class ClientReport:
 
 @dataclass
 class ClientData:
-    """One simulated client's local shards, already stacked into arrays.
+    """One simulated client's local shards: a dataset per modality, in the
+    stacked form that ``fedphish.data`` returns.
 
     train/val keys: "image" {x, y}, "html" {char, word, dom, y},
     "url" {x, y}, "pair" {x, char, word, dom, y}. A pair stores its image
@@ -104,16 +105,15 @@ class ClientData:
     train: dict[str, dict[str, np.ndarray]] = field(default_factory=dict)
     val: dict[str, dict[str, np.ndarray]] = field(default_factory=dict)
 
-    def role_weights(self, html_weight_by_count: bool = False) -> dict[str, float]:
+    def role_weights(self) -> dict[str, float]:
         """Aggregation weight of each role the training data reaches: its
         sample count, where a pair counts for image, html and fusion; html
-        weighs 1 unless ``html_weight_by_count``."""
+        weighs 1."""
         n = {kind: len(arrays["y"]) for kind, arrays in self.train.items()}
         pair = n.get("pair", 0)
-        html = n.get("html", 0) + pair
         counts = {
             "image": n.get("image", 0) + pair,
-            "html": html if html_weight_by_count else min(html, 1),
+            "html": min(n.get("html", 0) + pair, 1),
             "url": n.get("url", 0),
             "fusion": pair,
         }
@@ -129,7 +129,6 @@ class TrainConfig:
     mu: float = 0.0
     clip: float = 1.0
     loss: LossConfig = field(default_factory=LossConfig)
-    html_weight_by_count: bool = False  # equal html weight by default, switchable to the sample count
     seed: int = 0
 
     def __post_init__(self):
@@ -145,8 +144,6 @@ class TrainConfig:
             raise ValueError(f"mu must be a finite number >= 0, got {self.mu!r}")
         if not _is_int(self.seed):
             raise ValueError(f"seed must be an integer, got {self.seed!r}")
-        if not isinstance(self.html_weight_by_count, bool):
-            raise ValueError(f"html_weight_by_count must be true or false, got {self.html_weight_by_count!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +267,7 @@ def client_train(
     """Local training from the broadcast snapshot, which also serves as the
     proximal anchor. Only the parameters of the roles the client owns are
     copied, optimised and returned; no other parameter gets a gradient."""
-    weights = data.role_weights(cfg.html_weight_by_count)
+    weights = data.role_weights()
     if not weights:
         raise ValueError(f"client {data.client_id} has no training data")
     heads = model.heads()

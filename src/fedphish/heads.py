@@ -235,9 +235,6 @@ class ImageHead:
 
     def forward(self, params, tokens, train: bool = False, rng=None) -> Tensor:
         tokens = tokens if isinstance(tokens, Tensor) else Tensor(tokens)
-        squeeze = tokens.ndim == 2
-        if squeeze:
-            tokens = tokens.reshape(1, *tokens.shape)
         if tokens.shape[1] < 1:
             raise ValueError("image head needs at least one token")
         x = self.summary_tokens(tokens)
@@ -246,10 +243,9 @@ class ImageHead:
             block = {k[len(base):]: v for k, v in params.items() if k.startswith(base)}
             x = mhsa_block(x, block, self.cfg.n_heads, self.cfg.dropout, train, rng)
         pooled = x.max(axis=1)
-        logits = _classifier_forward(
+        return _classifier_forward(
             params, IMAGE_PREFIX + "cls.", pooled, self.cfg.dropout, train, rng
         )
-        return logits.reshape(2) if squeeze else logits
 
 
 # ---------------------------------------------------------------------------
@@ -304,19 +300,10 @@ class HtmlHead:
             for k in ("wx", "wh", "b")
         }
         states = bilstm_sequence(emb, lstm)
-        pooled, _ = attention_pool(
-            states, params[HTML_PREFIX + f"{branch}.score"], ids != pad_id
-        )
-        return pooled
+        return attention_pool(states, params[HTML_PREFIX + f"{branch}.score"], ids != pad_id)
 
     def forward(self, params, char_ids, word_ids, dom_ids, train: bool = False, rng=None) -> Tensor:
         cfg = self.cfg
-        char_ids = np.asarray(char_ids)
-        squeeze = char_ids.ndim == 1
-        char_ids = np.atleast_2d(char_ids)
-        word_ids = np.atleast_2d(np.asarray(word_ids))
-        dom_ids = np.atleast_2d(np.asarray(dom_ids))
-
         conv_w = {k: params[HTML_PREFIX + f"char.conv{k}.w"] for k in cfg.conv_sizes}
         conv_b = {k: params[HTML_PREFIX + f"char.conv{k}.b"] for k in cfg.conv_sizes}
         char_feat = multiscale_conv_encode(
@@ -328,10 +315,7 @@ class HtmlHead:
         word_feat = self._recurrent_branch(params, "word", word_ids, cfg.word_pad)
         dom_feat = self._recurrent_branch(params, "dom", dom_ids, cfg.dom_pad)
         features = concat([char_feat, word_feat, dom_feat], axis=1)
-        logits = _classifier_forward(
-            params, HTML_PREFIX + "cls.", features, cfg.dropout, train, rng
-        )
-        return logits.reshape(2) if squeeze else logits
+        return _classifier_forward(params, HTML_PREFIX + "cls.", features, cfg.dropout, train, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -366,9 +350,6 @@ class UrlHead:
     def forward(self, params, emb, train: bool = False, rng=None) -> Tensor:
         cfg = self.cfg
         emb = emb if isinstance(emb, Tensor) else Tensor(emb)
-        squeeze = emb.ndim == 1
-        if squeeze:
-            emb = emb.reshape(1, -1)
         h = layer_norm(emb, params[URL_PREFIX + "ln.gamma"], params[URL_PREFIX + "ln.beta"])
         v = params[URL_PREFIX + "fc.v"]
         col_norm = (v * v).sum(axis=0, keepdims=True).sqrt()
@@ -379,8 +360,7 @@ class UrlHead:
         cw = params[URL_PREFIX + "cls.w"]
         cosine = l2_normalize(f, 1, 1e-12) @ l2_normalize(cw, 0, 1e-12)
         scale = params[URL_PREFIX + "cls.log_scale"].exp()
-        logits = cosine * scale
-        return logits.reshape(cfg.n_classes) if squeeze else logits
+        return cosine * scale
 
 
 # ---------------------------------------------------------------------------
@@ -427,11 +407,7 @@ class FusionHead:
             raise ValueError("fusion needs at least one branch")
 
         def calibrated(logits, key):
-            logits = logits if isinstance(logits, Tensor) else Tensor(logits)
-            if logits.ndim == 1:
-                logits = logits.reshape(1, -1)
-            t = params[key].exp()
-            return logits * (1.0 / t)
+            return logits * (1.0 / params[key].exp())
 
         if l_html is None:
             scaled = calibrated(l_image, FUSION_PREFIX + "log_t_image")
@@ -469,9 +445,7 @@ def focal_loss(logits: Tensor, labels: np.ndarray, gamma: float = 2.0) -> Tensor
     """
     if gamma < 0:
         raise ValueError(f"gamma must be non-negative, got {gamma}")
-    logits = logits if isinstance(logits, Tensor) else Tensor(logits)
-    z = logits.data.reshape(1, -1) if logits.ndim == 1 else logits.data
-    labels = np.asarray(labels).reshape(-1)
+    z = logits.data
     rows = np.arange(labels.size)
     logp, exps, total = log_softmax_parts(z)
     picked = logp[rows, labels]
@@ -496,8 +470,7 @@ def focal_loss(logits: Tensor, labels: np.ndarray, gamma: float = 2.0) -> Tensor
             d_picked = np.where(live, g_mean * weight - g_mean * picked * e * slope * p, 0.0)
         direct = np.zeros(z.shape)
         direct[rows, labels] = d_picked
-        through_lse = -d_picked[:, None] / total * exps
-        return direct.reshape(logits.shape), through_lse.reshape(logits.shape)
+        return direct, -d_picked[:, None] / total * exps
 
     # the logits twice: directly and through the log-sum-exp, as in log_softmax
     return Tensor._node(out, (logits, logits), bw)

@@ -2,10 +2,11 @@
 
 Everything here is a pure function from (inputs, parameter tensors) to an
 output tensor; dropout is the only stochastic piece and is a no-op outside
-training mode. ``affine``, ``softmax``, ``dropout``, ``mhsa_block`` and
-``attention_pool`` are compositions of ``Tensor`` operations, one graph
-node per operation. The rest are single nodes with hand-written
-backwards:
+training mode. Every input is batched: sequences are [B, L, d] tensors or
+[B, L] id arrays, and a single page is a batch of one. ``affine``,
+``softmax``, ``dropout``, ``mhsa_block`` and ``attention_pool`` are
+compositions of ``Tensor`` operations, one graph node per operation. The
+rest are single nodes with hand-written backwards:
 
 - ``layer_norm``, ``gelu``, ``log_softmax`` and ``l2_normalize``, because
   every classifier head runs them and as compositions they cost 11, 5, 6
@@ -155,16 +156,13 @@ def mhsa_block(
     train: bool = False,
     rng: np.random.Generator | None = None,
 ) -> Tensor:
-    """Pre-norm transformer encoder block over [B, L, d] (or [L, d]).
+    """Pre-norm transformer encoder block over [B, L, d].
 
     Multi-head self-attention plus residual, then a GELU feed-forward plus
     residual. No positional encoding, so the block is permutation
     equivariant over L. Parameter keys: ln1/ln2 (gamma, beta), wq..wo with
     biases, ff w1/b1/w2/b2.
     """
-    squeeze = x.ndim == 2
-    if squeeze:
-        x = x.reshape(1, *x.shape)
     B, L, d = x.shape
     if d % n_heads != 0:
         raise ValueError(f"model dim {d} not divisible by {n_heads} heads")
@@ -190,8 +188,7 @@ def mhsa_block(
     h = layer_norm(x, p["ln2.gamma"], p["ln2.beta"])
     h = gelu(affine(h, p["ff.w1"], p["ff.b1"]))
     h = affine(h, p["ff.w2"], p["ff.b2"])
-    x = x + dropout(h, dropout_p, rng, train)
-    return x.reshape(L, d) if squeeze else x
+    return x + dropout(h, dropout_p, rng, train)
 
 
 def lstm_sequence(xs: Tensor, wx: Tensor, wh: Tensor, b: Tensor, reverse: bool = False) -> Tensor:
@@ -277,33 +274,20 @@ def bilstm_sequence(xs: Tensor, p: dict[str, Tensor]) -> Tensor:
     return concat([fwd, bwd], axis=2)
 
 
-def attention_pool(
-    states: Tensor, score_vec: Tensor, valid_mask: np.ndarray | None = None
-) -> tuple[Tensor, np.ndarray]:
+def attention_pool(states: Tensor, score_vec: Tensor, valid_mask: np.ndarray) -> Tensor:
     """Softmax-weighted sum of [B, L, d] states along L.
 
     ``valid_mask`` [B, L] drops padded positions from the softmax; a row
-    with no valid position pools to the zero vector and is flagged in the
-    returned boolean array.
+    with no valid position pools to the zero vector.
     """
-    squeeze = states.ndim == 2
-    if squeeze:
-        states = states.reshape(1, *states.shape)
     B, L, d = states.shape
-    if valid_mask is None:
-        valid_mask = np.ones((B, L), dtype=bool)
-    all_masked = ~valid_mask.any(axis=1)
-
     scores = (states @ score_vec.reshape(d, 1)).reshape(B, L)
     offset = np.where(valid_mask, 0.0, MASK_OFFSET)
     weights = softmax(scores + Tensor(offset), axis=-1)
-    if all_masked.any():
+    if not valid_mask.any(axis=1).all():
         # fully padded rows: zero output, no gradient into their states
         weights = weights * Tensor(valid_mask.astype(np.float64))
-    pooled = (weights.reshape(B, 1, L) @ states).reshape(B, d)
-    if squeeze:
-        return pooled.reshape(d), all_masked
-    return pooled, all_masked
+    return (weights.reshape(B, 1, L) @ states).reshape(B, d)
 
 
 def _scatter_rows(looked_up: np.ndarray, ids: np.ndarray, g: np.ndarray,
@@ -368,10 +352,6 @@ def multiscale_conv_encode(
     from those windows; the table gradient is a ``RowSparse`` over every
     looked-up id, as from ``embedding``.
     """
-    ids = np.asarray(ids)
-    squeeze = ids.ndim == 1
-    if squeeze:
-        ids = ids[None, :]
     sizes = sorted(conv_w)
     max_k = sizes[-1]
     if ids.shape[1] < max_k:
@@ -418,5 +398,4 @@ def multiscale_conv_encode(
         return (d_table, *dws, *dbs)
 
     parents = (embed_table, *(conv_w[k] for k in sizes), *(conv_b[k] for k in sizes))
-    out = Tensor._node(np.concatenate([m for _, m in maxes], axis=1), parents, bw)
-    return out.reshape(out.shape[1]) if squeeze else out
+    return Tensor._node(np.concatenate([m for _, m in maxes], axis=1), parents, bw)

@@ -17,7 +17,7 @@ from fedphish.config import (
     config_hash,
     parse_config,
 )
-from fedphish.preproc import PreprocConfig
+from fedphish.preproc import HtmlStreams, PreprocConfig
 
 
 def write_config(tmp_path, obj, name="cfg.json"):
@@ -83,6 +83,7 @@ def test_parse_rejects_negative_mu(tmp_path):
     pytest.param({"focal_gamma": float("inf")}, id="focal_gamma-inf"),
     pytest.param({"lambda_aux": True}, id="lambda_aux-bool"),
     pytest.param({"mu": float("inf")}, id="mu-inf"),
+    {"html_weight_by_count": True},
 ], ids=lambda over: next(iter(over)))
 def test_cli_run_bad_train_setting_exit_one(tmp_path, over):
     cfg_path = write_config(tmp_path, minimal_config(**over))
@@ -312,6 +313,34 @@ def test_cli_run_bad_html_line_exit_one(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+ROW = ", ".join(["0.5"] * 15)  # with one more value, a desk url embedding or image token
+
+
+@pytest.mark.parametrize("modality, bad, message", [
+    pytest.param("url", f'{{"label": true, "embedding": [0.5, {ROW}]}}',
+                 "line 2: label must be 0 or 1 as an integer, got True", id="label-bool"),
+    pytest.param("url", f'{{"label": 0.0, "embedding": [0.5, {ROW}]}}',
+                 "line 2: label must be 0 or 1 as an integer, got 0.0", id="label-float"),
+    pytest.param("url", f'{{"label": 1, "embedding": [NaN, {ROW}]}}',
+                 "line 2: 'embedding' holds a NaN or infinite value", id="embedding-nan"),
+    pytest.param("url", f'{{"label": 1, "embedding": [Infinity, {ROW}]}}',
+                 "line 2: 'embedding' holds a NaN or infinite value", id="embedding-inf"),
+    pytest.param("image", f'{{"label": 1, "tokens": [[0.5, {ROW}], [{ROW}]]}}',
+                 "line 2: 'tokens' must be a 2 x 16 float matrix", id="tokens-ragged"),
+])
+def test_cli_run_bad_jsonl_line_exit_one(tmp_path, capsys, modality, bad, message):
+    good = (f'{{"label": 0, "embedding": [0.5, {ROW}]}}' if modality == "url"
+            else f'{{"label": 0, "tokens": [[0.5, {ROW}], [0.5, {ROW}]]}}')
+    rows = tmp_path / "rows.jsonl"
+    rows.write_text(f"{good}\n{bad}\n")
+    cfg = minimal_config(clients=[{"id": "p", "datasets": [
+        {"modality": modality, "path": str(rows), "train_range": [0, 1], "test_range": [1, 2]}]}])
+    cfg_path = write_config(tmp_path, cfg)
+    assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == EXIT_VALIDATION
+    assert f"{rows}: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_synth_embeddings_deterministic(tmp_path):
     a = tmp_path / "a.jsonl"
     b = tmp_path / "b.jsonl"
@@ -329,10 +358,10 @@ def test_cli_synth_html_roundtrips_through_loader(tmp_path):
     from fedphish.data import load_jsonl
 
     cfg = PreprocConfig(char_len=256, word_len=32, dom_len=16)
-    samples = load_jsonl(out, "html", preproc_cfg=cfg)
-    assert len(samples) == 50
-    for s in samples:
-        s.html_streams.validate(cfg)
+    data = load_jsonl(out, "html", preproc_cfg=cfg)
+    assert len(data["y"]) == 50
+    for char, word, dom in zip(data["char"], data["word"], data["dom"]):
+        HtmlStreams(char_ids=char, word_ids=word, dom_ids=dom).validate(cfg)
 
 
 def test_cli_gradcheck_corrupted_exit_nonzero(monkeypatch, capsys):

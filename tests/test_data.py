@@ -1,19 +1,24 @@
 """Ingestion and the synthetic generators."""
 
 import json
+import re
 
 import numpy as np
 import pytest
 
 from fedphish.data import (
-    Sample,
     load_jsonl,
     synth_embeddings,
     synth_html,
     synth_image_tokens,
     synth_paired,
 )
-from fedphish.preproc import PreprocConfig, fnv1a64
+from fedphish.preproc import HtmlStreams, PreprocConfig, fnv1a64
+
+
+def page(data, i):
+    """Row ``i`` of an html or pair dataset as the preprocessor's streams."""
+    return HtmlStreams(char_ids=data["char"][i], word_ids=data["word"][i], dom_ids=data["dom"][i])
 
 
 # ---------------------------------------------------------------------------
@@ -29,10 +34,10 @@ def write_lines(path, rows):
 def test_load_url_jsonl(tmp_path):
     path = tmp_path / "u.jsonl"
     write_lines(path, [{"label": 1, "embedding": [0.5] * 768}])
-    samples = load_jsonl(path, "url")
-    assert len(samples) == 1
-    assert samples[0].label == 1
-    assert samples[0].url_embedding.shape == (768,)
+    data = load_jsonl(path, "url")
+    assert data["y"].tolist() == [1]
+    assert data["y"].dtype == np.int64
+    assert data["x"].shape == (1, 768)
 
 
 def test_load_rejects_wrong_embedding_length(tmp_path):
@@ -52,33 +57,53 @@ def test_load_rejects_bad_json_with_line_number(tmp_path):
 def test_load_order_preserved(tmp_path):
     path = tmp_path / "u.jsonl"
     write_lines(path, [{"label": i % 2, "embedding": [float(i)] * 4} for i in range(100)])
-    samples = load_jsonl(path, "url", embed_dim=4)
-    assert len(samples) == 100
-    assert [s.url_embedding[0] for s in samples] == [float(i) for i in range(100)]
+    data = load_jsonl(path, "url", embed_dim=4)
+    assert data["x"][:, 0].tolist() == [float(i) for i in range(100)]
+    assert data["y"].tolist() == [i % 2 for i in range(100)]
 
 
 def test_load_html_runs_preprocessing(tmp_path):
     path = tmp_path / "h.jsonl"
     write_lines(path, [{"label": 1, "html": "<p>verify account</p>"}])
     cfg = PreprocConfig(char_len=64, word_len=8, dom_len=8)
-    samples = load_jsonl(path, "html", preproc_cfg=cfg)
-    s = samples[0].html_streams
-    s.validate(cfg)
-    assert s.word_ids[0] == fnv1a64(b"verify") % cfg.word_buckets
+    data = load_jsonl(path, "html", preproc_cfg=cfg)
+    assert data["char"].shape == (1, 64) and data["word"].shape == data["dom"].shape == (1, 8)
+    page(data, 0).validate(cfg)
+    assert data["word"][0, 0] == fnv1a64(b"verify") % cfg.word_buckets
 
 
 def test_load_image_tokens(tmp_path):
     path = tmp_path / "i.jsonl"
     write_lines(path, [{"label": 0, "tokens": [[0.1] * 8, [0.2] * 8]}])
-    samples = load_jsonl(path, "image", embed_dim=8)
-    assert samples[0].image_tokens.shape == (2, 8)
+    data = load_jsonl(path, "image", embed_dim=8)
+    assert data["x"].shape == (1, 2, 8)
 
 
-def test_sample_requires_exactly_one_payload():
-    with pytest.raises(ValueError, match="exactly one payload, got 0"):
-        Sample(label=1)
-    with pytest.raises(ValueError, match="exactly one payload, got 2"):
-        Sample(label=1, url_embedding=np.zeros(4), image_tokens=np.zeros((2, 4)))
+@pytest.mark.parametrize("modality, shape", [("url", (0, 4)), ("image", (0, 0, 4))])
+def test_load_empty_file_gives_empty_arrays(tmp_path, modality, shape):
+    path = tmp_path / "empty.jsonl"
+    path.write_text("\n")
+    data = load_jsonl(path, modality, embed_dim=4)
+    assert data["x"].shape == shape and data["y"].shape == (0,)
+
+
+# the label, NaN and ragged cases run through the command line in test_cli
+@pytest.mark.parametrize("modality, line, match", [
+    pytest.param("url", {"label": 1, "embedding": [0.5, "x", 0.5, 0.5]},
+                 "'embedding' must be 4 floats", id="embedding-str"),
+    pytest.param("image", {"label": 1, "tokens": [[float("inf")] * 4] * 2},
+                 "'tokens' holds a NaN or infinite value", id="tokens-inf"),
+    pytest.param("image", {"label": 1, "tokens": [[0.5] * 4] * 3},
+                 "'tokens' must be a 2 x 4 float matrix, as on the lines before it",
+                 id="tokens-other-length"),
+])
+def test_load_rejects_bad_line_by_number(tmp_path, modality, line, match):
+    path = tmp_path / "bad.jsonl"
+    good = {"label": 0, "embedding": [0.5] * 4} if modality == "url" else {
+        "label": 0, "tokens": [[0.5] * 4] * 2}
+    write_lines(path, [good, line])
+    with pytest.raises(ValueError, match=re.escape(f"{path}: line 2: ") + match):
+        load_jsonl(path, modality, embed_dim=4)
 
 
 # ---------------------------------------------------------------------------
@@ -88,30 +113,26 @@ def test_sample_requires_exactly_one_payload():
 def test_synth_embeddings_deterministic():
     a = synth_embeddings(20, dim=8, separation=2.0, seed=5)
     b = synth_embeddings(20, dim=8, separation=2.0, seed=5)
-    for x, y in zip(a, b):
-        assert x.label == y.label
-        assert np.array_equal(x.url_embedding, y.url_embedding)
+    assert a["x"].shape == (20, 8) and a["y"].dtype == np.int64
+    assert np.array_equal(a["x"], b["x"]) and np.array_equal(a["y"], b["y"])
 
 
 def test_synth_embeddings_balanced_labels():
-    samples = synth_embeddings(100, dim=4, seed=1)
-    assert sum(s.label for s in samples) == 50
+    assert synth_embeddings(100, dim=4, seed=1)["y"].sum() == 50
 
 
 def test_synth_separation_zero_uninformative():
     # any fixed direction scores ~coin-flip accuracy
-    samples = synth_embeddings(4000, dim=16, separation=0.0, seed=2)
-    x = np.stack([s.url_embedding for s in samples])
-    y = np.array([s.label for s in samples])
+    data = synth_embeddings(4000, dim=16, separation=0.0, seed=2)
+    x, y = data["x"], data["y"]
     proj = x @ (np.ones(16) / 4.0)
     acc = ((proj > 0).astype(int) == y).mean()
     assert abs(acc - 0.5) <= 0.05
 
 
 def test_synth_separation_eight_linear_oracle():
-    samples = synth_embeddings(2000, dim=768, separation=8.0, seed=3)
-    x = np.stack([s.url_embedding for s in samples])
-    y = np.array([s.label for s in samples])
+    data = synth_embeddings(2000, dim=768, separation=8.0, seed=3)
+    x, y = data["x"], data["y"]
     u = np.where(np.arange(768) % 2 == 0, 1.0, -1.0)
     u -= u.mean()
     u /= np.linalg.norm(u)
@@ -122,8 +143,8 @@ def test_synth_separation_eight_linear_oracle():
 def test_synth_image_tokens_shape_and_determinism():
     a = synth_image_tokens(10, length=5, dim=8, seed=4)
     b = synth_image_tokens(10, length=5, dim=8, seed=4)
-    assert a[0].image_tokens.shape == (5, 8)
-    assert all(np.array_equal(x.image_tokens, y.image_tokens) for x, y in zip(a, b))
+    assert a["x"].shape == (10, 5, 8)
+    assert np.array_equal(a["x"], b["x"]) and np.array_equal(a["y"], b["y"])
 
 
 # ---------------------------------------------------------------------------
@@ -134,38 +155,36 @@ def test_synth_html_streams_valid_and_deterministic():
     cfg = PreprocConfig(char_len=256, word_len=32, dom_len=16)
     a = synth_html(30, seed=6, preproc_cfg=cfg)
     b = synth_html(30, seed=6, preproc_cfg=cfg)
-    for x, y in zip(a, b):
-        x.html_streams.validate(cfg)
-        assert np.array_equal(x.html_streams.word_ids, y.html_streams.word_ids)
+    for i in range(30):
+        page(a, i).validate(cfg)
+    assert all(np.array_equal(a[key], b[key]) for key in ("char", "word", "dom", "y"))
 
 
 def test_synth_html_bucket_count_oracle():
     from fedphish.data import CLEAN_VOCAB, PLANTED_VOCAB
 
     cfg = PreprocConfig()
-    samples = synth_html(200, seed=7, preproc_cfg=cfg)
+    data = synth_html(200, seed=7, preproc_cfg=cfg)
     planted = {fnv1a64(w.encode()) % cfg.word_buckets for w in PLANTED_VOCAB}
     clean = {fnv1a64(w.encode()) % cfg.word_buckets for w in CLEAN_VOCAB}
     correct = 0
-    for s in samples:
-        ids = s.html_streams.word_ids
+    for ids, label in zip(data["word"], data["y"]):
         ids = ids[ids != cfg.word_pad]
         n_planted = sum(1 for i in ids if int(i) in planted)
         n_clean = sum(1 for i in ids if int(i) in clean)
         pred = 1 if n_planted > n_clean else 0
-        correct += pred == s.label
-    assert correct / len(samples) >= 0.95
+        correct += pred == label
+    assert correct / len(data["y"]) >= 0.95
 
 
 def test_synth_html_uninformative_mode():
-    samples = synth_html(40, seed=8, informative=False,
-                         preproc_cfg=PreprocConfig(char_len=128, word_len=16, dom_len=8))
+    data = synth_html(40, seed=8, informative=False,
+                      preproc_cfg=PreprocConfig(char_len=128, word_len=16, dom_len=8))
     from fedphish.data import PLANTED_VOCAB
 
     cfg = PreprocConfig(char_len=128, word_len=16, dom_len=8)
     planted = {fnv1a64(w.encode()) % cfg.word_buckets for w in PLANTED_VOCAB}
-    for s in samples:
-        ids = s.html_streams.word_ids
+    for ids in data["word"]:
         assert not any(int(i) in planted for i in ids[ids != cfg.word_pad])
 
 
@@ -177,8 +196,8 @@ def test_synth_paired_complementary_structure():
     cfg = PreprocConfig(char_len=64, word_len=16, dom_len=16, word_buckets=257, dom_buckets=61)
     pairs = synth_paired(400, seed=13, image_length=4, image_dim=16, separation=8.0,
                          preproc_cfg=cfg)
-    y = np.array([p.label for p in pairs])
-    x = np.stack([p.image_tokens.mean(axis=0) for p in pairs])
+    y = pairs["y"]
+    x = pairs["x"].mean(axis=1)
     u = np.where(np.arange(16) % 2 == 0, 1.0, -1.0)
     u -= u.mean()
     u /= np.linalg.norm(u)
@@ -189,8 +208,7 @@ def test_synth_paired_complementary_structure():
 
     planted = {fnv1a64(w.encode()) % cfg.word_buckets for w in PLANTED_VOCAB}
     html_pred = []
-    for p in pairs:
-        ids = p.html_streams.word_ids
+    for ids in pairs["word"]:
         ids = ids[ids != cfg.word_pad]
         html_pred.append(1 if any(int(i) in planted for i in ids) else 0)
     html_acc = (np.array(html_pred) == y).mean()

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import fedphish.federation as federation
-from fedphish.data import stack_image, stack_url, synth_embeddings, synth_image_tokens
+from fedphish.data import synth_embeddings, synth_image_tokens
 from fedphish.federation import (
     ClientData,
     ClientReport,
@@ -86,16 +86,14 @@ def test_role_weights_pairs_overlap():
     data = ClientData("a", train={"image": rows(5), "html": rows(3), "url": rows(3),
                                   "pair": rows(5)})
     # a paired sample carries an image payload and an html payload
-    assert data.role_weights(html_weight_by_count=True) == {
-        "image": 10.0, "html": 8.0, "url": 3.0, "fusion": 5.0}
+    assert data.role_weights() == {"image": 10.0, "html": 1.0, "url": 3.0, "fusion": 5.0}
     assert ClientData("b", train={"url": rows(4)}).role_weights() == {"url": 4.0}
     assert ClientData("c", train={"url": rows(0)}).role_weights() == {}
 
 
-def test_role_weights_html_equal_by_default_switchable():
+def test_role_weights_html_weighs_one():
     data = ClientData("a", train={"html": rows(37)})
     assert data.role_weights() == {"html": 1.0}
-    assert data.role_weights(html_weight_by_count=True) == {"html": 37.0}
     pairs = ClientData("b", train={"pair": rows(7)})
     assert pairs.role_weights() == {"image": 7.0, "html": 1.0, "fusion": 7.0}
 
@@ -194,7 +192,7 @@ def test_aggregate_matches_brute_force_oracle_randomized():
 def desk_url_client(cid="u0", n=32, seed=0, separation=6.0):
     tr = synth_embeddings(n, dim=16, separation=separation, seed=seed)
     va = synth_embeddings(n, dim=16, separation=separation, seed=seed + 100)
-    return ClientData(client_id=cid, train={"url": stack_url(tr)}, val={"url": stack_url(va)})
+    return ClientData(client_id=cid, train={"url": tr}, val={"url": va})
 
 
 def test_client_train_untouched_heads_stay_bitwise_equal():
@@ -210,11 +208,11 @@ def test_client_train_untouched_heads_stay_bitwise_equal():
 
 
 def pair_client(cid="f0", n=8, seed=1):
-    from fedphish.data import stack_pairs, synth_paired
+    from fedphish.data import synth_paired
     from fedphish.preproc import PreprocConfig
 
     pcfg = PreprocConfig(char_len=32, word_len=8, dom_len=8, word_buckets=257, dom_buckets=61)
-    pairs = stack_pairs(synth_paired(n, seed=seed, image_length=4, image_dim=16, preproc_cfg=pcfg))
+    pairs = synth_paired(n, seed=seed, image_length=4, image_dim=16, preproc_cfg=pcfg)
     return ClientData(client_id=cid, train={"pair": pairs}, val={"pair": pairs})
 
 
@@ -290,12 +288,12 @@ def test_proximal_pull_through_batch_loss_is_exact():
 
 def test_html_step_leaves_embedding_gradients_row_sparse():
     # guards against a silent dense fallback of the table gradients
-    from fedphish.data import stack_html, synth_html
+    from fedphish.data import synth_html
     from fedphish.preproc import PreprocConfig
 
     pcfg = PreprocConfig(char_len=64, word_len=16, dom_len=16, word_buckets=257, dom_buckets=61)
     spec = ModelSpec.desk_pages()
-    batch = stack_html(synth_html(8, seed=2, preproc_cfg=pcfg))
+    batch = synth_html(8, seed=2, preproc_cfg=pcfg)
     params = spec.init_params(13)
     snapshot = {k: p.data for k, p in params.items()}
     zero_grads(params)
@@ -360,12 +358,12 @@ class FixedDraw:
 
 @pytest.mark.parametrize("r, dropped", [(0.05, "image"), (0.15, "html"), (0.5, None)])
 def test_pair_modality_dropout_split(r, dropped):
-    from fedphish.data import stack_pairs, synth_paired
+    from fedphish.data import synth_paired
     from fedphish.preproc import PreprocConfig
 
     pcfg = PreprocConfig(char_len=32, word_len=8, dom_len=8, word_buckets=257, dom_buckets=61)
     spec = ModelSpec.desk_pages()
-    batch = stack_pairs(synth_paired(4, seed=1, image_length=4, image_dim=16, preproc_cfg=pcfg))
+    batch = synth_paired(4, seed=1, image_length=4, image_dim=16, preproc_cfg=pcfg)
     params = spec.init_params(12)
     snapshot = {k: p.data for k, p in params.items()}
     cfg = TrainConfig(rounds=1, loss=LossConfig(modal_dropout_p=0.2))
@@ -419,14 +417,14 @@ def test_evaluate_perfect_and_degenerate_predictors():
 
 
 def test_evaluate_paired_val_emits_only_fusion():
-    from fedphish.data import stack_pairs, synth_paired
+    from fedphish.data import synth_paired
     from fedphish.preproc import PreprocConfig
 
     pcfg = PreprocConfig(char_len=32, word_len=8, dom_len=8, word_buckets=257, dom_buckets=61)
     spec = ModelSpec.desk_pages()
-    pairs = stack_pairs(synth_paired(8, seed=1, image_length=4, image_dim=16, preproc_cfg=pcfg))
+    pairs = synth_paired(8, seed=1, image_length=4, image_dim=16, preproc_cfg=pcfg)
     client = ClientData(client_id="f0", train={"pair": pairs},
-                        val={"pair": pairs, "url": stack_url(synth_embeddings(8, dim=16, seed=2))})
+                        val={"pair": pairs, "url": synth_embeddings(8, dim=16, seed=2)})
     params = {k: p.data for k, p in spec.init_params(10).items()}
     results = client_evaluate(params, client, spec, TrainConfig(rounds=1))
     assert set(results) == {"fusion"}
@@ -476,8 +474,7 @@ def test_role_isolation_html_frozen_without_html_clients():
     cfg = TrainConfig(rounds=5, epochs=2, batch_size=16, seed=16)
     url_client = desk_url_client("u0", seed=40)
     img = synth_image_tokens(16, length=4, dim=16, separation=6.0, seed=41)
-    img_client = ClientData(client_id="i0", train={"image": stack_image(img)},
-                            val={"image": stack_image(img)})
+    img_client = ClientData(client_id="i0", train={"image": img}, val={"image": img})
     init = {k: p.data.copy() for k, p in spec.init_params(cfg.seed).items()}
     seen = []
     res = run_experiment(spec, cfg, [url_client, img_client],

@@ -66,19 +66,19 @@ def test_image_head_permutation_invariant():
     spec, params = desk_params()
     head = spec.heads()["image"]
     rng = np.random.default_rng(1)
-    x = rng.normal(size=(6, 16))
+    x = rng.normal(size=(1, 6, 16))
     base = head.forward(params, x).data
     for _ in range(4):
         perm = rng.permutation(6)
-        assert np.allclose(head.forward(params, x[perm]).data, base, atol=1e-10)
+        assert np.allclose(head.forward(params, x[:, perm]).data, base, atol=1e-10)
 
 
 @pytest.mark.parametrize("L", [1, 16, 64])
 def test_image_head_output_shape(L):
     spec, params = desk_params()
     head = spec.heads()["image"]
-    x = np.random.default_rng(2).normal(size=(L, 16))
-    assert head.forward(params, x).shape == (2,)
+    x = np.random.default_rng(2).normal(size=(3, L, 16))
+    assert head.forward(params, x).shape == (3, 2)
 
 
 def test_image_head_rejects_empty_sequence():
@@ -176,7 +176,7 @@ def test_html_head_matches_scalar_oracle():
         char = rng.integers(0, 33, size=32)
         word = rng.integers(0, 17, size=8)
         dom = rng.integers(0, 9, size=8)
-        got = head.forward(params, char, word, dom).data
+        got = head.forward(params, char[None], word[None], dom[None]).data[0]
         ref = html_head_oracle(params, cfg, char, word, dom)
         assert np.allclose(got, ref, atol=1e-9)
 
@@ -185,9 +185,9 @@ def test_html_head_all_pad_streams_finite_and_deterministic():
     spec, params = desk_params(seed=5)
     head = spec.heads()["html"]
     cfg = spec.html
-    char = np.full(32, cfg.char_pad)
-    word = np.full(8, cfg.word_pad)
-    dom = np.full(8, cfg.dom_pad)
+    char = np.full((1, 32), cfg.char_pad)
+    word = np.full((1, 8), cfg.word_pad)
+    dom = np.full((1, 8), cfg.dom_pad)
     a = head.forward(params, char, word, dom).data
     b = head.forward(params, char, word, dom).data
     assert np.all(np.isfinite(a))
@@ -213,8 +213,8 @@ def test_html_head_identical_streams_identical_logits():
     s2 = preprocess(base + "BBB</script>", pcfg)
     assert np.array_equal(s1.char_ids, s2.char_ids)
     assert np.array_equal(s1.word_ids, s2.word_ids)
-    l1 = head.forward(params, s1.char_ids, s1.word_ids, s1.dom_ids).data
-    l2 = head.forward(params, s2.char_ids, s2.word_ids, s2.dom_ids).data
+    l1 = head.forward(params, s1.char_ids[None], s1.word_ids[None], s1.dom_ids[None]).data
+    l2 = head.forward(params, s2.char_ids[None], s2.word_ids[None], s2.dom_ids[None]).data
     assert np.array_equal(l1, l2)
 
 
@@ -226,13 +226,13 @@ def test_url_head_cosine_extremes():
     cfg = UrlHeadConfig(in_dim=6, hidden=4)
     head = UrlHead(cfg)
     params = head.init_params(np.random.default_rng(7))
-    x = np.random.default_rng(8).normal(size=6)
+    x = np.random.default_rng(8).normal(size=(1, 6))
 
     # recompute the feature f with the head's own pre-classifier pipeline,
     # then plant class weights parallel and orthogonal to it
     from fedphish.numerics import affine, gelu, layer_norm
 
-    h = layer_norm(Tensor(x).reshape(1, -1), params[URL_PREFIX + "ln.gamma"], params[URL_PREFIX + "ln.beta"])
+    h = layer_norm(Tensor(x), params[URL_PREFIX + "ln.gamma"], params[URL_PREFIX + "ln.beta"])
     v = params[URL_PREFIX + "fc.v"]
     col_norm = np.sqrt((v.data**2).sum(axis=0))
     w = v.data * (params[URL_PREFIX + "fc.g"].data / col_norm)
@@ -242,7 +242,7 @@ def test_url_head_cosine_extremes():
     ortho[0], ortho[1] = f[1], -f[0]  # orthogonal in the first two coords
     params[URL_PREFIX + "cls.w"] = Tensor(np.stack([f, ortho], axis=1), requires_grad=True)
     logits = head.forward(params, x).data
-    assert np.allclose(logits, [10.0, 0.0], atol=1e-9)
+    assert np.allclose(logits, [[10.0, 0.0]], atol=1e-9)
 
 
 def test_url_head_logits_bounded_by_scale():
@@ -252,7 +252,7 @@ def test_url_head_logits_bounded_by_scale():
     rng = np.random.default_rng(10)
     scale = float(np.exp(params[URL_PREFIX + "cls.log_scale"].data))
     for _ in range(20):
-        logits = head.forward(params, rng.normal(scale=5.0, size=16)).data
+        logits = head.forward(params, rng.normal(scale=5.0, size=(1, 16))).data
         assert np.abs(logits).max() <= scale + 1e-12
 
 
@@ -260,7 +260,7 @@ def test_url_head_input_scale_removed_by_layer_norm():
     cfg = UrlHeadConfig(in_dim=16, hidden=8)
     head = UrlHead(cfg)
     params = head.init_params(np.random.default_rng(11))  # gamma=1, beta=0 at init
-    x = np.random.default_rng(12).normal(size=16)
+    x = np.random.default_rng(12).normal(size=(1, 16))
     a = head.forward(params, x).data
     b = head.forward(params, 5.0 * x).data
     # the layer-norm eps is the only scale leak
@@ -273,7 +273,7 @@ def test_url_head_zero_feature_guard():
     params = head.init_params(np.random.default_rng(13))
     params[URL_PREFIX + "fc.g"] = Tensor(np.zeros(3), requires_grad=True)
     params[URL_PREFIX + "fc.b"] = Tensor(np.zeros(3), requires_grad=True)
-    logits = head.forward(params, np.ones(4)).data
+    logits = head.forward(params, np.ones((1, 4))).data
     assert np.allclose(logits, 0.0)
     assert np.all(np.isfinite(logits))
 
@@ -416,19 +416,19 @@ def test_fusion_dropped_branch_gets_no_gradient_from_fused_loss():
 # ---------------------------------------------------------------------------
 
 def test_focal_gamma_zero_is_cross_entropy():
-    loss = focal_loss(Tensor(np.array([0.0, 0.0])), np.array([1]), gamma=0.0)
+    loss = focal_loss(Tensor(np.array([[0.0, 0.0]])), np.array([1]), gamma=0.0)
     assert abs(float(loss.data) - LN2) < 1e-12
 
 
 def test_focal_gamma_two_uniform():
-    loss = focal_loss(Tensor(np.array([0.0, 0.0])), np.array([1]), gamma=2.0)
+    loss = focal_loss(Tensor(np.array([[0.0, 0.0]])), np.array([1]), gamma=2.0)
     assert abs(float(loss.data) - 0.25 * LN2) < 1e-12
 
 
 def test_focal_vanishes_monotonically_as_pt_to_one():
     losses = []
     for gap in (0.0, 1.0, 3.0, 10.0, 40.0):
-        loss = focal_loss(Tensor(np.array([0.0, gap])), np.array([1]), gamma=2.0)
+        loss = focal_loss(Tensor(np.array([[0.0, gap]])), np.array([1]), gamma=2.0)
         losses.append(float(loss.data))
     assert all(a > b for a, b in zip(losses, losses[1:]))
     assert losses[-1] < 1e-15
@@ -455,9 +455,6 @@ def test_focal_batch_is_mean():
 def focal_loss_composition(logits, labels, gamma):
     """The focal loss as a chain of Tensor operations, one node each: the
     oracle for the single-node ``focal_loss``."""
-    if logits.ndim == 1:
-        logits = logits.reshape(1, -1)
-    labels = np.asarray(labels).reshape(-1)
     picked = log_softmax_composition(logits)[np.arange(labels.size), labels]
     if gamma == 0.0:
         return -picked.mean()
@@ -473,12 +470,12 @@ def focal_value_and_grad(fn, z, labels, gamma):
 
 
 @pytest.mark.parametrize("gamma", [0.0, 0.5, 2.0, 3])
-@pytest.mark.parametrize("shape", [(6, 2), (4, 3), (2,)], ids=["binary", "three-class", "1d"])
+@pytest.mark.parametrize("shape", [(6, 2), (4, 3), (1, 2)], ids=["binary", "three-class", "one-row"])
 def test_focal_node_matches_composition(gamma, shape):
     rng = np.random.default_rng(70)
     for _ in range(5):
         z = rng.normal(scale=rng.uniform(0.5, 8.0), size=shape)
-        labels = rng.integers(0, shape[-1], size=shape[0] if len(shape) == 2 else 1)
+        labels = rng.integers(0, shape[1], size=shape[0])
         loss, grad = focal_value_and_grad(focal_loss, z, labels, gamma)
         ref_loss, ref_grad = focal_value_and_grad(focal_loss_composition, z, labels, gamma)
         assert np.array_equal(loss, ref_loss)

@@ -221,7 +221,7 @@ def test_mhsa_single_token_attention_is_identity():
     rng = np.random.default_rng(4)
     d, ff = 8, 16
     p = make_mhsa_params(rng, d, ff)
-    x = Tensor(rng.normal(size=(1, d)))
+    x = Tensor(rng.normal(size=(1, 1, d)))
     out = mhsa_block(x, p, n_heads=2)
 
     h = layer_norm(x, p["ln1.gamma"], p["ln1.beta"])
@@ -237,12 +237,12 @@ def test_mhsa_permutation_equivariance():
     rng = np.random.default_rng(5)
     d, ff, L = 8, 16, 6
     p = make_mhsa_params(rng, d, ff)
-    x = rng.normal(size=(L, d))
+    x = rng.normal(size=(1, L, d))
     out = mhsa_block(Tensor(x), p, n_heads=4).data
     for _ in range(5):
         perm = rng.permutation(L)
-        out_p = mhsa_block(Tensor(x[perm]), p, n_heads=4).data
-        assert np.allclose(out_p, out[perm], atol=1e-10)
+        out_p = mhsa_block(Tensor(x[:, perm]), p, n_heads=4).data
+        assert np.allclose(out_p, out[:, perm], atol=1e-10)
 
 
 @pytest.mark.parametrize("L", [1, 4, 16])
@@ -250,15 +250,15 @@ def test_mhsa_shape_contract(L):
     rng = np.random.default_rng(6)
     d, ff = 768, 64
     p = make_mhsa_params(rng, d, ff)
-    out = mhsa_block(Tensor(rng.normal(size=(L, d))), p, n_heads=8)
-    assert out.shape == (L, d)
+    out = mhsa_block(Tensor(rng.normal(size=(2, L, d))), p, n_heads=8)
+    assert out.shape == (2, L, d)
 
 
 def test_mhsa_rejects_indivisible_heads():
     rng = np.random.default_rng(7)
     p = make_mhsa_params(rng, 6, 8)
     with pytest.raises(ValueError, match="model dim 6 not divisible by 4 heads"):
-        mhsa_block(Tensor(rng.normal(size=(2, 6))), p, n_heads=4)
+        mhsa_block(Tensor(rng.normal(size=(1, 2, 6))), p, n_heads=4)
 
 
 # ---------------------------------------------------------------------------
@@ -350,41 +350,42 @@ def test_lstm_sequence_reverse_matches_flipped_forward():
 
 def test_attention_pool_single_state():
     rng = np.random.default_rng(10)
-    s = rng.normal(size=(1, 4))
-    pooled, flag = attention_pool(Tensor(s), Tensor(rng.normal(size=4)))
+    s = rng.normal(size=(1, 1, 4))
+    pooled = attention_pool(Tensor(s), Tensor(rng.normal(size=4)), np.ones((1, 1), dtype=bool))
     assert np.allclose(pooled.data, s[0], atol=1e-12)
-    assert not flag.any()
 
 
 def test_attention_pool_zero_scores_average():
     rng = np.random.default_rng(11)
-    s = rng.normal(size=(3, 4))
-    pooled, _ = attention_pool(Tensor(s), Tensor(np.zeros(4)))
-    assert np.allclose(pooled.data, s.mean(axis=0), atol=1e-12)
+    s = rng.normal(size=(1, 3, 4))
+    pooled = attention_pool(Tensor(s), Tensor(np.zeros(4)), np.ones((1, 3), dtype=bool))
+    assert np.allclose(pooled.data, s.mean(axis=1), atol=1e-12)
 
 
 def test_attention_pool_identical_states():
     rng = np.random.default_rng(12)
     row = rng.normal(size=4)
-    s = np.tile(row, (5, 1))
-    pooled, _ = attention_pool(Tensor(s), Tensor(rng.normal(size=4)))
-    assert np.allclose(pooled.data, row, atol=1e-12)
+    s = np.tile(row, (1, 5, 1))
+    pooled = attention_pool(Tensor(s), Tensor(rng.normal(size=4)), np.ones((1, 5), dtype=bool))
+    assert np.allclose(pooled.data, row[None], atol=1e-12)
 
 
-def test_attention_pool_all_masked_returns_zero_and_flag():
+def test_attention_pool_all_masked_row_pools_to_zero():
     rng = np.random.default_rng(13)
-    s = rng.normal(size=(2, 3, 4))
+    s = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
     mask = np.array([[True, False, True], [False, False, False]])
-    pooled, flag = attention_pool(Tensor(s), Tensor(rng.normal(size=4)), mask)
+    pooled = attention_pool(s, Tensor(rng.normal(size=4)), mask)
     assert np.allclose(pooled.data[1], 0.0)
-    assert list(flag) == [False, True]
+    assert np.abs(pooled.data[0]).max() > 0
+    backward(pooled.sum())
+    assert np.all(s.grad[1] == 0.0)
 
 
 def test_attention_pool_masked_positions_get_no_gradient():
     rng = np.random.default_rng(14)
     s = Tensor(rng.normal(size=(1, 4, 3)), requires_grad=True)
     mask = np.array([[True, True, False, False]])
-    pooled, _ = attention_pool(s, Tensor(rng.normal(size=3)), mask)
+    pooled = attention_pool(s, Tensor(rng.normal(size=3)), mask)
     backward(pooled.sum())
     assert np.allclose(s.grad[0, 2:], 0.0)
     assert np.abs(s.grad[0, :2]).max() > 0
@@ -400,7 +401,7 @@ def test_conv_constant_sequence_translation_invariance():
     w = {3: Tensor(rng.normal(size=(3, 4, 2)))}
     b = {3: Tensor(rng.normal(size=2))}
     ids = np.full(10, 5)
-    out = multiscale_conv_encode(ids, table, w, b, pad_id=6).data
+    out = multiscale_conv_encode(ids[None], table, w, b, pad_id=6).data[0]
     ref = conv_pool_oracle(ids, table.data, w[3].data, b[3].data)
     # every window sees the same input, so max equals any single response
     assert np.allclose(out, ref, atol=1e-12)
@@ -412,8 +413,8 @@ def test_conv_output_length_is_sizes_times_filters():
     sizes = range(2, 10)
     w = {k: Tensor(rng.normal(size=(k, 3, 16))) for k in sizes}
     b = {k: Tensor(rng.normal(size=16)) for k in sizes}
-    out = multiscale_conv_encode(np.arange(9) % 8, table, w, b, pad_id=8)
-    assert out.shape == (8 * 16,)
+    out = multiscale_conv_encode(np.arange(18).reshape(2, 9) % 8, table, w, b, pad_id=8)
+    assert out.shape == (2, 8 * 16)
 
 
 def test_conv_matches_sliding_window_oracle():
@@ -422,7 +423,7 @@ def test_conv_matches_sliding_window_oracle():
     w = {2: Tensor(rng.normal(size=(2, 5, 3))), 4: Tensor(rng.normal(size=(4, 5, 3)))}
     b = {2: Tensor(rng.normal(size=3)), 4: Tensor(rng.normal(size=3))}
     ids = rng.integers(0, 10, size=12)
-    out = multiscale_conv_encode(ids, table, w, b, pad_id=10).data
+    out = multiscale_conv_encode(ids[None], table, w, b, pad_id=10).data[0]
     ref = np.concatenate(
         [conv_pool_oracle(ids, table.data, w[k].data, b[k].data) for k in (2, 4)]
     )
@@ -434,7 +435,7 @@ def test_conv_pads_short_sequence():
     table = Tensor(rng.normal(size=(5, 2)))
     w = {4: Tensor(rng.normal(size=(4, 2, 2)))}
     b = {4: Tensor(rng.normal(size=2))}
-    out = multiscale_conv_encode(np.array([1, 2]), table, w, b, pad_id=4).data
+    out = multiscale_conv_encode(np.array([[1, 2]]), table, w, b, pad_id=4).data[0]
     ref = conv_pool_oracle(np.array([1, 2, 4, 4]), table.data, w[4].data, b[4].data)
     assert np.allclose(out, ref, atol=1e-12)
 
@@ -746,7 +747,7 @@ def test_primitive_gradients_over_twenty_seeds():
 
         def lstm_loss():
             states = lstm_sequence(Tensor(seq), wx, wh, lb)
-            pooled, _ = attention_pool(states, score)
+            pooled = attention_pool(states, score, np.ones((1, 4), dtype=bool))
             return (pooled ** 2.0).sum()
 
         err = finite_difference_check(
@@ -757,7 +758,7 @@ def test_primitive_gradients_over_twenty_seeds():
         table = Tensor(rng.normal(scale=0.1, size=(5, 3)), requires_grad=True)
         cw = {2: Tensor(rng.normal(scale=0.1, size=(2, 3, 2)), requires_grad=True)}
         cb = {2: Tensor(rng.normal(scale=0.1, size=2), requires_grad=True)}
-        ids = rng.integers(0, 4, size=6)
+        ids = rng.integers(0, 4, size=(1, 6))
         err = finite_difference_check(
             lambda: (multiscale_conv_encode(ids, table, cw, cb, pad_id=4) ** 2.0).sum(),
             {"table": table, "cw": cw[2], "cb": cb[2]},
@@ -769,7 +770,7 @@ def test_mhsa_gradients_over_twenty_seeds():
     for seed in range(20):
         rng = np.random.default_rng(100 + seed)
         p = make_mhsa_params(rng, 4, 6)
-        x = rng.normal(size=(3, 4))
+        x = rng.normal(size=(1, 3, 4))
         err = finite_difference_check(
             lambda: (mhsa_block(Tensor(x), p, n_heads=2) ** 2.0).sum(), p
         )
@@ -780,7 +781,7 @@ def test_eval_forward_is_bitwise_deterministic():
     rng = np.random.default_rng(25)
     d, ff = 8, 16
     p = make_mhsa_params(rng, d, ff)
-    x = rng.normal(size=(5, d))
+    x = rng.normal(size=(1, 5, d))
     a = mhsa_block(Tensor(x), p, n_heads=2, dropout_p=0.2, train=False).data
     b = mhsa_block(Tensor(x), p, n_heads=2, dropout_p=0.2, train=False).data
     assert np.array_equal(a, b)
@@ -1108,7 +1109,7 @@ def test_attention_pool_masked_rows_match_composition(monkeypatch):
     mask = np.array([[True, False, True, True, False], [False] * 5, [True] * 5])
 
     def pool(s, v):
-        return attention_pool(s, v, mask)[0]
+        return attention_pool(s, v, mask)
 
     got = forward_and_grads(pool, [states, score])
     monkeypatch.setattr(layers, "log_softmax", log_softmax_composition)
