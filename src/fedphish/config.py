@@ -270,10 +270,6 @@ def config_hash(cfg: ExperimentConfig) -> str:
 # turning specs into client shards
 # ---------------------------------------------------------------------------
 
-def _rows(data: dict, start: int, stop: int) -> dict:
-    return {key: arr[start:stop] for key, arr in data.items()}
-
-
 def _synth_split(spec: DatasetSpec, cfg: ExperimentConfig):
     s = spec.synth
     kind, train_n, seed = s["kind"], s["train_n"], s["seed"]
@@ -292,7 +288,7 @@ def _synth_split(spec: DatasetSpec, cfg: ExperimentConfig):
             total, seed=seed, image_length=s["length"], image_dim=cfg.model.image.d_model,
             separation=s["separation"], preproc_cfg=cfg.preproc,
         )
-    return _rows(data, 0, train_n), _rows(data, train_n, total)
+    return data[:train_n], data[train_n:]
 
 
 def _path_split(spec: DatasetSpec, cfg: ExperimentConfig):
@@ -301,15 +297,14 @@ def _path_split(spec: DatasetSpec, cfg: ExperimentConfig):
         embed_dim=cfg.model.url.in_dim if spec.modality == "url" else cfg.model.image.d_model,
     )
     n = len(data["y"])
-    if not spec.preshuffled:
-        order = np.random.default_rng(spec.shuffle_seed).permutation(n)
-        data = {key: arr[order] for key, arr in data.items()}
+    order = np.arange(n) if spec.preshuffled else np.random.default_rng(spec.shuffle_seed).permutation(n)
 
     def take(bounds, what):
         start, stop = bounds
         if stop > n:
             raise ValueError(f"{spec.path}: {what} range [{start}, {stop}) does not fit {n} samples")
-        return _rows(data, start, stop)
+        # index arrays copy only the rows in range; the file's arrays are dropped
+        return data[order[start:stop]]
 
     return take(spec.train_range, "train"), take(spec.test_range, "test")
 

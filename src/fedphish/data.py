@@ -1,7 +1,9 @@
 """Dataset ingestion and synthetic generators for desk-scale verification.
 
-A dataset is a dict of arrays stacked along a leading sample axis, with
-int64 labels 0 or 1 under "y". The other keys depend on the modality:
+A dataset is a ``Dataset``: a dict of arrays stacked along a leading sample
+axis, with int64 labels 0 or 1 under "y". Indexing it with a slice or an
+index array selects those samples of every array. The other keys depend on
+the modality:
 
 - url: "x" [N, dim] embeddings;
 - image: "x" [N, L, dim] token sequences;
@@ -23,7 +25,9 @@ import numpy as np
 from .preproc import PreprocConfig, preprocess
 
 __all__ = [
+    "Dataset",
     "load_jsonl",
+    "stack_url",
     "synth_embeddings",
     "synth_image_tokens",
     "synth_html",
@@ -31,6 +35,23 @@ __all__ = [
 ]
 
 EMBED_DIM = 768
+
+
+class Dataset(dict):
+    """Arrays stacked along a leading sample axis, keyed by name. A string
+    key reads one array; any other key (a slice, an index array) selects
+    those samples of every array, as a new Dataset."""
+
+    def __getitem__(self, key):
+        if isinstance(key, str):
+            return super().__getitem__(key)
+        return Dataset({name: arr[key] for name, arr in self.items()})
+
+
+def stack_url(data: Dataset) -> dict[str, np.ndarray]:
+    """The url arrays "x" and "y" of ``data`` as a new plain dict, for
+    callers that build a url shard, such as the benchmark's self-tests."""
+    return {"x": data["x"], "y": data["y"]}
 
 
 def _html_rows(n: int, cfg: PreprocConfig) -> dict[str, np.ndarray]:
@@ -53,7 +74,7 @@ def _float_payload(value, key: str, shape: tuple, where: str, what: str) -> np.n
     if isinstance(value, list):
         try:
             arr = np.asarray(value, dtype=np.float64)
-        except (TypeError, ValueError):  # ragged rows or non-numbers
+        except (TypeError, ValueError, OverflowError):  # ragged, non-numbers, huge ints
             pass
     if arr is None or arr.ndim != len(shape) or any(
             want not in (None, got) for got, want in zip(arr.shape, shape)):
@@ -64,7 +85,7 @@ def _float_payload(value, key: str, shape: tuple, where: str, what: str) -> np.n
 
 
 def load_jsonl(path, modality: str, *, preproc_cfg: PreprocConfig | None = None,
-               embed_dim: int = EMBED_DIM) -> dict[str, np.ndarray]:
+               embed_dim: int = EMBED_DIM) -> Dataset:
     """Read one labelled page per line into a url, image or html dataset;
     html text is preprocessed on the way in. A rejected line is named as
     ``path: line N``."""
@@ -91,7 +112,8 @@ def load_jsonl(path, modality: str, *, preproc_cfg: PreprocConfig | None = None,
                 raise ValueError(f"{where}: label must be 0 or 1 as an integer, got {label!r}")
             if modality == "url":
                 emb = obj.get("embedding")
-                got = len(emb) if isinstance(emb, list) else type(emb).__name__
+                got = (type(emb).__name__ if not isinstance(emb, list) else
+                       len(emb) if len(emb) != embed_dim else "a non-float value")
                 payload = _float_payload(emb, "embedding", (embed_dim,), where,
                                          f"{embed_dim} floats, got {got}")
             elif modality == "image":
@@ -107,16 +129,14 @@ def load_jsonl(path, modality: str, *, preproc_cfg: PreprocConfig | None = None,
             labels.append(label)
             payloads.append(payload)
     n = len(labels)
-    out = {"y": np.array(labels, dtype=np.int64)}
+    out = Dataset(y=np.array(labels, dtype=np.int64))
     if modality == "html":
         out.update(_html_rows(n, cfg))
         for i, html in enumerate(payloads):
             _put_page(out, i, html, cfg)
         return out
     empty = (0, embed_dim) if modality == "image" else (embed_dim,)
-    out["x"] = np.empty((n, *(payloads[0].shape if payloads else empty)))
-    for i, payload in enumerate(payloads):
-        out["x"][i] = payload
+    out["x"] = np.stack(payloads) if payloads else np.empty((0, *empty))
     return out
 
 
@@ -139,7 +159,7 @@ def _balanced_labels(n: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def synth_embeddings(n: int, dim: int = EMBED_DIM, separation: float = 4.0,
-                     seed: int = 0) -> dict[str, np.ndarray]:
+                     seed: int = 0) -> Dataset:
     """Two unit-covariance Gaussian clusters with means +-(separation/2) u.
 
     separation 0 makes the classes indistinguishable; separation 8 puts the
@@ -156,11 +176,11 @@ def synth_embeddings(n: int, dim: int = EMBED_DIM, separation: float = 4.0,
     for i, label in enumerate(labels):
         mean = (separation / 2.0) * u * (1.0 if label == 1 else -1.0)
         x[i] = mean + rng.standard_normal(dim)
-    return {"x": x, "y": labels}
+    return Dataset(x=x, y=labels)
 
 
 def synth_image_tokens(n: int, length: int = 16, dim: int = EMBED_DIM,
-                       separation: float = 4.0, seed: int = 0) -> dict[str, np.ndarray]:
+                       separation: float = 4.0, seed: int = 0) -> Dataset:
     """Token sequences tiled from the same cluster scheme as the embeddings."""
     if n < 2:
         raise ValueError("need at least two samples")
@@ -171,7 +191,7 @@ def synth_image_tokens(n: int, length: int = 16, dim: int = EMBED_DIM,
     for i, label in enumerate(labels):
         mean = (separation / 2.0) * u * (1.0 if label == 1 else -1.0)
         x[i] = mean[None, :] + rng.standard_normal((length, dim))
-    return {"x": x, "y": labels}
+    return Dataset(x=x, y=labels)
 
 
 # disjoint vocabularies: planted tokens mark phishing pages, clean tokens
@@ -213,7 +233,7 @@ def synth_html(n: int, seed: int = 0, *, informative: bool = True,
     cfg = preproc_cfg or PreprocConfig()
     rng = np.random.default_rng(seed)
     labels = _balanced_labels(n, rng)
-    out = {**_html_rows(n, cfg), "y": labels}
+    out = Dataset(_html_rows(n, cfg), y=labels)
     pages = []
     for i, label in enumerate(labels):
         if not informative:
@@ -231,7 +251,7 @@ def synth_html(n: int, seed: int = 0, *, informative: bool = True,
 
 def synth_paired(n: int, seed: int = 0, *, image_length: int = 4,
                  image_dim: int = 16, separation: float = 8.0,
-                 preproc_cfg: PreprocConfig | None = None) -> dict[str, np.ndarray]:
+                 preproc_cfg: PreprocConfig | None = None) -> Dataset:
     """Complementary paired task: for each page exactly one of the two
     modalities carries the label, the other is noise, so either branch
     alone tops out near 75% while the pair decides every sample."""
@@ -242,7 +262,7 @@ def synth_paired(n: int, seed: int = 0, *, image_length: int = 4,
     labels = _balanced_labels(n, rng)
     image_informative = rng.random(n) < 0.5
     u = _unit_direction(image_dim)
-    out = {"x": np.empty((n, image_length, image_dim)), **_html_rows(n, cfg), "y": labels}
+    out = Dataset(x=np.empty((n, image_length, image_dim)), **_html_rows(n, cfg), y=labels)
     for i, (label, img_inf) in enumerate(zip(labels, image_informative)):
         if img_inf:
             mean = (separation / 2.0) * u * (1.0 if label == 1 else -1.0)

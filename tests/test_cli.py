@@ -325,6 +325,8 @@ ROW = ", ".join(["0.5"] * 15)  # with one more value, a desk url embedding or im
                  "line 2: 'embedding' holds a NaN or infinite value", id="embedding-nan"),
     pytest.param("url", f'{{"label": 1, "embedding": [Infinity, {ROW}]}}',
                  "line 2: 'embedding' holds a NaN or infinite value", id="embedding-inf"),
+    pytest.param("url", f'{{"label": 1, "embedding": [1{"0" * 400}, {ROW}]}}',
+                 "line 2: 'embedding' must be 16 floats, got a non-float value", id="embedding-overflow"),
     pytest.param("image", f'{{"label": 1, "tokens": [[0.5, {ROW}], [{ROW}]]}}',
                  "line 2: 'tokens' must be a 2 x 16 float matrix", id="tokens-ragged"),
 ])

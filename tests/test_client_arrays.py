@@ -150,3 +150,15 @@ def test_client_arrays_match_reference_digests(config, tmp_path):
     path = write_path_config(tmp_path) if config == "paths" else bundled_config_path(config)
     expected = {k: v for k, v in REFERENCE.items() if k.startswith(config + "/")}
     assert array_digests(path) == expected
+
+
+def test_path_shards_hold_only_their_rows(tmp_path):
+    # a shard must not keep the whole file's arrays alive as a view's base
+    for client in build_clients(parse_config(write_path_config(tmp_path))):
+        for split in (client.train, client.val):
+            for arrays in split.values():
+                for arr in arrays.values():
+                    base = arr
+                    while base.base is not None:
+                        base = base.base
+                    assert base.nbytes == arr.nbytes

@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from fedphish.data import (
+    Dataset,
     load_jsonl,
+    stack_url,
     synth_embeddings,
     synth_html,
     synth_image_tokens,
@@ -90,7 +92,13 @@ def test_load_empty_file_gives_empty_arrays(tmp_path, modality, shape):
 # the label, NaN and ragged cases run through the command line in test_cli
 @pytest.mark.parametrize("modality, line, match", [
     pytest.param("url", {"label": 1, "embedding": [0.5, "x", 0.5, 0.5]},
-                 "'embedding' must be 4 floats", id="embedding-str"),
+                 "'embedding' must be 4 floats, got a non-float value", id="embedding-str"),
+    pytest.param("url", {"label": 1, "embedding": [10**400, 0.5, 0.5, 0.5]},
+                 "'embedding' must be 4 floats, got a non-float value", id="embedding-overflow"),
+    pytest.param("url", {"label": 1, "embedding": [0.5] * 3},
+                 "'embedding' must be 4 floats, got 3", id="embedding-short"),
+    pytest.param("image", {"label": 1, "tokens": [[10**400] * 4] * 2},
+                 "'tokens' must be a 2 x 4 float matrix", id="tokens-overflow"),
     pytest.param("image", {"label": 1, "tokens": [[float("inf")] * 4] * 2},
                  "'tokens' holds a NaN or infinite value", id="tokens-inf"),
     pytest.param("image", {"label": 1, "tokens": [[0.5] * 4] * 3},
@@ -104,6 +112,22 @@ def test_load_rejects_bad_line_by_number(tmp_path, modality, line, match):
     write_lines(path, [good, line])
     with pytest.raises(ValueError, match=re.escape(f"{path}: line 2: ") + match):
         load_jsonl(path, modality, embed_dim=4)
+
+
+def test_dataset_selects_rows_of_every_array():
+    data = synth_paired(10, seed=1, preproc_cfg=PreprocConfig(char_len=8, word_len=4, dom_len=4))
+    idx = np.array([7, 2, 3])
+    for rows, sel in ((data[2:5], slice(2, 5)), (data[idx], idx)):
+        assert isinstance(rows, Dataset) and list(rows) == list(data)
+        for key in data:
+            assert np.array_equal(rows[key], data[key][sel])
+
+
+def test_stack_url_gives_the_url_arrays():
+    data = synth_embeddings(16, dim=4, seed=2)
+    shard = stack_url(data[:8])
+    assert type(shard) is dict and list(shard) == ["x", "y"]
+    assert np.array_equal(shard["x"], data["x"][:8]) and np.array_equal(shard["y"], data["y"][:8])
 
 
 # ---------------------------------------------------------------------------
