@@ -72,14 +72,14 @@ def cmd_run(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    from .data import synth_embeddings, synth_html
+    from .data import synth_embeddings, synth_pages
 
     if args.kind == "embeddings":
         data = synth_embeddings(args.n, dim=args.dim, separation=args.separation, seed=args.seed)
         rows = ({"label": int(y), "embedding": x.tolist()} for x, y in zip(data["x"], data["y"]))
     else:
-        data, pages = synth_html(args.n, seed=args.seed, return_html=True)
-        rows = ({"label": int(y), "html": html} for y, html in zip(data["y"], pages))
+        labels, pages = synth_pages(args.n, seed=args.seed)
+        rows = ({"label": int(y), "html": html} for y, html in zip(labels, pages))
     with open(args.out, "w") as fh:
         for row in rows:
             fh.write(json.dumps(row) + "\n")

@@ -98,7 +98,7 @@ def _parse_dataset(obj: dict, where: str) -> DatasetSpec:
         raise ConfigError(f"{where}: dataset must be an object")
     _reject_unknown(obj, _DATASET_KEYS, where)
     modality = obj.get("modality")
-    if modality not in _SYNTH_KIND:
+    if not isinstance(modality, str) or modality not in _SYNTH_KIND:
         raise ConfigError(f"{where}: modality must be one of {tuple(_SYNTH_KIND)}, got {modality!r}")
     synth = obj.get("synth")
     path = obj.get("path")

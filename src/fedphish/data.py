@@ -30,6 +30,7 @@ __all__ = [
     "stack_url",
     "synth_embeddings",
     "synth_image_tokens",
+    "synth_pages",
     "synth_html",
     "synth_paired",
 ]
@@ -67,14 +68,20 @@ def _put_page(rows: dict[str, np.ndarray], i: int, html: str, cfg: PreprocConfig
     rows["dom"][i] = streams.dom_ids
 
 
+_NUMBER_TYPES = {int, float}  # not bool: json reads true as a bool, which numpy takes as 1.0
+
+
 def _float_payload(value, key: str, shape: tuple, where: str, what: str) -> np.ndarray:
     """``value`` as a finite float array of ``shape``; a None in ``shape``
-    matches any length."""
+    matches any length. Every entry must be a JSON number: numpy would also
+    convert a numeric string or a boolean."""
     arr = None
-    if isinstance(value, list):
+    rows = value if len(shape) == 2 else [value]
+    if isinstance(value, list) and all(
+            isinstance(r, list) and set(map(type, r)) <= _NUMBER_TYPES for r in rows):
         try:
             arr = np.asarray(value, dtype=np.float64)
-        except (TypeError, ValueError, OverflowError):  # ragged, non-numbers, huge ints
+        except (ValueError, OverflowError):  # ragged, huge ints
             pass
     if arr is None or arr.ndim != len(shape) or any(
             want not in (None, got) for got, want in zip(arr.shape, shape)):
@@ -221,31 +228,34 @@ def _render_page(rng: np.random.Generator, vocab: tuple[str, ...],
     return f"<html><head><title>{title}</title></head><body><div>{body}</div>{motif}</body></html>"
 
 
-def synth_html(n: int, seed: int = 0, *, informative: bool = True,
-               preproc_cfg: PreprocConfig | None = None,
-               return_html: bool = False):
-    """Template pages; label 1 plants a token vocabulary and tag motif that
-    label 0 never uses. With informative=False every page draws from a
-    neutral template and carries no label signal. ``return_html`` also
-    returns the page texts, in row order."""
+def synth_pages(n: int, seed: int = 0, *, informative: bool = True) -> tuple[np.ndarray, list[str]]:
+    """Labels and page texts of template pages; label 1 plants a token
+    vocabulary and tag motif that label 0 never uses. With
+    informative=False every page draws from a neutral template and carries
+    no label signal."""
     if n < 2:
         raise ValueError("need at least two samples")
-    cfg = preproc_cfg or PreprocConfig()
     rng = np.random.default_rng(seed)
     labels = _balanced_labels(n, rng)
-    out = Dataset(_html_rows(n, cfg), y=labels)
     pages = []
-    for i, label in enumerate(labels):
+    for label in labels:
         if not informative:
-            html = _render_page(rng, NEUTRAL_VOCAB, CLEAN_TAGS)
+            pages.append(_render_page(rng, NEUTRAL_VOCAB, CLEAN_TAGS))
         elif label == 1:
-            html = _render_page(rng, PLANTED_VOCAB, PLANTED_TAGS)
+            pages.append(_render_page(rng, PLANTED_VOCAB, PLANTED_TAGS))
         else:
-            html = _render_page(rng, CLEAN_VOCAB, CLEAN_TAGS)
-        pages.append(html)
+            pages.append(_render_page(rng, CLEAN_VOCAB, CLEAN_TAGS))
+    return labels, pages
+
+
+def synth_html(n: int, seed: int = 0, *, informative: bool = True,
+               preproc_cfg: PreprocConfig | None = None) -> Dataset:
+    """The pages of ``synth_pages``, preprocessed."""
+    cfg = preproc_cfg or PreprocConfig()
+    labels, pages = synth_pages(n, seed, informative=informative)
+    out = Dataset(_html_rows(n, cfg), y=labels)
+    for i, html in enumerate(pages):
         _put_page(out, i, html, cfg)
-    if return_html:
-        return out, pages
     return out
 
 

@@ -2,9 +2,13 @@
 
 Every parameter belongs to one of four roles (image, html, url, fusion) by
 name prefix. A client owns the roles its training data reaches, with one
-weight per role (sample counts, or equal weight for html); it copies, trains
-and reports only the parameters of those roles. The server averages each
-role only over its owners, and a role nobody owns keeps its old values.
+weight per role (sample counts, or equal weight for html); it copies and
+trains only the parameters of those roles. It reports each trained
+parameter whole, except an embedding table that took only row-sparse
+gradients: that one is reported as its touched rows, since every other row
+is still the broadcast value (Konečný et al., 2016, structured updates).
+The server averages each role only over its owners, and a role nobody owns
+keeps its old values.
 
 Each epoch a client trains its image, html and url batches, in that order,
 then its pair batches. ``batch_loss`` is the one training objective: a focal
@@ -20,6 +24,7 @@ index, round), and weighted sums run in sorted client order.
 
 from __future__ import annotations
 
+import functools
 import json
 import logging
 import math
@@ -45,7 +50,15 @@ from .heads import (
     proximal_term,
 )
 from .metrics import Metrics, RoundEntry, RoundLog, compute_metrics, confusion
-from .numerics import GradientError, Tensor, backward, clip_global_norm, make_optimizer, zero_grads
+from .numerics import (
+    GradientError,
+    Tensor,
+    TouchedRows,
+    backward,
+    clip_global_norm,
+    make_optimizer,
+    zero_grads,
+)
 
 __all__ = [
     "ClientReport",
@@ -82,10 +95,11 @@ def group_of(param_name: str) -> str:
 @dataclass
 class ClientReport:
     """One client's trained parameters of the roles it owns, its aggregation
-    weight per owned role and its mean training loss per phase."""
+    weight per owned role and its mean training loss per phase. A table
+    trained on row-sparse gradients only is reported as its touched rows."""
 
     client_id: str
-    params: dict[str, np.ndarray]
+    params: dict[str, np.ndarray | TouchedRows]
     weights: dict[str, float]
     train_loss: dict[str, float] = field(default_factory=dict)
 
@@ -161,7 +175,8 @@ def select_clients(role: str, reports: list[ClientReport]) -> list[tuple[float, 
 def _finite_reports(reports: list[ClientReport]) -> list[ClientReport]:
     ok = []
     for r in reports:
-        if all(np.isfinite(v).all() for v in r.params.values()):
+        values = (v.values if isinstance(v, TouchedRows) else v for v in r.params.values())
+        if all(np.isfinite(v).all() for v in values):
             ok.append(r)
         else:
             log.warning("excluding client %s: non-finite parameters in report", r.client_id)
@@ -170,7 +185,7 @@ def _finite_reports(reports: list[ClientReport]) -> list[ClientReport]:
 
 def aggregate(global_params: dict[str, np.ndarray], reports: list[ClientReport]) -> dict[str, np.ndarray]:
     """Role-wise weighted average; a role with no owners keeps the old value,
-    and a role with one owner takes that owner's reported array.
+    and a role with one owner takes that owner's reported value.
 
     Parameters kept unchanged are returned as the same array objects, so
     role isolation is bitwise by construction. Weighted sums run in sorted
@@ -188,17 +203,36 @@ def aggregate(global_params: dict[str, np.ndarray], reports: list[ClientReport])
         for _, r in pool:
             if name not in r.params:
                 raise ValueError(f"client {r.client_id} report is missing {name!r}")
-        (w0, r0), rest = pool[0], pool[1:]
-        if not rest:
-            # a sole owner's weight share is exactly 1.0
-            new_params[name] = r0.params[name]
-            continue
-        total = sum(w for w, _ in pool)
-        acc = (w0 / total) * r0.params[name]
-        for w, r in rest:
-            acc += (w / total) * r.params[name]
-        new_params[name] = acc
+        new_params[name] = _average(global_params[name], [(w, r.params[name]) for w, r in pool])
     return new_params
+
+
+def _average(old: np.ndarray, pool: list[tuple[float, np.ndarray | TouchedRows]]) -> np.ndarray:
+    """Weighted mean of the owners' values of one parameter, summed in pool
+    order. A ``TouchedRows`` value counts as ``old`` outside its rows, so a
+    row some owner touched is bitwise the mean of whole reported tables,
+    and a row that no owner touched stays bitwise ``old``."""
+    if len(pool) == 1:
+        # a sole owner's weight share is exactly 1.0
+        value = pool[0][1]
+        return value.onto(old) if isinstance(value, TouchedRows) else value
+    total = sum(w for w, _ in pool)
+    # a table reported whole counts as touching every row
+    whole = any(not isinstance(v, TouchedRows) for _, v in pool)
+    rows = None if whole else functools.reduce(np.union1d, [v.rows for _, v in pool])
+    base = old if rows is None else old[rows]
+
+    def local(value):  # the owner's value of every row in ``rows``
+        if not isinstance(value, TouchedRows):
+            return value
+        at = value.rows if rows is None else np.searchsorted(rows, value.rows)
+        return TouchedRows(at, value.values).onto(base)
+
+    (w0, v0), rest = pool[0], pool[1:]
+    acc = (w0 / total) * local(v0)
+    for w, v in rest:
+        acc += (w / total) * local(v)
+    return acc if rows is None else TouchedRows(rows, acc).onto(old)
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +300,9 @@ def client_train(
 ) -> ClientReport:
     """Local training from the broadcast snapshot, which also serves as the
     proximal anchor. Only the parameters of the roles the client owns are
-    copied, optimised and returned; no other parameter gets a gradient."""
+    copied, optimised and returned; no other parameter gets a gradient. A
+    parameter the optimizer kept on its row-sparse path is returned as the
+    rows it touched."""
     weights = data.role_weights()
     if not weights:
         raise ValueError(f"client {data.client_id} has no training data")
@@ -295,9 +331,10 @@ def client_train(
                 loss_sums[head] = loss_sums.get(head, 0.0) + float(loss.data)
                 loss_counts[head] = loss_counts.get(head, 0) + 1
 
+    rows = optimizer.rows
     return ClientReport(
         data.client_id,
-        {k: p.data for k, p in params.items()},
+        {k: TouchedRows(rows[k], p.data[rows[k]]) if k in rows else p.data for k, p in params.items()},
         weights,
         train_loss={k: loss_sums[k] / loss_counts[k] for k in loss_sums},
     )

@@ -1,7 +1,8 @@
 """Tensor math: reverse-mode autodiff, layer primitives, the optimizer.
 
 Arrays are dense float64, except an embedding table's gradient, which is a
-row-sparse ``RowSparse`` over the rows the batch looked up.
+row-sparse ``RowSparse`` over the rows the batch looked up, and a trained
+table's ``TouchedRows``, the new values of only the rows training changed.
 """
 
 from .gradcheck import finite_difference_check
@@ -26,6 +27,7 @@ from .tensor import (
     GradientError,
     RowSparse,
     Tensor,
+    TouchedRows,
     backward,
     concat,
     zero_grads,
@@ -36,6 +38,7 @@ __all__ = [
     "GradientError",
     "RowSparse",
     "Tensor",
+    "TouchedRows",
     "affine",
     "attention_pool",
     "backward",

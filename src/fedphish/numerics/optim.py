@@ -35,13 +35,17 @@ class Adam:
 
     Moments and step counters are tracked per parameter name so heads
     trained in separate phases keep independent bias corrections. The
-    moments start as lazily mapped zeros, and the update runs in place
-    through two reused scratch buffers.
+    update runs in place through two reused scratch buffers.
 
-    A row-sparse gradient updates only the rows touched so far in this
-    optimizer's life. That is exact: a row touched earlier keeps decaying
-    as in the dense update, and a row never touched has m = v = 0, so its
-    dense update is exactly 0.
+    A parameter whose first gradient is row-sparse keeps its state on its
+    touched rows only: ``rows[k]`` are the sorted rows any of its gradients
+    reached so far, and ``m[k]`` and ``v[k]`` are compact arrays over those
+    rows, where a newly reached row joins with zero moments. That is exact:
+    a touched row keeps decaying as in the dense update, and a row never
+    touched has m = v = 0, so its dense update is exactly 0. A dense
+    gradient scatters the moments into dense arrays, and the parameter stays
+    on the dense path. The dense moments of every other parameter are
+    lazily mapped zeros until its first step writes them.
     """
 
     def __init__(
@@ -60,7 +64,7 @@ class Adam:
         self.m = {k: np.zeros(p.shape) for k, p in params.items()}
         self.v = {k: np.zeros(p.shape) for k, p in params.items()}
         self.t = {k: 0 for k in params}
-        self._touched: dict[str, np.ndarray] = {}  # per table: rows whose moments may be nonzero
+        self.rows: dict[str, np.ndarray] = {}  # per row-sparse parameter: the rows m and v cover
         # lazily mapped, like m and v: an update maps only the prefix it uses
         self._scratch = np.empty((2, max((p.size for p in params.values()), default=0)))
         self._views: dict[tuple[int, ...], tuple[np.ndarray, ...]] = {}  # per shape: scratch views
@@ -73,26 +77,30 @@ class Adam:
             if g is None:
                 continue
             self.t[k] += 1
-            if isinstance(g, RowSparse) and (self.t[k] == 1 or k in self._touched):
+            if isinstance(g, RowSparse) and (self.t[k] == 1 or k in self.rows):
                 self._sparse_step(k, g)
-            else:
-                # after a dense step any row's moments may be nonzero, so the
-                # parameter stays on the dense path (a sparse gradient densifies)
-                self._touched.pop(k, None)
-                self._update(p.data, self.m[k], self.v[k], np.asarray(g), self.t[k])
+                continue
+            rows = self.rows.pop(k, None)
+            if rows is not None:  # after a dense step any row's moments may be nonzero
+                self.m[k] = RowSparse(rows, self.m[k], p.shape).dense()
+                self.v[k] = RowSparse(rows, self.v[k], p.shape).dense()
+            self._update(p.data, self.m[k], self.v[k], np.asarray(g), self.t[k])
 
     def _sparse_step(self, k: str, g: RowSparse) -> None:
-        p, m, v = self.params[k].data, self.m[k], self.v[k]
-        touched = self._touched.get(k)
-        if touched is None:
-            touched = self._touched[k] = np.zeros(p.shape[0], dtype=bool)
-        touched[g.rows] = True
-        idx = np.flatnonzero(touched)
-        rows_g = np.zeros((idx.size,) + p.shape[1:])
-        rows_g[np.searchsorted(idx, g.rows)] = g.values
-        rows_p, rows_m, rows_v = p[idx], m[idx], v[idx]
-        self._update(rows_p, rows_m, rows_v, rows_g, self.t[k])
-        p[idx], m[idx], v[idx] = rows_p, rows_m, rows_v
+        p = self.params[k].data
+        old = self.rows.get(k)
+        rows = g.rows if old is None else np.union1d(old, g.rows)
+        if old is None or rows.size > old.size:
+            m, v = np.zeros((2, rows.size) + p.shape[1:])
+            if old is not None:
+                at = np.searchsorted(rows, old)
+                m[at], v[at] = self.m[k], self.v[k]
+            self.rows[k], self.m[k], self.v[k] = rows, m, v
+        rows_g = np.zeros((rows.size,) + p.shape[1:])
+        rows_g[np.searchsorted(rows, g.rows)] = g.values
+        rows_p = p[rows]
+        self._update(rows_p, self.m[k], self.v[k], rows_g, self.t[k])
+        p[rows] = rows_p
 
     def _update(self, p: np.ndarray, m: np.ndarray, v: np.ndarray, g: np.ndarray, t: int) -> None:
         """One Adam step on same-shape arrays, in place. The operations and

@@ -8,6 +8,8 @@ arithmetic stays in 64-bit precision.
 Values and gradients are dense arrays, with one exception: the gradient of
 an embedding table is a ``RowSparse`` holding only the rows a batch looked
 up, so its cost scales with the batch rather than with the vocabulary.
+``TouchedRows`` carries the new values of the rows a client's training
+changed, so a trained table travels at the size of those rows.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import numpy as np
 __all__ = [
     "Tensor",
     "RowSparse",
+    "TouchedRows",
     "GradientError",
     "backward",
     "zero_grads",
@@ -76,6 +79,33 @@ class RowSparse:
 
     def __array__(self, dtype=None, copy=None):
         return np.asarray(self.dense(), dtype=dtype)
+
+
+class TouchedRows:
+    """New values of some rows of a table whose other rows keep their old
+    values.
+
+    ``rows`` are sorted and unique; ``values[i]`` is the new value of row
+    ``rows[i]``. Unlike ``RowSparse``, a row left out is unchanged, not
+    zero, so there is no dense conversion: only ``onto`` the old table
+    gives the whole new one.
+    """
+
+    __slots__ = ("rows", "values")
+
+    def __init__(self, rows: np.ndarray, values: np.ndarray):
+        self.rows = rows
+        self.values = values
+
+    @property
+    def nbytes(self) -> int:
+        return self.rows.nbytes + self.values.nbytes
+
+    def onto(self, table: np.ndarray) -> np.ndarray:
+        """A copy of ``table`` with the touched rows replaced."""
+        out = table.copy()
+        out[self.rows] = self.values
+        return out
 
 
 def _accumulate(a, b):

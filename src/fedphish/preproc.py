@@ -66,8 +66,12 @@ class PreprocConfig:
         for field in ("char_len", "word_len", "dom_len"):
             if getattr(self, field) <= 0:
                 raise ValueError(f"{field} must be positive")
-        if self.word_buckets < 2 or self.dom_buckets < 2:
-            raise ValueError("bucket counts must be at least 2")
+        for field in ("word_buckets", "dom_buckets"):
+            # ids, PAD (= the bucket count) included, are int64, and an
+            # embedding table has one row per id
+            if not 2 <= getattr(self, field) < np.iinfo(np.int64).max:
+                raise ValueError(f"{field} must be at least 2 and below 2**63 - 1, "
+                                 f"got {getattr(self, field)}")
 
     @property
     def word_pad(self) -> int:

@@ -1,6 +1,7 @@
 """Config parsing, bundled scenarios and the command line surface."""
 
 import contextlib
+import hashlib
 import io
 import json
 from pathlib import Path
@@ -153,6 +154,14 @@ def with_path(**dataset):
                                 clients=[HTML_CLIENT]),
                  "PAD id \\(its last row\\) is not the preprocessor's", id="paper-word-buckets-1000"),
     pytest.param(minimal_config(out_dir=5), "out_dir must be a string", id="out_dir-int"),
+    pytest.param(minimal_config(clients=[{"id": "m", "datasets": [{**URL_SYNTH, "modality": {}}]}]),
+                 "modality must be one of", id="modality-object"),
+    pytest.param(minimal_config(clients=[{"id": "m", "datasets": [{**URL_SYNTH, "modality": []}]}]),
+                 "modality must be one of", id="modality-list"),
+    pytest.param(minimal_config(model_profile="desk_pages", preproc={"word_buckets": 2**70}),
+                 "word_buckets must be at least 2 and below 2\\*\\*63 - 1", id="word_buckets-2**70"),
+    pytest.param(minimal_config(model_profile="desk_pages", preproc={"dom_buckets": 2**70}),
+                 "dom_buckets must be at least 2 and below 2\\*\\*63 - 1", id="dom_buckets-2**70"),
 ])
 def test_cli_run_bad_data_setting_exit_one(tmp_path, cfg, match):
     cfg_path = write_config(tmp_path, cfg)
@@ -327,6 +336,9 @@ ROW = ", ".join(["0.5"] * 15)  # with one more value, a desk url embedding or im
                  "line 2: 'embedding' holds a NaN or infinite value", id="embedding-inf"),
     pytest.param("url", f'{{"label": 1, "embedding": [1{"0" * 400}, {ROW}]}}',
                  "line 2: 'embedding' must be 16 floats, got a non-float value", id="embedding-overflow"),
+    pytest.param("url", '{"label": 1, "embedding": ["0.5", true, "1e3", ' + ", ".join(["2"] * 13) + "]}",
+                 "line 2: 'embedding' must be 16 floats, got a non-float value",
+                 id="embedding-numeric-str"),
     pytest.param("image", f'{{"label": 1, "tokens": [[0.5, {ROW}], [{ROW}]]}}',
                  "line 2: 'tokens' must be a 2 x 16 float matrix", id="tokens-ragged"),
 ])
@@ -352,6 +364,14 @@ def test_cli_synth_embeddings_deterministic(tmp_path):
         assert rc == EXIT_OK
     assert a.read_bytes() == b.read_bytes()
     assert len(a.read_text().splitlines()) == 100
+
+
+def test_cli_synth_html_output_is_pinned(tmp_path):
+    # rendering pages without preprocessing them must not change a byte of the file
+    out = tmp_path / "pages.jsonl"
+    assert main(["synth", "html", "--n", "50", "--seed", "3", "--out", str(out)]) == EXIT_OK
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == "516f8e7cb349d712f93762a9de8304e8071868afa2aaa61d2b63ce8aacf40e1a"
 
 
 def test_cli_synth_html_roundtrips_through_loader(tmp_path):

@@ -95,6 +95,14 @@ def test_load_empty_file_gives_empty_arrays(tmp_path, modality, shape):
                  "'embedding' must be 4 floats, got a non-float value", id="embedding-str"),
     pytest.param("url", {"label": 1, "embedding": [10**400, 0.5, 0.5, 0.5]},
                  "'embedding' must be 4 floats, got a non-float value", id="embedding-overflow"),
+    pytest.param("url", {"label": 1, "embedding": ["0.5", True, "1e3", 2]},
+                 "'embedding' must be 4 floats, got a non-float value", id="embedding-numeric-str"),
+    pytest.param("url", {"label": 1, "embedding": [0.5, 0.5, False, 2]},
+                 "'embedding' must be 4 floats, got a non-float value", id="embedding-bool"),
+    pytest.param("image", {"label": 1, "tokens": [[0.5, "2", 0.5, 0.5], [0.5] * 4]},
+                 "'tokens' must be a 2 x 4 float matrix", id="tokens-numeric-str"),
+    pytest.param("image", {"label": 1, "tokens": [[0.5] * 4, [0.5, 0.5, 0.5, True]]},
+                 "'tokens' must be a 2 x 4 float matrix", id="tokens-bool"),
     pytest.param("url", {"label": 1, "embedding": [0.5] * 3},
                  "'embedding' must be 4 floats, got 3", id="embedding-short"),
     pytest.param("image", {"label": 1, "tokens": [[10**400] * 4] * 2},

@@ -33,7 +33,7 @@ from fedphish.heads import (
     ModelSpec,
     proximal_term,
 )
-from fedphish.numerics import RowSparse, backward, clip_global_norm, zero_grads
+from fedphish.numerics import RowSparse, TouchedRows, backward, clip_global_norm, zero_grads
 
 
 def report(cid, value, **weights):
@@ -138,6 +138,27 @@ def test_aggregate_excludes_nan_reports():
     ]
     new = aggregate(g, reports)
     assert new["url_head.w"][0] == 3.0
+
+
+def test_aggregate_checks_only_the_touched_rows_for_finiteness():
+    old = np.array([[np.nan], [1.0], [2.0]])  # a non-finite row nobody touched
+    reports = [
+        ClientReport("a", {"html_head.t": TouchedRows(np.array([1]), np.array([[np.inf]]))},
+                     {"html": 1.0}),
+        ClientReport("b", {"html_head.t": TouchedRows(np.array([2]), np.array([[5.0]]))},
+                     {"html": 1.0}),
+    ]
+    new = aggregate({"html_head.t": old}, reports)["html_head.t"]
+    assert np.array_equal(new, np.array([[np.nan], [1.0], [5.0]]), equal_nan=True)
+    assert new is not old
+
+
+def test_touched_rows_has_no_dense_conversion():
+    report = TouchedRows(np.array([1]), np.array([[5.0]]))
+    assert report.nbytes == 16
+    assert np.array_equal(report.onto(np.zeros((3, 1))), [[0.0], [5.0], [0.0]])
+    with pytest.raises(TypeError):
+        np.isfinite(report)
 
 
 def test_aggregate_order_invariant():
@@ -308,6 +329,34 @@ def test_html_step_leaves_embedding_gradients_row_sparse():
         assert np.array_equal(grad.rows, np.unique(ids))
         assert grad.shape == params[HTML_PREFIX + f"{branch}.embed"].shape
     assert len(params[HTML_PREFIX + "word.embed"].grad.rows) < spec.html.word_vocab
+
+
+def desk_html_client(cid="h0", n=16, seed=2):
+    from fedphish.data import synth_html
+    from fedphish.preproc import PreprocConfig
+
+    pcfg = PreprocConfig(char_len=64, word_len=16, dom_len=16, word_buckets=257, dom_buckets=61)
+    pages = synth_html(n, seed=seed, preproc_cfg=pcfg)
+    return ClientData(client_id=cid, train={"html": pages}, val={"html": pages})
+
+
+@pytest.mark.parametrize("mu", [0.0, 0.02])
+def test_client_train_reports_tables_as_touched_rows(mu):
+    spec = ModelSpec.desk_pages()
+    client = desk_html_client()
+    broadcast = {k: p.data for k, p in spec.init_params(5).items()}
+    cfg = TrainConfig(rounds=1, epochs=2, batch_size=8, seed=5, mu=mu)
+    rep = client_train(client, broadcast, spec, cfg, _client_rng(5, 0, 0))
+    for branch in ("char", "word", "dom"):
+        name = HTML_PREFIX + f"{branch}.embed"
+        value = rep.params[name]
+        if mu > 0:  # the proximal pull reaches every row: the table is reported whole
+            assert isinstance(value, np.ndarray) and value.shape == broadcast[name].shape
+            continue
+        assert isinstance(value, TouchedRows), branch
+        assert np.array_equal(value.rows, np.unique(client.train["html"][branch]))
+        assert value.values.shape == (value.rows.size,) + broadcast[name].shape[1:]
+    assert all(isinstance(v, np.ndarray) for k, v in rep.params.items() if not k.endswith(".embed"))
 
 
 def graph_nodes(loss) -> int:

@@ -7,6 +7,14 @@ as MISSING instead of failing, so this test fails on it first.
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+
+import fedphish.federation as federation
+from fedphish.data import synth_html
+from fedphish.federation import ClientData, TrainConfig, _client_rng
+from fedphish.heads import HTML_PREFIX, ModelSpec
+from fedphish.preproc import PreprocConfig
+
 TRACING_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
 
@@ -24,3 +32,30 @@ def test_every_traced_span_resolves_a_target():
         found[name] = found.get(name, 0) + (tracing._resolve(module, attr) is not None)
     assert found
     assert sorted(name for name, n in found.items() if n == 0) == []
+
+
+def test_report_and_optimizer_probes_read_a_touched_rows_client():
+    # the probes read report.params[k].nbytes and opt.m[k].nbytes for k in
+    # opt.m; a table reported as touched rows must still answer both
+    tracing = load_tracing()
+    tracer = tracing.Tracer()
+    probes = tracing.Probes(tracer, {"h0": {"html"}})
+    pcfg = PreprocConfig(char_len=64, word_len=16, dom_len=16, word_buckets=257, dom_buckets=61)
+    pages = synth_html(16, seed=2, preproc_cfg=pcfg)
+    client = ClientData(client_id="h0", train={"html": pages}, val={"html": pages})
+    spec = ModelSpec.desk_pages()
+    broadcast = {k: p.data for k, p in spec.init_params(5).items()}
+    cfg = TrainConfig(rounds=1, epochs=1, batch_size=8, seed=5)
+    with tracing.instrument(tracer, probes) as gone:
+        report = federation.client_train(client, broadcast, spec, cfg, _client_rng(5, 0, 0))
+    assert tracer.missing == set()
+    assert "federation.client_train" not in gone and "numerics.optimizer_step" not in gone
+    owned = {k: v for k, v in broadcast.items() if k.startswith(HTML_PREFIX)}
+    dense_bytes = sum(v.nbytes for v in owned.values())
+    s = tracer.samples
+    assert s["federation.report_bytes"] == [sum(v.nbytes for v in report.params.values())]
+    assert s["federation.report_owned_bytes"] == s["federation.report_bytes"]
+    # of the 258-row word table, only the rows training touched are reported and kept
+    assert 0 < s["federation.report_bytes"][0] < dense_bytes
+    assert 0 < s["numerics.optimizer_state_bytes"][0] < 2 * dense_bytes
+    assert np.unique(pages["word"]).size < broadcast[HTML_PREFIX + "word.embed"].shape[0]

@@ -1,11 +1,13 @@
-"""Property tests: row-sparse table gradients and touched-rows Adam are
-bitwise the dense computation for any ids, table shape and step sequence."""
+"""Property tests: row-sparse table gradients, touched-rows Adam and the
+aggregation of touched-rows reports are bitwise the dense computation for
+any ids, table shape, step sequence and owner mix."""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedphish.numerics import Adam, RowSparse, Tensor, backward, embedding
+from fedphish.federation import ClientReport, aggregate
+from fedphish.numerics import Adam, RowSparse, Tensor, TouchedRows, backward, embedding
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
 
@@ -66,5 +68,55 @@ def test_touched_rows_optimizer_is_the_dense_optimizer(sequence, seed):
         sparse_opt.step()
         dense_opt.step()
         assert np.array_equal(sparse_p.data, dense_p.data)
-    assert np.array_equal(sparse_opt.m["t"], dense_opt.m["t"])
-    assert np.array_equal(sparse_opt.v["t"], dense_opt.v["t"])
+    # moments on the row-sparse path cover exactly the rows touched so far;
+    # scattered back, they are the dense optimizer's moments
+    m, v = sparse_opt.m["t"], sparse_opt.v["t"]
+    if None not in steps:
+        rows = np.unique(np.concatenate(steps))
+        assert np.array_equal(sparse_opt.rows["t"], rows)
+        assert m.shape == v.shape == (rows.size,) + shape[1:]
+        m, v = RowSparse(rows, m, shape).dense(), RowSparse(rows, v, shape).dense()
+    else:
+        assert "t" not in sparse_opt.rows
+    assert np.array_equal(m, dense_opt.m["t"])
+    assert np.array_equal(v, dense_opt.v["t"])
+
+
+@st.composite
+def owner_reports(draw):
+    """(table shape, owners): each owner is (weight, touched rows), where
+    touched rows None stands for a table reported whole."""
+    shape = (draw(st.integers(1, 12)), draw(st.integers(1, 3)))
+    weight = st.floats(min_value=2.0**-20, max_value=2.0**20)
+    touched = st.one_of(st.none(), st.sets(st.integers(0, shape[0] - 1)))
+    owners = draw(st.lists(st.tuples(weight, touched), min_size=1, max_size=4))
+    return shape, owners
+
+
+@PROPERTY
+@given(owner_reports(), st.integers(0, 2**32 - 1))
+def test_touched_rows_aggregate_is_the_dense_aggregate(case, seed):
+    shape, owners = case
+    rng = np.random.default_rng(seed)
+    old = rng.normal(size=shape)
+    kept = old.copy()
+    reports, dense = [], []  # dense: (weight, whole table) in client order
+    touched_any = np.zeros(shape[0], dtype=bool)
+    for i, (weight, touched) in enumerate(owners):
+        rows = np.arange(shape[0]) if touched is None else np.array(sorted(touched), dtype=np.int64)
+        new = old.copy()
+        new[rows] = rng.normal(size=(rows.size,) + shape[1:])
+        touched_any[rows] = True
+        report = new if touched is None else TouchedRows(rows, new[rows])
+        reports.append(ClientReport(f"c{i}", {"html_head.t": report}, {"html": weight}))
+        dense.append((weight, new))
+    order = rng.permutation(len(owners))
+    got = aggregate({"html_head.t": old}, [reports[i] for i in order])["html_head.t"]
+    # the dense aggregate: whole tables weighed and summed in sorted client order
+    total = sum(w for w, _ in dense)
+    want = (dense[0][0] / total) * dense[0][1]
+    for w, table in dense[1:]:
+        want += (w / total) * table
+    assert np.array_equal(got[touched_any], want[touched_any])
+    assert np.array_equal(got[~touched_any], old[~touched_any])
+    assert np.array_equal(old, kept)

@@ -1,0 +1,88 @@
+"""Every bundled config trains to pinned bytes.
+
+Each config runs two rounds of one epoch through ``parse_config``,
+``build_clients`` and ``run_experiment``. The test pins the sha256 of the
+``rounds.csv`` it writes and of the final parameters' float64 bytes in
+sorted name order. A change that claims bitwise-identical training output
+keeps these digests; one that moves them has to say why.
+"""
+
+import hashlib
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from fedphish.config import build_clients, bundled_config_names, bundled_config_path, parse_config
+from fedphish.federation import run_experiment
+from fedphish.metrics import write_round_csv
+
+# config name -> (rounds.csv sha256, final parameters sha256)
+PINS = {
+    "ablation_fusion_2clients": (
+        "8b4b8c9257f1b2807b0d6006a0a47f2288d99786f36cd2f80b8aa2d6c571919a",
+        "311575d2c1d3bcb0955ea821ca9259cbd3f3bd36e47df6ac905d3278abe1c814",
+    ),
+    "ablation_html_2clients": (
+        "86e76ee58ae047852d2bf6765ca226dcf1dea73dfe3d1170a1825fa520fb5ba3",
+        "b95ecef090481b92122cd3079768085e5b983212ecd53597d889577064be574b",
+    ),
+    "ablation_image_2clients": (
+        "5da86ebf27a1dbd6d0f1baca00e7d3c6cbbbfeeb9e3712285c15efafc4c27441",
+        "1680af40969475b60b0e5a8e190f1b5beeb1c22b5d509d3fed9953e90a801d35",
+    ),
+    "ablation_url_2clients": (
+        "bfd951bdb3d411a669054ded32be81cf08595db420263c19dc0a3ecf1a40f92e",
+        "0dba61ab670c36ca9cbafc5438b6a3401f02f8d122212499a4131eb762167d9a",
+    ),
+    "four_clients_fusion_html": (
+        "5479f3743f1c376f0f04a7704eac8ab1d22c86fe53f2a58dc4a11380f1a93d4d",
+        "3fcad0886c9fe86faaf3e83d23277b6c5476314b0ae67fe8adac3a0af27c4ce6",
+    ),
+    "four_clients_html_cross": (
+        "21be176814a5eb63b53c6a3c4cf484b363ee958499699afd35478b4acaac1e81",
+        "c8ea865230268a579c1b7cd2e89aac9239f9d7a6630e40284ae0b3940faf9908",
+    ),
+    "four_clients_html_cross_fedprox": (
+        "a79e0f2408a1236b5c5987369bf0ba3836fb5dc3765d400d754df73d90a0b036",
+        "456bceeadaa9e7c41bde748ae9922e4beaff12cc385d9c77ef787613be2a89ab",
+    ),
+    "four_clients_html_cross_noniid": (
+        "4937134690481b533da194592f12d7162d24298ba4c237bed14ebf271e66ee96",
+        "9d6b3bc881a74a9c5dd1292063070bdb6e8095ebec95fca75906a2c10b2abd31",
+    ),
+    "four_clients_html_url": (
+        "3400a848e1d979f9e6c3664122e2e265673badd1627e39116c3169d07123a93e",
+        "5c9a218b6ba270961ca6176eb853d6ecb72b8dda71285a87f28d1a3168023f76",
+    ),
+    "four_clients_image_html": (
+        "38858cdd6b40828415a212d19fcdf7b07f6e61814b2a77451ba8db7a148792d0",
+        "c236c3c3891ee98376f0eeb7d2e822a927823f4f19c3041528304cbbdd4c71db",
+    ),
+    "six_clients": (
+        "92e931739f87c1c9ad71185cd907021c1138c1b150c27fb234b8a87e837d2955",
+        "427572ab35dd845c0fa50568991e1c47ea4cee50a01ce56a054ea4aef64f5c22",
+    ),
+}
+
+
+def params_digest(params: dict[str, np.ndarray]) -> str:
+    h = hashlib.sha256()
+    for name in sorted(params):
+        h.update(np.ascontiguousarray(params[name], dtype="<f8").tobytes())
+    return h.hexdigest()
+
+
+def test_every_bundled_config_is_pinned():
+    assert sorted(PINS) == bundled_config_names()
+
+
+@pytest.mark.parametrize("name", bundled_config_names())
+def test_bundled_config_training_output_is_pinned(name, tmp_path):
+    cfg = parse_config(bundled_config_path(name))
+    train = replace(cfg.train, rounds=2, epochs=1)
+    result = run_experiment(cfg.model, train, build_clients(cfg))
+    csv_path = tmp_path / "rounds.csv"
+    write_round_csv(result.rounds, csv_path)
+    got = (hashlib.sha256(csv_path.read_bytes()).hexdigest(), params_digest(result.params))
+    assert got == PINS[name]
