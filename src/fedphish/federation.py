@@ -3,12 +3,11 @@
 Every parameter belongs to one of four roles (image, html, url, fusion) by
 name prefix. A client owns the roles its training data reaches, with one
 weight per role (sample counts, or equal weight for html); it copies and
-trains only the parameters of those roles. It reports each trained
-parameter whole, except an embedding table that took only row-sparse
-gradients: that one is reported as its touched rows, since every other row
-is still the broadcast value (Konečný et al., 2016, structured updates).
-The server averages each role only over its owners, and a role nobody owns
-keeps its old values.
+trains only the parameters of those roles. It reports a dense parameter
+whole and an embedding table as its touched rows: every gradient of a
+table is row-sparse, so every other row is still the broadcast value
+(Konečný et al., 2016, structured updates). The server averages each role
+only over its owners, and a role nobody owns keeps its old values.
 
 Each epoch a client trains its image, html and url batches, in that order,
 then its pair batches. ``batch_loss`` is the one training objective: a focal
@@ -46,6 +45,7 @@ from .heads import (
     _is_int,
     _is_real,
     focal_loss,
+    is_table,
     js_consistency,
     proximal_term,
 )
@@ -95,8 +95,8 @@ def group_of(param_name: str) -> str:
 @dataclass
 class ClientReport:
     """One client's trained parameters of the roles it owns, its aggregation
-    weight per owned role and its mean training loss per phase. A table
-    trained on row-sparse gradients only is reported as its touched rows."""
+    weight per owned role and its mean training loss per phase. A dense
+    parameter is an array; a table is the ``TouchedRows`` it trained."""
 
     client_id: str
     params: dict[str, np.ndarray | TouchedRows]
@@ -209,29 +209,23 @@ def aggregate(global_params: dict[str, np.ndarray], reports: list[ClientReport])
 
 def _average(old: np.ndarray, pool: list[tuple[float, np.ndarray | TouchedRows]]) -> np.ndarray:
     """Weighted mean of the owners' values of one parameter, summed in pool
-    order. A ``TouchedRows`` value counts as ``old`` outside its rows, so a
-    row some owner touched is bitwise the mean of whole reported tables,
-    and a row that no owner touched stays bitwise ``old``."""
+    order. A table's ``TouchedRows`` count as ``old`` outside their rows, so
+    a row some owner touched is bitwise the mean of whole tables, and a row
+    that no owner touched stays bitwise ``old``."""
     if len(pool) == 1:
         # a sole owner's weight share is exactly 1.0
         value = pool[0][1]
         return value.onto(old) if isinstance(value, TouchedRows) else value
+    rows = None
+    if isinstance(pool[0][1], TouchedRows):
+        rows = functools.reduce(np.union1d, [v.rows for _, v in pool])
+        base = old[rows]
+        pool = [(w, TouchedRows(np.searchsorted(rows, v.rows), v.values).onto(base)) for w, v in pool]
     total = sum(w for w, _ in pool)
-    # a table reported whole counts as touching every row
-    whole = any(not isinstance(v, TouchedRows) for _, v in pool)
-    rows = None if whole else functools.reduce(np.union1d, [v.rows for _, v in pool])
-    base = old if rows is None else old[rows]
-
-    def local(value):  # the owner's value of every row in ``rows``
-        if not isinstance(value, TouchedRows):
-            return value
-        at = value.rows if rows is None else np.searchsorted(rows, value.rows)
-        return TouchedRows(at, value.values).onto(base)
-
     (w0, v0), rest = pool[0], pool[1:]
-    acc = (w0 / total) * local(v0)
+    acc = (w0 / total) * v0
     for w, v in rest:
-        acc += (w / total) * local(v)
+        acc += (w / total) * v
     return acc if rows is None else TouchedRows(rows, acc).onto(old)
 
 
@@ -255,7 +249,7 @@ def head_logits(heads, kind: str, params, batch, train: bool = False, rng=None) 
     return heads[kind].forward(params, batch["x"], train=train, rng=rng)
 
 
-def batch_loss(heads, kind: str, params, batch, snapshot, cfg: TrainConfig, rng) -> Tensor:
+def batch_loss(heads, kind: str, params, batch, snapshot, moved, cfg: TrainConfig, rng) -> Tensor:
     """The training loss of one batch of ``kind`` (image, html, url or pair).
 
     A single-modality batch gives the focal loss of its head. A pair batch
@@ -263,14 +257,15 @@ def batch_loss(heads, kind: str, params, batch, snapshot, cfg: TrainConfig, rng)
     (batch-level modality dropout, one ``rng.random()`` per batch), fuses
     what is left, and adds the auxiliary branch losses and the JS
     consistency term. Either way the proximal pull toward ``snapshot``
-    covers the head being trained (fusion for pairs).
+    covers the head being trained (fusion for pairs) and, on a table, its
+    ``moved`` rows.
     """
     loss_cfg = cfg.loss
     labels = batch["y"]
     if kind != "pair":
         logits = head_logits(heads, kind, params, batch, train=True, rng=rng)
         loss = focal_loss(logits, labels, loss_cfg.focal_gamma)
-        return loss + proximal_term(params, snapshot, cfg.mu, _ROLE_PREFIX[kind])
+        return loss + proximal_term(params, snapshot, moved, cfg.mu, _ROLE_PREFIX[kind])
     l_i = head_logits(heads, "image", params, batch, train=True, rng=rng)
     l_h = head_logits(heads, "html", params, batch, train=True, rng=rng)
     l_i_star, l_h_star = l_i, l_h
@@ -288,7 +283,7 @@ def batch_loss(heads, kind: str, params, batch, snapshot, cfg: TrainConfig, rng)
         )
     if loss_cfg.lambda_js > 0:
         loss = loss + loss_cfg.lambda_js * js_consistency(l_i, l_h)
-    return loss + proximal_term(params, snapshot, cfg.mu, FUSION_PREFIX)
+    return loss + proximal_term(params, snapshot, moved, cfg.mu, FUSION_PREFIX)
 
 
 def client_train(
@@ -300,9 +295,9 @@ def client_train(
 ) -> ClientReport:
     """Local training from the broadcast snapshot, which also serves as the
     proximal anchor. Only the parameters of the roles the client owns are
-    copied, optimised and returned; no other parameter gets a gradient. A
-    parameter the optimizer kept on its row-sparse path is returned as the
-    rows it touched."""
+    copied, optimised and returned; no other parameter gets a gradient. The
+    optimizer's touched rows are the rows each table has moved: the pull
+    covers them, and each table is returned as those rows."""
     weights = data.role_weights()
     if not weights:
         raise ValueError(f"client {data.client_id} has no training data")
@@ -323,7 +318,7 @@ def client_train(
             for idx in _batches(len(arrays["y"]), cfg.batch_size, rng):
                 zero_grads(params)
                 batch = {k: v[idx] for k, v in arrays.items()}
-                loss = batch_loss(heads, kind, params, batch, broadcast, cfg, rng)
+                loss = batch_loss(heads, kind, params, batch, broadcast, optimizer.rows, cfg, rng)
                 backward(loss)
                 grads = [params[k].grad for k in sorted(params) if params[k].grad is not None]
                 clip_global_norm(grads, cfg.clip)
@@ -331,7 +326,8 @@ def client_train(
                 loss_sums[head] = loss_sums.get(head, 0.0) + float(loss.data)
                 loss_counts[head] = loss_counts.get(head, 0) + 1
 
-    rows = optimizer.rows
+    # a table no gradient reached has moved no row
+    rows = {k: optimizer.rows.get(k, np.arange(0)) for k in params if is_table(k)}
     return ClientReport(
         data.client_id,
         {k: TouchedRows(rows[k], p.data[rows[k]]) if k in rows else p.data for k, p in params.items()},

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .numerics import (
+    RowSparse,
     Tensor,
     affine,
     attention_pool,
@@ -44,6 +45,7 @@ __all__ = [
     "FusionHead",
     "focal_loss",
     "js_consistency",
+    "is_table",
     "proximal_term",
 ]
 
@@ -166,6 +168,11 @@ def _ones(*shape) -> Tensor:
 
 def _embed_table(rng: np.random.Generator, rows: int, dim: int) -> Tensor:
     return Tensor(rng.normal(0.0, 0.02, size=(rows, dim)), requires_grad=True)
+
+
+def is_table(name: str) -> bool:
+    """Whether a parameter is a table made by ``_embed_table``."""
+    return name.endswith(".embed")
 
 
 def _lstm_params(rng: np.random.Generator, d_in: int, hidden: int) -> dict[str, Tensor]:
@@ -491,23 +498,33 @@ def js_consistency(logits_a: Tensor, logits_b: Tensor) -> Tensor:
     return ((kl_pm + kl_qm) * 0.5).mean()
 
 
-def proximal_term(local: dict[str, Tensor], snapshot: dict[str, np.ndarray], mu: float, prefixes) -> Tensor:
-    """mu/2 times the squared L2 distance to the snapshot over the named
-    role prefixes; the gradient on those parameters is exactly mu (theta -
-    theta_t)."""
-    if isinstance(prefixes, str):
-        prefixes = (prefixes,)
-    total = Tensor(np.array(0.0))
+def proximal_term(local: dict[str, Tensor], snapshot: dict[str, np.ndarray],
+                  moved: dict[str, np.ndarray], mu: float, prefix: str) -> Tensor:
+    """mu/2 times the squared L2 distance to the snapshot over the parameters
+    named with ``prefix``, as one graph node. A table is compared on its
+    ``moved`` rows only (none if absent), the sorted rows that may differ
+    from the snapshot. The gradient is exactly mu (theta - theta_t), and a
+    table's is a ``RowSparse`` over its moved rows."""
     if mu == 0.0:
-        return total
+        return Tensor(np.array(0.0))
+    total, parts = 0.0, []  # parts: (parameter, its moved rows or None if dense, difference)
     for name in sorted(local):
-        if not name.startswith(tuple(prefixes)):
+        if not name.startswith(prefix):
             continue
         if name not in snapshot:
             raise ValueError(f"snapshot is missing parameter {name!r}")
-        diff = local[name] - Tensor(snapshot[name])
-        total = total + (diff * diff).sum()
-    return total * (mu / 2.0)
+        value, anchor = local[name].data, snapshot[name]
+        rows = moved.get(name, np.arange(0)) if is_table(name) else None
+        diff = value - anchor if rows is None else value[rows] - anchor[rows]
+        total += (diff * diff).sum()
+        parts.append((local[name], rows, diff))
+
+    def bw(g: np.ndarray):
+        scale = g * mu
+        return tuple(scale * d if rows is None else RowSparse(rows, scale * d, p.shape)
+                     for p, rows, d in parts)
+
+    return Tensor._node(total * (mu / 2.0), [p for p, _, _ in parts], bw)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Tensor math: reverse-mode autodiff, layer primitives, the optimizer.
 
-Arrays are dense float64, except an embedding table's gradient, which is a
-row-sparse ``RowSparse`` over the rows the batch looked up, and a trained
+Arrays are dense float64, except an embedding table's gradient, always a
+``RowSparse`` over the rows a batch looked up or a pull moved, and a trained
 table's ``TouchedRows``, the new values of only the rows training changed.
 """
 

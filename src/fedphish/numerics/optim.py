@@ -37,15 +37,14 @@ class Adam:
     trained in separate phases keep independent bias corrections. The
     update runs in place through two reused scratch buffers.
 
-    A parameter whose first gradient is row-sparse keeps its state on its
-    touched rows only: ``rows[k]`` are the sorted rows any of its gradients
-    reached so far, and ``m[k]`` and ``v[k]`` are compact arrays over those
-    rows, where a newly reached row joins with zero moments. That is exact:
-    a touched row keeps decaying as in the dense update, and a row never
-    touched has m = v = 0, so its dense update is exactly 0. A dense
-    gradient scatters the moments into dense arrays, and the parameter stays
-    on the dense path. The dense moments of every other parameter are
-    lazily mapped zeros until its first step writes them.
+    The gradient's type picks the update. A table, whose gradients are all
+    row-sparse, keeps its state on its touched rows only: ``rows[k]`` are
+    the sorted rows any of its gradients reached so far, and ``m[k]`` and
+    ``v[k]`` are compact arrays over those rows, where a newly reached row
+    joins with zero moments. That is exact: a touched row keeps decaying as
+    in the dense update, and a row never touched has m = v = 0, so its dense
+    update is exactly 0. Every other parameter has dense moments, lazily
+    mapped zeros until its first step writes them.
     """
 
     def __init__(
@@ -77,14 +76,10 @@ class Adam:
             if g is None:
                 continue
             self.t[k] += 1
-            if isinstance(g, RowSparse) and (self.t[k] == 1 or k in self.rows):
+            if isinstance(g, RowSparse):
                 self._sparse_step(k, g)
-                continue
-            rows = self.rows.pop(k, None)
-            if rows is not None:  # after a dense step any row's moments may be nonzero
-                self.m[k] = RowSparse(rows, self.m[k], p.shape).dense()
-                self.v[k] = RowSparse(rows, self.v[k], p.shape).dense()
-            self._update(p.data, self.m[k], self.v[k], np.asarray(g), self.t[k])
+            else:
+                self._update(p.data, self.m[k], self.v[k], g, self.t[k])
 
     def _sparse_step(self, k: str, g: RowSparse) -> None:
         p = self.params[k].data

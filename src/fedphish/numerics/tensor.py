@@ -5,9 +5,9 @@ maps the output gradient to parent gradients. ``backward(loss)`` walks that
 graph once in reverse topological order; the graph itself is the tape. All
 arithmetic stays in 64-bit precision.
 
-Values and gradients are dense arrays, with one exception: the gradient of
-an embedding table is a ``RowSparse`` holding only the rows a batch looked
-up, so its cost scales with the batch rather than with the vocabulary.
+Values and gradients are dense arrays, except that every gradient of an
+embedding table is a ``RowSparse`` holding only the rows a batch looked up
+or a pull moved, so its cost scales with the batch, not the vocabulary.
 ``TouchedRows`` carries the new values of the rows a client's training
 changed, so a trained table travels at the size of those rows.
 """
@@ -109,25 +109,17 @@ class TouchedRows:
 
 
 def _accumulate(a, b):
-    """``a + b`` for two gradients of one tensor, either possibly row-sparse.
-
-    Sparse plus sparse merges rows; sparse plus dense adds the rows into a
-    dense copy. Each element gets the value of the dense sum, up to the
-    sign of a zero.
+    """``a + b`` for two gradients of one tensor: both dense, or both
+    ``RowSparse``, whose rows merge. Each element gets the value of the
+    dense sum, up to the sign of a zero.
     """
-    if isinstance(b, RowSparse):
-        a, b = b, a
     if not isinstance(a, RowSparse):
         return np.asarray(a + b)
-    if isinstance(b, RowSparse):
-        rows = np.union1d(a.rows, b.rows)
-        values = np.zeros((rows.size,) + a.values.shape[1:])
-        values[np.searchsorted(rows, a.rows)] += a.values
-        values[np.searchsorted(rows, b.rows)] += b.values
-        return RowSparse(rows, values, a.shape)
-    out = np.array(b, dtype=np.float64)
-    out[a.rows] += a.values
-    return out
+    rows = np.union1d(a.rows, b.rows)
+    values = np.zeros((rows.size,) + a.values.shape[1:])
+    values[np.searchsorted(rows, a.rows)] += a.values
+    values[np.searchsorted(rows, b.rows)] += b.values
+    return RowSparse(rows, values, a.shape)
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -178,9 +170,6 @@ class Tensor:
     @property
     def size(self) -> int:
         return self.data.size
-
-    def item(self) -> float:
-        return float(self.data)
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"

@@ -31,6 +31,7 @@ from fedphish.heads import (
     URL_PREFIX,
     LossConfig,
     ModelSpec,
+    is_table,
     proximal_term,
 )
 from fedphish.numerics import RowSparse, TouchedRows, backward, clip_global_norm, zero_grads
@@ -271,31 +272,70 @@ def test_client_train_empty_loaders_rejected():
                      TrainConfig(rounds=1), _client_rng(0, 0, 0))
 
 
+def every_row(params) -> dict[str, np.ndarray]:
+    """Every row of each table: the moved rows of a snapshot that differs
+    from the params everywhere."""
+    return {k: np.arange(p.shape[0]) for k, p in params.items() if is_table(k)}
+
+
+def desk_batch(kind, rng):
+    batch = {"x": rng.normal(size=(3, 4, 16)), "char": rng.integers(0, 33, size=(3, 32)),
+             "word": rng.integers(0, 17, size=(3, 8)), "dom": rng.integers(0, 9, size=(3, 8)),
+             "y": np.array([0, 1, 1])}
+    if kind == "url":
+        batch["x"] = rng.normal(size=(3, 16))
+    return batch
+
+
+PULLED = {"image": IMAGE_PREFIX, "html": HTML_PREFIX, "url": URL_PREFIX, "pair": FUSION_PREFIX}
+
+
 def test_proximal_pull_through_batch_loss_is_exact():
-    # with the snapshot away from the params, mu adds exactly proximal_term to
-    # the url loss and exactly mu (theta - theta_t) to every url gradient
+    # for each kind, with every row of each table moved or a strict subset
+    # (the snapshot equals the params off the moved rows): the loss at mu
+    # adds exactly proximal_term, every gradient is bitwise the gradient at
+    # mu 0 plus mu (theta - theta_t) on the pulled head, and a table's
+    # gradient is a RowSparse over its looked-up rows and, if pulled, its
+    # moved rows
     spec = ModelSpec.desk()
     params = spec.init_params(6)
     rng = np.random.default_rng(7)
-    snapshot = {k: p.data + rng.normal(scale=0.1, size=p.shape) for k, p in params.items()}
-    batch = desk_url_client(seed=7, n=16).train["url"]
     mu = 0.2
-    losses, grads = [], []
-    for m in (0.0, mu):
-        zero_grads(params)
-        cfg = TrainConfig(rounds=1, mu=m)
-        loss = batch_loss(spec.heads(), "url", params, batch, snapshot, cfg, np.random.default_rng(0))
-        backward(loss)
-        losses.append(float(loss.data))
-        grads.append({k: p.grad for k, p in params.items() if p.grad is not None})
-    url_names = sorted(k for k in params if k.startswith(URL_PREFIX))
-    assert sorted(grads[0]) == sorted(grads[1]) == url_names
-    prox = float(proximal_term(params, snapshot, mu, URL_PREFIX).data)
-    assert prox > 0
-    assert abs((losses[1] - losses[0]) - prox) <= 1e-12 * prox
-    for k in url_names:
-        pull = mu * (params[k].data - snapshot[k])
-        assert np.max(np.abs((grads[1][k] - grads[0][k]) - pull)) <= 1e-12, k
+    for kind, prefix in sorted(PULLED.items()):
+        for subset in (False, True):
+            batch = desk_batch(kind, rng)
+            moved = every_row(params)
+            if subset:
+                moved = {k: np.sort(rng.choice(r, size=r.size // 2, replace=False))
+                         for k, r in moved.items()}
+            snapshot = {k: p.data + rng.normal(scale=0.1, size=p.shape) for k, p in params.items()}
+            for k, rows in moved.items():
+                still = np.setdiff1d(np.arange(params[k].shape[0]), rows)
+                snapshot[k][still] = params[k].data[still]
+            losses, grads = [], []
+            for m in (0.0, mu):
+                zero_grads(params)
+                cfg = TrainConfig(rounds=1, mu=m, loss=LossConfig(modal_dropout_p=0.0))
+                loss = batch_loss(spec.heads(), kind, params, batch, snapshot, moved, cfg,
+                                  np.random.default_rng(0))
+                backward(loss)
+                losses.append(loss.data)
+                grads.append({k: p.grad for k, p in params.items() if p.grad is not None})
+            plain, pulled = grads
+            prox = proximal_term(params, snapshot, moved, mu, prefix).data
+            assert prox > 0
+            assert losses[1] == losses[0] + prox, kind
+            assert sorted(pulled) == sorted(set(plain) | {k for k in params if k.startswith(prefix)})
+            for k, g in pulled.items():
+                base = np.array(plain[k]) if k in plain else np.zeros(params[k].shape)
+                pull = mu * (params[k].data - snapshot[k]) if k.startswith(prefix) else 0.0
+                assert np.array_equal(np.array(g), base + pull), (kind, subset, k)
+                if is_table(k):
+                    rows = np.unique(batch[k[len(HTML_PREFIX):].split(".")[0]])
+                    if k.startswith(prefix):
+                        rows = np.union1d(rows, moved[k])
+                    assert isinstance(g, RowSparse), (kind, subset, k)
+                    assert np.array_equal(g.rows, rows), (kind, subset, k)
 
     # and local training feels it: mu > 0 reports different url params
     broadcast = {k: p.data for k, p in spec.init_params(6).items()}
@@ -304,11 +344,13 @@ def test_proximal_pull_through_batch_loss_is_exact():
                          TrainConfig(rounds=1, epochs=2, batch_size=16, seed=6, mu=m),
                          _client_rng(6, 0, 0))
             for m in (0.0, mu)]
+    url_names = [k for k in broadcast if k.startswith(URL_PREFIX)]
     assert any(not np.array_equal(reps[0].params[k], reps[1].params[k]) for k in url_names)
 
 
 def test_html_step_leaves_embedding_gradients_row_sparse():
-    # guards against a silent dense fallback of the table gradients
+    # guards against a silent dense fallback of the table gradients, with
+    # and without a pull over one row of each table that no page looks up
     from fedphish.data import synth_html
     from fedphish.preproc import PreprocConfig
 
@@ -316,19 +358,28 @@ def test_html_step_leaves_embedding_gradients_row_sparse():
     spec = ModelSpec.desk_pages()
     batch = synth_html(8, seed=2, preproc_cfg=pcfg)
     params = spec.init_params(13)
-    snapshot = {k: p.data for k, p in params.items()}
-    zero_grads(params)
-    loss = batch_loss(spec.heads(), "html", params, batch, snapshot, TrainConfig(rounds=1),
-                      np.random.default_rng(0))
-    backward(loss)
-    grads = [params[k].grad for k in sorted(params) if params[k].grad is not None]
-    clip_global_norm(grads, 1.0)
-    for branch, ids in (("char", batch["char"]), ("word", batch["word"]), ("dom", batch["dom"])):
-        grad = params[HTML_PREFIX + f"{branch}.embed"].grad
-        assert isinstance(grad, RowSparse), branch
-        assert np.array_equal(grad.rows, np.unique(ids))
-        assert grad.shape == params[HTML_PREFIX + f"{branch}.embed"].shape
-    assert len(params[HTML_PREFIX + "word.embed"].grad.rows) < spec.html.word_vocab
+    moved = {HTML_PREFIX + f"{branch}.embed": np.setdiff1d(
+                 np.arange(params[HTML_PREFIX + f"{branch}.embed"].shape[0]), batch[branch])[:1]
+             for branch in ("char", "word", "dom")}
+    snapshot = {k: p.data.copy() for k, p in params.items()}
+    for k, rows in moved.items():
+        snapshot[k][rows] += 0.5
+    for mu in (0.0, 0.02):
+        zero_grads(params)
+        loss = batch_loss(spec.heads(), "html", params, batch, snapshot, moved,
+                          TrainConfig(rounds=1, mu=mu), np.random.default_rng(0))
+        backward(loss)
+        grads = [params[k].grad for k in sorted(params) if params[k].grad is not None]
+        clip_global_norm(grads, 1.0)
+        for branch, ids in (("char", batch["char"]), ("word", batch["word"]), ("dom", batch["dom"])):
+            name = HTML_PREFIX + f"{branch}.embed"
+            grad = params[name].grad
+            assert isinstance(grad, RowSparse), (mu, branch)
+            assert moved[name].size == 1
+            want = np.union1d(np.unique(ids), moved[name]) if mu > 0 else np.unique(ids)
+            assert np.array_equal(grad.rows, want), (mu, branch)
+            assert grad.shape == params[name].shape
+        assert len(params[HTML_PREFIX + "word.embed"].grad.rows) < spec.html.word_vocab
 
 
 def desk_html_client(cid="h0", n=16, seed=2):
@@ -342,6 +393,7 @@ def desk_html_client(cid="h0", n=16, seed=2):
 
 @pytest.mark.parametrize("mu", [0.0, 0.02])
 def test_client_train_reports_tables_as_touched_rows(mu):
+    # the pull, like the lookups, moves only the rows training touched
     spec = ModelSpec.desk_pages()
     client = desk_html_client()
     broadcast = {k: p.data for k, p in spec.init_params(5).items()}
@@ -350,13 +402,10 @@ def test_client_train_reports_tables_as_touched_rows(mu):
     for branch in ("char", "word", "dom"):
         name = HTML_PREFIX + f"{branch}.embed"
         value = rep.params[name]
-        if mu > 0:  # the proximal pull reaches every row: the table is reported whole
-            assert isinstance(value, np.ndarray) and value.shape == broadcast[name].shape
-            continue
         assert isinstance(value, TouchedRows), branch
         assert np.array_equal(value.rows, np.unique(client.train["html"][branch]))
         assert value.values.shape == (value.rows.size,) + broadcast[name].shape[1:]
-    assert all(isinstance(v, np.ndarray) for k, v in rep.params.items() if not k.endswith(".embed"))
+    assert all(isinstance(v, np.ndarray) for k, v in rep.params.items() if not is_table(k))
 
 
 def graph_nodes(loss) -> int:
@@ -373,24 +422,25 @@ def graph_nodes(loss) -> int:
 
 
 # layer norm, GELU, log-softmax, focal loss and unit normalisation are one
-# node each; a primitive that turns back into a chain of nodes fails here
-BATCH_LOSS_NODES = {"image": 110, "html": 68, "url": 25, "pair": 249}
+# node each, and so is the proximal pull; a primitive that turns back into
+# a chain of nodes fails here
+BATCH_LOSS_NODES = {
+    0.0: {"image": 110, "html": 68, "url": 25, "pair": 249},
+    0.02: {"image": 111, "html": 69, "url": 26, "pair": 250},
+}
 
 
-@pytest.mark.parametrize("kind", sorted(BATCH_LOSS_NODES))
+@pytest.mark.parametrize("kind", sorted(BATCH_LOSS_NODES[0.0]))
 def test_batch_loss_graph_node_count(kind):
     spec = ModelSpec.desk()
     params = spec.init_params(0)
-    rng = np.random.default_rng(1)
-    batch = {"x": rng.normal(size=(3, 4, 16)), "char": rng.integers(0, 33, size=(3, 32)),
-             "word": rng.integers(0, 17, size=(3, 8)), "dom": rng.integers(0, 9, size=(3, 8)),
-             "y": np.array([0, 1, 1])}
-    if kind == "url":
-        batch["x"] = rng.normal(size=(3, 16))
+    batch = desk_batch(kind, np.random.default_rng(1))
     snapshot = {k: p.data for k, p in params.items()}
-    cfg = TrainConfig(loss=LossConfig(modal_dropout_p=0.0))
-    loss = batch_loss(spec.heads(), kind, params, batch, snapshot, cfg, np.random.default_rng(2))
-    assert graph_nodes(loss) == BATCH_LOSS_NODES[kind]
+    for mu, nodes in sorted(BATCH_LOSS_NODES.items()):
+        cfg = TrainConfig(mu=mu, loss=LossConfig(modal_dropout_p=0.0))
+        loss = batch_loss(spec.heads(), kind, params, batch, snapshot, every_row(params), cfg,
+                          np.random.default_rng(2))
+        assert graph_nodes(loss) == nodes[kind], mu
 
 
 class FixedDraw:
@@ -403,6 +453,9 @@ class FixedDraw:
 
     def random(self, size=None):
         return self.r if size is None else self.rng.random(size)
+
+    def permutation(self, n):
+        return self.rng.permutation(n)
 
 
 @pytest.mark.parametrize("r, dropped", [(0.05, "image"), (0.15, "html"), (0.5, None)])
@@ -417,7 +470,7 @@ def test_pair_modality_dropout_split(r, dropped):
     snapshot = {k: p.data for k, p in params.items()}
     cfg = TrainConfig(rounds=1, loss=LossConfig(modal_dropout_p=0.2))
     zero_grads(params)
-    backward(batch_loss(spec.heads(), "pair", params, batch, snapshot, cfg, FixedDraw(r)))
+    backward(batch_loss(spec.heads(), "pair", params, batch, snapshot, {}, cfg, FixedDraw(r)))
     reached = {k for k, p in params.items() if p.grad is not None}
     # both branch heads learn from the auxiliary losses whichever branch is dropped
     branches = {k for k in params if k.startswith((IMAGE_PREFIX, HTML_PREFIX))}
@@ -428,6 +481,44 @@ def test_pair_modality_dropout_split(r, dropped):
     assert len(gate) == 4
     assert gate & reached == (gate if dropped is None else set())
     assert not any(k.startswith(URL_PREFIX) for k in reached)
+
+
+def test_untouched_table_travels_as_zero_rows_next_to_a_touched_owner():
+    # a pair-only client with aux and JS off whose every batch drops html
+    # never moves its html tables; it reports them as zero rows, and they
+    # aggregate next to an html client's touched rows as the whole broadcast
+    from fedphish.data import synth_paired
+    from fedphish.preproc import PreprocConfig
+
+    pcfg = PreprocConfig(char_len=64, word_len=16, dom_len=16, word_buckets=257, dom_buckets=61)
+    spec = ModelSpec.desk_pages()
+    broadcast = {k: p.data for k, p in spec.init_params(5).items()}
+    pairs = synth_paired(8, seed=1, image_length=4, image_dim=16, preproc_cfg=pcfg)
+    pair_client = ClientData(client_id="p0", train={"pair": pairs}, val={"pair": pairs})
+    loss = LossConfig(modal_dropout_p=0.2, lambda_aux=0.0, lambda_js=0.0)
+    cfg = TrainConfig(rounds=1, epochs=1, batch_size=4, seed=5, loss=loss)
+    idle = client_train(pair_client, broadcast, spec, cfg, FixedDraw(0.15))
+    busy = client_train(desk_html_client(), broadcast, spec, cfg, _client_rng(5, 0, 1))
+    tables = [k for k in broadcast if k.startswith(HTML_PREFIX) and is_table(k)]
+    assert len(tables) == 3
+    for name in tables:
+        value = idle.params[name]
+        assert isinstance(value, TouchedRows) and value.rows.size == 0, name
+        assert value.values.shape == (0,) + broadcast[name].shape[1:]
+    w_idle, w_busy = idle.weights["html"], busy.weights["html"]
+    total = w_idle + w_busy
+    for reports, pool in (([idle, busy], [(w_idle, None), (w_busy, busy)]),
+                          ([busy, idle], [(w_busy, busy), (w_idle, None)])):
+        new = aggregate(broadcast, reports)
+        for name in tables:
+            old = broadcast[name]
+            whole = [(w, old if r is None else r.params[name].onto(old)) for w, r in pool]
+            want = (whole[0][0] / total) * whole[0][1]
+            want += (whole[1][0] / total) * whole[1][1]
+            touched = busy.params[name].rows
+            assert np.array_equal(new[name][touched], want[touched]), name
+            rest = np.setdiff1d(np.arange(old.shape[0]), touched)
+            assert np.array_equal(new[name][rest], old[rest]), name
 
 
 def test_client_rng_streams_differ_by_round_and_client():

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from test_federation import every_row
 from test_numerics import (
     gelu_composition,
     l2_normalize_composition,
@@ -34,6 +35,7 @@ from fedphish.heads import (
     proximal_term,
 )
 from fedphish.numerics import (
+    RowSparse,
     Tensor,
     backward,
     finite_difference_check,
@@ -529,7 +531,8 @@ def test_batch_loss_gradients_match_compositions(kind, monkeypatch):
 
     def loss_and_grads():
         zero_grads(params)
-        loss = batch_loss(spec.heads(), kind, params, batch, snap, cfg, np.random.default_rng(5))
+        loss = batch_loss(spec.heads(), kind, params, batch, snap, every_row(params), cfg,
+                          np.random.default_rng(5))
         backward(loss)
         return loss.data, {k: np.array(p.grad) for k, p in params.items() if p.grad is not None}
 
@@ -610,19 +613,19 @@ def test_js_consistency_stable_on_extreme_logits():
 def test_proximal_zero_at_snapshot():
     _, params = desk_params(seed=28)
     snap = {k: p.data.copy() for k, p in params.items()}
-    assert float(proximal_term(params, snap, 0.02, URL_PREFIX).data) == 0.0
+    assert float(proximal_term(params, snap, {}, 0.02, URL_PREFIX).data) == 0.0
 
 
 def test_proximal_zero_mu():
     _, params = desk_params(seed=29)
     snap = {k: p.data + 1.0 for k, p in params.items()}
-    assert float(proximal_term(params, snap, 0.0, URL_PREFIX).data) == 0.0
+    assert float(proximal_term(params, snap, {}, 0.0, URL_PREFIX).data) == 0.0
 
 
 def test_proximal_hand_value():
     local = {"url_head.w": Tensor(np.array(3.0), requires_grad=True)}
     snap = {"url_head.w": np.array(1.0)}
-    val = proximal_term(local, snap, 0.02, URL_PREFIX)
+    val = proximal_term(local, snap, {}, 0.02, URL_PREFIX)
     assert abs(float(val.data) - 0.04) < 1e-15
 
 
@@ -631,22 +634,45 @@ def test_proximal_gradient_is_mu_times_diff():
     local = {"url_head.w": Tensor(rng.normal(size=(3, 2)), requires_grad=True)}
     snap = {"url_head.w": rng.normal(size=(3, 2))}
     mu = 0.7
-    backward(proximal_term(local, snap, mu, URL_PREFIX))
+    backward(proximal_term(local, snap, {}, mu, URL_PREFIX))
     expected = mu * (local["url_head.w"].data - snap["url_head.w"])
     assert np.allclose(local["url_head.w"].grad, expected, atol=1e-15)
+
+
+def test_proximal_table_compares_moved_rows_only():
+    rng = np.random.default_rng(31)
+    table = Tensor(rng.normal(size=(6, 2)), requires_grad=True)
+    local = {"html_head.word.embed": table,
+             "html_head.cls.b": Tensor(rng.normal(size=3), requires_grad=True)}
+    snap = {k: p.data + rng.normal(size=p.shape) for k, p in local.items()}
+    rows = np.array([1, 4])
+    mu = 0.3
+    term = proximal_term(local, snap, {"html_head.word.embed": rows}, mu, HTML_PREFIX)
+    d_table = table.data[rows] - snap["html_head.word.embed"][rows]
+    d_b = local["html_head.cls.b"].data - snap["html_head.cls.b"]
+    assert term.data == ((d_b * d_b).sum() + (d_table * d_table).sum()) * (mu / 2.0)
+    backward(term)
+    assert isinstance(table.grad, RowSparse)
+    assert np.array_equal(table.grad.rows, rows)
+    assert np.array_equal(table.grad.values, mu * d_table)
+    assert np.array_equal(local["html_head.cls.b"].grad, mu * d_b)
+    # a table missing from ``moved`` has moved nowhere: no value, no rows
+    zero_grads(local)
+    backward(proximal_term(local, snap, {}, mu, HTML_PREFIX))
+    assert table.grad.rows.size == 0
 
 
 def test_proximal_missing_name_is_configuration_error():
     local = {"url_head.w": Tensor(np.array(1.0), requires_grad=True)}
     with pytest.raises(ValueError, match="snapshot is missing parameter 'url_head.w'"):
-        proximal_term(local, {}, 0.1, URL_PREFIX)
+        proximal_term(local, {}, {}, 0.1, URL_PREFIX)
 
 
 def test_proximal_only_touches_prefix():
     _, params = desk_params(seed=31)
     snap = {k: p.data + 0.5 for k, p in params.items()}
     zero_grads(params)
-    term = proximal_term(params, snap, 1.0, FUSION_PREFIX)
+    term = proximal_term(params, snap, {}, 1.0, FUSION_PREFIX)
     backward(term)
     for name, p in params.items():
         if name.startswith(FUSION_PREFIX):
@@ -671,7 +697,8 @@ def full_loss_closure(spec, params, seed):
     }
     snap = {k: p.data + rng.normal(scale=0.05, size=p.data.shape) for k, p in params.items()}
     cfg = TrainConfig(mu=0.02, loss=LossConfig(modal_dropout_p=0.0))
-    return lambda: batch_loss(heads, "pair", params, batch, snap, cfg, np.random.default_rng(seed + 999))
+    return lambda: batch_loss(heads, "pair", params, batch, snap, every_row(params), cfg,
+                              np.random.default_rng(seed + 999))
 
 
 def test_fusion_full_loss_gradient_fidelity_sampled():
@@ -693,7 +720,7 @@ def test_url_full_loss_gradient_fidelity():
     cfg = TrainConfig(mu=0.02)
 
     def loss_fn():
-        return batch_loss(heads, "url", params, batch, snap, cfg, np.random.default_rng(36))
+        return batch_loss(heads, "url", params, batch, snap, {}, cfg, np.random.default_rng(36))
 
     err = finite_difference_check(loss_fn, url_params)
     assert err < 1e-4, err

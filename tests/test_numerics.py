@@ -863,24 +863,6 @@ def test_touched_rows_adam_equals_dense_over_seven_steps():
     assert np.array_equal(sparse_p.data[1], init[1])  # never touched
 
 
-def test_adam_dense_step_between_sparse_steps_stays_exact():
-    # a dense gradient (a proximal pull) can leave any row's moments nonzero
-    rng = np.random.default_rng(31)
-    shape = (30, 2)
-    init = rng.normal(size=shape)
-    grads = [row_sparse([4], rng, shape), rng.normal(size=shape),
-             row_sparse([4, 9], rng, shape), row_sparse([20], rng, shape)]
-    sparse_p = Tensor(init.copy(), requires_grad=True)
-    dense_p = Tensor(init.copy(), requires_grad=True)
-    sparse_opt, dense_opt = Adam({"t": sparse_p}), Adam({"t": dense_p})
-    for g in grads:
-        sparse_p.grad = g
-        dense_p.grad = np.asarray(g)
-        sparse_opt.step()
-        dense_opt.step()
-        assert np.array_equal(sparse_p.data, dense_p.data)
-
-
 def test_table_looked_up_twice_accumulates_bitwise():
     rng = np.random.default_rng(32)
     init = rng.normal(size=(20, 4))
@@ -896,22 +878,6 @@ def test_table_looked_up_twice_accumulates_bitwise():
     assert isinstance(sparse, RowSparse)
     assert np.array_equal(sparse.rows, np.union1d(a_ids, b_ids))
     assert np.array_equal(sparse.dense(), dense)
-
-
-def test_table_plus_proximal_term_accumulates_bitwise():
-    rng = np.random.default_rng(33)
-    init = rng.normal(size=(20, 4))
-    snapshot = Tensor(init + rng.normal(scale=0.01, size=init.shape))
-    ids = rng.integers(0, 20, size=(4, 3))
-    w = Tensor(rng.normal(size=4))
-    grads = []
-    for lookup in (embedding, lambda t, ids: t[ids]):
-        table = Tensor(init.copy(), requires_grad=True)
-        diff = table - snapshot
-        backward((lookup(table, ids) * w).sum() + (diff * diff).sum() * 0.05)
-        grads.append(table.grad)
-    assert isinstance(grads[0], np.ndarray)
-    assert np.array_equal(grads[0], grads[1])
 
 
 def test_clip_mixed_row_sparse_and_dense_matches_densified():

@@ -39,11 +39,10 @@ def test_embedding_gradient_is_the_dense_scatter_add(lookup, seed):
 
 @st.composite
 def step_sequences(draw):
-    """(table shape, steps): each step is a list of looked-up rows, or None
-    for a dense gradient over the whole table."""
+    """(table shape, steps): each step is a list of looked-up rows."""
     rows = draw(st.integers(1, 30))
     shape = (rows, draw(st.integers(1, 3)))
-    step = st.one_of(st.none(), st.lists(st.integers(0, rows - 1), min_size=1, max_size=8))
+    step = st.lists(st.integers(0, rows - 1), min_size=1, max_size=8)
     steps = draw(st.lists(step, min_size=1, max_size=8))
     return shape, steps
 
@@ -59,36 +58,29 @@ def test_touched_rows_optimizer_is_the_dense_optimizer(sequence, seed):
     sparse_opt = Adam({"t": sparse_p}, lr=0.01)
     dense_opt = Adam({"t": dense_p}, lr=0.01)
     for rows in steps:
-        if rows is None:
-            g = rng.normal(size=shape)
-        else:
-            unique = np.unique(rows)
-            g = RowSparse(unique, rng.normal(size=(unique.size,) + shape[1:]), shape)
+        unique = np.unique(rows)
+        g = RowSparse(unique, rng.normal(size=(unique.size,) + shape[1:]), shape)
         sparse_p.grad, dense_p.grad = g, np.array(g)
         sparse_opt.step()
         dense_opt.step()
         assert np.array_equal(sparse_p.data, dense_p.data)
-    # moments on the row-sparse path cover exactly the rows touched so far;
-    # scattered back, they are the dense optimizer's moments
+    # the moments cover exactly the rows touched so far; scattered back,
+    # they are the dense optimizer's moments
     m, v = sparse_opt.m["t"], sparse_opt.v["t"]
-    if None not in steps:
-        rows = np.unique(np.concatenate(steps))
-        assert np.array_equal(sparse_opt.rows["t"], rows)
-        assert m.shape == v.shape == (rows.size,) + shape[1:]
-        m, v = RowSparse(rows, m, shape).dense(), RowSparse(rows, v, shape).dense()
-    else:
-        assert "t" not in sparse_opt.rows
+    rows = np.unique(np.concatenate(steps))
+    assert np.array_equal(sparse_opt.rows["t"], rows)
+    assert m.shape == v.shape == (rows.size,) + shape[1:]
+    m, v = RowSparse(rows, m, shape).dense(), RowSparse(rows, v, shape).dense()
     assert np.array_equal(m, dense_opt.m["t"])
     assert np.array_equal(v, dense_opt.v["t"])
 
 
 @st.composite
 def owner_reports(draw):
-    """(table shape, owners): each owner is (weight, touched rows), where
-    touched rows None stands for a table reported whole."""
+    """(table shape, owners): each owner is (weight, touched rows)."""
     shape = (draw(st.integers(1, 12)), draw(st.integers(1, 3)))
     weight = st.floats(min_value=2.0**-20, max_value=2.0**20)
-    touched = st.one_of(st.none(), st.sets(st.integers(0, shape[0] - 1)))
+    touched = st.sets(st.integers(0, shape[0] - 1))
     owners = draw(st.lists(st.tuples(weight, touched), min_size=1, max_size=4))
     return shape, owners
 
@@ -103,12 +95,12 @@ def test_touched_rows_aggregate_is_the_dense_aggregate(case, seed):
     reports, dense = [], []  # dense: (weight, whole table) in client order
     touched_any = np.zeros(shape[0], dtype=bool)
     for i, (weight, touched) in enumerate(owners):
-        rows = np.arange(shape[0]) if touched is None else np.array(sorted(touched), dtype=np.int64)
+        rows = np.array(sorted(touched), dtype=np.int64)
         new = old.copy()
         new[rows] = rng.normal(size=(rows.size,) + shape[1:])
         touched_any[rows] = True
-        report = new if touched is None else TouchedRows(rows, new[rows])
-        reports.append(ClientReport(f"c{i}", {"html_head.t": report}, {"html": weight}))
+        reports.append(ClientReport(f"c{i}", {"html_head.t": TouchedRows(rows, new[rows])},
+                                    {"html": weight}))
         dense.append((weight, new))
     order = rng.permutation(len(owners))
     got = aggregate({"html_head.t": old}, [reports[i] for i in order])["html_head.t"]
