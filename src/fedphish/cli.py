@@ -100,7 +100,7 @@ def gradcheck_suite(seeds: int) -> dict[str, float]:
     carry numerically meaningful gradient mass.
     """
     from .federation import TrainConfig, batch_loss
-    from .heads import LossConfig, ModelSpec, is_table
+    from .heads import LossConfig, ModelSpec
     from .numerics import backward, finite_difference_check, zero_grads
 
     spec = ModelSpec.desk()
@@ -124,8 +124,6 @@ def gradcheck_suite(seeds: int) -> dict[str, float]:
         page["y"] = url["y"] = rng.integers(0, 2, size=2)
         snap = {k: p.data + rng.normal(scale=0.05, size=p.data.shape)
                 for k, p in params.items()}
-        # the snapshot differs on every row, so every row of a table has moved
-        moved = {k: np.arange(p.shape[0]) for k, p in params.items() if is_table(k)}
 
         # (head, batch kind, batch, coordinates per tensor). The fusion loss
         # reaches every branch parameter; it samples those more sparsely, the
@@ -136,7 +134,7 @@ def gradcheck_suite(seeds: int) -> dict[str, float]:
             def loss_fn(kind=kind, batch=batch, offset=offset):
                 # dropout reseeded per call: every evaluation sees one function
                 drop = np.random.default_rng(seed + offset)
-                return batch_loss(heads, kind, params, batch, snap, moved, cfg, drop)
+                return batch_loss(heads, kind, params, batch, snap, cfg, drop)
 
             zero_grads(params)
             backward(loss_fn())

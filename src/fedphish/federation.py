@@ -3,9 +3,10 @@
 Every parameter belongs to one of four roles (image, html, url, fusion) by
 name prefix. A client owns the roles its training data reaches, with one
 weight per role (sample counts, or equal weight for html); it copies and
-trains only the parameters of those roles. It reports a dense parameter
-whole and an embedding table as its touched rows: every gradient of a
-table is row-sparse, so every other row is still the broadcast value
+trains only the parameters of those roles. Of an embedding table it copies
+only the rows its training streams can look up, PAD included, and trains
+that compact table with the ids mapped into it. It reports a dense
+parameter whole and a table as those rows: no other row can move
 (Konečný et al., 2016, structured updates). The server averages each role
 only over its owners, and a role nobody owns keeps its old values.
 
@@ -38,6 +39,7 @@ from .heads import (
     FUSION_PREFIX,
     HTML_PREFIX,
     IMAGE_PREFIX,
+    TABLE_OF_STREAM,
     URL_PREFIX,
     LossConfig,
     ModelSpec,
@@ -45,7 +47,6 @@ from .heads import (
     _is_int,
     _is_real,
     focal_loss,
-    is_table,
     js_consistency,
     proximal_term,
 )
@@ -94,14 +95,13 @@ def group_of(param_name: str) -> str:
 
 @dataclass
 class ClientReport:
-    """One client's trained parameters of the roles it owns, its aggregation
-    weight per owned role and its mean training loss per phase. A dense
-    parameter is an array; a table is the ``TouchedRows`` it trained."""
+    """One client's trained parameters of the roles it owns and its
+    aggregation weight per owned role. A dense parameter is an array; a
+    table is the ``TouchedRows`` it trained."""
 
     client_id: str
     params: dict[str, np.ndarray | TouchedRows]
     weights: dict[str, float]
-    train_loss: dict[str, float] = field(default_factory=dict)
 
 
 @dataclass
@@ -249,7 +249,7 @@ def head_logits(heads, kind: str, params, batch, train: bool = False, rng=None) 
     return heads[kind].forward(params, batch["x"], train=train, rng=rng)
 
 
-def batch_loss(heads, kind: str, params, batch, snapshot, moved, cfg: TrainConfig, rng) -> Tensor:
+def batch_loss(heads, kind: str, params, batch, snapshot, cfg: TrainConfig, rng) -> Tensor:
     """The training loss of one batch of ``kind`` (image, html, url or pair).
 
     A single-modality batch gives the focal loss of its head. A pair batch
@@ -257,15 +257,14 @@ def batch_loss(heads, kind: str, params, batch, snapshot, moved, cfg: TrainConfi
     (batch-level modality dropout, one ``rng.random()`` per batch), fuses
     what is left, and adds the auxiliary branch losses and the JS
     consistency term. Either way the proximal pull toward ``snapshot``
-    covers the head being trained (fusion for pairs) and, on a table, its
-    ``moved`` rows.
+    covers the head being trained (fusion for pairs).
     """
     loss_cfg = cfg.loss
     labels = batch["y"]
     if kind != "pair":
         logits = head_logits(heads, kind, params, batch, train=True, rng=rng)
         loss = focal_loss(logits, labels, loss_cfg.focal_gamma)
-        return loss + proximal_term(params, snapshot, moved, cfg.mu, _ROLE_PREFIX[kind])
+        return loss + proximal_term(params, snapshot, cfg.mu, _ROLE_PREFIX[kind])
     l_i = head_logits(heads, "image", params, batch, train=True, rng=rng)
     l_h = head_logits(heads, "html", params, batch, train=True, rng=rng)
     l_i_star, l_h_star = l_i, l_h
@@ -283,7 +282,29 @@ def batch_loss(heads, kind: str, params, batch, snapshot, moved, cfg: TrainConfi
         )
     if loss_cfg.lambda_js > 0:
         loss = loss + loss_cfg.lambda_js * js_consistency(l_i, l_h)
-    return loss + proximal_term(params, snapshot, moved, cfg.mu, FUSION_PREFIX)
+    return loss + proximal_term(params, snapshot, cfg.mu, FUSION_PREFIX)
+
+
+def _compact_tables(train: dict[str, dict[str, np.ndarray]], broadcast: dict[str, np.ndarray],
+                    weights: dict[str, float]):
+    """For each table of an owned role: the sorted rows the client's training
+    streams can look up, plus PAD (the table's last row, which the head pads
+    short pages with). And for each such stream: a table-sized map from a
+    row to its position among those rows."""
+    rows, position = {}, {}
+    for stream, name in TABLE_OF_STREAM.items():
+        if group_of(name) not in weights:
+            continue
+        # a mask and a position map are cheaper than np.unique's sort
+        reached = np.zeros(broadcast[name].shape[0], dtype=bool)
+        reached[-1] = True
+        for arrays in train.values():
+            if stream in arrays:
+                reached[arrays[stream]] = True
+        rows[name] = np.flatnonzero(reached)
+        position[stream] = np.empty(reached.size, dtype=np.intp)
+        position[stream][rows[name]] = np.arange(rows[name].size)
+    return rows, position
 
 
 def client_train(
@@ -295,44 +316,39 @@ def client_train(
 ) -> ClientReport:
     """Local training from the broadcast snapshot, which also serves as the
     proximal anchor. Only the parameters of the roles the client owns are
-    copied, optimised and returned; no other parameter gets a gradient. The
-    optimizer's touched rows are the rows each table has moved: the pull
-    covers them, and each table is returned as those rows."""
+    copied, optimised and returned; no other parameter gets a gradient. A
+    table is copied, pulled, trained and returned as the compact table of
+    the rows the client's streams can look up, with each batch's ids mapped
+    to positions in it."""
     weights = data.role_weights()
     if not weights:
         raise ValueError(f"client {data.client_id} has no training data")
     heads = model.heads()
+    rows, position = _compact_tables(data.train, broadcast, weights)
+    snapshot = broadcast | {name: broadcast[name][r] for name, r in rows.items()}
     params = {
-        k: Tensor(v.copy(), requires_grad=True) for k, v in broadcast.items() if group_of(k) in weights
+        k: Tensor(v.copy(), requires_grad=True) for k, v in snapshot.items() if group_of(k) in weights
     }
     optimizer = make_optimizer(params, cfg.lr)
-    loss_sums: dict[str, float] = {}
-    loss_counts: dict[str, int] = {}
 
     for _ in range(cfg.epochs):
         for kind in ("image", "html", "url", "pair"):
             if kind not in data.train:
                 continue
             arrays = data.train[kind]
-            head = "fusion" if kind == "pair" else kind
             for idx in _batches(len(arrays["y"]), cfg.batch_size, rng):
                 zero_grads(params)
-                batch = {k: v[idx] for k, v in arrays.items()}
-                loss = batch_loss(heads, kind, params, batch, broadcast, optimizer.rows, cfg, rng)
+                batch = {k: position[k][v[idx]] if k in position else v[idx] for k, v in arrays.items()}
+                loss = batch_loss(heads, kind, params, batch, snapshot, cfg, rng)
                 backward(loss)
                 grads = [params[k].grad for k in sorted(params) if params[k].grad is not None]
                 clip_global_norm(grads, cfg.clip)
                 optimizer.step()
-                loss_sums[head] = loss_sums.get(head, 0.0) + float(loss.data)
-                loss_counts[head] = loss_counts.get(head, 0) + 1
 
-    # a table no gradient reached has moved no row
-    rows = {k: optimizer.rows.get(k, np.arange(0)) for k in params if is_table(k)}
     return ClientReport(
         data.client_id,
-        {k: TouchedRows(rows[k], p.data[rows[k]]) if k in rows else p.data for k, p in params.items()},
+        {k: TouchedRows(rows[k], p.data) if k in rows else p.data for k, p in params.items()},
         weights,
-        train_loss={k: loss_sums[k] / loss_counts[k] for k in loss_sums},
     )
 
 
@@ -431,11 +447,10 @@ def run_experiment(
         params = aggregate(params, reports)
 
         entries = []
-        role_counts = {role: len(select_clients(role, reports)) for role in _ROLE_PREFIX}
         for client in clients:
             for head, (loss, m) in sorted(client_evaluate(params, client, model, cfg).items()):
                 entries.append(RoundEntry(client_id=client.client_id, head=head, loss=loss, metrics=m))
-        log_entry = RoundLog(round_index=round_index, entries=entries, role_counts=role_counts)
+        log_entry = RoundLog(round_index=round_index, entries=entries)
         logs.append(log_entry)
         if round_hook is not None:
             round_hook(round_index, params, log_entry)

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .numerics import (
-    RowSparse,
     Tensor,
     affine,
     attention_pool,
@@ -45,14 +44,18 @@ __all__ = [
     "FusionHead",
     "focal_loss",
     "js_consistency",
-    "is_table",
     "proximal_term",
+    "TABLE_OF_STREAM",
 ]
 
 IMAGE_PREFIX = "image_head."
 HTML_PREFIX = "html_head."
 URL_PREFIX = "url_head."
 FUSION_PREFIX = "fusion_head."
+
+# the embedding table each html id stream looks up; its last row is the
+# stream's PAD id
+TABLE_OF_STREAM = {branch: f"{HTML_PREFIX}{branch}.embed" for branch in ("char", "word", "dom")}
 
 
 def _is_int(value) -> bool:
@@ -101,18 +104,6 @@ class HtmlHeadConfig:
     lstm_hidden: int = 64
     dropout: float = 0.2
     classifier_hidden: int = 512
-
-    @property
-    def char_pad(self) -> int:
-        return self.char_vocab - 1
-
-    @property
-    def word_pad(self) -> int:
-        return self.word_vocab - 1
-
-    @property
-    def dom_pad(self) -> int:
-        return self.dom_vocab - 1
 
     @property
     def concat_dim(self) -> int:
@@ -168,11 +159,6 @@ def _ones(*shape) -> Tensor:
 
 def _embed_table(rng: np.random.Generator, rows: int, dim: int) -> Tensor:
     return Tensor(rng.normal(0.0, 0.02, size=(rows, dim)), requires_grad=True)
-
-
-def is_table(name: str) -> bool:
-    """Whether a parameter is a table made by ``_embed_table``."""
-    return name.endswith(".embed")
 
 
 def _lstm_params(rng: np.random.Generator, d_in: int, hidden: int) -> dict[str, Tensor]:
@@ -261,7 +247,13 @@ class ImageHead:
 
 class HtmlHead:
     """Char conv branch plus word and DOM BiLSTM branches with attention
-    pooling, concatenated into the shared classifier shape."""
+    pooling, concatenated into the shared classifier shape.
+
+    Each stream's PAD id is the last row of its table. So the head gives the
+    same logits on a full table with the preprocessed ids as on a compact
+    table, some rows of the full one ending with PAD, with each id mapped to
+    its row's position there.
+    """
 
     def __init__(self, cfg: HtmlHeadConfig):
         self.cfg = cfg
@@ -269,7 +261,7 @@ class HtmlHead:
     def init_params(self, rng: np.random.Generator) -> dict[str, Tensor]:
         cfg = self.cfg
         params: dict[str, Tensor] = {}
-        params[HTML_PREFIX + "char.embed"] = _embed_table(rng, cfg.char_vocab, cfg.char_embed)
+        params[TABLE_OF_STREAM["char"]] = _embed_table(rng, cfg.char_vocab, cfg.char_embed)
         for k in cfg.conv_sizes:
             params[HTML_PREFIX + f"char.conv{k}.w"] = Tensor(
                 rng.uniform(
@@ -288,7 +280,7 @@ class HtmlHead:
             ("word", cfg.word_vocab, cfg.word_embed),
             ("dom", cfg.dom_vocab, cfg.dom_embed),
         ):
-            params[HTML_PREFIX + f"{branch}.embed"] = _embed_table(rng, vocab, emb)
+            params[TABLE_OF_STREAM[branch]] = _embed_table(rng, vocab, emb)
             for direction in ("fwd", "bwd"):
                 for k, v in _lstm_params(rng, emb, cfg.lstm_hidden).items():
                     params[HTML_PREFIX + f"{branch}.{direction}.{k}"] = v
@@ -299,28 +291,31 @@ class HtmlHead:
             params[HTML_PREFIX + "cls." + k] = v
         return params
 
-    def _recurrent_branch(self, params, branch: str, ids: np.ndarray, pad_id: int) -> Tensor:
-        emb = embedding(params[HTML_PREFIX + f"{branch}.embed"], ids)
+    def _recurrent_branch(self, params, branch: str, ids: np.ndarray) -> Tensor:
+        table = params[TABLE_OF_STREAM[branch]]
+        emb = embedding(table, ids)
         lstm = {
             f"{d}.{k}": params[HTML_PREFIX + f"{branch}.{d}.{k}"]
             for d in ("fwd", "bwd")
             for k in ("wx", "wh", "b")
         }
         states = bilstm_sequence(emb, lstm)
-        return attention_pool(states, params[HTML_PREFIX + f"{branch}.score"], ids != pad_id)
+        valid = ids != table.shape[0] - 1
+        return attention_pool(states, params[HTML_PREFIX + f"{branch}.score"], valid)
 
     def forward(self, params, char_ids, word_ids, dom_ids, train: bool = False, rng=None) -> Tensor:
         cfg = self.cfg
         conv_w = {k: params[HTML_PREFIX + f"char.conv{k}.w"] for k in cfg.conv_sizes}
         conv_b = {k: params[HTML_PREFIX + f"char.conv{k}.b"] for k in cfg.conv_sizes}
+        char_table = params[TABLE_OF_STREAM["char"]]
         char_feat = multiscale_conv_encode(
-            char_ids, params[HTML_PREFIX + "char.embed"], conv_w, conv_b, cfg.char_pad
+            char_ids, char_table, conv_w, conv_b, char_table.shape[0] - 1
         )
         char_feat = affine(
             char_feat, params[HTML_PREFIX + "char.fc.w"], params[HTML_PREFIX + "char.fc.b"]
         )
-        word_feat = self._recurrent_branch(params, "word", word_ids, cfg.word_pad)
-        dom_feat = self._recurrent_branch(params, "dom", dom_ids, cfg.dom_pad)
+        word_feat = self._recurrent_branch(params, "word", word_ids)
+        dom_feat = self._recurrent_branch(params, "dom", dom_ids)
         features = concat([char_feat, word_feat, dom_feat], axis=1)
         return _classifier_forward(params, HTML_PREFIX + "cls.", features, cfg.dropout, train, rng)
 
@@ -499,32 +494,32 @@ def js_consistency(logits_a: Tensor, logits_b: Tensor) -> Tensor:
 
 
 def proximal_term(local: dict[str, Tensor], snapshot: dict[str, np.ndarray],
-                  moved: dict[str, np.ndarray], mu: float, prefix: str) -> Tensor:
+                  mu: float, prefix: str) -> Tensor:
     """mu/2 times the squared L2 distance to the snapshot over the parameters
-    named with ``prefix``, as one graph node. A table is compared on its
-    ``moved`` rows only (none if absent), the sorted rows that may differ
-    from the snapshot. The gradient is exactly mu (theta - theta_t), and a
-    table's is a ``RowSparse`` over its moved rows."""
+    named with ``prefix``, as one graph node. The snapshot holds each
+    parameter's anchor in the parameter's shape; for a compact table, the
+    same rows of the broadcast table. The gradient is exactly
+    mu (theta - theta_t). The node keeps each parameter with its anchor and
+    takes the difference again in its backward, which is bitwise the same
+    since parameters do not change in between, so it holds no
+    parameter-size difference from forward to backward."""
     if mu == 0.0:
         return Tensor(np.array(0.0))
-    total, parts = 0.0, []  # parts: (parameter, its moved rows or None if dense, difference)
+    total, pairs = 0.0, []  # pairs: (parameter, its anchor)
     for name in sorted(local):
         if not name.startswith(prefix):
             continue
         if name not in snapshot:
             raise ValueError(f"snapshot is missing parameter {name!r}")
-        value, anchor = local[name].data, snapshot[name]
-        rows = moved.get(name, np.arange(0)) if is_table(name) else None
-        diff = value - anchor if rows is None else value[rows] - anchor[rows]
+        diff = local[name].data - snapshot[name]
         total += (diff * diff).sum()
-        parts.append((local[name], rows, diff))
+        pairs.append((local[name], snapshot[name]))
 
     def bw(g: np.ndarray):
         scale = g * mu
-        return tuple(scale * d if rows is None else RowSparse(rows, scale * d, p.shape)
-                     for p, rows, d in parts)
+        return tuple(scale * (p.data - anchor) for p, anchor in pairs)
 
-    return Tensor._node(total * (mu / 2.0), [p for p, _, _ in parts], bw)
+    return Tensor._node(total * (mu / 2.0), [p for p, _ in pairs], bw)
 
 
 # ---------------------------------------------------------------------------

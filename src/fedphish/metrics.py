@@ -98,7 +98,6 @@ class RoundEntry:
 class RoundLog:
     round_index: int
     entries: list[RoundEntry] = field(default_factory=list)
-    role_counts: dict[str, int] = field(default_factory=dict)
 
 
 def write_round_csv(logs: list[RoundLog], path) -> None:

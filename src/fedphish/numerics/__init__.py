@@ -1,8 +1,9 @@
 """Tensor math: reverse-mode autodiff, layer primitives, the optimizer.
 
-Arrays are dense float64, except an embedding table's gradient, always a
-``RowSparse`` over the rows a batch looked up or a pull moved, and a trained
-table's ``TouchedRows``, the new values of only the rows training changed.
+Arrays, gradients and optimizer state are dense float64. A client trains a
+compact table, the rows of an embedding table its data can look up, and
+reports it as ``TouchedRows``: those rows' new values, the other rows of
+the table unchanged.
 """
 
 from .gradcheck import finite_difference_check
@@ -25,7 +26,6 @@ from .layers import (
 from .optim import Adam, clip_global_norm, make_optimizer
 from .tensor import (
     GradientError,
-    RowSparse,
     Tensor,
     TouchedRows,
     backward,
@@ -36,7 +36,6 @@ from .tensor import (
 __all__ = [
     "Adam",
     "GradientError",
-    "RowSparse",
     "Tensor",
     "TouchedRows",
     "affine",

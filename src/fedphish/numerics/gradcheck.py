@@ -35,10 +35,8 @@ def finite_difference_check(
     zero_grads(params)
     loss = loss_fn()
     backward(loss)
-    # np.array copies a dense gradient and densifies a row-sparse one
     analytic = {
-        k: (np.array(p.grad) if p.grad is not None else np.zeros_like(p.data))
-        for k, p in params.items()
+        k: (p.grad if p.grad is not None else np.zeros_like(p.data)) for k, p in params.items()
     }
 
     worst = 0.0
@@ -53,7 +51,7 @@ def finite_difference_check(
                 coords = np.argsort(-magnitude, kind="stable")[:coord_limit]
         else:
             coords = range(n)
-        ana = np.asarray(analytic[k]).reshape(-1)
+        ana = analytic[k].reshape(-1)
         for i in coords:
             # mutate through an index, never a reshape (views are not
             # guaranteed for 0-d or non-contiguous arrays)

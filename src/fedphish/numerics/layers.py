@@ -22,7 +22,11 @@ rest are single nodes with hand-written backwards:
 - ``multiscale_conv_encode``, because after its global max-pool only a
   few windows get any gradient, which a per-offset composition would still
   spread over full-length buffers;
-- ``embedding``, whose table gradient is row-sparse.
+- ``embedding``, whose table gradient is one scatter-add.
+
+A table gradient is dense over the table it is given. Training gives a
+compact table, the rows a client's data can look up, so that costs the
+rows the client reaches, not the vocabulary.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import erf
 
-from .tensor import RowSparse, Tensor, _unbroadcast, concat, stable_sigmoid
+from .tensor import Tensor, _unbroadcast, concat, stable_sigmoid
 
 __all__ = [
     "affine",
@@ -290,22 +294,13 @@ def attention_pool(states: Tensor, score_vec: Tensor, valid_mask: np.ndarray) ->
     return (weights.reshape(B, 1, L) @ states).reshape(B, d)
 
 
-def _scatter_rows(looked_up: np.ndarray, ids: np.ndarray, g: np.ndarray,
-                  shape: tuple[int, ...]) -> RowSparse:
-    """The gradient of a table of ``shape`` over the rows ``looked_up``:
-    each ``g[i]`` is scatter-added into row ``ids[i]``, in position order,
-    where ``ids`` are some of the looked-up rows. No other row is stored."""
-    # a mask and a position map are cheaper than np.unique's sort
-    touched = np.zeros(shape[0], dtype=bool)
-    touched[looked_up] = True
-    rows = np.flatnonzero(touched)
-    position = np.empty(shape[0], dtype=np.intp)
-    position[rows] = np.arange(rows.size)
+def _scatter_rows(ids: np.ndarray, g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """The gradient of a table of ``shape``: each ``g[i]`` scatter-added
+    into row ``ids[i]``, in position order."""
     # bincount adds in input order, as np.add.at would, and is faster
     width = int(np.prod(shape[1:]))
-    flat = (position[ids].reshape(-1, 1) * width + np.arange(width)).reshape(-1)
-    values = np.bincount(flat, weights=g.reshape(-1), minlength=rows.size * width)
-    return RowSparse(rows, values.reshape((rows.size,) + shape[1:]), shape)
+    flat = (ids.reshape(-1, 1) * width + np.arange(width)).reshape(-1)
+    return np.bincount(flat, weights=g.reshape(-1), minlength=shape[0] * width).reshape(shape)
 
 
 def _check_ids(table: Tensor, ids: np.ndarray) -> None:
@@ -318,14 +313,14 @@ def _check_ids(table: Tensor, ids: np.ndarray) -> None:
 def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
     """Row lookup ``table[ids]``.
 
-    The table's gradient is a ``RowSparse`` over the distinct ids: each
-    looked-up position's gradient is scatter-added into its row, in position
-    order, and no other row is stored.
+    The table's gradient has the table's shape: each looked-up position's
+    gradient is scatter-added into its row, in position order, and a row no
+    id names gets zero.
     """
     ids = np.asarray(ids)
     _check_ids(table, ids)
     return Tensor._node(
-        table.data[ids], (table,), lambda g: (_scatter_rows(ids, ids, g, table.shape),)
+        table.data[ids], (table,), lambda g: (_scatter_rows(ids, g, table.shape),)
     )
 
 
@@ -349,8 +344,8 @@ def multiscale_conv_encode(
     each filter's gradient to its max windows alone, shared equally
     between tied ones as in ``Tensor.max``; a filter whose max is 0 after
     the ReLU gets none. ``dW``, ``db`` and the table gradient are built
-    from those windows; the table gradient is a ``RowSparse`` over every
-    looked-up id, as from ``embedding``.
+    from those windows; the table gradient has the table's shape, as from
+    ``embedding``, and is zero on every row outside a max window.
     """
     sizes = sorted(conv_w)
     max_k = sizes[-1]
@@ -393,7 +388,7 @@ def multiscale_conv_encode(
             win_ids.append(ids[bi[:, None], pos].ravel())
             win_grads.append((dz @ w2.T).reshape(bi.size * k, e))
         d_table = _scatter_rows(
-            ids, np.concatenate(win_ids), np.concatenate(win_grads), embed_table.shape
+            np.concatenate(win_ids), np.concatenate(win_grads), embed_table.shape
         )
         return (d_table, *dws, *dbs)
 

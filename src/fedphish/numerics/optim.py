@@ -1,10 +1,15 @@
-"""Gradient clipping and the Adam optimizer."""
+"""Gradient clipping and the Adam optimizer, both over dense arrays.
+
+A table that a client trains is the compact table of the rows its data can
+look up, so its gradient and Adam state are dense over those rows only. A
+row no gradient has reached yet has m = v = 0, and its update is exactly 0.
+"""
 
 from __future__ import annotations
 
 import numpy as np
 
-from .tensor import RowSparse, Tensor
+from .tensor import Tensor
 
 __all__ = ["clip_global_norm", "Adam", "make_optimizer"]
 
@@ -12,21 +17,19 @@ __all__ = ["clip_global_norm", "Adam", "make_optimizer"]
 def clip_global_norm(grads: list, tau: float) -> list:
     """Scale all gradients by tau/norm when the global L2 norm exceeds tau.
 
-    A row-sparse gradient contributes and is scaled through its stored rows
-    only. Scaling happens in place; applying the clip twice equals applying
-    it once (the scaled norm is exactly tau, which no longer exceeds tau).
+    Scaling happens in place; applying the clip twice equals applying it
+    once (the scaled norm is exactly tau, which no longer exceeds tau).
     """
     if tau <= 0:
         raise ValueError(f"clip threshold must be positive, got {tau}")
-    arrays = [g.values if isinstance(g, RowSparse) else g for g in grads]
     total = 0.0
-    for a in arrays:
-        total += float(np.sum(a * a))
+    for g in grads:
+        total += float(np.sum(g * g))
     norm = np.sqrt(total)
     if norm > tau:
         scale = tau / norm
-        for a in arrays:
-            a *= scale
+        for g in grads:
+            g *= scale
     return grads
 
 
@@ -35,16 +38,8 @@ class Adam:
 
     Moments and step counters are tracked per parameter name so heads
     trained in separate phases keep independent bias corrections. The
-    update runs in place through two reused scratch buffers.
-
-    The gradient's type picks the update. A table, whose gradients are all
-    row-sparse, keeps its state on its touched rows only: ``rows[k]`` are
-    the sorted rows any of its gradients reached so far, and ``m[k]`` and
-    ``v[k]`` are compact arrays over those rows, where a newly reached row
-    joins with zero moments. That is exact: a touched row keeps decaying as
-    in the dense update, and a row never touched has m = v = 0, so its dense
-    update is exactly 0. Every other parameter has dense moments, lazily
-    mapped zeros until its first step writes them.
+    update runs in place through two reused scratch buffers. Moments are
+    lazily mapped zeros until a parameter's first step writes them.
     """
 
     def __init__(
@@ -63,7 +58,6 @@ class Adam:
         self.m = {k: np.zeros(p.shape) for k, p in params.items()}
         self.v = {k: np.zeros(p.shape) for k, p in params.items()}
         self.t = {k: 0 for k in params}
-        self.rows: dict[str, np.ndarray] = {}  # per row-sparse parameter: the rows m and v cover
         # lazily mapped, like m and v: an update maps only the prefix it uses
         self._scratch = np.empty((2, max((p.size for p in params.values()), default=0)))
         self._views: dict[tuple[int, ...], tuple[np.ndarray, ...]] = {}  # per shape: scratch views
@@ -72,30 +66,10 @@ class Adam:
         """Update every parameter that has a gradient, in sorted name order."""
         for k in sorted(self.params):
             p = self.params[k]
-            g = p.grad
-            if g is None:
+            if p.grad is None:
                 continue
             self.t[k] += 1
-            if isinstance(g, RowSparse):
-                self._sparse_step(k, g)
-            else:
-                self._update(p.data, self.m[k], self.v[k], g, self.t[k])
-
-    def _sparse_step(self, k: str, g: RowSparse) -> None:
-        p = self.params[k].data
-        old = self.rows.get(k)
-        rows = g.rows if old is None else np.union1d(old, g.rows)
-        if old is None or rows.size > old.size:
-            m, v = np.zeros((2, rows.size) + p.shape[1:])
-            if old is not None:
-                at = np.searchsorted(rows, old)
-                m[at], v[at] = self.m[k], self.v[k]
-            self.rows[k], self.m[k], self.v[k] = rows, m, v
-        rows_g = np.zeros((rows.size,) + p.shape[1:])
-        rows_g[np.searchsorted(rows, g.rows)] = g.values
-        rows_p = p[rows]
-        self._update(rows_p, self.m[k], self.v[k], rows_g, self.t[k])
-        p[rows] = rows_p
+            self._update(p.data, self.m[k], self.v[k], p.grad, self.t[k])
 
     def _update(self, p: np.ndarray, m: np.ndarray, v: np.ndarray, g: np.ndarray, t: int) -> None:
         """One Adam step on same-shape arrays, in place. The operations and

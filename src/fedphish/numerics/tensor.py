@@ -5,11 +5,11 @@ maps the output gradient to parent gradients. ``backward(loss)`` walks that
 graph once in reverse topological order; the graph itself is the tape. All
 arithmetic stays in 64-bit precision.
 
-Values and gradients are dense arrays, except that every gradient of an
-embedding table is a ``RowSparse`` holding only the rows a batch looked up
-or a pull moved, so its cost scales with the batch, not the vocabulary.
-``TouchedRows`` carries the new values of the rows a client's training
-changed, so a trained table travels at the size of those rows.
+Values and gradients are dense arrays. A client trains each embedding table
+as a compact table of only the rows its data can look up, so a table's
+gradient costs the rows the client reaches, not the vocabulary.
+``TouchedRows`` carries those rows' new values back to the server, so a
+trained table travels at the size of its compact table.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ import numpy as np
 
 __all__ = [
     "Tensor",
-    "RowSparse",
     "TouchedRows",
     "GradientError",
     "backward",
@@ -57,38 +56,13 @@ class GradientError(RuntimeError):
     """Raised when a backward pass is started from a non-finite loss."""
 
 
-class RowSparse:
-    """Gradient of a table that is zero outside a few rows.
-
-    ``rows`` are sorted and unique; ``values[i]`` is the gradient of row
-    ``rows[i]`` of a table of ``shape``. numpy conversions see the dense
-    table.
-    """
-
-    __slots__ = ("rows", "values", "shape")
-
-    def __init__(self, rows: np.ndarray, values: np.ndarray, shape: tuple[int, ...]):
-        self.rows = rows
-        self.values = values
-        self.shape = shape
-
-    def dense(self) -> np.ndarray:
-        out = np.zeros(self.shape)
-        out[self.rows] = self.values
-        return out
-
-    def __array__(self, dtype=None, copy=None):
-        return np.asarray(self.dense(), dtype=dtype)
-
-
 class TouchedRows:
     """New values of some rows of a table whose other rows keep their old
     values.
 
     ``rows`` are sorted and unique; ``values[i]`` is the new value of row
-    ``rows[i]``. Unlike ``RowSparse``, a row left out is unchanged, not
-    zero, so there is no dense conversion: only ``onto`` the old table
-    gives the whole new one.
+    ``rows[i]``. A row left out is unchanged, not zero, so there is no
+    dense conversion: only ``onto`` the old table gives the whole new one.
     """
 
     __slots__ = ("rows", "values")
@@ -106,20 +80,6 @@ class TouchedRows:
         out = table.copy()
         out[self.rows] = self.values
         return out
-
-
-def _accumulate(a, b):
-    """``a + b`` for two gradients of one tensor: both dense, or both
-    ``RowSparse``, whose rows merge. Each element gets the value of the
-    dense sum, up to the sign of a zero.
-    """
-    if not isinstance(a, RowSparse):
-        return np.asarray(a + b)
-    rows = np.union1d(a.rows, b.rows)
-    values = np.zeros((rows.size,) + a.values.shape[1:])
-    values[np.searchsorted(rows, a.rows)] += a.values
-    values[np.searchsorted(rows, b.rows)] += b.values
-    return RowSparse(rows, values, a.shape)
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -142,7 +102,7 @@ class Tensor:
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = data
-        self.grad: np.ndarray | RowSparse | None = None
+        self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
         self._parents: tuple[Tensor, ...] = ()
         self._backward: Callable[[np.ndarray], tuple[np.ndarray | None, ...]] | None = None
@@ -438,16 +398,13 @@ def backward(loss: Tensor) -> None:
             continue
         if node._backward is None:
             if node.requires_grad:
-                node.grad = g if node.grad is None else _accumulate(node.grad, g)
+                node.grad = g if node.grad is None else np.asarray(node.grad + g)
             continue
         for parent, pg in zip(node._parents, node._backward(g)):
             if pg is None or not parent.requires_grad:
                 continue
             key = id(parent)
-            if key in grads:
-                grads[key] = _accumulate(grads[key], pg)
-            else:
-                grads[key] = pg if isinstance(pg, RowSparse) else np.asarray(pg)
+            grads[key] = np.asarray(grads[key] + pg if key in grads else pg)
 
 
 def zero_grads(params) -> None:

@@ -427,3 +427,18 @@ def test_cli_gradcheck_ok_exit_zero(gradcheck_twice):
 def test_cli_gradcheck_repeat_identical(gradcheck_twice):
     (_, first), (_, second) = gradcheck_twice
     assert first == second
+
+
+# the four worst relative errors of `gradcheck --seeds 1`; a change to any
+# gradient the sweep reaches moves one of them, while [ok] alone would pass
+GRADCHECK_SEED1_STDOUT = (
+    "fusion: max relative error 1.314e-06 [ok]\n"
+    "html: max relative error 6.969e-08 [ok]\n"
+    "image: max relative error 4.121e-07 [ok]\n"
+    "url: max relative error 9.423e-08 [ok]\n"
+)
+
+
+def test_cli_gradcheck_output_is_pinned(gradcheck_twice):
+    for _, out in gradcheck_twice:
+        assert out == GRADCHECK_SEED1_STDOUT

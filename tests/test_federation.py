@@ -28,13 +28,13 @@ from fedphish.heads import (
     FUSION_PREFIX,
     HTML_PREFIX,
     IMAGE_PREFIX,
+    TABLE_OF_STREAM,
     URL_PREFIX,
     LossConfig,
     ModelSpec,
-    is_table,
     proximal_term,
 )
-from fedphish.numerics import RowSparse, TouchedRows, backward, clip_global_norm, zero_grads
+from fedphish.numerics import Adam, Tensor, TouchedRows, backward, clip_global_norm, zero_grads
 
 
 def report(cid, value, **weights):
@@ -272,12 +272,6 @@ def test_client_train_empty_loaders_rejected():
                      TrainConfig(rounds=1), _client_rng(0, 0, 0))
 
 
-def every_row(params) -> dict[str, np.ndarray]:
-    """Every row of each table: the moved rows of a snapshot that differs
-    from the params everywhere."""
-    return {k: np.arange(p.shape[0]) for k, p in params.items() if is_table(k)}
-
-
 def desk_batch(kind, rng):
     batch = {"x": rng.normal(size=(3, 4, 16)), "char": rng.integers(0, 33, size=(3, 32)),
              "word": rng.integers(0, 17, size=(3, 8)), "dom": rng.integers(0, 9, size=(3, 8)),
@@ -291,12 +285,12 @@ PULLED = {"image": IMAGE_PREFIX, "html": HTML_PREFIX, "url": URL_PREFIX, "pair":
 
 
 def test_proximal_pull_through_batch_loss_is_exact():
-    # for each kind, with every row of each table moved or a strict subset
-    # (the snapshot equals the params off the moved rows): the loss at mu
-    # adds exactly proximal_term, every gradient is bitwise the gradient at
-    # mu 0 plus mu (theta - theta_t) on the pulled head, and a table's
-    # gradient is a RowSparse over its looked-up rows and, if pulled, its
-    # moved rows
+    # for each kind, with every row of each table moved away from the
+    # snapshot or a strict subset (the snapshot equals the params off the
+    # moved rows): the loss at mu adds exactly proximal_term, every gradient
+    # is bitwise the gradient at mu 0 plus mu (theta - theta_t) on the
+    # pulled head, and a table's gradient is zero outside its looked-up rows
+    # and, if pulled, its moved rows
     spec = ModelSpec.desk()
     params = spec.init_params(6)
     rng = np.random.default_rng(7)
@@ -304,7 +298,7 @@ def test_proximal_pull_through_batch_loss_is_exact():
     for kind, prefix in sorted(PULLED.items()):
         for subset in (False, True):
             batch = desk_batch(kind, rng)
-            moved = every_row(params)
+            moved = {k: np.arange(params[k].shape[0]) for k in TABLE_OF_STREAM.values()}
             if subset:
                 moved = {k: np.sort(rng.choice(r, size=r.size // 2, replace=False))
                          for k, r in moved.items()}
@@ -316,26 +310,26 @@ def test_proximal_pull_through_batch_loss_is_exact():
             for m in (0.0, mu):
                 zero_grads(params)
                 cfg = TrainConfig(rounds=1, mu=m, loss=LossConfig(modal_dropout_p=0.0))
-                loss = batch_loss(spec.heads(), kind, params, batch, snapshot, moved, cfg,
+                loss = batch_loss(spec.heads(), kind, params, batch, snapshot, cfg,
                                   np.random.default_rng(0))
                 backward(loss)
                 losses.append(loss.data)
                 grads.append({k: p.grad for k, p in params.items() if p.grad is not None})
             plain, pulled = grads
-            prox = proximal_term(params, snapshot, moved, mu, prefix).data
+            prox = proximal_term(params, snapshot, mu, prefix).data
             assert prox > 0
             assert losses[1] == losses[0] + prox, kind
             assert sorted(pulled) == sorted(set(plain) | {k for k in params if k.startswith(prefix)})
             for k, g in pulled.items():
-                base = np.array(plain[k]) if k in plain else np.zeros(params[k].shape)
+                base = plain[k] if k in plain else np.zeros(params[k].shape)
                 pull = mu * (params[k].data - snapshot[k]) if k.startswith(prefix) else 0.0
-                assert np.array_equal(np.array(g), base + pull), (kind, subset, k)
-                if is_table(k):
-                    rows = np.unique(batch[k[len(HTML_PREFIX):].split(".")[0]])
+                assert np.array_equal(g, base + pull), (kind, subset, k)
+            for stream, k in TABLE_OF_STREAM.items():
+                if k in pulled:
+                    reach = np.unique(batch[stream])
                     if k.startswith(prefix):
-                        rows = np.union1d(rows, moved[k])
-                    assert isinstance(g, RowSparse), (kind, subset, k)
-                    assert np.array_equal(g.rows, rows), (kind, subset, k)
+                        reach = np.union1d(reach, moved[k])
+                    assert not np.delete(pulled[k], reach, axis=0).any(), (kind, subset, k)
 
     # and local training feels it: mu > 0 reports different url params
     broadcast = {k: p.data for k, p in spec.init_params(6).items()}
@@ -349,8 +343,9 @@ def test_proximal_pull_through_batch_loss_is_exact():
 
 
 def test_html_step_leaves_embedding_gradients_row_sparse():
-    # guards against a silent dense fallback of the table gradients, with
-    # and without a pull over one row of each table that no page looks up
+    # a table's gradient is zero outside the rows the batch looked up, and
+    # a pull over one row of each table that no page looks up adds exactly
+    # that row
     from fedphish.data import synth_html
     from fedphish.preproc import PreprocConfig
 
@@ -358,28 +353,25 @@ def test_html_step_leaves_embedding_gradients_row_sparse():
     spec = ModelSpec.desk_pages()
     batch = synth_html(8, seed=2, preproc_cfg=pcfg)
     params = spec.init_params(13)
-    moved = {HTML_PREFIX + f"{branch}.embed": np.setdiff1d(
-                 np.arange(params[HTML_PREFIX + f"{branch}.embed"].shape[0]), batch[branch])[:1]
-             for branch in ("char", "word", "dom")}
+    moved = {name: np.setdiff1d(np.arange(params[name].shape[0]), batch[stream])[:1]
+             for stream, name in TABLE_OF_STREAM.items()}
     snapshot = {k: p.data.copy() for k, p in params.items()}
     for k, rows in moved.items():
         snapshot[k][rows] += 0.5
     for mu in (0.0, 0.02):
         zero_grads(params)
-        loss = batch_loss(spec.heads(), "html", params, batch, snapshot, moved,
+        loss = batch_loss(spec.heads(), "html", params, batch, snapshot,
                           TrainConfig(rounds=1, mu=mu), np.random.default_rng(0))
         backward(loss)
         grads = [params[k].grad for k in sorted(params) if params[k].grad is not None]
         clip_global_norm(grads, 1.0)
-        for branch, ids in (("char", batch["char"]), ("word", batch["word"]), ("dom", batch["dom"])):
-            name = HTML_PREFIX + f"{branch}.embed"
+        for stream, name in TABLE_OF_STREAM.items():
             grad = params[name].grad
-            assert isinstance(grad, RowSparse), (mu, branch)
-            assert moved[name].size == 1
-            want = np.union1d(np.unique(ids), moved[name]) if mu > 0 else np.unique(ids)
-            assert np.array_equal(grad.rows, want), (mu, branch)
             assert grad.shape == params[name].shape
-        assert len(params[HTML_PREFIX + "word.embed"].grad.rows) < spec.html.word_vocab
+            assert moved[name].size == 1
+            nonzero = np.flatnonzero(grad.any(axis=1))
+            assert np.isin(moved[name], nonzero).all() == (mu > 0), (mu, stream)
+            assert np.isin(nonzero, np.union1d(batch[stream], moved[name])).all(), (mu, stream)
 
 
 def desk_html_client(cid="h0", n=16, seed=2):
@@ -393,19 +385,66 @@ def desk_html_client(cid="h0", n=16, seed=2):
 
 @pytest.mark.parametrize("mu", [0.0, 0.02])
 def test_client_train_reports_tables_as_touched_rows(mu):
-    # the pull, like the lookups, moves only the rows training touched
+    # a table travels as the rows the client's streams can look up, plus
+    # PAD, in sorted order; the pull moves no other row
     spec = ModelSpec.desk_pages()
     client = desk_html_client()
     broadcast = {k: p.data for k, p in spec.init_params(5).items()}
     cfg = TrainConfig(rounds=1, epochs=2, batch_size=8, seed=5, mu=mu)
     rep = client_train(client, broadcast, spec, cfg, _client_rng(5, 0, 0))
-    for branch in ("char", "word", "dom"):
-        name = HTML_PREFIX + f"{branch}.embed"
+    for stream, name in TABLE_OF_STREAM.items():
         value = rep.params[name]
-        assert isinstance(value, TouchedRows), branch
-        assert np.array_equal(value.rows, np.unique(client.train["html"][branch]))
+        pad = broadcast[name].shape[0] - 1
+        assert isinstance(value, TouchedRows), stream
+        assert np.array_equal(value.rows, np.union1d(client.train["html"][stream], [pad]))
         assert value.values.shape == (value.rows.size,) + broadcast[name].shape[1:]
-    assert all(isinstance(v, np.ndarray) for k, v in rep.params.items() if not is_table(k))
+    tables = set(TABLE_OF_STREAM.values())
+    assert all(isinstance(v, np.ndarray) for k, v in rep.params.items() if k not in tables)
+
+
+def full_table_training(data, broadcast, spec, cfg, rng):
+    """``client_train`` without compact tables: every owned parameter, each
+    table whole, trained by dense Adam with the pull over the whole table."""
+    heads = spec.heads()
+    owned = data.role_weights()
+    params = {k: Tensor(v.copy(), requires_grad=True)
+              for k, v in broadcast.items() if group_of(k) in owned}
+    optimizer = Adam(params, lr=cfg.lr)
+    for _ in range(cfg.epochs):
+        for kind in ("image", "html", "url", "pair"):
+            if kind not in data.train:
+                continue
+            arrays = data.train[kind]
+            for idx in federation._batches(len(arrays["y"]), cfg.batch_size, rng):
+                zero_grads(params)
+                batch = {k: v[idx] for k, v in arrays.items()}
+                backward(batch_loss(heads, kind, params, batch, broadcast, cfg, rng))
+                grads = [params[k].grad for k in sorted(params) if params[k].grad is not None]
+                clip_global_norm(grads, cfg.clip)
+                optimizer.step()
+    return {k: p.data for k, p in params.items()}
+
+
+@pytest.mark.parametrize("make_client", [desk_html_client, pair_client], ids=["html", "pair"])
+@pytest.mark.parametrize("mu", [0.0, 0.02])
+def test_compact_tables_train_as_the_full_tables(make_client, mu):
+    # without clipping, training the compact tables is bitwise training the
+    # whole tables: the rows outside get no gradient, no pull and an Adam
+    # update of exactly 0. With the default clip the global norm sums the
+    # squares over other zero rows, so the results agree to rounding.
+    spec = ModelSpec.desk_pages()
+    client = make_client()
+    broadcast = {k: p.data for k, p in spec.init_params(9).items()}
+    for clip, rtol in ((1e9, 0.0), (1.0, 1e-12)):
+        cfg = TrainConfig(rounds=1, epochs=2, batch_size=4, seed=9, mu=mu, clip=clip)
+        rep = client_train(client, broadcast, spec, cfg, _client_rng(9, 0, 0))
+        ref = full_table_training(client, broadcast, spec, cfg, _client_rng(9, 0, 0))
+        assert sorted(rep.params) == sorted(ref)
+        for k, value in rep.params.items():
+            got = value.onto(broadcast[k]) if isinstance(value, TouchedRows) else value
+            assert np.max(np.abs(got - ref[k]), initial=0.0) <= rtol * np.max(np.abs(ref[k])), (clip, k)
+        moved = [k for k in ref if not np.array_equal(ref[k], broadcast[k])]
+        assert set(TABLE_OF_STREAM.values()) <= set(moved), clip
 
 
 def graph_nodes(loss) -> int:
@@ -438,7 +477,7 @@ def test_batch_loss_graph_node_count(kind):
     snapshot = {k: p.data for k, p in params.items()}
     for mu, nodes in sorted(BATCH_LOSS_NODES.items()):
         cfg = TrainConfig(mu=mu, loss=LossConfig(modal_dropout_p=0.0))
-        loss = batch_loss(spec.heads(), kind, params, batch, snapshot, every_row(params), cfg,
+        loss = batch_loss(spec.heads(), kind, params, batch, snapshot, cfg,
                           np.random.default_rng(2))
         assert graph_nodes(loss) == nodes[kind], mu
 
@@ -470,7 +509,7 @@ def test_pair_modality_dropout_split(r, dropped):
     snapshot = {k: p.data for k, p in params.items()}
     cfg = TrainConfig(rounds=1, loss=LossConfig(modal_dropout_p=0.2))
     zero_grads(params)
-    backward(batch_loss(spec.heads(), "pair", params, batch, snapshot, {}, cfg, FixedDraw(r)))
+    backward(batch_loss(spec.heads(), "pair", params, batch, snapshot, cfg, FixedDraw(r)))
     reached = {k for k, p in params.items() if p.grad is not None}
     # both branch heads learn from the auxiliary losses whichever branch is dropped
     branches = {k for k in params if k.startswith((IMAGE_PREFIX, HTML_PREFIX))}
@@ -483,10 +522,11 @@ def test_pair_modality_dropout_split(r, dropped):
     assert not any(k.startswith(URL_PREFIX) for k in reached)
 
 
-def test_untouched_table_travels_as_zero_rows_next_to_a_touched_owner():
+def test_untouched_table_travels_as_its_broadcast_rows_next_to_a_touched_owner():
     # a pair-only client with aux and JS off whose every batch drops html
-    # never moves its html tables; it reports them as zero rows, and they
-    # aggregate next to an html client's touched rows as the whole broadcast
+    # never moves its html tables; it reports its reachable rows bitwise as
+    # broadcast, and they aggregate next to an html client's touched rows as
+    # the whole broadcast would
     from fedphish.data import synth_paired
     from fedphish.preproc import PreprocConfig
 
@@ -499,25 +539,24 @@ def test_untouched_table_travels_as_zero_rows_next_to_a_touched_owner():
     cfg = TrainConfig(rounds=1, epochs=1, batch_size=4, seed=5, loss=loss)
     idle = client_train(pair_client, broadcast, spec, cfg, FixedDraw(0.15))
     busy = client_train(desk_html_client(), broadcast, spec, cfg, _client_rng(5, 0, 1))
-    tables = [k for k in broadcast if k.startswith(HTML_PREFIX) and is_table(k)]
-    assert len(tables) == 3
-    for name in tables:
+    for stream, name in TABLE_OF_STREAM.items():
         value = idle.params[name]
-        assert isinstance(value, TouchedRows) and value.rows.size == 0, name
-        assert value.values.shape == (0,) + broadcast[name].shape[1:]
+        pad = broadcast[name].shape[0] - 1
+        assert isinstance(value, TouchedRows), name
+        assert np.array_equal(value.rows, np.union1d(pairs[stream], [pad])), name
+        assert np.array_equal(value.values, broadcast[name][value.rows]), name
     w_idle, w_busy = idle.weights["html"], busy.weights["html"]
     total = w_idle + w_busy
     for reports, pool in (([idle, busy], [(w_idle, None), (w_busy, busy)]),
                           ([busy, idle], [(w_busy, busy), (w_idle, None)])):
         new = aggregate(broadcast, reports)
-        for name in tables:
+        for name in TABLE_OF_STREAM.values():
             old = broadcast[name]
             whole = [(w, old if r is None else r.params[name].onto(old)) for w, r in pool]
             want = (whole[0][0] / total) * whole[0][1]
             want += (whole[1][0] / total) * whole[1][1]
-            touched = busy.params[name].rows
-            assert np.array_equal(new[name][touched], want[touched]), name
-            rest = np.setdiff1d(np.arange(old.shape[0]), touched)
+            assert np.array_equal(new[name], want), name
+            rest = np.setdiff1d(np.arange(old.shape[0]), busy.params[name].rows)
             assert np.array_equal(new[name][rest], old[rest]), name
 
 
@@ -626,27 +665,25 @@ def test_role_isolation_html_frozen_without_html_clients():
     assert any(not np.array_equal(res.params[k], init[k]) for k in init if k.startswith(IMAGE_PREFIX))
 
 
-def test_round_log_role_counts():
-    spec = ModelSpec.desk()
-    cfg = TrainConfig(rounds=1, epochs=1, batch_size=16, seed=17)
-    clients = [desk_url_client(f"u{i}", seed=50 + i) for i in range(2)]
-    res = run_experiment(spec, cfg, clients)
-    counts = res.rounds[0].role_counts
-    assert counts["url"] == 2
-    assert counts == {"image": 0, "html": 0, "url": 2, "fusion": 0}
-
-
-def test_nan_client_dropped_and_other_owner_aggregates(caplog):
+def test_nan_client_dropped_and_other_owner_aggregates(caplog, monkeypatch):
     spec = ModelSpec.desk()
     cfg = TrainConfig(rounds=2, epochs=1, batch_size=16, seed=18)
     good = desk_url_client("a", seed=60)
     poisoned = desk_url_client("b", seed=61)
     poisoned.train["url"]["x"] = np.full_like(poisoned.train["url"]["x"], np.nan)
+    owners = []  # per round: the url owners among the reports aggregated
+
+    def recording_aggregate(params, reports):
+        owners.append([r.client_id for _, r in select_clients("url", reports)])
+        return aggregate(params, reports)
+
+    monkeypatch.setattr(federation, "aggregate", recording_aggregate)
     with caplog.at_level(logging.ERROR, logger="fedphish.federation"):
         res = run_experiment(spec, cfg, [good, poisoned])
     failures = [r.getMessage() for r in caplog.records]
     assert failures == ["client b failed in round 0", "client b failed in round 1"]
-    assert [log.role_counts["url"] for log in res.rounds] == [1, 1]
+    # the dropped client owns no role that round
+    assert owners == [["a"], ["a"]]
     alone = run_experiment(spec, cfg, [good])
     for k in res.params:
         assert np.array_equal(res.params[k], alone.params[k]), k

@@ -4,7 +4,6 @@ import math
 
 import numpy as np
 import pytest
-from test_federation import every_row
 from test_numerics import (
     gelu_composition,
     l2_normalize_composition,
@@ -27,6 +26,7 @@ from fedphish.heads import (
     ImageHeadConfig,
     LossConfig,
     ModelSpec,
+    TABLE_OF_STREAM,
     UrlHead,
     UrlHeadConfig,
     _stats_columns,
@@ -35,7 +35,6 @@ from fedphish.heads import (
     proximal_term,
 )
 from fedphish.numerics import (
-    RowSparse,
     Tensor,
     backward,
     finite_difference_check,
@@ -160,8 +159,8 @@ def html_head_oracle(params, cfg, char_ids, word_ids, dom_ids):
         weights = e / e.sum()
         return weights @ states
 
-    word_feat = recurrent("word", word_ids, cfg.word_pad)
-    dom_feat = recurrent("dom", dom_ids, cfg.dom_pad)
+    word_feat = recurrent("word", word_ids, cfg.word_vocab - 1)
+    dom_feat = recurrent("dom", dom_ids, cfg.dom_vocab - 1)
 
     feat = np.concatenate([char_feat, word_feat, dom_feat])
     h = layernorm(feat, p("cls.ln.gamma"), p("cls.ln.beta"))
@@ -187,13 +186,40 @@ def test_html_head_all_pad_streams_finite_and_deterministic():
     spec, params = desk_params(seed=5)
     head = spec.heads()["html"]
     cfg = spec.html
-    char = np.full((1, 32), cfg.char_pad)
-    word = np.full((1, 8), cfg.word_pad)
-    dom = np.full((1, 8), cfg.dom_pad)
+    char = np.full((1, 32), cfg.char_vocab - 1)
+    word = np.full((1, 8), cfg.word_vocab - 1)
+    dom = np.full((1, 8), cfg.dom_vocab - 1)
     a = head.forward(params, char, word, dom).data
     b = head.forward(params, char, word, dom).data
     assert np.all(np.isfinite(a))
     assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("char_len", [2, 32])
+def test_html_head_compact_tables_give_the_full_logits(char_len):
+    # each table cut to the rows the streams name plus PAD, the ids mapped
+    # to positions in it; 2 chars are fewer than the largest conv kernel,
+    # so the encoder pads them with the compact PAD id
+    spec, params = desk_params(seed=7)
+    head = spec.heads()["html"]
+    rng = np.random.default_rng(8)
+    streams = {}
+    for stream, length in (("char", char_len), ("word", 8), ("dom", 8)):
+        pad = params[TABLE_OF_STREAM[stream]].shape[0] - 1
+        ids = 2 * rng.integers(0, pad // 2, size=(3, length))  # even ids: a strict subset
+        ids[0, length // 2:] = pad  # a padded page
+        ids[2] = pad  # a page that is all padding
+        streams[stream] = ids
+    compact, mapped = dict(params), {}
+    for stream, ids in streams.items():
+        name = TABLE_OF_STREAM[stream]
+        rows = np.union1d(ids, [params[name].shape[0] - 1])
+        assert rows.size < params[name].shape[0]
+        compact[name] = Tensor(params[name].data[rows])
+        mapped[stream] = np.searchsorted(rows, ids)
+    full = head.forward(params, streams["char"], streams["word"], streams["dom"]).data
+    got = head.forward(compact, mapped["char"], mapped["word"], mapped["dom"]).data
+    assert np.array_equal(got, full)
 
 
 def test_html_head_identical_streams_identical_logits():
@@ -531,7 +557,7 @@ def test_batch_loss_gradients_match_compositions(kind, monkeypatch):
 
     def loss_and_grads():
         zero_grads(params)
-        loss = batch_loss(spec.heads(), kind, params, batch, snap, every_row(params), cfg,
+        loss = batch_loss(spec.heads(), kind, params, batch, snap, cfg,
                           np.random.default_rng(5))
         backward(loss)
         return loss.data, {k: np.array(p.grad) for k, p in params.items() if p.grad is not None}
@@ -613,19 +639,19 @@ def test_js_consistency_stable_on_extreme_logits():
 def test_proximal_zero_at_snapshot():
     _, params = desk_params(seed=28)
     snap = {k: p.data.copy() for k, p in params.items()}
-    assert float(proximal_term(params, snap, {}, 0.02, URL_PREFIX).data) == 0.0
+    assert float(proximal_term(params, snap, 0.02, URL_PREFIX).data) == 0.0
 
 
 def test_proximal_zero_mu():
     _, params = desk_params(seed=29)
     snap = {k: p.data + 1.0 for k, p in params.items()}
-    assert float(proximal_term(params, snap, {}, 0.0, URL_PREFIX).data) == 0.0
+    assert float(proximal_term(params, snap, 0.0, URL_PREFIX).data) == 0.0
 
 
 def test_proximal_hand_value():
     local = {"url_head.w": Tensor(np.array(3.0), requires_grad=True)}
     snap = {"url_head.w": np.array(1.0)}
-    val = proximal_term(local, snap, {}, 0.02, URL_PREFIX)
+    val = proximal_term(local, snap, 0.02, URL_PREFIX)
     assert abs(float(val.data) - 0.04) < 1e-15
 
 
@@ -634,45 +660,53 @@ def test_proximal_gradient_is_mu_times_diff():
     local = {"url_head.w": Tensor(rng.normal(size=(3, 2)), requires_grad=True)}
     snap = {"url_head.w": rng.normal(size=(3, 2))}
     mu = 0.7
-    backward(proximal_term(local, snap, {}, mu, URL_PREFIX))
+    backward(proximal_term(local, snap, mu, URL_PREFIX))
     expected = mu * (local["url_head.w"].data - snap["url_head.w"])
     assert np.allclose(local["url_head.w"].grad, expected, atol=1e-15)
 
 
 def test_proximal_table_compares_moved_rows_only():
+    # a table is pulled whole, like any parameter; a row equal to its anchor
+    # adds nothing to the value and gets exactly zero gradient, so only the
+    # rows that moved away from the snapshot count
     rng = np.random.default_rng(31)
     table = Tensor(rng.normal(size=(6, 2)), requires_grad=True)
     local = {"html_head.word.embed": table,
              "html_head.cls.b": Tensor(rng.normal(size=3), requires_grad=True)}
-    snap = {k: p.data + rng.normal(size=p.shape) for k, p in local.items()}
+    snap = {k: p.data.copy() for k, p in local.items()}
     rows = np.array([1, 4])
+    snap["html_head.word.embed"][rows] += rng.normal(size=(2, 2))
+    snap["html_head.cls.b"] += rng.normal(size=3)
     mu = 0.3
-    term = proximal_term(local, snap, {"html_head.word.embed": rows}, mu, HTML_PREFIX)
+    term = proximal_term(local, snap, mu, HTML_PREFIX)
     d_table = table.data[rows] - snap["html_head.word.embed"][rows]
     d_b = local["html_head.cls.b"].data - snap["html_head.cls.b"]
     assert term.data == ((d_b * d_b).sum() + (d_table * d_table).sum()) * (mu / 2.0)
     backward(term)
-    assert isinstance(table.grad, RowSparse)
-    assert np.array_equal(table.grad.rows, rows)
-    assert np.array_equal(table.grad.values, mu * d_table)
+    want = np.zeros(table.shape)
+    want[rows] = mu * d_table
+    assert np.array_equal(table.grad, want)
     assert np.array_equal(local["html_head.cls.b"].grad, mu * d_b)
-    # a table missing from ``moved`` has moved nowhere: no value, no rows
+    # at the snapshot nothing has moved: no value, no gradient
     zero_grads(local)
-    backward(proximal_term(local, snap, {}, mu, HTML_PREFIX))
-    assert table.grad.rows.size == 0
+    at_snap = {k: p.data.copy() for k, p in local.items()}
+    term = proximal_term(local, at_snap, mu, HTML_PREFIX)
+    backward(term)
+    assert term.data == 0.0
+    assert not table.grad.any()
 
 
 def test_proximal_missing_name_is_configuration_error():
     local = {"url_head.w": Tensor(np.array(1.0), requires_grad=True)}
     with pytest.raises(ValueError, match="snapshot is missing parameter 'url_head.w'"):
-        proximal_term(local, {}, {}, 0.1, URL_PREFIX)
+        proximal_term(local, {}, 0.1, URL_PREFIX)
 
 
 def test_proximal_only_touches_prefix():
     _, params = desk_params(seed=31)
     snap = {k: p.data + 0.5 for k, p in params.items()}
     zero_grads(params)
-    term = proximal_term(params, snap, {}, 1.0, FUSION_PREFIX)
+    term = proximal_term(params, snap, 1.0, FUSION_PREFIX)
     backward(term)
     for name, p in params.items():
         if name.startswith(FUSION_PREFIX):
@@ -697,7 +731,7 @@ def full_loss_closure(spec, params, seed):
     }
     snap = {k: p.data + rng.normal(scale=0.05, size=p.data.shape) for k, p in params.items()}
     cfg = TrainConfig(mu=0.02, loss=LossConfig(modal_dropout_p=0.0))
-    return lambda: batch_loss(heads, "pair", params, batch, snap, every_row(params), cfg,
+    return lambda: batch_loss(heads, "pair", params, batch, snap, cfg,
                               np.random.default_rng(seed + 999))
 
 
@@ -720,7 +754,7 @@ def test_url_full_loss_gradient_fidelity():
     cfg = TrainConfig(mu=0.02)
 
     def loss_fn():
-        return batch_loss(heads, "url", params, batch, snap, {}, cfg, np.random.default_rng(36))
+        return batch_loss(heads, "url", params, batch, snap, cfg, np.random.default_rng(36))
 
     err = finite_difference_check(loss_fn, url_params)
     assert err < 1e-4, err

@@ -7,7 +7,6 @@ import pytest
 
 from fedphish.numerics import (
     Adam,
-    RowSparse,
     Tensor,
     affine,
     attention_pool,
@@ -498,7 +497,7 @@ def test_conv_single_node_matches_per_offset_composition(page):
     out, grads = conv_grads(multiscale_conv_encode, ids, table, w, b, 10, c)
     ref_out, ref_grads = conv_grads(conv_composition, ids, table, w, b, 10, c)
     assert np.array_equal(out, ref_out)
-    assert isinstance(table.grad, RowSparse)
+    assert table.grad.shape == table.shape
     for name, ref in ref_grads.items():
         assert np.max(np.abs(grads[name] - ref)) <= 1e-12 * np.max(np.abs(ref)), name
 
@@ -802,11 +801,7 @@ def test_embedding_gradient_scatter_adds():
     ids = np.array([1, 1, 3])
     out = embedding(table, ids)
     backward(out.sum())
-    assert isinstance(table.grad, RowSparse)
-    assert np.array_equal(table.grad.rows, [1, 3])
-    assert np.array_equal(table.grad.values, [[2, 2], [1, 1]])
-    assert table.grad.shape == (4, 2)
-    assert np.array_equal(table.grad.dense(), [[0, 0], [2, 2], [0, 0], [1, 1]])
+    assert np.array_equal(table.grad, [[0, 0], [2, 2], [0, 0], [1, 1]])
 
 
 def test_logsumexp_matches_numpy_reference():
@@ -835,33 +830,8 @@ def test_softmax_rows_sum_to_one():
 
 
 # ---------------------------------------------------------------------------
-# row-sparse table gradients
+# table gradients
 # ---------------------------------------------------------------------------
-
-def row_sparse(rows, rng, shape):
-    rows = np.unique(rows)
-    return RowSparse(rows, rng.normal(size=(rows.size,) + shape[1:]), shape)
-
-
-def test_touched_rows_adam_equals_dense_over_seven_steps():
-    rng = np.random.default_rng(30)
-    shape = (50, 3)
-    init = rng.normal(size=shape)
-    # row 7 is touched only at step 1; Adam must keep decaying it afterwards
-    row_sets = [[7, 2, 2], [2, 11], [11, 40, 3], [3], [2, 40], [49], [0, 11]]
-    sparse_p = Tensor(init.copy(), requires_grad=True)
-    dense_p = Tensor(init.copy(), requires_grad=True)
-    sparse_opt = Adam({"table": sparse_p}, lr=0.01)
-    dense_opt = Adam({"table": dense_p}, lr=0.01)
-    for rows in row_sets:
-        g = row_sparse(rows, rng, shape)
-        sparse_p.grad, dense_p.grad = g, g.dense()
-        sparse_opt.step()
-        dense_opt.step()
-        assert np.array_equal(sparse_p.data, dense_p.data)
-    assert not np.array_equal(sparse_p.data[7], init[7])
-    assert np.array_equal(sparse_p.data[1], init[1])  # never touched
-
 
 def test_table_looked_up_twice_accumulates_bitwise():
     rng = np.random.default_rng(32)
@@ -869,30 +839,13 @@ def test_table_looked_up_twice_accumulates_bitwise():
     a_ids, b_ids = rng.integers(0, 20, size=(3, 5)), rng.integers(0, 20, size=(2, 6))
     w = Tensor(rng.normal(size=4))
     grads = []
-    for lookup in (embedding, lambda t, ids: t[ids]):  # row-sparse, then dense scatter
+    for lookup in (embedding, lambda t, ids: t[ids]):  # bincount, then np.add.at scatter
         table = Tensor(init.copy(), requires_grad=True)
         a, b = lookup(table, a_ids), lookup(table, b_ids)
         backward((a * w).sum() + (b * b).sum())
         grads.append(table.grad)
-    sparse, dense = grads
-    assert isinstance(sparse, RowSparse)
-    assert np.array_equal(sparse.rows, np.union1d(a_ids, b_ids))
-    assert np.array_equal(sparse.dense(), dense)
-
-
-def test_clip_mixed_row_sparse_and_dense_matches_densified():
-    rng = np.random.default_rng(34)
-    for _ in range(5):
-        mixed = [row_sparse(rng.integers(0, 40, size=6), rng, (40, 3)),
-                 rng.normal(size=(5, 2)) * 3.0,
-                 row_sparse(rng.integers(0, 9, size=3), rng, (9,))]
-        densified = [np.array(g) for g in mixed]
-        clip_global_norm(mixed, 1.0)
-        clip_global_norm(densified, 1.0)
-        assert isinstance(mixed[0], RowSparse) and isinstance(mixed[2], RowSparse)
-        for g, d in zip(mixed, densified):
-            assert np.allclose(np.asarray(g), d, rtol=0.0, atol=1e-15)
-        assert abs(math.sqrt(sum(float(np.sum(d * d)) for d in densified)) - 1.0) < 1e-12
+    embedded, indexed = grads
+    assert np.array_equal(embedded, indexed)
 
 
 @pytest.mark.parametrize("a_shape", [(4, 5, 6), (2, 3, 5, 6)])

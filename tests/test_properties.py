@@ -1,13 +1,13 @@
-"""Property tests: row-sparse table gradients, touched-rows Adam and the
-aggregation of touched-rows reports are bitwise the dense computation for
-any ids, table shape, step sequence and owner mix."""
+"""Property tests: table gradients and the aggregation of touched-rows
+reports are bitwise the plain dense computation for any ids, table shape
+and owner mix."""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedphish.federation import ClientReport, aggregate
-from fedphish.numerics import Adam, RowSparse, Tensor, TouchedRows, backward, embedding
+from fedphish.numerics import Tensor, TouchedRows, backward, embedding
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
 
@@ -32,47 +32,7 @@ def test_embedding_gradient_is_the_dense_scatter_add(lookup, seed):
     backward((embedding(table, ids) * Tensor(g)).sum())
     expected = np.zeros(shape)
     np.add.at(expected, ids, g)
-    assert isinstance(table.grad, RowSparse)
-    assert np.array_equal(table.grad.rows, np.unique(ids))
-    assert np.array_equal(table.grad.dense(), expected)
-
-
-@st.composite
-def step_sequences(draw):
-    """(table shape, steps): each step is a list of looked-up rows."""
-    rows = draw(st.integers(1, 30))
-    shape = (rows, draw(st.integers(1, 3)))
-    step = st.lists(st.integers(0, rows - 1), min_size=1, max_size=8)
-    steps = draw(st.lists(step, min_size=1, max_size=8))
-    return shape, steps
-
-
-@PROPERTY
-@given(step_sequences(), st.integers(0, 2**32 - 1))
-def test_touched_rows_optimizer_is_the_dense_optimizer(sequence, seed):
-    shape, steps = sequence
-    rng = np.random.default_rng(seed)
-    init = rng.normal(size=shape)
-    sparse_p = Tensor(init.copy(), requires_grad=True)
-    dense_p = Tensor(init.copy(), requires_grad=True)
-    sparse_opt = Adam({"t": sparse_p}, lr=0.01)
-    dense_opt = Adam({"t": dense_p}, lr=0.01)
-    for rows in steps:
-        unique = np.unique(rows)
-        g = RowSparse(unique, rng.normal(size=(unique.size,) + shape[1:]), shape)
-        sparse_p.grad, dense_p.grad = g, np.array(g)
-        sparse_opt.step()
-        dense_opt.step()
-        assert np.array_equal(sparse_p.data, dense_p.data)
-    # the moments cover exactly the rows touched so far; scattered back,
-    # they are the dense optimizer's moments
-    m, v = sparse_opt.m["t"], sparse_opt.v["t"]
-    rows = np.unique(np.concatenate(steps))
-    assert np.array_equal(sparse_opt.rows["t"], rows)
-    assert m.shape == v.shape == (rows.size,) + shape[1:]
-    m, v = RowSparse(rows, m, shape).dense(), RowSparse(rows, v, shape).dense()
-    assert np.array_equal(m, dense_opt.m["t"])
-    assert np.array_equal(v, dense_opt.v["t"])
+    assert np.array_equal(table.grad, expected)
 
 
 @st.composite
