@@ -249,6 +249,10 @@ class HtmlHead:
     """Char conv branch plus word and DOM BiLSTM branches with attention
     pooling, concatenated into the shared classifier shape.
 
+    Both BiLSTMs are one ``bilstm_sequence`` call, a single stacked scan
+    over the word and DOM embeddings; each branch pools its own slice of
+    the states.
+
     Each stream's PAD id is the last row of its table. So the head gives the
     same logits on a full table with the preprocessed ids as on a compact
     table, some rows of the full one ending with PAD, with each id mapped to
@@ -291,18 +295,6 @@ class HtmlHead:
             params[HTML_PREFIX + "cls." + k] = v
         return params
 
-    def _recurrent_branch(self, params, branch: str, ids: np.ndarray) -> Tensor:
-        table = params[TABLE_OF_STREAM[branch]]
-        emb = embedding(table, ids)
-        lstm = {
-            f"{d}.{k}": params[HTML_PREFIX + f"{branch}.{d}.{k}"]
-            for d in ("fwd", "bwd")
-            for k in ("wx", "wh", "b")
-        }
-        states = bilstm_sequence(emb, lstm)
-        valid = ids != table.shape[0] - 1
-        return attention_pool(states, params[HTML_PREFIX + f"{branch}.score"], valid)
-
     def forward(self, params, char_ids, word_ids, dom_ids, train: bool = False, rng=None) -> Tensor:
         cfg = self.cfg
         conv_w = {k: params[HTML_PREFIX + f"char.conv{k}.w"] for k in cfg.conv_sizes}
@@ -314,9 +306,22 @@ class HtmlHead:
         char_feat = affine(
             char_feat, params[HTML_PREFIX + "char.fc.w"], params[HTML_PREFIX + "char.fc.b"]
         )
-        word_feat = self._recurrent_branch(params, "word", word_ids)
-        dom_feat = self._recurrent_branch(params, "dom", dom_ids)
-        features = concat([char_feat, word_feat, dom_feat], axis=1)
+        ids = {"word": word_ids, "dom": dom_ids}
+        tables = {b: params[TABLE_OF_STREAM[b]] for b in ids}
+        states = bilstm_sequence(
+            [embedding(tables[b], ids[b]) for b in ids],
+            [{f"{d}.{k}": params[HTML_PREFIX + f"{b}.{d}.{k}"]
+              for d in ("fwd", "bwd") for k in ("wx", "wh", "b")} for b in ids],
+        )
+        feats, start = [char_feat], 0
+        for b in ids:
+            stop = start + ids[b].shape[1]
+            valid = ids[b] != tables[b].shape[0] - 1
+            feats.append(
+                attention_pool(states[:, start:stop], params[HTML_PREFIX + f"{b}.score"], valid)
+            )
+            start = stop
+        features = concat(feats, axis=1)
         return _classifier_forward(params, HTML_PREFIX + "cls.", features, cfg.dropout, train, rng)
 
 

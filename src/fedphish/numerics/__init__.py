@@ -18,7 +18,6 @@ from .layers import (
     layer_norm,
     log_softmax,
     log_softmax_parts,
-    lstm_sequence,
     mhsa_block,
     multiscale_conv_encode,
     softmax,
@@ -52,7 +51,6 @@ __all__ = [
     "layer_norm",
     "log_softmax",
     "log_softmax_parts",
-    "lstm_sequence",
     "make_optimizer",
     "mhsa_block",
     "multiscale_conv_encode",

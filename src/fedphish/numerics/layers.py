@@ -17,8 +17,11 @@ rest are single nodes with hand-written backwards:
   paths is listed k times among the node's parents, with one gradient term
   per path, so ``backward`` adds the terms in the composition's order and
   every gradient in the graph stays bitwise the composition's;
-- ``lstm_sequence``, because an unrolled cell costs about twenty nodes per
-  time step;
+- ``bilstm_sequence``, because an unrolled cell costs about twenty nodes
+  per time step. It runs every direction of every sequence it is given,
+  for the html head both directions of the word and the DOM stream, as one
+  stacked scan: the four scans are independent, so each time step is one
+  set of numpy calls for all of them;
 - ``multiscale_conv_encode``, because after its global max-pool only a
   few windows get any gradient, which a per-offset composition would still
   spread over full-length buffers;
@@ -31,10 +34,12 @@ rows the client reaches, not the vocabulary.
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 from scipy.special import erf
 
-from .tensor import Tensor, _unbroadcast, concat, stable_sigmoid
+from .tensor import Tensor, _unbroadcast, stable_sigmoid
 
 __all__ = [
     "affine",
@@ -46,7 +51,6 @@ __all__ = [
     "gelu",
     "dropout",
     "mhsa_block",
-    "lstm_sequence",
     "bilstm_sequence",
     "attention_pool",
     "embedding",
@@ -195,87 +199,106 @@ def mhsa_block(
     return x + dropout(h, dropout_p, rng, train)
 
 
-def lstm_sequence(xs: Tensor, wx: Tensor, wh: Tensor, b: Tensor, reverse: bool = False) -> Tensor:
-    """Run an LSTM over [B, T, d_in]; returns states [B, T, h].
+def bilstm_sequence(xs: Sequence[Tensor], p: Sequence[dict[str, Tensor]]) -> Tensor:
+    """Single-layer bidirectional LSTMs over sequences ``xs[k]`` [B, T_k, d_k].
 
-    Gate order in the 4h axis is i, f, g, o. Initial h and c are zero
-    vectors. ``reverse`` scans right to left and returns states aligned
-    with the input positions.
+    Returns the states [B, T_0 + T_1 + ..., 2h]: each sequence's positions
+    in turn, the forward direction's state first on the last axis. ``p[k]``
+    holds sequence k's ``fwd.wx``, ``fwd.wh``, ``fwd.b`` and the same
+    ``bwd.`` keys, with one hidden size h for all. Gate order in the 4h axis
+    is i, f, g, o; initial h and c are zero. The backward direction scans
+    right to left, and its states are aligned with the input positions.
 
-    The whole scan is one graph node. The input projection is a single
-    [B*T, d_in] @ wx product taken before the recurrence; the backward
-    closure runs BPTT over the saved gates and cells and then takes dxs,
-    dwx, dwh and db each as one product or sum over the stacked gate
-    gradients.
+    Each direction of each sequence is a scan, and all the scans are one
+    graph node that advances them together: one set of numpy calls per time
+    step for all of them, not one per scan (Appleyard et al.,
+    arXiv:1604.01946). The buffers are time-major, [T, scan, B, ...], with
+    the longest sequences' scans first, so the scans still running at a step
+    are a prefix of the scan axis. Each scan does the arithmetic of a lone
+    scan, in the same order: its input projection is one [B*T_k, d_k] @ wx
+    product before the recurrence, a stacked matmul makes the same BLAS call
+    per scan, and after BPTT its dx, dwx, dwh and db are each one product or
+    sum over its gate gradients in position order. A sequence is a parent
+    once per direction, so ``backward`` adds its two input gradients.
     """
-    B, T, d_in = xs.shape
-    hidden = wh.shape[0]
-    x2 = xs.data.reshape(B * T, d_in)
-    xw = (x2 @ wx.data).reshape(B, T, 4 * hidden)
-    whd, bd = wh.data, b.data
-    steps = range(T - 1, -1, -1) if reverse else range(T)
+    B = xs[0].shape[0]
+    hidden = p[0]["fwd.wh"].shape[0]
+    lengths = [x.shape[1] for x in xs]
+    seams = np.cumsum([0] + lengths)
+    # per direction: its key prefix, its positions in scan order, its output columns
+    directions = (("fwd.", slice(None), slice(None, hidden)),
+                  ("bwd.", slice(None, None, -1), slice(hidden, None)))
+    longest_first = sorted(range(len(xs)), key=lambda k: -lengths[k])
+    scans = [(k, order, cols) for k in longest_first for _, order, cols in directions]
+    weights = [[p[k][d + n] for n in ("wx", "wh", "b")]
+               for k in longest_first for d, _, _ in directions]
+    n_scans, steps = len(scans), lengths[longest_first[0]]
+    active = [sum(lengths[k] > t for k, _, _ in scans) for t in range(steps)]
+    flat = [x.data.reshape(B * T, x.shape[2]) for x, T in zip(xs, lengths)]
 
-    # per position: activated gates [B, T, 4, h], cell c and tanh(c), state h
-    gates = np.empty((B, T, 4, hidden))
-    cells = np.empty((B, T, hidden))
-    tanh_c = np.empty((B, T, hidden))
-    states = np.empty((B, T, hidden))
-    h = np.zeros((B, hidden))
-    c = np.zeros((B, hidden))
-    for t in steps:
-        z = (xw[:, t] + h @ whd + bd).reshape(B, 4, hidden)
-        act = stable_sigmoid(z)
-        act[:, 2] = np.tanh(z[:, 2])
-        c = act[:, 1] * c + act[:, 0] * act[:, 2]
-        tc = np.tanh(c)
-        h = act[:, 3] * tc
-        gates[:, t] = act
-        cells[:, t] = c
-        tanh_c[:, t] = tc
-        states[:, t] = h
+    # [T, scan, B, ...] in scan order; cells and states have a leading zero
+    # step, the initial c and h, so [t] is the value before step t
+    xw = np.zeros((steps, n_scans, B, 4 * hidden))
+    for s, (k, order, _) in enumerate(scans):
+        proj = (flat[k] @ weights[s][0].data).reshape(B, lengths[k], 4 * hidden)
+        xw[: lengths[k], s] = proj[:, order].swapaxes(0, 1)
+    wh = np.stack([w[1].data for w in weights])
+    bias = np.stack([w[2].data for w in weights])[:, None, :]
+    gates = np.zeros((steps, n_scans, B, 4, hidden))
+    cells = np.zeros((steps + 1, n_scans, B, hidden))
+    tanh_c = np.zeros((steps, n_scans, B, hidden))
+    states = np.zeros((steps + 1, n_scans, B, hidden))
+    for t, a in enumerate(active):
+        z = xw[t, :a] + states[t, :a] @ wh[:a]
+        z += bias[:a]
+        z = z.reshape(a, B, 4, hidden)
+        act = gates[t, :a]
+        stable_sigmoid(z, out=act)
+        np.tanh(z[:, :, 2], out=act[:, :, 2])
+        c = np.multiply(act[:, :, 1], cells[t, :a], out=cells[t + 1, :a])
+        c += act[:, :, 0] * act[:, :, 2]
+        np.multiply(act[:, :, 3], np.tanh(c, out=tanh_c[t, :a]), out=states[t + 1, :a])
 
-    def previous(a: np.ndarray) -> np.ndarray:
-        """The value one scan step earlier at each position; zero at the first."""
-        out = np.zeros_like(a)
-        if reverse:
-            out[:, :-1] = a[:, 1:]
-        else:
-            out[:, 1:] = a[:, :-1]
-        return out
+    out = np.empty((B, seams[-1], 2 * hidden))
+    for s, (k, order, cols) in enumerate(scans):
+        out[:, seams[k] : seams[k + 1], cols] = states[1 : lengths[k] + 1, s][order].swapaxes(0, 1)
 
     def bw(g: np.ndarray):
-        i, f, gg, o = (gates[:, :, k] for k in range(4))
+        i, f, gg, o = (gates[..., n, :] for n in range(4))
         # d(gate pre-activation) per unit of dc for i, f, g, and per unit of dh for o
         dz_dc = np.stack(
-            [gg * i * (1.0 - i), previous(cells) * f * (1.0 - f), i * (1.0 - gg * gg)], axis=2
+            [gg * i * (1.0 - i), cells[:-1] * f * (1.0 - f), i * (1.0 - gg * gg)], axis=3
         )
         dz_dh = tanh_c * o * (1.0 - o)
         dc_dh = o * (1.0 - tanh_c * tanh_c)
-        dz = np.empty((B, T, 4, hidden))
-        whT = whd.T
-        dh_next = np.zeros((B, hidden))
-        dc_next = np.zeros((B, hidden))
-        for t in reversed(steps):
-            dh = g[:, t] + dh_next
-            dc = dh * dc_dh[:, t] + dc_next
-            dz[:, t, :3] = dc[:, None, :] * dz_dc[:, t]
-            dz[:, t, 3] = dh * dz_dh[:, t]
-            dc_next = dc * f[:, t]
-            dh_next = dz[:, t].reshape(B, 4 * hidden) @ whT
-        dz2 = dz.reshape(B * T, 4 * hidden)
-        dxs = (dz2 @ wx.data.T).reshape(B, T, d_in)
-        dwx = x2.T @ dz2
-        dwh = previous(states).reshape(B * T, hidden).T @ dz2
-        return dxs, dwx, dwh, dz2.sum(axis=0)
+        g_scan = np.zeros((steps, n_scans, B, hidden))
+        for s, (k, order, cols) in enumerate(scans):
+            g_scan[: lengths[k], s] = g[:, seams[k] : seams[k + 1], cols][:, order].swapaxes(0, 1)
+        dz = np.zeros((steps, n_scans, B, 4, hidden))
+        whT = wh.swapaxes(1, 2)
+        # written by prefix: a scan's entries stay zero until its last step
+        dh_next = np.zeros((n_scans, B, hidden))
+        dc_next = np.zeros((n_scans, B, hidden))
+        for t in range(steps - 1, -1, -1):
+            a = active[t]
+            dh = g_scan[t, :a] + dh_next[:a]
+            dc = dh * dc_dh[t, :a] + dc_next[:a]
+            np.multiply(dc[:, :, None, :], dz_dc[t, :a], out=dz[t, :a, :, :3])
+            np.multiply(dh, dz_dh[t, :a], out=dz[t, :a, :, 3])
+            np.multiply(dc, f[t, :a], out=dc_next[:a])
+            np.matmul(dz[t, :a].reshape(a, B, 4 * hidden), whT[:a], out=dh_next[:a])
+        grads = []
+        for s, (k, order, _) in enumerate(scans):
+            T = lengths[k]
+            # position order, contiguous: the products of a lone scan
+            dz2 = np.ascontiguousarray(dz[:T, s][order].swapaxes(0, 1)).reshape(B * T, 4 * hidden)
+            prev = np.ascontiguousarray(states[:T, s][order].swapaxes(0, 1)).reshape(B * T, hidden)
+            grads += [(dz2 @ weights[s][0].data.T).reshape(xs[k].shape), flat[k].T @ dz2,
+                      prev.T @ dz2, dz2.sum(axis=0)]
+        return grads
 
-    return Tensor._node(states, (xs, wx, wh, b), bw)
-
-
-def bilstm_sequence(xs: Tensor, p: dict[str, Tensor]) -> Tensor:
-    """Single-layer bidirectional LSTM; concatenates both directions per step."""
-    fwd = lstm_sequence(xs, p["fwd.wx"], p["fwd.wh"], p["fwd.b"])
-    bwd = lstm_sequence(xs, p["bwd.wx"], p["bwd.wh"], p["bwd.b"], reverse=True)
-    return concat([fwd, bwd], axis=2)
+    parents = [t for (k, _, _), w in zip(scans, weights) for t in (xs[k], *w)]
+    return Tensor._node(out, parents, bw)
 
 
 def attention_pool(states: Tensor, score_vec: Tensor, valid_mask: np.ndarray) -> Tensor:

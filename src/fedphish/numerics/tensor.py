@@ -46,10 +46,11 @@ class no_grad:
         return False
 
 
-def stable_sigmoid(x: np.ndarray) -> np.ndarray:
-    """Logistic function of an array; exp of the negated magnitude never overflows."""
+def stable_sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Logistic function of an array, written into ``out`` when given; exp of
+    the negated magnitude never overflows."""
     e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+    return np.divide(np.where(x >= 0, 1.0, e), 1.0 + e, out=out)
 
 
 class GradientError(RuntimeError):

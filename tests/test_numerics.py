@@ -11,6 +11,7 @@ from fedphish.numerics import (
     affine,
     attention_pool,
     backward,
+    bilstm_sequence,
     clip_global_norm,
     concat,
     dropout,
@@ -20,7 +21,6 @@ from fedphish.numerics import (
     l2_normalize,
     layer_norm,
     log_softmax,
-    lstm_sequence,
     mhsa_block,
     multiscale_conv_encode,
     softmax,
@@ -264,12 +264,86 @@ def test_mhsa_rejects_indivisible_heads():
 # lstm
 # ---------------------------------------------------------------------------
 
+def lstm_sequence(xs, wx, wh, b, reverse=False):
+    """Reference: one direction of an LSTM over [B, T, d_in] as its own graph
+    node, the scan ``bilstm_sequence`` runs four of. Initial h and c are zero;
+    ``reverse`` scans right to left and aligns states with the positions."""
+    B, T, d_in = xs.shape
+    hidden = wh.shape[0]
+    x2 = xs.data.reshape(B * T, d_in)
+    xw = (x2 @ wx.data).reshape(B, T, 4 * hidden)
+    whd, bd = wh.data, b.data
+    steps = range(T - 1, -1, -1) if reverse else range(T)
+    gates = np.empty((B, T, 4, hidden))
+    cells = np.empty((B, T, hidden))
+    tanh_c = np.empty((B, T, hidden))
+    states = np.empty((B, T, hidden))
+    h = np.zeros((B, hidden))
+    c = np.zeros((B, hidden))
+    for t in steps:
+        z = (xw[:, t] + h @ whd + bd).reshape(B, 4, hidden)
+        e = np.exp(-np.abs(z))
+        act = np.where(z >= 0, 1.0, e) / (1.0 + e)
+        act[:, 2] = np.tanh(z[:, 2])
+        c = act[:, 1] * c + act[:, 0] * act[:, 2]
+        tc = np.tanh(c)
+        h = act[:, 3] * tc
+        gates[:, t] = act
+        cells[:, t] = c
+        tanh_c[:, t] = tc
+        states[:, t] = h
+
+    def previous(a):
+        out = np.zeros_like(a)
+        if reverse:
+            out[:, :-1] = a[:, 1:]
+        else:
+            out[:, 1:] = a[:, :-1]
+        return out
+
+    def bw(g):
+        i, f, gg, o = (gates[:, :, k] for k in range(4))
+        dz_dc = np.stack(
+            [gg * i * (1.0 - i), previous(cells) * f * (1.0 - f), i * (1.0 - gg * gg)], axis=2
+        )
+        dz_dh = tanh_c * o * (1.0 - o)
+        dc_dh = o * (1.0 - tanh_c * tanh_c)
+        dz = np.empty((B, T, 4, hidden))
+        whT = whd.T
+        dh_next = np.zeros((B, hidden))
+        dc_next = np.zeros((B, hidden))
+        for t in reversed(steps):
+            dh = g[:, t] + dh_next
+            dc = dh * dc_dh[:, t] + dc_next
+            dz[:, t, :3] = dc[:, None, :] * dz_dc[:, t]
+            dz[:, t, 3] = dh * dz_dh[:, t]
+            dc_next = dc * f[:, t]
+            dh_next = dz[:, t].reshape(B, 4 * hidden) @ whT
+        dz2 = dz.reshape(B * T, 4 * hidden)
+        dxs = (dz2 @ wx.data.T).reshape(B, T, d_in)
+        dwx = x2.T @ dz2
+        dwh = previous(states).reshape(B * T, hidden).T @ dz2
+        return dxs, dwx, dwh, dz2.sum(axis=0)
+
+    return Tensor._node(states, (xs, wx, wh, b), bw)
+
+
+def reference_bilstm(xs, p):
+    """Both directions of one sequence by ``lstm_sequence``, concatenated per step."""
+    fwd = lstm_sequence(xs, p["fwd.wx"], p["fwd.wh"], p["fwd.b"])
+    bwd = lstm_sequence(xs, p["bwd.wx"], p["bwd.wh"], p["bwd.b"], reverse=True)
+    return concat([fwd, bwd], axis=2)
+
+
+def lstm_params(rng, d_in, hidden, scale=1.0):
+    shapes = {"wx": (d_in, 4 * hidden), "wh": (hidden, 4 * hidden), "b": (4 * hidden,)}
+    return {f"{d}.{k}": Tensor(rng.normal(scale=scale, size=shape), requires_grad=True)
+            for d in ("fwd", "bwd") for k, shape in shapes.items()}
+
+
 def zero_lstm_params(d_in, hidden):
-    return (
-        Tensor(np.zeros((d_in, 4 * hidden))),
-        Tensor(np.zeros((hidden, 4 * hidden))),
-        Tensor(np.zeros(4 * hidden)),
-    )
+    return {f"{d}.{k}": Tensor(np.zeros(shape)) for d in ("fwd", "bwd") for k, shape in
+            (("wx", (d_in, 4 * hidden)), ("wh", (hidden, 4 * hidden)), ("b", (4 * hidden,)))}
 
 
 def lstm_sequence_oracle(xs, wx, wh, b, reverse):
@@ -287,60 +361,123 @@ def lstm_sequence_oracle(xs, wx, wh, b, reverse):
 
 
 def test_lstm_zero_fixed_point():
-    wx, wh, b = zero_lstm_params(3, 2)
-    states = lstm_sequence(Tensor(np.ones((2, 4, 3))), wx, wh, b)
-    assert np.array_equal(states.data, np.zeros((2, 4, 2)))
+    states = bilstm_sequence(
+        [Tensor(np.ones((2, 4, 3))), Tensor(np.ones((2, 2, 5)))],
+        [zero_lstm_params(3, 2), zero_lstm_params(5, 2)],
+    )
+    assert np.array_equal(states.data, np.zeros((2, 6, 4)))
 
 
 def test_lstm_zero_params_halve_cell():
     # zero weights: i = f = o = 1/2, so c_t = (c_{t-1} + g) / 2 and c_t = g (1 - 2^-t)
-    wx, wh, _ = zero_lstm_params(3, 2)
+    # after t steps of either direction's scan
+    p = zero_lstm_params(3, 2)
     g_pre = np.array([0.7, -1.3])
-    b = Tensor(np.concatenate([np.zeros(4), g_pre, np.zeros(2)]))
-    states = lstm_sequence(Tensor(np.ones((1, 5, 3))), wx, wh, b).data[0]
+    for d in ("fwd", "bwd"):
+        p[f"{d}.b"] = Tensor(np.concatenate([np.zeros(4), g_pre, np.zeros(2)]))
+    states = bilstm_sequence([Tensor(np.ones((1, 5, 3)))], [p]).data[0]
     c = np.tanh(g_pre) * (1.0 - 0.5 ** np.arange(1, 6))[:, None]
-    assert np.allclose(states, 0.5 * np.tanh(c), atol=1e-12)
+    assert np.allclose(states[:, :2], 0.5 * np.tanh(c), atol=1e-12)
+    assert np.allclose(states[:, 2:], 0.5 * np.tanh(c[::-1]), atol=1e-12)
 
 
 def test_lstm_matches_scalar_oracle():
     rng = np.random.default_rng(8)
-    B, T, d_in, hidden = 2, 6, 5, 4
-    xs = rng.normal(size=(B, T, d_in))
-    wx = rng.normal(size=(d_in, 4 * hidden))
-    wh = rng.normal(size=(hidden, 4 * hidden))
-    b = rng.normal(size=4 * hidden)
-    for reverse in (False, True):
-        states = lstm_sequence(Tensor(xs), Tensor(wx), Tensor(wh), Tensor(b), reverse=reverse)
-        assert np.allclose(states.data, lstm_sequence_oracle(xs, wx, wh, b, reverse), atol=1e-12)
+    B, hidden = 2, 4
+    xs = [rng.normal(size=(B, 6, 5)), rng.normal(size=(B, 3, 2))]
+    ps = [lstm_params(rng, x.shape[2], hidden) for x in xs]
+    states = bilstm_sequence([Tensor(x) for x in xs], ps).data
+    want = np.concatenate([
+        np.concatenate([
+            lstm_sequence_oracle(x, *(p[f"{d}.{k}"].data for k in ("wx", "wh", "b")), d == "bwd")
+            for d in ("fwd", "bwd")
+        ], axis=2)
+        for x, p in zip(xs, ps)
+    ], axis=1)
+    assert np.allclose(states, want, atol=1e-12)
 
 
 @pytest.mark.parametrize("reverse", [False, True])
 @pytest.mark.parametrize("steps", [1, 5])
 def test_lstm_sequence_gradients_include_inputs(reverse, steps):
+    # both sequences' inputs, and one direction's weights: the reverse ones if ``reverse``
+    d = "bwd" if reverse else "fwd"
     for seed in range(5):
         rng = np.random.default_rng(300 + seed)
-        xs = Tensor(rng.normal(size=(3, steps, 4)), requires_grad=True)
-        wx = Tensor(rng.normal(scale=0.5, size=(4, 12)), requires_grad=True)
-        wh = Tensor(rng.normal(scale=0.5, size=(3, 12)), requires_grad=True)
-        b = Tensor(rng.normal(scale=0.5, size=12), requires_grad=True)
-        weights = Tensor(rng.normal(size=(3, steps, 3)))
+        xs = [Tensor(rng.normal(size=(3, steps, 4)), requires_grad=True),
+              Tensor(rng.normal(size=(3, 3, 2)), requires_grad=True)]
+        ps = [lstm_params(rng, x.shape[2], 3, scale=0.5) for x in xs]
+        weights = Tensor(rng.normal(size=(3, steps + 3, 6)))
 
         def loss_fn():
-            return (lstm_sequence(xs, wx, wh, b, reverse=reverse) * weights).sum()
+            return (bilstm_sequence(xs, ps) * weights).sum()
 
-        err = finite_difference_check(loss_fn, {"xs": xs, "wx": wx, "wh": wh, "b": b})
+        checked = {"xs0": xs[0], "xs1": xs[1]}
+        for k, p in enumerate(ps):
+            checked.update({f"{k}.{n}": p[f"{d}.{n}"] for n in ("wx", "wh", "b")})
+        err = finite_difference_check(loss_fn, checked)
         assert err < 1e-4, f"lstm seed {seed}: {err}"
 
 
 def test_lstm_sequence_reverse_matches_flipped_forward():
     rng = np.random.default_rng(9)
     xs = rng.normal(size=(2, 5, 3))
-    wx = Tensor(rng.normal(size=(3, 8)))
-    wh = Tensor(rng.normal(size=(2, 8)))
-    b = Tensor(rng.normal(size=8))
-    rev = lstm_sequence(Tensor(xs), wx, wh, b, reverse=True).data
-    fwd_on_flipped = lstm_sequence(Tensor(xs[:, ::-1, :].copy()), wx, wh, b).data
+    p = lstm_params(rng, 3, 2)
+    for k in ("wx", "wh", "b"):
+        p[f"bwd.{k}"] = p[f"fwd.{k}"]
+    rev = bilstm_sequence([Tensor(xs)], [p]).data[:, :, 2:]
+    fwd_on_flipped = bilstm_sequence([Tensor(xs[:, ::-1, :].copy())], [p]).data[:, :, :2]
     assert np.allclose(rev, fwd_on_flipped[:, ::-1, :], atol=1e-12)
+
+
+@pytest.mark.parametrize("t_word, t_dom, batch, pad_row", [
+    (5, 3, 4, False),
+    (3, 7, 2, False),
+    (1, 4, 1, False),
+    (4, 1, 3, False),
+    (1, 1, 1, False),
+    (6, 6, 3, False),
+    (5, 3, 4, True),
+    (16, 16, 8, True),
+])
+def test_bilstm_sequence_is_bitwise_four_reference_scans(t_word, t_dom, batch, pad_row):
+    """The stacked scan against four ``lstm_sequence`` nodes plus ``concat``,
+    through the html head's attention pools: states and every gradient
+    bitwise equal. ``pad_row`` makes the first row all PAD: one embedding row
+    at every position, masked out of its pool."""
+    rng = np.random.default_rng(t_word * 100 + t_dom * 10 + batch)
+    hidden = 3
+    data = [rng.normal(size=(batch, t_word, 5)), rng.normal(size=(batch, t_dom, 4))]
+    valid = [np.ones((batch, t), dtype=bool) for t in (t_word, t_dom)]
+    if pad_row:
+        data[0][0] = rng.normal(size=5)
+        valid[0][0] = False
+    raw = [{k: v.data for k, v in lstm_params(rng, x.shape[2], hidden).items()} for x in data]
+    scores = [rng.normal(size=2 * hidden) for _ in data]
+    w_states = rng.normal(size=(batch, t_word + t_dom, 2 * hidden))
+
+    def run(stacked):
+        xs = [Tensor(x.copy(), requires_grad=True) for x in data]
+        ps = [{k: Tensor(v.copy(), requires_grad=True) for k, v in p.items()} for p in raw]
+        sv = [Tensor(s.copy(), requires_grad=True) for s in scores]
+        if stacked:
+            states = bilstm_sequence(xs, ps)
+            parts = [states[:, :t_word], states[:, t_word:]]
+        else:
+            parts = [reference_bilstm(x, p) for x, p in zip(xs, ps)]
+            states = concat(parts, axis=1)
+        pooled = [attention_pool(s, v, m) for s, v, m in zip(parts, sv, valid)]
+        loss = (concat(pooled, axis=1) ** 2.0).sum() + (states * Tensor(w_states)).sum()
+        backward(loss)
+        grads = [x.grad for x in xs] + [p[k].grad for p in ps for k in sorted(p)]
+        return states.data, grads + [s.grad for s in sv]
+
+    got_states, got = run(stacked=True)
+    want_states, want = run(stacked=False)
+    assert np.array_equal(got_states, want_states)
+    assert len(got) == len(want) == 16
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -739,19 +876,23 @@ def test_primitive_gradients_over_twenty_seeds():
         assert err < 1e-4, f"log_softmax seed {seed}: {err}"
 
         seq = rng.normal(size=(1, 4, 3))
-        wx = Tensor(rng.normal(scale=0.1, size=(3, 8)), requires_grad=True)
-        wh = Tensor(rng.normal(scale=0.1, size=(2, 8)), requires_grad=True)
-        lb = Tensor(rng.normal(scale=0.1, size=8), requires_grad=True)
-        score = Tensor(rng.normal(scale=0.1, size=2), requires_grad=True)
+        lp = {k: Tensor(rng.normal(scale=0.1, size=shape), requires_grad=True)
+              for k, shape in (("fwd.wx", (3, 8)), ("fwd.wh", (2, 8)), ("fwd.b", 8))}
+        score = rng.normal(scale=0.1, size=2)
+        # the backward direction from its own stream, so that the draws
+        # after this check stay as they were
+        brng = np.random.default_rng(1000 + seed)
+        lp.update({k: Tensor(brng.normal(scale=0.1, size=shape), requires_grad=True)
+                   for k, shape in (("bwd.wx", (3, 8)), ("bwd.wh", (2, 8)), ("bwd.b", 8))})
+        score = Tensor(np.concatenate([score, brng.normal(scale=0.1, size=2)]),
+                       requires_grad=True)
 
         def lstm_loss():
-            states = lstm_sequence(Tensor(seq), wx, wh, lb)
+            states = bilstm_sequence([Tensor(seq)], [lp])
             pooled = attention_pool(states, score, np.ones((1, 4), dtype=bool))
             return (pooled ** 2.0).sum()
 
-        err = finite_difference_check(
-            lstm_loss, {"wx": wx, "wh": wh, "lb": lb, "score": score}
-        )
+        err = finite_difference_check(lstm_loss, {**lp, "score": score})
         assert err < 1e-4, f"lstm/pool seed {seed}: {err}"
 
         table = Tensor(rng.normal(scale=0.1, size=(5, 3)), requires_grad=True)

@@ -1,12 +1,15 @@
 """Property tests: table gradients and the aggregation of touched-rows
 reports are bitwise the plain dense computation for any ids, table shape
-and owner mix."""
+and owner mix, and a checkpoint file gives back bitwise what was saved, or,
+cut short, is rejected as truncated."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
-from fedphish.federation import ClientReport, aggregate
+from fedphish.federation import ClientReport, aggregate, load_checkpoint, save_checkpoint
 from fedphish.numerics import Tensor, TouchedRows, backward, embedding
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
@@ -72,3 +75,50 @@ def test_touched_rows_aggregate_is_the_dense_aggregate(case, seed):
     assert np.array_equal(got[touched_any], want[touched_any])
     assert np.array_equal(got[~touched_any], old[~touched_any])
     assert np.array_equal(old, kept)
+
+
+# any float64: NaN (any payload), infinities, -0.0 and subnormals included
+ANY_FLOAT = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.sampled_from([-0.0, 5e-324, -1.5e-310, float("nan")]),
+)
+# 0-d to 3-d, and sides of 0 for zero-size arrays
+PARAMS = st.dictionaries(
+    st.text(min_size=1, max_size=6),
+    arrays(np.float64, array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=3),
+           elements=ANY_FLOAT),
+    max_size=4,
+)
+
+
+@pytest.fixture(scope="module")
+def ckpt_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("ckpt")
+
+
+@PROPERTY
+@given(PARAMS, st.text(max_size=6), st.integers(0, 2**31 - 1))
+def test_checkpoint_round_trip_is_bitwise(ckpt_dir, params, run_id, round_index):
+    path = ckpt_dir / "round_trip.ckpt"
+    save_checkpoint(path, params, run_id=run_id, round_index=round_index,
+                    cfg_hash="0123456789abcdef")
+    manifest, loaded = load_checkpoint(path)
+    assert manifest == {"run_id": run_id, "round": round_index,
+                        "config_hash": "0123456789abcdef", "n_params": len(params)}
+    assert sorted(loaded) == sorted(params)
+    for name, arr in params.items():
+        assert loaded[name].dtype == np.float64
+        assert loaded[name].shape == arr.shape
+        assert loaded[name].tobytes() == arr.tobytes()
+
+
+@PROPERTY
+@given(PARAMS, st.data())
+def test_checkpoint_cut_at_any_byte_is_truncated(ckpt_dir, params, data):
+    path = ckpt_dir / "whole.ckpt"
+    save_checkpoint(path, params, run_id="r", round_index=0, cfg_hash="0123456789abcdef")
+    whole = path.read_bytes()
+    cut = data.draw(st.integers(0, len(whole) - 1), label="cut")
+    path.write_bytes(whole[:cut])
+    with pytest.raises(ValueError, match=f"checkpoint truncated at byte {cut}$"):
+        load_checkpoint(path)

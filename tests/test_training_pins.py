@@ -5,9 +5,14 @@ Each config runs two rounds of one epoch through ``parse_config``,
 ``rounds.csv`` it writes and of the final parameters' float64 bytes in
 sorted name order. A change that claims bitwise-identical training output
 keeps these digests; one that moves them has to say why.
+
+A variant is a bundled config with some ``preproc`` values replaced:
+``four_clients_html_cross_dom7`` gives the word and DOM streams unequal
+lengths, which no bundled config does.
 """
 
 import hashlib
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -63,6 +68,15 @@ PINS = {
         "92e931739f87c1c9ad71185cd907021c1138c1b150c27fb234b8a87e837d2955",
         "427572ab35dd845c0fa50568991e1c47ea4cee50a01ce56a054ea4aef64f5c22",
     ),
+    "four_clients_html_cross_dom7": (
+        "f2a18dfcc2952503a449a1031a3c706293374f41cd7dda10d2a701f9a4c1d72f",
+        "b4966bf402c9ace1f5a20d08fe0e6d5fd63813b7997fbbb1b5922d6a6109f64e",
+    ),
+}
+
+# variant name -> (bundled config, preproc values it replaces)
+VARIANTS = {
+    "four_clients_html_cross_dom7": ("four_clients_html_cross", {"dom_len": 7}),
 }
 
 
@@ -74,12 +88,23 @@ def params_digest(params: dict[str, np.ndarray]) -> str:
 
 
 def test_every_bundled_config_is_pinned():
-    assert sorted(PINS) == bundled_config_names()
+    assert sorted(set(PINS) - set(VARIANTS)) == bundled_config_names()
 
 
-@pytest.mark.parametrize("name", bundled_config_names())
+def config_path(name, tmp_path):
+    if name not in VARIANTS:
+        return bundled_config_path(name)
+    base, preproc = VARIANTS[name]
+    raw = json.loads(bundled_config_path(base).read_text())
+    raw["preproc"].update(preproc)
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(raw))
+    return path
+
+
+@pytest.mark.parametrize("name", sorted(PINS))
 def test_bundled_config_training_output_is_pinned(name, tmp_path):
-    cfg = parse_config(bundled_config_path(name))
+    cfg = parse_config(config_path(name, tmp_path))
     train = replace(cfg.train, rounds=2, epochs=1)
     result = run_experiment(cfg.model, train, build_clients(cfg))
     csv_path = tmp_path / "rounds.csv"
