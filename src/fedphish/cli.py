@@ -90,9 +90,9 @@ def cmd_synth(args) -> int:
 def gradcheck_suite(seeds: int) -> dict[str, float]:
     """Max relative finite-difference error per head at desk dims.
 
-    The checked function is ``federation.batch_loss``, the loss that
-    ``client_train`` minimises, on one image, html, url and pair batch (the
-    pair without modality dropout, so both branches are live). Each seed
+    The checked function is ``federation.batch_loss``, the data loss that
+    ``client_train`` backpropagates, on one image, html, url and pair batch
+    (the pair without modality dropout, so both branches are live). Each seed
     sweeps every parameter tensor the loss reaches at its 24 largest-gradient
     coordinates (10 for the fusion loss); small tensors are swept in full.
     Completeness of each primitive's backward is covered exhaustively by the
@@ -104,7 +104,7 @@ def gradcheck_suite(seeds: int) -> dict[str, float]:
     from .numerics import backward, finite_difference_check, zero_grads
 
     spec = ModelSpec.desk()
-    cfg = TrainConfig(mu=0.02, loss=LossConfig(modal_dropout_p=0.0))
+    cfg = TrainConfig(loss=LossConfig(modal_dropout_p=0.0))
     worst: dict[str, float] = {}
 
     for seed in range(seeds):
@@ -122,8 +122,6 @@ def gradcheck_suite(seeds: int) -> dict[str, float]:
                 "word": rng.integers(0, 17, size=(2, 8)), "dom": rng.integers(0, 9, size=(2, 8))}
         url = {"x": rng.normal(size=(2, 16))}
         page["y"] = url["y"] = rng.integers(0, 2, size=2)
-        snap = {k: p.data + rng.normal(scale=0.05, size=p.data.shape)
-                for k, p in params.items()}
 
         # (head, batch kind, batch, coordinates per tensor). The fusion loss
         # reaches every branch parameter; it samples those more sparsely, the
@@ -134,7 +132,7 @@ def gradcheck_suite(seeds: int) -> dict[str, float]:
             def loss_fn(kind=kind, batch=batch, offset=offset):
                 # dropout reseeded per call: every evaluation sees one function
                 drop = np.random.default_rng(seed + offset)
-                return batch_loss(heads, kind, params, batch, snap, cfg, drop)
+                return batch_loss(heads, kind, params, batch, cfg, drop)
 
             zero_grads(params)
             backward(loss_fn())

@@ -53,7 +53,7 @@ _SYNTH_KIND = {"image": "image_tokens", "html": "html", "url": "embeddings", "pa
 _SYNTH_CHECKS = {  # key -> (what it must be, test)
     "train_n": ("an integer >= 0", lambda v: _is_int(v) and v >= 0),
     "test_n": ("an integer >= 0", lambda v: _is_int(v) and v >= 0),
-    "seed": ("an integer", _is_int),
+    "seed": ("an integer >= 0", lambda v: _is_int(v) and v >= 0),
     "separation": ("a finite number >= 0", _is_finite_nonneg),
     "length": ("an integer >= 1", lambda v: _is_int(v) and v >= 1),
     "informative": ("true or false", lambda v: isinstance(v, bool)),
@@ -127,8 +127,10 @@ def _parse_dataset(obj: dict, where: str) -> DatasetSpec:
     test_range = obj.get("test_range")
     shuffle_seed = obj.get("shuffle_seed", 42)
     preshuffled = obj.get("preshuffled", False)
-    if not (_is_int(shuffle_seed) and isinstance(preshuffled, bool)):
-        raise ConfigError(f"{where}: shuffle_seed must be an integer and preshuffled true or false")
+    if not (_is_int(shuffle_seed) and shuffle_seed >= 0):
+        raise ConfigError(f"{where}: shuffle_seed must be an integer >= 0, got {shuffle_seed!r}")
+    if not isinstance(preshuffled, bool):
+        raise ConfigError(f"{where}: preshuffled must be true or false, got {preshuffled!r}")
     if path is not None:
         if not isinstance(path, str):
             raise ConfigError(f"{where}: path must be a string, got {path!r}")

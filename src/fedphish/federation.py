@@ -11,11 +11,13 @@ parameter whole and a table as those rows: no other row can move
 only over its owners, and a role nobody owns keeps its old values.
 
 Each epoch a client trains its image, html and url batches, in that order,
-then its pair batches. ``batch_loss`` is the one training objective: a focal
-loss plus the proximal pull toward the broadcast snapshot, and for pairs the
-fused loss with batch-level modality dropout, auxiliary branch losses and JS
-consistency. Only the parameters a batch's loss reaches get a gradient, and
-only those are clipped and stepped.
+then its pair batches. ``batch_loss`` is the one data loss: a focal loss,
+and for pairs the fused loss with batch-level modality dropout, auxiliary
+branch losses and JS consistency. With ``mu > 0`` the FedProx pull toward
+the broadcast, mu (theta - theta_t), is added to the gradient of every
+parameter the client trains after each backward pass (Li et al., 2018); it
+is not part of the loss. Only the parameters that have a gradient are
+clipped and stepped.
 
 Everything is deterministic: clients train one after another in sorted
 client-id order, client RNG streams are seeded by (global seed, client
@@ -48,7 +50,6 @@ from .heads import (
     _is_real,
     focal_loss,
     js_consistency,
-    proximal_term,
 )
 from .metrics import Metrics, RoundEntry, RoundLog, compute_metrics, confusion
 from .numerics import (
@@ -71,6 +72,7 @@ __all__ = [
     "aggregate",
     "head_logits",
     "batch_loss",
+    "proximal_term",
     "client_train",
     "client_evaluate",
     "run_experiment",
@@ -140,6 +142,8 @@ class TrainConfig:
     epochs: int = 5
     lr: float = 0.001
     batch_size: int = 64
+    # FedProx coefficient: each step adds mu (theta - theta_t) to the
+    # gradient of every parameter the client trains; 0 turns the pull off
     mu: float = 0.0
     clip: float = 1.0
     loss: LossConfig = field(default_factory=LossConfig)
@@ -156,8 +160,8 @@ class TrainConfig:
                 raise ValueError(f"{name} must be a finite number > 0, got {value!r}")
         if not _is_finite_nonneg(self.mu):
             raise ValueError(f"mu must be a finite number >= 0, got {self.mu!r}")
-        if not _is_int(self.seed):
-            raise ValueError(f"seed must be an integer, got {self.seed!r}")
+        if not (_is_int(self.seed) and self.seed >= 0):
+            raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -249,22 +253,21 @@ def head_logits(heads, kind: str, params, batch, train: bool = False, rng=None) 
     return heads[kind].forward(params, batch["x"], train=train, rng=rng)
 
 
-def batch_loss(heads, kind: str, params, batch, snapshot, cfg: TrainConfig, rng) -> Tensor:
-    """The training loss of one batch of ``kind`` (image, html, url or pair).
+def batch_loss(heads, kind: str, params, batch, cfg: TrainConfig, rng) -> Tensor:
+    """The data loss of one batch of ``kind`` (image, html, url or pair).
 
     A single-modality batch gives the focal loss of its head. A pair batch
     runs both branches, drops one of them with probability p/2 each
     (batch-level modality dropout, one ``rng.random()`` per batch), fuses
     what is left, and adds the auxiliary branch losses and the JS
-    consistency term. Either way the proximal pull toward ``snapshot``
-    covers the head being trained (fusion for pairs).
+    consistency term. The FedProx pull is not part of it; ``client_train``
+    adds it to the gradients (``proximal_term``).
     """
     loss_cfg = cfg.loss
     labels = batch["y"]
     if kind != "pair":
         logits = head_logits(heads, kind, params, batch, train=True, rng=rng)
-        loss = focal_loss(logits, labels, loss_cfg.focal_gamma)
-        return loss + proximal_term(params, snapshot, cfg.mu, _ROLE_PREFIX[kind])
+        return focal_loss(logits, labels, loss_cfg.focal_gamma)
     l_i = head_logits(heads, "image", params, batch, train=True, rng=rng)
     l_h = head_logits(heads, "html", params, batch, train=True, rng=rng)
     l_i_star, l_h_star = l_i, l_h
@@ -282,7 +285,7 @@ def batch_loss(heads, kind: str, params, batch, snapshot, cfg: TrainConfig, rng)
         )
     if loss_cfg.lambda_js > 0:
         loss = loss + loss_cfg.lambda_js * js_consistency(l_i, l_h)
-    return loss + proximal_term(params, snapshot, cfg.mu, FUSION_PREFIX)
+    return loss
 
 
 def _compact_tables(train: dict[str, dict[str, np.ndarray]], broadcast: dict[str, np.ndarray],
@@ -307,6 +310,23 @@ def _compact_tables(train: dict[str, dict[str, np.ndarray]], broadcast: dict[str
     return rows, position
 
 
+def proximal_term(params: dict[str, Tensor], anchor: dict[str, np.ndarray], mu: float) -> None:
+    """Add the FedProx pull mu (theta - theta_t), the gradient of
+    mu/2 ||theta - theta_t||^2, into the ``.grad`` of every parameter, one
+    parameter at a time. A parameter the loss left without a gradient takes
+    the pull as its gradient. ``anchor`` holds each parameter's broadcast
+    value in the parameter's shape: for a compact table, the same rows of
+    the broadcast table."""
+    for name, p in params.items():
+        # an array also at 0-d, so that clipping can scale it in place
+        pull = np.asarray(p.data - anchor[name])
+        pull *= mu
+        if p.grad is None:
+            p.grad = pull
+        else:
+            p.grad += pull
+
+
 def client_train(
     data: ClientData,
     broadcast: dict[str, np.ndarray],
@@ -314,21 +334,21 @@ def client_train(
     cfg: TrainConfig,
     rng: np.random.Generator,
 ) -> ClientReport:
-    """Local training from the broadcast snapshot, which also serves as the
-    proximal anchor. Only the parameters of the roles the client owns are
-    copied, optimised and returned; no other parameter gets a gradient. A
-    table is copied, pulled, trained and returned as the compact table of
-    the rows the client's streams can look up, with each batch's ids mapped
-    to positions in it."""
+    """Local training from the broadcast, which is also the FedProx anchor.
+    Only the parameters of the roles the client owns are copied, optimised
+    and returned; no other parameter gets a gradient. A table is copied,
+    trained and returned as the compact table of the rows the client's
+    streams can look up, with each batch's ids mapped to positions in it.
+    Each step backpropagates the data loss, adds the pull toward the anchor
+    to every owned parameter when ``mu > 0``, then clips and steps."""
     weights = data.role_weights()
     if not weights:
         raise ValueError(f"client {data.client_id} has no training data")
     heads = model.heads()
     rows, position = _compact_tables(data.train, broadcast, weights)
-    snapshot = broadcast | {name: broadcast[name][r] for name, r in rows.items()}
-    params = {
-        k: Tensor(v.copy(), requires_grad=True) for k, v in snapshot.items() if group_of(k) in weights
-    }
+    anchor = {k: broadcast[k][rows[k]] if k in rows else v
+              for k, v in broadcast.items() if group_of(k) in weights}
+    params = {k: Tensor(v.copy(), requires_grad=True) for k, v in anchor.items()}
     optimizer = make_optimizer(params, cfg.lr)
 
     for _ in range(cfg.epochs):
@@ -339,8 +359,9 @@ def client_train(
             for idx in _batches(len(arrays["y"]), cfg.batch_size, rng):
                 zero_grads(params)
                 batch = {k: position[k][v[idx]] if k in position else v[idx] for k, v in arrays.items()}
-                loss = batch_loss(heads, kind, params, batch, snapshot, cfg, rng)
-                backward(loss)
+                backward(batch_loss(heads, kind, params, batch, cfg, rng))
+                if cfg.mu > 0:
+                    proximal_term(params, anchor, cfg.mu)
                 grads = [params[k].grad for k in sorted(params) if params[k].grad is not None]
                 clip_global_norm(grads, cfg.clip)
                 optimizer.step()

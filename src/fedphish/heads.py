@@ -44,7 +44,6 @@ __all__ = [
     "FusionHead",
     "focal_loss",
     "js_consistency",
-    "proximal_term",
     "TABLE_OF_STREAM",
 ]
 
@@ -496,35 +495,6 @@ def js_consistency(logits_a: Tensor, logits_b: Tensor) -> Tensor:
     kl_pm = (logp.exp() * (logp - logm)).sum(axis=-1)
     kl_qm = (logq.exp() * (logq - logm)).sum(axis=-1)
     return ((kl_pm + kl_qm) * 0.5).mean()
-
-
-def proximal_term(local: dict[str, Tensor], snapshot: dict[str, np.ndarray],
-                  mu: float, prefix: str) -> Tensor:
-    """mu/2 times the squared L2 distance to the snapshot over the parameters
-    named with ``prefix``, as one graph node. The snapshot holds each
-    parameter's anchor in the parameter's shape; for a compact table, the
-    same rows of the broadcast table. The gradient is exactly
-    mu (theta - theta_t). The node keeps each parameter with its anchor and
-    takes the difference again in its backward, which is bitwise the same
-    since parameters do not change in between, so it holds no
-    parameter-size difference from forward to backward."""
-    if mu == 0.0:
-        return Tensor(np.array(0.0))
-    total, pairs = 0.0, []  # pairs: (parameter, its anchor)
-    for name in sorted(local):
-        if not name.startswith(prefix):
-            continue
-        if name not in snapshot:
-            raise ValueError(f"snapshot is missing parameter {name!r}")
-        diff = local[name].data - snapshot[name]
-        total += (diff * diff).sum()
-        pairs.append((local[name], snapshot[name]))
-
-    def bw(g: np.ndarray):
-        scale = g * mu
-        return tuple(scale * (p.data - anchor) for p, anchor in pairs)
-
-    return Tensor._node(total * (mu / 2.0), [p for p, _ in pairs], bw)
 
 
 # ---------------------------------------------------------------------------

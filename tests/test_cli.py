@@ -79,6 +79,7 @@ def test_parse_rejects_negative_mu(tmp_path):
 @pytest.mark.parametrize("over", [
     {"lr": -1}, {"batch_size": 0}, {"clip": 0}, {"epochs": 1.5}, {"rounds": "3"},
     {"seed": "x"}, {"workers": 2}, {"detach_branches": True}, {"optimizer": "adam"},
+    pytest.param({"seed": -1}, id="seed-negative"),
     pytest.param({"lambda_aux": float("nan")}, id="lambda_aux-nan"),
     pytest.param({"focal_gamma": float("nan")}, id="focal_gamma-nan"),
     pytest.param({"focal_gamma": float("inf")}, id="focal_gamma-inf"),
@@ -139,6 +140,12 @@ def with_path(**dataset):
     pytest.param(minimal_config(clients=[{"id": "u1", "datasets": [URL_SYNTH, URL_SYNTH]}]),
                  "client u1: duplicate url dataset", id="duplicate-modality"),
     pytest.param(with_synth(seed=1.5), "seed", id="seed-float"),
+    pytest.param(with_synth(seed=-1),
+                 "clients\\[0\\]\\.datasets\\[0\\]\\.synth: seed must be an integer >= 0",
+                 id="seed-negative"),
+    pytest.param(with_path(shuffle_seed=-1),
+                 "clients\\[0\\]\\.datasets\\[0\\]: shuffle_seed must be an integer >= 0",
+                 id="shuffle_seed-negative"),
     pytest.param(with_synth(separation="x"), "separation", id="separation-str"),
     pytest.param(with_synth(separation=-1.0), "separation", id="separation-negative"),
     pytest.param(with_synth(length=0), "length", id="length-zero"),
@@ -287,6 +294,15 @@ def test_cli_run_seed_override_changes_logs(tmp_path):
     assert (out_a / "rounds.csv").read_bytes() != (out_b / "rounds.csv").read_bytes()
 
 
+def test_cli_run_negative_seed_override_exit_one(tmp_path, capsys):
+    # rejected with the config, before the output directory is made
+    cfg_path = write_config(tmp_path, minimal_config())
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg_path), "--out", str(out), "--seed", "-5"]) == EXIT_VALIDATION
+    assert "seed must be an integer >= 0, got -5" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_run_invalid_config_exit_one(tmp_path):
     cfg_path = write_config(tmp_path, minimal_config(bogus_key=1))
     assert main(["run", "--config", str(cfg_path)]) == EXIT_VALIDATION
@@ -433,9 +449,9 @@ def test_cli_gradcheck_repeat_identical(gradcheck_twice):
 # gradient the sweep reaches moves one of them, while [ok] alone would pass
 GRADCHECK_SEED1_STDOUT = (
     "fusion: max relative error 1.314e-06 [ok]\n"
-    "html: max relative error 6.969e-08 [ok]\n"
-    "image: max relative error 4.121e-07 [ok]\n"
-    "url: max relative error 9.423e-08 [ok]\n"
+    "html: max relative error 3.909e-07 [ok]\n"
+    "image: max relative error 1.571e-07 [ok]\n"
+    "url: max relative error 5.502e-08 [ok]\n"
 )
 
 

@@ -20,6 +20,7 @@ from fedphish.federation import (
     client_train,
     group_of,
     load_checkpoint,
+    proximal_term,
     run_experiment,
     save_checkpoint,
     select_clients,
@@ -32,7 +33,6 @@ from fedphish.heads import (
     URL_PREFIX,
     LossConfig,
     ModelSpec,
-    proximal_term,
 )
 from fedphish.numerics import Adam, Tensor, TouchedRows, backward, clip_global_norm, zero_grads
 
@@ -281,63 +281,70 @@ def desk_batch(kind, rng):
     return batch
 
 
-PULLED = {"image": IMAGE_PREFIX, "html": HTML_PREFIX, "url": URL_PREFIX, "pair": FUSION_PREFIX}
-
-
-def test_proximal_pull_through_batch_loss_is_exact():
-    # for each kind, with every row of each table moved away from the
-    # snapshot or a strict subset (the snapshot equals the params off the
-    # moved rows): the loss at mu adds exactly proximal_term, every gradient
-    # is bitwise the gradient at mu 0 plus mu (theta - theta_t) on the
-    # pulled head, and a table's gradient is zero outside its looked-up rows
-    # and, if pulled, its moved rows
-    spec = ModelSpec.desk()
-    params = spec.init_params(6)
-    rng = np.random.default_rng(7)
+def test_pull_adds_mu_times_distance_to_every_trained_gradient(monkeypatch):
+    # on each step of a client with pair and html data, the gradient that
+    # reaches clipping is bitwise the data-loss gradient plus
+    # mu (theta - theta_t) on every parameter it trains: the image, html and
+    # fusion heads alike, on every batch kind, a table on its compact rows,
+    # and a parameter the data loss did not reach takes the pull alone
+    spec = ModelSpec.desk_pages()
+    broadcast = {k: p.data for k, p in spec.init_params(8).items()}
+    client = ClientData(client_id="f0", train={"pair": pair_client().train["pair"],
+                                               "html": desk_html_client(n=8).train["html"]})
     mu = 0.2
-    for kind, prefix in sorted(PULLED.items()):
-        for subset in (False, True):
-            batch = desk_batch(kind, rng)
-            moved = {k: np.arange(params[k].shape[0]) for k in TABLE_OF_STREAM.values()}
-            if subset:
-                moved = {k: np.sort(rng.choice(r, size=r.size // 2, replace=False))
-                         for k, r in moved.items()}
-            snapshot = {k: p.data + rng.normal(scale=0.1, size=p.shape) for k, p in params.items()}
-            for k, rows in moved.items():
-                still = np.setdiff1d(np.arange(params[k].shape[0]), rows)
-                snapshot[k][still] = params[k].data[still]
-            losses, grads = [], []
-            for m in (0.0, mu):
-                zero_grads(params)
-                cfg = TrainConfig(rounds=1, mu=m, loss=LossConfig(modal_dropout_p=0.0))
-                loss = batch_loss(spec.heads(), kind, params, batch, snapshot, cfg,
-                                  np.random.default_rng(0))
-                backward(loss)
-                losses.append(loss.data)
-                grads.append({k: p.grad for k, p in params.items() if p.grad is not None})
-            plain, pulled = grads
-            prox = proximal_term(params, snapshot, mu, prefix).data
-            assert prox > 0
-            assert losses[1] == losses[0] + prox, kind
-            assert sorted(pulled) == sorted(set(plain) | {k for k in params if k.startswith(prefix)})
-            for k, g in pulled.items():
-                base = plain[k] if k in plain else np.zeros(params[k].shape)
-                pull = mu * (params[k].data - snapshot[k]) if k.startswith(prefix) else 0.0
-                assert np.array_equal(g, base + pull), (kind, subset, k)
-            for stream, k in TABLE_OF_STREAM.items():
-                if k in pulled:
-                    reach = np.unique(batch[stream])
-                    if k.startswith(prefix):
-                        reach = np.union1d(reach, moved[k])
-                    assert not np.delete(pulled[k], reach, axis=0).any(), (kind, subset, k)
+    steps, trained = [], {}
 
-    # and local training feels it: mu > 0 reports different url params
+    def make_optimizer(params, lr):
+        trained.update(params)
+        return real_make_optimizer(params, lr)
+
+    def backward_and_record(loss):
+        real_backward(loss)
+        steps.append({"theta": {k: p.data.copy() for k, p in trained.items()},
+                      "data": {k: p.grad.copy() for k, p in trained.items() if p.grad is not None}})
+
+    def clip(grads, tau):
+        steps[-1]["clipped"] = {k: p.grad.copy() for k, p in trained.items() if p.grad is not None}
+        return real_clip(grads, tau)
+
+    real_make_optimizer, real_backward, real_clip = (
+        federation.make_optimizer, federation.backward, federation.clip_global_norm)
+    monkeypatch.setattr(federation, "make_optimizer", make_optimizer)
+    monkeypatch.setattr(federation, "backward", backward_and_record)
+    monkeypatch.setattr(federation, "clip_global_norm", clip)
+    cfg = TrainConfig(rounds=1, epochs=2, batch_size=4, seed=8, mu=mu,
+                      loss=LossConfig(modal_dropout_p=0.5))
+    rep = client_train(client, broadcast, spec, cfg, _client_rng(8, 0, 0))
+
+    anchor = {k: broadcast[k][v.rows] if isinstance(v, TouchedRows) else broadcast[k]
+              for k, v in rep.params.items()}
+    assert {group_of(k) for k in anchor} == {"image", "html", "fusion"}
+    assert len(steps) == 8
+    unreached = 0
+    for step in steps:
+        assert step["clipped"].keys() == anchor.keys()
+        for k, g in step["clipped"].items():
+            pull = mu * (step["theta"][k] - anchor[k])
+            want = step["data"][k] + pull if k in step["data"] else pull
+            assert np.array_equal(g, want), k
+        unreached += len(anchor) - len(step["data"])
+    # html batches and dropped branches leave parameters to the pull alone
+    assert unreached > 0
+    # after the first step every head has moved, so every head is pulled
+    last = steps[-1]
+    for role in ("image", "html", "fusion"):
+        assert any(not np.array_equal(last["theta"][k], anchor[k])
+                   for k in anchor if group_of(k) == role), role
+
+
+def test_pull_changes_local_training():
+    spec = ModelSpec.desk()
     broadcast = {k: p.data for k, p in spec.init_params(6).items()}
     client = desk_url_client(seed=7, n=48)
     reps = [client_train(client, broadcast, spec,
                          TrainConfig(rounds=1, epochs=2, batch_size=16, seed=6, mu=m),
                          _client_rng(6, 0, 0))
-            for m in (0.0, mu)]
+            for m in (0.0, 0.2)]
     url_names = [k for k in broadcast if k.startswith(URL_PREFIX)]
     assert any(not np.array_equal(reps[0].params[k], reps[1].params[k]) for k in url_names)
 
@@ -360,9 +367,11 @@ def test_html_step_leaves_embedding_gradients_row_sparse():
         snapshot[k][rows] += 0.5
     for mu in (0.0, 0.02):
         zero_grads(params)
-        loss = batch_loss(spec.heads(), "html", params, batch, snapshot,
-                          TrainConfig(rounds=1, mu=mu), np.random.default_rng(0))
-        backward(loss)
+        backward(batch_loss(spec.heads(), "html", params, batch, TrainConfig(rounds=1),
+                            np.random.default_rng(0)))
+        if mu > 0:
+            proximal_term({k: p for k, p in params.items() if k.startswith(HTML_PREFIX)},
+                          snapshot, mu)
         grads = [params[k].grad for k in sorted(params) if params[k].grad is not None]
         clip_global_norm(grads, 1.0)
         for stream, name in TABLE_OF_STREAM.items():
@@ -418,7 +427,12 @@ def full_table_training(data, broadcast, spec, cfg, rng):
             for idx in federation._batches(len(arrays["y"]), cfg.batch_size, rng):
                 zero_grads(params)
                 batch = {k: v[idx] for k, v in arrays.items()}
-                backward(batch_loss(heads, kind, params, batch, broadcast, cfg, rng))
+                backward(batch_loss(heads, kind, params, batch, cfg, rng))
+                if cfg.mu > 0:
+                    for k, p in params.items():
+                        # an array, also at 0-d: clipping scales it in place
+                        pull = cfg.mu * (p.data - broadcast[k])
+                        p.grad = np.asarray(pull if p.grad is None else p.grad + pull)
                 grads = [params[k].grad for k in sorted(params) if params[k].grad is not None]
                 clip_global_norm(grads, cfg.clip)
                 optimizer.step()
@@ -461,26 +475,20 @@ def graph_nodes(loss) -> int:
 
 
 # layer norm, GELU, log-softmax, focal loss and unit normalisation are one
-# node each, and so is the proximal pull; the word and DOM BiLSTMs are one
-# node plus a slice per branch; a primitive that turns back into a chain of
+# node each; the word and DOM BiLSTMs are one node plus a slice per branch;
+# the pull is no node at all. A primitive that turns back into a chain of
 # nodes fails here
-BATCH_LOSS_NODES = {
-    0.0: {"image": 110, "html": 65, "url": 25, "pair": 246},
-    0.02: {"image": 111, "html": 66, "url": 26, "pair": 247},
-}
+BATCH_LOSS_NODES = {"image": 109, "html": 64, "url": 24, "pair": 245}
 
 
-@pytest.mark.parametrize("kind", sorted(BATCH_LOSS_NODES[0.0]))
+@pytest.mark.parametrize("kind", sorted(BATCH_LOSS_NODES))
 def test_batch_loss_graph_node_count(kind):
     spec = ModelSpec.desk()
     params = spec.init_params(0)
     batch = desk_batch(kind, np.random.default_rng(1))
-    snapshot = {k: p.data for k, p in params.items()}
-    for mu, nodes in sorted(BATCH_LOSS_NODES.items()):
-        cfg = TrainConfig(mu=mu, loss=LossConfig(modal_dropout_p=0.0))
-        loss = batch_loss(spec.heads(), kind, params, batch, snapshot, cfg,
-                          np.random.default_rng(2))
-        assert graph_nodes(loss) == nodes[kind], mu
+    cfg = TrainConfig(loss=LossConfig(modal_dropout_p=0.0))
+    loss = batch_loss(spec.heads(), kind, params, batch, cfg, np.random.default_rng(2))
+    assert graph_nodes(loss) == BATCH_LOSS_NODES[kind]
 
 
 class FixedDraw:
@@ -507,10 +515,9 @@ def test_pair_modality_dropout_split(r, dropped):
     spec = ModelSpec.desk_pages()
     batch = synth_paired(4, seed=1, image_length=4, image_dim=16, preproc_cfg=pcfg)
     params = spec.init_params(12)
-    snapshot = {k: p.data for k, p in params.items()}
     cfg = TrainConfig(rounds=1, loss=LossConfig(modal_dropout_p=0.2))
     zero_grads(params)
-    backward(batch_loss(spec.heads(), "pair", params, batch, snapshot, cfg, FixedDraw(r)))
+    backward(batch_loss(spec.heads(), "pair", params, batch, cfg, FixedDraw(r)))
     reached = {k for k, p in params.items() if p.grad is not None}
     # both branch heads learn from the auxiliary losses whichever branch is dropped
     branches = {k for k in params if k.startswith((IMAGE_PREFIX, HTML_PREFIX))}

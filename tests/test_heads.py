@@ -13,7 +13,7 @@ from test_numerics import (
 
 import fedphish.federation
 import fedphish.heads
-from fedphish.federation import TrainConfig, batch_loss
+from fedphish.federation import TrainConfig, batch_loss, proximal_term
 from fedphish.heads import (
     FUSION_PREFIX,
     HTML_PREFIX,
@@ -32,7 +32,6 @@ from fedphish.heads import (
     _stats_columns,
     focal_loss,
     js_consistency,
-    proximal_term,
 )
 from fedphish.numerics import (
     Tensor,
@@ -552,13 +551,11 @@ def test_batch_loss_gradients_match_compositions(kind, monkeypatch):
              "y": np.array([0, 1, 1])}
     if kind == "url":
         batch["x"] = rng.normal(size=(3, 16))
-    snap = {k: p.data + rng.normal(scale=0.05, size=p.data.shape) for k, p in params.items()}
-    cfg = TrainConfig(mu=0.02, loss=LossConfig(modal_dropout_p=0.0))
+    cfg = TrainConfig(loss=LossConfig(modal_dropout_p=0.0))
 
     def loss_and_grads():
         zero_grads(params)
-        loss = batch_loss(spec.heads(), kind, params, batch, snap, cfg,
-                          np.random.default_rng(5))
+        loss = batch_loss(spec.heads(), kind, params, batch, cfg, np.random.default_rng(5))
         backward(loss)
         return loss.data, {k: np.array(p.grad) for k, p in params.items() if p.grad is not None}
 
@@ -633,91 +630,105 @@ def test_js_consistency_stable_on_extreme_logits():
 
 
 # ---------------------------------------------------------------------------
-# proximal term
+# proximal pull: mu (theta - theta_t) added to each parameter's gradient
 # ---------------------------------------------------------------------------
 
 def test_proximal_zero_at_snapshot():
+    # at the anchor the pull is exactly zero, and it leaves an existing
+    # gradient bitwise as it was
     _, params = desk_params(seed=28)
     snap = {k: p.data.copy() for k, p in params.items()}
-    assert float(proximal_term(params, snap, 0.02, URL_PREFIX).data) == 0.0
+    proximal_term(params, snap, 0.02)
+    assert not any(p.grad.any() for p in params.values())
+    for p in params.values():
+        p.grad = np.ones(p.shape)
+    proximal_term(params, snap, 0.02)
+    assert all(np.array_equal(p.grad, np.ones(p.shape)) for p in params.values())
 
 
 def test_proximal_zero_mu():
     _, params = desk_params(seed=29)
     snap = {k: p.data + 1.0 for k, p in params.items()}
-    assert float(proximal_term(params, snap, 0.0, URL_PREFIX).data) == 0.0
+    proximal_term(params, snap, 0.0)
+    assert not any(p.grad.any() for p in params.values())
 
 
 def test_proximal_hand_value():
     local = {"url_head.w": Tensor(np.array(3.0), requires_grad=True)}
-    snap = {"url_head.w": np.array(1.0)}
-    val = proximal_term(local, snap, 0.02, URL_PREFIX)
-    assert abs(float(val.data) - 0.04) < 1e-15
+    proximal_term(local, {"url_head.w": np.array(1.0)}, 0.02)
+    # an array also at 0-d, so that clipping can scale it in place
+    assert isinstance(local["url_head.w"].grad, np.ndarray)
+    assert local["url_head.w"].grad == 0.02 * 2.0
 
 
 def test_proximal_gradient_is_mu_times_diff():
+    # added to the gradient the loss left, bitwise
     rng = np.random.default_rng(30)
     local = {"url_head.w": Tensor(rng.normal(size=(3, 2)), requires_grad=True)}
     snap = {"url_head.w": rng.normal(size=(3, 2))}
+    data_grad = rng.normal(size=(3, 2))
+    local["url_head.w"].grad = data_grad.copy()
     mu = 0.7
-    backward(proximal_term(local, snap, mu, URL_PREFIX))
-    expected = mu * (local["url_head.w"].data - snap["url_head.w"])
-    assert np.allclose(local["url_head.w"].grad, expected, atol=1e-15)
+    proximal_term(local, snap, mu)
+    expected = data_grad + mu * (local["url_head.w"].data - snap["url_head.w"])
+    assert np.array_equal(local["url_head.w"].grad, expected)
 
 
 def test_proximal_table_compares_moved_rows_only():
     # a table is pulled whole, like any parameter; a row equal to its anchor
-    # adds nothing to the value and gets exactly zero gradient, so only the
-    # rows that moved away from the snapshot count
+    # gets exactly zero pull, so only the rows that moved away count
     rng = np.random.default_rng(31)
     table = Tensor(rng.normal(size=(6, 2)), requires_grad=True)
-    local = {"html_head.word.embed": table,
-             "html_head.cls.b": Tensor(rng.normal(size=3), requires_grad=True)}
-    snap = {k: p.data.copy() for k, p in local.items()}
+    local = {"html_head.word.embed": table}
+    snap = {"html_head.word.embed": table.data.copy()}
     rows = np.array([1, 4])
     snap["html_head.word.embed"][rows] += rng.normal(size=(2, 2))
-    snap["html_head.cls.b"] += rng.normal(size=3)
     mu = 0.3
-    term = proximal_term(local, snap, mu, HTML_PREFIX)
-    d_table = table.data[rows] - snap["html_head.word.embed"][rows]
-    d_b = local["html_head.cls.b"].data - snap["html_head.cls.b"]
-    assert term.data == ((d_b * d_b).sum() + (d_table * d_table).sum()) * (mu / 2.0)
-    backward(term)
+    proximal_term(local, snap, mu)
     want = np.zeros(table.shape)
-    want[rows] = mu * d_table
+    want[rows] = mu * (table.data[rows] - snap["html_head.word.embed"][rows])
     assert np.array_equal(table.grad, want)
-    assert np.array_equal(local["html_head.cls.b"].grad, mu * d_b)
-    # at the snapshot nothing has moved: no value, no gradient
-    zero_grads(local)
-    at_snap = {k: p.data.copy() for k, p in local.items()}
-    term = proximal_term(local, at_snap, mu, HTML_PREFIX)
-    backward(term)
-    assert term.data == 0.0
-    assert not table.grad.any()
 
 
-def test_proximal_missing_name_is_configuration_error():
-    local = {"url_head.w": Tensor(np.array(1.0), requires_grad=True)}
-    with pytest.raises(ValueError, match="snapshot is missing parameter 'url_head.w'"):
-        proximal_term(local, {}, 0.1, URL_PREFIX)
+def test_pull_is_the_gradient_of_the_proximal_term():
+    # mu/2 ||theta - theta_t||^2 by central differences, a 0-d parameter and
+    # a table included
+    rng = np.random.default_rng(30)
+    shapes = {"url_head.cls.log_scale": (), "url_head.fc.v": (3, 2), TABLE_OF_STREAM["word"]: (5, 4)}
+    params = {k: Tensor(rng.normal(size=s), requires_grad=True) for k, s in shapes.items()}
+    anchor = {k: rng.normal(size=s) for k, s in shapes.items()}
+    mu, h = 0.7, 1e-6
 
+    def value(k, theta):
+        d = theta - anchor[k]
+        return mu / 2.0 * float((d * d).sum())
 
-def test_proximal_only_touches_prefix():
-    _, params = desk_params(seed=31)
-    snap = {k: p.data + 0.5 for k, p in params.items()}
-    zero_grads(params)
-    term = proximal_term(params, snap, 1.0, FUSION_PREFIX)
-    backward(term)
-    for name, p in params.items():
-        if name.startswith(FUSION_PREFIX):
-            assert p.grad is not None
-        else:
-            assert p.grad is None
+    proximal_term(params, anchor, mu)
+    for k, p in params.items():
+        assert isinstance(p.grad, np.ndarray) and p.grad.shape == p.shape, k
+        central = np.empty(p.shape)
+        for i in np.ndindex(p.shape):
+            up, down = p.data.copy(), p.data.copy()
+            up[i] += h
+            down[i] -= h
+            central[i] = (value(k, up) - value(k, down)) / (2 * h)
+        assert np.max(np.abs(p.grad - central) / np.maximum(1e-8, np.abs(central))) < 1e-6, k
 
 
 # ---------------------------------------------------------------------------
 # full-loss gradient fidelity (light version; acceptance runs 20 seeds)
 # ---------------------------------------------------------------------------
+
+def plus_pull(loss, params, anchor, mu, prefix):
+    """``loss`` plus mu/2 ||theta - theta_t||^2 over the parameters named
+    with ``prefix``, as Tensor ops: the objective whose gradient
+    ``client_train`` follows at ``mu``."""
+    for k in sorted(params):
+        if k.startswith(prefix):
+            d = params[k] - Tensor(anchor[k])
+            loss = loss + (d * d).sum() * (mu / 2.0)
+    return loss
+
 
 def full_loss_closure(spec, params, seed):
     heads = spec.heads()
@@ -730,9 +741,11 @@ def full_loss_closure(spec, params, seed):
         "y": rng.integers(0, 2, size=2),
     }
     snap = {k: p.data + rng.normal(scale=0.05, size=p.data.shape) for k, p in params.items()}
-    cfg = TrainConfig(mu=0.02, loss=LossConfig(modal_dropout_p=0.0))
-    return lambda: batch_loss(heads, "pair", params, batch, snap, cfg,
-                              np.random.default_rng(seed + 999))
+    cfg = TrainConfig(loss=LossConfig(modal_dropout_p=0.0))
+    return lambda: plus_pull(
+        batch_loss(heads, "pair", params, batch, cfg, np.random.default_rng(seed + 999)),
+        params, snap, 0.02, FUSION_PREFIX,
+    )
 
 
 def test_fusion_full_loss_gradient_fidelity_sampled():
@@ -751,10 +764,11 @@ def test_url_full_loss_gradient_fidelity():
     batch = {"x": rng.normal(size=(2, 16)), "y": np.array([0, 1])}
     snap = {k: p.data + rng.normal(scale=0.05, size=p.data.shape) for k, p in params.items()}
     url_params = {k: v for k, v in params.items() if k.startswith(URL_PREFIX)}
-    cfg = TrainConfig(mu=0.02)
+    cfg = TrainConfig()
 
     def loss_fn():
-        return batch_loss(heads, "url", params, batch, snap, cfg, np.random.default_rng(36))
+        loss = batch_loss(heads, "url", params, batch, cfg, np.random.default_rng(36))
+        return plus_pull(loss, params, snap, 0.02, URL_PREFIX)
 
     err = finite_difference_check(loss_fn, url_params)
     assert err < 1e-4, err
