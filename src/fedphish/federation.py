@@ -8,7 +8,8 @@ only the rows its training streams can look up, PAD included, and trains
 that compact table with the ids mapped into it. It reports a dense
 parameter whole and a table as those rows: no other row can move
 (Konečný et al., 2016, structured updates). The server averages each role
-only over its owners, and a role nobody owns keeps its old values.
+only over its owners and writes a table's new rows into the global table in
+place; a role nobody owns keeps its old values.
 
 Each epoch a client trains its image, html and url batches, in that order,
 then its pair batches. ``batch_loss`` is the one data loss: a focal loss,
@@ -191,46 +192,59 @@ def aggregate(global_params: dict[str, np.ndarray], reports: list[ClientReport])
     """Role-wise weighted average; a role with no owners keeps the old value,
     and a role with one owner takes that owner's reported value.
 
-    Parameters kept unchanged are returned as the same array objects, so
-    role isolation is bitwise by construction. Weighted sums run in sorted
-    client-id order for reproducibility.
+    A table's new rows are written into its array in ``global_params`` in
+    place; the returned dict holds that same array, whose other rows keep
+    their bits. A dense parameter of an owned role is returned as the sole
+    owner's array or a new mean, and every other parameter as the same array
+    object, so role isolation is bitwise by construction. Every mean is
+    computed before the first write, so a call that raises leaves
+    ``global_params`` untouched. Weighted sums run in sorted client-id order
+    for reproducibility.
     """
     reports = _finite_reports(reports)
     role_pool = {role: select_clients(role, reports) for role in _ROLE_PREFIX}
 
-    new_params: dict[str, np.ndarray] = {}
+    updates = {}
     for name in sorted(global_params):
         pool = role_pool[group_of(name)]
-        if not pool:
-            new_params[name] = global_params[name]
-            continue
         for _, r in pool:
             if name not in r.params:
                 raise ValueError(f"client {r.client_id} report is missing {name!r}")
-        new_params[name] = _average(global_params[name], [(w, r.params[name]) for w, r in pool])
+        if pool:
+            updates[name] = _average(global_params[name], [(w, r.params[name]) for w, r in pool])
+    new_params = dict(global_params)
+    for name, value in updates.items():
+        if isinstance(value, TouchedRows):
+            global_params[name][value.rows] = value.values
+        else:
+            new_params[name] = value
     return new_params
 
 
-def _average(old: np.ndarray, pool: list[tuple[float, np.ndarray | TouchedRows]]) -> np.ndarray:
+def _average(old: np.ndarray, pool: list[tuple[float, np.ndarray | TouchedRows]]) -> np.ndarray | TouchedRows:
     """Weighted mean of the owners' values of one parameter, summed in pool
-    order. A table's ``TouchedRows`` count as ``old`` outside their rows, so
-    a row some owner touched is bitwise the mean of whole tables, and a row
-    that no owner touched stays bitwise ``old``."""
+    order. For a table it is the ``TouchedRows`` of the union of the owners'
+    rows, where each owner's value counts as ``old`` outside its own rows, so
+    a row some owner touched is bitwise the mean of whole tables."""
     if len(pool) == 1:
         # a sole owner's weight share is exactly 1.0
-        value = pool[0][1]
-        return value.onto(old) if isinstance(value, TouchedRows) else value
+        return pool[0][1]
     rows = None
     if isinstance(pool[0][1], TouchedRows):
         rows = functools.reduce(np.union1d, [v.rows for _, v in pool])
         base = old[rows]
-        pool = [(w, TouchedRows(np.searchsorted(rows, v.rows), v.values).onto(base)) for w, v in pool]
+        whole = []
+        for w, v in pool:
+            value = base.copy()
+            value[np.searchsorted(rows, v.rows)] = v.values
+            whole.append((w, value))
+        pool = whole
     total = sum(w for w, _ in pool)
     (w0, v0), rest = pool[0], pool[1:]
     acc = (w0 / total) * v0
     for w, v in rest:
         acc += (w / total) * v
-    return acc if rows is None else TouchedRows(rows, acc).onto(old)
+    return acc if rows is None else TouchedRows(rows, acc)
 
 
 # ---------------------------------------------------------------------------
@@ -443,7 +457,9 @@ def run_experiment(
     aggregation and evaluation.
 
     A client whose training hits a non-finite loss is dropped from that
-    round; any other exception ends the run.
+    round; any other exception ends the run. ``round_hook(round_index,
+    params, log)`` sees each round's parameters before the next round's
+    aggregation writes over their tables.
     """
     if not clients:
         raise ValueError("need at least one client")

@@ -3,7 +3,8 @@
 Arrays, gradients and optimizer state are dense float64. A client trains a
 compact table, the rows of an embedding table its data can look up, and
 reports it as ``TouchedRows``: those rows' new values, the other rows of
-the table unchanged.
+the table unchanged. The server writes those rows into the global table in
+place.
 """
 
 from .gradcheck import finite_difference_check

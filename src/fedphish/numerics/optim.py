@@ -17,13 +17,17 @@ __all__ = ["clip_global_norm", "Adam", "make_optimizer"]
 def clip_global_norm(grads: list, tau: float) -> list:
     """Scale all gradients by tau/norm when the global L2 norm exceeds tau.
 
-    Scaling happens in place; applying the clip twice equals applying it
-    once (the scaled norm is exactly tau, which no longer exceeds tau).
+    Scaling happens in place, so each gradient must be an ndarray, 0-d
+    included: a numpy scalar would count in the norm but stay unscaled, and
+    raises ``TypeError``. Applying the clip twice equals applying it once
+    (the scaled norm is exactly tau, which no longer exceeds tau).
     """
     if tau <= 0:
         raise ValueError(f"clip threshold must be positive, got {tau}")
     total = 0.0
     for g in grads:
+        if not isinstance(g, np.ndarray):
+            raise TypeError(f"a gradient must be an ndarray to be clipped in place, got {type(g).__name__}")
         total += float(np.sum(g * g))
     norm = np.sqrt(total)
     if norm > tau:
@@ -39,7 +43,8 @@ class Adam:
     Moments and step counters are tracked per parameter name so heads
     trained in separate phases keep independent bias corrections. The
     update runs in place through two reused scratch buffers. Moments are
-    lazily mapped zeros until a parameter's first step writes them.
+    uninitialised until a parameter's first step writes them, so no page of
+    them is read before it is written.
     """
 
     def __init__(
@@ -55,10 +60,10 @@ class Adam:
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
-        self.m = {k: np.zeros(p.shape) for k, p in params.items()}
-        self.v = {k: np.zeros(p.shape) for k, p in params.items()}
+        self.m = {k: np.empty(p.shape) for k, p in params.items()}
+        self.v = {k: np.empty(p.shape) for k, p in params.items()}
         self.t = {k: 0 for k in params}
-        # lazily mapped, like m and v: an update maps only the prefix it uses
+        # lazily mapped: an update maps only the prefix it uses
         self._scratch = np.empty((2, max((p.size for p in params.values()), default=0)))
         self._views: dict[tuple[int, ...], tuple[np.ndarray, ...]] = {}  # per shape: scratch views
 
@@ -73,18 +78,18 @@ class Adam:
 
     def _update(self, p: np.ndarray, m: np.ndarray, v: np.ndarray, g: np.ndarray, t: int) -> None:
         """One Adam step on same-shape arrays, in place. The operations and
-        their order are those of ``p -= lr * m_hat / (sqrt(v_hat) + eps)``."""
+        their order are those of ``p -= lr * m_hat / (sqrt(v_hat) + eps)``.
+        At ``t == 1`` the moments are not read: ``0 * beta + s`` is written
+        as ``s + 0.0``, the same bits (a -0.0 term gives +0.0)."""
         views = self._views.get(g.shape)
         if views is None:
             views = self._views[g.shape] = tuple(s[: g.size].reshape(g.shape) for s in self._scratch)
         s1, s2 = views
-        m *= self.beta1
         np.multiply(g, 1.0 - self.beta1, out=s1)
-        m += s1
-        v *= self.beta2
+        _decay_add(m, self.beta1, s1, t)
         np.multiply(g, g, out=s1)
         s1 *= 1.0 - self.beta2
-        v += s1
+        _decay_add(v, self.beta2, s1, t)
         np.divide(m, 1.0 - self.beta1**t, out=s1)
         s1 *= self.lr
         np.divide(v, 1.0 - self.beta2**t, out=s2)
@@ -92,6 +97,16 @@ class Adam:
         s2 += self.eps
         s1 /= s2
         p -= s1
+
+
+def _decay_add(moment: np.ndarray, beta: float, s: np.ndarray, t: int) -> None:
+    """``moment = beta * moment + s`` in place; at step 1 the moment is
+    written from ``s`` alone, never read."""
+    if t == 1:
+        np.add(s, 0.0, out=moment)
+    else:
+        moment *= beta
+        moment += s
 
 
 def make_optimizer(params: dict[str, Tensor], lr: float) -> Adam:

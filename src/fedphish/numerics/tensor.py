@@ -50,7 +50,8 @@ def stable_sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Logistic function of an array, written into ``out`` when given; exp of
     the negated magnitude never overflows."""
     e = np.exp(-np.abs(x))
-    return np.divide(np.where(x >= 0, 1.0, e), 1.0 + e, out=out)
+    # e <= 1, so the maximum picks 1 where x >= 0 and e elsewhere
+    return np.divide(np.maximum(e, x >= 0), 1.0 + e, out=out)
 
 
 class GradientError(RuntimeError):
@@ -63,7 +64,7 @@ class TouchedRows:
 
     ``rows`` are sorted and unique; ``values[i]`` is the new value of row
     ``rows[i]``. A row left out is unchanged, not zero, so there is no
-    dense conversion: only ``onto`` the old table gives the whole new one.
+    dense conversion: the server writes the rows into the old table.
     """
 
     __slots__ = ("rows", "values")
@@ -75,12 +76,6 @@ class TouchedRows:
     @property
     def nbytes(self) -> int:
         return self.rows.nbytes + self.values.nbytes
-
-    def onto(self, table: np.ndarray) -> np.ndarray:
-        """A copy of ``table`` with the touched rows replaced."""
-        out = table.copy()
-        out[self.rows] = self.values
-        return out
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -214,17 +209,6 @@ class Tensor:
     def __rtruediv__(self, other) -> "Tensor":
         return self._lift(other) / self
 
-    def __pow__(self, exponent: float) -> "Tensor":
-        e = float(exponent)
-        if e == 0.0:
-            # x**0 == 1 with zero derivative; avoids 0 * x**-1 NaNs.
-            return self._node(np.ones_like(self.data), (self,), lambda g: (np.zeros_like(g),))
-        return self._node(
-            self.data ** e,
-            (self,),
-            lambda g: (g * e * self.data ** (e - 1.0),),
-        )
-
     def __matmul__(self, other) -> "Tensor":
         other = self._lift(other)
         a, b = self.data, other.data
@@ -293,10 +277,6 @@ class Tensor:
     def sqrt(self) -> "Tensor":
         out = np.sqrt(self.data)
         return self._node(out, (self,), lambda g: (g * 0.5 / out,))
-
-    def tanh(self) -> "Tensor":
-        out = np.tanh(self.data)
-        return self._node(out, (self,), lambda g: (g * (1.0 - out * out),))
 
     def sigmoid(self) -> "Tensor":
         out = stable_sigmoid(self.data)

@@ -23,10 +23,7 @@ __all__ = [
     "fnv1a64",
     "normalize_html",
     "char_stream",
-    "extract_visible_text",
     "tokenize_words",
-    "word_stream",
-    "dom_stream",
     "preprocess",
 ]
 
@@ -242,12 +239,6 @@ def _scan(html: str) -> Iterator[tuple[str, str]]:
         yield ("text", html[text_start:n])
 
 
-def extract_visible_text(html: str) -> str:
-    """Visible character data in document order; tags act as separators."""
-    parts = [seg for kind, seg in _scan(html) if kind == "text"]
-    return " ".join(parts)
-
-
 def tokenize_words(text: str) -> list[str]:
     """Maximal runs of letters, digits, marks, underscore, ZWJ and ZWNJ,
     lowercased; everything else separates."""
@@ -267,28 +258,6 @@ def tokenize_words(text: str) -> list[str]:
 
 def _bucket(token: str, buckets: int) -> int:
     return fnv1a64(token.encode("utf-8")) % buckets
-
-
-def word_stream(tokens: list[str], cfg: PreprocConfig) -> np.ndarray:
-    """Token bucket ids, truncated or PAD-padded to word_len."""
-    out = np.full(cfg.word_len, cfg.word_pad, dtype=np.int64)
-    for i, tok in enumerate(tokens[: cfg.word_len]):
-        out[i] = _bucket(tok, cfg.word_buckets)
-    return out
-
-
-def dom_stream(html: str, cfg: PreprocConfig) -> np.ndarray:
-    """Opening/self-closing tag-name bucket ids in document order."""
-    out = np.full(cfg.dom_len, cfg.dom_pad, dtype=np.int64)
-    count = 0
-    for kind, name in _scan(html):
-        if kind != "tag":
-            continue
-        out[count] = _bucket(name, cfg.dom_buckets)
-        count += 1
-        if count == cfg.dom_len:
-            break
-    return out
 
 
 def preprocess(html: str, cfg: PreprocConfig | None = None) -> HtmlStreams:

@@ -3,6 +3,7 @@
 import json
 import logging
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -39,6 +40,13 @@ from fedphish.numerics import Adam, Tensor, TouchedRows, backward, clip_global_n
 
 def report(cid, value, **weights):
     return ClientReport(cid, {"p": np.array([value])}, weights)
+
+
+def onto(table, value):
+    """A copy of ``table`` with a report's touched rows replaced."""
+    out = table.copy()
+    out[value.rows] = value.values
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -149,17 +157,66 @@ def test_aggregate_checks_only_the_touched_rows_for_finiteness():
         ClientReport("b", {"html_head.t": TouchedRows(np.array([2]), np.array([[5.0]]))},
                      {"html": 1.0}),
     ]
+    kept = old.copy()
     new = aggregate({"html_head.t": old}, reports)["html_head.t"]
+    # written in place: the same table, the untouched rows bitwise as before
+    assert new is old
     assert np.array_equal(new, np.array([[np.nan], [1.0], [5.0]]), equal_nan=True)
-    assert new is not old
+    assert np.array_equal(new[:2], kept[:2], equal_nan=True)
 
 
 def test_touched_rows_has_no_dense_conversion():
     report = TouchedRows(np.array([1]), np.array([[5.0]]))
     assert report.nbytes == 16
-    assert np.array_equal(report.onto(np.zeros((3, 1))), [[0.0], [5.0], [0.0]])
     with pytest.raises(TypeError):
         np.isfinite(report)
+
+
+@pytest.mark.parametrize("owners", [1, 2])
+def test_aggregate_writes_table_rows_in_place(owners):
+    # one owner's rows are written over the global table, several owners'
+    # means over the union of their rows; nothing table-sized is allocated
+    rng = np.random.default_rng(owners)
+    table = rng.normal(size=(2**16, 64))
+    kept = table.copy()
+    dense = rng.normal(size=3)
+    touched = [np.sort(rng.choice(table.shape[0], 100, replace=False)) for _ in range(owners)]
+    reports = [ClientReport(f"c{i}", {"html_head.t": TouchedRows(rows, rng.normal(size=(rows.size, 64))),
+                                      "html_head.b": rng.normal(size=3)}, {"html": 1.0 + i})
+               for i, rows in enumerate(touched)]
+    want = brute_force_aggregate({"html_head.t": kept, "html_head.b": dense},
+                                 [ClientReport(r.client_id, {"html_head.t": onto(kept, r.params["html_head.t"]),
+                                                             "html_head.b": r.params["html_head.b"]}, r.weights)
+                                  for r in reports])
+    tracemalloc.start()
+    try:
+        new = aggregate({"html_head.t": table, "html_head.b": dense}, reports)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.05 * table.nbytes
+    assert new["html_head.t"] is table
+    rows = np.unique(np.concatenate(touched))
+    assert np.array_equal(table[rows], want["html_head.t"][rows])
+    rest = np.setdiff1d(np.arange(table.shape[0]), rows)
+    assert np.array_equal(table[rest], kept[rest])
+    assert np.array_equal(new["html_head.b"], want["html_head.b"])
+
+
+def test_aggregate_with_a_missing_report_leaves_the_model_untouched():
+    # the table's name sorts before the missing one: every report is checked
+    # before the first write
+    table, dense = np.arange(6.0).reshape(3, 2), np.array([1.0, 2.0])
+    g = {"html_head.a": table, "html_head.z": dense}
+    kept = {k: v.copy() for k, v in g.items()}
+    full = ClientReport("a", {"html_head.a": TouchedRows(np.array([1]), np.array([[9.0, 9.0]])),
+                              "html_head.z": np.array([5.0, 5.0])}, {"html": 1.0})
+    short = ClientReport("b", {"html_head.a": TouchedRows(np.array([2]), np.array([[7.0, 7.0]]))},
+                         {"html": 1.0})
+    with pytest.raises(ValueError, match="client b report is missing 'html_head.z'"):
+        aggregate(g, [full, short])
+    for k in g:
+        assert np.array_equal(g[k], kept[k]), k
 
 
 def test_aggregate_order_invariant():
@@ -455,7 +512,7 @@ def test_compact_tables_train_as_the_full_tables(make_client, mu):
         ref = full_table_training(client, broadcast, spec, cfg, _client_rng(9, 0, 0))
         assert sorted(rep.params) == sorted(ref)
         for k, value in rep.params.items():
-            got = value.onto(broadcast[k]) if isinstance(value, TouchedRows) else value
+            got = onto(broadcast[k], value) if isinstance(value, TouchedRows) else value
             assert np.max(np.abs(got - ref[k]), initial=0.0) <= rtol * np.max(np.abs(ref[k])), (clip, k)
         moved = [k for k in ref if not np.array_equal(ref[k], broadcast[k])]
         assert set(TABLE_OF_STREAM.values()) <= set(moved), clip
@@ -557,10 +614,11 @@ def test_untouched_table_travels_as_its_broadcast_rows_next_to_a_touched_owner()
     total = w_idle + w_busy
     for reports, pool in (([idle, busy], [(w_idle, None), (w_busy, busy)]),
                           ([busy, idle], [(w_busy, busy), (w_idle, None)])):
-        new = aggregate(broadcast, reports)
+        # aggregation writes the tables in place, so each call gets its own copy
+        new = aggregate({k: v.copy() for k, v in broadcast.items()}, reports)
         for name in TABLE_OF_STREAM.values():
             old = broadcast[name]
-            whole = [(w, old if r is None else r.params[name].onto(old)) for w, r in pool]
+            whole = [(w, old if r is None else onto(old, r.params[name])) for w, r in pool]
             want = (whole[0][0] / total) * whole[0][1]
             want += (whole[1][0] / total) * whole[1][1]
             assert np.array_equal(new[name], want), name

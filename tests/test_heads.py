@@ -9,6 +9,7 @@ from test_numerics import (
     l2_normalize_composition,
     layer_norm_composition,
     log_softmax_composition,
+    power,
 )
 
 import fedphish.federation
@@ -486,7 +487,7 @@ def focal_loss_composition(logits, labels, gamma):
     if gamma == 0.0:
         return -picked.mean()
     p = picked.exp()
-    return -(((1.0 - p) ** gamma) * picked).mean()
+    return -(power(1.0 - p, gamma) * picked).mean()
 
 
 def focal_value_and_grad(fn, z, labels, gamma):

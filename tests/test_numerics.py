@@ -34,6 +34,22 @@ from fedphish.numerics.tensor import GradientError
 # oracles (independent of the implementations they check)
 # ---------------------------------------------------------------------------
 
+def power(x: Tensor, exponent: float) -> Tensor:
+    """x**exponent as one graph node, for losses and compositions that only
+    the tests build."""
+    e = float(exponent)
+    if e == 0.0:
+        # x**0 == 1 with zero derivative; avoids 0 * x**-1 NaNs.
+        return Tensor._node(np.ones_like(x.data), (x,), lambda g: (np.zeros_like(g),))
+    return Tensor._node(x.data ** e, (x,), lambda g: (g * e * x.data ** (e - 1.0),))
+
+
+def tanh(x: Tensor) -> Tensor:
+    """Elementwise tanh as one graph node."""
+    out = np.tanh(x.data)
+    return Tensor._node(out, (x,), lambda g: (g * (1.0 - out * out),))
+
+
 def matmul_oracle(a, b):
     """Triple-loop matrix multiply."""
     n, k = a.shape
@@ -467,7 +483,7 @@ def test_bilstm_sequence_is_bitwise_four_reference_scans(t_word, t_dom, batch, p
             parts = [reference_bilstm(x, p) for x, p in zip(xs, ps)]
             states = concat(parts, axis=1)
         pooled = [attention_pool(s, v, m) for s, v, m in zip(parts, sv, valid)]
-        loss = (concat(pooled, axis=1) ** 2.0).sum() + (states * Tensor(w_states)).sum()
+        loss = power(concat(pooled, axis=1), 2.0).sum() + (states * Tensor(w_states)).sum()
         backward(loss)
         grads = [x.grad for x in xs] + [p[k].grad for p in ps for k in sorted(p)]
         return states.data, grads + [s.grad for s in sv]
@@ -644,7 +660,7 @@ def test_conv_tied_page_finite_differences():
     table, w, b = conv_params(rng, 11, 3, (2, 4), 3, bias=0.5)
     ids = CONV_PAGES["tied"](rng)
     err = finite_difference_check(
-        lambda: (multiscale_conv_encode(ids, table, w, b, pad_id=10) ** 2.0).sum(),
+        lambda: power(multiscale_conv_encode(ids, table, w, b, pad_id=10), 2.0).sum(),
         {"table": table, **{f"w{k}": v for k, v in w.items()},
          **{f"b{k}": v for k, v in b.items()}},
     )
@@ -684,7 +700,7 @@ def test_backprop_chain_matches_finite_differences():
         logp = log_softmax(logits, axis=-1)
         picked = logp[np.arange(2), labels]
         p = picked.exp()
-        return -(((1.0 - p) ** 2.0) * picked).mean()
+        return -(power(1.0 - p, 2.0) * picked).mean()
 
     err = finite_difference_check(loss_fn, {"w": w, "b": b})
     assert err < 1e-4
@@ -743,6 +759,21 @@ def test_clip_is_idempotent():
         twice = clip_global_norm([a.copy() for a in once], 1.0)
         for a, c in zip(once, twice):
             assert np.array_equal(a, c)
+
+
+def test_clip_scales_a_0d_gradient_in_place():
+    g = [np.array(3.0), np.array([4.0])]  # norm 5
+    out = clip_global_norm(g, 1.0)
+    assert out[0] is g[0] and g[0].ndim == 0
+    assert np.allclose(g[0], 0.6) and np.allclose(g[1], [0.8])
+
+
+def test_clip_rejects_a_numpy_scalar_gradient():
+    # a scalar cannot be scaled in place, so it would be left unclipped
+    g = [np.array([4.0]), np.float64(3.0)]
+    with pytest.raises(TypeError, match="got float64"):
+        clip_global_norm(g, 1.0)
+    assert np.array_equal(g[0], [4.0])
 
 
 # ---------------------------------------------------------------------------
@@ -808,6 +839,35 @@ def test_adam_matches_textbook_formula_bitwise():
         assert np.array_equal(p.grad, g)
 
 
+def test_adam_first_step_gives_signed_zero_moments_as_the_textbook():
+    # 0 * beta + (1 - beta) * (-0.0) is +0.0; the first step writes the
+    # moments without reading them and must keep those bits
+    b1, b2 = 0.9, 0.999
+    g = np.array([-0.0, 0.0, -2.0, 3.0])
+    p = Tensor(np.array([1.0, -1.0, 2.0, -2.0]), requires_grad=True)
+    p.grad = g.copy()
+    opt = Adam({"p": p}, lr=0.01, beta1=b1, beta2=b2)
+    opt.step()
+    m = b1 * np.zeros(4) + (1.0 - b1) * g
+    v = b2 * np.zeros(4) + (1.0 - b2) * (g * g)
+    assert not np.signbit(m[0]) and not np.signbit(v[0])
+    assert np.array_equal(np.signbit(opt.m["p"]), np.signbit(m))
+    assert np.array_equal(np.signbit(opt.v["p"]), np.signbit(v))
+    assert opt.m["p"].tobytes() == m.tobytes() and opt.v["p"].tobytes() == v.tobytes()
+
+
+def test_adam_leaves_a_parameter_without_gradient_untouched():
+    idle = Tensor(np.array([1.0, -0.0, np.nan]), requires_grad=True)
+    busy = Tensor(np.array([1.0]), requires_grad=True)
+    before = idle.data.copy()
+    opt = Adam({"idle": idle, "busy": busy}, lr=0.01)
+    for _ in range(3):
+        busy.grad = np.array([0.5])
+        opt.step()
+    assert opt.t == {"idle": 0, "busy": 3}
+    assert idle.grad is None and idle.data.tobytes() == before.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # finite differences
 # ---------------------------------------------------------------------------
@@ -827,7 +887,7 @@ def test_fd_check_focal_loss_wrt_logits():
         logp = log_softmax(z, axis=-1)
         picked = logp[np.arange(3), labels]
         p = picked.exp()
-        return -(((1.0 - p) ** 2.0) * picked).mean()
+        return -(power(1.0 - p, 2.0) * picked).mean()
 
     assert finite_difference_check(loss_fn, {"z": z}) < 1e-4
 
@@ -839,7 +899,7 @@ def test_fd_check_layer_norm_wrt_gamma():
     x = rng.normal(size=(2, 5))
 
     def loss_fn():
-        return (layer_norm(Tensor(x), gamma, beta) ** 2.0).sum()
+        return power(layer_norm(Tensor(x), gamma, beta), 2.0).sum()
 
     assert finite_difference_check(loss_fn, {"gamma": gamma, "beta": beta}) < 1e-4
 
@@ -857,21 +917,21 @@ def test_primitive_gradients_over_twenty_seeds():
         w = Tensor(rng.normal(scale=0.1, size=(6, 4)), requires_grad=True)
         b = Tensor(rng.normal(scale=0.1, size=4), requires_grad=True)
         err = finite_difference_check(
-            lambda: (gelu(affine(Tensor(x), w, b)) ** 2.0).sum(), {"w": w, "b": b}
+            lambda: power(gelu(affine(Tensor(x), w, b)), 2.0).sum(), {"w": w, "b": b}
         )
         assert err < 1e-4, f"affine/gelu seed {seed}: {err}"
 
         gamma = Tensor(1.0 + rng.normal(scale=0.1, size=6), requires_grad=True)
         beta = Tensor(rng.normal(scale=0.1, size=6), requires_grad=True)
         err = finite_difference_check(
-            lambda: (layer_norm(Tensor(x), gamma, beta) ** 2.0).sum(),
+            lambda: power(layer_norm(Tensor(x), gamma, beta), 2.0).sum(),
             {"gamma": gamma, "beta": beta},
         )
         assert err < 1e-4, f"layer_norm seed {seed}: {err}"
 
         z = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
         err = finite_difference_check(
-            lambda: (log_softmax(z, axis=-1) ** 2.0).sum(), {"z": z}
+            lambda: power(log_softmax(z, axis=-1), 2.0).sum(), {"z": z}
         )
         assert err < 1e-4, f"log_softmax seed {seed}: {err}"
 
@@ -890,7 +950,7 @@ def test_primitive_gradients_over_twenty_seeds():
         def lstm_loss():
             states = bilstm_sequence([Tensor(seq)], [lp])
             pooled = attention_pool(states, score, np.ones((1, 4), dtype=bool))
-            return (pooled ** 2.0).sum()
+            return power(pooled, 2.0).sum()
 
         err = finite_difference_check(lstm_loss, {**lp, "score": score})
         assert err < 1e-4, f"lstm/pool seed {seed}: {err}"
@@ -900,7 +960,7 @@ def test_primitive_gradients_over_twenty_seeds():
         cb = {2: Tensor(rng.normal(scale=0.1, size=2), requires_grad=True)}
         ids = rng.integers(0, 4, size=(1, 6))
         err = finite_difference_check(
-            lambda: (multiscale_conv_encode(ids, table, cw, cb, pad_id=4) ** 2.0).sum(),
+            lambda: power(multiscale_conv_encode(ids, table, cw, cb, pad_id=4), 2.0).sum(),
             {"table": table, "cw": cw[2], "cb": cb[2]},
         )
         assert err < 1e-4, f"conv seed {seed}: {err}"
@@ -912,7 +972,7 @@ def test_mhsa_gradients_over_twenty_seeds():
         p = make_mhsa_params(rng, 4, 6)
         x = rng.normal(size=(1, 3, 4))
         err = finite_difference_check(
-            lambda: (mhsa_block(Tensor(x), p, n_heads=2) ** 2.0).sum(), p
+            lambda: power(mhsa_block(Tensor(x), p, n_heads=2), 2.0).sum(), p
         )
         assert err < 1e-4, f"mhsa seed {seed}: {err}"
 
@@ -1043,7 +1103,7 @@ def test_shared_weight_matmul_finite_differences(layout):
     rng = np.random.default_rng(37)
     x = Tensor(rng.normal(size=leaf_shape((2, 3, 2, 4))), requires_grad=True)
     w = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
-    err = finite_difference_check(lambda: ((view(x) @ w).tanh() ** 2.0).sum(), {"x": x, "w": w})
+    err = finite_difference_check(lambda: power(tanh(view(x) @ w), 2.0).sum(), {"x": x, "w": w})
     assert err < 1e-4
 
 

@@ -7,17 +7,42 @@ from fedphish.preproc import (
     CHAR_PAD,
     HtmlStreams,
     PreprocConfig,
+    _bucket,
+    _scan,
     char_stream,
-    dom_stream,
-    extract_visible_text,
     fnv1a64,
     normalize_html,
     preprocess,
     tokenize_words,
-    word_stream,
 )
 
 CFG = PreprocConfig()
+
+
+# ---------------------------------------------------------------------------
+# per-stream oracles: each stream derived on its own from the scanner, the
+# reference that the one-pass ``preprocess`` is compared against
+# ---------------------------------------------------------------------------
+
+def extract_visible_text(html: str) -> str:
+    """Visible character data in document order; tags act as separators."""
+    return " ".join(seg for kind, seg in _scan(html) if kind == "text")
+
+
+def word_stream(tokens: list[str], cfg: PreprocConfig) -> np.ndarray:
+    """Token bucket ids, truncated or PAD-padded to word_len."""
+    out = np.full(cfg.word_len, cfg.word_pad, dtype=np.int64)
+    for i, tok in enumerate(tokens[: cfg.word_len]):
+        out[i] = _bucket(tok, cfg.word_buckets)
+    return out
+
+
+def dom_stream(html: str, cfg: PreprocConfig) -> np.ndarray:
+    """Opening/self-closing tag-name bucket ids in document order."""
+    names = [name for kind, name in _scan(html) if kind == "tag"][: cfg.dom_len]
+    out = np.full(cfg.dom_len, cfg.dom_pad, dtype=np.int64)
+    out[: len(names)] = [_bucket(name, cfg.dom_buckets) for name in names]
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """Property tests: table gradients and the aggregation of touched-rows
 reports are bitwise the plain dense computation for any ids, table shape
-and owner mix, and a checkpoint file gives back bitwise what was saved, or,
-cut short, is rejected as truncated."""
+and owner mix, the sigmoid is bitwise its reference formula for any float,
+and a checkpoint file gives back bitwise what was saved, or, cut short, is
+rejected as truncated."""
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hypothesis.extra.numpy import array_shapes, arrays
 
 from fedphish.federation import ClientReport, aggregate, load_checkpoint, save_checkpoint
 from fedphish.numerics import Tensor, TouchedRows, backward, embedding
+from fedphish.numerics.tensor import stable_sigmoid
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
 
@@ -72,9 +74,10 @@ def test_touched_rows_aggregate_is_the_dense_aggregate(case, seed):
     want = (dense[0][0] / total) * dense[0][1]
     for w, table in dense[1:]:
         want += (w / total) * table
+    # written in place: the same table, the untouched rows bitwise as before
+    assert got is old
     assert np.array_equal(got[touched_any], want[touched_any])
-    assert np.array_equal(got[~touched_any], old[~touched_any])
-    assert np.array_equal(old, kept)
+    assert np.array_equal(got[~touched_any], kept[~touched_any])
 
 
 # any float64: NaN (any payload), infinities, -0.0 and subnormals included
@@ -89,6 +92,18 @@ PARAMS = st.dictionaries(
            elements=ANY_FLOAT),
     max_size=4,
 )
+
+
+@PROPERTY
+@given(arrays(np.float64, array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=6),
+              elements=st.one_of(ANY_FLOAT, st.sampled_from([800.0, -800.0]))))
+def test_stable_sigmoid_is_the_where_formula_bitwise(x):
+    # the maximum of e <= 1 and the mask x >= 0 is the old np.where(x >= 0, 1.0, e)
+    e = np.exp(-np.abs(x))
+    want = np.divide(np.where(x >= 0, 1.0, e), 1.0 + e)
+    assert stable_sigmoid(x).tobytes() == want.tobytes()
+    out = np.empty_like(x)
+    assert stable_sigmoid(x, out=out) is out and out.tobytes() == want.tobytes()
 
 
 @pytest.fixture(scope="module")
