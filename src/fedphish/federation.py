@@ -2,11 +2,12 @@
 
 Every parameter belongs to one of four roles (image, html, url, fusion) by
 name prefix. A client owns the roles its training data reaches, with one
-weight per role (sample counts, or equal weight for html); it copies and
-trains only the parameters of those roles. Of an embedding table it copies
-only the rows its training streams can look up, PAD included, and trains
-that compact table with the ids mapped into it. It reports a dense
-parameter whole and a table as those rows: no other row can move
+weight per role (sample counts, or equal weight for html); it trains only
+the parameters of those roles. Of an embedding table it takes only the rows
+its training streams can look up, PAD included, and trains that compact
+table with the ids mapped into it. The optimizer copies all of them once
+into one flat state, and the report's arrays are views of it: a dense
+parameter whole, a table as those rows, since no other row can move
 (Konečný et al., 2016, structured updates). The server averages each role
 only over its owners and writes a table's new rows into the global table in
 place; a role nobody owns keeps its old values.
@@ -225,26 +226,30 @@ def _average(old: np.ndarray, pool: list[tuple[float, np.ndarray | TouchedRows]]
     """Weighted mean of the owners' values of one parameter, summed in pool
     order. For a table it is the ``TouchedRows`` of the union of the owners'
     rows, where each owner's value counts as ``old`` outside its own rows, so
-    a row some owner touched is bitwise the mean of whole tables."""
+    a row some owner touched is bitwise the mean of whole tables. One owner's
+    whole rows are built at a time and added into the sum."""
     if len(pool) == 1:
         # a sole owner's weight share is exactly 1.0
         return pool[0][1]
-    rows = None
-    if isinstance(pool[0][1], TouchedRows):
-        rows = functools.reduce(np.union1d, [v.rows for _, v in pool])
-        base = old[rows]
-        whole = []
-        for w, v in pool:
-            value = base.copy()
-            value[np.searchsorted(rows, v.rows)] = v.values
-            whole.append((w, value))
-        pool = whole
     total = sum(w for w, _ in pool)
-    (w0, v0), rest = pool[0], pool[1:]
-    acc = (w0 / total) * v0
-    for w, v in rest:
-        acc += (w / total) * v
-    return acc if rows is None else TouchedRows(rows, acc)
+    if not isinstance(pool[0][1], TouchedRows):
+        (w0, v0), rest = pool[0], pool[1:]
+        acc = (w0 / total) * v0
+        for w, v in rest:
+            acc += (w / total) * v
+        return acc
+    rows = functools.reduce(np.union1d, [v.rows for _, v in pool])
+    base = old[rows]
+    acc, term = None, np.empty_like(base)
+    for w, v in pool:
+        np.copyto(term, base)
+        term[np.searchsorted(rows, v.rows)] = v.values
+        term *= w / total
+        if acc is None:
+            acc, term = term, np.empty_like(base)
+        else:
+            acc += term
+    return TouchedRows(rows, acc)
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +337,7 @@ def proximal_term(params: dict[str, Tensor], anchor: dict[str, np.ndarray], mu: 
     value in the parameter's shape: for a compact table, the same rows of
     the broadcast table."""
     for name, p in params.items():
-        # an array also at 0-d, so that clipping can scale it in place
+        # an array also at 0-d, as every gradient from backward is
         pull = np.asarray(p.data - anchor[name])
         pull *= mu
         if p.grad is None:
@@ -349,12 +354,14 @@ def client_train(
     rng: np.random.Generator,
 ) -> ClientReport:
     """Local training from the broadcast, which is also the FedProx anchor.
-    Only the parameters of the roles the client owns are copied, optimised
-    and returned; no other parameter gets a gradient. A table is copied,
-    trained and returned as the compact table of the rows the client's
+    Only the parameters of the roles the client owns are optimised and
+    returned, copied once into the optimizer's flat state; no other
+    parameter gets a gradient, and no broadcast array is written. A table
+    is trained and returned as the compact table of the rows the client's
     streams can look up, with each batch's ids mapped to positions in it.
     Each step backpropagates the data loss, adds the pull toward the anchor
-    to every owned parameter when ``mu > 0``, then clips and steps."""
+    to every owned parameter when ``mu > 0``, and steps with the gradients
+    scaled by the clip factor."""
     weights = data.role_weights()
     if not weights:
         raise ValueError(f"client {data.client_id} has no training data")
@@ -362,7 +369,9 @@ def client_train(
     rows, position = _compact_tables(data.train, broadcast, weights)
     anchor = {k: broadcast[k][rows[k]] if k in rows else v
               for k, v in broadcast.items() if group_of(k) in weights}
-    params = {k: Tensor(v.copy(), requires_grad=True) for k, v in anchor.items()}
+    params = {k: Tensor(v, requires_grad=True) for k, v in anchor.items()}
+    # copies each array into the optimizer's flat state and points its
+    # Tensor there, so training never writes the broadcast
     optimizer = make_optimizer(params, cfg.lr)
 
     for _ in range(cfg.epochs):
@@ -377,8 +386,7 @@ def client_train(
                 if cfg.mu > 0:
                     proximal_term(params, anchor, cfg.mu)
                 grads = [params[k].grad for k in sorted(params) if params[k].grad is not None]
-                clip_global_norm(grads, cfg.clip)
-                optimizer.step()
+                optimizer.step(scale=clip_global_norm(grads, cfg.clip))
 
     return ClientReport(
         data.client_id,

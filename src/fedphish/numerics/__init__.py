@@ -1,10 +1,12 @@
 """Tensor math: reverse-mode autodiff, layer primitives, the optimizer.
 
-Arrays, gradients and optimizer state are dense float64. A client trains a
-compact table, the rows of an embedding table its data can look up, and
-reports it as ``TouchedRows``: those rows' new values, the other rows of
-the table unchanged. The server writes those rows into the global table in
-place.
+Arrays, gradients and optimizer state are dense float64. The optimizer
+holds a client's trained parameters and both Adam moments as three flat
+vectors, one slice per parameter, and updates them a fixed-size chunk at a
+time. A client trains a compact table, the rows of an embedding table its
+data can look up, and reports it as ``TouchedRows``: those rows' new
+values, the other rows of the table unchanged. The server writes those rows
+into the global table in place.
 """
 
 from .gradcheck import finite_difference_check

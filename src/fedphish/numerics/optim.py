@@ -1,4 +1,13 @@
-"""Gradient clipping and the Adam optimizer, both over dense arrays.
+"""Gradient clipping and the Adam optimizer over one flat state per client.
+
+``Adam`` holds the parameters it trains as three flat float64 vectors,
+theta, m and v, in sorted-name order, and points each parameter's Tensor at
+its slice of theta. A step updates runs of neighbouring parameters that
+share a step count, ``CHUNK`` elements at a time: it gathers the gradient
+pieces of a chunk into a scratch buffer, multiplies them by the clip factor
+from ``clip_global_norm``, and runs the per-array update on the chunk.
+Every element gets the same operations in the same order as an update of
+its own array, so the bits do not depend on the chunking.
 
 A table that a client trains is the compact table of the rows its data can
 look up, so its gradient and Adam state are dense over those rows only. A
@@ -7,44 +16,46 @@ row no gradient has reached yet has m = v = 0, and its update is exactly 0.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from .tensor import Tensor
 
-__all__ = ["clip_global_norm", "Adam", "make_optimizer"]
+__all__ = ["CHUNK", "clip_global_norm", "Adam", "make_optimizer"]
+
+# elements per update chunk: the optimizer's two scratch buffers hold one
+# chunk each, whatever the size of the parameters
+CHUNK = 2**16
 
 
-def clip_global_norm(grads: list, tau: float) -> list:
-    """Scale all gradients by tau/norm when the global L2 norm exceeds tau.
-
-    Scaling happens in place, so each gradient must be an ndarray, 0-d
-    included: a numpy scalar would count in the norm but stay unscaled, and
-    raises ``TypeError``. Applying the clip twice equals applying it once
-    (the scaled norm is exactly tau, which no longer exceeds tau).
+def clip_global_norm(grads: list, tau: float) -> float:
+    """The factor that brings the global L2 norm of ``grads`` down to tau:
+    tau/norm when the norm exceeds tau, else 1.0. Nothing is scaled here;
+    ``Adam.step(scale=...)`` multiplies each gradient by the factor as it
+    reads it. The scaled gradients have norm tau up to rounding, so clipping
+    them again gives 1.0 unless the rounding lands above tau.
     """
     if tau <= 0:
         raise ValueError(f"clip threshold must be positive, got {tau}")
     total = 0.0
     for g in grads:
-        if not isinstance(g, np.ndarray):
-            raise TypeError(f"a gradient must be an ndarray to be clipped in place, got {type(g).__name__}")
-        total += float(np.sum(g * g))
+        # the reduction np.sum runs, without its Python wrapper
+        total += float(np.add.reduce(g * g, axis=None))
     norm = np.sqrt(total)
-    if norm > tau:
-        scale = tau / norm
-        for g in grads:
-            g *= scale
-    return grads
+    return float(tau / norm) if norm > tau else 1.0
 
 
 class Adam:
     """Bias-corrected adaptive moment estimation (Kingma & Ba, 2014).
 
-    Moments and step counters are tracked per parameter name so heads
-    trained in separate phases keep independent bias corrections. The
-    update runs in place through two reused scratch buffers. Moments are
-    uninitialised until a parameter's first step writes them, so no page of
-    them is read before it is written.
+    Construction copies every parameter into the flat theta once and points
+    its Tensor at its slice, so training never writes the arrays it was
+    given. ``m[name]`` and ``v[name]`` are views of the flat moments, and
+    step counters are tracked per name, so heads trained in separate phases
+    keep independent bias corrections. Moments are uninitialised until a
+    parameter's first step writes them, so no page of them is read before
+    it is written.
     """
 
     def __init__(
@@ -60,43 +71,73 @@ class Adam:
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
-        self.m = {k: np.empty(p.shape) for k, p in params.items()}
-        self.v = {k: np.empty(p.shape) for k, p in params.items()}
-        self.t = {k: 0 for k in params}
-        # lazily mapped: an update maps only the prefix it uses
-        self._scratch = np.empty((2, max((p.size for p in params.values()), default=0)))
-        self._views: dict[tuple[int, ...], tuple[np.ndarray, ...]] = {}  # per shape: scratch views
+        names = sorted(params)
+        bounds = [0, *itertools.accumulate(params[k].size for k in names)]
+        self._slots = list(zip(names, bounds[:-1], bounds[1:]))  # each name's range in the flat vectors
+        self.theta, self._m, self._v = (np.empty(bounds[-1]) for _ in range(3))
+        self.m, self.v = {}, {}
+        for k, start, stop in self._slots:
+            p = params[k]
+            shape = p.shape
+            np.copyto(self.theta[start:stop], p.data.reshape(-1))
+            p.data = self.theta[start:stop].reshape(shape)
+            self.m[k] = self._m[start:stop].reshape(shape)
+            self.v[k] = self._v[start:stop].reshape(shape)
+        self.t = dict.fromkeys(names, 0)
+        self._scratch = np.empty((2, min(bounds[-1], CHUNK)))
 
-    def step(self) -> None:
-        """Update every parameter that has a gradient, in sorted name order."""
-        for k in sorted(self.params):
-            p = self.params[k]
-            if p.grad is None:
+    def step(self, *, scale: float = 1.0) -> None:
+        """Update every parameter that has a gradient, its gradient
+        multiplied by ``scale``; the gradients themselves are not written.
+        Neighbours in name order that both have a gradient and then share a
+        step count form one run of the flat vectors."""
+        runs = []  # (t, [(flat gradient, start, stop), ...])
+        for k, start, stop in self._slots:
+            g = self.params[k].grad
+            if g is None:
                 continue
-            self.t[k] += 1
-            self._update(p.data, self.m[k], self.v[k], p.grad, self.t[k])
+            g = g.reshape(-1)  # a numpy scalar has reshape too
+            if g.size != stop - start:
+                raise ValueError(f"gradient of {k!r} has {g.size} elements, the parameter {stop - start}")
+            t = self.t[k] = self.t[k] + 1
+            if runs and runs[-1][0] == t and runs[-1][1][-1][2] == start:
+                runs[-1][1].append((g, start, stop))
+            else:
+                runs.append((t, [(g, start, stop)]))
+        for t, spans in runs:
+            self._update_run(t, spans, scale)
 
-    def _update(self, p: np.ndarray, m: np.ndarray, v: np.ndarray, g: np.ndarray, t: int) -> None:
-        """One Adam step on same-shape arrays, in place. The operations and
-        their order are those of ``p -= lr * m_hat / (sqrt(v_hat) + eps)``.
-        At ``t == 1`` the moments are not read: ``0 * beta + s`` is written
-        as ``s + 0.0``, the same bits (a -0.0 term gives +0.0)."""
-        views = self._views.get(g.shape)
-        if views is None:
-            views = self._views[g.shape] = tuple(s[: g.size].reshape(g.shape) for s in self._scratch)
-        s1, s2 = views
-        np.multiply(g, 1.0 - self.beta1, out=s1)
-        _decay_add(m, self.beta1, s1, t)
-        np.multiply(g, g, out=s1)
-        s1 *= 1.0 - self.beta2
-        _decay_add(v, self.beta2, s1, t)
-        np.divide(m, 1.0 - self.beta1**t, out=s1)
-        s1 *= self.lr
-        np.divide(v, 1.0 - self.beta2**t, out=s2)
-        np.sqrt(s2, out=s2)
-        s2 += self.eps
-        s1 /= s2
-        p -= s1
+    def _update_run(self, t: int, spans: list[tuple[np.ndarray, int, int]], scale: float) -> None:
+        """Update the flat range that ``spans`` tile, a chunk at a time."""
+        start, stop = spans[0][1], spans[-1][2]
+        for lo in range(start, stop, CHUNK):
+            hi = min(lo + CHUNK, stop)
+            g, s = self._scratch[0, : hi - lo], self._scratch[1, : hi - lo]
+            np.concatenate([grad[max(lo - a, 0) : hi - a] for grad, a, b in spans if a < hi and lo < b], out=g)
+            if scale != 1.0:
+                g *= scale
+            self._update(self.theta[lo:hi], self._m[lo:hi], self._v[lo:hi], g, s, t)
+
+    def _update(self, p: np.ndarray, m: np.ndarray, v: np.ndarray, g: np.ndarray, s: np.ndarray,
+                t: int) -> None:
+        """One Adam step on same-shape arrays, in place; ``g`` is scratch
+        holding the gradient and is overwritten, ``s`` is scratch. The
+        operations and their order are those of
+        ``p -= lr * m_hat / (sqrt(v_hat) + eps)``. At ``t == 1`` the moments
+        are not read: ``0 * beta + s`` is written as ``s + 0.0``, the same
+        bits (a -0.0 term gives +0.0)."""
+        np.multiply(g, 1.0 - self.beta1, out=s)
+        _decay_add(m, self.beta1, s, t)
+        np.multiply(g, g, out=g)
+        g *= 1.0 - self.beta2
+        _decay_add(v, self.beta2, g, t)
+        np.divide(m, 1.0 - self.beta1**t, out=s)
+        s *= self.lr
+        np.divide(v, 1.0 - self.beta2**t, out=g)
+        np.sqrt(g, out=g)
+        g += self.eps
+        s /= g
+        p -= s
 
 
 def _decay_add(moment: np.ndarray, beta: float, s: np.ndarray, t: int) -> None:
@@ -110,6 +151,7 @@ def _decay_add(moment: np.ndarray, beta: float, s: np.ndarray, t: int) -> None:
 
 
 def make_optimizer(params: dict[str, Tensor], lr: float) -> Adam:
-    """The optimizer of local training: Adam at learning rate ``lr``. Local
-    training creates it only here, so tracing can observe every one made."""
+    """The optimizer of local training: Adam at learning rate ``lr``, which
+    copies ``params`` into its flat state. Local training creates it only
+    here, so tracing can observe every one made."""
     return Adam(params, lr=lr)

@@ -203,6 +203,30 @@ def test_aggregate_writes_table_rows_in_place(owners):
     assert np.array_equal(new["html_head.b"], want["html_head.b"])
 
 
+def test_average_of_several_table_owners_holds_one_owner_at_a_time():
+    # the owners' whole rows are built one at a time and added into the sum:
+    # three owners peak under four copies of the union rows
+    rng = np.random.default_rng(3)
+    table = rng.normal(size=(2**16, 64))
+    kept = table.copy()
+    touched = [np.sort(rng.choice(table.shape[0], 300, replace=False)) for _ in range(3)]
+    reports = [ClientReport(f"c{i}", {"html_head.t": TouchedRows(rows, rng.normal(size=(rows.size, 64)))},
+                            {"html": 1.0 + i})
+               for i, rows in enumerate(touched)]
+    want = brute_force_aggregate({"html_head.t": kept},
+                                 [ClientReport(r.client_id, {"html_head.t": onto(kept, r.params["html_head.t"])},
+                                               r.weights) for r in reports])
+    union = np.unique(np.concatenate(touched))
+    tracemalloc.start()
+    try:
+        aggregate({"html_head.t": table}, reports)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * union.size * 64 * 8
+    assert table[union].tobytes() == want["html_head.t"][union].tobytes()
+
+
 def test_aggregate_with_a_missing_report_leaves_the_model_untouched():
     # the table's name sorts before the missing one: every report is checked
     # before the first write
@@ -429,8 +453,6 @@ def test_html_step_leaves_embedding_gradients_row_sparse():
         if mu > 0:
             proximal_term({k: p for k, p in params.items() if k.startswith(HTML_PREFIX)},
                           snapshot, mu)
-        grads = [params[k].grad for k in sorted(params) if params[k].grad is not None]
-        clip_global_norm(grads, 1.0)
         for stream, name in TABLE_OF_STREAM.items():
             grad = params[name].grad
             assert grad.shape == params[name].shape
@@ -468,6 +490,27 @@ def test_client_train_reports_tables_as_touched_rows(mu):
     assert all(isinstance(v, np.ndarray) for k, v in rep.params.items() if k not in tables)
 
 
+@pytest.mark.parametrize("mu", [0.0, 0.02])
+def test_client_train_trains_one_flat_copy_and_leaves_the_broadcast(mu):
+    # the optimizer copies the owned parameters into its flat state once:
+    # every broadcast array keeps its bits, and every trained array the
+    # report holds, a compact table's rows included, is a view of one buffer
+    spec = ModelSpec.desk_pages()
+    client = ClientData(client_id="f0", train={"pair": pair_client().train["pair"],
+                                               "html": desk_html_client(n=8).train["html"]})
+    broadcast = {k: p.data for k, p in spec.init_params(4).items()}
+    before = {k: v.copy() for k, v in broadcast.items()}
+    cfg = TrainConfig(rounds=1, epochs=2, batch_size=4, seed=4, mu=mu)
+    rep = client_train(client, broadcast, spec, cfg, _client_rng(4, 0, 0))
+    for k, v in broadcast.items():
+        assert v.tobytes() == before[k].tobytes(), k
+    arrays = [v.values if isinstance(v, TouchedRows) else v for v in rep.params.values()]
+    base = arrays[0].base
+    assert base is not None and base.ndim == 1
+    assert all(a.base is base for a in arrays)
+    assert base.size == sum(a.size for a in arrays)
+
+
 def full_table_training(data, broadcast, spec, cfg, rng):
     """``client_train`` without compact tables: every owned parameter, each
     table whole, trained by dense Adam with the pull over the whole table."""
@@ -487,12 +530,10 @@ def full_table_training(data, broadcast, spec, cfg, rng):
                 backward(batch_loss(heads, kind, params, batch, cfg, rng))
                 if cfg.mu > 0:
                     for k, p in params.items():
-                        # an array, also at 0-d: clipping scales it in place
                         pull = cfg.mu * (p.data - broadcast[k])
-                        p.grad = np.asarray(pull if p.grad is None else p.grad + pull)
+                        p.grad = pull if p.grad is None else p.grad + pull
                 grads = [params[k].grad for k in sorted(params) if params[k].grad is not None]
-                clip_global_norm(grads, cfg.clip)
-                optimizer.step()
+                optimizer.step(scale=clip_global_norm(grads, cfg.clip))
     return {k: p.data for k, p in params.items()}
 
 

@@ -1,9 +1,13 @@
 """Layer primitives, autodiff and optimizer checks against independent oracles."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes
 
 from fedphish.numerics import (
     Adam,
@@ -26,7 +30,7 @@ from fedphish.numerics import (
     softmax,
     zero_grads,
 )
-from fedphish.numerics import layers
+from fedphish.numerics import layers, optim
 from fedphish.numerics.tensor import GradientError
 
 
@@ -735,45 +739,34 @@ def test_backprop_reused_node_accumulates():
 def test_clip_halves_when_norm_is_twice_tau():
     tau = 1.0
     g = [np.array([0.0, 2.0]), np.array([0.0])]  # norm 2.0
-    clip_global_norm(g, tau)
-    assert np.allclose(g[0], [0.0, 1.0])
+    assert clip_global_norm(g, tau) == 0.5
+    # the factor is returned, nothing is scaled in place
+    assert np.array_equal(g[0], [0.0, 2.0])
 
 
 def test_clip_leaves_small_gradients():
     g = [np.array([0.3, 0.4])]  # norm 0.5
-    clip_global_norm(g, 1.0)
-    assert np.allclose(g[0], [0.3, 0.4])
+    assert clip_global_norm(g, 1.0) == 1.0
 
 
 def test_clip_zero_gradients_unchanged():
     g = [np.zeros(3)]
-    clip_global_norm(g, 1.0)
-    assert np.allclose(g[0], 0.0)
+    assert clip_global_norm(g, 1.0) == 1.0
 
 
 def test_clip_is_idempotent():
+    # gradients scaled by the factor no longer exceed tau
     rng = np.random.default_rng(20)
     for _ in range(10):
         g = [rng.normal(size=5) * 10 for _ in range(3)]
-        once = [a.copy() for a in clip_global_norm([a.copy() for a in g], 1.0)]
-        twice = clip_global_norm([a.copy() for a in once], 1.0)
-        for a, c in zip(once, twice):
-            assert np.array_equal(a, c)
+        factor = clip_global_norm(g, 1.0)
+        assert factor < 1.0
+        assert clip_global_norm([a * factor for a in g], 1.0) == 1.0
 
 
-def test_clip_scales_a_0d_gradient_in_place():
-    g = [np.array(3.0), np.array([4.0])]  # norm 5
-    out = clip_global_norm(g, 1.0)
-    assert out[0] is g[0] and g[0].ndim == 0
-    assert np.allclose(g[0], 0.6) and np.allclose(g[1], [0.8])
-
-
-def test_clip_rejects_a_numpy_scalar_gradient():
-    # a scalar cannot be scaled in place, so it would be left unclipped
-    g = [np.array([4.0]), np.float64(3.0)]
-    with pytest.raises(TypeError, match="got float64"):
-        clip_global_norm(g, 1.0)
-    assert np.array_equal(g[0], [4.0])
+def test_clip_counts_a_0d_gradient():
+    for scalar in (np.array(3.0), np.float64(3.0)):
+        assert math.isclose(clip_global_norm([scalar, np.array([4.0])], 1.0), 0.2)  # norm 5
 
 
 # ---------------------------------------------------------------------------
@@ -866,6 +859,154 @@ def test_adam_leaves_a_parameter_without_gradient_untouched():
         opt.step()
     assert opt.t == {"idle": 0, "busy": 3}
     assert idle.grad is None and idle.data.tobytes() == before.tobytes()
+
+
+def test_adam_scales_a_0d_gradient_as_g_times_factor():
+    # the clip factor reaches every gradient as Adam gathers it, a 0-d array
+    # or a numpy scalar as much as any other
+    for grad in (np.array(3.0), np.float64(3.0)):
+        factor = clip_global_norm([grad, np.array([4.0])], 1.0)
+        scaled = Tensor(np.array(0.5), requires_grad=True)
+        scaled.grad = grad
+        opt = Adam({"p": scaled}, lr=0.01)
+        opt.step(scale=factor)
+        oracle = PerArrayAdam({"p": np.array(0.5)}, lr=0.01)
+        oracle.step({"p": grad * factor})
+        assert scaled.data.tobytes() == oracle.params["p"].tobytes()
+        assert opt.m["p"].tobytes() == oracle.m["p"].tobytes()
+        assert opt.v["p"].tobytes() == oracle.v["p"].tobytes()
+        assert opt.m["p"] != (1.0 - opt.beta1) * grad + 0.0  # the factor was applied
+        assert scaled.grad is grad and scaled.grad == 3.0
+
+
+class PerArrayAdam:
+    """Oracle: the Adam update one parameter array at a time, each gradient
+    multiplied by the clip factor first, with the operations in the order of
+    ``p -= lr * m_hat / (sqrt(v_hat) + eps)``."""
+
+    def __init__(self, params, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.params = {k: np.array(v, dtype=np.float64) for k, v in params.items()}
+        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+        self.m = {k: np.zeros_like(v) for k, v in self.params.items()}
+        self.v = {k: np.zeros_like(v) for k, v in self.params.items()}
+        self.t = {k: 0 for k in self.params}
+
+    def step(self, grads, scale=1.0):
+        b1, b2 = self.beta1, self.beta2
+        for k in sorted(grads):
+            g = np.array(grads[k], dtype=np.float64)
+            if scale != 1.0:
+                g *= scale
+            self.t[k] += 1
+            t, p, m, v = self.t[k], self.params[k], self.m[k], self.v[k]
+            s1 = np.multiply(g, 1.0 - b1)
+            if t == 1:
+                m[...] = s1 + 0.0
+            else:
+                m *= b1
+                m += s1
+            s1 = np.multiply(g, g)
+            s1 *= 1.0 - b2
+            if t == 1:
+                v[...] = s1 + 0.0
+            else:
+                v *= b2
+                v += s1
+            s1 = np.divide(m, 1.0 - b1**t)
+            s1 *= self.lr
+            s2 = np.divide(v, 1.0 - b2**t)
+            s2 = np.sqrt(s2)
+            s2 += self.eps
+            s1 /= s2
+            p -= s1
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.data())
+def test_flat_adam_is_the_per_array_update_bitwise(data):
+    # any shapes (0-d and empty included, and one parameter longer than a
+    # chunk), any subset of parameters with a gradient at each step, so that
+    # runs split on the step count, and any clip factor <= 1
+    chunk = data.draw(st.sampled_from([optim.CHUNK, 3, 8]), label="chunk")
+    shapes = data.draw(st.lists(array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4),
+                                min_size=1, max_size=6), label="shapes")
+    if data.draw(st.booleans(), label="long"):
+        at = data.draw(st.integers(0, len(shapes)), label="at")
+        shapes.insert(at, (chunk + data.draw(st.integers(1, 2 * chunk), label="extra"),))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    names = [f"p{i:02d}" for i in range(len(shapes))]
+    init = {k: rng.normal(size=shape) for k, shape in zip(names, shapes)}
+    oracle = PerArrayAdam(init, lr=0.01)
+    original = optim.CHUNK
+    optim.CHUNK = chunk
+    try:
+        # inserted in shuffled order: the flat state is laid out by name
+        params = {names[i]: Tensor(init[names[i]].copy(), requires_grad=True)
+                  for i in rng.permutation(len(names))}
+        opt = Adam(params, lr=0.01)
+        for _ in range(data.draw(st.integers(1, 4), label="steps")):
+            grads = {}
+            for k in names:
+                if data.draw(st.booleans()):
+                    g = np.asarray(rng.normal(size=params[k].shape) * rng.choice([1e-3, 1.0, 1e3]))
+                    g[rng.random(size=g.shape) < 0.2] = -0.0
+                    # a 0-d gradient as an array or as a numpy scalar
+                    grads[k] = g[()] if g.ndim == 0 and rng.random() < 0.5 else g
+            scale = data.draw(st.one_of(st.just(1.0), st.floats(1e-6, 1.0)), label="scale")
+            for k, p in params.items():
+                p.grad = grads[k].copy() if k in grads else None
+            opt.step(scale=scale)
+            oracle.step(grads, scale)
+            assert opt.t == oracle.t
+            for k, p in params.items():
+                assert p.data.shape == oracle.params[k].shape, k
+                assert p.data.tobytes() == oracle.params[k].tobytes(), k
+                if oracle.t[k]:
+                    assert opt.m[k].tobytes() == oracle.m[k].tobytes(), k
+                    assert opt.v[k].tobytes() == oracle.v[k].tobytes(), k
+                if k in grads:
+                    assert p.grad.tobytes() == grads[k].tobytes(), k
+    finally:
+        optim.CHUNK = original
+
+
+def test_adam_copies_its_parameters_into_one_flat_state():
+    data = {"b": np.arange(6.0).reshape(2, 3), "a": np.array(7.0)}
+    params = {k: Tensor(v, requires_grad=True) for k, v in data.items()}
+    opt = Adam(params)
+    # sorted-name order: a, then b
+    assert np.array_equal(opt.theta, [7.0, 0.0, 1.0, 2.0, 3.0, 4.0, 5.0])
+    for k, p in params.items():
+        assert p.data is not data[k] and p.data.base is opt.theta
+        assert p.data.shape == data[k].shape and opt.m[k].shape == data[k].shape
+    params["b"].grad = np.ones((2, 3))
+    opt.step()
+    assert np.array_equal(data["b"], np.arange(6.0).reshape(2, 3))
+
+
+def test_adam_rejects_a_gradient_of_the_wrong_size():
+    p = Tensor(np.zeros(3), requires_grad=True)
+    opt = Adam({"p": p})
+    p.grad = np.ones(4)
+    with pytest.raises(ValueError, match="gradient of 'p' has 4 elements, the parameter 3"):
+        opt.step()
+
+
+def test_adam_scratch_is_bounded_by_the_chunk():
+    # construction plus one step allocate theta, m and v and two chunk-sized
+    # scratch buffers, nothing parameter-sized besides
+    p = Tensor(np.random.default_rng(3).normal(size=2**20), requires_grad=True)
+    p.grad = np.ones(2**20)
+    tracemalloc.start()
+    try:
+        opt = Adam({"p": p})
+        opt.step(scale=0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    state = 3 * p.data.nbytes
+    assert state <= peak <= state + 2 * 8 * optim.CHUNK + 64 * 1024
+    assert opt.t == {"p": 1}
 
 
 # ---------------------------------------------------------------------------
