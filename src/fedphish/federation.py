@@ -340,10 +340,11 @@ def proximal_term(params: dict[str, Tensor], anchor: dict[str, np.ndarray], mu: 
         # an array also at 0-d, as every gradient from backward is
         pull = np.asarray(p.data - anchor[name])
         pull *= mu
-        if p.grad is None:
-            p.grad = pull
-        else:
-            p.grad += pull
+        # added into the new array, not into .grad: backward may hand one
+        # array, or views of it, to several parameters
+        if p.grad is not None:
+            pull += p.grad
+        p.grad = pull
 
 
 def client_train(
@@ -407,13 +408,17 @@ def client_evaluate(
     cfg: TrainConfig,
 ) -> dict[str, tuple[float, Metrics]]:
     """Evaluation-mode metrics per head. A paired validation set routes the
-    fusion path; otherwise every present single-modality head is scored."""
+    fusion path; otherwise every present single-modality head is scored.
+    Only the parameters of the heads being scored are wrapped as tensors."""
     heads = model.heads()
-    tensors = {k: Tensor(v) for k, v in params.items()}
     if "pair" in data.val and len(data.val["pair"]["y"]):
         kinds = ["pair"]
+        roles = ("image", "html", "fusion")
     else:
         kinds = [k for k in ("image", "html", "url") if k in data.val and len(data.val[k]["y"])]
+        roles = kinds
+    prefixes = tuple(_ROLE_PREFIX[role] for role in roles)
+    tensors = {k: Tensor(v) for k, v in params.items() if k.startswith(prefixes)}
     results: dict[str, tuple[float, Metrics]] = {}
     for kind in kinds:
         arrays = data.val[kind]

@@ -20,15 +20,16 @@ from .numerics import (
     attention_pool,
     bilstm_sequence,
     concat,
+    cosine_logits,
     dropout,
     embedding,
     gelu,
-    l2_normalize,
     layer_norm,
     log_softmax,
     log_softmax_parts,
     mhsa_block,
     multiscale_conv_encode,
+    weight_norm,
 )
 
 __all__ = [
@@ -330,7 +331,15 @@ class HtmlHead:
 
 class UrlHead:
     """LayerNorm, weight-normalized affine, GELU, dropout, cosine classifier
-    with a learnable positive scale."""
+    with a learnable positive scale.
+
+    The paper's url expert is a small head over fixed GraphCodeBERT
+    embeddings, so per-node overhead, not arithmetic, sets its step time.
+    Layer norm, the weight normalisation, the product and its bias, GELU,
+    dropout and the cosine classifier are one graph node each: seven in
+    training, six in evaluation, where dropout is the identity. The input
+    embeddings are data, so no gradient is computed for them.
+    """
 
     def __init__(self, cfg: UrlHeadConfig):
         self.cfg = cfg
@@ -357,16 +366,12 @@ class UrlHead:
         cfg = self.cfg
         emb = emb if isinstance(emb, Tensor) else Tensor(emb)
         h = layer_norm(emb, params[URL_PREFIX + "ln.gamma"], params[URL_PREFIX + "ln.beta"])
-        v = params[URL_PREFIX + "fc.v"]
-        col_norm = (v * v).sum(axis=0, keepdims=True).sqrt()
-        w = v * (params[URL_PREFIX + "fc.g"].reshape(1, -1) / col_norm)
+        w = weight_norm(params[URL_PREFIX + "fc.v"], params[URL_PREFIX + "fc.g"])
         f = gelu(h @ w + params[URL_PREFIX + "fc.b"])
         f = dropout(f, cfg.dropout, rng, train)
-
-        cw = params[URL_PREFIX + "cls.w"]
-        cosine = l2_normalize(f, 1, 1e-12) @ l2_normalize(cw, 0, 1e-12)
-        scale = params[URL_PREFIX + "cls.log_scale"].exp()
-        return cosine * scale
+        return cosine_logits(
+            f, params[URL_PREFIX + "cls.w"], params[URL_PREFIX + "cls.log_scale"], 1e-12
+        )
 
 
 # ---------------------------------------------------------------------------

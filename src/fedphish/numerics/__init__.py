@@ -14,6 +14,7 @@ from .layers import (
     affine,
     attention_pool,
     bilstm_sequence,
+    cosine_logits,
     dropout,
     embedding,
     gelu,
@@ -24,6 +25,7 @@ from .layers import (
     mhsa_block,
     multiscale_conv_encode,
     softmax,
+    weight_norm,
 )
 from .optim import Adam, clip_global_norm, make_optimizer
 from .tensor import (
@@ -46,6 +48,7 @@ __all__ = [
     "bilstm_sequence",
     "clip_global_norm",
     "concat",
+    "cosine_logits",
     "dropout",
     "embedding",
     "finite_difference_check",
@@ -58,5 +61,6 @@ __all__ = [
     "mhsa_block",
     "multiscale_conv_encode",
     "softmax",
+    "weight_norm",
     "zero_grads",
 ]

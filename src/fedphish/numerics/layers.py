@@ -10,13 +10,16 @@ rest are single nodes with hand-written backwards:
 
 - ``layer_norm``, ``gelu``, ``log_softmax`` and ``l2_normalize``, because
   every classifier head runs them and as compositions they cost 11, 5, 6
-  and 5 nodes each: in a small head such as the url expert, the per-node
-  Python overhead, not the arithmetic, sets the step time. Each runs the
-  numpy operations of the composition it replaces in the same order,
-  forward and backward. An input that the composition reached along k
-  paths is listed k times among the node's parents, with one gradient term
-  per path, so ``backward`` adds the terms in the composition's order and
-  every gradient in the graph stays bitwise the composition's;
+  and 5 nodes each, and the url head's ``weight_norm`` and
+  ``cosine_logits``, which replace compositions of 6 and 5 nodes: in a
+  small head such as the url expert, the per-node Python overhead, not the
+  arithmetic, sets the step time. Each runs the numpy operations of the
+  composition it replaces in the same order, forward and backward. An
+  input that the composition reached along k paths is listed k times among
+  the node's parents, with one gradient term per path, so ``backward`` adds
+  the terms in the composition's order and every gradient in the graph
+  stays bitwise the composition's. ``cosine_logits`` normalises with the
+  code behind ``l2_normalize``;
 - ``bilstm_sequence``, because an unrolled cell costs about twenty nodes
   per time step. It runs every direction of every sequence it is given,
   for the html head both directions of the word and the DOM stream, as one
@@ -48,6 +51,8 @@ __all__ = [
     "log_softmax",
     "log_softmax_parts",
     "l2_normalize",
+    "cosine_logits",
+    "weight_norm",
     "gelu",
     "dropout",
     "mhsa_block",
@@ -77,13 +82,16 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     xhat = centered / std
 
     def bw(g: np.ndarray):
+        g_gamma = _unbroadcast(g * xhat, gamma.shape) if gamma.requires_grad else None
+        g_beta = _unbroadcast(g, beta.shape) if beta.requires_grad else None
+        if not x.requires_grad:
+            return None, None, g_gamma, g_beta
         g_xhat = g * gamma.data
         g_std = (-g_xhat * centered / (std * std)).sum(axis=-1, keepdims=True)
         g_sq = g_std * 0.5 / std * inv_n * centered  # through the variance, once per factor
         g_centered = g_xhat / std + g_sq + g_sq
         g_mean = (-g_centered).sum(axis=-1, keepdims=True) * inv_n
-        return (g_centered, np.broadcast_to(g_mean, x.shape),
-                _unbroadcast(g * xhat, gamma.shape), _unbroadcast(g, beta.shape))
+        return g_centered, np.broadcast_to(g_mean, x.shape), g_gamma, g_beta
 
     # x twice: through the centering and through the mean
     return Tensor._node(xhat * gamma.data + beta.data, (x, x, gamma, beta), bw)
@@ -111,22 +119,66 @@ def log_softmax(z: Tensor, axis: int = -1) -> Tensor:
     )
 
 
-def l2_normalize(x: Tensor, axis: int, floor: float) -> Tensor:
-    """``x`` divided by its L2 norm along ``axis``, or by ``floor`` where the
-    norm is below it; there the gradient is the plain ``1 / floor`` scaling."""
-    norm = np.sqrt((x.data * x.data).sum(axis=axis, keepdims=True))
+def _unit(x: np.ndarray, axis: int, floor: float):
+    """``x`` over its L2 norm along ``axis`` (``floor`` where the norm is
+    below it), and the map from an output gradient to the three gradient
+    terms of ``x``: as the dividend and as both factors of the squares."""
+    norm = np.sqrt((x * x).sum(axis=axis, keepdims=True))
     above = norm >= floor
     denom = np.where(above, norm, floor)
 
     def bw(g: np.ndarray):
-        g_denom = (-g * x.data / (denom * denom)).sum(axis=axis, keepdims=True)
+        g_denom = (-g * x / (denom * denom)).sum(axis=axis, keepdims=True)
         # through the norm where it is the divisor; ``denom`` is the norm
         # there, and dividing by it keeps a zero vector free of 0/0
-        g_sq = g_denom * above * 0.5 / denom * x.data
+        g_sq = g_denom * above * 0.5 / denom * x
         return g / denom, g_sq, g_sq
 
+    return x / denom, bw
+
+
+def l2_normalize(x: Tensor, axis: int, floor: float) -> Tensor:
+    """``x`` divided by its L2 norm along ``axis``, or by ``floor`` where the
+    norm is below it; there the gradient is the plain ``1 / floor`` scaling."""
+    out, bw = _unit(x.data, axis, floor)
     # x three times: as the dividend and as both factors of the squares
-    return Tensor._node(x.data / denom, (x, x, x), bw)
+    return Tensor._node(out, (x, x, x), bw)
+
+
+def cosine_logits(f: Tensor, w: Tensor, log_scale: Tensor, floor: float) -> Tensor:
+    """Cosine classifier: the rows of ``f`` [B, d] and the columns of ``w``
+    [d, C], each unit-normalised as by ``l2_normalize`` with ``floor``,
+    multiplied, and scaled by ``exp(log_scale)``."""
+    f_hat, f_bw = _unit(f.data, 1, floor)
+    w_hat, w_bw = _unit(w.data, 0, floor)
+    cos = f_hat @ w_hat
+    scale = np.exp(log_scale.data)
+
+    def bw(g: np.ndarray):
+        g_cos = g * scale
+        g_log_scale = _unbroadcast(g * cos, log_scale.shape) * scale
+        return (*f_bw(g_cos @ w_hat.T), *w_bw(f_hat.T @ g_cos), g_log_scale)
+
+    # f and w three times each, as in ``l2_normalize``
+    return Tensor._node(cos * scale, (f, f, f, w, w, w, log_scale), bw)
+
+
+def weight_norm(v: Tensor, g: Tensor) -> Tensor:
+    """Weight normalisation (Salimans & Kingma, arXiv:1602.07868): column j
+    of ``v`` [d, h] divided by its L2 norm and multiplied by ``g[j]``,
+    ``v * (g / ||v||)``. A zero column gives NaN, as the composition does."""
+    norm = np.sqrt((v.data * v.data).sum(axis=0, keepdims=True))
+    gain = g.data.reshape(1, -1)
+    scale = gain / norm
+
+    def bw(grad: np.ndarray):
+        g_scale = _unbroadcast(grad * v.data, scale.shape)
+        g_norm = -g_scale * gain / (norm * norm)
+        g_sq = g_norm * 0.5 / norm * v.data  # through the squares, once per factor
+        return grad * scale, g_sq, g_sq, (g_scale / norm).reshape(g.shape)
+
+    # v three times: as the factor and as both factors of the squares
+    return Tensor._node(v.data * scale, (v, v, v, g), bw)
 
 
 _INV_SQRT_2 = 1.0 / np.sqrt(2.0)

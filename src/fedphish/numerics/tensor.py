@@ -5,6 +5,10 @@ maps the output gradient to parent gradients. ``backward(loss)`` walks that
 graph once in reverse topological order; the graph itself is the tape. All
 arithmetic stays in 64-bit precision.
 
+A closure computes only the gradients its parents need: for a parent that
+does not require a gradient, such as a constant or a batch of input data,
+it returns ``None`` instead of doing that parent's arithmetic.
+
 Values and gradients are dense arrays. A client trains each embedding table
 as a compact table of only the rows its data can look up, so a table's
 gradient costs the rows the client reaches, not the vocabulary.
@@ -163,7 +167,10 @@ class Tensor:
         return self._node(
             self.data + other.data,
             (self, other),
-            lambda g: (_unbroadcast(g, self.shape), _unbroadcast(g, other.shape)),
+            lambda g: (
+                _unbroadcast(g, self.shape) if self.requires_grad else None,
+                _unbroadcast(g, other.shape) if other.requires_grad else None,
+            ),
         )
 
     __radd__ = __add__
@@ -174,8 +181,8 @@ class Tensor:
             self.data * other.data,
             (self, other),
             lambda g: (
-                _unbroadcast(g * other.data, self.shape),
-                _unbroadcast(g * self.data, other.shape),
+                _unbroadcast(g * other.data, self.shape) if self.requires_grad else None,
+                _unbroadcast(g * self.data, other.shape) if other.requires_grad else None,
             ),
         )
 
@@ -189,7 +196,10 @@ class Tensor:
         return self._node(
             self.data - other.data,
             (self, other),
-            lambda g: (_unbroadcast(g, self.shape), _unbroadcast(-g, other.shape)),
+            lambda g: (
+                _unbroadcast(g, self.shape) if self.requires_grad else None,
+                _unbroadcast(-g, other.shape) if other.requires_grad else None,
+            ),
         )
 
     def __rsub__(self, other) -> "Tensor":
@@ -201,8 +211,9 @@ class Tensor:
             self.data / other.data,
             (self, other),
             lambda g: (
-                _unbroadcast(g / other.data, self.shape),
-                _unbroadcast(-g * self.data / (other.data * other.data), other.shape),
+                _unbroadcast(g / other.data, self.shape) if self.requires_grad else None,
+                _unbroadcast(-g * self.data / (other.data * other.data), other.shape)
+                if other.requires_grad else None,
             ),
         )
 
@@ -221,15 +232,17 @@ class Tensor:
 
             def shared_bw(g: np.ndarray):
                 g2 = g.reshape(-1, g.shape[-1])
-                return (g2 @ b.T).reshape(a.shape), rows.T @ g2
+                return ((g2 @ b.T).reshape(a.shape) if self.requires_grad else None,
+                        rows.T @ g2 if other.requires_grad else None)
 
             out = (rows @ b).reshape(a.shape[:-1] + (b.shape[1],))
             return self._node(out, (self, other), shared_bw)
 
         def bw(g: np.ndarray):
-            ga = g @ np.swapaxes(b, -1, -2)
-            gb = _unbroadcast(np.swapaxes(a, -1, -2) @ g, b.shape)
-            return _unbroadcast(ga, a.shape), gb
+            ga = _unbroadcast(g @ np.swapaxes(b, -1, -2), a.shape) if self.requires_grad else None
+            gb = (_unbroadcast(np.swapaxes(a, -1, -2) @ g, b.shape)
+                  if other.requires_grad else None)
+            return ga, gb
 
         return self._node(a @ b, (self, other), bw)
 
@@ -273,10 +286,6 @@ class Tensor:
 
     def log(self) -> "Tensor":
         return self._node(np.log(self.data), (self,), lambda g: (g / self.data,))
-
-    def sqrt(self) -> "Tensor":
-        out = np.sqrt(self.data)
-        return self._node(out, (self,), lambda g: (g * 0.5 / out,))
 
     def sigmoid(self) -> "Tensor":
         out = stable_sigmoid(self.data)

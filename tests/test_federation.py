@@ -572,11 +572,11 @@ def graph_nodes(loss) -> int:
     return len(seen)
 
 
-# layer norm, GELU, log-softmax, focal loss and unit normalisation are one
-# node each; the word and DOM BiLSTMs are one node plus a slice per branch;
-# the pull is no node at all. A primitive that turns back into a chain of
-# nodes fails here
-BATCH_LOSS_NODES = {"image": 109, "html": 64, "url": 24, "pair": 245}
+# layer norm, GELU, log-softmax, focal loss, unit normalisation, weight
+# normalisation and the cosine classifier are one node each; the word and
+# DOM BiLSTMs are one node plus a slice per branch; the pull is no node at
+# all. A primitive that turns back into a chain of nodes fails here
+BATCH_LOSS_NODES = {"image": 109, "html": 64, "url": 15, "pair": 245}
 
 
 @pytest.mark.parametrize("kind", sorted(BATCH_LOSS_NODES))
@@ -702,7 +702,23 @@ def test_evaluate_perfect_and_degenerate_predictors():
     assert preds.shape == (100,)
 
 
-def test_evaluate_paired_val_emits_only_fusion():
+def wrapped_roles(monkeypatch, params) -> set[str]:
+    """Record which of ``params``' arrays ``client_evaluate`` wraps in a
+    Tensor; returns the roles of the names recorded, filled in as it runs."""
+    roles = set()
+
+    class Recording(Tensor):
+        __slots__ = ()
+
+        def __init__(self, data, requires_grad=False):
+            roles.update(group_of(k) for k, v in params.items() if v is data)
+            super().__init__(data, requires_grad)
+
+    monkeypatch.setattr(federation, "Tensor", Recording)
+    return roles
+
+
+def test_evaluate_paired_val_emits_only_fusion(monkeypatch):
     from fedphish.data import synth_paired
     from fedphish.preproc import PreprocConfig
 
@@ -712,16 +728,21 @@ def test_evaluate_paired_val_emits_only_fusion():
     client = ClientData(client_id="f0", train={"pair": pairs},
                         val={"pair": pairs, "url": synth_embeddings(8, dim=16, seed=2)})
     params = {k: p.data for k, p in spec.init_params(10).items()}
+    roles = wrapped_roles(monkeypatch, params)
     results = client_evaluate(params, client, spec, TrainConfig(rounds=1))
     assert set(results) == {"fusion"}
+    # the fused path reads the image, html and fusion heads and no other
+    assert roles == {"image", "html", "fusion"}
 
 
-def test_evaluate_single_modality_heads():
+def test_evaluate_single_modality_heads(monkeypatch):
     spec = ModelSpec.desk()
     params = {k: p.data for k, p in spec.init_params(11).items()}
     client = desk_url_client()
+    roles = wrapped_roles(monkeypatch, params)
     results = client_evaluate(params, client, spec, TrainConfig(rounds=1))
     assert set(results) == {"url"}
+    assert roles == {"url"}
     loss, m = results["url"]
     assert np.isfinite(loss)
     assert 0.0 <= m.accuracy <= 1.0

@@ -5,11 +5,12 @@ import math
 import numpy as np
 import pytest
 from test_numerics import (
+    cosine_logits_composition,
     gelu_composition,
-    l2_normalize_composition,
     layer_norm_composition,
     log_softmax_composition,
     power,
+    weight_norm_composition,
 )
 
 import fedphish.federation
@@ -565,7 +566,8 @@ def test_batch_loss_gradients_match_compositions(kind, monkeypatch):
         monkeypatch.setattr(module, "layer_norm", layer_norm_composition)
         monkeypatch.setattr(module, "gelu", gelu_composition)
         monkeypatch.setattr(module, "log_softmax", log_softmax_composition)
-    monkeypatch.setattr(fedphish.heads, "l2_normalize", l2_normalize_composition)
+    monkeypatch.setattr(fedphish.heads, "weight_norm", weight_norm_composition)
+    monkeypatch.setattr(fedphish.heads, "cosine_logits", cosine_logits_composition)
     monkeypatch.setattr(fedphish.federation, "focal_loss", focal_loss_composition)
     ref_loss, ref_grads = loss_and_grads()
     assert np.array_equal(loss, ref_loss)
@@ -673,6 +675,27 @@ def test_proximal_gradient_is_mu_times_diff():
     proximal_term(local, snap, mu)
     expected = data_grad + mu * (local["url_head.w"].data - snap["url_head.w"])
     assert np.array_equal(local["url_head.w"].grad, expected)
+
+
+def test_proximal_pull_stays_with_its_parameter_when_gradients_share_memory():
+    # backward hands the upstream array of x + y to both addends, and a view
+    # of it through a reshape; the pull is added into each parameter's own
+    # array, so it cannot leak from one parameter into another
+    x = Tensor(np.array(1.0), requires_grad=True)
+    y = Tensor(np.array(2.0), requires_grad=True)
+    backward((x + y).sum())
+    assert x.grad is y.grad
+    proximal_term({"x": x, "y": y}, {"x": np.array(0.0), "y": np.array(0.0)}, 0.5)
+    assert x.grad == 1.5 and y.grad == 2.0
+
+    rng = np.random.default_rng(32)
+    a = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
+    b = Tensor(rng.normal(size=6), requires_grad=True)
+    backward((a + b.reshape(2, 3)).sum())
+    assert np.shares_memory(a.grad, b.grad)
+    proximal_term({"a": a, "b": b}, {"a": np.zeros((2, 3)), "b": np.zeros(6)}, 0.5)
+    assert np.array_equal(a.grad, 0.5 * a.data + 1.0)
+    assert np.array_equal(b.grad, 0.5 * b.data + 1.0)
 
 
 def test_proximal_table_compares_moved_rows_only():

@@ -18,6 +18,7 @@ from fedphish.numerics import (
     bilstm_sequence,
     clip_global_norm,
     concat,
+    cosine_logits,
     dropout,
     embedding,
     finite_difference_check,
@@ -28,6 +29,7 @@ from fedphish.numerics import (
     mhsa_block,
     multiscale_conv_encode,
     softmax,
+    weight_norm,
     zero_grads,
 )
 from fedphish.numerics import layers, optim
@@ -52,6 +54,12 @@ def tanh(x: Tensor) -> Tensor:
     """Elementwise tanh as one graph node."""
     out = np.tanh(x.data)
     return Tensor._node(out, (x,), lambda g: (g * (1.0 - out * out),))
+
+
+def sqrt(x: Tensor) -> Tensor:
+    """Elementwise square root as one graph node."""
+    out = np.sqrt(x.data)
+    return Tensor._node(out, (x,), lambda g: (g * 0.5 / out,))
 
 
 def matmul_oracle(a, b):
@@ -719,6 +727,40 @@ def test_backprop_quadratic_proximal_gradient_exact():
     assert np.allclose(theta.grad, mu * (theta.data - snapshot), atol=1e-15)
 
 
+# each operation with several parents: (function, parent shapes)
+MULTI_PARENT_OPS = {
+    "add": (lambda a, b: a + b, [(3, 4), (4,)]),
+    "sub": (lambda a, b: a - b, [(3, 4), (3, 1)]),
+    "mul": (lambda a, b: a * b, [(3, 4), (4,)]),
+    "truediv": (lambda a, b: a / b, [(3, 4), (1, 4)]),
+    "matmul": (lambda a, b: a @ b, [(3, 4), (4, 2)]),
+    "matmul_shared": (lambda a, b: a @ b, [(2, 3, 4), (4, 2)]),
+    "layer_norm": (layer_norm, [(3, 5), (5,), (5,)]),
+}
+
+
+@pytest.mark.parametrize("op", sorted(MULTI_PARENT_OPS))
+def test_closure_returns_none_for_a_constant_parent(op):
+    fn, shapes = MULTI_PARENT_OPS[op]
+    rng = np.random.default_rng(53)
+    arrays = [rng.uniform(0.5, 2.0, size=shape) for shape in shapes]
+
+    def closure_terms(constant):
+        leaves = [Tensor(a, requires_grad=i != constant) for i, a in enumerate(arrays)]
+        out = fn(*leaves)
+        upstream = np.random.default_rng(54).normal(size=out.shape)
+        return [leaves.index(p) for p in out._parents], out._backward(upstream)
+
+    which, full = closure_terms(None)
+    for constant in range(len(arrays)):
+        _, terms = closure_terms(constant)
+        for leaf, term, ref in zip(which, terms, full):
+            if leaf == constant:
+                assert term is None
+            else:
+                assert np.array_equal(term, ref)
+
+
 def test_backprop_rejects_nan_loss():
     x = Tensor(np.array([np.nan]), requires_grad=True)
     with pytest.raises(GradientError):
@@ -1106,6 +1148,22 @@ def test_primitive_gradients_over_twenty_seeds():
         )
         assert err < 1e-4, f"conv seed {seed}: {err}"
 
+        v = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+        gain = Tensor(1.0 + rng.normal(scale=0.1, size=3), requires_grad=True)
+        err = finite_difference_check(
+            lambda: power(Tensor(x[:, :4]) @ weight_norm(v, gain), 2.0).sum(), {"v": v, "g": gain}
+        )
+        assert err < 1e-4, f"weight_norm seed {seed}: {err}"
+
+        f = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+        cw = Tensor(rng.normal(size=(4, 2)), requires_grad=True)
+        log_scale = Tensor(np.array(rng.normal(scale=0.5)), requires_grad=True)
+        err = finite_difference_check(
+            lambda: power(cosine_logits(f, cw, log_scale, 1e-12), 2.0).sum(),
+            {"f": f, "w": cw, "log_scale": log_scale},
+        )
+        assert err < 1e-4, f"cosine_logits seed {seed}: {err}"
+
 
 def test_mhsa_gradients_over_twenty_seeds():
     for seed in range(20):
@@ -1278,7 +1336,7 @@ def layer_norm_composition(x, gamma, beta, eps=1e-5):
     mu = x.mean(axis=-1, keepdims=True)
     centered = x - mu
     var = (centered * centered).mean(axis=-1, keepdims=True)
-    return centered / (var + eps).sqrt() * gamma + beta
+    return centered / sqrt(var + eps) * gamma + beta
 
 
 def log_softmax_composition(z, axis=-1):
@@ -1292,8 +1350,19 @@ def gelu_composition(x):
 
 
 def l2_normalize_composition(x, axis, floor):
-    norm = (x * x).sum(axis=axis, keepdims=True).sqrt()
+    norm = sqrt((x * x).sum(axis=axis, keepdims=True))
     return x / maximum_node(norm, Tensor(floor))
+
+
+def weight_norm_composition(v, g):
+    """The url head's weight normalisation as it was built, six nodes."""
+    col_norm = sqrt((v * v).sum(axis=0, keepdims=True))
+    return v * (g.reshape(1, -1) / col_norm)
+
+
+def cosine_logits_composition(f, w, log_scale, floor):
+    """The url head's cosine classifier as it was built, five nodes."""
+    return (l2_normalize(f, 1, floor) @ l2_normalize(w, 0, floor)) * log_scale.exp()
 
 
 def forward_and_grads(fn, arrays, seed=0):
@@ -1420,6 +1489,89 @@ def test_l2_normalize_zero_vector_gradient_is_plain_scaling():
     backward((out * Tensor(upstream)).sum())
     assert np.array_equal(out.data, np.zeros((2, 3)))
     assert np.array_equal(x.grad, upstream / 1e-12)
+
+
+def random_shape(rng, ndim):
+    return tuple(int(n) for n in rng.integers(1, 10, size=ndim))
+
+
+def test_weight_norm_node_matches_composition():
+    rng = np.random.default_rng(48)
+    for seed in range(12):
+        d, h = random_shape(rng, 2)
+        v = rng.normal(scale=rng.uniform(0.1, 10.0), size=(d, h))
+        assert_matches_composition(
+            weight_norm, weight_norm_composition, [v, rng.normal(size=h)], seed
+        )
+
+
+def seeded(out: Tensor, upstream: np.ndarray) -> Tensor:
+    """A finite 0-d node that feeds ``upstream`` into ``out``, so that
+    ``backward`` runs through an output holding NaN."""
+    return Tensor._node(np.zeros(()), (out,), lambda g: (upstream,))
+
+
+def test_weight_norm_zero_column_matches_composition():
+    # column 1 has norm 0: g / 0 and 0 * inf give NaN in both versions,
+    # forward and backward, and the other columns stay finite
+    rng = np.random.default_rng(49)
+    v, gain = rng.normal(size=(5, 3)), rng.normal(size=3)
+    v[:, 1] = 0.0
+    upstream = rng.normal(size=(5, 3))
+    results = []
+    for fn in (weight_norm, weight_norm_composition):
+        leaves = [Tensor(v.copy(), requires_grad=True), Tensor(gain.copy(), requires_grad=True)]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out = fn(*leaves)
+            backward(seeded(out, upstream))
+        results.append([out.data] + [leaf.grad for leaf in leaves])
+    for got, ref in zip(*results):
+        assert np.array_equal(got, ref, equal_nan=True)
+    out, d_v, d_gain = results[0]
+    assert np.isnan(out[:, 1]).all() and np.isfinite(out[:, [0, 2]]).all()
+    assert np.isnan(d_v[:, 1]).all() and np.isfinite(d_v[:, [0, 2]]).all()
+    assert np.isnan(d_gain[1]) and np.isfinite(d_gain[[0, 2]]).all()
+
+
+def cosine_arrays(rng, batch, d, classes):
+    return [rng.normal(scale=rng.uniform(0.1, 10.0), size=(batch, d)),
+            rng.normal(size=(d, classes)), np.array(rng.normal(scale=2.0))]
+
+
+def test_cosine_logits_node_matches_composition():
+    rng = np.random.default_rng(50)
+    for seed in range(12):
+        arrays = cosine_arrays(rng, *random_shape(rng, 3))
+        assert_matches_composition(
+            lambda f, w, s: cosine_logits(f, w, s, 1e-12),
+            lambda f, w, s: cosine_logits_composition(f, w, s, 1e-12), arrays, seed,
+        )
+
+
+def test_cosine_logits_below_floor_matches_composition():
+    # feature rows 0 and 2 (norms ~1e-14 and 0) and class column 1 (~1e-15)
+    # are below the floor and divided by it
+    rng = np.random.default_rng(51)
+    f, w, log_scale = cosine_arrays(rng, 4, 6, 3)
+    f[0] *= 1e-14
+    f[2] = 0.0
+    w[:, 1] *= 1e-15
+    assert_matches_composition(
+        lambda f, w, s: cosine_logits(f, w, s, 1e-12),
+        lambda f, w, s: cosine_logits_composition(f, w, s, 1e-12), [f, w, log_scale],
+    )
+    out = cosine_logits(Tensor(f), Tensor(w), Tensor(log_scale), 1e-12).data
+    unit_w = w / np.maximum(np.sqrt((w * w).sum(axis=0, keepdims=True)), 1e-12)
+    assert np.allclose(out[0], (f[0] / 1e-12) @ unit_w * np.exp(log_scale), rtol=1e-13, atol=0)
+    assert np.array_equal(out[2], np.zeros(3))
+
+
+def test_cosine_logits_scale_gradient_is_a_0d_array():
+    # clip_global_norm takes only ndarray gradients, 0-d included
+    rng = np.random.default_rng(52)
+    leaves = [Tensor(a, requires_grad=True) for a in cosine_arrays(rng, 3, 4, 2)]
+    backward(cosine_logits(*leaves, 1e-12).sum())
+    assert type(leaves[2].grad) is np.ndarray and leaves[2].grad.shape == ()
 
 
 def test_single_node_primitives_finite_differences():

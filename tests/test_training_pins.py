@@ -6,9 +6,10 @@ Each config runs two rounds of one epoch through ``parse_config``,
 sorted name order. A change that claims bitwise-identical training output
 keeps these digests; one that moves them has to say why.
 
-A variant is a bundled config with some ``preproc`` values replaced:
+A variant is a bundled config with some values replaced:
 ``four_clients_html_cross_dom7`` gives the word and DOM streams unequal
-lengths, which no bundled config does.
+lengths, and ``ablation_url_2clients_fedprox`` pulls url clients toward the
+broadcast over several steps per round; no bundled config does either.
 """
 
 import hashlib
@@ -72,11 +73,18 @@ PINS = {
         "f2a18dfcc2952503a449a1031a3c706293374f41cd7dda10d2a701f9a4c1d72f",
         "b4966bf402c9ace1f5a20d08fe0e6d5fd63813b7997fbbb1b5922d6a6109f64e",
     ),
+    "ablation_url_2clients_fedprox": (
+        "e9d1720dae190673066f4cfdb658be9a52b0be7d7d6746af0f689df0c0ebe152",
+        "7e6ae78fba604ed457ea2f0bbf671f120c8df6b5369bd13406c333aac1a65178",
+    ),
 }
 
-# variant name -> (bundled config, preproc values it replaces)
+# variant name -> (bundled config, values it replaces; a dict value
+# replaces keys inside that section)
 VARIANTS = {
-    "four_clients_html_cross_dom7": ("four_clients_html_cross", {"dom_len": 7}),
+    "four_clients_html_cross_dom7": ("four_clients_html_cross", {"preproc": {"dom_len": 7}}),
+    # four steps per client and round, so that the pull is nonzero after the first
+    "ablation_url_2clients_fedprox": ("ablation_url_2clients", {"mu": 0.02, "batch_size": 8}),
 }
 
 
@@ -94,9 +102,13 @@ def test_every_bundled_config_is_pinned():
 def config_path(name, tmp_path):
     if name not in VARIANTS:
         return bundled_config_path(name)
-    base, preproc = VARIANTS[name]
+    base, patch = VARIANTS[name]
     raw = json.loads(bundled_config_path(base).read_text())
-    raw["preproc"].update(preproc)
+    for key, value in patch.items():
+        if isinstance(value, dict):
+            raw[key].update(value)
+        else:
+            raw[key] = value
     path = tmp_path / f"{name}.json"
     path.write_text(json.dumps(raw))
     return path
