@@ -92,19 +92,18 @@ def gradcheck_suite(seeds: int) -> dict[str, float]:
 
     The checked function is ``federation.batch_loss``, the data loss that
     ``client_train`` backpropagates, on one image, html, url and pair batch
-    (the pair without modality dropout, so both branches are live). Each seed
+    (the pair's loss reaches both branches and the fusion head). Each seed
     sweeps every parameter tensor the loss reaches at its 24 largest-gradient
     coordinates (10 for the fusion loss); small tensors are swept in full.
     Completeness of each primitive's backward is covered exhaustively by the
     unit suite, so the head-level sweep focuses on the coordinates that
     carry numerically meaningful gradient mass.
     """
-    from .federation import TrainConfig, batch_loss
-    from .heads import LossConfig, ModelSpec
+    from .federation import batch_loss
+    from .heads import ModelSpec
     from .numerics import backward, finite_difference_check, zero_grads
 
     spec = ModelSpec.desk()
-    cfg = TrainConfig(loss=LossConfig(modal_dropout_p=0.0))
     worst: dict[str, float] = {}
 
     for seed in range(seeds):
@@ -132,7 +131,7 @@ def gradcheck_suite(seeds: int) -> dict[str, float]:
             def loss_fn(kind=kind, batch=batch, offset=offset):
                 # dropout reseeded per call: every evaluation sees one function
                 drop = np.random.default_rng(seed + offset)
-                return batch_loss(heads, kind, params, batch, cfg, drop)
+                return batch_loss(heads, kind, params, batch, drop)
 
             zero_grads(params)
             backward(loss_fn())

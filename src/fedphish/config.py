@@ -17,8 +17,8 @@ from pathlib import Path
 import numpy as np
 
 from .data import load_jsonl, synth_embeddings, synth_html, synth_image_tokens, synth_paired
-from .federation import ClientData, TrainConfig
-from .heads import LossConfig, ModelSpec, _is_finite_nonneg, _is_int
+from .federation import ClientData, TrainConfig, _is_finite_nonneg, _is_int
+from .heads import ModelSpec
 from .preproc import CHAR_PAD, PreprocConfig
 
 __all__ = ["ConfigError", "DatasetSpec", "ClientSpec", "ExperimentConfig",
@@ -32,7 +32,6 @@ class ConfigError(ValueError):
 
 _TOP_KEYS = {
     "name", "seed", "rounds", "epochs", "lr", "batch_size", "mu", "clip",
-    "focal_gamma", "lambda_aux", "lambda_js", "modal_dropout_p",
     "model_profile", "preproc", "clients", "out_dir",
 }
 _CLIENT_KEYS = {"id", "datasets"}
@@ -171,12 +170,6 @@ def parse_config(path) -> ExperimentConfig:
     _reject_unknown(preproc_raw, _PREPROC_KEYS, "preproc")
     # the dataclasses check ranges and types; report their errors as config errors
     try:
-        loss = LossConfig(
-            focal_gamma=raw.get("focal_gamma", 2.0),
-            lambda_aux=raw.get("lambda_aux", 0.30),
-            lambda_js=raw.get("lambda_js", 0.10),
-            modal_dropout_p=raw.get("modal_dropout_p", 0.20),
-        )
         train = TrainConfig(
             rounds=raw.get("rounds", 100),
             epochs=raw.get("epochs", 5),
@@ -184,7 +177,6 @@ def parse_config(path) -> ExperimentConfig:
             batch_size=raw.get("batch_size", 64),
             mu=raw.get("mu", 0.0),
             clip=raw.get("clip", 1.0),
-            loss=loss,
             seed=raw.get("seed", 42),
         )
         preproc = PreprocConfig(**preproc_raw)

@@ -14,8 +14,8 @@ place; a role nobody owns keeps its old values.
 
 Each epoch a client trains its image, html and url batches, in that order,
 then its pair batches. ``batch_loss`` is the one data loss: a focal loss,
-and for pairs the fused loss with batch-level modality dropout, auxiliary
-branch losses and JS consistency. With ``mu > 0`` the FedProx pull toward
+and for pairs the focal loss of the fused branches plus auxiliary focal
+losses of both branches. With ``mu > 0`` the FedProx pull toward
 the broadcast, mu (theta - theta_t), is added to the gradient of every
 parameter the client trains after each backward pass (Li et al., 2018); it
 is not part of the loss. Only the parameters that have a gradient are
@@ -32,6 +32,7 @@ import functools
 import json
 import logging
 import math
+import numbers
 import os
 import struct
 from dataclasses import dataclass, field
@@ -45,13 +46,8 @@ from .heads import (
     IMAGE_PREFIX,
     TABLE_OF_STREAM,
     URL_PREFIX,
-    LossConfig,
     ModelSpec,
-    _is_finite_nonneg,
-    _is_int,
-    _is_real,
     focal_loss,
-    js_consistency,
 )
 from .metrics import Metrics, RoundEntry, RoundLog, compute_metrics, confusion
 from .numerics import (
@@ -88,6 +84,11 @@ _ROLE_PREFIX = {"image": IMAGE_PREFIX, "html": HTML_PREFIX, "url": URL_PREFIX, "
 
 CHECKPOINT_MAGIC = b"FPCK"
 
+# the focal loss's gamma, and the weight of each branch's own loss in a
+# pair batch's loss
+FOCAL_GAMMA = 2.0
+AUX_WEIGHT = 0.3
+
 
 def group_of(param_name: str) -> str:
     """The role whose head prefix starts the name."""
@@ -95,6 +96,18 @@ def group_of(param_name: str) -> str:
         if param_name.startswith(prefix):
             return role
     raise ValueError(f"parameter {param_name!r} has no head prefix")
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _is_finite_nonneg(value) -> bool:
+    return _is_real(value) and math.isfinite(value) and value >= 0
 
 
 @dataclass
@@ -148,7 +161,6 @@ class TrainConfig:
     # gradient of every parameter the client trains; 0 turns the pull off
     mu: float = 0.0
     clip: float = 1.0
-    loss: LossConfig = field(default_factory=LossConfig)
     seed: int = 0
 
     def __post_init__(self):
@@ -272,39 +284,26 @@ def head_logits(heads, kind: str, params, batch, train: bool = False, rng=None) 
     return heads[kind].forward(params, batch["x"], train=train, rng=rng)
 
 
-def batch_loss(heads, kind: str, params, batch, cfg: TrainConfig, rng) -> Tensor:
+def batch_loss(heads, kind: str, params, batch, rng) -> Tensor:
     """The data loss of one batch of ``kind`` (image, html, url or pair).
 
     A single-modality batch gives the focal loss of its head. A pair batch
-    runs both branches, drops one of them with probability p/2 each
-    (batch-level modality dropout, one ``rng.random()`` per batch), fuses
-    what is left, and adds the auxiliary branch losses and the JS
-    consistency term. The FedProx pull is not part of it; ``client_train``
-    adds it to the gradients (``proximal_term``).
+    runs both branches and fuses them; its loss is the focal loss of the
+    fused output plus ``AUX_WEIGHT`` times the sum of both branches' own
+    focal losses, so that each branch head also learns to stand alone. The
+    FedProx pull is not part of it; ``client_train`` adds it to the
+    gradients (``proximal_term``).
     """
-    loss_cfg = cfg.loss
     labels = batch["y"]
     if kind != "pair":
         logits = head_logits(heads, kind, params, batch, train=True, rng=rng)
-        return focal_loss(logits, labels, loss_cfg.focal_gamma)
+        return focal_loss(logits, labels, FOCAL_GAMMA)
     l_i = head_logits(heads, "image", params, batch, train=True, rng=rng)
     l_h = head_logits(heads, "html", params, batch, train=True, rng=rng)
-    l_i_star, l_h_star = l_i, l_h
-    r = rng.random()
-    if r < loss_cfg.modal_dropout_p / 2.0:
-        l_i_star = None
-    elif r < loss_cfg.modal_dropout_p:
-        l_h_star = None
-    fused, _ = heads["fusion"].forward(params, l_i_star, l_h_star)
-    loss = focal_loss(fused, labels, loss_cfg.focal_gamma)
-    if loss_cfg.lambda_aux > 0:
-        loss = loss + loss_cfg.lambda_aux * (
-            focal_loss(l_i, labels, loss_cfg.focal_gamma)
-            + focal_loss(l_h, labels, loss_cfg.focal_gamma)
-        )
-    if loss_cfg.lambda_js > 0:
-        loss = loss + loss_cfg.lambda_js * js_consistency(l_i, l_h)
-    return loss
+    fused, _ = heads["fusion"].forward(params, l_i, l_h)
+    return focal_loss(fused, labels, FOCAL_GAMMA) + AUX_WEIGHT * (
+        focal_loss(l_i, labels, FOCAL_GAMMA) + focal_loss(l_h, labels, FOCAL_GAMMA)
+    )
 
 
 def _compact_tables(train: dict[str, dict[str, np.ndarray]], broadcast: dict[str, np.ndarray],
@@ -383,7 +382,7 @@ def client_train(
             for idx in _batches(len(arrays["y"]), cfg.batch_size, rng):
                 zero_grads(params)
                 batch = {k: position[k][v[idx]] if k in position else v[idx] for k, v in arrays.items()}
-                backward(batch_loss(heads, kind, params, batch, cfg, rng))
+                backward(batch_loss(heads, kind, params, batch, rng))
                 if cfg.mu > 0:
                     proximal_term(params, anchor, cfg.mu)
                 grads = [params[k].grad for k in sorted(params) if params[k].grad is not None]
@@ -435,7 +434,7 @@ def client_evaluate(
                 )
             else:
                 logits = head_logits(heads, kind, tensors, batch)
-            losses.append(float(focal_loss(logits, batch["y"], cfg.loss.focal_gamma).data) * len(idx))
+            losses.append(float(focal_loss(logits, batch["y"], FOCAL_GAMMA).data) * len(idx))
             preds.append(np.argmax(logits.data, axis=-1))
         results["fusion" if kind == "pair" else kind] = (
             sum(losses) / len(labels),
@@ -575,16 +574,40 @@ def _read_array(fh, shape: tuple[int, ...], path) -> np.ndarray:
     return arr.astype(np.float64, copy=False)
 
 
+def _decode(raw: bytes, path, what: str) -> str:
+    try:
+        return raw.decode()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: checkpoint {what} is not UTF-8 ({exc})") from exc
+
+
+def _read_manifest(fh, path) -> dict:
+    """The manifest: a JSON object whose ``n_params`` is an integer >= 0."""
+    (mlen,) = struct.unpack("<I", _read_exact(fh, 4, path))
+    try:
+        manifest = json.loads(_decode(_read_exact(fh, mlen, path), path, "manifest"))
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: checkpoint manifest is not JSON ({exc})") from exc
+    if not isinstance(manifest, dict):
+        raise ValueError(f"{path}: checkpoint manifest must be a JSON object, "
+                         f"got a {type(manifest).__name__}")
+    n = manifest.get("n_params")
+    if not (_is_int(n) and n >= 0):
+        raise ValueError(f"{path}: checkpoint manifest n_params must be an integer >= 0, got {n!r}")
+    return manifest
+
+
 def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
+    """The manifest and the parameters of a checkpoint file. A file that is
+    not a well-formed checkpoint raises ``ValueError`` naming ``path``."""
     with open(path, "rb") as fh:
         if _read_exact(fh, 4, path) != CHECKPOINT_MAGIC:
             raise ValueError(f"{path} is not a checkpoint file")
-        (mlen,) = struct.unpack("<I", _read_exact(fh, 4, path))
-        manifest = json.loads(_read_exact(fh, mlen, path).decode())
+        manifest = _read_manifest(fh, path)
         params: dict[str, np.ndarray] = {}
         for _ in range(manifest["n_params"]):
             (nlen,) = struct.unpack("<H", _read_exact(fh, 2, path))
-            name = _read_exact(fh, nlen, path).decode()
+            name = _decode(_read_exact(fh, nlen, path), path, "parameter name")
             (ndim,) = struct.unpack("<B", _read_exact(fh, 1, path))
             shape = struct.unpack(f"<{ndim}I", _read_exact(fh, 4 * ndim, path)) if ndim else ()
             params[name] = _read_array(fh, shape, path)

@@ -1,4 +1,4 @@
-"""The four expert heads (image, HTML, URL, fusion) and their losses.
+"""The four expert heads (image, HTML, URL, fusion) and the focal loss.
 
 Each head owns a name-prefixed slice of the parameter map; the federation
 layer aggregates by those prefixes. Hidden sizes and sequence lengths are
@@ -8,8 +8,6 @@ defaults are the production values.
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,14 +35,12 @@ __all__ = [
     "HtmlHeadConfig",
     "UrlHeadConfig",
     "FusionHeadConfig",
-    "LossConfig",
     "ModelSpec",
     "ImageHead",
     "HtmlHead",
     "UrlHead",
     "FusionHead",
     "focal_loss",
-    "js_consistency",
     "TABLE_OF_STREAM",
 ]
 
@@ -56,18 +52,6 @@ FUSION_PREFIX = "fusion_head."
 # the embedding table each html id stream looks up; its last row is the
 # stream's PAD id
 TABLE_OF_STREAM = {branch: f"{HTML_PREFIX}{branch}.embed" for branch in ("char", "word", "dom")}
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
-def _is_real(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
-def _is_finite_nonneg(value) -> bool:
-    return _is_real(value) and math.isfinite(value) and value >= 0
 
 
 # ---------------------------------------------------------------------------
@@ -122,22 +106,6 @@ class UrlHeadConfig:
 @dataclass(frozen=True)
 class FusionHeadConfig:
     gate_hidden: int = 8  # gate MLP is 4 -> gate_hidden -> 1
-
-
-@dataclass(frozen=True)
-class LossConfig:
-    focal_gamma: float = 2.0
-    lambda_aux: float = 0.30
-    lambda_js: float = 0.10
-    modal_dropout_p: float = 0.20
-
-    def __post_init__(self):
-        for name in ("focal_gamma", "lambda_aux", "lambda_js"):
-            value = getattr(self, name)
-            if not _is_finite_nonneg(value):
-                raise ValueError(f"{name} must be a finite number >= 0, got {value!r}")
-        if not (_is_real(self.modal_dropout_p) and 0.0 <= self.modal_dropout_p < 1.0):
-            raise ValueError(f"modal_dropout_p must be in [0, 1), got {self.modal_dropout_p!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -389,13 +357,10 @@ def _stats_columns(scaled: Tensor) -> tuple[Tensor, Tensor]:
 class FusionHead:
     """Gated product-of-experts fusion of the image and HTML branches.
 
-    Both branches are calibrated by learnable temperatures (exp
-    parameterization, init 1.0). When both are present a 4-8-1 gate MLP maps
-    [margin_i, entropy_i, margin_h, entropy_h] to the mixing weight alpha and
-    the combined log-probabilities are renormalized. When one branch is
-    absent the gate is bypassed and the surviving branch's calibrated
-    distribution is returned with alpha pinned to 1 (image only) or 0
-    (HTML only).
+    Both branches are always present. Each is calibrated by a learnable
+    temperature (exp parameterization, init 1.0), a 4-8-1 gate MLP maps
+    [margin_i, entropy_i, margin_h, entropy_h] to the mixing weight alpha,
+    and the combined log-probabilities are renormalized.
     """
 
     def __init__(self, cfg: FusionHeadConfig):
@@ -412,20 +377,11 @@ class FusionHead:
             FUSION_PREFIX + "log_t_html": Tensor(np.array(0.0), requires_grad=True),
         }
 
-    def forward(self, params, l_image: Tensor | None, l_html: Tensor | None) -> tuple[Tensor, Tensor]:
+    def forward(self, params, l_image: Tensor, l_html: Tensor) -> tuple[Tensor, Tensor]:
         """Returns (fused log-probs [B, 2], alpha [B, 1])."""
-        if l_image is None and l_html is None:
-            raise ValueError("fusion needs at least one branch")
 
         def calibrated(logits, key):
             return logits * (1.0 / params[key].exp())
-
-        if l_html is None:
-            scaled = calibrated(l_image, FUSION_PREFIX + "log_t_image")
-            return log_softmax(scaled, axis=-1), Tensor(np.ones((scaled.shape[0], 1)))
-        if l_image is None:
-            scaled = calibrated(l_html, FUSION_PREFIX + "log_t_html")
-            return log_softmax(scaled, axis=-1), Tensor(np.zeros((scaled.shape[0], 1)))
 
         scaled_i = calibrated(l_image, FUSION_PREFIX + "log_t_image")
         scaled_h = calibrated(l_html, FUSION_PREFIX + "log_t_html")
@@ -485,21 +441,6 @@ def focal_loss(logits: Tensor, labels: np.ndarray, gamma: float = 2.0) -> Tensor
 
     # the logits twice: directly and through the log-sum-exp, as in log_softmax
     return Tensor._node(out, (logits, logits), bw)
-
-
-def js_consistency(logits_a: Tensor, logits_b: Tensor) -> Tensor:
-    """Differentiable batch-mean JS between softmax(logits_a), softmax(logits_b).
-
-    Works in log space (stable logaddexp for log m), so extreme logits
-    cannot produce log(0).
-    """
-    logp = log_softmax(logits_a, axis=-1)
-    logq = log_softmax(logits_b, axis=-1)
-    mx = Tensor(np.maximum(logp.data, logq.data))
-    logm = ((logp - mx).exp() + (logq - mx).exp()).log() + mx - np.log(2.0)
-    kl_pm = (logp.exp() * (logp - logm)).sum(axis=-1)
-    kl_qm = (logq.exp() * (logq - logm)).sum(axis=-1)
-    return ((kl_pm + kl_qm) * 0.5).mean()
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,6 @@ from .layers import (
     dropout,
     embedding,
     gelu,
-    l2_normalize,
     layer_norm,
     log_softmax,
     log_softmax_parts,
@@ -53,7 +52,6 @@ __all__ = [
     "embedding",
     "finite_difference_check",
     "gelu",
-    "l2_normalize",
     "layer_norm",
     "log_softmax",
     "log_softmax_parts",

@@ -8,18 +8,17 @@ training mode. Every input is batched: sequences are [B, L, d] tensors or
 compositions of ``Tensor`` operations, one graph node per operation. The
 rest are single nodes with hand-written backwards:
 
-- ``layer_norm``, ``gelu``, ``log_softmax`` and ``l2_normalize``, because
-  every classifier head runs them and as compositions they cost 11, 5, 6
-  and 5 nodes each, and the url head's ``weight_norm`` and
-  ``cosine_logits``, which replace compositions of 6 and 5 nodes: in a
-  small head such as the url expert, the per-node Python overhead, not the
-  arithmetic, sets the step time. Each runs the numpy operations of the
-  composition it replaces in the same order, forward and backward. An
-  input that the composition reached along k paths is listed k times among
-  the node's parents, with one gradient term per path, so ``backward`` adds
-  the terms in the composition's order and every gradient in the graph
-  stays bitwise the composition's. ``cosine_logits`` normalises with the
-  code behind ``l2_normalize``;
+- ``layer_norm``, ``gelu`` and ``log_softmax``, because every classifier
+  head runs them and as compositions they cost 11, 5 and 6 nodes each,
+  and the url head's ``weight_norm`` and ``cosine_logits``, which replace
+  compositions of 6 and 5 nodes: in a small head such as the url expert,
+  the per-node Python overhead, not the arithmetic, sets the step time.
+  Each runs the numpy operations of the composition it replaces in the
+  same order, forward and backward. An input that the composition reached
+  along k paths is listed k times among the node's parents, with one
+  gradient term per path, so ``backward`` adds the terms in the
+  composition's order and every gradient in the graph stays bitwise the
+  composition's;
 - ``bilstm_sequence``, because an unrolled cell costs about twenty nodes
   per time step. It runs every direction of every sequence it is given,
   for the html head both directions of the word and the DOM stream, as one
@@ -50,7 +49,6 @@ __all__ = [
     "softmax",
     "log_softmax",
     "log_softmax_parts",
-    "l2_normalize",
     "cosine_logits",
     "weight_norm",
     "gelu",
@@ -137,18 +135,10 @@ def _unit(x: np.ndarray, axis: int, floor: float):
     return x / denom, bw
 
 
-def l2_normalize(x: Tensor, axis: int, floor: float) -> Tensor:
-    """``x`` divided by its L2 norm along ``axis``, or by ``floor`` where the
-    norm is below it; there the gradient is the plain ``1 / floor`` scaling."""
-    out, bw = _unit(x.data, axis, floor)
-    # x three times: as the dividend and as both factors of the squares
-    return Tensor._node(out, (x, x, x), bw)
-
-
 def cosine_logits(f: Tensor, w: Tensor, log_scale: Tensor, floor: float) -> Tensor:
     """Cosine classifier: the rows of ``f`` [B, d] and the columns of ``w``
-    [d, C], each unit-normalised as by ``l2_normalize`` with ``floor``,
-    multiplied, and scaled by ``exp(log_scale)``."""
+    [d, C], each divided by its L2 norm (by ``floor`` where the norm is
+    below it), multiplied, and scaled by ``exp(log_scale)``."""
     f_hat, f_bw = _unit(f.data, 1, floor)
     w_hat, w_bw = _unit(w.data, 0, floor)
     cos = f_hat @ w_hat
@@ -159,7 +149,7 @@ def cosine_logits(f: Tensor, w: Tensor, log_scale: Tensor, floor: float) -> Tens
         g_log_scale = _unbroadcast(g * cos, log_scale.shape) * scale
         return (*f_bw(g_cos @ w_hat.T), *w_bw(f_hat.T @ g_cos), g_log_scale)
 
-    # f and w three times each, as in ``l2_normalize``
+    # f and w three times each: as the dividend and as both factors of the squares
     return Tensor._node(cos * scale, (f, f, f, w, w, w, log_scale), bw)
 
 

@@ -257,15 +257,6 @@ class Tensor:
 
         return self._node(self.data.sum(axis=axis, keepdims=keepdims), (self,), bw)
 
-    def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
-        if axis is None:
-            n = self.data.size
-        else:
-            n = self.data.shape[axis] if isinstance(axis, int) else int(
-                np.prod([self.data.shape[a] for a in axis])
-            )
-        return self.sum(axis=axis, keepdims=keepdims) * (1.0 / n)
-
     def max(self, axis: int, keepdims: bool = False) -> "Tensor":
         """Max along one axis; ties share the gradient equally."""
         out = self.data.max(axis=axis, keepdims=True)
@@ -283,9 +274,6 @@ class Tensor:
     def exp(self) -> "Tensor":
         out = np.exp(self.data)
         return self._node(out, (self,), lambda g: (g * out,))
-
-    def log(self) -> "Tensor":
-        return self._node(np.log(self.data), (self,), lambda g: (g / self.data,))
 
     def sigmoid(self) -> "Tensor":
         out = stable_sigmoid(self.data)

@@ -20,6 +20,7 @@ from fedphish.federation import (
     client_evaluate,
     client_train,
     group_of,
+    head_logits,
     load_checkpoint,
     proximal_term,
     run_experiment,
@@ -27,13 +28,12 @@ from fedphish.federation import (
     select_clients,
 )
 from fedphish.heads import (
-    FUSION_PREFIX,
     HTML_PREFIX,
     IMAGE_PREFIX,
     TABLE_OF_STREAM,
     URL_PREFIX,
-    LossConfig,
     ModelSpec,
+    focal_loss,
 )
 from fedphish.numerics import Adam, Tensor, TouchedRows, backward, clip_global_norm, zero_grads
 
@@ -393,8 +393,7 @@ def test_pull_adds_mu_times_distance_to_every_trained_gradient(monkeypatch):
     monkeypatch.setattr(federation, "make_optimizer", make_optimizer)
     monkeypatch.setattr(federation, "backward", backward_and_record)
     monkeypatch.setattr(federation, "clip_global_norm", clip)
-    cfg = TrainConfig(rounds=1, epochs=2, batch_size=4, seed=8, mu=mu,
-                      loss=LossConfig(modal_dropout_p=0.5))
+    cfg = TrainConfig(rounds=1, epochs=2, batch_size=4, seed=8, mu=mu)
     rep = client_train(client, broadcast, spec, cfg, _client_rng(8, 0, 0))
 
     anchor = {k: broadcast[k][v.rows] if isinstance(v, TouchedRows) else broadcast[k]
@@ -409,7 +408,7 @@ def test_pull_adds_mu_times_distance_to_every_trained_gradient(monkeypatch):
             want = step["data"][k] + pull if k in step["data"] else pull
             assert np.array_equal(g, want), k
         unreached += len(anchor) - len(step["data"])
-    # html batches and dropped branches leave parameters to the pull alone
+    # html batches leave the image and fusion parameters to the pull alone
     assert unreached > 0
     # after the first step every head has moved, so every head is pulled
     last = steps[-1]
@@ -448,8 +447,7 @@ def test_html_step_leaves_embedding_gradients_row_sparse():
         snapshot[k][rows] += 0.5
     for mu in (0.0, 0.02):
         zero_grads(params)
-        backward(batch_loss(spec.heads(), "html", params, batch, TrainConfig(rounds=1),
-                            np.random.default_rng(0)))
+        backward(batch_loss(spec.heads(), "html", params, batch, np.random.default_rng(0)))
         if mu > 0:
             proximal_term({k: p for k, p in params.items() if k.startswith(HTML_PREFIX)},
                           snapshot, mu)
@@ -527,7 +525,7 @@ def full_table_training(data, broadcast, spec, cfg, rng):
             for idx in federation._batches(len(arrays["y"]), cfg.batch_size, rng):
                 zero_grads(params)
                 batch = {k: v[idx] for k, v in arrays.items()}
-                backward(batch_loss(heads, kind, params, batch, cfg, rng))
+                backward(batch_loss(heads, kind, params, batch, rng))
                 if cfg.mu > 0:
                     for k, p in params.items():
                         pull = cfg.mu * (p.data - broadcast[k])
@@ -576,7 +574,7 @@ def graph_nodes(loss) -> int:
 # normalisation and the cosine classifier are one node each; the word and
 # DOM BiLSTMs are one node plus a slice per branch; the pull is no node at
 # all. A primitive that turns back into a chain of nodes fails here
-BATCH_LOSS_NODES = {"image": 109, "html": 64, "url": 15, "pair": 245}
+BATCH_LOSS_NODES = {"image": 109, "html": 64, "url": 15, "pair": 221}
 
 
 @pytest.mark.parametrize("kind", sorted(BATCH_LOSS_NODES))
@@ -584,55 +582,55 @@ def test_batch_loss_graph_node_count(kind):
     spec = ModelSpec.desk()
     params = spec.init_params(0)
     batch = desk_batch(kind, np.random.default_rng(1))
-    cfg = TrainConfig(loss=LossConfig(modal_dropout_p=0.0))
-    loss = batch_loss(spec.heads(), kind, params, batch, cfg, np.random.default_rng(2))
+    loss = batch_loss(spec.heads(), kind, params, batch, np.random.default_rng(2))
     assert graph_nodes(loss) == BATCH_LOSS_NODES[kind]
 
 
-class FixedDraw:
-    """A Generator whose size-less ``random()`` returns ``r``; sized draws
-    (dropout masks) come from a real stream."""
-
-    def __init__(self, r):
-        self.r = r
-        self.rng = np.random.default_rng(0)
-
-    def random(self, size=None):
-        return self.r if size is None else self.rng.random(size)
-
-    def permutation(self, n):
-        return self.rng.permutation(n)
-
-
-@pytest.mark.parametrize("r, dropped", [(0.05, "image"), (0.15, "html"), (0.5, None)])
-def test_pair_modality_dropout_split(r, dropped):
+def test_pair_loss_is_the_fused_loss_plus_both_branch_losses():
+    # built by hand from the heads: the loss and every gradient are bitwise
+    # focal(fused) + 0.3 (focal(image) + focal(html)) at gamma 2, and the
+    # generator has drawn only the two heads' dropout masks
     from fedphish.data import synth_paired
     from fedphish.preproc import PreprocConfig
 
     pcfg = PreprocConfig(char_len=32, word_len=8, dom_len=8, word_buckets=257, dom_buckets=61)
     spec = ModelSpec.desk_pages()
+    heads = spec.heads()
     batch = synth_paired(4, seed=1, image_length=4, image_dim=16, preproc_cfg=pcfg)
+    labels = batch["y"]
     params = spec.init_params(12)
-    cfg = TrainConfig(rounds=1, loss=LossConfig(modal_dropout_p=0.2))
-    zero_grads(params)
-    backward(batch_loss(spec.heads(), "pair", params, batch, cfg, FixedDraw(r)))
-    reached = {k for k, p in params.items() if p.grad is not None}
-    # both branch heads learn from the auxiliary losses whichever branch is dropped
-    branches = {k for k in params if k.startswith((IMAGE_PREFIX, HTML_PREFIX))}
-    assert branches <= reached
-    assert (FUSION_PREFIX + "log_t_image" in reached) == (dropped != "image")
-    assert (FUSION_PREFIX + "log_t_html" in reached) == (dropped != "html")
-    gate = {k for k in params if k.startswith(FUSION_PREFIX + "gate.")}
-    assert len(gate) == 4
-    assert gate & reached == (gate if dropped is None else set())
-    assert not any(k.startswith(URL_PREFIX) for k in reached)
+
+    def run(loss_fn):
+        zero_grads(params)
+        rng = np.random.default_rng(13)
+        loss = loss_fn(rng)
+        backward(loss)
+        grads = {k: np.array(p.grad) for k, p in params.items() if p.grad is not None}
+        return loss.data, grads, rng.bit_generator.state
+
+    def by_hand(rng):
+        l_i = head_logits(heads, "image", params, batch, train=True, rng=rng)
+        l_h = head_logits(heads, "html", params, batch, train=True, rng=rng)
+        fused, _ = heads["fusion"].forward(params, l_i, l_h)
+        return focal_loss(fused, labels, 2.0) + 0.3 * (
+            focal_loss(l_i, labels, 2.0) + focal_loss(l_h, labels, 2.0))
+
+    loss, grads, state = run(lambda rng: batch_loss(heads, "pair", params, batch, rng))
+    ref_loss, ref_grads, ref_state = run(by_hand)
+    assert np.array_equal(loss, ref_loss)
+    assert state == ref_state
+    assert grads.keys() == ref_grads.keys()
+    for name in grads:
+        assert np.array_equal(grads[name], ref_grads[name]), name
+    # every image, html and fusion parameter is reached, the fusion gate
+    # and both temperatures included, and no url parameter
+    assert set(grads) == {k for k in params if group_of(k) != "url"}
 
 
 def test_untouched_table_travels_as_its_broadcast_rows_next_to_a_touched_owner():
-    # a pair-only client with aux and JS off whose every batch drops html
-    # never moves its html tables; it reports its reachable rows bitwise as
-    # broadcast, and they aggregate next to an html client's touched rows as
-    # the whole broadcast would
+    # an html owner whose tables did not move, built by hand as its
+    # reachable rows at their broadcast values, aggregates next to an html
+    # client's touched rows as the whole broadcast would
     from fedphish.data import synth_paired
     from fedphish.preproc import PreprocConfig
 
@@ -640,17 +638,13 @@ def test_untouched_table_travels_as_its_broadcast_rows_next_to_a_touched_owner()
     spec = ModelSpec.desk_pages()
     broadcast = {k: p.data for k, p in spec.init_params(5).items()}
     pairs = synth_paired(8, seed=1, image_length=4, image_dim=16, preproc_cfg=pcfg)
-    pair_client = ClientData(client_id="p0", train={"pair": pairs}, val={"pair": pairs})
-    loss = LossConfig(modal_dropout_p=0.2, lambda_aux=0.0, lambda_js=0.0)
-    cfg = TrainConfig(rounds=1, epochs=1, batch_size=4, seed=5, loss=loss)
-    idle = client_train(pair_client, broadcast, spec, cfg, FixedDraw(0.15))
-    busy = client_train(desk_html_client(), broadcast, spec, cfg, _client_rng(5, 0, 1))
+    idle_params = {k: v.copy() for k, v in broadcast.items() if k.startswith(HTML_PREFIX)}
     for stream, name in TABLE_OF_STREAM.items():
-        value = idle.params[name]
-        pad = broadcast[name].shape[0] - 1
-        assert isinstance(value, TouchedRows), name
-        assert np.array_equal(value.rows, np.union1d(pairs[stream], [pad])), name
-        assert np.array_equal(value.values, broadcast[name][value.rows]), name
+        rows = np.union1d(pairs[stream], [broadcast[name].shape[0] - 1])
+        idle_params[name] = TouchedRows(rows, broadcast[name][rows])
+    idle = ClientReport("p0", idle_params, {"html": 1.0})
+    cfg = TrainConfig(rounds=1, epochs=1, batch_size=4, seed=5)
+    busy = client_train(desk_html_client(), broadcast, spec, cfg, _client_rng(5, 0, 1))
     w_idle, w_busy = idle.weights["html"], busy.weights["html"]
     total = w_idle + w_busy
     for reports, pool in (([idle, busy], [(w_idle, None), (w_busy, busy)]),
@@ -888,6 +882,29 @@ def test_checkpoint_rejects_garbage(tmp_path):
     path = tmp_path / "bad.ckpt"
     path.write_bytes(b"not a checkpoint")
     with pytest.raises(ValueError):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("manifest", [
+    b"{}", b"[1]", b'{"n_params": "x"}', b'{"n_params": -1}', b'{"n_params": true}',
+    b'{"n_params": 1.0}', b"\xff\xfe", b"{n_params",
+], ids=["no-n_params", "list", "n_params-str", "n_params-negative", "n_params-bool",
+        "n_params-float", "not-utf8", "not-json"])
+def test_checkpoint_malformed_manifest_is_named(tmp_path, manifest):
+    path = tmp_path / "bad.ckpt"
+    path.write_bytes(b"FPCK" + struct.pack("<I", len(manifest)) + manifest)
+    with pytest.raises(ValueError, match="bad.ckpt: checkpoint manifest"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_name_not_utf8_is_named(tmp_path):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, {"a": np.zeros(2)}, run_id="r", round_index=0,
+                    cfg_hash="0123456789abcdef")
+    whole = path.read_bytes()
+    at = whole.index(b"\x01\x00a\x01")
+    path.write_bytes(whole[:at + 2] + b"\xff" + whole[at + 3:])
+    with pytest.raises(ValueError, match="model.ckpt: checkpoint parameter name is not UTF-8"):
         load_checkpoint(path)
 
 

@@ -23,7 +23,6 @@ from fedphish.numerics import (
     embedding,
     finite_difference_check,
     gelu,
-    l2_normalize,
     layer_norm,
     log_softmax,
     mhsa_block,
@@ -60,6 +59,27 @@ def sqrt(x: Tensor) -> Tensor:
     """Elementwise square root as one graph node."""
     out = np.sqrt(x.data)
     return Tensor._node(out, (x,), lambda g: (g * 0.5 / out,))
+
+
+def log(x: Tensor) -> Tensor:
+    """Elementwise natural log as one graph node."""
+    return Tensor._node(np.log(x.data), (x,), lambda g: (g / x.data,))
+
+
+def mean(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
+    """Mean over ``axis`` (all axes for None) as a sum and a scaling."""
+    n = x.data.size if axis is None else x.data.shape[axis]
+    return x.sum(axis=axis, keepdims=keepdims) * (1.0 / n)
+
+
+def l2_normalize(x: Tensor, axis: int, floor: float) -> Tensor:
+    """``x`` divided by its L2 norm along ``axis``, or by ``floor`` where the
+    norm is below it, as one node on ``layers._unit``, the normalisation
+    that ``cosine_logits`` runs on both its inputs; below the floor the
+    gradient is the plain ``1 / floor`` scaling."""
+    out, bw = layers._unit(x.data, axis, floor)
+    # x three times: as the dividend and as both factors of the squares
+    return Tensor._node(out, (x, x, x), bw)
 
 
 def matmul_oracle(a, b):
@@ -712,7 +732,7 @@ def test_backprop_chain_matches_finite_differences():
         logp = log_softmax(logits, axis=-1)
         picked = logp[np.arange(2), labels]
         p = picked.exp()
-        return -(power(1.0 - p, 2.0) * picked).mean()
+        return -mean(power(1.0 - p, 2.0) * picked)
 
     err = finite_difference_check(loss_fn, {"w": w, "b": b})
     assert err < 1e-4
@@ -1070,7 +1090,7 @@ def test_fd_check_focal_loss_wrt_logits():
         logp = log_softmax(z, axis=-1)
         picked = logp[np.arange(3), labels]
         p = picked.exp()
-        return -(power(1.0 - p, 2.0) * picked).mean()
+        return -mean(power(1.0 - p, 2.0) * picked)
 
     assert finite_difference_check(loss_fn, {"z": z}) < 1e-4
 
@@ -1333,15 +1353,15 @@ def maximum_node(a, b):
 
 
 def layer_norm_composition(x, gamma, beta, eps=1e-5):
-    mu = x.mean(axis=-1, keepdims=True)
+    mu = mean(x, axis=-1, keepdims=True)
     centered = x - mu
-    var = (centered * centered).mean(axis=-1, keepdims=True)
+    var = mean(centered * centered, axis=-1, keepdims=True)
     return centered / sqrt(var + eps) * gamma + beta
 
 
 def log_softmax_composition(z, axis=-1):
     m = np.max(z.data, axis=axis, keepdims=True)
-    lse = (z - Tensor(m)).exp().sum(axis=axis, keepdims=True).log() + Tensor(m)
+    lse = log((z - Tensor(m)).exp().sum(axis=axis, keepdims=True)) + Tensor(m)
     return z - lse
 
 

@@ -25,9 +25,12 @@ def load_tracing():
     return module
 
 
-# a wrapped name that no longer exists; dropping it from the target list is
-# a benchmark change
-DEAD_TARGETS = [("numerics.optimizer_step", "fedphish.numerics", "Sgd.step")]
+# wrapped names that no longer exist, in target-list order; dropping them
+# from the target list is a benchmark change
+DEAD_TARGETS = [
+    ("heads.loss", "fedphish.federation", "js_consistency"),
+    ("numerics.optimizer_step", "fedphish.numerics", "Sgd.step"),
+]
 
 
 def test_every_traced_span_resolves_a_target():
@@ -37,6 +40,8 @@ def test_every_traced_span_resolves_a_target():
     assert tracing.TARGETS
     gone = [t for t in tracing.TARGETS if tracing._resolve(t[1], t[2]) is None]
     assert gone == DEAD_TARGETS
+    # and every span keeps a live target
+    assert {t[0] for t in tracing.TARGETS} == {t[0] for t in tracing.TARGETS if t not in gone}
 
 
 def test_report_and_optimizer_probes_read_a_touched_rows_client():

@@ -26,8 +26,8 @@ from fedphish.metrics import write_round_csv
 # config name -> (rounds.csv sha256, final parameters sha256)
 PINS = {
     "ablation_fusion_2clients": (
-        "8b4b8c9257f1b2807b0d6006a0a47f2288d99786f36cd2f80b8aa2d6c571919a",
-        "311575d2c1d3bcb0955ea821ca9259cbd3f3bd36e47df6ac905d3278abe1c814",
+        "2c629bd2b9b680c23aebef6a6e9bb70a74d8ed5d589d8fb63542568ace942936",
+        "ae2df6bca58f5ea8008b0e8e35fbf15a56ec6c13494a80ed0c874bf027c4b509",
     ),
     "ablation_html_2clients": (
         "86e76ee58ae047852d2bf6765ca226dcf1dea73dfe3d1170a1825fa520fb5ba3",
@@ -42,8 +42,8 @@ PINS = {
         "0dba61ab670c36ca9cbafc5438b6a3401f02f8d122212499a4131eb762167d9a",
     ),
     "four_clients_fusion_html": (
-        "5479f3743f1c376f0f04a7704eac8ab1d22c86fe53f2a58dc4a11380f1a93d4d",
-        "3fcad0886c9fe86faaf3e83d23277b6c5476314b0ae67fe8adac3a0af27c4ce6",
+        "e5469c2bf0d637e898dc99d927e452b190a5cb8b81eab525aa7f6cb71d37231a",
+        "3214f5ce6ad8e6bbd4ae687108fa0b6918e3ab65c36bd4f8835299d821dd630e",
     ),
     "four_clients_html_cross": (
         "21be176814a5eb63b53c6a3c4cf484b363ee958499699afd35478b4acaac1e81",
