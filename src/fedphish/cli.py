@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 import traceback
@@ -117,9 +118,11 @@ def gradcheck_suite(seeds: int) -> dict[str, float]:
             p.data = p.data + jitter.normal(scale=0.1, size=p.data.shape)
         heads = spec.heads()
         rng = np.random.default_rng(1000 + seed)
-        page = {"x": rng.normal(size=(2, 4, 16)), "char": rng.integers(0, 33, size=(2, 32)),
-                "word": rng.integers(0, 17, size=(2, 8)), "dom": rng.integers(0, 9, size=(2, 8))}
-        url = {"x": rng.normal(size=(2, 16))}
+        page = {"x": rng.normal(size=(2, 4, spec.image.d_model)),
+                "char": rng.integers(0, spec.html.char_vocab, size=(2, 32)),
+                "word": rng.integers(0, spec.html.word_vocab, size=(2, 8)),
+                "dom": rng.integers(0, spec.html.dom_vocab, size=(2, 8))}
+        url = {"x": rng.normal(size=(2, spec.url.in_dim))}
         page["y"] = url["y"] = rng.integers(0, 2, size=2)
 
         # (head, batch kind, batch, coordinates per tensor). The fusion loss
@@ -151,11 +154,25 @@ def cmd_gradcheck(args) -> int:
     return EXIT_RUNTIME if failed else EXIT_OK
 
 
-def _positive_int(raw: str) -> int:
-    """``--seeds`` below 1 would check nothing and still exit 0."""
-    value = int(raw)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+def _int_at_least(low: int):
+    """An argparse type: an integer >= ``low``, else a usage error.
+    ``--seeds`` below 1 would check nothing and still exit 0, ``synth --n``
+    below 2 cannot hold both classes, ``--dim`` below 1 would write empty
+    embeddings, and numpy takes no negative ``--seed``."""
+    def integer(raw: str) -> int:
+        value = int(raw)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    return integer
+
+
+def _finite_nonneg(raw: str) -> float:
+    """``synth --separation``, a finite number >= 0, else a usage error: a
+    NaN or infinite one would write embeddings that ``load_jsonl`` rejects."""
+    value = float(raw)
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {raw}")
     return value
 
 
@@ -175,15 +192,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_syn = sub.add_parser("synth", help="write a synthetic dataset")
     p_syn.add_argument("kind", choices=("embeddings", "html"))
-    p_syn.add_argument("--n", type=int, required=True)
-    p_syn.add_argument("--seed", type=int, default=0)
+    p_syn.add_argument("--n", type=_int_at_least(2), required=True)
+    p_syn.add_argument("--seed", type=_int_at_least(0), default=0)
     p_syn.add_argument("--out", required=True)
-    p_syn.add_argument("--dim", type=int, default=768)
-    p_syn.add_argument("--separation", type=float, default=4.0)
+    p_syn.add_argument("--dim", type=_int_at_least(1), default=768)
+    p_syn.add_argument("--separation", type=_finite_nonneg, default=4.0)
     p_syn.set_defaults(fn=cmd_synth)
 
     p_gc = sub.add_parser("gradcheck", help="finite-difference check of all four heads")
-    p_gc.add_argument("--seeds", type=_positive_int, default=1)
+    p_gc.add_argument("--seeds", type=_int_at_least(1), default=1)
     p_gc.set_defaults(fn=cmd_gradcheck)
     return parser
 

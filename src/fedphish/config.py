@@ -18,7 +18,7 @@ import numpy as np
 
 from .data import load_jsonl, synth_embeddings, synth_html, synth_image_tokens, synth_paired
 from .federation import ClientData, TrainConfig, _is_finite_nonneg, _is_int
-from .heads import ModelSpec
+from .heads import ModelSpec, table_rows
 from .preproc import CHAR_PAD, PreprocConfig
 
 __all__ = ["ConfigError", "DatasetSpec", "ClientSpec", "ExperimentConfig",
@@ -30,10 +30,8 @@ class ConfigError(ValueError):
     """Invalid experiment configuration."""
 
 
-_TOP_KEYS = {
-    "name", "seed", "rounds", "epochs", "lr", "batch_size", "mu", "clip",
-    "model_profile", "preproc", "clients", "out_dir",
-}
+_TRAIN_KEYS = {field.name for field in dataclasses.fields(TrainConfig)}
+_TOP_KEYS = {"name", "model_profile", "preproc", "clients", "out_dir", *_TRAIN_KEYS}
 _CLIENT_KEYS = {"id", "datasets"}
 _DATASET_KEYS = {"modality", "synth", "path", "train_range", "test_range",
                  "shuffle_seed", "preshuffled"}
@@ -168,17 +166,10 @@ def parse_config(path) -> ExperimentConfig:
     if not isinstance(preproc_raw, dict):
         raise ConfigError(f"{path}: preproc must be an object")
     _reject_unknown(preproc_raw, _PREPROC_KEYS, "preproc")
-    # the dataclasses check ranges and types; report their errors as config errors
+    # the dataclasses hold the defaults and check ranges and types; report
+    # their errors as config errors
     try:
-        train = TrainConfig(
-            rounds=raw.get("rounds", 100),
-            epochs=raw.get("epochs", 5),
-            lr=raw.get("lr", 0.001),
-            batch_size=raw.get("batch_size", 64),
-            mu=raw.get("mu", 0.0),
-            clip=raw.get("clip", 1.0),
-            seed=raw.get("seed", 42),
-        )
+        train = TrainConfig(**{key: raw[key] for key in _TRAIN_KEYS if key in raw})
         preproc = PreprocConfig(**preproc_raw)
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
@@ -186,14 +177,12 @@ def parse_config(path) -> ExperimentConfig:
     profile = raw.get("model_profile", "paper")
     if profile == "paper":
         model = ModelSpec.paper()
-    elif profile == "desk":
-        model = ModelSpec.desk()
     elif profile == "desk_pages":
         model = ModelSpec.desk_pages(
             word_buckets=preproc.word_buckets, dom_buckets=preproc.dom_buckets
         )
     else:
-        raise ConfigError(f"model_profile must be paper, desk or desk_pages, got {profile!r}")
+        raise ConfigError(f"model_profile must be paper or desk_pages, got {profile!r}")
 
     clients_raw = raw.get("clients")
     if not clients_raw or not isinstance(clients_raw, list):
@@ -229,17 +218,17 @@ def parse_config(path) -> ExperimentConfig:
     html = model.html
     # the largest preprocessed id of each stream is its PAD id, and the head
     # masks attention with its last row, so the two must be the same id
+    rows = tuple(map(table_rows, (CHAR_PAD, preproc.word_pad, preproc.dom_pad)))
     if any(d.modality in ("html", "pair") for c in clients for d in c.datasets) and (
         html.char_vocab, html.word_vocab, html.dom_vocab
-    ) != (CHAR_PAD + 1, preproc.word_pad + 1, preproc.dom_pad + 1):
+    ) != rows:
         raise ConfigError(
             f"model_profile {profile!r}: html vocabularies (char {html.char_vocab}, word "
-            f"{html.word_vocab}, dom {html.dom_vocab}) need exactly {CHAR_PAD + 1}, "
-            f"{preproc.word_pad + 1} and {preproc.dom_pad + 1} rows: a smaller table cannot hold "
-            "the preprocessed ids, and in a larger one the head's PAD id (its last row) is not "
-            "the preprocessor's"
+            f"{html.word_vocab}, dom {html.dom_vocab}) need exactly {rows[0]}, {rows[1]} and "
+            f"{rows[2]} rows: a smaller table cannot hold the preprocessed ids, and in a larger "
+            "one the head's PAD id (its last row) is not the preprocessor's"
         )
-    out_dir = raw.get("out_dir", "runs")
+    out_dir = raw.get("out_dir", ExperimentConfig.out_dir)
     if not isinstance(out_dir, str):
         raise ConfigError(f"out_dir must be a string, got {out_dir!r}")
 

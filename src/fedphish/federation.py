@@ -84,9 +84,7 @@ _ROLE_PREFIX = {"image": IMAGE_PREFIX, "html": HTML_PREFIX, "url": URL_PREFIX, "
 
 CHECKPOINT_MAGIC = b"FPCK"
 
-# the focal loss's gamma, and the weight of each branch's own loss in a
-# pair batch's loss
-FOCAL_GAMMA = 2.0
+# the weight of each branch's own loss in a pair batch's loss
 AUX_WEIGHT = 0.3
 
 
@@ -161,7 +159,7 @@ class TrainConfig:
     # gradient of every parameter the client trains; 0 turns the pull off
     mu: float = 0.0
     clip: float = 1.0
-    seed: int = 0
+    seed: int = 42
 
     def __post_init__(self):
         for name in ("rounds", "epochs", "batch_size"):
@@ -297,12 +295,12 @@ def batch_loss(heads, kind: str, params, batch, rng) -> Tensor:
     labels = batch["y"]
     if kind != "pair":
         logits = head_logits(heads, kind, params, batch, train=True, rng=rng)
-        return focal_loss(logits, labels, FOCAL_GAMMA)
+        return focal_loss(logits, labels)
     l_i = head_logits(heads, "image", params, batch, train=True, rng=rng)
     l_h = head_logits(heads, "html", params, batch, train=True, rng=rng)
     fused, _ = heads["fusion"].forward(params, l_i, l_h)
-    return focal_loss(fused, labels, FOCAL_GAMMA) + AUX_WEIGHT * (
-        focal_loss(l_i, labels, FOCAL_GAMMA) + focal_loss(l_h, labels, FOCAL_GAMMA)
+    return focal_loss(fused, labels) + AUX_WEIGHT * (
+        focal_loss(l_i, labels) + focal_loss(l_h, labels)
     )
 
 
@@ -395,11 +393,6 @@ def client_train(
     )
 
 
-def _eval_batches(n: int, batch_size: int):
-    for start in range(0, n, batch_size):
-        yield np.arange(start, min(start + batch_size, n))
-
-
 def client_evaluate(
     params: dict[str, np.ndarray],
     data: ClientData,
@@ -408,7 +401,8 @@ def client_evaluate(
 ) -> dict[str, tuple[float, Metrics]]:
     """Evaluation-mode metrics per head. A paired validation set routes the
     fusion path; otherwise every present single-modality head is scored.
-    Only the parameters of the heads being scored are wrapped as tensors."""
+    Only the parameters of the heads being scored are wrapped as tensors,
+    and each batch is a slice (a view) of the validation arrays."""
     heads = model.heads()
     if "pair" in data.val and len(data.val["pair"]["y"]):
         kinds = ["pair"]
@@ -424,8 +418,8 @@ def client_evaluate(
         labels = arrays["y"]
         losses = []
         preds = []
-        for idx in _eval_batches(len(labels), cfg.batch_size):
-            batch = {k: v[idx] for k, v in arrays.items()}
+        for start in range(0, len(labels), cfg.batch_size):
+            batch = {k: v[start : start + cfg.batch_size] for k, v in arrays.items()}
             if kind == "pair":
                 logits, _ = heads["fusion"].forward(
                     tensors,
@@ -434,7 +428,7 @@ def client_evaluate(
                 )
             else:
                 logits = head_logits(heads, kind, tensors, batch)
-            losses.append(float(focal_loss(logits, batch["y"], FOCAL_GAMMA).data) * len(idx))
+            losses.append(float(focal_loss(logits, batch["y"]).data) * len(batch["y"]))
             preds.append(np.argmax(logits.data, axis=-1))
         results["fusion" if kind == "pair" else kind] = (
             sum(losses) / len(labels),
@@ -581,8 +575,17 @@ def _decode(raw: bytes, path, what: str) -> str:
         raise ValueError(f"{path}: checkpoint {what} is not UTF-8 ({exc})") from exc
 
 
+_MANIFEST_FIELDS = {  # key -> (what it must be, test)
+    "run_id": ("a string", lambda v: isinstance(v, str)),
+    "round": ("an integer >= 0", lambda v: _is_int(v) and v >= 0),
+    "config_hash": ("a string", lambda v: isinstance(v, str)),
+    "n_params": ("an integer >= 0", lambda v: _is_int(v) and v >= 0),
+}
+
+
 def _read_manifest(fh, path) -> dict:
-    """The manifest: a JSON object whose ``n_params`` is an integer >= 0."""
+    """The manifest: a JSON object with a string ``run_id`` and
+    ``config_hash`` and integers ``round`` and ``n_params``, both >= 0."""
     (mlen,) = struct.unpack("<I", _read_exact(fh, 4, path))
     try:
         manifest = json.loads(_decode(_read_exact(fh, mlen, path), path, "manifest"))
@@ -591,15 +594,17 @@ def _read_manifest(fh, path) -> dict:
     if not isinstance(manifest, dict):
         raise ValueError(f"{path}: checkpoint manifest must be a JSON object, "
                          f"got a {type(manifest).__name__}")
-    n = manifest.get("n_params")
-    if not (_is_int(n) and n >= 0):
-        raise ValueError(f"{path}: checkpoint manifest n_params must be an integer >= 0, got {n!r}")
+    for key, (what, ok) in _MANIFEST_FIELDS.items():
+        if not ok(manifest.get(key)):
+            raise ValueError(f"{path}: checkpoint manifest {key} must be {what}, "
+                             f"got {manifest.get(key)!r}")
     return manifest
 
 
 def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
     """The manifest and the parameters of a checkpoint file. A file that is
-    not a well-formed checkpoint raises ``ValueError`` naming ``path``."""
+    not a well-formed checkpoint, one with two records of one name included,
+    raises ``ValueError`` naming ``path``."""
     with open(path, "rb") as fh:
         if _read_exact(fh, 4, path) != CHECKPOINT_MAGIC:
             raise ValueError(f"{path} is not a checkpoint file")
@@ -608,6 +613,8 @@ def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
         for _ in range(manifest["n_params"]):
             (nlen,) = struct.unpack("<H", _read_exact(fh, 2, path))
             name = _decode(_read_exact(fh, nlen, path), path, "parameter name")
+            if name in params:
+                raise ValueError(f"{path}: checkpoint holds two records named {name!r}")
             (ndim,) = struct.unpack("<B", _read_exact(fh, 1, path))
             shape = struct.unpack(f"<{ndim}I", _read_exact(fh, 4 * ndim, path)) if ndim else ()
             params[name] = _read_array(fh, shape, path)

@@ -1,9 +1,12 @@
 """The four expert heads (image, HTML, URL, fusion) and the focal loss.
 
 Each head owns a name-prefixed slice of the parameter map; the federation
-layer aggregates by those prefixes. Hidden sizes and sequence lengths are
-all configuration so the gradient-check suites can run at small dims; the
-defaults are the production values.
+layer aggregates by those prefixes. Widths and vocabulary sizes are
+configuration, so the gradient checks and scenario runs can use small dims;
+the defaults are the paper's values. What the paper fixes is a constant
+here: two encoder blocks in the image head, dropout 0.2 in every head, the
+url head's initial cosine scale 10, the fusion gate's 8 hidden units, the
+focal gamma 2, and two classes.
 """
 
 from __future__ import annotations
@@ -29,18 +32,19 @@ from .numerics import (
     multiscale_conv_encode,
     weight_norm,
 )
+from .preproc import CHAR_PAD, PreprocConfig
 
 __all__ = [
     "ImageHeadConfig",
     "HtmlHeadConfig",
     "UrlHeadConfig",
-    "FusionHeadConfig",
     "ModelSpec",
     "ImageHead",
     "HtmlHead",
     "UrlHead",
     "FusionHead",
     "focal_loss",
+    "table_rows",
     "TABLE_OF_STREAM",
 ]
 
@@ -53,6 +57,16 @@ FUSION_PREFIX = "fusion_head."
 # stream's PAD id
 TABLE_OF_STREAM = {branch: f"{HTML_PREFIX}{branch}.embed" for branch in ("char", "word", "dom")}
 
+IMAGE_BLOCKS = 2
+DROPOUT = 0.2
+URL_INIT_SCALE = 10.0
+GATE_HIDDEN = 8  # the fusion gate MLP is 4 -> GATE_HIDDEN -> 1
+
+
+def table_rows(pad_id: int) -> int:
+    """Rows of an embedding table whose last row is the stream's PAD id."""
+    return pad_id + 1
+
 
 # ---------------------------------------------------------------------------
 # configuration
@@ -62,9 +76,7 @@ TABLE_OF_STREAM = {branch: f"{HTML_PREFIX}{branch}.embed" for branch in ("char",
 class ImageHeadConfig:
     d_model: int = 768
     n_heads: int = 8
-    n_blocks: int = 2
     ff_dim: int = 1024
-    dropout: float = 0.2
     classifier_hidden: int = 512
 
     def __post_init__(self):
@@ -76,17 +88,16 @@ class ImageHeadConfig:
 
 @dataclass(frozen=True)
 class HtmlHeadConfig:
-    char_vocab: int = 257      # byte values plus PAD row
+    char_vocab: int = table_rows(CHAR_PAD)
     char_embed: int = 64
     conv_sizes: tuple[int, ...] = (2, 3, 4, 5, 6, 7, 8, 9)
     conv_filters: int = 16
     char_fc: int = 128
-    word_vocab: int = 131072   # buckets plus PAD row
+    word_vocab: int = table_rows(PreprocConfig().word_pad)
     word_embed: int = 128
-    dom_vocab: int = 8191
+    dom_vocab: int = table_rows(PreprocConfig().dom_pad)
     dom_embed: int = 64
     lstm_hidden: int = 64
-    dropout: float = 0.2
     classifier_hidden: int = 512
 
     @property
@@ -98,14 +109,6 @@ class HtmlHeadConfig:
 class UrlHeadConfig:
     in_dim: int = 768
     hidden: int = 512
-    dropout: float = 0.2
-    init_scale: float = 10.0
-    n_classes: int = 2
-
-
-@dataclass(frozen=True)
-class FusionHeadConfig:
-    gate_hidden: int = 8  # gate MLP is 4 -> gate_hidden -> 1
 
 
 # ---------------------------------------------------------------------------
@@ -149,10 +152,10 @@ def _classifier_params(rng: np.random.Generator, in_dim: int, hidden: int) -> di
     }
 
 
-def _classifier_forward(params, prefix, x, drop_p, train, rng):
+def _classifier_forward(params, prefix, x, train, rng):
     h = layer_norm(x, params[prefix + "ln.gamma"], params[prefix + "ln.beta"])
     h = gelu(affine(h, params[prefix + "fc1.w"], params[prefix + "fc1.b"]))
-    h = dropout(h, drop_p, rng, train)
+    h = dropout(h, DROPOUT, rng, train)
     return affine(h, params[prefix + "fc2.w"], params[prefix + "fc2.b"])
 
 
@@ -170,7 +173,7 @@ class ImageHead:
     def init_params(self, rng: np.random.Generator) -> dict[str, Tensor]:
         d, ff = self.cfg.d_model, self.cfg.ff_dim
         params: dict[str, Tensor] = {}
-        for blk in range(self.cfg.n_blocks):
+        for blk in range(IMAGE_BLOCKS):
             base = f"{IMAGE_PREFIX}block{blk}."
             params[base + "ln1.gamma"] = _ones(d)
             params[base + "ln1.beta"] = _zeros(d)
@@ -199,14 +202,12 @@ class ImageHead:
         if tokens.shape[1] < 1:
             raise ValueError("image head needs at least one token")
         x = self.summary_tokens(tokens)
-        for blk in range(self.cfg.n_blocks):
+        for blk in range(IMAGE_BLOCKS):
             base = f"{IMAGE_PREFIX}block{blk}."
             block = {k[len(base):]: v for k, v in params.items() if k.startswith(base)}
-            x = mhsa_block(x, block, self.cfg.n_heads, self.cfg.dropout, train, rng)
+            x = mhsa_block(x, block, self.cfg.n_heads, DROPOUT, train, rng)
         pooled = x.max(axis=1)
-        return _classifier_forward(
-            params, IMAGE_PREFIX + "cls.", pooled, self.cfg.dropout, train, rng
-        )
+        return _classifier_forward(params, IMAGE_PREFIX + "cls.", pooled, train, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +291,7 @@ class HtmlHead:
             )
             start = stop
         features = concat(feats, axis=1)
-        return _classifier_forward(params, HTML_PREFIX + "cls.", features, cfg.dropout, train, rng)
+        return _classifier_forward(params, HTML_PREFIX + "cls.", features, train, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -323,20 +324,19 @@ class UrlHead:
             URL_PREFIX + "fc.v": v,
             URL_PREFIX + "fc.g": Tensor(norms, requires_grad=True),
             URL_PREFIX + "fc.b": _zeros(cfg.hidden),
-            URL_PREFIX + "cls.w": _xavier(rng, cfg.hidden, cfg.n_classes),
+            URL_PREFIX + "cls.w": _xavier(rng, cfg.hidden, 2),
             # exp parameterization keeps the scale strictly positive
             URL_PREFIX + "cls.log_scale": Tensor(
-                np.array(np.log(cfg.init_scale)), requires_grad=True
+                np.array(np.log(URL_INIT_SCALE)), requires_grad=True
             ),
         }
 
     def forward(self, params, emb, train: bool = False, rng=None) -> Tensor:
-        cfg = self.cfg
         emb = emb if isinstance(emb, Tensor) else Tensor(emb)
         h = layer_norm(emb, params[URL_PREFIX + "ln.gamma"], params[URL_PREFIX + "ln.beta"])
         w = weight_norm(params[URL_PREFIX + "fc.v"], params[URL_PREFIX + "fc.g"])
         f = gelu(h @ w + params[URL_PREFIX + "fc.b"])
-        f = dropout(f, cfg.dropout, rng, train)
+        f = dropout(f, DROPOUT, rng, train)
         return cosine_logits(
             f, params[URL_PREFIX + "cls.w"], params[URL_PREFIX + "cls.log_scale"], 1e-12
         )
@@ -363,15 +363,11 @@ class FusionHead:
     and the combined log-probabilities are renormalized.
     """
 
-    def __init__(self, cfg: FusionHeadConfig):
-        self.cfg = cfg
-
     def init_params(self, rng: np.random.Generator) -> dict[str, Tensor]:
-        g = self.cfg.gate_hidden
         return {
-            FUSION_PREFIX + "gate.w1": _xavier(rng, 4, g),
-            FUSION_PREFIX + "gate.b1": _zeros(g),
-            FUSION_PREFIX + "gate.w2": _xavier(rng, g, 1),
+            FUSION_PREFIX + "gate.w1": _xavier(rng, 4, GATE_HIDDEN),
+            FUSION_PREFIX + "gate.b1": _zeros(GATE_HIDDEN),
+            FUSION_PREFIX + "gate.w2": _xavier(rng, GATE_HIDDEN, 1),
             FUSION_PREFIX + "gate.b2": _zeros(1),
             FUSION_PREFIX + "log_t_image": Tensor(np.array(0.0), requires_grad=True),
             FUSION_PREFIX + "log_t_html": Tensor(np.array(0.0), requires_grad=True),
@@ -399,42 +395,34 @@ class FusionHead:
 # losses
 # ---------------------------------------------------------------------------
 
-def focal_loss(logits: Tensor, labels: np.ndarray, gamma: float = 2.0) -> Tensor:
-    """Mean of -(1 - p_t)^gamma * log(p_t); gamma=0 is plain cross-entropy.
+FOCAL_GAMMA = 2.0
+
+
+def focal_loss(logits: Tensor, labels: np.ndarray) -> Tensor:
+    """Mean of -(1 - p_t)^gamma * log(p_t), gamma = ``FOCAL_GAMMA``.
 
     One graph node from the logits to the loss. It runs the numpy
     operations of the log-softmax, pick, power and mean composition in that
     composition's order, with one gradient term per path to the logits, as
     ``log_softmax`` does. Where a sample is saturated (``1 - p_t`` is
-    exactly 0 in float64) and gamma > 0, its gradient is the limit 0; for
-    gamma < 1 the chain rule through ``(1 - p_t)^gamma`` would give
-    ``0 * inf`` there.
+    exactly 0 in float64), its gradient is the limit 0.
     """
-    if gamma < 0:
-        raise ValueError(f"gamma must be non-negative, got {gamma}")
     z = logits.data
     rows = np.arange(labels.size)
     logp, exps, total = log_softmax_parts(z)
     picked = logp[rows, labels]
     inv_n = 1.0 / picked.size
-    if gamma == 0.0:
-        out = -(picked.sum() * inv_n)
-    else:
-        e = float(gamma)
-        p = np.exp(picked)
-        q = 1.0 - p
-        weight = q ** e
-        out = -((weight * picked).sum() * inv_n)
+    p = np.exp(picked)
+    q = 1.0 - p
+    weight = q ** FOCAL_GAMMA
+    out = -((weight * picked).sum() * inv_n)
 
     def bw(g: np.ndarray):
         # d loss / d picked per sample; then through the log-softmax
-        if gamma == 0.0:
-            d_picked = np.full(labels.size, -inv_n * g)
-        else:
-            live = q > 0.0
-            g_mean = -inv_n * g
-            slope = np.where(live, q, 1.0) ** (e - 1.0)
-            d_picked = np.where(live, g_mean * weight - g_mean * picked * e * slope * p, 0.0)
+        live = q > 0.0
+        g_mean = -inv_n * g
+        slope = np.where(live, q, 1.0) ** (FOCAL_GAMMA - 1.0)
+        d_picked = np.where(live, g_mean * weight - g_mean * picked * FOCAL_GAMMA * slope * p, 0.0)
         direct = np.zeros(z.shape)
         direct[rows, labels] = d_picked
         return direct, -d_picked[:, None] / total * exps
@@ -449,12 +437,12 @@ def focal_loss(logits: Tensor, labels: np.ndarray, gamma: float = 2.0) -> Tensor
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """The four head configurations making up one federated model."""
+    """The configurations of the image, html and url heads of one federated
+    model; the fusion head has no setting."""
 
     image: ImageHeadConfig = field(default_factory=ImageHeadConfig)
     html: HtmlHeadConfig = field(default_factory=HtmlHeadConfig)
     url: UrlHeadConfig = field(default_factory=UrlHeadConfig)
-    fusion: FusionHeadConfig = field(default_factory=FusionHeadConfig)
 
     @staticmethod
     def paper() -> "ModelSpec":
@@ -462,9 +450,10 @@ class ModelSpec:
 
     @staticmethod
     def desk() -> "ModelSpec":
-        """Small shapes for gradient checks and fast scenario runs."""
+        """Small shapes for gradient checks and unit tests; its html tables
+        are too small for preprocessed pages, so no config can select it."""
         return ModelSpec(
-            image=ImageHeadConfig(d_model=16, n_heads=4, n_blocks=2, ff_dim=16, classifier_hidden=8),
+            image=ImageHeadConfig(d_model=16, n_heads=4, ff_dim=16, classifier_hidden=8),
             html=HtmlHeadConfig(
                 char_vocab=33, char_embed=4, conv_sizes=(2, 3), conv_filters=2,
                 char_fc=8, word_vocab=17, word_embed=4, dom_vocab=9, dom_embed=4,
@@ -476,16 +465,17 @@ class ModelSpec:
     @staticmethod
     def desk_pages(word_buckets: int = 257, dom_buckets: int = 61) -> "ModelSpec":
         """Desk dims with an html head sized for real preprocessed pages
-        (full byte vocabulary, embedding rows = bucket count + PAD)."""
+        (full byte vocabulary; a bucket count is its stream's PAD id)."""
+        desk = ModelSpec.desk()
         return ModelSpec(
-            image=ImageHeadConfig(d_model=16, n_heads=4, n_blocks=2, ff_dim=16, classifier_hidden=8),
+            image=desk.image,
             html=HtmlHeadConfig(
-                char_vocab=257, char_embed=8, conv_sizes=(2, 3, 4), conv_filters=4,
-                char_fc=16, word_vocab=word_buckets + 1, word_embed=16,
-                dom_vocab=dom_buckets + 1, dom_embed=8, lstm_hidden=8,
+                char_vocab=table_rows(CHAR_PAD), char_embed=8, conv_sizes=(2, 3, 4),
+                conv_filters=4, char_fc=16, word_vocab=table_rows(word_buckets), word_embed=16,
+                dom_vocab=table_rows(dom_buckets), dom_embed=8, lstm_hidden=8,
                 classifier_hidden=16,
             ),
-            url=UrlHeadConfig(in_dim=16, hidden=16),
+            url=desk.url,
         )
 
     def heads(self) -> dict[str, object]:
@@ -493,7 +483,7 @@ class ModelSpec:
             "image": ImageHead(self.image),
             "html": HtmlHead(self.html),
             "url": UrlHead(self.url),
-            "fusion": FusionHead(self.fusion),
+            "fusion": FusionHead(),
         }
 
     def init_params(self, seed: int) -> dict[str, Tensor]:
@@ -503,5 +493,5 @@ class ModelSpec:
         params.update(ImageHead(self.image).init_params(rng))
         params.update(HtmlHead(self.html).init_params(rng))
         params.update(UrlHead(self.url).init_params(rng))
-        params.update(FusionHead(self.fusion).init_params(rng))
+        params.update(FusionHead().init_params(rng))
         return dict(sorted(params.items()))

@@ -28,6 +28,11 @@ __all__ = ["CHUNK", "clip_global_norm", "Adam", "make_optimizer"]
 # chunk each, whatever the size of the parameters
 CHUNK = 2**16
 
+# Adam's moment decay rates and denominator offset, as in Kingma & Ba (2014)
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+
 
 def clip_global_norm(grads: list, tau: float) -> float:
     """The factor that brings the global L2 norm of ``grads`` down to tau:
@@ -58,19 +63,9 @@ class Adam:
     it is written.
     """
 
-    def __init__(
-        self,
-        params: dict[str, Tensor],
-        lr: float = 1e-3,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-    ):
+    def __init__(self, params: dict[str, Tensor], lr: float = 1e-3):
         self.params = params
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         names = sorted(params)
         bounds = [0, *itertools.accumulate(params[k].size for k in names)]
         self._slots = list(zip(names, bounds[:-1], bounds[1:]))  # each name's range in the flat vectors
@@ -126,16 +121,16 @@ class Adam:
         ``p -= lr * m_hat / (sqrt(v_hat) + eps)``. At ``t == 1`` the moments
         are not read: ``0 * beta + s`` is written as ``s + 0.0``, the same
         bits (a -0.0 term gives +0.0)."""
-        np.multiply(g, 1.0 - self.beta1, out=s)
-        _decay_add(m, self.beta1, s, t)
+        np.multiply(g, 1.0 - BETA1, out=s)
+        _decay_add(m, BETA1, s, t)
         np.multiply(g, g, out=g)
-        g *= 1.0 - self.beta2
-        _decay_add(v, self.beta2, g, t)
-        np.divide(m, 1.0 - self.beta1**t, out=s)
+        g *= 1.0 - BETA2
+        _decay_add(v, BETA2, g, t)
+        np.divide(m, 1.0 - BETA1**t, out=s)
         s *= self.lr
-        np.divide(v, 1.0 - self.beta2**t, out=g)
+        np.divide(v, 1.0 - BETA2**t, out=g)
         np.sqrt(g, out=g)
-        g += self.eps
+        g += EPS
         s /= g
         p -= s
 

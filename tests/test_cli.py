@@ -18,6 +18,7 @@ from fedphish.config import (
     config_hash,
     parse_config,
 )
+from fedphish.federation import TrainConfig
 from fedphish.preproc import HtmlStreams, PreprocConfig
 
 
@@ -33,7 +34,9 @@ def minimal_config(**over):
         "rounds": 1,
         "epochs": 1,
         "batch_size": 8,
-        "model_profile": "desk",
+        "model_profile": "desk_pages",
+        "preproc": {"char_len": 64, "word_len": 16, "dom_len": 16,
+                    "word_buckets": 16, "dom_buckets": 8},
         "clients": [
             {"id": "u0", "datasets": [{"modality": "url", "synth": {
                 "kind": "embeddings", "train_n": 8, "test_n": 8, "seed": 1}}]},
@@ -53,6 +56,13 @@ def test_parse_minimal_config_applies_defaults(tmp_path):
     assert cfg.train.epochs == 1
     assert cfg.train.batch_size == 8
     assert cfg.train.seed == 42
+
+
+def test_parse_config_without_training_keys_is_train_config_defaults(tmp_path):
+    cfg = minimal_config()
+    for key in ("rounds", "epochs", "batch_size"):
+        del cfg[key]
+    assert parse_config(write_config(tmp_path, cfg)).train == TrainConfig()
 
 
 def test_parse_rejects_unknown_key(tmp_path):
@@ -150,8 +160,8 @@ def with_path(**dataset):
     pytest.param(with_synth(informative=1), "informative", id="informative-int"),
     pytest.param(with_synth(kind="image_tokens"), "kind must be 'embeddings'", id="kind-mismatch"),
     pytest.param(with_synth(kind="pixels"), "kind must be 'embeddings'", id="kind-unknown"),
-    pytest.param(minimal_config(clients=[HTML_CLIENT]), "cannot hold the preprocessed ids",
-                 id="desk-html-vocab"),
+    pytest.param(minimal_config(model_profile="desk"),
+                 "model_profile must be paper or desk_pages, got 'desk'", id="desk-profile"),
     pytest.param(minimal_config(model_profile="paper", preproc={"word_buckets": 200000},
                                 clients=[HTML_CLIENT]),
                  "cannot hold the preprocessed ids", id="paper-word-buckets"),
@@ -163,9 +173,9 @@ def with_path(**dataset):
                  "modality must be one of", id="modality-object"),
     pytest.param(minimal_config(clients=[{"id": "m", "datasets": [{**URL_SYNTH, "modality": []}]}]),
                  "modality must be one of", id="modality-list"),
-    pytest.param(minimal_config(model_profile="desk_pages", preproc={"word_buckets": 2**70}),
+    pytest.param(minimal_config(preproc={"word_buckets": 2**70}),
                  "word_buckets must be at least 2 and below 2\\*\\*63 - 1", id="word_buckets-2**70"),
-    pytest.param(minimal_config(model_profile="desk_pages", preproc={"dom_buckets": 2**70}),
+    pytest.param(minimal_config(preproc={"dom_buckets": 2**70}),
                  "dom_buckets must be at least 2 and below 2\\*\\*63 - 1", id="dom_buckets-2**70"),
 ])
 def test_cli_run_bad_data_setting_exit_one(tmp_path, cfg, match):
@@ -328,7 +338,7 @@ def test_cli_out_root_env(tmp_path, monkeypatch):
 def test_cli_run_bad_html_line_exit_one(tmp_path, capsys):
     pages = tmp_path / "pages.jsonl"
     pages.write_text('{"label": 1, "html": "<p>x</p>"}\n{"label": 3, "html": "y"}\n')
-    cfg = minimal_config(model_profile="desk_pages", clients=[{"id": "h", "datasets": [
+    cfg = minimal_config(clients=[{"id": "h", "datasets": [
         {"modality": "html", "path": str(pages), "train_range": [0, 1], "test_range": [1, 2]}]}])
     cfg_path = write_config(tmp_path, cfg)
     assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == EXIT_VALIDATION
@@ -398,6 +408,27 @@ def test_cli_synth_html_roundtrips_through_loader(tmp_path):
     assert len(data["y"]) == 50
     for char, word, dom in zip(data["char"], data["word"], data["dom"]):
         HtmlStreams(char_ids=char, word_ids=word, dom_ids=dom).validate(cfg)
+
+
+@pytest.mark.parametrize("kind, flag, value, message", [
+    ("embeddings", "--n", "1", "must be at least 2, got 1"),
+    ("html", "--n", "0", "must be at least 2, got 0"),
+    ("embeddings", "--dim", "0", "must be at least 1, got 0"),
+    ("embeddings", "--separation", "nan", "must be a finite number >= 0, got nan"),
+    ("embeddings", "--separation", "inf", "must be a finite number >= 0, got inf"),
+    ("embeddings", "--separation", "-1", "must be a finite number >= 0, got -1"),
+    ("html", "--seed", "-1", "must be at least 0, got -1"),
+], ids=["n-1", "html-n-0", "dim-0", "separation-nan", "separation-inf", "separation-negative",
+        "seed-negative"])
+def test_cli_synth_bad_setting_is_a_usage_error(tmp_path, capsys, kind, flag, value, message):
+    # rejected by argparse before anything is drawn or written
+    out = tmp_path / "rows.jsonl"
+    settings = {"--n": "8", "--dim": "4", flag: value}
+    with pytest.raises(SystemExit) as exc:
+        main(["synth", kind, "--out", str(out), *(x for item in settings.items() for x in item)])
+    assert exc.value.code == 2
+    assert f"{flag}: {message}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_gradcheck_corrupted_exit_nonzero(monkeypatch, capsys):

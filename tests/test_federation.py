@@ -588,7 +588,7 @@ def test_batch_loss_graph_node_count(kind):
 
 def test_pair_loss_is_the_fused_loss_plus_both_branch_losses():
     # built by hand from the heads: the loss and every gradient are bitwise
-    # focal(fused) + 0.3 (focal(image) + focal(html)) at gamma 2, and the
+    # focal(fused) + 0.3 (focal(image) + focal(html)), and the
     # generator has drawn only the two heads' dropout masks
     from fedphish.data import synth_paired
     from fedphish.preproc import PreprocConfig
@@ -612,8 +612,8 @@ def test_pair_loss_is_the_fused_loss_plus_both_branch_losses():
         l_i = head_logits(heads, "image", params, batch, train=True, rng=rng)
         l_h = head_logits(heads, "html", params, batch, train=True, rng=rng)
         fused, _ = heads["fusion"].forward(params, l_i, l_h)
-        return focal_loss(fused, labels, 2.0) + 0.3 * (
-            focal_loss(l_i, labels, 2.0) + focal_loss(l_h, labels, 2.0))
+        return focal_loss(fused, labels) + 0.3 * (
+            focal_loss(l_i, labels) + focal_loss(l_h, labels))
 
     loss, grads, state = run(lambda rng: batch_loss(heads, "pair", params, batch, rng))
     ref_loss, ref_grads, ref_state = run(by_hand)
@@ -885,15 +885,48 @@ def test_checkpoint_rejects_garbage(tmp_path):
         load_checkpoint(path)
 
 
+GOOD_MANIFEST = {"run_id": "r", "round": 0, "config_hash": "0123456789abcdef", "n_params": 0}
+
+
+def manifest_with(**over):
+    fields = {k: v for k, v in {**GOOD_MANIFEST, **over}.items() if v is not None}
+    return json.dumps(fields).encode()
+
+
 @pytest.mark.parametrize("manifest", [
-    b"{}", b"[1]", b'{"n_params": "x"}', b'{"n_params": -1}', b'{"n_params": true}',
-    b'{"n_params": 1.0}', b"\xff\xfe", b"{n_params",
-], ids=["no-n_params", "list", "n_params-str", "n_params-negative", "n_params-bool",
-        "n_params-float", "not-utf8", "not-json"])
+    b"{}", b"[1]", manifest_with(n_params=None), manifest_with(n_params="x"),
+    manifest_with(n_params=-1), manifest_with(n_params=True), manifest_with(n_params=1.0),
+    b"\xff\xfe", b"{n_params", manifest_with(run_id=None), manifest_with(run_id=3),
+    manifest_with(round=None), manifest_with(round=-1), manifest_with(round="0"),
+    manifest_with(round=False), manifest_with(config_hash=None), manifest_with(config_hash=7),
+], ids=["empty", "list", "no-n_params", "n_params-str", "n_params-negative", "n_params-bool",
+        "n_params-float", "not-utf8", "not-json", "no-run_id", "run_id-int", "no-round",
+        "round-negative", "round-str", "round-bool", "no-config_hash", "config_hash-int"])
 def test_checkpoint_malformed_manifest_is_named(tmp_path, manifest):
     path = tmp_path / "bad.ckpt"
     path.write_bytes(b"FPCK" + struct.pack("<I", len(manifest)) + manifest)
     with pytest.raises(ValueError, match="bad.ckpt: checkpoint manifest"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_well_formed_manifest_loads(tmp_path):
+    path = tmp_path / "empty.ckpt"
+    manifest = manifest_with()
+    path.write_bytes(b"FPCK" + struct.pack("<I", len(manifest)) + manifest)
+    assert load_checkpoint(path) == (GOOD_MANIFEST, {})
+
+
+def test_checkpoint_repeated_name_is_named(tmp_path):
+    path = tmp_path / "twice.ckpt"
+    save_checkpoint(path, {"a": np.array([1.0])}, run_id="r", round_index=0,
+                    cfg_hash="0123456789abcdef")
+    whole = path.read_bytes()
+    (mlen,) = struct.unpack("<I", whole[4:8])
+    record = whole[8 + mlen:]
+    manifest = manifest_with(n_params=2)
+    second = record.replace(np.array([1.0]).tobytes(), np.array([2.0]).tobytes())
+    path.write_bytes(b"FPCK" + struct.pack("<I", len(manifest)) + manifest + record + second)
+    with pytest.raises(ValueError, match="twice.ckpt: checkpoint holds two records named 'a'"):
         load_checkpoint(path)
 
 

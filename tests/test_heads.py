@@ -245,6 +245,16 @@ def test_html_head_identical_streams_identical_logits():
     assert np.array_equal(l1, l2)
 
 
+def test_paper_tables_hold_the_default_preprocessed_ids_plus_pad():
+    # a table's last row is its stream's PAD id, the largest id the
+    # preprocessor emits; the paper's sizes stay what they were
+    from fedphish.preproc import CHAR_PAD, PreprocConfig
+
+    html, pcfg = ModelSpec.paper().html, PreprocConfig()
+    assert (html.char_vocab, html.word_vocab, html.dom_vocab) == (
+        CHAR_PAD + 1, pcfg.word_pad + 1, pcfg.dom_pad + 1) == (257, 131072, 8191)
+
+
 # ---------------------------------------------------------------------------
 # url head
 # ---------------------------------------------------------------------------
@@ -379,7 +389,7 @@ def test_fusion_temperatures_stay_positive_under_steps():
         fused, _ = head.forward(
             params, Tensor(rng.normal(size=(4, 2))), Tensor(rng.normal(size=(4, 2)))
         )
-        backward(focal_loss(fused, rng.integers(0, 2, size=4), 2.0))
+        backward(focal_loss(fused, rng.integers(0, 2, size=4)))
         opt.step()
         for key in ("log_t_image", "log_t_html"):
             assert np.exp(params[FUSION_PREFIX + key].data) > 0.0
@@ -389,91 +399,64 @@ def test_fusion_temperatures_stay_positive_under_steps():
 # focal loss
 # ---------------------------------------------------------------------------
 
-def test_focal_gamma_zero_is_cross_entropy():
-    loss = focal_loss(Tensor(np.array([[0.0, 0.0]])), np.array([1]), gamma=0.0)
-    assert abs(float(loss.data) - LN2) < 1e-12
-
-
 def test_focal_gamma_two_uniform():
-    loss = focal_loss(Tensor(np.array([[0.0, 0.0]])), np.array([1]), gamma=2.0)
+    loss = focal_loss(Tensor(np.array([[0.0, 0.0]])), np.array([1]))
     assert abs(float(loss.data) - 0.25 * LN2) < 1e-12
 
 
 def test_focal_vanishes_monotonically_as_pt_to_one():
     losses = []
     for gap in (0.0, 1.0, 3.0, 10.0, 40.0):
-        loss = focal_loss(Tensor(np.array([[0.0, gap]])), np.array([1]), gamma=2.0)
+        loss = focal_loss(Tensor(np.array([[0.0, gap]])), np.array([1]))
         losses.append(float(loss.data))
     assert all(a > b for a, b in zip(losses, losses[1:]))
     assert losses[-1] < 1e-15
 
 
-def test_focal_gamma_zero_equals_ce_randomized():
-    rng = np.random.default_rng(25)
-    for _ in range(20):
-        z = rng.normal(scale=3, size=(5, 2))
-        labels = rng.integers(0, 2, size=5)
-        focal = float(focal_loss(Tensor(z), labels, gamma=0.0).data)
-        shifted = z - z.max(axis=1, keepdims=True)
-        logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-        ce = -logp[np.arange(5), labels].mean()
-        assert abs(focal - ce) < 1e-12
-
-
 def test_focal_batch_is_mean():
     z = np.array([[0.0, 0.0], [0.0, 0.0]])
-    loss = focal_loss(Tensor(z), np.array([1, 0]), gamma=2.0)
+    loss = focal_loss(Tensor(z), np.array([1, 0]))
     assert abs(float(loss.data) - 0.25 * LN2) < 1e-12
 
 
-def focal_loss_composition(logits, labels, gamma):
-    """The focal loss as a chain of Tensor operations, one node each: the
-    oracle for the single-node ``focal_loss``."""
+def focal_loss_composition(logits, labels):
+    """The focal loss at gamma 2 as a chain of Tensor operations, one node
+    each: the oracle for the single-node ``focal_loss``."""
     picked = log_softmax_composition(logits)[np.arange(labels.size), labels]
-    if gamma == 0.0:
-        return -mean(picked)
     p = picked.exp()
-    return -mean(power(1.0 - p, gamma) * picked)
+    return -mean(power(1.0 - p, 2.0) * picked)
 
 
-def focal_value_and_grad(fn, z, labels, gamma):
+def focal_value_and_grad(fn, z, labels):
     logits = Tensor(z.copy(), requires_grad=True)
-    loss = fn(logits, labels, gamma)
+    loss = fn(logits, labels)
     backward(loss)
     return loss.data, logits.grad
 
 
-@pytest.mark.parametrize("gamma", [0.0, 0.5, 2.0, 3])
 @pytest.mark.parametrize("shape", [(6, 2), (4, 3), (1, 2)], ids=["binary", "three-class", "one-row"])
-def test_focal_node_matches_composition(gamma, shape):
+def test_focal_node_matches_composition(shape):
     rng = np.random.default_rng(70)
     for _ in range(5):
         z = rng.normal(scale=rng.uniform(0.5, 8.0), size=shape)
         labels = rng.integers(0, shape[1], size=shape[0])
-        loss, grad = focal_value_and_grad(focal_loss, z, labels, gamma)
-        ref_loss, ref_grad = focal_value_and_grad(focal_loss_composition, z, labels, gamma)
+        loss, grad = focal_value_and_grad(focal_loss, z, labels)
+        ref_loss, ref_grad = focal_value_and_grad(focal_loss_composition, z, labels)
         assert np.array_equal(loss, ref_loss)
         assert grad.shape == z.shape
         assert np.array_equal(grad, ref_grad)
 
 
-@pytest.mark.parametrize("gamma", [0.0, 0.5, 2.0])
-def test_focal_saturated_sample_gradient_is_finite_limit(gamma):
+def test_focal_saturated_sample_gradient_is_finite_limit():
     # row 0 is saturated: p_t rounds to exactly 1, so 1 - p_t == 0, where
-    # the composition's (1 - p)^gamma backward gives 0 * inf for gamma < 1
+    # the node's gradient is the limit 0
     z = np.array([[40.0, -40.0], [0.3, -0.2]])
     labels = np.array([0, 1])
-    loss, grad = focal_value_and_grad(focal_loss, z, labels, gamma)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ref_loss, ref_grad = focal_value_and_grad(focal_loss_composition, z, labels, gamma)
+    loss, grad = focal_value_and_grad(focal_loss, z, labels)
+    ref_loss, ref_grad = focal_value_and_grad(focal_loss_composition, z, labels)
     assert np.array_equal(loss, ref_loss)
-    assert np.all(np.isfinite(grad))
-    assert np.array_equal(grad[1], ref_grad[1])
-    if gamma == 0.0:
-        # cross-entropy: (softmax - onehot) / n, finite in the composition too
-        assert np.array_equal(grad[0], ref_grad[0])
-    else:
-        assert np.array_equal(grad[0], [0.0, 0.0])
+    assert np.array_equal(grad, ref_grad)
+    assert np.array_equal(grad[0], [0.0, 0.0])
 
 
 def test_focal_node_finite_differences():
@@ -481,9 +464,8 @@ def test_focal_node_finite_differences():
         rng = np.random.default_rng(80 + seed)
         z = Tensor(rng.normal(scale=2.0, size=(4, 3)), requires_grad=True)
         labels = rng.integers(0, 3, size=4)
-        for gamma in (0.0, 0.5, 2.0):
-            err = finite_difference_check(lambda: focal_loss(z, labels, gamma), {"z": z})
-            assert err < 1e-4, f"gamma {gamma} seed {seed}: {err}"
+        err = finite_difference_check(lambda: focal_loss(z, labels), {"z": z})
+        assert err < 1e-4, f"seed {seed}: {err}"
 
 
 @pytest.mark.parametrize("kind", ["image", "html", "url", "pair"])
