@@ -229,11 +229,13 @@ def parse_config(path) -> ExperimentConfig:
             "one the head's PAD id (its last row) is not the preprocessor's"
         )
     out_dir = raw.get("out_dir", ExperimentConfig.out_dir)
-    if not isinstance(out_dir, str):
-        raise ConfigError(f"out_dir must be a string, got {out_dir!r}")
+    name = raw.get("name", path.stem)
+    for key, value in (("out_dir", out_dir), ("name", name)):
+        if not isinstance(value, str):
+            raise ConfigError(f"{key} must be a string, got {value!r}")
 
     return ExperimentConfig(
-        name=raw.get("name", path.stem),
+        name=name,
         train=train,
         model=model,
         preproc=preproc,

@@ -12,13 +12,14 @@ parameter whole, a table as those rows, since no other row can move
 only over its owners and writes a table's new rows into the global table in
 place; a role nobody owns keeps its old values.
 
-Each epoch a client trains its image, html and url batches, in that order,
-then its pair batches. ``batch_loss`` is the one data loss: a focal loss,
-and for pairs the focal loss of the fused branches plus auxiliary focal
-losses of both branches. With ``mu > 0`` the FedProx pull toward
-the broadcast, mu (theta - theta_t), is added to the gradient of every
-parameter the client trains after each backward pass (Li et al., 2018); it
-is not part of the loss. Only the parameters that have a gradient are
+The gate is hard: ``EXPERTS`` lists the experts each batch kind runs, and
+each epoch a client trains its kinds in that order. ``expert_logits`` is the
+one forward, for training and evaluation alike. ``batch_loss`` is the one
+data loss: a focal loss, and for pairs the focal loss of the fused branches
+plus auxiliary focal losses of both branches. With ``mu > 0`` the FedProx
+pull toward the broadcast, mu (theta - theta_t), is added to the gradient of
+every parameter the client trains after each backward pass (Li et al.,
+2018); it is not part of the loss. Only the parameters that have a gradient are
 clipped and stepped.
 
 Everything is deterministic: clients train one after another in sorted
@@ -68,7 +69,8 @@ __all__ = [
     "group_of",
     "select_clients",
     "aggregate",
-    "head_logits",
+    "EXPERTS",
+    "expert_logits",
     "batch_loss",
     "proximal_term",
     "client_train",
@@ -82,10 +84,17 @@ log = logging.getLogger(__name__)
 
 _ROLE_PREFIX = {"image": IMAGE_PREFIX, "html": HTML_PREFIX, "url": URL_PREFIX, "fusion": FUSION_PREFIX}
 
+# the experts a batch of each kind runs, the one that scores it last; a
+# client trains its kinds in this order
+EXPERTS = {"image": ("image",), "html": ("html",), "url": ("url",), "pair": ("image", "html", "fusion")}
+
 CHECKPOINT_MAGIC = b"FPCK"
 
 # the weight of each branch's own loss in a pair batch's loss
 AUX_WEIGHT = 0.3
+
+# the bound on a step's global gradient norm
+CLIP = 1.0
 
 
 def group_of(param_name: str) -> str:
@@ -121,14 +130,10 @@ class ClientReport:
 
 @dataclass
 class ClientData:
-    """One simulated client's local shards: a dataset per modality, in the
-    stacked form that ``fedphish.data`` returns.
-
-    train/val keys: "image" {x, y}, "html" {char, word, dom, y},
-    "url" {x, y}, "pair" {x, char, word, dom, y}. A pair stores its image
-    tokens under "x" and its html streams under the html keys, so one pair
-    batch feeds both the image and the html head.
-    """
+    """One simulated client's local shards: a dataset per batch kind of
+    ``EXPERTS``, in the stacked form that ``fedphish.data`` returns. Each
+    holds labels "y" and the keys its experts' heads read; a pair holds
+    both the image and the html keys."""
 
     client_id: str
     train: dict[str, dict[str, np.ndarray]] = field(default_factory=dict)
@@ -136,16 +141,13 @@ class ClientData:
 
     def role_weights(self) -> dict[str, float]:
         """Aggregation weight of each role the training data reaches: its
-        sample count, where a pair counts for image, html and fusion; html
-        weighs 1."""
+        sample count over the kinds whose ``EXPERTS`` run it; html weighs 1."""
         n = {kind: len(arrays["y"]) for kind, arrays in self.train.items()}
-        pair = n.get("pair", 0)
-        counts = {
-            "image": n.get("image", 0) + pair,
-            "html": min(n.get("html", 0) + pair, 1),
-            "url": n.get("url", 0),
-            "fusion": pair,
-        }
+        counts: dict[str, int] = {}
+        for kind, experts in EXPERTS.items():
+            for role in experts:
+                counts[role] = counts.get(role, 0) + n.get(kind, 0)
+        counts["html"] = min(counts["html"], 1)
         return {role: float(c) for role, c in counts.items() if c > 0}
 
 
@@ -158,7 +160,6 @@ class TrainConfig:
     # FedProx coefficient: each step adds mu (theta - theta_t) to the
     # gradient of every parameter the client trains; 0 turns the pull off
     mu: float = 0.0
-    clip: float = 1.0
     seed: int = 42
 
     def __post_init__(self):
@@ -166,10 +167,8 @@ class TrainConfig:
             value = getattr(self, name)
             if not (_is_int(value) and value >= 1):
                 raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
-        for name in ("lr", "clip"):
-            value = getattr(self, name)
-            if not (_is_real(value) and math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be a finite number > 0, got {value!r}")
+        if not (_is_real(self.lr) and math.isfinite(self.lr) and self.lr > 0):
+            raise ValueError(f"lr must be a finite number > 0, got {self.lr!r}")
         if not _is_finite_nonneg(self.mu):
             raise ValueError(f"mu must be a finite number >= 0, got {self.mu!r}")
         if not (_is_int(self.seed) and self.seed >= 0):
@@ -272,14 +271,17 @@ def _batches(n: int, batch_size: int, rng: np.random.Generator):
         yield order[start : start + batch_size]
 
 
-def head_logits(heads, kind: str, params, batch, train: bool = False, rng=None) -> Tensor:
-    """Logits of the image, html or url head on a stacked batch. A pair
-    batch holds both an image and an html payload, so it feeds either head."""
-    if kind == "html":
-        return heads["html"].forward(
-            params, batch["char"], batch["word"], batch["dom"], train=train, rng=rng
-        )
-    return heads[kind].forward(params, batch["x"], train=train, rng=rng)
+def expert_logits(heads, kind: str, params, batch, train: bool = False,
+                  rng=None) -> dict[str, Tensor]:
+    """The logits of every expert in ``EXPERTS[kind]`` on one stacked batch,
+    run in that order; the fusion head fuses the image and html logits."""
+    logits = {}
+    for role in EXPERTS[kind]:
+        if role == "fusion":
+            logits[role], _ = heads[role].forward(params, logits["image"], logits["html"])
+        else:
+            logits[role] = heads[role].forward(params, batch, train=train, rng=rng)
+    return logits
 
 
 def batch_loss(heads, kind: str, params, batch, rng) -> Tensor:
@@ -293,14 +295,12 @@ def batch_loss(heads, kind: str, params, batch, rng) -> Tensor:
     gradients (``proximal_term``).
     """
     labels = batch["y"]
+    logits = expert_logits(heads, kind, params, batch, train=True, rng=rng)
+    loss = focal_loss(logits[EXPERTS[kind][-1]], labels)
     if kind != "pair":
-        logits = head_logits(heads, kind, params, batch, train=True, rng=rng)
-        return focal_loss(logits, labels)
-    l_i = head_logits(heads, "image", params, batch, train=True, rng=rng)
-    l_h = head_logits(heads, "html", params, batch, train=True, rng=rng)
-    fused, _ = heads["fusion"].forward(params, l_i, l_h)
-    return focal_loss(fused, labels) + AUX_WEIGHT * (
-        focal_loss(l_i, labels) + focal_loss(l_h, labels)
+        return loss
+    return loss + AUX_WEIGHT * (
+        focal_loss(logits["image"], labels) + focal_loss(logits["html"], labels)
     )
 
 
@@ -373,7 +373,7 @@ def client_train(
     optimizer = make_optimizer(params, cfg.lr)
 
     for _ in range(cfg.epochs):
-        for kind in ("image", "html", "url", "pair"):
+        for kind in EXPERTS:
             if kind not in data.train:
                 continue
             arrays = data.train[kind]
@@ -384,7 +384,7 @@ def client_train(
                 if cfg.mu > 0:
                     proximal_term(params, anchor, cfg.mu)
                 grads = [params[k].grad for k in sorted(params) if params[k].grad is not None]
-                optimizer.step(scale=clip_global_norm(grads, cfg.clip))
+                optimizer.step(scale=clip_global_norm(grads, CLIP))
 
     return ClientReport(
         data.client_id,
@@ -399,38 +399,30 @@ def client_evaluate(
     model: ModelSpec,
     cfg: TrainConfig,
 ) -> dict[str, tuple[float, Metrics]]:
-    """Evaluation-mode metrics per head. A paired validation set routes the
-    fusion path; otherwise every present single-modality head is scored.
-    Only the parameters of the heads being scored are wrapped as tensors,
-    and each batch is a slice (a view) of the validation arrays."""
+    """Evaluation-mode metrics of the head that scores each validation set,
+    the last of its kind's ``EXPERTS``. A paired validation set is the only
+    one scored when it is present. Only the parameters of the experts that
+    run are wrapped as tensors, and each batch is a slice (a view) of the
+    validation arrays."""
     heads = model.heads()
-    if "pair" in data.val and len(data.val["pair"]["y"]):
+    kinds = [k for k in EXPERTS if k in data.val and len(data.val[k]["y"])]
+    if "pair" in kinds:
         kinds = ["pair"]
-        roles = ("image", "html", "fusion")
-    else:
-        kinds = [k for k in ("image", "html", "url") if k in data.val and len(data.val[k]["y"])]
-        roles = kinds
-    prefixes = tuple(_ROLE_PREFIX[role] for role in roles)
+    prefixes = tuple(_ROLE_PREFIX[role] for kind in kinds for role in EXPERTS[kind])
     tensors = {k: Tensor(v) for k, v in params.items() if k.startswith(prefixes)}
     results: dict[str, tuple[float, Metrics]] = {}
     for kind in kinds:
+        scored = EXPERTS[kind][-1]
         arrays = data.val[kind]
         labels = arrays["y"]
         losses = []
         preds = []
         for start in range(0, len(labels), cfg.batch_size):
             batch = {k: v[start : start + cfg.batch_size] for k, v in arrays.items()}
-            if kind == "pair":
-                logits, _ = heads["fusion"].forward(
-                    tensors,
-                    head_logits(heads, "image", tensors, batch),
-                    head_logits(heads, "html", tensors, batch),
-                )
-            else:
-                logits = head_logits(heads, kind, tensors, batch)
+            logits = expert_logits(heads, kind, tensors, batch)[scored]
             losses.append(float(focal_loss(logits, batch["y"]).data) * len(batch["y"]))
             preds.append(np.argmax(logits.data, axis=-1))
-        results["fusion" if kind == "pair" else kind] = (
+        results[scored] = (
             sum(losses) / len(labels),
             compute_metrics(confusion(np.concatenate(preds), labels)),
         )

@@ -197,8 +197,9 @@ class ImageHead:
         first = tokens.max(axis=-2, keepdims=True)
         return concat([first, first, tokens], axis=-2)
 
-    def forward(self, params, tokens, train: bool = False, rng=None) -> Tensor:
-        tokens = tokens if isinstance(tokens, Tensor) else Tensor(tokens)
+    def forward(self, params, batch, train: bool = False, rng=None) -> Tensor:
+        """Logits of the image tokens ``batch["x"]``, [B, L, d_model]."""
+        tokens = Tensor(batch["x"])
         if tokens.shape[1] < 1:
             raise ValueError("image head needs at least one token")
         x = self.summary_tokens(tokens)
@@ -264,18 +265,20 @@ class HtmlHead:
             params[HTML_PREFIX + "cls." + k] = v
         return params
 
-    def forward(self, params, char_ids, word_ids, dom_ids, train: bool = False, rng=None) -> Tensor:
+    def forward(self, params, batch, train: bool = False, rng=None) -> Tensor:
+        """Logits of the id streams ``batch["char"]``, ``batch["word"]`` and
+        ``batch["dom"]``, each [B, T]."""
         cfg = self.cfg
         conv_w = {k: params[HTML_PREFIX + f"char.conv{k}.w"] for k in cfg.conv_sizes}
         conv_b = {k: params[HTML_PREFIX + f"char.conv{k}.b"] for k in cfg.conv_sizes}
         char_table = params[TABLE_OF_STREAM["char"]]
         char_feat = multiscale_conv_encode(
-            char_ids, char_table, conv_w, conv_b, char_table.shape[0] - 1
+            batch["char"], char_table, conv_w, conv_b, char_table.shape[0] - 1
         )
         char_feat = affine(
             char_feat, params[HTML_PREFIX + "char.fc.w"], params[HTML_PREFIX + "char.fc.b"]
         )
-        ids = {"word": word_ids, "dom": dom_ids}
+        ids = {b: batch[b] for b in ("word", "dom")}
         tables = {b: params[TABLE_OF_STREAM[b]] for b in ids}
         states = bilstm_sequence(
             [embedding(tables[b], ids[b]) for b in ids],
@@ -331,8 +334,9 @@ class UrlHead:
             ),
         }
 
-    def forward(self, params, emb, train: bool = False, rng=None) -> Tensor:
-        emb = emb if isinstance(emb, Tensor) else Tensor(emb)
+    def forward(self, params, batch, train: bool = False, rng=None) -> Tensor:
+        """Logits of the url embeddings ``batch["x"]``, [B, in_dim]."""
+        emb = Tensor(batch["x"])
         h = layer_norm(emb, params[URL_PREFIX + "ln.gamma"], params[URL_PREFIX + "ln.beta"])
         w = weight_norm(params[URL_PREFIX + "fc.v"], params[URL_PREFIX + "fc.g"])
         f = gelu(h @ w + params[URL_PREFIX + "fc.b"])

@@ -44,7 +44,6 @@ class Metrics:
     precision: float
     recall: float
     fpr: float
-    degenerate: frozenset[str] = field(default_factory=frozenset)
 
 
 def confusion(predictions, labels) -> Confusion:
@@ -66,23 +65,18 @@ def confusion(predictions, labels) -> Confusion:
     )
 
 
-def _ratio(num: int, den: int, name: str, degenerate: set[str]) -> float:
-    if den == 0:
-        degenerate.add(name)
-        return 0.0
-    return num / den
+def _ratio(num: int, den: int) -> float:
+    return num / den if den else 0.0
 
 
 def compute_metrics(c: Confusion) -> Metrics:
-    """Accuracy, precision, recall and FPR; zero denominators report 0 and
-    set the degenerate flag rather than raising."""
-    degenerate: set[str] = set()
+    """Accuracy, precision, recall and FPR; a zero denominator reports 0
+    rather than raising."""
     return Metrics(
-        accuracy=_ratio(c.tp + c.tn, c.total, "accuracy", degenerate),
-        precision=_ratio(c.tp, c.tp + c.fp, "precision", degenerate),
-        recall=_ratio(c.tp, c.tp + c.fn, "recall", degenerate),
-        fpr=_ratio(c.fp, c.fp + c.tn, "fpr", degenerate),
-        degenerate=frozenset(degenerate),
+        accuracy=_ratio(c.tp + c.tn, c.total),
+        precision=_ratio(c.tp, c.tp + c.fp),
+        recall=_ratio(c.tp, c.tp + c.fn),
+        fpr=_ratio(c.fp, c.fp + c.tn),
     )
 
 

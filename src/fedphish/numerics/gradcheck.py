@@ -6,7 +6,7 @@ from typing import Callable
 
 import numpy as np
 
-from .tensor import Tensor, backward, no_grad, zero_grads
+from .tensor import Tensor, backward, zero_grads
 
 __all__ = ["finite_difference_check"]
 
@@ -57,11 +57,10 @@ def finite_difference_check(
             # guaranteed for 0-d or non-contiguous arrays)
             idx = np.unravel_index(i, p.data.shape)
             orig = p.data[idx]
-            with no_grad():
-                p.data[idx] = orig + h
-                up = float(loss_fn().data)
-                p.data[idx] = orig - h
-                down = float(loss_fn().data)
+            p.data[idx] = orig + h
+            up = float(loss_fn().data)
+            p.data[idx] = orig - h
+            down = float(loss_fn().data)
             p.data[idx] = orig
             central = (up - down) / (2.0 * h)
             err = abs(ana[i] - central) / max(1e-8, abs(central))

@@ -29,25 +29,7 @@ __all__ = [
     "backward",
     "zero_grads",
     "concat",
-    "no_grad",
 ]
-
-_grad_enabled = True
-
-
-class no_grad:
-    """Context manager that skips graph construction (forward-only work)."""
-
-    def __enter__(self):
-        global _grad_enabled
-        self._prev = _grad_enabled
-        _grad_enabled = False
-        return self
-
-    def __exit__(self, *exc):
-        global _grad_enabled
-        _grad_enabled = self._prev
-        return False
 
 
 def stable_sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -151,13 +133,12 @@ class Tensor:
         out.requires_grad = False
         out._parents = ()
         out._backward = None
-        if _grad_enabled:
-            for p in parents:
-                if p.requires_grad:
-                    out.requires_grad = True
-                    out._parents = tuple(parents)
-                    out._backward = backward_fn
-                    break
+        for p in parents:
+            if p.requires_grad:
+                out.requires_grad = True
+                out._parents = tuple(parents)
+                out._backward = backward_fn
+                break
         return out
 
     # -- arithmetic -----------------------------------------------------

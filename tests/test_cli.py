@@ -94,6 +94,9 @@ def test_parse_rejects_negative_mu(tmp_path):
     pytest.param({"focal_gamma": float("inf")}, id="focal_gamma-inf"),
     pytest.param({"lambda_aux": True}, id="lambda_aux-bool"),
     {"focal_gamma": 2.0}, {"lambda_aux": 0.3}, {"lambda_js": 0.1}, {"modal_dropout_p": 0.2},
+    # the name becomes the checkpoint's run_id, which must be a string
+    pytest.param({"name": 5}, id="name-int"),
+    pytest.param({"name": None}, id="name-null"),
 ], ids=lambda over: next(iter(over)))
 def test_cli_run_bad_train_setting_exit_one(tmp_path, over):
     cfg_path = write_config(tmp_path, minimal_config(**over))

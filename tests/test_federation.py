@@ -19,8 +19,8 @@ from fedphish.federation import (
     batch_loss,
     client_evaluate,
     client_train,
+    expert_logits,
     group_of,
-    head_logits,
     load_checkpoint,
     proximal_term,
     run_experiment,
@@ -518,7 +518,7 @@ def full_table_training(data, broadcast, spec, cfg, rng):
               for k, v in broadcast.items() if group_of(k) in owned}
     optimizer = Adam(params, lr=cfg.lr)
     for _ in range(cfg.epochs):
-        for kind in ("image", "html", "url", "pair"):
+        for kind in federation.EXPERTS:
             if kind not in data.train:
                 continue
             arrays = data.train[kind]
@@ -531,13 +531,13 @@ def full_table_training(data, broadcast, spec, cfg, rng):
                         pull = cfg.mu * (p.data - broadcast[k])
                         p.grad = pull if p.grad is None else p.grad + pull
                 grads = [params[k].grad for k in sorted(params) if params[k].grad is not None]
-                optimizer.step(scale=clip_global_norm(grads, cfg.clip))
+                optimizer.step(scale=clip_global_norm(grads, federation.CLIP))
     return {k: p.data for k, p in params.items()}
 
 
 @pytest.mark.parametrize("make_client", [desk_html_client, pair_client], ids=["html", "pair"])
 @pytest.mark.parametrize("mu", [0.0, 0.02])
-def test_compact_tables_train_as_the_full_tables(make_client, mu):
+def test_compact_tables_train_as_the_full_tables(make_client, mu, monkeypatch):
     # without clipping, training the compact tables is bitwise training the
     # whole tables: the rows outside get no gradient, no pull and an Adam
     # update of exactly 0. With the default clip the global norm sums the
@@ -546,7 +546,8 @@ def test_compact_tables_train_as_the_full_tables(make_client, mu):
     client = make_client()
     broadcast = {k: p.data for k, p in spec.init_params(9).items()}
     for clip, rtol in ((1e9, 0.0), (1.0, 1e-12)):
-        cfg = TrainConfig(rounds=1, epochs=2, batch_size=4, seed=9, mu=mu, clip=clip)
+        monkeypatch.setattr(federation, "CLIP", clip)
+        cfg = TrainConfig(rounds=1, epochs=2, batch_size=4, seed=9, mu=mu)
         rep = client_train(client, broadcast, spec, cfg, _client_rng(9, 0, 0))
         ref = full_table_training(client, broadcast, spec, cfg, _client_rng(9, 0, 0))
         assert sorted(rep.params) == sorted(ref)
@@ -586,6 +587,40 @@ def test_batch_loss_graph_node_count(kind):
     assert graph_nodes(loss) == BATCH_LOSS_NODES[kind]
 
 
+@pytest.mark.parametrize("kind", list(federation.EXPERTS))
+def test_expert_logits_gives_the_logits_of_every_expert_of_its_kind(kind):
+    spec = ModelSpec.desk()
+    batch = desk_batch(kind, np.random.default_rng(1))
+    logits = expert_logits(spec.heads(), kind, spec.init_params(0), batch)
+    assert list(logits) == list(federation.EXPERTS[kind])
+    assert all(v.shape == (3, 2) for v in logits.values())
+
+
+def test_client_train_trains_its_kinds_in_experts_order(monkeypatch):
+    # the datasets are inserted in another order; two batches of each kind
+    # per epoch, and every kind's batches before the next kind's
+    spec = ModelSpec.desk_pages()
+    client = ClientData("all", train={
+        "pair": pair_client().train["pair"],
+        "url": desk_url_client(n=8).train["url"],
+        "html": desk_html_client(n=8).train["html"],
+        "image": synth_image_tokens(8, length=4, dim=16, seed=3),
+    })
+    kinds = []
+    real_batch_loss = federation.batch_loss
+
+    def recording(heads, kind, *rest):
+        kinds.append(kind)
+        return real_batch_loss(heads, kind, *rest)
+
+    monkeypatch.setattr(federation, "batch_loss", recording)
+    broadcast = {k: p.data for k, p in spec.init_params(3).items()}
+    cfg = TrainConfig(rounds=1, epochs=2, batch_size=4, seed=3)
+    client_train(client, broadcast, spec, cfg, _client_rng(3, 0, 0))
+    assert list(federation.EXPERTS) == ["image", "html", "url", "pair"]
+    assert kinds == [k for _ in range(2) for k in federation.EXPERTS for _ in range(2)]
+
+
 def test_pair_loss_is_the_fused_loss_plus_both_branch_losses():
     # built by hand from the heads: the loss and every gradient are bitwise
     # focal(fused) + 0.3 (focal(image) + focal(html)), and the
@@ -609,8 +644,8 @@ def test_pair_loss_is_the_fused_loss_plus_both_branch_losses():
         return loss.data, grads, rng.bit_generator.state
 
     def by_hand(rng):
-        l_i = head_logits(heads, "image", params, batch, train=True, rng=rng)
-        l_h = head_logits(heads, "html", params, batch, train=True, rng=rng)
+        l_i = expert_logits(heads, "image", params, batch, train=True, rng=rng)["image"]
+        l_h = expert_logits(heads, "html", params, batch, train=True, rng=rng)["html"]
         fused, _ = heads["fusion"].forward(params, l_i, l_h)
         return focal_loss(fused, labels) + 0.3 * (
             focal_loss(l_i, labels) + focal_loss(l_h, labels))
@@ -685,7 +720,7 @@ def test_evaluate_perfect_and_degenerate_predictors():
 
     x = np.random.default_rng(9).normal(size=(100, 16))
     y = np.array([0, 1] * 50)
-    logits = heads["url"].forward({k: Tensor(v) for k, v in params.items()}, x).data
+    logits = heads["url"].forward({k: Tensor(v) for k, v in params.items()}, {"x": x}).data
     preds = np.argmax(logits, axis=1)
     from fedphish.metrics import compute_metrics, confusion
 

@@ -67,10 +67,10 @@ def test_image_head_permutation_invariant():
     head = spec.heads()["image"]
     rng = np.random.default_rng(1)
     x = rng.normal(size=(1, 6, 16))
-    base = head.forward(params, x).data
+    base = head.forward(params, {"x": x}).data
     for _ in range(4):
         perm = rng.permutation(6)
-        assert np.allclose(head.forward(params, x[:, perm]).data, base, atol=1e-10)
+        assert np.allclose(head.forward(params, {"x": x[:, perm]}).data, base, atol=1e-10)
 
 
 @pytest.mark.parametrize("L", [1, 16, 64])
@@ -78,13 +78,13 @@ def test_image_head_output_shape(L):
     spec, params = desk_params()
     head = spec.heads()["image"]
     x = np.random.default_rng(2).normal(size=(3, L, 16))
-    assert head.forward(params, x).shape == (3, 2)
+    assert head.forward(params, {"x": x}).shape == (3, 2)
 
 
 def test_image_head_rejects_empty_sequence():
     spec, params = desk_params()
     with pytest.raises(ValueError):
-        spec.heads()["image"].forward(params, np.zeros((1, 0, 16)))
+        spec.heads()["image"].forward(params, {"x": np.zeros((1, 0, 16))})
 
 
 def test_image_config_rejects_bad_head_count():
@@ -176,7 +176,7 @@ def test_html_head_matches_scalar_oracle():
         char = rng.integers(0, 33, size=32)
         word = rng.integers(0, 17, size=8)
         dom = rng.integers(0, 9, size=8)
-        got = head.forward(params, char[None], word[None], dom[None]).data[0]
+        got = head.forward(params, {"char": char[None], "word": word[None], "dom": dom[None]}).data[0]
         ref = html_head_oracle(params, cfg, char, word, dom)
         assert np.allclose(got, ref, atol=1e-9)
 
@@ -188,8 +188,9 @@ def test_html_head_all_pad_streams_finite_and_deterministic():
     char = np.full((1, 32), cfg.char_vocab - 1)
     word = np.full((1, 8), cfg.word_vocab - 1)
     dom = np.full((1, 8), cfg.dom_vocab - 1)
-    a = head.forward(params, char, word, dom).data
-    b = head.forward(params, char, word, dom).data
+    batch = {"char": char, "word": word, "dom": dom}
+    a = head.forward(params, batch).data
+    b = head.forward(params, batch).data
     assert np.all(np.isfinite(a))
     assert np.array_equal(a, b)
 
@@ -216,8 +217,8 @@ def test_html_head_compact_tables_give_the_full_logits(char_len):
         assert rows.size < params[name].shape[0]
         compact[name] = Tensor(params[name].data[rows])
         mapped[stream] = np.searchsorted(rows, ids)
-    full = head.forward(params, streams["char"], streams["word"], streams["dom"]).data
-    got = head.forward(compact, mapped["char"], mapped["word"], mapped["dom"]).data
+    full = head.forward(params, streams).data
+    got = head.forward(compact, mapped).data
     assert np.array_equal(got, full)
 
 
@@ -240,8 +241,8 @@ def test_html_head_identical_streams_identical_logits():
     s2 = preprocess(base + "BBB</script>", pcfg)
     assert np.array_equal(s1.char_ids, s2.char_ids)
     assert np.array_equal(s1.word_ids, s2.word_ids)
-    l1 = head.forward(params, s1.char_ids[None], s1.word_ids[None], s1.dom_ids[None]).data
-    l2 = head.forward(params, s2.char_ids[None], s2.word_ids[None], s2.dom_ids[None]).data
+    l1, l2 = (head.forward(params, {"char": s.char_ids[None], "word": s.word_ids[None],
+                                    "dom": s.dom_ids[None]}).data for s in (s1, s2))
     assert np.array_equal(l1, l2)
 
 
@@ -278,7 +279,7 @@ def test_url_head_cosine_extremes():
     ortho = np.zeros_like(f)
     ortho[0], ortho[1] = f[1], -f[0]  # orthogonal in the first two coords
     params[URL_PREFIX + "cls.w"] = Tensor(np.stack([f, ortho], axis=1), requires_grad=True)
-    logits = head.forward(params, x).data
+    logits = head.forward(params, {"x": x}).data
     assert np.allclose(logits, [[10.0, 0.0]], atol=1e-9)
 
 
@@ -289,7 +290,7 @@ def test_url_head_logits_bounded_by_scale():
     rng = np.random.default_rng(10)
     scale = float(np.exp(params[URL_PREFIX + "cls.log_scale"].data))
     for _ in range(20):
-        logits = head.forward(params, rng.normal(scale=5.0, size=(1, 16))).data
+        logits = head.forward(params, {"x": rng.normal(scale=5.0, size=(1, 16))}).data
         assert np.abs(logits).max() <= scale + 1e-12
 
 
@@ -298,8 +299,8 @@ def test_url_head_input_scale_removed_by_layer_norm():
     head = UrlHead(cfg)
     params = head.init_params(np.random.default_rng(11))  # gamma=1, beta=0 at init
     x = np.random.default_rng(12).normal(size=(1, 16))
-    a = head.forward(params, x).data
-    b = head.forward(params, 5.0 * x).data
+    a = head.forward(params, {"x": x}).data
+    b = head.forward(params, {"x": 5.0 * x}).data
     # the layer-norm eps is the only scale leak
     assert np.allclose(a, b, atol=1e-3)
 
@@ -310,7 +311,7 @@ def test_url_head_zero_feature_guard():
     params = head.init_params(np.random.default_rng(13))
     params[URL_PREFIX + "fc.g"] = Tensor(np.zeros(3), requires_grad=True)
     params[URL_PREFIX + "fc.b"] = Tensor(np.zeros(3), requires_grad=True)
-    logits = head.forward(params, np.ones((1, 4))).data
+    logits = head.forward(params, {"x": np.ones((1, 4))}).data
     assert np.allclose(logits, 0.0)
     assert np.all(np.isfinite(logits))
 

