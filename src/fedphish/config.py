@@ -1,9 +1,14 @@
 """Experiment configuration files: parsing, validation and client building.
 
-Configs are JSON with a strict schema (unknown keys are rejected by name).
-Each client lists datasets that are either synthetic recipes or JSONL paths
-with explicit train/test index ranges on the shuffled order, so several
-clients can share one corpus without coordination.
+Configs are JSON with a strict schema: any key that nothing reads is
+rejected by name as an unknown key. Each client lists datasets that are
+either synthetic recipes or JSONL paths with explicit train/test index
+ranges on the shuffled order, so several clients can share one corpus
+without coordination. A dataset accepts only the keys of its source: a
+synth block accepts kind, train_n, test_n, seed and the settings its
+modality's kind reads (``_SYNTH``); the ranges, shuffle_seed and
+preshuffled belong to path datasets. Either model profile sizes its html
+word and DOM tables from the preproc bucket counts.
 """
 
 from __future__ import annotations
@@ -18,8 +23,8 @@ import numpy as np
 
 from .data import load_jsonl, synth_embeddings, synth_html, synth_image_tokens, synth_paired
 from .federation import ClientData, TrainConfig, _is_finite_nonneg, _is_int
-from .heads import ModelSpec, table_rows
-from .preproc import CHAR_PAD, PreprocConfig
+from .heads import ModelSpec
+from .preproc import PreprocConfig
 
 __all__ = ["ConfigError", "DatasetSpec", "ClientSpec", "ExperimentConfig",
            "parse_config", "config_hash", "build_clients", "bundled_config_path",
@@ -33,27 +38,34 @@ class ConfigError(ValueError):
 _TRAIN_KEYS = {field.name for field in dataclasses.fields(TrainConfig)}
 _TOP_KEYS = {"name", "model_profile", "preproc", "clients", "out_dir", *_TRAIN_KEYS}
 _CLIENT_KEYS = {"id", "datasets"}
-_DATASET_KEYS = {"modality", "synth", "path", "train_range", "test_range",
-                 "shuffle_seed", "preshuffled"}
-# every synth setting with its default; paired data defaults to separation 8
-_SYNTH_DEFAULTS = {"train_n": 32, "test_n": 32, "seed": 0, "separation": 4.0, "length": 4,
-                   "informative": True}
-_SYNTH_KEYS = {"kind", *_SYNTH_DEFAULTS}
-_SYNTH_READS = {  # synth kind -> the settings its generator reads besides train_n, test_n, seed
-    "embeddings": ("separation",),
-    "image_tokens": ("separation", "length"),
-    "html": ("informative",),
-    "paired": ("separation", "length"),
-}
+_PATH_KEYS = {"path", "train_range", "test_range", "shuffle_seed", "preshuffled"}
 _PREPROC_KEYS = {"char_len", "word_len", "dom_len", "word_buckets", "dom_buckets"}
-_SYNTH_KIND = {"image": "image_tokens", "html": "html", "url": "embeddings", "pair": "paired"}
+# the settings every synth kind reads besides kind, with their defaults
+_SYNTH_COMMON = {"train_n": 32, "test_n": 32, "seed": 0}
+# modality -> (its synth kind, the other settings that kind reads with their
+# defaults, the call that makes n samples). Each call names its generator
+# when it runs, so a wrapper set on this module's name is the one called.
+_SYNTH = {
+    "image": ("image_tokens", {"separation": 4.0, "length": 4},
+              lambda n, s, cfg: synth_image_tokens(
+                  n, length=s["length"], dim=cfg.model.image.d_model,
+                  separation=s["separation"], seed=s["seed"])),
+    "html": ("html", {},
+             lambda n, s, cfg: synth_html(n, seed=s["seed"], preproc_cfg=cfg.preproc)),
+    "url": ("embeddings", {"separation": 4.0},
+            lambda n, s, cfg: synth_embeddings(
+                n, dim=cfg.model.url.in_dim, separation=s["separation"], seed=s["seed"])),
+    "pair": ("paired", {"separation": 8.0, "length": 4},
+             lambda n, s, cfg: synth_paired(
+                 n, seed=s["seed"], image_length=s["length"], image_dim=cfg.model.image.d_model,
+                 separation=s["separation"], preproc_cfg=cfg.preproc)),
+}
 _SYNTH_CHECKS = {  # key -> (what it must be, test)
     "train_n": ("an integer >= 0", lambda v: _is_int(v) and v >= 0),
     "test_n": ("an integer >= 0", lambda v: _is_int(v) and v >= 0),
     "seed": ("an integer >= 0", lambda v: _is_int(v) and v >= 0),
     "separation": ("a finite number >= 0", _is_finite_nonneg),
     "length": ("an integer >= 1", lambda v: _is_int(v) and v >= 1),
-    "informative": ("true or false", lambda v: isinstance(v, bool)),
 }
 
 
@@ -93,53 +105,53 @@ def _reject_unknown(obj: dict, allowed: set[str], where: str) -> None:
 def _parse_dataset(obj: dict, where: str) -> DatasetSpec:
     if not isinstance(obj, dict):
         raise ConfigError(f"{where}: dataset must be an object")
-    _reject_unknown(obj, _DATASET_KEYS, where)
     modality = obj.get("modality")
-    if not isinstance(modality, str) or modality not in _SYNTH_KIND:
-        raise ConfigError(f"{where}: modality must be one of {tuple(_SYNTH_KIND)}, got {modality!r}")
+    if not isinstance(modality, str) or modality not in _SYNTH:
+        raise ConfigError(f"{where}: modality must be one of {tuple(_SYNTH)}, got {modality!r}")
     synth = obj.get("synth")
     path = obj.get("path")
     if (synth is None) == (path is None):
         raise ConfigError(f"{where}: exactly one of 'synth' or 'path' is required")
-    if modality == "pair" and path is not None:
-        raise ConfigError(f"{where}: paired data from paths is not supported; "
-                          "pair image and html files upstream or use synth")
+    # each source reads its own keys: a synth dataset's settings are in its block
+    allowed = {"modality", *_PATH_KEYS} if synth is None else {"modality", "synth"}
+    _reject_unknown(obj, allowed, where)
     if synth is not None:
         if not isinstance(synth, dict):
             raise ConfigError(f"{where}.synth: must be an object")
-        _reject_unknown(synth, _SYNTH_KEYS, f"{where}.synth")
-        if synth.get("kind") != _SYNTH_KIND[modality]:
-            raise ConfigError(f"{where}.synth: kind must be {_SYNTH_KIND[modality]!r} for "
+        kind, reads, _ = _SYNTH[modality]
+        defaults = {**_SYNTH_COMMON, **reads}
+        _reject_unknown(synth, {"kind", *defaults}, f"{where}.synth")
+        if synth.get("kind") != kind:
+            raise ConfigError(f"{where}.synth: kind must be {kind!r} for "
                               f"{modality} data, got {synth.get('kind')!r}")
         for key, (what, ok) in _SYNTH_CHECKS.items():
             if key in synth and not ok(synth[key]):
                 raise ConfigError(f"{where}.synth: {key} must be {what}, got {synth[key]!r}")
-        kind = synth["kind"]
-        defaults = dict(_SYNTH_DEFAULTS, separation=8.0) if kind == "paired" else _SYNTH_DEFAULTS
-        reads = ("train_n", "test_n", "seed", *_SYNTH_READS[kind])
-        synth = {**{key: defaults[key] for key in reads}, **synth}
+        synth = {**defaults, **synth}
         if synth["train_n"] + synth["test_n"] < 2:
             raise ConfigError(f"{where}.synth: train_n + test_n must be at least 2")
-    train_range = obj.get("train_range")
-    test_range = obj.get("test_range")
+        return DatasetSpec(modality=modality, synth=synth)
+    if modality == "pair":
+        raise ConfigError(f"{where}: paired data from paths is not supported; "
+                          "pair image and html files upstream or use synth")
+    if not isinstance(path, str):
+        raise ConfigError(f"{where}: path must be a string, got {path!r}")
     shuffle_seed = obj.get("shuffle_seed", 42)
     preshuffled = obj.get("preshuffled", False)
     if not (_is_int(shuffle_seed) and shuffle_seed >= 0):
         raise ConfigError(f"{where}: shuffle_seed must be an integer >= 0, got {shuffle_seed!r}")
     if not isinstance(preshuffled, bool):
         raise ConfigError(f"{where}: preshuffled must be true or false, got {preshuffled!r}")
-    if path is not None:
-        if not isinstance(path, str):
-            raise ConfigError(f"{where}: path must be a string, got {path!r}")
-        for name, value in (("train_range", train_range), ("test_range", test_range)):
-            if not (isinstance(value, list) and len(value) == 2 and all(map(_is_int, value))
-                    and 0 <= value[0] <= value[1]):
-                raise ConfigError(f"{where}: path datasets need {name} as [start, stop] integers "
-                                  "with 0 <= start <= stop")
-        return DatasetSpec(modality=modality, path=path, train_range=tuple(train_range),
-                           test_range=tuple(test_range), shuffle_seed=shuffle_seed,
-                           preshuffled=preshuffled)
-    return DatasetSpec(modality=modality, synth=synth)
+    train_range = obj.get("train_range")
+    test_range = obj.get("test_range")
+    for name, value in (("train_range", train_range), ("test_range", test_range)):
+        if not (isinstance(value, list) and len(value) == 2 and all(map(_is_int, value))
+                and 0 <= value[0] <= value[1]):
+            raise ConfigError(f"{where}: path datasets need {name} as [start, stop] integers "
+                              "with 0 <= start <= stop")
+    return DatasetSpec(modality=modality, path=path, train_range=tuple(train_range),
+                       test_range=tuple(test_range), shuffle_seed=shuffle_seed,
+                       preshuffled=preshuffled)
 
 
 def _train_size(spec: DatasetSpec) -> int:
@@ -175,14 +187,12 @@ def parse_config(path) -> ExperimentConfig:
         raise ConfigError(f"{path}: {exc}") from exc
 
     profile = raw.get("model_profile", "paper")
-    if profile == "paper":
-        model = ModelSpec.paper()
-    elif profile == "desk_pages":
-        model = ModelSpec.desk_pages(
-            word_buckets=preproc.word_buckets, dom_buckets=preproc.dom_buckets
-        )
-    else:
+    if profile not in ("paper", "desk_pages"):
         raise ConfigError(f"model_profile must be paper or desk_pages, got {profile!r}")
+    # each html embedding table holds one row per id its stream can carry
+    model = getattr(ModelSpec, profile)(
+        word_buckets=preproc.word_buckets, dom_buckets=preproc.dom_buckets
+    )
 
     clients_raw = raw.get("clients")
     if not clients_raw or not isinstance(clients_raw, list):
@@ -215,19 +225,6 @@ def parse_config(path) -> ExperimentConfig:
             if spec.path is not None and not Path(spec.path).exists():
                 raise ConfigError(f"{where}: referenced path does not exist: {spec.path}")
 
-    html = model.html
-    # the largest preprocessed id of each stream is its PAD id, and the head
-    # masks attention with its last row, so the two must be the same id
-    rows = tuple(map(table_rows, (CHAR_PAD, preproc.word_pad, preproc.dom_pad)))
-    if any(d.modality in ("html", "pair") for c in clients for d in c.datasets) and (
-        html.char_vocab, html.word_vocab, html.dom_vocab
-    ) != rows:
-        raise ConfigError(
-            f"model_profile {profile!r}: html vocabularies (char {html.char_vocab}, word "
-            f"{html.word_vocab}, dom {html.dom_vocab}) need exactly {rows[0]}, {rows[1]} and "
-            f"{rows[2]} rows: a smaller table cannot hold the preprocessed ids, and in a larger "
-            "one the head's PAD id (its last row) is not the preprocessor's"
-        )
     out_dir = raw.get("out_dir", ExperimentConfig.out_dir)
     name = raw.get("name", path.stem)
     for key, value in (("out_dir", out_dir), ("name", name)):
@@ -257,23 +254,8 @@ def config_hash(cfg: ExperimentConfig) -> str:
 
 def _synth_split(spec: DatasetSpec, cfg: ExperimentConfig):
     s = spec.synth
-    kind, train_n, seed = s["kind"], s["train_n"], s["seed"]
-    total = train_n + s["test_n"]
-    if kind == "embeddings":
-        data = synth_embeddings(total, dim=cfg.model.url.in_dim, separation=s["separation"], seed=seed)
-    elif kind == "image_tokens":
-        data = synth_image_tokens(
-            total, length=s["length"], dim=cfg.model.image.d_model,
-            separation=s["separation"], seed=seed,
-        )
-    elif kind == "html":
-        data = synth_html(total, seed=seed, informative=s["informative"], preproc_cfg=cfg.preproc)
-    else:  # paired
-        data = synth_paired(
-            total, seed=seed, image_length=s["length"], image_dim=cfg.model.image.d_model,
-            separation=s["separation"], preproc_cfg=cfg.preproc,
-        )
-    return data[:train_n], data[train_n:]
+    data = _SYNTH[spec.modality][2](s["train_n"] + s["test_n"], s, cfg)
+    return data[: s["train_n"]], data[s["train_n"] :]
 
 
 def _path_split(spec: DatasetSpec, cfg: ExperimentConfig):

@@ -13,7 +13,11 @@ the modality:
 
 Real embeddings (frozen image and URL encoders) arrive as JSON Lines; HTML
 arrives as raw text and runs through the preprocessing pipeline. The
-synthetic generators stand in for those feeds with controllable difficulty.
+synthetic generators stand in for those feeds with controllable difficulty:
+url embeddings and image tokens are two Gaussian clusters around +-u
+(``_clusters``, one draw for all samples), html pages are template pages
+that plant a phishing vocabulary, and a paired page carries its label in
+exactly one of its image and its html.
 """
 
 from __future__ import annotations
@@ -160,9 +164,30 @@ def _unit_direction(dim: int) -> np.ndarray:
 
 
 def _balanced_labels(n: int, rng: np.random.Generator) -> np.ndarray:
+    if n < 2:
+        raise ValueError("need at least two samples")
     labels = np.zeros(n, dtype=np.int64)
     labels[n // 2 :] = 1
     return rng.permutation(labels)
+
+
+def _class_means(labels: np.ndarray, dim: int, separation: float) -> np.ndarray:
+    """[len(labels), dim]: each label's cluster mean, (separation/2) u for
+    label 1 and its negative for label 0."""
+    if separation < 0:
+        raise ValueError("separation must be non-negative")
+    return ((separation / 2.0) * _unit_direction(dim)) * np.where(labels == 1, 1.0, -1.0)[:, None]
+
+
+def _clusters(n: int, shape: tuple[int, ...], separation: float, seed: int) -> Dataset:
+    """``n`` balanced labels, then unit-normal samples of ``shape`` whose
+    last axis is shifted by the label's class mean."""
+    rng = np.random.default_rng(seed)
+    labels = _balanced_labels(n, rng)
+    means = _class_means(labels, shape[-1], separation)
+    x = rng.standard_normal((n, *shape))
+    x += means.reshape(n, *(1,) * (len(shape) - 1), shape[-1])
+    return Dataset(x=x, y=labels)
 
 
 def synth_embeddings(n: int, dim: int = EMBED_DIM, separation: float = 4.0,
@@ -172,33 +197,14 @@ def synth_embeddings(n: int, dim: int = EMBED_DIM, separation: float = 4.0,
     separation 0 makes the classes indistinguishable; separation 8 puts the
     Bayes error around Phi(-4) ~ 3e-5.
     """
-    if n < 2:
-        raise ValueError("need at least two samples")
-    if separation < 0:
-        raise ValueError("separation must be non-negative")
-    rng = np.random.default_rng(seed)
-    u = _unit_direction(dim)
-    labels = _balanced_labels(n, rng)
-    x = np.empty((n, dim))
-    for i, label in enumerate(labels):
-        mean = (separation / 2.0) * u * (1.0 if label == 1 else -1.0)
-        x[i] = mean + rng.standard_normal(dim)
-    return Dataset(x=x, y=labels)
+    return _clusters(n, (dim,), separation, seed)
 
 
 def synth_image_tokens(n: int, length: int = 16, dim: int = EMBED_DIM,
                        separation: float = 4.0, seed: int = 0) -> Dataset:
-    """Token sequences tiled from the same cluster scheme as the embeddings."""
-    if n < 2:
-        raise ValueError("need at least two samples")
-    rng = np.random.default_rng(seed)
-    u = _unit_direction(dim)
-    labels = _balanced_labels(n, rng)
-    x = np.empty((n, length, dim))
-    for i, label in enumerate(labels):
-        mean = (separation / 2.0) * u * (1.0 if label == 1 else -1.0)
-        x[i] = mean[None, :] + rng.standard_normal((length, dim))
-    return Dataset(x=x, y=labels)
+    """Token sequences drawn from the same cluster scheme as the
+    embeddings: every token of a sample shares its class mean."""
+    return _clusters(n, (length, dim), separation, seed)
 
 
 # disjoint vocabularies: planted tokens mark phishing pages, clean tokens
@@ -228,31 +234,24 @@ def _render_page(rng: np.random.Generator, vocab: tuple[str, ...],
     return f"<html><head><title>{title}</title></head><body><div>{body}</div>{motif}</body></html>"
 
 
-def synth_pages(n: int, seed: int = 0, *, informative: bool = True) -> tuple[np.ndarray, list[str]]:
+def _labelled_page(rng: np.random.Generator, label: int) -> str:
+    if label == 1:
+        return _render_page(rng, PLANTED_VOCAB, PLANTED_TAGS)
+    return _render_page(rng, CLEAN_VOCAB, CLEAN_TAGS)
+
+
+def synth_pages(n: int, seed: int = 0) -> tuple[np.ndarray, list[str]]:
     """Labels and page texts of template pages; label 1 plants a token
-    vocabulary and tag motif that label 0 never uses. With
-    informative=False every page draws from a neutral template and carries
-    no label signal."""
-    if n < 2:
-        raise ValueError("need at least two samples")
+    vocabulary and tag motif that label 0 never uses."""
     rng = np.random.default_rng(seed)
     labels = _balanced_labels(n, rng)
-    pages = []
-    for label in labels:
-        if not informative:
-            pages.append(_render_page(rng, NEUTRAL_VOCAB, CLEAN_TAGS))
-        elif label == 1:
-            pages.append(_render_page(rng, PLANTED_VOCAB, PLANTED_TAGS))
-        else:
-            pages.append(_render_page(rng, CLEAN_VOCAB, CLEAN_TAGS))
-    return labels, pages
+    return labels, [_labelled_page(rng, label) for label in labels]
 
 
-def synth_html(n: int, seed: int = 0, *, informative: bool = True,
-               preproc_cfg: PreprocConfig | None = None) -> Dataset:
+def synth_html(n: int, seed: int = 0, *, preproc_cfg: PreprocConfig | None = None) -> Dataset:
     """The pages of ``synth_pages``, preprocessed."""
     cfg = preproc_cfg or PreprocConfig()
-    labels, pages = synth_pages(n, seed, informative=informative)
+    labels, pages = synth_pages(n, seed)
     out = Dataset(_html_rows(n, cfg), y=labels)
     for i, html in enumerate(pages):
         _put_page(out, i, html, cfg)
@@ -265,23 +264,19 @@ def synth_paired(n: int, seed: int = 0, *, image_length: int = 4,
     """Complementary paired task: for each page exactly one of the two
     modalities carries the label, the other is noise, so either branch
     alone tops out near 75% while the pair decides every sample."""
-    if n < 2:
-        raise ValueError("need at least two samples")
     cfg = preproc_cfg or PreprocConfig()
     rng = np.random.default_rng(seed)
     labels = _balanced_labels(n, rng)
+    means = _class_means(labels, image_dim, separation)
     image_informative = rng.random(n) < 0.5
-    u = _unit_direction(image_dim)
     out = Dataset(x=np.empty((n, image_length, image_dim)), **_html_rows(n, cfg), y=labels)
+    # one sample at a time: the image noise and the page draws interleave
     for i, (label, img_inf) in enumerate(zip(labels, image_informative)):
         if img_inf:
-            mean = (separation / 2.0) * u * (1.0 if label == 1 else -1.0)
-            out["x"][i] = mean[None, :] + rng.standard_normal((image_length, image_dim))
+            out["x"][i] = means[i][None, :] + rng.standard_normal((image_length, image_dim))
             html = _render_page(rng, NEUTRAL_VOCAB, CLEAN_TAGS)
         else:
             out["x"][i] = rng.standard_normal((image_length, image_dim))
-            vocab = PLANTED_VOCAB if label == 1 else CLEAN_VOCAB
-            tags = PLANTED_TAGS if label == 1 else CLEAN_TAGS
-            html = _render_page(rng, vocab, tags)
+            html = _labelled_page(rng, label)
         _put_page(out, i, html, cfg)
     return out

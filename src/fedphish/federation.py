@@ -400,14 +400,11 @@ def client_evaluate(
     cfg: TrainConfig,
 ) -> dict[str, tuple[float, Metrics]]:
     """Evaluation-mode metrics of the head that scores each validation set,
-    the last of its kind's ``EXPERTS``. A paired validation set is the only
-    one scored when it is present. Only the parameters of the experts that
-    run are wrapped as tensors, and each batch is a slice (a view) of the
-    validation arrays."""
+    the last of its kind's ``EXPERTS``; every non-empty set is scored. Only
+    the parameters of the experts that run are wrapped as tensors, and each
+    batch is a slice (a view) of the validation arrays."""
     heads = model.heads()
     kinds = [k for k in EXPERTS if k in data.val and len(data.val[k]["y"])]
-    if "pair" in kinds:
-        kinds = ["pair"]
     prefixes = tuple(_ROLE_PREFIX[role] for kind in kinds for role in EXPERTS[kind])
     tensors = {k: Tensor(v) for k, v in params.items() if k.startswith(prefixes)}
     results: dict[str, tuple[float, Metrics]] = {}

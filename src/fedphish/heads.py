@@ -449,8 +449,12 @@ class ModelSpec:
     url: UrlHeadConfig = field(default_factory=UrlHeadConfig)
 
     @staticmethod
-    def paper() -> "ModelSpec":
-        return ModelSpec()
+    def paper(word_buckets: int = PreprocConfig.word_buckets,
+              dom_buckets: int = PreprocConfig.dom_buckets) -> "ModelSpec":
+        """The paper's dims, with word and DOM tables sized for these bucket
+        counts (a bucket count is its stream's PAD id)."""
+        return ModelSpec(html=HtmlHeadConfig(word_vocab=table_rows(word_buckets),
+                                             dom_vocab=table_rows(dom_buckets)))
 
     @staticmethod
     def desk() -> "ModelSpec":

@@ -19,6 +19,7 @@ from fedphish.config import (
     parse_config,
 )
 from fedphish.federation import TrainConfig
+from fedphish.heads import ModelSpec
 from fedphish.preproc import HtmlStreams, PreprocConfig
 
 
@@ -116,8 +117,10 @@ URL_SYNTH = minimal_config()["clients"][0]["datasets"][0]
 PAIR_FROM_PATH = {"modality": "pair", "path": "x.jsonl", "train_range": [0, 1], "test_range": [1, 2]}
 
 
-HTML_CLIENT = {"id": "h", "datasets": [{"modality": "html", "synth": {
-    "kind": "html", "train_n": 4, "test_n": 4, "seed": 1}}]}
+def with_dataset(modality, kind, synth=None, **dataset):
+    """A config whose one client has one synth dataset of ``modality``."""
+    return minimal_config(clients=[{"id": "d", "datasets": [{"modality": modality, "synth": {
+        "kind": kind, "train_n": 4, "test_n": 4, "seed": 1, **(synth or {})}, **dataset}]}])
 
 
 def with_path(**dataset):
@@ -159,18 +162,28 @@ def with_path(**dataset):
                  id="shuffle_seed-negative"),
     pytest.param(with_synth(separation="x"), "separation", id="separation-str"),
     pytest.param(with_synth(separation=-1.0), "separation", id="separation-negative"),
-    pytest.param(with_synth(length=0), "length", id="length-zero"),
-    pytest.param(with_synth(informative=1), "informative", id="informative-int"),
+    pytest.param(with_dataset("image", "image_tokens", {"length": 0}), "length must be an integer",
+                 id="length-zero"),
+    # a key that the dataset's source or synth kind does not read is unknown
+    pytest.param(with_dataset("html", "html", {"informative": 1}),
+                 "synth: unknown key 'informative'", id="informative-int"),
+    pytest.param(with_dataset("html", "html", {"separation": 3.0}),
+                 "synth: unknown key 'separation'", id="html-separation"),
+    pytest.param(with_dataset("html", "html", {"length": 9}),
+                 "synth: unknown key 'length'", id="html-length"),
+    pytest.param(with_synth(length=4), "synth: unknown key 'length'", id="url-length"),
+    pytest.param(with_dataset("html", "html", train_range=[5, 1]),
+                 "datasets\\[0\\]: unknown key 'train_range'", id="synth-train_range"),
+    pytest.param(with_dataset("html", "html", test_range=[0, 4]),
+                 "datasets\\[0\\]: unknown key 'test_range'", id="synth-test_range"),
+    pytest.param(with_dataset("html", "html", shuffle_seed=3),
+                 "datasets\\[0\\]: unknown key 'shuffle_seed'", id="synth-shuffle_seed"),
+    pytest.param(with_dataset("html", "html", preshuffled=True),
+                 "datasets\\[0\\]: unknown key 'preshuffled'", id="synth-preshuffled"),
     pytest.param(with_synth(kind="image_tokens"), "kind must be 'embeddings'", id="kind-mismatch"),
     pytest.param(with_synth(kind="pixels"), "kind must be 'embeddings'", id="kind-unknown"),
     pytest.param(minimal_config(model_profile="desk"),
                  "model_profile must be paper or desk_pages, got 'desk'", id="desk-profile"),
-    pytest.param(minimal_config(model_profile="paper", preproc={"word_buckets": 200000},
-                                clients=[HTML_CLIENT]),
-                 "cannot hold the preprocessed ids", id="paper-word-buckets"),
-    pytest.param(minimal_config(model_profile="paper", preproc={"word_buckets": 1000},
-                                clients=[HTML_CLIENT]),
-                 "PAD id \\(its last row\\) is not the preprocessor's", id="paper-word-buckets-1000"),
     pytest.param(minimal_config(out_dir=5), "out_dir must be a string", id="out_dir-int"),
     pytest.param(minimal_config(clients=[{"id": "m", "datasets": [{**URL_SYNTH, "modality": {}}]}]),
                  "modality must be one of", id="modality-object"),
@@ -187,6 +200,18 @@ def test_cli_run_bad_data_setting_exit_one(tmp_path, cfg, match):
         parse_config(cfg_path)
     assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == EXIT_VALIDATION
     assert not (tmp_path / "out").exists()
+
+
+def test_paper_profile_sizes_html_tables_from_preproc(tmp_path, monkeypatch):
+    def no_init(*args, **kwargs):
+        raise AssertionError("parsing a config initialises no parameters")
+
+    monkeypatch.setattr(ModelSpec, "init_params", no_init)
+    cfg = parse_config(write_config(tmp_path, {
+        **with_dataset("html", "html"), "model_profile": "paper", "preproc": {"word_buckets": 1000}}))
+    # the bucket count is the stream's PAD id, the table's last row
+    assert cfg.model.html.word_vocab == 1001
+    assert cfg.model.html.dom_vocab == PreprocConfig().dom_buckets + 1
 
 
 def test_config_hash_covers_every_setting(tmp_path):

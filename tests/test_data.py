@@ -172,6 +172,57 @@ def test_synth_separation_eight_linear_oracle():
     assert acc >= 0.99
 
 
+def loop_clusters(n, shape, separation, seed):
+    """The reference: labels first, then one sample at a time, its class
+    mean plus unit noise."""
+    rng = np.random.default_rng(seed)
+    labels = np.zeros(n, dtype=np.int64)
+    labels[n // 2 :] = 1
+    labels = rng.permutation(labels)
+    u = np.where(np.arange(shape[-1]) % 2 == 0, 1.0, -1.0)
+    u -= u.mean()
+    u = u / np.linalg.norm(u)
+    x = np.empty((n, *shape))
+    for i, label in enumerate(labels):
+        mean = (separation / 2.0) * u * (1.0 if label == 1 else -1.0)
+        x[i] = mean + rng.standard_normal(shape)
+    return x, labels
+
+
+@pytest.mark.parametrize("n, shape, separation", [
+    (512, (16,), 4.0), (81, (768,), 8.0), (3, (2,), 0.0),
+    (80, (4, 768), 6.0), (7, (1, 16), 3.3), (3, (2, 4), 4.0), (65, (4, 16), 8.0),
+])
+def test_synth_clusters_match_the_per_sample_loop_bitwise(n, shape, separation):
+    if len(shape) == 1:
+        data = synth_embeddings(n, dim=shape[0], separation=separation, seed=n)
+    else:
+        data = synth_image_tokens(n, length=shape[0], dim=shape[1], separation=separation, seed=n)
+    x, labels = loop_clusters(n, shape, separation, seed=n)
+    assert data["x"].shape == x.shape and data["x"].dtype == x.dtype
+    assert data["x"].tobytes() == x.tobytes()
+    assert data["y"].dtype == labels.dtype and data["y"].tobytes() == labels.tobytes()
+
+
+@pytest.mark.parametrize("make", [
+    lambda: synth_embeddings(4, dim=4, separation=-1.0),
+    lambda: synth_image_tokens(4, length=2, dim=4, separation=-1.0),
+    lambda: synth_paired(4, separation=-1.0, preproc_cfg=PreprocConfig(char_len=8, word_len=4, dom_len=4)),
+], ids=["embeddings", "image_tokens", "paired"])
+def test_synth_rejects_negative_separation(make):
+    with pytest.raises(ValueError, match="separation must be non-negative"):
+        make()
+
+
+@pytest.mark.parametrize("make", [
+    lambda: synth_embeddings(1, dim=4), lambda: synth_image_tokens(1, length=2, dim=4),
+    lambda: synth_html(1), lambda: synth_paired(1),
+], ids=["embeddings", "image_tokens", "html", "paired"])
+def test_synth_needs_two_samples(make):
+    with pytest.raises(ValueError, match="need at least two samples"):
+        make()
+
+
 def test_synth_image_tokens_shape_and_determinism():
     a = synth_image_tokens(10, length=5, dim=8, seed=4)
     b = synth_image_tokens(10, length=5, dim=8, seed=4)
@@ -207,17 +258,6 @@ def test_synth_html_bucket_count_oracle():
         pred = 1 if n_planted > n_clean else 0
         correct += pred == label
     assert correct / len(data["y"]) >= 0.95
-
-
-def test_synth_html_uninformative_mode():
-    data = synth_html(40, seed=8, informative=False,
-                      preproc_cfg=PreprocConfig(char_len=128, word_len=16, dom_len=8))
-    from fedphish.data import PLANTED_VOCAB
-
-    cfg = PreprocConfig(char_len=128, word_len=16, dom_len=8)
-    planted = {fnv1a64(w.encode()) % cfg.word_buckets for w in PLANTED_VOCAB}
-    for ids in data["word"]:
-        assert not any(int(i) in planted for i in ids[ids != cfg.word_pad])
 
 
 # ---------------------------------------------------------------------------

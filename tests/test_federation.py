@@ -747,7 +747,7 @@ def wrapped_roles(monkeypatch, params) -> set[str]:
     return roles
 
 
-def test_evaluate_paired_val_emits_only_fusion(monkeypatch):
+def test_evaluate_paired_val_keeps_the_other_sets(monkeypatch):
     from fedphish.data import synth_paired
     from fedphish.preproc import PreprocConfig
 
@@ -759,9 +759,13 @@ def test_evaluate_paired_val_emits_only_fusion(monkeypatch):
     params = {k: p.data for k, p in spec.init_params(10).items()}
     roles = wrapped_roles(monkeypatch, params)
     results = client_evaluate(params, client, spec, TrainConfig(rounds=1))
-    assert set(results) == {"fusion"}
-    # the fused path reads the image, html and fusion heads and no other
-    assert roles == {"image", "html", "fusion"}
+    # a paired set scores the fusion head and hides none of the client's other sets
+    assert set(results) == {"fusion", "url"}
+    # the fused path reads the image, html and fusion heads, the url set its own
+    assert roles == {"image", "html", "fusion", "url"}
+    alone = client_evaluate(params, ClientData(client_id="f0", train={}, val={"url": client.val["url"]}),
+                            spec, TrainConfig(rounds=1))
+    assert results["url"] == alone["url"]
 
 
 def test_evaluate_single_modality_heads(monkeypatch):

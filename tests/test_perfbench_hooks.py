@@ -4,11 +4,14 @@ A wrapped name that a refactor deletes makes the benchmark print its metric
 as MISSING instead of failing, so this test fails on it first.
 """
 
+import contextlib
 import importlib.util
+import json
 from pathlib import Path
 
 import numpy as np
 
+import fedphish.config as config
 import fedphish.federation as federation
 from fedphish.data import synth_html
 from fedphish.federation import ClientData, TrainConfig, _client_rng
@@ -69,3 +72,39 @@ def test_report_and_optimizer_probes_read_a_touched_rows_client():
     assert 0 < s["federation.report_bytes"][0] < dense_bytes
     assert 0 < s["numerics.optimizer_state_bytes"][0] < 2 * dense_bytes
     assert np.unique(pages["word"]).size < broadcast[HTML_PREFIX + "word.embed"].shape[0]
+
+
+SYNTH_OF_MODALITY = {"url": ("embeddings", "synth_embeddings"),
+                     "image": ("image_tokens", "synth_image_tokens"),
+                     "html": ("html", "synth_html"), "pair": ("paired", "synth_paired")}
+
+
+def test_build_clients_calls_the_generators_the_tracer_wraps(tmp_path):
+    # data.synth_s times the generators by replacing fedphish.config's names;
+    # a generator reached any other way would be timed as zero
+    tracing = load_tracing()
+    called = []
+
+    def recording(name):
+        def wrap(fn):
+            def wrapper(*args, **kwargs):
+                called.append(name)
+                return fn(*args, **kwargs)
+            return wrapper
+        return wrap
+
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "model_profile": "desk_pages",
+        "preproc": {"char_len": 32, "word_len": 8, "dom_len": 8, "word_buckets": 257, "dom_buckets": 61},
+        "clients": [{"id": modality, "datasets": [{"modality": modality, "synth": {
+            "kind": kind, "train_n": 2, "test_n": 2}}]} for modality, (kind, _) in SYNTH_OF_MODALITY.items()],
+    }))
+    cfg = config.parse_config(cfg_path)
+    names = sorted({attr for span, module, attr in tracing.TARGETS if span == "data.synth"})
+    assert names == sorted(name for _, name in SYNTH_OF_MODALITY.values())
+    with contextlib.ExitStack() as stack:
+        for name in names:
+            stack.enter_context(tracing.patched(config, name, recording(name)))
+        config.build_clients(cfg)
+    assert called == [name for _, name in SYNTH_OF_MODALITY.values()]
