@@ -226,11 +226,13 @@ CLEAN_TAGS = ("article", "section", "aside")
 
 def _render_page(rng: np.random.Generator, vocab: tuple[str, ...],
                  tags: tuple[str, ...]) -> str:
-    words = [str(rng.choice(vocab)) for _ in range(int(rng.integers(3, 7)))]
-    words += [str(rng.choice(NEUTRAL_VOCAB)) for _ in range(int(rng.integers(2, 5)))]
-    body = " ".join(str(w) for w in rng.permutation(words))
-    motif = "".join(f"<{t}></{t}>" for t in rng.choice(tags, size=int(rng.integers(1, 4))))
-    title = str(rng.choice(NEUTRAL_VOCAB))
+    # index draws: the same RNG stream as rng.choice and rng.permutation of
+    # the words themselves, without building a numpy array of strings
+    words = [vocab[rng.integers(len(vocab))] for _ in range(int(rng.integers(3, 7)))]
+    words += [NEUTRAL_VOCAB[rng.integers(len(NEUTRAL_VOCAB))] for _ in range(int(rng.integers(2, 5)))]
+    body = " ".join(words[i] for i in rng.permutation(len(words)))
+    motif = "".join(f"<{tags[i]}></{tags[i]}>" for i in rng.integers(len(tags), size=int(rng.integers(1, 4))))
+    title = NEUTRAL_VOCAB[rng.integers(len(NEUTRAL_VOCAB))]
     return f"<html><head><title>{title}</title></head><body><div>{body}</div>{motif}</body></html>"
 
 

@@ -22,6 +22,11 @@ every parameter the client trains after each backward pass (Li et al.,
 2018); it is not part of the loss. Only the parameters that have a gradient are
 clipped and stepped.
 
+Evaluation scores each validation set in forwards of several whole batches
+when its rows are narrow (``EVAL_VALUES``), and reduces the loss batch by
+batch from per-row focal terms, so its numbers have the bits of one forward
+per batch.
+
 Everything is deterministic: clients train one after another in sorted
 client-id order, client RNG streams are seeded by (global seed, client
 index, round), and weighted sums run in sorted client order.
@@ -49,6 +54,8 @@ from .heads import (
     URL_PREFIX,
     ModelSpec,
     focal_loss,
+    focal_mean,
+    focal_terms,
 )
 from .metrics import Metrics, RoundEntry, RoundLog, compute_metrics, confusion
 from .numerics import (
@@ -95,6 +102,17 @@ AUX_WEIGHT = 0.3
 
 # the bound on a step's global gradient norm
 CLIP = 1.0
+
+# the most input values an evaluation forward holds, unless one batch holds
+# more; at paper dims every forward is one batch
+EVAL_VALUES = 2**13
+
+# A BLAS product computes its rows in tiles, and a row of the last, partial
+# tile may round differently from the same row in a whole tile. Batches are
+# merged only when their size is a multiple of 16, which OpenBLAS's Haswell
+# (4 x 8) and AVX-512 (16 x 2) double tiles divide, so that every row keeps
+# the bits of its own batch's forward.
+ROW_TILE = 16
 
 
 def group_of(param_name: str) -> str:
@@ -393,6 +411,16 @@ def client_train(
     )
 
 
+def _eval_rows(arrays: dict[str, np.ndarray], batch_size: int) -> int:
+    """Rows per evaluation forward: as many whole batches as keep the input
+    arrays within ``EVAL_VALUES`` values, and at least one batch; one batch
+    unless ``batch_size`` is a multiple of ``ROW_TILE``."""
+    if batch_size % ROW_TILE:
+        return batch_size
+    width = sum(v[0].size for k, v in arrays.items() if k != "y")
+    return batch_size * max(1, EVAL_VALUES // (width * batch_size))
+
+
 def client_evaluate(
     params: dict[str, np.ndarray],
     data: ClientData,
@@ -401,8 +429,16 @@ def client_evaluate(
 ) -> dict[str, tuple[float, Metrics]]:
     """Evaluation-mode metrics of the head that scores each validation set,
     the last of its kind's ``EXPERTS``; every non-empty set is scored. Only
-    the parameters of the experts that run are wrapped as tensors, and each
-    batch is a slice (a view) of the validation arrays."""
+    the parameters of the experts that run are wrapped as tensors.
+
+    A set's whole batches are scored in forwards of ``_eval_rows`` rows and
+    a last partial batch in a forward of its own, each a slice (a view) of
+    the validation arrays. A row then gets the logits of its own batch's
+    forward, bit for bit (``ROW_TILE``), and the loss is reduced as if each
+    ``batch_size`` slice were its own forward: the mean of the slices'
+    focal losses, each weighted by its row count. The metrics come from one
+    argmax over all rows.
+    """
     heads = model.heads()
     kinds = [k for k in EXPERTS if k in data.val and len(data.val[k]["y"])]
     prefixes = tuple(_ROLE_PREFIX[role] for kind in kinds for role in EXPERTS[kind])
@@ -412,16 +448,20 @@ def client_evaluate(
         scored = EXPERTS[kind][-1]
         arrays = data.val[kind]
         labels = arrays["y"]
-        losses = []
-        preds = []
-        for start in range(0, len(labels), cfg.batch_size):
-            batch = {k: v[start : start + cfg.batch_size] for k, v in arrays.items()}
-            logits = expert_logits(heads, kind, tensors, batch)[scored]
-            losses.append(float(focal_loss(logits, batch["y"]).data) * len(batch["y"]))
-            preds.append(np.argmax(logits.data, axis=-1))
+        n, size = len(labels), cfg.batch_size
+        # the whole batches in forwards of _eval_rows rows, a last partial
+        # batch in a forward of its own
+        whole = n - n % size
+        edges = sorted({*range(0, whole, _eval_rows(arrays, size)), whole, n})
+        logits = np.concatenate([
+            expert_logits(heads, kind, tensors, {k: v[a:b] for k, v in arrays.items()})[scored].data
+            for a, b in zip(edges, edges[1:])
+        ])
+        terms = focal_terms(logits, labels)
+        batches = [terms[start : start + size] for start in range(0, n, size)]
         results[scored] = (
-            sum(losses) / len(labels),
-            compute_metrics(confusion(np.concatenate(preds), labels)),
+            sum(float(focal_mean(t)) * t.size for t in batches) / n,
+            compute_metrics(confusion(np.argmax(logits, axis=-1), labels)),
         )
     return results
 

@@ -44,6 +44,8 @@ __all__ = [
     "UrlHead",
     "FusionHead",
     "focal_loss",
+    "focal_terms",
+    "focal_mean",
     "table_rows",
     "TABLE_OF_STREAM",
 ]
@@ -402,6 +404,30 @@ class FusionHead:
 FOCAL_GAMMA = 2.0
 
 
+def _focal_rows(z: np.ndarray, labels: np.ndarray):
+    """Row by row, from that row's logits and label alone: the log-softmax's
+    ``exps`` and ``total``, log p_t, p_t, 1 - p_t and (1 - p_t)^gamma."""
+    logp, exps, total = log_softmax_parts(z)
+    picked = logp[np.arange(labels.size), labels]
+    p = np.exp(picked)
+    q = 1.0 - p
+    return exps, total, picked, p, q, q ** FOCAL_GAMMA
+
+
+def focal_terms(z: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """The per-row focal terms (1 - p_t)^gamma log(p_t) of logits ``z``
+    [B, 2]. Each row's term reads only that row, so it has the same bits
+    however many rows ``z`` holds; ``focal_mean`` of a batch's terms is
+    that batch's ``focal_loss``."""
+    *_, picked, _, _, weight = _focal_rows(z, labels)
+    return weight * picked
+
+
+def focal_mean(terms: np.ndarray) -> np.float64:
+    """The focal loss of the rows whose ``focal_terms`` these are."""
+    return -(terms.sum() * (1.0 / terms.size))
+
+
 def focal_loss(logits: Tensor, labels: np.ndarray) -> Tensor:
     """Mean of -(1 - p_t)^gamma * log(p_t), gamma = ``FOCAL_GAMMA``.
 
@@ -409,17 +435,13 @@ def focal_loss(logits: Tensor, labels: np.ndarray) -> Tensor:
     operations of the log-softmax, pick, power and mean composition in that
     composition's order, with one gradient term per path to the logits, as
     ``log_softmax`` does. Where a sample is saturated (``1 - p_t`` is
-    exactly 0 in float64), its gradient is the limit 0.
+    exactly 0 in float64), its gradient is the limit 0. Its value is
+    ``focal_mean`` of the batch's ``focal_terms``.
     """
     z = logits.data
-    rows = np.arange(labels.size)
-    logp, exps, total = log_softmax_parts(z)
-    picked = logp[rows, labels]
+    exps, total, picked, p, q, weight = _focal_rows(z, labels)
     inv_n = 1.0 / picked.size
-    p = np.exp(picked)
-    q = 1.0 - p
-    weight = q ** FOCAL_GAMMA
-    out = -((weight * picked).sum() * inv_n)
+    out = focal_mean(weight * picked)
 
     def bw(g: np.ndarray):
         # d loss / d picked per sample; then through the log-softmax
@@ -428,7 +450,7 @@ def focal_loss(logits: Tensor, labels: np.ndarray) -> Tensor:
         slope = np.where(live, q, 1.0) ** (FOCAL_GAMMA - 1.0)
         d_picked = np.where(live, g_mean * weight - g_mean * picked * FOCAL_GAMMA * slope * p, 0.0)
         direct = np.zeros(z.shape)
-        direct[rows, labels] = d_picked
+        direct[np.arange(labels.size), labels] = d_picked
         return direct, -d_picked[:, None] / total * exps
 
     # the logits twice: directly and through the log-sum-exp, as in log_softmax

@@ -7,6 +7,7 @@ misflagged as phishing.
 from __future__ import annotations
 
 import csv
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -96,7 +97,11 @@ class RoundLog:
 
 def write_round_csv(logs: list[RoundLog], path) -> None:
     """One row per evaluated (round, client, head), sorted, floats at six
-    decimals; rewriting the same logs yields a byte-identical file."""
+    decimals; rewriting the same logs yields a byte-identical file.
+
+    The file is written under a temporary name in the same directory and
+    then renamed over ``path``, so ``path`` never holds a partial file.
+    """
     path = Path(path)
     rows = []
     for log in logs:
@@ -114,13 +119,18 @@ def write_round_csv(logs: list[RoundLog], path) -> None:
                 )
             )
     rows.sort(key=lambda r: (r[0], r[1], r[2]))
+    tmp = path.with_name(path.name + ".tmp")
     try:
-        with open(path, "w", newline="") as fh:
+        with open(tmp, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(CSV_HEADER)
             writer.writerows(rows)
+        os.replace(tmp, path)
     except OSError as exc:
         raise OSError(f"cannot write round log to {path}: {exc}") from exc
+    finally:
+        # gone after the rename; left by a write that raised
+        tmp.unlink(missing_ok=True)
 
 
 def read_round_csv(path) -> list[dict]:

@@ -260,6 +260,38 @@ def test_synth_html_bucket_count_oracle():
     assert correct / len(data["y"]) >= 0.95
 
 
+def choice_render_page(rng, vocab, tags):
+    """The page renderer drawing with ``rng.choice`` and ``rng.permutation``
+    of the strings themselves: the oracle for ``_render_page``'s index
+    draws."""
+    from fedphish.data import NEUTRAL_VOCAB
+
+    words = [str(rng.choice(vocab)) for _ in range(int(rng.integers(3, 7)))]
+    words += [str(rng.choice(NEUTRAL_VOCAB)) for _ in range(int(rng.integers(2, 5)))]
+    body = " ".join(str(w) for w in rng.permutation(words))
+    motif = "".join(f"<{t}></{t}>" for t in rng.choice(tags, size=int(rng.integers(1, 4))))
+    title = str(rng.choice(NEUTRAL_VOCAB))
+    return f"<html><head><title>{title}</title></head><body><div>{body}</div>{motif}</body></html>"
+
+
+def test_synth_pages_match_the_choice_renderer_byte_for_byte(monkeypatch):
+    import fedphish.data
+    from fedphish.data import synth_pages
+
+    cfg = PreprocConfig(char_len=64, word_len=16, dom_len=16, word_buckets=257, dom_buckets=61)
+    seeds = range(40)
+    pages = [synth_pages(24, seed=s) for s in seeds]
+    paired = [synth_paired(24, seed=s, image_length=2, image_dim=4, preproc_cfg=cfg) for s in seeds]
+    monkeypatch.setattr(fedphish.data, "_render_page", choice_render_page)
+    for s, (labels, texts), data in zip(seeds, pages, paired):
+        ref_labels, ref_texts = synth_pages(24, seed=s)
+        assert labels.tobytes() == ref_labels.tobytes() and texts == ref_texts, s
+        ref = synth_paired(24, seed=s, image_length=2, image_dim=4, preproc_cfg=cfg)
+        assert data.keys() == ref.keys()
+        for key in data:
+            assert data[key].dtype == ref[key].dtype and data[key].tobytes() == ref[key].tobytes(), (s, key)
+
+
 # ---------------------------------------------------------------------------
 # pairing
 # ---------------------------------------------------------------------------

@@ -781,6 +781,113 @@ def test_evaluate_single_modality_heads(monkeypatch):
     assert 0.0 <= m.accuracy <= 1.0
 
 
+def per_batch_evaluate(params, data, model, cfg):
+    """One forward and one ``focal_loss`` per ``batch_size`` slice, losses
+    summed weighted by slice size: the oracle for ``client_evaluate``."""
+    from fedphish.metrics import compute_metrics, confusion
+
+    heads = model.heads()
+    tensors = {k: Tensor(v) for k, v in params.items()}
+    results = {}
+    for kind in federation.EXPERTS:
+        if kind not in data.val:
+            continue
+        scored = federation.EXPERTS[kind][-1]
+        arrays = data.val[kind]
+        labels = arrays["y"]
+        losses = []
+        preds = []
+        for start in range(0, len(labels), cfg.batch_size):
+            batch = {k: v[start : start + cfg.batch_size] for k, v in arrays.items()}
+            logits = expert_logits(heads, kind, tensors, batch)[scored]
+            losses.append(float(focal_loss(logits, batch["y"]).data) * len(batch["y"]))
+            preds.append(np.argmax(logits.data, axis=-1))
+        results[scored] = (
+            sum(losses) / len(labels),
+            compute_metrics(confusion(np.concatenate(preds), labels)),
+        )
+    return results
+
+
+def desk_pages_val(kind, n, seed):
+    """A validation set of ``kind`` at ``desk_pages`` dims: url 16 values a
+    row, image 64, html 96 and pair 160."""
+    from fedphish.data import synth_html, synth_paired
+    from fedphish.preproc import PreprocConfig
+
+    pcfg = PreprocConfig(char_len=64, word_len=16, dom_len=16, word_buckets=257, dom_buckets=61)
+    if kind == "url":
+        return synth_embeddings(n, dim=16, seed=seed)
+    if kind == "image":
+        return synth_image_tokens(n, length=4, dim=16, seed=seed)
+    if kind == "html":
+        return synth_html(n, seed=seed, preproc_cfg=pcfg)
+    return synth_paired(n, seed=seed, image_length=4, image_dim=16, preproc_cfg=pcfg)
+
+
+@pytest.mark.parametrize("batch_size", [16, 32, 7])
+@pytest.mark.parametrize("kind, n", [("url", 600), ("url", 257), ("image", 300), ("html", 203),
+                                     ("html", 33), ("pair", 150), ("pair", 33), ("url", 5)])
+def test_evaluate_equals_per_batch_forwards_bitwise(kind, n, batch_size):
+    spec = ModelSpec.desk_pages()
+    params = {k: p.data for k, p in spec.init_params(n).items()}
+    cfg = TrainConfig(rounds=1, batch_size=batch_size)
+    # two draws: whether a row in a partial BLAS tile rounds differently
+    # depends on its values
+    for seed in (0, n):
+        client = ClientData(client_id="c", train={}, val={kind: desk_pages_val(kind, n, seed)})
+        got = client_evaluate(params, client, spec, cfg)
+        want = per_batch_evaluate(params, client, spec, cfg)
+        assert got.keys() == want.keys()
+        for head, (loss, m) in got.items():
+            assert type(loss) is float
+            assert struct.pack("<d", loss) == struct.pack("<d", want[head][0]), (head, seed)
+            assert m == want[head][1], (head, seed)
+
+
+def forward_rows(monkeypatch) -> list[int]:
+    """Replace ``expert_logits`` with one that scores every row 0 and record
+    the row count of each forward ``client_evaluate`` runs."""
+    rows = []
+
+    def counting(heads, kind, params, batch, train=False, rng=None):
+        rows.append(len(batch["y"]))
+        return {federation.EXPERTS[kind][-1]: Tensor(np.zeros((len(batch["y"]), 2)))}
+
+    monkeypatch.setattr(federation, "expert_logits", counting)
+    return rows
+
+
+@pytest.mark.parametrize("kind, n, batch_size, want", [
+    # 16 batches of 16-value url rows fit 2**13 values, 2 of 96-value html rows
+    ("url", 256, 32, [256]),
+    ("url", 600, 32, [512, 64, 24]),
+    ("html", 203, 32, [64, 64, 64, 11]),
+    ("pair", 70, 32, [32, 32, 6]),
+    # a batch size off the row tile keeps one forward per batch
+    ("url", 20, 7, [7, 7, 6]),
+])
+def test_evaluate_forwards_hold_whole_batches_and_the_last_alone(monkeypatch, kind, n, batch_size, want):
+    rows = forward_rows(monkeypatch)
+    client = ClientData(client_id="c", train={}, val={kind: desk_pages_val(kind, n, seed=2)})
+    client_evaluate({}, client, ModelSpec.desk(), TrainConfig(rounds=1, batch_size=batch_size))
+    assert rows == want
+
+
+@pytest.mark.parametrize("arrays", [
+    {"x": np.zeros((100, 768))},
+    {"char": np.zeros((100, 256), dtype=np.int64), "word": np.zeros((100, 32), dtype=np.int64),
+     "dom": np.zeros((100, 32), dtype=np.int64)},
+], ids=["url-768", "html-320"])
+def test_evaluate_paper_width_rows_take_one_forward_per_batch(monkeypatch, arrays):
+    rows = forward_rows(monkeypatch)
+    kind = "url" if "x" in arrays else "html"
+    val = dict(arrays, y=np.arange(100) % 2)
+    client_evaluate({}, ClientData(client_id="c", train={}, val={kind: val}),
+                    ModelSpec.desk(), TrainConfig(rounds=1, batch_size=32))
+    assert rows == [32, 32, 32, 4]
+
+
 # ---------------------------------------------------------------------------
 # experiment loop
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Confusion counts, derived metrics and the round CSV format."""
 
+import csv
+
 import numpy as np
 import pytest
 
@@ -160,3 +162,32 @@ def test_csv_write_error_names_path(tmp_path):
     bad = tmp_path / "missing_dir" / "x.csv"
     with pytest.raises(OSError, match="x.csv"):
         write_round_csv([], bad)
+
+
+@pytest.mark.parametrize("error", [RuntimeError("boom"), OSError(28, "No space left on device")],
+                         ids=["runtime", "oserror"])
+def test_csv_write_that_raises_keeps_the_old_file(tmp_path, monkeypatch, error):
+    import fedphish.metrics
+
+    path = tmp_path / "rounds.csv"
+    write_round_csv(make_logs()[:1], path)
+    old = path.read_bytes()
+    real_writer = csv.writer
+
+    class Failing:
+        """A csv writer that writes the header and then raises."""
+
+        def __init__(self, fh):
+            self.writer = real_writer(fh)
+
+        def writerow(self, row):
+            self.writer.writerow(row)
+
+        def writerows(self, rows):
+            raise error
+
+    monkeypatch.setattr(fedphish.metrics.csv, "writer", Failing)
+    with pytest.raises(type(error)):
+        write_round_csv(make_logs(), path)
+    assert path.read_bytes() == old
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["rounds.csv"]
