@@ -14,7 +14,6 @@ import argparse
 import json
 import logging
 import math
-import os
 import sys
 import traceback
 from dataclasses import replace
@@ -26,17 +25,7 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_RUNTIME = 2
 
-OUT_ROOT_ENV = "FEDPHISH_OUT_ROOT"
-
 log = logging.getLogger("fedphish")
-
-
-def _out_dir(raw: str, override: str | None) -> Path:
-    base = override if override is not None else raw
-    root = os.environ.get(OUT_ROOT_ENV)
-    path = Path(root) / base if root and not Path(base).is_absolute() else Path(base)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
 
 
 def cmd_run(args) -> int:
@@ -52,7 +41,8 @@ def cmd_run(args) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    out = _out_dir(cfg.out_dir, args.out)
+    out = Path(args.out if args.out is not None else cfg.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
 
     log.info("running %s: %d clients, %d rounds", cfg.name, len(clients), cfg.train.rounds)
     result = run_experiment(cfg.model, cfg.train, clients)
@@ -102,20 +92,19 @@ def gradcheck_suite(seeds: int) -> dict[str, float]:
     """
     from .federation import batch_loss
     from .heads import ModelSpec
-    from .numerics import backward, finite_difference_check, zero_grads
+    from .numerics import Tensor, backward, finite_difference_check, zero_grads
 
     spec = ModelSpec.desk()
     worst: dict[str, float] = {}
 
     for seed in range(seeds):
-        params = spec.init_params(seed)
         # check at a generic point: N(0, 0.1) jitter keeps every live
         # gradient well above the finite-difference noise floor (the tiny
         # embedding init otherwise leaves recurrent-weight gradients ~1e-8,
         # where the relative-error formula amplifies rounding noise)
         jitter = np.random.default_rng(5000 + seed)
-        for p in params.values():
-            p.data = p.data + jitter.normal(scale=0.1, size=p.data.shape)
+        params = {k: Tensor(v + jitter.normal(scale=0.1, size=v.shape), requires_grad=True)
+                  for k, v in spec.init_params(seed).items()}
         heads = spec.heads()
         rng = np.random.default_rng(1000 + seed)
         page = {"x": rng.normal(size=(2, 4, spec.image.d_model)),

@@ -8,7 +8,8 @@ without coordination. A dataset accepts only the keys of its source: a
 synth block accepts kind, train_n, test_n, seed and the settings its
 modality's kind reads (``_SYNTH``); the ranges, shuffle_seed and
 preshuffled belong to path datasets. Either model profile sizes its html
-word and DOM tables from the preproc bucket counts.
+word and DOM tables from the preproc bucket counts, and a model whose
+parameters alone exceed physical memory is rejected from its shapes.
 """
 
 from __future__ import annotations
@@ -16,6 +17,8 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -193,6 +196,13 @@ def parse_config(path) -> ExperimentConfig:
     model = getattr(ModelSpec, profile)(
         word_buckets=preproc.word_buckets, dom_buckets=preproc.dom_buckets
     )
+    # sized from the shapes alone, before any array exists
+    model_bytes = 8 * sum(math.prod(shape) for shape in model.param_shapes().values())
+    memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if model_bytes > memory:
+        raise ConfigError(f"{path}: the model's parameters take {model_bytes / 2**30:.1f} GiB, more than "
+                          f"the {memory / 2**30:.1f} GiB of physical memory (this counts the "
+                          "parameters only, not training state, data or activations)")
 
     clients_raw = raw.get("clients")
     if not clients_raw or not isinstance(clients_raw, list):

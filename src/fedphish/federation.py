@@ -42,7 +42,6 @@ import numbers
 import os
 import struct
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -57,7 +56,7 @@ from .heads import (
     focal_mean,
     focal_terms,
 )
-from .metrics import Metrics, RoundEntry, RoundLog, compute_metrics, confusion
+from .metrics import Metrics, RoundEntry, RoundLog, atomic_write, compute_metrics, confusion
 from .numerics import (
     GradientError,
     Tensor,
@@ -502,7 +501,7 @@ def run_experiment(
     if len(set(ids)) != len(ids):
         raise ValueError("duplicate client ids")
     clients = sorted(clients, key=lambda c: c.client_id)
-    params = {k: p.data for k, p in model.init_params(cfg.seed).items()}
+    params = model.init_params(cfg.seed)
     logs: list[RoundLog] = []
 
     for round_index in range(cfg.rounds):
@@ -536,36 +535,26 @@ def run_experiment(
 
 def save_checkpoint(path, params: dict[str, np.ndarray], run_id: str,
                     round_index: int, cfg_hash: str) -> None:
-    """Manifest header plus (name, shape, little-endian float64) records.
-
-    The file is written under a temporary name in the same directory and
-    then renamed over ``path``, so ``path`` never holds a partial file.
-    """
+    """Manifest header plus (name, shape, little-endian float64) records,
+    written with ``atomic_write``."""
     manifest = json.dumps(
         {"run_id": run_id, "round": round_index, "config_hash": cfg_hash,
          "n_params": len(params)},
         sort_keys=True,
     ).encode()
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(CHECKPOINT_MAGIC)
-            fh.write(struct.pack("<I", len(manifest)))
-            fh.write(manifest)
-            for name in sorted(params):
-                # asarray, not ascontiguousarray: the latter promotes 0-d to 1-d
-                arr = np.asarray(params[name], dtype="<f8")
-                encoded = name.encode()
-                fh.write(struct.pack("<H", len(encoded)))
-                fh.write(encoded)
-                fh.write(struct.pack("<B", arr.ndim))
-                fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape) if arr.ndim else b"")
-                fh.write(_raw_bytes(arr))
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    with atomic_write(path, "wb") as fh:
+        fh.write(CHECKPOINT_MAGIC)
+        fh.write(struct.pack("<I", len(manifest)))
+        fh.write(manifest)
+        for name in sorted(params):
+            # asarray, not ascontiguousarray: the latter promotes 0-d to 1-d
+            arr = np.asarray(params[name], dtype="<f8")
+            encoded = name.encode()
+            fh.write(struct.pack("<H", len(encoded)))
+            fh.write(encoded)
+            fh.write(struct.pack("<B", arr.ndim))
+            fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape) if arr.ndim else b"")
+            fh.write(_raw_bytes(arr))
 
 
 def _raw_bytes(arr: np.ndarray) -> memoryview:

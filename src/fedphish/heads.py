@@ -1,16 +1,22 @@
 """The four expert heads (image, HTML, URL, fusion) and the focal loss.
 
 Each head owns a name-prefixed slice of the parameter map; the federation
-layer aggregates by those prefixes. Widths and vocabulary sizes are
-configuration, so the gradient checks and scenario runs can use small dims;
-the defaults are the paper's values. What the paper fixes is a constant
-here: two encoder blocks in the image head, dropout 0.2 in every head, the
-url head's initial cosine scale 10, the fusion gate's 8 hidden units, the
-focal gamma 2, and two classes.
+layer aggregates by those prefixes. A head's ``param_specs`` is its one
+table of parameters: each name once, with its shape and its initializer, in
+draw order. ``ModelSpec.init_params`` draws the four tables in ``heads()``
+order from one generator, and ``ModelSpec.param_shapes`` reads the same
+tables without drawing, so the model can be sized before any array exists.
+
+Widths and vocabulary sizes are configuration, so the gradient checks and
+scenario runs can use small dims; the defaults are the paper's values. What
+the paper fixes is a constant here: two encoder blocks in the image head,
+dropout 0.2 in every head, the url head's initial cosine scale 10, the
+fusion gate's 8 hidden units, the focal gamma 2, and two classes.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,6 +53,7 @@ __all__ = [
     "focal_terms",
     "focal_mean",
     "table_rows",
+    "draw_params",
     "TABLE_OF_STREAM",
 ]
 
@@ -102,10 +109,6 @@ class HtmlHeadConfig:
     lstm_hidden: int = 64
     classifier_hidden: int = 512
 
-    @property
-    def concat_dim(self) -> int:
-        return self.char_fc + 4 * self.lstm_hidden
-
 
 @dataclass(frozen=True)
 class UrlHeadConfig:
@@ -114,43 +117,43 @@ class UrlHeadConfig:
 
 
 # ---------------------------------------------------------------------------
-# initializers
+# parameter tables
 # ---------------------------------------------------------------------------
 
-def _xavier(rng: np.random.Generator, fan_in: int, fan_out: int) -> Tensor:
-    limit = np.sqrt(6.0 / (fan_in + fan_out))
-    return Tensor(rng.uniform(-limit, limit, size=(fan_in, fan_out)), requires_grad=True)
+def _xavier(rng: np.random.Generator, shape, drawn) -> np.ndarray:
+    """Glorot uniform; a conv kernel [k, d_in, filters] has fan-in k * d_in."""
+    limit = np.sqrt(6.0 / (math.prod(shape[:-1]) + shape[-1]))
+    return rng.uniform(-limit, limit, size=shape)
 
 
-def _zeros(*shape) -> Tensor:
-    return Tensor(np.zeros(shape), requires_grad=True)
+def _recurrent(rng: np.random.Generator, shape, drawn) -> np.ndarray:
+    """Uniform within 1/sqrt(hidden), for an LSTM weight [rows, 4 * hidden]."""
+    bound = 1.0 / np.sqrt(shape[-1] // 4)
+    return rng.uniform(-bound, bound, size=shape)
 
 
-def _ones(*shape) -> Tensor:
-    return Tensor(np.ones(shape), requires_grad=True)
+def _small_normal(rng: np.random.Generator, shape, drawn) -> np.ndarray:
+    return rng.normal(0.0, 0.02, size=shape)
 
 
-def _embed_table(rng: np.random.Generator, rows: int, dim: int) -> Tensor:
-    return Tensor(rng.normal(0.0, 0.02, size=(rows, dim)), requires_grad=True)
+def draw_params(specs: dict, rng: np.random.Generator) -> dict[str, np.ndarray]:
+    """The float64 arrays of a table of name -> (shape, initializer), in the
+    table's order. An initializer is a constant to fill, or a draw
+    ``init(rng, shape, the arrays drawn before it)``."""
+    drawn: dict[str, np.ndarray] = {}
+    for name, (shape, init) in specs.items():
+        drawn[name] = np.full(shape, init) if isinstance(init, float) else init(rng, shape, drawn)
+    return drawn
 
 
-def _lstm_params(rng: np.random.Generator, d_in: int, hidden: int) -> dict[str, Tensor]:
-    bound = 1.0 / np.sqrt(hidden)
-
-    def rec(rows):
-        return Tensor(rng.uniform(-bound, bound, size=(rows, 4 * hidden)), requires_grad=True)
-
-    return {"wx": rec(d_in), "wh": rec(hidden), "b": _zeros(4 * hidden)}
-
-
-def _classifier_params(rng: np.random.Generator, in_dim: int, hidden: int) -> dict[str, Tensor]:
+def _classifier_specs(prefix: str, in_dim: int, hidden: int) -> dict:
     return {
-        "ln.gamma": _ones(in_dim),
-        "ln.beta": _zeros(in_dim),
-        "fc1.w": _xavier(rng, in_dim, hidden),
-        "fc1.b": _zeros(hidden),
-        "fc2.w": _xavier(rng, hidden, 2),
-        "fc2.b": _zeros(2),
+        prefix + "ln.gamma": ((in_dim,), 1.0),
+        prefix + "ln.beta": ((in_dim,), 0.0),
+        prefix + "fc1.w": ((in_dim, hidden), _xavier),
+        prefix + "fc1.b": ((hidden,), 0.0),
+        prefix + "fc2.w": ((hidden, 2), _xavier),
+        prefix + "fc2.b": ((2,), 0.0),
     }
 
 
@@ -172,26 +175,24 @@ class ImageHead:
     def __init__(self, cfg: ImageHeadConfig):
         self.cfg = cfg
 
-    def init_params(self, rng: np.random.Generator) -> dict[str, Tensor]:
+    def param_specs(self) -> dict:
         d, ff = self.cfg.d_model, self.cfg.ff_dim
-        params: dict[str, Tensor] = {}
+        specs = {}
         for blk in range(IMAGE_BLOCKS):
             base = f"{IMAGE_PREFIX}block{blk}."
-            params[base + "ln1.gamma"] = _ones(d)
-            params[base + "ln1.beta"] = _zeros(d)
+            specs[base + "ln1.gamma"] = ((d,), 1.0)
+            specs[base + "ln1.beta"] = ((d,), 0.0)
             for name in ("wq", "wk", "wv", "wo"):
-                params[base + f"attn.{name}"] = _xavier(rng, d, d)
+                specs[base + f"attn.{name}"] = ((d, d), _xavier)
                 if name != "wk":
-                    params[base + f"attn.b{name[1]}"] = _zeros(d)
-            params[base + "ln2.gamma"] = _ones(d)
-            params[base + "ln2.beta"] = _zeros(d)
-            params[base + "ff.w1"] = _xavier(rng, d, ff)
-            params[base + "ff.b1"] = _zeros(ff)
-            params[base + "ff.w2"] = _xavier(rng, ff, d)
-            params[base + "ff.b2"] = _zeros(d)
-        for k, v in _classifier_params(rng, d, self.cfg.classifier_hidden).items():
-            params[IMAGE_PREFIX + "cls." + k] = v
-        return params
+                    specs[base + f"attn.b{name[1]}"] = ((d,), 0.0)
+            specs[base + "ln2.gamma"] = ((d,), 1.0)
+            specs[base + "ln2.beta"] = ((d,), 0.0)
+            specs[base + "ff.w1"] = ((d, ff), _xavier)
+            specs[base + "ff.b1"] = ((ff,), 0.0)
+            specs[base + "ff.w2"] = ((ff, d), _xavier)
+            specs[base + "ff.b2"] = ((d,), 0.0)
+        return specs | _classifier_specs(IMAGE_PREFIX + "cls.", d, self.cfg.classifier_hidden)
 
     def summary_tokens(self, tokens: Tensor) -> Tensor:
         """Two non-learnable global tokens, both the token-wise max, prepended
@@ -234,38 +235,28 @@ class HtmlHead:
     def __init__(self, cfg: HtmlHeadConfig):
         self.cfg = cfg
 
-    def init_params(self, rng: np.random.Generator) -> dict[str, Tensor]:
+    def param_specs(self) -> dict:
         cfg = self.cfg
-        params: dict[str, Tensor] = {}
-        params[TABLE_OF_STREAM["char"]] = _embed_table(rng, cfg.char_vocab, cfg.char_embed)
+        h4, state = 4 * cfg.lstm_hidden, 2 * cfg.lstm_hidden  # gates; a [fwd, bwd] state
+        specs = {TABLE_OF_STREAM["char"]: ((cfg.char_vocab, cfg.char_embed), _small_normal)}
         for k in cfg.conv_sizes:
-            params[HTML_PREFIX + f"char.conv{k}.w"] = Tensor(
-                rng.uniform(
-                    -np.sqrt(6.0 / (k * cfg.char_embed + cfg.conv_filters)),
-                    np.sqrt(6.0 / (k * cfg.char_embed + cfg.conv_filters)),
-                    size=(k, cfg.char_embed, cfg.conv_filters),
-                ),
-                requires_grad=True,
-            )
-            params[HTML_PREFIX + f"char.conv{k}.b"] = _zeros(cfg.conv_filters)
+            specs[HTML_PREFIX + f"char.conv{k}.w"] = ((k, cfg.char_embed, cfg.conv_filters), _xavier)
+            specs[HTML_PREFIX + f"char.conv{k}.b"] = ((cfg.conv_filters,), 0.0)
         conv_out = len(cfg.conv_sizes) * cfg.conv_filters
-        params[HTML_PREFIX + "char.fc.w"] = _xavier(rng, conv_out, cfg.char_fc)
-        params[HTML_PREFIX + "char.fc.b"] = _zeros(cfg.char_fc)
+        specs[HTML_PREFIX + "char.fc.w"] = ((conv_out, cfg.char_fc), _xavier)
+        specs[HTML_PREFIX + "char.fc.b"] = ((cfg.char_fc,), 0.0)
 
-        for branch, vocab, emb in (
-            ("word", cfg.word_vocab, cfg.word_embed),
-            ("dom", cfg.dom_vocab, cfg.dom_embed),
-        ):
-            params[TABLE_OF_STREAM[branch]] = _embed_table(rng, vocab, emb)
+        for branch, vocab, emb in (("word", cfg.word_vocab, cfg.word_embed),
+                                   ("dom", cfg.dom_vocab, cfg.dom_embed)):
+            specs[TABLE_OF_STREAM[branch]] = ((vocab, emb), _small_normal)
             for direction in ("fwd", "bwd"):
-                for k, v in _lstm_params(rng, emb, cfg.lstm_hidden).items():
-                    params[HTML_PREFIX + f"{branch}.{direction}.{k}"] = v
-            params[HTML_PREFIX + f"{branch}.score"] = Tensor(
-                rng.normal(0.0, 0.02, size=2 * cfg.lstm_hidden), requires_grad=True
-            )
-        for k, v in _classifier_params(rng, cfg.concat_dim, cfg.classifier_hidden).items():
-            params[HTML_PREFIX + "cls." + k] = v
-        return params
+                base = HTML_PREFIX + f"{branch}.{direction}."
+                specs[base + "wx"] = ((emb, h4), _recurrent)
+                specs[base + "wh"] = ((cfg.lstm_hidden, h4), _recurrent)
+                specs[base + "b"] = ((h4,), 0.0)
+            specs[HTML_PREFIX + f"{branch}.score"] = ((state,), _small_normal)
+        # the classifier reads the char features and each branch's pooled state
+        return specs | _classifier_specs(HTML_PREFIX + "cls.", cfg.char_fc + 2 * state, cfg.classifier_hidden)
 
     def forward(self, params, batch, train: bool = False, rng=None) -> Tensor:
         """Logits of the id streams ``batch["char"]``, ``batch["word"]`` and
@@ -318,22 +309,23 @@ class UrlHead:
     def __init__(self, cfg: UrlHeadConfig):
         self.cfg = cfg
 
-    def init_params(self, rng: np.random.Generator) -> dict[str, Tensor]:
+    def param_specs(self) -> dict:
         cfg = self.cfg
-        v = _xavier(rng, cfg.in_dim, cfg.hidden)
-        # gain starts at the column norm so the initial map equals v
-        norms = np.sqrt((v.data * v.data).sum(axis=0))
+
+        def column_norms(rng, shape, drawn):
+            # the gain starts at the column norm, so the initial map equals v
+            v = drawn[URL_PREFIX + "fc.v"]
+            return np.sqrt((v * v).sum(axis=0))
+
         return {
-            URL_PREFIX + "ln.gamma": _ones(cfg.in_dim),
-            URL_PREFIX + "ln.beta": _zeros(cfg.in_dim),
-            URL_PREFIX + "fc.v": v,
-            URL_PREFIX + "fc.g": Tensor(norms, requires_grad=True),
-            URL_PREFIX + "fc.b": _zeros(cfg.hidden),
-            URL_PREFIX + "cls.w": _xavier(rng, cfg.hidden, 2),
+            URL_PREFIX + "ln.gamma": ((cfg.in_dim,), 1.0),
+            URL_PREFIX + "ln.beta": ((cfg.in_dim,), 0.0),
+            URL_PREFIX + "fc.v": ((cfg.in_dim, cfg.hidden), _xavier),
+            URL_PREFIX + "fc.g": ((cfg.hidden,), column_norms),
+            URL_PREFIX + "fc.b": ((cfg.hidden,), 0.0),
+            URL_PREFIX + "cls.w": ((cfg.hidden, 2), _xavier),
             # exp parameterization keeps the scale strictly positive
-            URL_PREFIX + "cls.log_scale": Tensor(
-                np.array(np.log(URL_INIT_SCALE)), requires_grad=True
-            ),
+            URL_PREFIX + "cls.log_scale": ((), np.log(URL_INIT_SCALE)),
         }
 
     def forward(self, params, batch, train: bool = False, rng=None) -> Tensor:
@@ -369,14 +361,14 @@ class FusionHead:
     and the combined log-probabilities are renormalized.
     """
 
-    def init_params(self, rng: np.random.Generator) -> dict[str, Tensor]:
+    def param_specs(self) -> dict:
         return {
-            FUSION_PREFIX + "gate.w1": _xavier(rng, 4, GATE_HIDDEN),
-            FUSION_PREFIX + "gate.b1": _zeros(GATE_HIDDEN),
-            FUSION_PREFIX + "gate.w2": _xavier(rng, GATE_HIDDEN, 1),
-            FUSION_PREFIX + "gate.b2": _zeros(1),
-            FUSION_PREFIX + "log_t_image": Tensor(np.array(0.0), requires_grad=True),
-            FUSION_PREFIX + "log_t_html": Tensor(np.array(0.0), requires_grad=True),
+            FUSION_PREFIX + "gate.w1": ((4, GATE_HIDDEN), _xavier),
+            FUSION_PREFIX + "gate.b1": ((GATE_HIDDEN,), 0.0),
+            FUSION_PREFIX + "gate.w2": ((GATE_HIDDEN, 1), _xavier),
+            FUSION_PREFIX + "gate.b2": ((1,), 0.0),
+            FUSION_PREFIX + "log_t_image": ((), 0.0),
+            FUSION_PREFIX + "log_t_html": ((), 0.0),
         }
 
     def forward(self, params, l_image: Tensor, l_html: Tensor) -> tuple[Tensor, Tensor]:
@@ -516,12 +508,16 @@ class ModelSpec:
             "fusion": FusionHead(),
         }
 
-    def init_params(self, seed: int) -> dict[str, Tensor]:
-        """All four heads' parameters, keyed by prefixed name, sorted."""
-        rng = np.random.default_rng(seed)
-        params: dict[str, Tensor] = {}
-        params.update(ImageHead(self.image).init_params(rng))
-        params.update(HtmlHead(self.html).init_params(rng))
-        params.update(UrlHead(self.url).init_params(rng))
-        params.update(FusionHead().init_params(rng))
-        return dict(sorted(params.items()))
+    def param_specs(self) -> dict:
+        """The four heads' tables in ``heads()`` order, the draw order."""
+        return {k: v for head in self.heads().values() for k, v in head.param_specs().items()}
+
+    def param_shapes(self) -> dict[str, tuple[int, ...]]:
+        """Every parameter's shape, keyed by prefixed name, sorted; nothing
+        is allocated."""
+        return {name: shape for name, (shape, _) in sorted(self.param_specs().items())}
+
+    def init_params(self, seed: int) -> dict[str, np.ndarray]:
+        """All four heads' parameters as float64 arrays, keyed by prefixed
+        name, sorted."""
+        return dict(sorted(draw_params(self.param_specs(), np.random.default_rng(seed)).items()))

@@ -1,4 +1,5 @@
-"""Confusion-matrix metrics and per-round CSV convergence logs.
+"""Confusion-matrix metrics, per-round CSV convergence logs, and the one
+write-then-rename that every output file goes through.
 
 Positive class is phishing (label 1) throughout, so FPR counts benign pages
 misflagged as phishing.
@@ -6,6 +7,7 @@ misflagged as phishing.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import os
 from dataclasses import dataclass, field
@@ -20,6 +22,7 @@ __all__ = [
     "RoundLog",
     "confusion",
     "compute_metrics",
+    "atomic_write",
     "write_round_csv",
     "read_round_csv",
 ]
@@ -95,14 +98,27 @@ class RoundLog:
     entries: list[RoundEntry] = field(default_factory=list)
 
 
+@contextlib.contextmanager
+def atomic_write(path, mode: str, **open_kwargs):
+    """A file opened under a temporary name next to ``path`` and renamed over
+    it when the block ends, so ``path`` never holds a partial file; a block
+    that raises leaves ``path`` as it was and no temporary file behind."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, mode, **open_kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        # gone after the rename; left by a write that raised
+        tmp.unlink(missing_ok=True)
+
+
 def write_round_csv(logs: list[RoundLog], path) -> None:
     """One row per evaluated (round, client, head), sorted, floats at six
-    decimals; rewriting the same logs yields a byte-identical file.
-
-    The file is written under a temporary name in the same directory and
-    then renamed over ``path``, so ``path`` never holds a partial file.
+    decimals; rewriting the same logs yields a byte-identical file. It is
+    written with ``atomic_write``.
     """
-    path = Path(path)
     rows = []
     for log in logs:
         for e in log.entries:
@@ -119,18 +135,13 @@ def write_round_csv(logs: list[RoundLog], path) -> None:
                 )
             )
     rows.sort(key=lambda r: (r[0], r[1], r[2]))
-    tmp = path.with_name(path.name + ".tmp")
     try:
-        with open(tmp, "w", newline="") as fh:
+        with atomic_write(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(CSV_HEADER)
             writer.writerows(rows)
-        os.replace(tmp, path)
     except OSError as exc:
         raise OSError(f"cannot write round log to {path}: {exc}") from exc
-    finally:
-        # gone after the rename; left by a write that raised
-        tmp.unlink(missing_ok=True)
 
 
 def read_round_csv(path) -> list[dict]:

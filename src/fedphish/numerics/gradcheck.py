@@ -10,11 +10,12 @@ from .tensor import Tensor, backward, zero_grads
 
 __all__ = ["finite_difference_check"]
 
+H = 1e-5  # the central-difference step
+
 
 def finite_difference_check(
     loss_fn: Callable[[], Tensor],
     params: dict[str, Tensor],
-    h: float = 1e-5,
     coord_limit: int | None = None,
     rng: np.random.Generator | None = None,
 ) -> float:
@@ -57,12 +58,12 @@ def finite_difference_check(
             # guaranteed for 0-d or non-contiguous arrays)
             idx = np.unravel_index(i, p.data.shape)
             orig = p.data[idx]
-            p.data[idx] = orig + h
+            p.data[idx] = orig + H
             up = float(loss_fn().data)
-            p.data[idx] = orig - h
+            p.data[idx] = orig - H
             down = float(loss_fn().data)
             p.data[idx] = orig
-            central = (up - down) / (2.0 * h)
+            central = (up - down) / (2.0 * H)
             err = abs(ana[i] - central) / max(1e-8, abs(central))
             if err > worst:
                 worst = err

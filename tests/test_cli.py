@@ -193,6 +193,13 @@ def with_path(**dataset):
                  "word_buckets must be at least 2 and below 2\\*\\*63 - 1", id="word_buckets-2**70"),
     pytest.param(minimal_config(preproc={"dom_buckets": 2**70}),
                  "dom_buckets must be at least 2 and below 2\\*\\*63 - 1", id="dom_buckets-2**70"),
+    # tables no machine holds, rejected from the parameter shapes alone
+    pytest.param(minimal_config(preproc={"word_buckets": 2**40}),
+                 "the model's parameters take 131072.0 GiB, more than the .* GiB of physical memory "
+                 "\\(this counts the parameters only", id="word_buckets-2**40"),
+    pytest.param(minimal_config(preproc={"dom_buckets": 2**40}),
+                 "the model's parameters take 65536.0 GiB, more than the .* GiB of physical memory "
+                 "\\(this counts the parameters only", id="dom_buckets-2**40"),
 ])
 def test_cli_run_bad_data_setting_exit_one(tmp_path, cfg, match):
     cfg_path = write_config(tmp_path, cfg)
@@ -356,11 +363,11 @@ def test_cli_run_fault_after_build_exit_two(tmp_path, monkeypatch, capsys):
     assert not (tmp_path / "out" / "rounds.csv").exists()
 
 
-def test_cli_out_root_env(tmp_path, monkeypatch):
-    monkeypatch.setenv("FEDPHISH_OUT_ROOT", str(tmp_path / "root"))
+def test_cli_relative_out_dir_is_under_the_working_directory(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
     cfg_path = write_config(tmp_path, minimal_config(rounds=1, out_dir="nested/run"))
     assert main(["run", "--config", str(cfg_path)]) == EXIT_OK
-    assert (tmp_path / "root" / "nested" / "run" / "rounds.csv").exists()
+    assert (tmp_path / "nested" / "run" / "rounds.csv").exists()
 
 
 def test_cli_run_bad_html_line_exit_one(tmp_path, capsys):

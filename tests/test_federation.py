@@ -7,6 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from test_heads import tensors
 
 import fedphish.federation as federation
 from fedphish.data import synth_embeddings, synth_image_tokens
@@ -301,7 +302,7 @@ def desk_url_client(cid="u0", n=32, seed=0, separation=6.0):
 def test_client_train_untouched_heads_stay_bitwise_equal():
     spec = ModelSpec.desk()
     cfg = TrainConfig(rounds=1, epochs=2, batch_size=16, seed=3)
-    broadcast = {k: p.data for k, p in spec.init_params(3).items()}
+    broadcast = spec.init_params(3)
     before = {k: v.copy() for k, v in broadcast.items()}
     rep = client_train(desk_url_client(), broadcast, spec, cfg, _client_rng(3, 0, 0))
     for name in broadcast:
@@ -326,7 +327,7 @@ def pair_client(cid="f0", n=8, seed=1):
 def test_client_train_reports_only_owned_roles(make_client, owned):
     spec = ModelSpec.desk_pages()
     cfg = TrainConfig(rounds=1, epochs=1, batch_size=8, seed=3)
-    broadcast = {k: p.data for k, p in spec.init_params(3).items()}
+    broadcast = spec.init_params(3)
     rep = client_train(make_client(), broadcast, spec, cfg, _client_rng(3, 0, 0))
     assert rep.weights == owned
     assert set(rep.params) == {k for k in broadcast if group_of(k) in owned}
@@ -334,7 +335,7 @@ def test_client_train_reports_only_owned_roles(make_client, owned):
 
 def test_client_train_mu_zero_equals_plain_training():
     spec = ModelSpec.desk()
-    broadcast = {k: p.data for k, p in spec.init_params(4).items()}
+    broadcast = spec.init_params(4)
     client = desk_url_client(seed=5)
     reps = []
     for mu in (0.0, None):
@@ -347,7 +348,7 @@ def test_client_train_mu_zero_equals_plain_training():
 
 def test_client_train_empty_loaders_rejected():
     spec = ModelSpec.desk()
-    broadcast = {k: p.data for k, p in spec.init_params(0).items()}
+    broadcast = spec.init_params(0)
     with pytest.raises(ValueError):
         client_train(ClientData(client_id="x"), broadcast, spec,
                      TrainConfig(rounds=1), _client_rng(0, 0, 0))
@@ -369,7 +370,7 @@ def test_pull_adds_mu_times_distance_to_every_trained_gradient(monkeypatch):
     # fusion heads alike, on every batch kind, a table on its compact rows,
     # and a parameter the data loss did not reach takes the pull alone
     spec = ModelSpec.desk_pages()
-    broadcast = {k: p.data for k, p in spec.init_params(8).items()}
+    broadcast = spec.init_params(8)
     client = ClientData(client_id="f0", train={"pair": pair_client().train["pair"],
                                                "html": desk_html_client(n=8).train["html"]})
     mu = 0.2
@@ -419,7 +420,7 @@ def test_pull_adds_mu_times_distance_to_every_trained_gradient(monkeypatch):
 
 def test_pull_changes_local_training():
     spec = ModelSpec.desk()
-    broadcast = {k: p.data for k, p in spec.init_params(6).items()}
+    broadcast = spec.init_params(6)
     client = desk_url_client(seed=7, n=48)
     reps = [client_train(client, broadcast, spec,
                          TrainConfig(rounds=1, epochs=2, batch_size=16, seed=6, mu=m),
@@ -439,7 +440,7 @@ def test_html_step_leaves_embedding_gradients_row_sparse():
     pcfg = PreprocConfig(char_len=64, word_len=16, dom_len=16, word_buckets=257, dom_buckets=61)
     spec = ModelSpec.desk_pages()
     batch = synth_html(8, seed=2, preproc_cfg=pcfg)
-    params = spec.init_params(13)
+    params = tensors(spec.init_params(13))
     moved = {name: np.setdiff1d(np.arange(params[name].shape[0]), batch[stream])[:1]
              for stream, name in TABLE_OF_STREAM.items()}
     snapshot = {k: p.data.copy() for k, p in params.items()}
@@ -475,7 +476,7 @@ def test_client_train_reports_tables_as_touched_rows(mu):
     # PAD, in sorted order; the pull moves no other row
     spec = ModelSpec.desk_pages()
     client = desk_html_client()
-    broadcast = {k: p.data for k, p in spec.init_params(5).items()}
+    broadcast = spec.init_params(5)
     cfg = TrainConfig(rounds=1, epochs=2, batch_size=8, seed=5, mu=mu)
     rep = client_train(client, broadcast, spec, cfg, _client_rng(5, 0, 0))
     for stream, name in TABLE_OF_STREAM.items():
@@ -496,7 +497,7 @@ def test_client_train_trains_one_flat_copy_and_leaves_the_broadcast(mu):
     spec = ModelSpec.desk_pages()
     client = ClientData(client_id="f0", train={"pair": pair_client().train["pair"],
                                                "html": desk_html_client(n=8).train["html"]})
-    broadcast = {k: p.data for k, p in spec.init_params(4).items()}
+    broadcast = spec.init_params(4)
     before = {k: v.copy() for k, v in broadcast.items()}
     cfg = TrainConfig(rounds=1, epochs=2, batch_size=4, seed=4, mu=mu)
     rep = client_train(client, broadcast, spec, cfg, _client_rng(4, 0, 0))
@@ -544,7 +545,7 @@ def test_compact_tables_train_as_the_full_tables(make_client, mu, monkeypatch):
     # squares over other zero rows, so the results agree to rounding.
     spec = ModelSpec.desk_pages()
     client = make_client()
-    broadcast = {k: p.data for k, p in spec.init_params(9).items()}
+    broadcast = spec.init_params(9)
     for clip, rtol in ((1e9, 0.0), (1.0, 1e-12)):
         monkeypatch.setattr(federation, "CLIP", clip)
         cfg = TrainConfig(rounds=1, epochs=2, batch_size=4, seed=9, mu=mu)
@@ -581,7 +582,7 @@ BATCH_LOSS_NODES = {"image": 109, "html": 64, "url": 15, "pair": 221}
 @pytest.mark.parametrize("kind", sorted(BATCH_LOSS_NODES))
 def test_batch_loss_graph_node_count(kind):
     spec = ModelSpec.desk()
-    params = spec.init_params(0)
+    params = tensors(spec.init_params(0))
     batch = desk_batch(kind, np.random.default_rng(1))
     loss = batch_loss(spec.heads(), kind, params, batch, np.random.default_rng(2))
     assert graph_nodes(loss) == BATCH_LOSS_NODES[kind]
@@ -591,7 +592,7 @@ def test_batch_loss_graph_node_count(kind):
 def test_expert_logits_gives_the_logits_of_every_expert_of_its_kind(kind):
     spec = ModelSpec.desk()
     batch = desk_batch(kind, np.random.default_rng(1))
-    logits = expert_logits(spec.heads(), kind, spec.init_params(0), batch)
+    logits = expert_logits(spec.heads(), kind, tensors(spec.init_params(0)), batch)
     assert list(logits) == list(federation.EXPERTS[kind])
     assert all(v.shape == (3, 2) for v in logits.values())
 
@@ -614,7 +615,7 @@ def test_client_train_trains_its_kinds_in_experts_order(monkeypatch):
         return real_batch_loss(heads, kind, *rest)
 
     monkeypatch.setattr(federation, "batch_loss", recording)
-    broadcast = {k: p.data for k, p in spec.init_params(3).items()}
+    broadcast = spec.init_params(3)
     cfg = TrainConfig(rounds=1, epochs=2, batch_size=4, seed=3)
     client_train(client, broadcast, spec, cfg, _client_rng(3, 0, 0))
     assert list(federation.EXPERTS) == ["image", "html", "url", "pair"]
@@ -633,7 +634,7 @@ def test_pair_loss_is_the_fused_loss_plus_both_branch_losses():
     heads = spec.heads()
     batch = synth_paired(4, seed=1, image_length=4, image_dim=16, preproc_cfg=pcfg)
     labels = batch["y"]
-    params = spec.init_params(12)
+    params = tensors(spec.init_params(12))
 
     def run(loss_fn):
         zero_grads(params)
@@ -671,7 +672,7 @@ def test_untouched_table_travels_as_its_broadcast_rows_next_to_a_touched_owner()
 
     pcfg = PreprocConfig(char_len=64, word_len=16, dom_len=16, word_buckets=257, dom_buckets=61)
     spec = ModelSpec.desk_pages()
-    broadcast = {k: p.data for k, p in spec.init_params(5).items()}
+    broadcast = spec.init_params(5)
     pairs = synth_paired(8, seed=1, image_length=4, image_dim=16, preproc_cfg=pcfg)
     idle_params = {k: v.copy() for k, v in broadcast.items() if k.startswith(HTML_PREFIX)}
     for stream, name in TABLE_OF_STREAM.items():
@@ -715,7 +716,7 @@ def test_evaluate_perfect_and_degenerate_predictors():
     cfg = TrainConfig(rounds=1)
     heads = spec.heads()
     # craft url params that force constant "phishing" output: zero features
-    params = {k: p.data for k, p in spec.init_params(8).items()}
+    params = spec.init_params(8)
     from fedphish.numerics import Tensor
 
     x = np.random.default_rng(9).normal(size=(100, 16))
@@ -756,7 +757,7 @@ def test_evaluate_paired_val_keeps_the_other_sets(monkeypatch):
     pairs = synth_paired(8, seed=1, image_length=4, image_dim=16, preproc_cfg=pcfg)
     client = ClientData(client_id="f0", train={"pair": pairs},
                         val={"pair": pairs, "url": synth_embeddings(8, dim=16, seed=2)})
-    params = {k: p.data for k, p in spec.init_params(10).items()}
+    params = spec.init_params(10)
     roles = wrapped_roles(monkeypatch, params)
     results = client_evaluate(params, client, spec, TrainConfig(rounds=1))
     # a paired set scores the fusion head and hides none of the client's other sets
@@ -770,7 +771,7 @@ def test_evaluate_paired_val_keeps_the_other_sets(monkeypatch):
 
 def test_evaluate_single_modality_heads(monkeypatch):
     spec = ModelSpec.desk()
-    params = {k: p.data for k, p in spec.init_params(11).items()}
+    params = spec.init_params(11)
     client = desk_url_client()
     roles = wrapped_roles(monkeypatch, params)
     results = client_evaluate(params, client, spec, TrainConfig(rounds=1))
@@ -830,7 +831,7 @@ def desk_pages_val(kind, n, seed):
                                      ("html", 33), ("pair", 150), ("pair", 33), ("url", 5)])
 def test_evaluate_equals_per_batch_forwards_bitwise(kind, n, batch_size):
     spec = ModelSpec.desk_pages()
-    params = {k: p.data for k, p in spec.init_params(n).items()}
+    params = spec.init_params(n)
     cfg = TrainConfig(rounds=1, batch_size=batch_size)
     # two draws: whether a row in a partial BLAS tile rounds differently
     # depends on its values
@@ -896,7 +897,7 @@ def test_single_client_single_round_adopts_client_params():
     spec = ModelSpec.desk()
     cfg = TrainConfig(rounds=1, epochs=2, batch_size=16, seed=12)
     client = desk_url_client(seed=13)
-    init = {k: p.data.copy() for k, p in spec.init_params(cfg.seed).items()}
+    init = spec.init_params(cfg.seed)
     rep = client_train(client, init, spec, cfg, _client_rng(cfg.seed, 0, 0))
     res = run_experiment(spec, cfg, [client])
     for name in init:
@@ -922,7 +923,7 @@ def test_role_isolation_html_frozen_without_html_clients():
     url_client = desk_url_client("u0", seed=40)
     img = synth_image_tokens(16, length=4, dim=16, separation=6.0, seed=41)
     img_client = ClientData(client_id="i0", train={"image": img}, val={"image": img})
-    init = {k: p.data.copy() for k, p in spec.init_params(cfg.seed).items()}
+    init = spec.init_params(cfg.seed)
     seen = []
     res = run_experiment(spec, cfg, [url_client, img_client],
                          round_hook=lambda r, p, log: seen.append(
@@ -978,7 +979,7 @@ def test_duplicate_client_ids_rejected():
 
 def test_checkpoint_round_trip(tmp_path):
     spec = ModelSpec.desk()
-    params = {k: p.data for k, p in spec.init_params(18).items()}
+    params = spec.init_params(18)
     path = tmp_path / "model.ckpt"
     save_checkpoint(path, params, run_id="trial", round_index=7, cfg_hash="0123456789abcdef")
     manifest, loaded = load_checkpoint(path)
@@ -1088,7 +1089,7 @@ def test_checkpoint_name_not_utf8_is_named(tmp_path):
 
 
 def test_checkpoint_truncated_at_any_offset_is_named(tmp_path):
-    params = {k: p.data for k, p in ModelSpec.desk().init_params(19).items()}
+    params = ModelSpec.desk().init_params(19)
     path = tmp_path / "model.ckpt"
     save_checkpoint(path, params, run_id="trial", round_index=0, cfg_hash="0123456789abcdef")
     whole = path.read_bytes()
@@ -1101,7 +1102,7 @@ def test_checkpoint_truncated_at_any_offset_is_named(tmp_path):
 
 
 def test_checkpoint_trailing_bytes_are_named(tmp_path):
-    params = {k: p.data for k, p in ModelSpec.desk().init_params(19).items()}
+    params = ModelSpec.desk().init_params(19)
     path = tmp_path / "model.ckpt"
     save_checkpoint(path, params, run_id="trial", round_index=0, cfg_hash="0123456789abcdef")
     path.write_bytes(path.read_bytes() + b"garbage")

@@ -1,5 +1,7 @@
-"""The four expert heads, their losses, and the gated fusion."""
+"""The four expert heads, their parameter tables, their losses, and the
+gated fusion."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -31,6 +33,7 @@ from fedphish.heads import (
     UrlHead,
     UrlHeadConfig,
     _stats_columns,
+    draw_params,
     focal_loss,
 )
 from fedphish.numerics import (
@@ -44,9 +47,47 @@ from fedphish.numerics import (
 LN2 = math.log(2.0)
 
 
+def tensors(arrays):
+    """Trainable tensors over the arrays of a parameter map."""
+    return {k: Tensor(v, requires_grad=True) for k, v in arrays.items()}
+
+
+def head_params(head, rng):
+    """One head's parameters alone, drawn from ``rng``, as tensors."""
+    return tensors(draw_params(head.param_specs(), rng))
+
+
 def desk_params(seed=0):
     spec = ModelSpec.desk()
-    return spec, spec.init_params(seed)
+    return spec, tensors(spec.init_params(seed))
+
+
+# ---------------------------------------------------------------------------
+# parameter tables
+# ---------------------------------------------------------------------------
+
+# sha256 over init_params(0), in sorted name order: each name and shape, then
+# the little-endian float64 bytes. Taken from the per-head draw code that
+# the parameter tables replaced, so every checkpoint keeps its bits.
+DRAW_DIGESTS = {
+    "paper": "30f9b9e18ad893822171a41123bc11160b3e056ce89de50471c1126049f6d4fe",
+    "desk": "eea1ff78619344f69a313b187e04f9db298d01d677f9eefe9ce800f3a4c22d5b",
+    "desk_pages": "6977511190f9f12c63f564568d5d6860bdc042abff293437a1b80a5993813e96",
+}
+
+
+@pytest.mark.parametrize("profile", sorted(DRAW_DIGESTS))
+def test_init_params_draws_are_pinned_and_shaped_by_the_table(profile):
+    spec = getattr(ModelSpec, profile)()
+    params = spec.init_params(0)
+    digest = hashlib.sha256()
+    for name, arr in params.items():
+        assert type(arr) is np.ndarray and arr.dtype == np.float64, name
+        digest.update(f"{name}{arr.shape}".encode())
+        digest.update(np.ascontiguousarray(arr, dtype="<f8"))
+    assert digest.hexdigest() == DRAW_DIGESTS[profile]
+    shapes = spec.param_shapes()
+    assert list(shapes.items()) == [(name, arr.shape) for name, arr in params.items()]
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +276,7 @@ def test_html_head_identical_streams_identical_logits():
     )
     head = HtmlHead(hcfg)
     rng = np.random.default_rng(6)
-    params = head.init_params(rng)
+    params = head_params(head, rng)
     base = "<p>pay now</p><script>" + "a" * 64
     s1 = preprocess(base + "AAA</script>", pcfg)
     s2 = preprocess(base + "BBB</script>", pcfg)
@@ -263,7 +304,7 @@ def test_paper_tables_hold_the_default_preprocessed_ids_plus_pad():
 def test_url_head_cosine_extremes():
     cfg = UrlHeadConfig(in_dim=6, hidden=4)
     head = UrlHead(cfg)
-    params = head.init_params(np.random.default_rng(7))
+    params = head_params(head, np.random.default_rng(7))
     x = np.random.default_rng(8).normal(size=(1, 6))
 
     # recompute the feature f with the head's own pre-classifier pipeline,
@@ -286,7 +327,7 @@ def test_url_head_cosine_extremes():
 def test_url_head_logits_bounded_by_scale():
     cfg = UrlHeadConfig(in_dim=16, hidden=8)
     head = UrlHead(cfg)
-    params = head.init_params(np.random.default_rng(9))
+    params = head_params(head, np.random.default_rng(9))
     rng = np.random.default_rng(10)
     scale = float(np.exp(params[URL_PREFIX + "cls.log_scale"].data))
     for _ in range(20):
@@ -297,7 +338,7 @@ def test_url_head_logits_bounded_by_scale():
 def test_url_head_input_scale_removed_by_layer_norm():
     cfg = UrlHeadConfig(in_dim=16, hidden=8)
     head = UrlHead(cfg)
-    params = head.init_params(np.random.default_rng(11))  # gamma=1, beta=0 at init
+    params = head_params(head, np.random.default_rng(11))  # gamma=1, beta=0 at init
     x = np.random.default_rng(12).normal(size=(1, 16))
     a = head.forward(params, {"x": x}).data
     b = head.forward(params, {"x": 5.0 * x}).data
@@ -308,7 +349,7 @@ def test_url_head_input_scale_removed_by_layer_norm():
 def test_url_head_zero_feature_guard():
     cfg = UrlHeadConfig(in_dim=4, hidden=3)
     head = UrlHead(cfg)
-    params = head.init_params(np.random.default_rng(13))
+    params = head_params(head, np.random.default_rng(13))
     params[URL_PREFIX + "fc.g"] = Tensor(np.zeros(3), requires_grad=True)
     params[URL_PREFIX + "fc.b"] = Tensor(np.zeros(3), requires_grad=True)
     logits = head.forward(params, {"x": np.ones((1, 4))}).data

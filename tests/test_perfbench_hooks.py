@@ -57,7 +57,7 @@ def test_report_and_optimizer_probes_read_a_touched_rows_client():
     pages = synth_html(16, seed=2, preproc_cfg=pcfg)
     client = ClientData(client_id="h0", train={"html": pages}, val={"html": pages})
     spec = ModelSpec.desk_pages()
-    broadcast = {k: p.data for k, p in spec.init_params(5).items()}
+    broadcast = spec.init_params(5)
     cfg = TrainConfig(rounds=1, epochs=1, batch_size=8, seed=5)
     with tracing.instrument(tracer, probes) as gone:
         report = federation.client_train(client, broadcast, spec, cfg, _client_rng(5, 0, 0))
