@@ -11,15 +11,17 @@ failure, including one inside the experiment.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import logging
-import math
 import sys
 import traceback
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
+
+from .rules import RULES
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -143,26 +145,19 @@ def cmd_gradcheck(args) -> int:
     return EXIT_RUNTIME if failed else EXIT_OK
 
 
-def _int_at_least(low: int):
-    """An argparse type: an integer >= ``low``, else a usage error.
-    ``--seeds`` below 1 would check nothing and still exit 0, ``synth --n``
-    below 2 cannot hold both classes, ``--dim`` below 1 would write empty
-    embeddings, and numpy takes no negative ``--seed``."""
-    def integer(raw: str) -> int:
-        value = int(raw)
-        if value < low:
-            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
-        return value
-    return integer
+def _ruled(rule: str):
+    """An argparse type: a number that passes ``rule``, else a usage error
+    naming the rule. ``--seeds`` below 1 would check nothing, ``synth --n``
+    below 2 cannot hold both classes, and a NaN ``--separation`` would write
+    embeddings that ``load_jsonl`` rejects."""
+    parse = int if rule.startswith("an integer") else float
 
-
-def _finite_nonneg(raw: str) -> float:
-    """``synth --separation``, a finite number >= 0, else a usage error: a
-    NaN or infinite one would write embeddings that ``load_jsonl`` rejects."""
-    value = float(raw)
-    if not (math.isfinite(value) and value >= 0):
-        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {raw}")
-    return value
+    def typed(raw: str):
+        with contextlib.suppress(ValueError):
+            if RULES[rule](value := parse(raw)):
+                return value
+        raise argparse.ArgumentTypeError(f"must be {rule}, got {raw}")
+    return typed
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -181,15 +176,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_syn = sub.add_parser("synth", help="write a synthetic dataset")
     p_syn.add_argument("kind", choices=("embeddings", "html"))
-    p_syn.add_argument("--n", type=_int_at_least(2), required=True)
-    p_syn.add_argument("--seed", type=_int_at_least(0), default=0)
+    p_syn.add_argument("--n", type=_ruled("an integer >= 2"), required=True)
+    p_syn.add_argument("--seed", type=_ruled("an integer >= 0"), default=0)
     p_syn.add_argument("--out", required=True)
-    p_syn.add_argument("--dim", type=_int_at_least(1), default=768)
-    p_syn.add_argument("--separation", type=_finite_nonneg, default=4.0)
+    p_syn.add_argument("--dim", type=_ruled("an integer >= 1"), default=768)
+    p_syn.add_argument("--separation", type=_ruled("a finite number >= 0"), default=4.0)
     p_syn.set_defaults(fn=cmd_synth)
 
     p_gc = sub.add_parser("gradcheck", help="finite-difference check of all four heads")
-    p_gc.add_argument("--seeds", type=_int_at_least(1), default=1)
+    p_gc.add_argument("--seeds", type=_ruled("an integer >= 1"), default=1)
     p_gc.set_defaults(fn=cmd_gradcheck)
     return parser
 

@@ -1,15 +1,18 @@
 """Experiment configuration files: parsing, validation and client building.
 
-Configs are JSON with a strict schema: any key that nothing reads is
-rejected by name as an unknown key. Each client lists datasets that are
-either synthetic recipes or JSONL paths with explicit train/test index
-ranges on the shuffled order, so several clients can share one corpus
-without coordination. A dataset accepts only the keys of its source: a
-synth block accepts kind, train_n, test_n, seed and the settings its
-modality's kind reads (``_SYNTH``); the ranges, shuffle_seed and
-preshuffled belong to path datasets. Either model profile sizes its html
-word and DOM tables from the preproc bucket counts, and a model whose
-parameters alone exceed physical memory is rejected from its shapes.
+Configs are JSON with a strict schema: a key that nothing reads is rejected
+by name, and every value is checked against its rule (``fedphish.rules``).
+Each setting is declared once with its default and its rule: in
+``TrainConfig``, ``PreprocConfig``, ``_PATH`` and the synth tables. Each
+client lists datasets that are either synthetic recipes or JSONL paths with
+explicit train/test index ranges on the shuffled order, so several clients
+can share one corpus without coordination. A dataset accepts only the keys
+of its source: a synth block accepts kind and the settings its modality's
+kind reads; the ranges, shuffle_seed and preshuffled belong to path
+datasets. A client with validation data only evaluates, and some client
+must train. Either model profile sizes its html word and DOM tables from
+the preproc bucket counts. A config whose parameters and data arrays exceed
+physical memory is rejected from their shapes, before any array exists.
 """
 
 from __future__ import annotations
@@ -25,50 +28,43 @@ from pathlib import Path
 import numpy as np
 
 from .data import load_jsonl, synth_embeddings, synth_html, synth_image_tokens, synth_paired
-from .federation import ClientData, TrainConfig, _is_finite_nonneg, _is_int
+from .federation import ClientData, TrainConfig
 from .heads import ModelSpec
 from .preproc import PreprocConfig
+from .rules import RULES, ConfigError, check
 
 __all__ = ["ConfigError", "DatasetSpec", "ClientSpec", "ExperimentConfig",
            "parse_config", "config_hash", "build_clients", "bundled_config_path",
            "bundled_config_names"]
 
 
-class ConfigError(ValueError):
-    """Invalid experiment configuration."""
-
-
 _TRAIN_KEYS = {field.name for field in dataclasses.fields(TrainConfig)}
+_PREPROC_KEYS = {field.name for field in dataclasses.fields(PreprocConfig)}
 _TOP_KEYS = {"name", "model_profile", "preproc", "clients", "out_dir", *_TRAIN_KEYS}
 _CLIENT_KEYS = {"id", "datasets"}
-_PATH_KEYS = {"path", "train_range", "test_range", "shuffle_seed", "preshuffled"}
-_PREPROC_KEYS = {"char_len", "word_len", "dom_len", "word_buckets", "dom_buckets"}
-# the settings every synth kind reads besides kind, with their defaults
-_SYNTH_COMMON = {"train_n": 32, "test_n": 32, "seed": 0}
-# modality -> (its synth kind, the other settings that kind reads with their
-# defaults, the call that makes n samples). Each call names its generator
-# when it runs, so a wrapper set on this module's name is the one called.
+# a path dataset's settings besides its path and ranges: (default, rule)
+_PATH = {"shuffle_seed": (42, "an integer >= 0"), "preshuffled": (False, "true or false")}
+_PATH_KEYS = {"path", "train_range", "test_range", *_PATH}
+# the settings every synth kind reads besides kind: (default, rule)
+_SYNTH_COMMON = {"train_n": (32, "an integer >= 0"), "test_n": (32, "an integer >= 0"),
+                 "seed": (0, "an integer >= 0")}
+# modality -> (its synth kind, its other settings as (default, rule), the call
+# that makes n samples). Each call names its generator when it runs, so a
+# wrapper set on this module's name is the one called.
 _SYNTH = {
-    "image": ("image_tokens", {"separation": 4.0, "length": 4},
+    "image": ("image_tokens", {"separation": (4.0, "a finite number >= 0"), "length": (4, "an integer >= 1")},
               lambda n, s, cfg: synth_image_tokens(
                   n, length=s["length"], dim=cfg.model.image.d_model,
                   separation=s["separation"], seed=s["seed"])),
     "html": ("html", {},
              lambda n, s, cfg: synth_html(n, seed=s["seed"], preproc_cfg=cfg.preproc)),
-    "url": ("embeddings", {"separation": 4.0},
+    "url": ("embeddings", {"separation": (4.0, "a finite number >= 0")},
             lambda n, s, cfg: synth_embeddings(
                 n, dim=cfg.model.url.in_dim, separation=s["separation"], seed=s["seed"])),
-    "pair": ("paired", {"separation": 8.0, "length": 4},
+    "pair": ("paired", {"separation": (8.0, "a finite number >= 0"), "length": (4, "an integer >= 1")},
              lambda n, s, cfg: synth_paired(
                  n, seed=s["seed"], image_length=s["length"], image_dim=cfg.model.image.d_model,
                  separation=s["separation"], preproc_cfg=cfg.preproc)),
-}
-_SYNTH_CHECKS = {  # key -> (what it must be, test)
-    "train_n": ("an integer >= 0", lambda v: _is_int(v) and v >= 0),
-    "test_n": ("an integer >= 0", lambda v: _is_int(v) and v >= 0),
-    "seed": ("an integer >= 0", lambda v: _is_int(v) and v >= 0),
-    "separation": ("a finite number >= 0", _is_finite_nonneg),
-    "length": ("an integer >= 1", lambda v: _is_int(v) and v >= 1),
 }
 
 
@@ -81,6 +77,12 @@ class DatasetSpec:
     test_range: tuple[int, int] | None = None
     shuffle_seed: int | None = None  # set for path datasets only
     preshuffled: bool | None = None
+
+    def sizes(self) -> tuple[int, int]:
+        """Its train and validation row counts."""
+        if self.synth is not None:
+            return self.synth["train_n"], self.synth["test_n"]
+        return self.train_range[1] - self.train_range[0], self.test_range[1] - self.test_range[0]
 
 
 @dataclass(frozen=True)
@@ -106,8 +108,7 @@ def _reject_unknown(obj: dict, allowed: set[str], where: str) -> None:
 
 
 def _parse_dataset(obj: dict, where: str) -> DatasetSpec:
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{where}: dataset must be an object")
+    check(where, obj, "an object")
     modality = obj.get("modality")
     if not isinstance(modality, str) or modality not in _SYNTH:
         raise ConfigError(f"{where}: modality must be one of {tuple(_SYNTH)}, got {modality!r}")
@@ -119,37 +120,29 @@ def _parse_dataset(obj: dict, where: str) -> DatasetSpec:
     allowed = {"modality", *_PATH_KEYS} if synth is None else {"modality", "synth"}
     _reject_unknown(obj, allowed, where)
     if synth is not None:
-        if not isinstance(synth, dict):
-            raise ConfigError(f"{where}.synth: must be an object")
+        check(f"{where}.synth", synth, "an object")
         kind, reads, _ = _SYNTH[modality]
-        defaults = {**_SYNTH_COMMON, **reads}
-        _reject_unknown(synth, {"kind", *defaults}, f"{where}.synth")
+        settings = {**_SYNTH_COMMON, **reads}
+        _reject_unknown(synth, {"kind", *settings}, f"{where}.synth")
         if synth.get("kind") != kind:
             raise ConfigError(f"{where}.synth: kind must be {kind!r} for "
                               f"{modality} data, got {synth.get('kind')!r}")
-        for key, (what, ok) in _SYNTH_CHECKS.items():
-            if key in synth and not ok(synth[key]):
-                raise ConfigError(f"{where}.synth: {key} must be {what}, got {synth[key]!r}")
-        synth = {**defaults, **synth}
+        synth = {"kind": kind, **{key: check(f"{where}.synth: {key}", synth.get(key, default), rule)
+                                  for key, (default, rule) in settings.items()}}
         if synth["train_n"] + synth["test_n"] < 2:
             raise ConfigError(f"{where}.synth: train_n + test_n must be at least 2")
         return DatasetSpec(modality=modality, synth=synth)
     if modality == "pair":
         raise ConfigError(f"{where}: paired data from paths is not supported; "
                           "pair image and html files upstream or use synth")
-    if not isinstance(path, str):
-        raise ConfigError(f"{where}: path must be a string, got {path!r}")
-    shuffle_seed = obj.get("shuffle_seed", 42)
-    preshuffled = obj.get("preshuffled", False)
-    if not (_is_int(shuffle_seed) and shuffle_seed >= 0):
-        raise ConfigError(f"{where}: shuffle_seed must be an integer >= 0, got {shuffle_seed!r}")
-    if not isinstance(preshuffled, bool):
-        raise ConfigError(f"{where}: preshuffled must be true or false, got {preshuffled!r}")
+    check(f"{where}: path", path, "a string")
+    shuffle_seed, preshuffled = (check(f"{where}: {key}", obj.get(key, default), rule)
+                                 for key, (default, rule) in _PATH.items())
     train_range = obj.get("train_range")
     test_range = obj.get("test_range")
     for name, value in (("train_range", train_range), ("test_range", test_range)):
-        if not (isinstance(value, list) and len(value) == 2 and all(map(_is_int, value))
-                and 0 <= value[0] <= value[1]):
+        if not (isinstance(value, list) and len(value) == 2
+                and all(map(RULES["an integer >= 0"], value)) and value[0] <= value[1]):
             raise ConfigError(f"{where}: path datasets need {name} as [start, stop] integers "
                               "with 0 <= start <= stop")
     return DatasetSpec(modality=modality, path=path, train_range=tuple(train_range),
@@ -157,11 +150,12 @@ def _parse_dataset(obj: dict, where: str) -> DatasetSpec:
                        preshuffled=preshuffled)
 
 
-def _train_size(spec: DatasetSpec) -> int:
-    if spec.synth is not None:
-        return spec.synth["train_n"]
-    start, stop = spec.train_range
-    return stop - start
+def _row_values(spec: DatasetSpec, model: ModelSpec, preproc: PreprocConfig) -> int:
+    """The values one row of ``spec``'s arrays holds, its label included. A
+    path image dataset counts one token, since its file sets the count."""
+    image = (spec.synth or {}).get("length", 1) * model.image.d_model
+    html = sum(preproc.lengths().values())
+    return 1 + {"url": model.url.in_dim, "image": image, "html": html, "pair": image + html}[spec.modality]
 
 
 def parse_config(path) -> ExperimentConfig:
@@ -173,21 +167,13 @@ def parse_config(path) -> ExperimentConfig:
         raise ConfigError(f"config file not found: {path}")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON ({exc})")
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{path}: top level must be an object")
+    check(f"{path}: top level", raw, "an object")
     _reject_unknown(raw, _TOP_KEYS, str(path))
 
-    preproc_raw = raw.get("preproc", {})
-    if not isinstance(preproc_raw, dict):
-        raise ConfigError(f"{path}: preproc must be an object")
+    preproc_raw = check("preproc", raw.get("preproc", {}), "an object")
     _reject_unknown(preproc_raw, _PREPROC_KEYS, "preproc")
-    # the dataclasses hold the defaults and check ranges and types; report
-    # their errors as config errors
-    try:
-        train = TrainConfig(**{key: raw[key] for key in _TRAIN_KEYS if key in raw})
-        preproc = PreprocConfig(**preproc_raw)
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+    train = TrainConfig(**{key: raw[key] for key in _TRAIN_KEYS if key in raw})
+    preproc = PreprocConfig(**preproc_raw)
 
     profile = raw.get("model_profile", "paper")
     if profile not in ("paper", "desk_pages"):
@@ -196,13 +182,6 @@ def parse_config(path) -> ExperimentConfig:
     model = getattr(ModelSpec, profile)(
         word_buckets=preproc.word_buckets, dom_buckets=preproc.dom_buckets
     )
-    # sized from the shapes alone, before any array exists
-    model_bytes = 8 * sum(math.prod(shape) for shape in model.param_shapes().values())
-    memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    if model_bytes > memory:
-        raise ConfigError(f"{path}: the model's parameters take {model_bytes / 2**30:.1f} GiB, more than "
-                          f"the {memory / 2**30:.1f} GiB of physical memory (this counts the "
-                          "parameters only, not training state, data or activations)")
 
     clients_raw = raw.get("clients")
     if not clients_raw or not isinstance(clients_raw, list):
@@ -211,8 +190,7 @@ def parse_config(path) -> ExperimentConfig:
     seen = set()
     for i, cobj in enumerate(clients_raw):
         where = f"clients[{i}]"
-        if not isinstance(cobj, dict):
-            raise ConfigError(f"{where}: client must be an object")
+        check(where, cobj, "an object")
         _reject_unknown(cobj, _CLIENT_KEYS, where)
         cid = cobj.get("id")
         if not cid or not isinstance(cid, str):
@@ -228,18 +206,30 @@ def parse_config(path) -> ExperimentConfig:
         for modality in modalities:
             if modalities.count(modality) > 1:
                 raise ConfigError(f"client {cid}: duplicate {modality} dataset")
-        if not any(_train_size(spec) for spec in specs):
-            raise ConfigError(f"client {cid} has no training data")
+        if not any(sum(spec.sizes()) for spec in specs):
+            raise ConfigError(f"client {cid} has no data")
         clients.append(ClientSpec(client_id=cid, datasets=specs))
-        for spec in specs:
-            if spec.path is not None and not Path(spec.path).exists():
-                raise ConfigError(f"{where}: referenced path does not exist: {spec.path}")
+    all_specs = [spec for client in clients for spec in client.datasets]
+    if not any(spec.sizes()[0] for spec in all_specs):
+        raise ConfigError(f"{path}: no client has training data")
 
-    out_dir = raw.get("out_dir", ExperimentConfig.out_dir)
-    name = raw.get("name", path.stem)
-    for key, value in (("out_dir", out_dir), ("name", name)):
-        if not isinstance(value, str):
-            raise ConfigError(f"{key} must be a string, got {value!r}")
+    # sized from the shapes alone, before any array exists; every value takes 8 bytes
+    param_bytes = 8 * sum(math.prod(shape) for shape in model.param_shapes().values())
+    data_bytes = 8 * sum(sum(spec.sizes()) * _row_values(spec, model, preproc) for spec in all_specs)
+    memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if param_bytes + data_bytes > memory:
+        raise ConfigError(
+            f"{path}: the model's parameters take {param_bytes / 2**30:.1f} GiB and the data arrays "
+            f"{data_bytes / 2**30:.1f} GiB, more than the {memory / 2**30:.1f} GiB of physical memory "
+            "(not counting training state or activations; a path image dataset counts one token "
+            "per row, since its file sets the token count)")
+    for i, client in enumerate(clients):
+        for spec in client.datasets:
+            if spec.path is not None and not Path(spec.path).exists():
+                raise ConfigError(f"clients[{i}]: referenced path does not exist: {spec.path}")
+
+    out_dir = check("out_dir", raw.get("out_dir", ExperimentConfig.out_dir), "a string")
+    name = check("name", raw.get("name", path.stem), "a string")
 
     return ExperimentConfig(
         name=name,

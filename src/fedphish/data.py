@@ -61,8 +61,7 @@ def stack_url(data: Dataset) -> dict[str, np.ndarray]:
 
 def _html_rows(n: int, cfg: PreprocConfig) -> dict[str, np.ndarray]:
     """Empty "char", "word" and "dom" arrays for ``n`` preprocessed pages."""
-    return {key: np.empty((n, length), dtype=np.int64)
-            for key, length in (("char", cfg.char_len), ("word", cfg.word_len), ("dom", cfg.dom_len))}
+    return {key: np.empty((n, length), dtype=np.int64) for key, length in cfg.lengths().items()}
 
 
 def _put_page(rows: dict[str, np.ndarray], i: int, html: str, cfg: PreprocConfig) -> None:

@@ -38,7 +38,6 @@ import functools
 import json
 import logging
 import math
-import numbers
 import os
 import struct
 from dataclasses import dataclass, field
@@ -66,6 +65,7 @@ from .numerics import (
     make_optimizer,
     zero_grads,
 )
+from .rules import check, check_fields, setting
 
 __all__ = [
     "ClientReport",
@@ -122,18 +122,6 @@ def group_of(param_name: str) -> str:
     raise ValueError(f"parameter {param_name!r} has no head prefix")
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
-def _is_real(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
-def _is_finite_nonneg(value) -> bool:
-    return _is_real(value) and math.isfinite(value) and value >= 0
-
-
 @dataclass
 class ClientReport:
     """One client's trained parameters of the roles it owns and its
@@ -170,26 +158,17 @@ class ClientData:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    rounds: int = 100
-    epochs: int = 5
-    lr: float = 0.001
-    batch_size: int = 64
+    rounds: int = setting(100, "an integer >= 1")
+    epochs: int = setting(5, "an integer >= 1")
+    lr: float = setting(0.001, "a finite number > 0")
+    batch_size: int = setting(64, "an integer >= 1")
     # FedProx coefficient: each step adds mu (theta - theta_t) to the
     # gradient of every parameter the client trains; 0 turns the pull off
-    mu: float = 0.0
-    seed: int = 42
+    mu: float = setting(0.0, "a finite number >= 0")
+    seed: int = setting(42, "an integer >= 0")
 
     def __post_init__(self):
-        for name in ("rounds", "epochs", "batch_size"):
-            value = getattr(self, name)
-            if not (_is_int(value) and value >= 1):
-                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
-        if not (_is_real(self.lr) and math.isfinite(self.lr) and self.lr > 0):
-            raise ValueError(f"lr must be a finite number > 0, got {self.lr!r}")
-        if not _is_finite_nonneg(self.mu):
-            raise ValueError(f"mu must be a finite number >= 0, got {self.mu!r}")
-        if not (_is_int(self.seed) and self.seed >= 0):
-            raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
+        check_fields(self)
 
 
 # ---------------------------------------------------------------------------
@@ -490,13 +469,13 @@ def run_experiment(
     """Full-participation rounds of broadcast, local training, role-wise
     aggregation and evaluation.
 
-    A client whose training hits a non-finite loss is dropped from that
-    round; any other exception ends the run. ``round_hook(round_index,
-    params, log)`` sees each round's parameters before the next round's
-    aggregation writes over their tables.
+    A client without training data only evaluates. A client whose training
+    hits a non-finite loss is dropped from that round; any other exception
+    ends the run. ``round_hook(round_index, params, log)`` sees each round's
+    parameters before the next round's aggregation writes over their tables.
     """
-    if not clients:
-        raise ValueError("need at least one client")
+    if not any(c.train for c in clients):
+        raise ValueError("need at least one client with training data")
     ids = [c.client_id for c in clients]
     if len(set(ids)) != len(ids):
         raise ValueError("duplicate client ids")
@@ -507,13 +486,15 @@ def run_experiment(
     for round_index in range(cfg.rounds):
         reports: list[ClientReport] = []
         for index, client in enumerate(clients):
+            if not client.train:
+                continue
             rng = _client_rng(cfg.seed, index, round_index)
             try:
                 reports.append(client_train(client, params, model, cfg, rng))
             except GradientError:
                 log.exception("client %s failed in round %d", client.client_id, round_index)
         if not reports:
-            raise RuntimeError(f"round {round_index}: every client failed")
+            raise RuntimeError(f"round {round_index}: every training client failed")
 
         params = aggregate(params, reports)
 
@@ -593,17 +574,13 @@ def _decode(raw: bytes, path, what: str) -> str:
         raise ValueError(f"{path}: checkpoint {what} is not UTF-8 ({exc})") from exc
 
 
-_MANIFEST_FIELDS = {  # key -> (what it must be, test)
-    "run_id": ("a string", lambda v: isinstance(v, str)),
-    "round": ("an integer >= 0", lambda v: _is_int(v) and v >= 0),
-    "config_hash": ("a string", lambda v: isinstance(v, str)),
-    "n_params": ("an integer >= 0", lambda v: _is_int(v) and v >= 0),
-}
+_MANIFEST_FIELDS = {"run_id": "a string", "round": "an integer >= 0",
+                    "config_hash": "a string", "n_params": "an integer >= 0"}
 
 
 def _read_manifest(fh, path) -> dict:
-    """The manifest: a JSON object with a string ``run_id`` and
-    ``config_hash`` and integers ``round`` and ``n_params``, both >= 0."""
+    """The manifest: a JSON object whose ``_MANIFEST_FIELDS`` each pass
+    their rule."""
     (mlen,) = struct.unpack("<I", _read_exact(fh, 4, path))
     try:
         manifest = json.loads(_decode(_read_exact(fh, mlen, path), path, "manifest"))
@@ -612,10 +589,8 @@ def _read_manifest(fh, path) -> dict:
     if not isinstance(manifest, dict):
         raise ValueError(f"{path}: checkpoint manifest must be a JSON object, "
                          f"got a {type(manifest).__name__}")
-    for key, (what, ok) in _MANIFEST_FIELDS.items():
-        if not ok(manifest.get(key)):
-            raise ValueError(f"{path}: checkpoint manifest {key} must be {what}, "
-                             f"got {manifest.get(key)!r}")
+    for key, rule in _MANIFEST_FIELDS.items():
+        check(f"{path}: checkpoint manifest {key}", manifest.get(key), rule)
     return manifest
 
 

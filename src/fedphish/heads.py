@@ -102,9 +102,9 @@ class HtmlHeadConfig:
     conv_sizes: tuple[int, ...] = (2, 3, 4, 5, 6, 7, 8, 9)
     conv_filters: int = 16
     char_fc: int = 128
-    word_vocab: int = table_rows(PreprocConfig().word_pad)
+    word_vocab: int = table_rows(PreprocConfig.word_buckets)
     word_embed: int = 128
-    dom_vocab: int = table_rows(PreprocConfig().dom_pad)
+    dom_vocab: int = table_rows(PreprocConfig.dom_buckets)
     dom_embed: int = 64
     lstm_hidden: int = 64
     classifier_hidden: int = 512

@@ -8,7 +8,6 @@ markup degrades to text, never to an exception.
 
 from __future__ import annotations
 
-import numbers
 import re
 import unicodedata
 from dataclasses import dataclass
@@ -16,6 +15,8 @@ from functools import lru_cache
 from typing import Iterator
 
 import numpy as np
+
+from .rules import BUCKETS, check_fields, setting
 
 __all__ = [
     "PreprocConfig",
@@ -47,36 +48,21 @@ _TAG_NAME_RE = re.compile(r"[a-zA-Z][a-zA-Z0-9:_-]*")
 
 @dataclass(frozen=True)
 class PreprocConfig:
-    """Stream lengths and hash bucket counts."""
+    """Stream lengths and hash bucket counts; a bucket count is also its
+    stream's PAD id."""
 
-    char_len: int = 4096
-    word_len: int = 1024
-    dom_len: int = 1024
-    word_buckets: int = 131071
-    dom_buckets: int = 8190
+    char_len: int = setting(4096, "an integer >= 1")
+    word_len: int = setting(1024, "an integer >= 1")
+    dom_len: int = setting(1024, "an integer >= 1")
+    word_buckets: int = setting(131071, BUCKETS)
+    dom_buckets: int = setting(8190, BUCKETS)
 
     def __post_init__(self):
-        for field in ("char_len", "word_len", "dom_len", "word_buckets", "dom_buckets"):
-            value = getattr(self, field)
-            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
-                raise ValueError(f"{field} must be an integer, got {value!r}")
-        for field in ("char_len", "word_len", "dom_len"):
-            if getattr(self, field) <= 0:
-                raise ValueError(f"{field} must be positive")
-        for field in ("word_buckets", "dom_buckets"):
-            # ids, PAD (= the bucket count) included, are int64, and an
-            # embedding table has one row per id
-            if not 2 <= getattr(self, field) < np.iinfo(np.int64).max:
-                raise ValueError(f"{field} must be at least 2 and below 2**63 - 1, "
-                                 f"got {getattr(self, field)}")
+        check_fields(self)
 
-    @property
-    def word_pad(self) -> int:
-        return self.word_buckets
-
-    @property
-    def dom_pad(self) -> int:
-        return self.dom_buckets
+    def lengths(self) -> dict[str, int]:
+        """The length of each id stream of a page, by stream name."""
+        return {"char": self.char_len, "word": self.word_len, "dom": self.dom_len}
 
 
 @dataclass(frozen=True)
@@ -95,8 +81,8 @@ class HtmlStreams:
         """Raise if any length, range or PAD-suffix invariant is violated."""
         specs = [
             ("char", self.char_ids, cfg.char_len, CHAR_PAD),
-            ("word", self.word_ids, cfg.word_len, cfg.word_pad),
-            ("dom", self.dom_ids, cfg.dom_len, cfg.dom_pad),
+            ("word", self.word_ids, cfg.word_len, cfg.word_buckets),
+            ("dom", self.dom_ids, cfg.dom_len, cfg.dom_buckets),
         ]
         for name, ids, length, pad in specs:
             if len(ids) != length:
@@ -266,8 +252,8 @@ def preprocess(html: str, cfg: PreprocConfig | None = None) -> HtmlStreams:
     norm = normalize_html(html)
 
     chars = char_stream(norm, cfg)
-    words = np.full(cfg.word_len, cfg.word_pad, dtype=np.int64)
-    doms = np.full(cfg.dom_len, cfg.dom_pad, dtype=np.int64)
+    words = np.full(cfg.word_len, cfg.word_buckets, dtype=np.int64)
+    doms = np.full(cfg.dom_len, cfg.dom_buckets, dtype=np.int64)
     n_words = 0
     n_doms = 0
     for kind, value in _scan(norm):

@@ -1,6 +1,7 @@
 """Config parsing, bundled scenarios and the command line surface."""
 
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -11,6 +12,8 @@ import pytest
 
 from fedphish.cli import EXIT_OK, EXIT_RUNTIME, EXIT_VALIDATION, main
 from fedphish.config import (
+    _SYNTH,
+    _SYNTH_COMMON,
     ConfigError,
     build_clients,
     bundled_config_names,
@@ -148,9 +151,12 @@ def with_path(**dataset):
     pytest.param(with_synth(train_n=-3), "train_n", id="train_n-negative"),
     pytest.param(with_synth(test_n=True), "test_n", id="test_n-bool"),
     pytest.param(with_synth(train_n=1, test_n=0), "at least 2", id="one-sample"),
-    pytest.param(with_synth(train_n=0), "client u0 has no training data", id="train_n-zero"),
-    pytest.param(with_path(train_range=[2, 2]), "client p has no training data",
+    # a client with validation data only evaluates, but some client must train
+    pytest.param(with_synth(train_n=0), "cfg.json: no client has training data", id="train_n-zero"),
+    pytest.param(with_path(train_range=[2, 2]), "cfg.json: no client has training data",
                  id="train_range-empty"),
+    pytest.param(with_path(train_range=[0, 0], test_range=[0, 0]), "client p has no data",
+                 id="no-data"),
     pytest.param(minimal_config(clients=[{"id": "u1", "datasets": [URL_SYNTH, URL_SYNTH]}]),
                  "client u1: duplicate url dataset", id="duplicate-modality"),
     pytest.param(with_synth(seed=1.5), "seed", id="seed-float"),
@@ -190,16 +196,31 @@ def with_path(**dataset):
     pytest.param(minimal_config(clients=[{"id": "m", "datasets": [{**URL_SYNTH, "modality": []}]}]),
                  "modality must be one of", id="modality-list"),
     pytest.param(minimal_config(preproc={"word_buckets": 2**70}),
-                 "word_buckets must be at least 2 and below 2\\*\\*63 - 1", id="word_buckets-2**70"),
+                 "word_buckets must be an integer >= 2 and below 2\\*\\*63 - 1", id="word_buckets-2**70"),
     pytest.param(minimal_config(preproc={"dom_buckets": 2**70}),
-                 "dom_buckets must be at least 2 and below 2\\*\\*63 - 1", id="dom_buckets-2**70"),
-    # tables no machine holds, rejected from the parameter shapes alone
+                 "dom_buckets must be an integer >= 2 and below 2\\*\\*63 - 1", id="dom_buckets-2**70"),
+    # tables and data arrays no machine holds, rejected from their shapes alone
     pytest.param(minimal_config(preproc={"word_buckets": 2**40}),
-                 "the model's parameters take 131072.0 GiB, more than the .* GiB of physical memory "
-                 "\\(this counts the parameters only", id="word_buckets-2**40"),
+                 "the model's parameters take 131072.0 GiB and the data arrays 0.0 GiB, more than "
+                 "the .* GiB of physical memory \\(not counting training state or activations; "
+                 "a path image dataset counts one token per row",
+                 id="word_buckets-2**40"),
     pytest.param(minimal_config(preproc={"dom_buckets": 2**40}),
-                 "the model's parameters take 65536.0 GiB, more than the .* GiB of physical memory "
-                 "\\(this counts the parameters only", id="dom_buckets-2**40"),
+                 "the model's parameters take 65536.0 GiB and the data arrays 0.0 GiB",
+                 id="dom_buckets-2**40"),
+    # 8 pages of 2**40 + 32 ids each, as 8-byte ids
+    pytest.param({**with_dataset("html", "html"), "preproc": {"char_len": 2**40}},
+                 "the model's parameters take 0.0 GiB and the data arrays 65536.0 GiB",
+                 id="char_len-2**40"),
+    pytest.param({**with_dataset("html", "html"), "preproc": {"word_len": 2**40}},
+                 "and the data arrays 65536.0 GiB", id="word_len-2**40"),
+    # 2**40 + 8 rows of 16 values and a label
+    pytest.param(with_synth(train_n=2**40), "and the data arrays 139264.0 GiB", id="url-train_n-2**40"),
+    pytest.param(with_dataset("image", "image_tokens", {"length": 2**40}),
+                 "and the data arrays 1048576.0 GiB", id="image-length-2**40"),
+    # a path image row counts one 16-value token, since the file sets the token count
+    pytest.param(with_path(modality="image", train_range=[0, 2**40]), "and the data arrays 139264.0 GiB",
+                 id="image-path-2**40"),
 ])
 def test_cli_run_bad_data_setting_exit_one(tmp_path, cfg, match):
     cfg_path = write_config(tmp_path, cfg)
@@ -207,6 +228,30 @@ def test_cli_run_bad_data_setting_exit_one(tmp_path, cfg, match):
         parse_config(cfg_path)
     assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == EXIT_VALIDATION
     assert not (tmp_path / "out").exists()
+
+
+def with_setting(where, key, value):
+    """A config with one declared setting replaced: a training setting, a
+    preproc setting, or a synth setting of the ``where`` modality's kind."""
+    if where == "train":
+        return minimal_config(**{key: value})
+    if where == "preproc":
+        return minimal_config(preproc={key: value})
+    return with_dataset(where, _SYNTH[where][0], {key: value})
+
+
+# every declared setting, read from the declarations, so a new one is covered
+DECLARED = ([("train", field.name) for field in dataclasses.fields(TrainConfig)]
+            + [("preproc", field.name) for field in dataclasses.fields(PreprocConfig)]
+            + [(modality, key) for modality, (_, reads, _) in _SYNTH.items()
+               for key in {**_SYNTH_COMMON, **reads}])
+
+
+@pytest.mark.parametrize("bad", [True, float("nan"), "1"], ids=["bool", "nan", "str"])
+@pytest.mark.parametrize("where, key", DECLARED, ids=[f"{w}.{k}" for w, k in DECLARED])
+def test_every_setting_rejects_a_bool_a_nan_and_a_string(tmp_path, where, key, bad):
+    with pytest.raises(ConfigError, match=f"{key} must be "):
+        parse_config(write_config(tmp_path, with_setting(where, key, bad)))
 
 
 def test_paper_profile_sizes_html_tables_from_preproc(tmp_path, monkeypatch):
@@ -274,9 +319,9 @@ def test_build_clients_from_path_dataset(tmp_path):
 # bundled scenarios
 # ---------------------------------------------------------------------------
 
-def test_eleven_scenarios_bundled():
+def test_twelve_scenarios_bundled():
     names = bundled_config_names()
-    assert len(names) == 11
+    assert len(names) == 12
     assert "six_clients" in names
     assert "ablation_url_2clients" in names
 
@@ -286,8 +331,9 @@ def test_bundled_configs_parse_and_build(name):
     cfg = parse_config(bundled_config_path(name))
     clients = build_clients(cfg)
     assert len(clients) == len(cfg.clients)
-    for client in clients:
-        assert client.train
+    # a client without training data only evaluates
+    assert all(client.train or client.val for client in clients)
+    assert any(client.train for client in clients)
 
 
 def test_bundled_fast_scenarios_run(tmp_path):
@@ -446,15 +492,18 @@ def test_cli_synth_html_roundtrips_through_loader(tmp_path):
 
 
 @pytest.mark.parametrize("kind, flag, value, message", [
-    ("embeddings", "--n", "1", "must be at least 2, got 1"),
-    ("html", "--n", "0", "must be at least 2, got 0"),
-    ("embeddings", "--dim", "0", "must be at least 1, got 0"),
+    ("embeddings", "--n", "1", "must be an integer >= 2, got 1"),
+    ("html", "--n", "0", "must be an integer >= 2, got 0"),
+    ("embeddings", "--dim", "0", "must be an integer >= 1, got 0"),
     ("embeddings", "--separation", "nan", "must be a finite number >= 0, got nan"),
     ("embeddings", "--separation", "inf", "must be a finite number >= 0, got inf"),
     ("embeddings", "--separation", "-1", "must be a finite number >= 0, got -1"),
-    ("html", "--seed", "-1", "must be at least 0, got -1"),
+    ("html", "--seed", "-1", "must be an integer >= 0, got -1"),
+    # a value that is not a number of the flag's type is a usage error naming the type
+    ("embeddings", "--n", "8.0", "must be an integer >= 2, got 8.0"),
+    ("embeddings", "--separation", "far", "must be a finite number >= 0, got far"),
 ], ids=["n-1", "html-n-0", "dim-0", "separation-nan", "separation-inf", "separation-negative",
-        "seed-negative"])
+        "seed-negative", "n-float", "separation-str"])
 def test_cli_synth_bad_setting_is_a_usage_error(tmp_path, capsys, kind, flag, value, message):
     # rejected by argparse before anything is drawn or written
     out = tmp_path / "rows.jsonl"
@@ -483,7 +532,7 @@ def test_cli_gradcheck_rejects_fewer_than_one_seed(seeds, monkeypatch, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["gradcheck", "--seeds", seeds])
     assert exc.value.code == 2
-    assert f"--seeds: must be at least 1, got {seeds}" in capsys.readouterr().err
+    assert f"--seeds: must be an integer >= 1, got {seeds}" in capsys.readouterr().err
 
 
 @pytest.fixture(scope="module")

@@ -252,7 +252,7 @@ def test_synth_html_bucket_count_oracle():
     clean = {fnv1a64(w.encode()) % cfg.word_buckets for w in CLEAN_VOCAB}
     correct = 0
     for ids, label in zip(data["word"], data["y"]):
-        ids = ids[ids != cfg.word_pad]
+        ids = ids[ids != cfg.word_buckets]
         n_planted = sum(1 for i in ids if int(i) in planted)
         n_clean = sum(1 for i in ids if int(i) in clean)
         pred = 1 if n_planted > n_clean else 0
@@ -313,7 +313,7 @@ def test_synth_paired_complementary_structure():
     planted = {fnv1a64(w.encode()) % cfg.word_buckets for w in PLANTED_VOCAB}
     html_pred = []
     for ids in pairs["word"]:
-        ids = ids[ids != cfg.word_pad]
+        ids = ids[ids != cfg.word_buckets]
         html_pred.append(1 if any(int(i) in planted for i in ids) else 0)
     html_acc = (np.array(html_pred) == y).mean()
     assert 0.65 <= html_acc <= 0.85

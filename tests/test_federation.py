@@ -934,6 +934,26 @@ def test_role_isolation_html_frozen_without_html_clients():
     assert any(not np.array_equal(res.params[k], init[k]) for k in init if k.startswith(IMAGE_PREFIX))
 
 
+def test_evaluation_only_client_is_scored_every_round_and_never_trained(monkeypatch):
+    # the paper's inference case: a client that only invokes heads others trained
+    spec = ModelSpec.desk()
+    cfg = TrainConfig(rounds=2, epochs=1, batch_size=16, seed=19)
+    viewer = ClientData(client_id="z", val={"url": synth_embeddings(32, dim=16, seed=63)})
+    trained = []
+
+    def recording_train(data, *args):
+        trained.append(data.client_id)
+        return client_train(data, *args)
+
+    monkeypatch.setattr(federation, "client_train", recording_train)
+    res = run_experiment(spec, cfg, [viewer, desk_url_client("a", seed=62)])
+    assert trained == ["a", "a"]
+    rows = [[(e.client_id, e.head) for e in r.entries] for r in res.rounds]
+    assert rows == [[("a", "url"), ("z", "url")]] * 2
+    with pytest.raises(ValueError, match="need at least one client with training data"):
+        run_experiment(spec, cfg, [viewer])
+
+
 def test_nan_client_dropped_and_other_owner_aggregates(caplog, monkeypatch):
     spec = ModelSpec.desk()
     cfg = TrainConfig(rounds=2, epochs=1, batch_size=16, seed=18)

@@ -294,7 +294,7 @@ def test_paper_tables_hold_the_default_preprocessed_ids_plus_pad():
 
     html, pcfg = ModelSpec.paper().html, PreprocConfig()
     assert (html.char_vocab, html.word_vocab, html.dom_vocab) == (
-        CHAR_PAD + 1, pcfg.word_pad + 1, pcfg.dom_pad + 1) == (257, 131072, 8191)
+        CHAR_PAD + 1, pcfg.word_buckets + 1, pcfg.dom_buckets + 1) == (257, 131072, 8191)
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ def extract_visible_text(html: str) -> str:
 
 def word_stream(tokens: list[str], cfg: PreprocConfig) -> np.ndarray:
     """Token bucket ids, truncated or PAD-padded to word_len."""
-    out = np.full(cfg.word_len, cfg.word_pad, dtype=np.int64)
+    out = np.full(cfg.word_len, cfg.word_buckets, dtype=np.int64)
     for i, tok in enumerate(tokens[: cfg.word_len]):
         out[i] = _bucket(tok, cfg.word_buckets)
     return out
@@ -40,7 +40,7 @@ def word_stream(tokens: list[str], cfg: PreprocConfig) -> np.ndarray:
 def dom_stream(html: str, cfg: PreprocConfig) -> np.ndarray:
     """Opening/self-closing tag-name bucket ids in document order."""
     names = [name for kind, name in _scan(html) if kind == "tag"][: cfg.dom_len]
-    out = np.full(cfg.dom_len, cfg.dom_pad, dtype=np.int64)
+    out = np.full(cfg.dom_len, cfg.dom_buckets, dtype=np.int64)
     out[: len(names)] = [_bucket(name, cfg.dom_buckets) for name in names]
     return out
 
@@ -199,19 +199,19 @@ def test_tokenize_combining_marks_and_joiners():
 
 def test_word_stream_empty_is_all_pad():
     out = word_stream([], CFG)
-    assert (out == CFG.word_pad).all()
+    assert (out == CFG.word_buckets).all()
 
 
 def test_word_stream_truncates():
     out = word_stream(["tok"] * 2000, CFG)
     assert len(out) == 1024
-    assert (out != CFG.word_pad).all()
+    assert (out != CFG.word_buckets).all()
 
 
 def test_word_stream_bucket_is_fnv_mod():
     out = word_stream(["login"], CFG)
     assert out[0] == fnv1a64_reference(b"login") % 131071
-    assert (out[1:] == CFG.word_pad).all()
+    assert (out[1:] == CFG.word_buckets).all()
 
 
 # ---------------------------------------------------------------------------
@@ -222,12 +222,12 @@ def test_dom_stream_opening_tags():
     out = dom_stream("<html><body><a>", CFG)
     expected = [fnv1a64_reference(t.encode()) % 8190 for t in ("html", "body", "a")]
     assert list(out[:3]) == expected
-    assert (out[3:] == CFG.dom_pad).all()
+    assert (out[3:] == CFG.dom_buckets).all()
 
 
 def test_dom_stream_excludes_closing_tags():
     out = dom_stream("</div>", CFG)
-    assert (out == CFG.dom_pad).all()
+    assert (out == CFG.dom_buckets).all()
 
 
 def test_dom_stream_lowercases_and_self_closing():
@@ -251,8 +251,8 @@ def test_dom_stream_table1_tag_order():
 def test_preprocess_empty_input_all_pad():
     s = preprocess("", CFG)
     assert (s.char_ids == CHAR_PAD).all()
-    assert (s.word_ids == CFG.word_pad).all()
-    assert (s.dom_ids == CFG.dom_pad).all()
+    assert (s.word_ids == CFG.word_buckets).all()
+    assert (s.dom_ids == CFG.dom_buckets).all()
 
 
 def test_preprocess_deterministic():
@@ -322,7 +322,7 @@ def test_preprocess_never_raises_on_arbitrary_bytes():
 def test_streams_validate_rejects_bad_pad_suffix():
     s = preprocess("", CFG)
     bad = s.word_ids.copy()
-    bad[0] = CFG.word_pad
+    bad[0] = CFG.word_buckets
     bad[1] = 5
     with pytest.raises(ValueError):
         HtmlStreams(s.char_ids, bad, s.dom_ids).validate(CFG)

@@ -65,6 +65,11 @@ PINS = {
         "38858cdd6b40828415a212d19fcdf7b07f6e61814b2a77451ba8db7a148792d0",
         "c236c3c3891ee98376f0eeb7d2e822a927823f4f19c3041528304cbbdd4c71db",
     ),
+    # its viewer client only evaluates, on url, image, html and pair sets
+    "four_clients_viewer": (
+        "3750c91331590ac3e3a3f60f249917965c005c7d91e4d21fafa7df267e3852de",
+        "e02b79a84490cef5094d8cb8e71be79eecb49c409ece6c5969e68c6ac0a10831",
+    ),
     "six_clients": (
         "92e931739f87c1c9ad71185cd907021c1138c1b150c27fb234b8a87e837d2955",
         "427572ab35dd845c0fa50568991e1c47ea4cee50a01ce56a054ea4aef64f5c22",
