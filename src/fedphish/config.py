@@ -5,11 +5,11 @@ by name, and every value is checked against its rule (``fedphish.rules``).
 Each setting is declared once with its default and its rule: in
 ``TrainConfig``, ``PreprocConfig``, ``_PATH`` and the synth tables. Each
 client lists datasets that are either synthetic recipes or JSONL paths with
-explicit train/test index ranges on the shuffled order, so several clients
-can share one corpus without coordination. A dataset accepts only the keys
-of its source: a synth block accepts kind and the settings its modality's
-kind reads; the ranges, shuffle_seed and preshuffled belong to path
-datasets. A client with validation data only evaluates, and some client
+explicit, disjoint train/test index ranges on the shuffled order, so several
+clients can share one corpus without coordination. A dataset accepts only
+the keys of its source: a synth block accepts kind and the settings its
+modality's kind reads; the ranges, shuffle_seed and preshuffled belong to
+path datasets. A client with validation data only evaluates, and some client
 must train. Either model profile sizes its html word and DOM tables from
 the preproc bucket counts. A config whose parameters and data arrays exceed
 physical memory is rejected from their shapes, before any array exists.
@@ -145,6 +145,10 @@ def _parse_dataset(obj: dict, where: str) -> DatasetSpec:
                 and all(map(RULES["an integer >= 0"], value)) and value[0] <= value[1]):
             raise ConfigError(f"{where}: path datasets need {name} as [start, stop] integers "
                               "with 0 <= start <= stop")
+    shared = max(train_range[0], test_range[0]), min(train_range[1], test_range[1])
+    if shared[0] < shared[1]:
+        raise ConfigError(f"{where}: train_range and test_range share rows [{shared[0]}, {shared[1]}); "
+                          "a row cannot both train and validate")
     return DatasetSpec(modality=modality, path=path, train_range=tuple(train_range),
                        test_range=tuple(test_range), shuffle_seed=shuffle_seed,
                        preshuffled=preshuffled)

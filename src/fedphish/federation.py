@@ -355,7 +355,9 @@ def client_train(
     streams can look up, with each batch's ids mapped to positions in it.
     Each step backpropagates the data loss, adds the pull toward the anchor
     to every owned parameter when ``mu > 0``, and steps with the gradients
-    scaled by the clip factor."""
+    scaled by the clip factor. The step count is known up front, and the
+    final step is marked ``last``: the optimizer is rebuilt every round, so
+    no later step reads the moments it would write."""
     weights = data.role_weights()
     if not weights:
         raise ValueError(f"client {data.client_id} has no training data")
@@ -367,6 +369,8 @@ def client_train(
     # copies each array into the optimizer's flat state and points its
     # Tensor there, so training never writes the broadcast
     optimizer = make_optimizer(params, cfg.lr)
+    steps_left = cfg.epochs * sum(-(-len(data.train[kind]["y"]) // cfg.batch_size)
+                                  for kind in EXPERTS if kind in data.train)
 
     for _ in range(cfg.epochs):
         for kind in EXPERTS:
@@ -380,7 +384,8 @@ def client_train(
                 if cfg.mu > 0:
                     proximal_term(params, anchor, cfg.mu)
                 grads = [params[k].grad for k in sorted(params) if params[k].grad is not None]
-                optimizer.step(scale=clip_global_norm(grads, CLIP))
+                steps_left -= 1
+                optimizer.step(scale=clip_global_norm(grads, CLIP), last=steps_left == 0)
 
     return ClientReport(
         data.client_id,

@@ -12,6 +12,10 @@ its own array, so the bits do not depend on the chunking.
 A table that a client trains is the compact table of the rows its data can
 look up, so its gradient and Adam state are dense over those rows only. A
 row no gradient has reached yet has m = v = 0, and its update is exactly 0.
+
+Moments are written only when a later step can read them. A step marked
+``last`` keeps the step-1 moments of a first-stepped run in the scratch
+buffers, so a client that takes one step never touches a page of m or v.
 """
 
 from __future__ import annotations
@@ -60,7 +64,8 @@ class Adam:
     step counters are tracked per name, so heads trained in separate phases
     keep independent bias corrections. Moments are uninitialised until a
     parameter's first step writes them, so no page of them is read before
-    it is written.
+    it is written. The ``last`` step writes no moment at step 1, since no
+    later step reads it; after it, ``step`` raises.
     """
 
     def __init__(self, params: dict[str, Tensor], lr: float = 1e-3):
@@ -80,12 +85,19 @@ class Adam:
             self.v[k] = self._v[start:stop].reshape(shape)
         self.t = dict.fromkeys(names, 0)
         self._scratch = np.empty((2, min(bounds[-1], CHUNK)))
+        self._ended = False
 
-    def step(self, *, scale: float = 1.0) -> None:
+    def step(self, *, scale: float = 1.0, last: bool = False) -> None:
         """Update every parameter that has a gradient, its gradient
         multiplied by ``scale``; the gradients themselves are not written.
         Neighbours in name order that both have a gradient and then share a
-        step count form one run of the flat vectors."""
+        step count form one run of the flat vectors. On the ``last`` step a
+        run at step 1 writes its moments over the scratch buffers, not m
+        and v; a run at a later step writes m and v, whose pages are already
+        resident."""
+        if self._ended:
+            raise RuntimeError("Adam.step after the last step, which kept no step-1 moment")
+        self._ended = last
         runs = []  # (t, [(flat gradient, start, stop), ...])
         for k, start, stop in self._slots:
             g = self.params[k].grad
@@ -100,10 +112,14 @@ class Adam:
             else:
                 runs.append((t, [(g, start, stop)]))
         for t, spans in runs:
-            self._update_run(t, spans, scale)
+            self._update_run(t, spans, scale, last and t == 1)
 
-    def _update_run(self, t: int, spans: list[tuple[np.ndarray, int, int]], scale: float) -> None:
-        """Update the flat range that ``spans`` tile, a chunk at a time."""
+    def _update_run(self, t: int, spans: list[tuple[np.ndarray, int, int]], scale: float,
+                    scratch_moments: bool) -> None:
+        """Update the flat range that ``spans`` tile, a chunk at a time.
+        With ``scratch_moments`` the new moments go to the scratch buffers
+        (``s`` holds m and ``g`` holds v, where ``_update`` writes them
+        anyway), so the same operations run and m and v stay untouched."""
         start, stop = spans[0][1], spans[-1][2]
         for lo in range(start, stop, CHUNK):
             hi = min(lo + CHUNK, stop)
@@ -111,7 +127,8 @@ class Adam:
             np.concatenate([grad[max(lo - a, 0) : hi - a] for grad, a, b in spans if a < hi and lo < b], out=g)
             if scale != 1.0:
                 g *= scale
-            self._update(self.theta[lo:hi], self._m[lo:hi], self._v[lo:hi], g, s, t)
+            m, v = (s, g) if scratch_moments else (self._m[lo:hi], self._v[lo:hi])
+            self._update(self.theta[lo:hi], m, v, g, s, t)
 
     def _update(self, p: np.ndarray, m: np.ndarray, v: np.ndarray, g: np.ndarray, s: np.ndarray,
                 t: int) -> None:

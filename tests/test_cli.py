@@ -145,6 +145,10 @@ def with_path(**dataset):
     pytest.param(with_path(train_range=5), "train_range", id="train_range-int"),
     pytest.param(with_path(test_range=[1, "2"]), "test_range", id="test_range-str"),
     pytest.param(with_path(train_range=[3, 1]), "0 <= start <= stop", id="train_range-reversed"),
+    pytest.param(with_path(train_range=[0, 12], test_range=[4, 16]),
+                 "train_range and test_range share rows \\[4, 12\\)", id="ranges-overlap"),
+    pytest.param(with_path(train_range=[4, 8], test_range=[0, 16]),
+                 "train_range and test_range share rows \\[4, 8\\)", id="ranges-nested"),
     pytest.param(with_path(shuffle_seed="x"), "shuffle_seed", id="shuffle_seed-str"),
     pytest.param(with_path(preshuffled="yes"), "preshuffled", id="preshuffled-str"),
     pytest.param(with_synth(train_n="x"), "train_n", id="train_n-str"),
@@ -219,8 +223,8 @@ def with_path(**dataset):
     pytest.param(with_dataset("image", "image_tokens", {"length": 2**40}),
                  "and the data arrays 1048576.0 GiB", id="image-length-2**40"),
     # a path image row counts one 16-value token, since the file sets the token count
-    pytest.param(with_path(modality="image", train_range=[0, 2**40]), "and the data arrays 139264.0 GiB",
-                 id="image-path-2**40"),
+    pytest.param(with_path(modality="image", train_range=[0, 2**40], test_range=[2**40, 2**40 + 1]),
+                 "and the data arrays 139264.0 GiB", id="image-path-2**40"),
 ])
 def test_cli_run_bad_data_setting_exit_one(tmp_path, cfg, match):
     cfg_path = write_config(tmp_path, cfg)

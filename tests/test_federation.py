@@ -418,6 +418,44 @@ def test_pull_adds_mu_times_distance_to_every_trained_gradient(monkeypatch):
                    for k in anchor if group_of(k) == role), role
 
 
+@pytest.mark.parametrize("make_client, epochs, batch_size, steps", [
+    # pair 8 rows and html 8 rows in batches of 3, the last of each partial
+    (lambda: ClientData(client_id="f0", train={"pair": pair_client().train["pair"],
+                                               "html": desk_html_client(n=8).train["html"]}),
+     2, 3, 12),
+    (lambda: desk_url_client(n=8), 1, 8, 1),
+], ids=["two-kinds-two-epochs", "one-batch"])
+def test_client_train_marks_only_its_final_step_last(monkeypatch, make_client, epochs, batch_size, steps):
+    # the optimizer is rebuilt every round, so only the final step may skip
+    # writing moments; the parameters are those of steps never marked last
+    spec = ModelSpec.desk_pages()
+    broadcast = spec.init_params(4)
+    cfg = TrainConfig(rounds=1, epochs=epochs, batch_size=batch_size, seed=4)
+    real_make_optimizer = federation.make_optimizer
+    reports = {}
+    for honour_last in (True, False):
+        lasts = []
+
+        def make_optimizer(params, lr):
+            opt = real_make_optimizer(params, lr)
+            real_step = opt.step
+
+            def step(*, scale=1.0, last=False):
+                lasts.append(last)
+                real_step(scale=scale, last=last and honour_last)
+            opt.step = step
+            return opt
+
+        monkeypatch.setattr(federation, "make_optimizer", make_optimizer)
+        reports[honour_last] = client_train(make_client(), broadcast, spec, cfg, _client_rng(4, 0, 0))
+        assert lasts == [False] * (steps - 1) + [True]
+    values = {honour: {k: getattr(v, "values", v) for k, v in rep.params.items()}
+              for honour, rep in reports.items()}
+    assert values[True].keys() == values[False].keys()
+    for k, v in values[True].items():
+        assert v.tobytes() == values[False][k].tobytes(), k
+
+
 def test_pull_changes_local_training():
     spec = ModelSpec.desk()
     broadcast = spec.init_params(6)

@@ -989,7 +989,8 @@ class PerArrayAdam:
 def test_flat_adam_is_the_per_array_update_bitwise(data):
     # any shapes (0-d and empty included, and one parameter longer than a
     # chunk), any subset of parameters with a gradient at each step, so that
-    # runs split on the step count, and any clip factor <= 1
+    # runs split on the step count, and any clip factor <= 1; the final step
+    # may be the last, which writes no moment of a parameter at its step 1
     chunk = data.draw(st.sampled_from([optim.CHUNK, 3, 8]), label="chunk")
     shapes = data.draw(st.lists(array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4),
                                 min_size=1, max_size=6), label="shapes")
@@ -1007,7 +1008,10 @@ def test_flat_adam_is_the_per_array_update_bitwise(data):
         params = {names[i]: Tensor(init[names[i]].copy(), requires_grad=True)
                   for i in rng.permutation(len(names))}
         opt = Adam(params, lr=0.01)
-        for _ in range(data.draw(st.integers(1, 4), label="steps")):
+        steps = data.draw(st.integers(1, 4), label="steps")
+        ends_last = data.draw(st.booleans(), label="last")
+        for step in range(steps):
+            last = ends_last and step == steps - 1
             grads = {}
             for k in names:
                 if data.draw(st.booleans()):
@@ -1018,19 +1022,71 @@ def test_flat_adam_is_the_per_array_update_bitwise(data):
             scale = data.draw(st.one_of(st.just(1.0), st.floats(1e-6, 1.0)), label="scale")
             for k, p in params.items():
                 p.grad = grads[k].copy() if k in grads else None
-            opt.step(scale=scale)
+            opt.step(scale=scale, last=last)
             oracle.step(grads, scale)
             assert opt.t == oracle.t
             for k, p in params.items():
                 assert p.data.shape == oracle.params[k].shape, k
                 assert p.data.tobytes() == oracle.params[k].tobytes(), k
-                if oracle.t[k]:
+                if oracle.t[k] and not (last and k in grads and oracle.t[k] == 1):
                     assert opt.m[k].tobytes() == oracle.m[k].tobytes(), k
                     assert opt.v[k].tobytes() == oracle.v[k].tobytes(), k
                 if k in grads:
                     assert p.grad.tobytes() == grads[k].tobytes(), k
     finally:
         optim.CHUNK = original
+
+
+def test_adam_last_step_keeps_a_signed_zero_parameter():
+    # -0.0 - (+0.0) is -0.0 but -0.0 - (-0.0) is +0.0: a step-1 moment kept
+    # in scratch must still be written as s + 0.0, not as s
+    results = []
+    for last in (False, True):
+        p = Tensor(np.array([-0.0, -0.0, 1.0]), requires_grad=True)
+        p.grad = np.array([-0.0, 0.0, -0.0])
+        Adam({"p": p}, lr=0.01).step(last=last)
+        results.append(p.data.tobytes())
+        assert np.signbit(p.data[:2]).all() and p.data[2] == 1.0
+    assert results[0] == results[1]
+
+
+def test_adam_last_step_at_step_one_writes_no_moment():
+    # one step over runs longer than a chunk: theta is a plain step's, and
+    # m and v keep what they held
+    rng = np.random.default_rng(31)
+    init = {"a": rng.normal(size=(3, 5)), "b": rng.normal(size=11), "c": np.array(0.5)}
+    grads = {k: rng.normal(size=v.shape) for k, v in init.items()}
+    original = optim.CHUNK
+    optim.CHUNK = 4
+    try:
+        thetas = []
+        for last in (False, True):
+            params = {k: Tensor(v.copy(), requires_grad=True) for k, v in init.items()}
+            for k, p in params.items():
+                p.grad = grads[k].copy()
+            opt = Adam(params, lr=0.01)
+            for k in params:
+                opt.m[k][...] = 7.25
+                opt.v[k][...] = -3.5
+            opt.step(scale=0.75, last=last)
+            thetas.append(opt.theta.tobytes())
+            for k in params:
+                assert (opt.m[k] == 7.25).all() == last and (opt.v[k] == -3.5).all() == last, k
+                assert params[k].grad.tobytes() == grads[k].tobytes(), k
+        assert thetas[0] == thetas[1]
+    finally:
+        optim.CHUNK = original
+
+
+def test_adam_step_after_the_last_raises():
+    p = Tensor(np.zeros(3), requires_grad=True)
+    opt = Adam({"p": p})
+    p.grad = np.ones(3)
+    opt.step()
+    opt.step(last=True)
+    with pytest.raises(RuntimeError, match="after the last step"):
+        opt.step()
+    assert opt.t == {"p": 2}
 
 
 def test_adam_copies_its_parameters_into_one_flat_state():

@@ -8,8 +8,10 @@ keeps these digests; one that moves them has to say why.
 
 A variant is a bundled config with some values replaced:
 ``four_clients_html_cross_dom7`` gives the word and DOM streams unequal
-lengths, and ``ablation_url_2clients_fedprox`` pulls url clients toward the
-broadcast over several steps per round; no bundled config does either.
+lengths, ``ablation_url_2clients_fedprox`` pulls url clients toward the
+broadcast over several steps per round, and in
+``four_clients_fusion_html_one_step`` every client takes one step per round,
+so that its only step is also its last; no bundled config does any of these.
 """
 
 import hashlib
@@ -82,6 +84,10 @@ PINS = {
         "e9d1720dae190673066f4cfdb658be9a52b0be7d7d6746af0f689df0c0ebe152",
         "7e6ae78fba604ed457ea2f0bbf671f120c8df6b5369bd13406c333aac1a65178",
     ),
+    "four_clients_fusion_html_one_step": (
+        "8cc06c2533d39a5f2f3d1785425f5785cc132beee5449e194dbccbc20f387e70",
+        "75c190da98b8e9dde75446f96b88f50cf14355fc668550c0f03bbb22ff17ccdc",
+    ),
 }
 
 # variant name -> (bundled config, values it replaces; a dict value
@@ -90,6 +96,9 @@ VARIANTS = {
     "four_clients_html_cross_dom7": ("four_clients_html_cross", {"preproc": {"dom_len": 7}}),
     # four steps per client and round, so that the pull is nonzero after the first
     "ablation_url_2clients_fedprox": ("ablation_url_2clients", {"mu": 0.02, "batch_size": 8}),
+    # one batch holds every client's training set: at one epoch each client's
+    # only step is its last
+    "four_clients_fusion_html_one_step": ("four_clients_fusion_html", {"batch_size": 64}),
 }
 
 
