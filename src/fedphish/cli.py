@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import io
 import json
 import logging
 import sys
@@ -73,7 +74,7 @@ def cmd_synth(args) -> int:
     else:
         labels, pages = synth_pages(args.n, seed=args.seed)
         rows = ({"label": int(y), "html": html} for y, html in zip(labels, pages))
-    with open(args.out, "w") as fh:
+    with open(args.out, "w", encoding="utf-8") as fh:
         for row in rows:
             fh.write(json.dumps(row) + "\n")
     print(f"wrote {args.n} {args.kind} samples to {args.out}")
@@ -190,6 +191,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # stdout escapes what the locale's encoding cannot hold, as stderr does,
+    # so a non-ASCII config name cannot fail a run that has written its files
+    if isinstance(sys.stdout, io.TextIOWrapper):
+        sys.stdout.reconfigure(errors="backslashreplace")
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
     args = build_parser().parse_args(argv)
     try:

@@ -166,7 +166,7 @@ def parse_config(path) -> ExperimentConfig:
     """Load and validate a config file, filling defaults for absent fields."""
     path = Path(path)
     try:
-        raw = json.loads(path.read_text())
+        raw = json.loads(path.read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
     except json.JSONDecodeError as exc:

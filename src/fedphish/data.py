@@ -97,19 +97,25 @@ def _float_payload(value, key: str, shape: tuple, where: str, what: str) -> np.n
 def load_jsonl(path, modality: str, *, preproc_cfg: PreprocConfig | None = None,
                embed_dim: int = EMBED_DIM) -> Dataset:
     """Read one labelled page per line into a url, image or html dataset;
-    html text is preprocessed on the way in. A rejected line is named as
-    ``path: line N``."""
+    html text is preprocessed on the way in. The file is read as UTF-8
+    whatever the locale; a rejected line, one that is not UTF-8 included,
+    is named as ``path: line N``."""
     if modality not in ("url", "image", "html"):
         raise ValueError(f"unknown modality {modality!r}")
     cfg = preproc_cfg or PreprocConfig()
     labels: list[int] = []
     payloads: list = []  # per line: an embedding, a token matrix or the html text
-    with open(path) as fh:
+    # a byte that is not UTF-8 is kept as a surrogate so that its line can be
+    # named below; text mode keeps the line ends \n, \r\n and \r
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
+            where = f"{path}: line {lineno}"
+            try:
+                line = line.encode("utf-8", "surrogateescape").decode("utf-8").strip()
+            except UnicodeDecodeError as exc:
+                raise ValueError(f"{where}: not UTF-8 ({exc})") from exc
             if not line:
                 continue
-            where = f"{path}: line {lineno}"
             try:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:

@@ -136,7 +136,7 @@ def write_round_csv(logs: list[RoundLog], path) -> None:
             )
     rows.sort(key=lambda r: (r[0], r[1], r[2]))
     try:
-        with atomic_write(path, "w", newline="") as fh:
+        with atomic_write(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(CSV_HEADER)
             writer.writerows(rows)
@@ -146,7 +146,7 @@ def write_round_csv(logs: list[RoundLog], path) -> None:
 
 def read_round_csv(path) -> list[dict]:
     """Parse a round CSV back into dicts (numeric fields converted)."""
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         out = []
         for row in reader:

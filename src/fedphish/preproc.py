@@ -3,7 +3,15 @@ streams: UTF-8 character bytes, hashed visible words, hashed DOM tag names.
 
 The whole pipeline is a pure function of its input: same page in, same
 streams out, byte for byte. Scanning is single-pass and tolerant; malformed
-markup degrades to text, never to an exception.
+markup degrades to text, never to an exception, and a lone surrogate (which
+``json.loads`` makes of a ``"\\ud800"`` escape) is dropped with the controls.
+
+The per-character definitions stay in Python and the hot paths reach them
+through C: the scanner jumps between '<' with ``str.find`` and skips a tag's
+attributes with one regex; an all-ASCII text segment is tokenized by the
+regex ``[A-Za-z0-9_]+``, which on ASCII is exactly the token-character rule;
+and bucket ids are cached per (token, bucket count), since a page repeats a
+few dozen distinct tag names and words.
 """
 
 from __future__ import annotations
@@ -37,13 +45,20 @@ CHAR_PAD = 256
 _ZWNJ = "‌"
 _ZWJ = "‍"
 
-# C0/C1 controls minus tab/newline/carriage-return (those become spaces)
-_CONTROL_RE = re.compile(r"[\x00-\x08\x0b\x0c\x0e-\x1f\x7f\x80-\x9f]")
+# C0/C1 controls minus tab/newline/carriage-return (those become spaces),
+# and lone surrogates, which no UTF-8 encoding holds
+_CONTROL_RE = re.compile(r"[\x00-\x08\x0b\x0c\x0e-\x1f\x7f\x80-\x9f\ud800-\udfff]")
 _JOINER_RE = re.compile(f"[{_ZWNJ}{_ZWJ}]")
 _WS_RE = re.compile(r"[ \t\n\r]+")
 
-_RAW_TEXT_TAGS = frozenset({"script", "style", "template"})
-_TAG_NAME_RE = re.compile(r"[a-zA-Z][a-zA-Z0-9:_-]*")
+# a tag's name, then its attributes up to the '>' that closes it: a quoted
+# value may hold '>', and an unclosed quote stops the match short of any '>'
+_TAG_RE = re.compile(r"""([a-zA-Z][a-zA-Z0-9:_-]*)(?:[^'">]+|"[^"]*"|'[^']*')*""")
+# the closing tag of each raw-text element, found ASCII case-insensitively in
+# the page's own coordinates
+_RAW_TEXT_CLOSE = {name: re.compile(f"</{name}", re.I | re.A)
+                   for name in ("script", "style", "template")}
+_ASCII_TOKEN_RE = re.compile(r"[A-Za-z0-9_]+")
 
 
 @dataclass(frozen=True)
@@ -133,9 +148,9 @@ def _strip_loose_joiners(text: str) -> str:
 def normalize_html(raw: str) -> str:
     """Minimal text normalization; tags and attributes are left untouched.
 
-    Zero-width characters and C0/C1 controls are removed, then line breaks,
-    tabs and space runs collapse to single spaces. The removals run first so
-    the composition is idempotent.
+    Zero-width characters, C0/C1 controls and lone surrogates are removed,
+    then line breaks, tabs and space runs collapse to single spaces. The
+    removals run first so the composition is idempotent.
     """
     text = raw.replace("​", "").replace("﻿", "")
     text = _CONTROL_RE.sub("", text)
@@ -159,75 +174,53 @@ def _scan(html: str) -> Iterator[tuple[str, str]]:
     closing tags and the contents of raw-text elements (script, style,
     template) are consumed silently. A '<' that does not start markup is
     treated as text.
+
+    Text runs are skipped with ``str.find`` for the next '<', and a tag's
+    name and attributes with one match of ``_TAG_RE``: '>' inside a quoted
+    value does not close the tag, and an unclosed quote or tag swallows the
+    rest of the page. A raw-text element ends at its ``</name`` matched ASCII
+    case-insensitively.
     """
     n = len(html)
-    lower = html.lower()
     i = 0
     text_start = 0
-    while i < n:
-        if html[i] != "<":
-            i += 1
+    while (i := html.find("<", i)) >= 0:
+        tag = _TAG_RE.match(html, i + 1)
+        if tag is None and not html.startswith(("/", "!", "?"), i + 1):
+            i += 1  # literal '<' in text
             continue
-        nxt = html[i + 1] if i + 1 < n else ""
-        if nxt.isascii() and nxt.isalpha():
-            if text_start < i:
-                yield ("text", html[text_start:i])
-            m = _TAG_NAME_RE.match(html, i + 1)
-            name = m.group(0).lower()
-            j = m.end()
-            # skip attributes; '>' inside quoted values does not close the tag
-            quote = ""
-            self_closing = False
-            while j < n:
-                ch = html[j]
-                if quote:
-                    if ch == quote:
-                        quote = ""
-                elif ch in ("'", '"'):
-                    quote = ch
-                elif ch == ">":
-                    self_closing = html[j - 1] == "/"
-                    j += 1
-                    break
-                j += 1
-            else:
-                # unterminated tag swallows the rest of the document
-                yield ("tag", name)
-                return
+        if text_start < i:
+            yield ("text", html[text_start:i])
+        if tag:
+            name = tag.group(1).lower()
             yield ("tag", name)
-            if name in _RAW_TEXT_TAGS and not self_closing:
-                close = lower.find(f"</{name}", j)
-                if close < 0:
+            j = tag.end()
+            if j == n or html[j] != ">":
+                return  # an unterminated tag or quote swallows the rest
+            raw_close = _RAW_TEXT_CLOSE.get(name)
+            if raw_close and html[j - 1] != "/":
+                close = raw_close.search(html, j + 1)
+                if close is None:
                     return
-                end = html.find(">", close)
-                j = n if end < 0 else end + 1
-            i = j
-            text_start = i
-        elif nxt == "/":
-            if text_start < i:
-                yield ("text", html[text_start:i])
+                j = html.find(">", close.start())
+            i = n if j < 0 else j + 1
+        elif html.startswith("<!--", i):
+            end = html.find("-->", i + 4)
+            i = n if end < 0 else end + 3
+        else:  # a closing tag, declaration or processing instruction
             end = html.find(">", i)
             i = n if end < 0 else end + 1
-            text_start = i
-        elif nxt == "!" or nxt == "?":
-            if text_start < i:
-                yield ("text", html[text_start:i])
-            if html.startswith("<!--", i):
-                end = html.find("-->", i + 4)
-                i = n if end < 0 else end + 3
-            else:
-                end = html.find(">", i)
-                i = n if end < 0 else end + 1
-            text_start = i
-        else:
-            i += 1  # literal '<' in text
+        text_start = i
     if text_start < n:
         yield ("text", html[text_start:n])
 
 
 def tokenize_words(text: str) -> list[str]:
     """Maximal runs of letters, digits, marks, underscore, ZWJ and ZWNJ,
-    lowercased; everything else separates."""
+    lowercased; everything else separates. On all-ASCII text that class is
+    ``[A-Za-z0-9_]``, so such text is tokenized by one regex."""
+    if text.isascii():
+        return _ASCII_TOKEN_RE.findall(text.lower())
     tokens: list[str] = []
     start = -1
     for i, ch in enumerate(text):
@@ -242,8 +235,15 @@ def tokenize_words(text: str) -> list[str]:
     return tokens
 
 
+@lru_cache(maxsize=4096)
 def _bucket(token: str, buckets: int) -> int:
     return fnv1a64(token.encode("utf-8")) % buckets
+
+
+def _padded(ids: list[int], length: int, pad: int) -> np.ndarray:
+    out = np.full(length, pad, dtype=np.int64)
+    out[: len(ids)] = ids
+    return out
 
 
 def preprocess(html: str, cfg: PreprocConfig | None = None) -> HtmlStreams:
@@ -251,21 +251,17 @@ def preprocess(html: str, cfg: PreprocConfig | None = None) -> HtmlStreams:
     cfg = cfg or PreprocConfig()
     norm = normalize_html(html)
 
-    chars = char_stream(norm, cfg)
-    words = np.full(cfg.word_len, cfg.word_buckets, dtype=np.int64)
-    doms = np.full(cfg.dom_len, cfg.dom_buckets, dtype=np.int64)
-    n_words = 0
-    n_doms = 0
+    words: list[int] = []
+    doms: list[int] = []
     for kind, value in _scan(norm):
         if kind == "tag":
-            if n_doms < cfg.dom_len:
-                doms[n_doms] = _bucket(value, cfg.dom_buckets)
-                n_doms += 1
-        elif n_words < cfg.word_len:
-            for tok in tokenize_words(value):
-                words[n_words] = _bucket(tok, cfg.word_buckets)
-                n_words += 1
-                if n_words == cfg.word_len:
-                    break
-    return HtmlStreams(char_ids=chars, word_ids=words, dom_ids=doms)
-
+            if len(doms) < cfg.dom_len:
+                doms.append(_bucket(value, cfg.dom_buckets))
+        elif len(words) < cfg.word_len:
+            tokens = tokenize_words(value)[: cfg.word_len - len(words)]
+            words += [_bucket(tok, cfg.word_buckets) for tok in tokens]
+    return HtmlStreams(
+        char_ids=char_stream(norm, cfg),
+        word_ids=_padded(words, cfg.word_len, cfg.word_buckets),
+        dom_ids=_padded(doms, cfg.dom_len, cfg.dom_buckets),
+    )

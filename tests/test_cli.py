@@ -5,6 +5,9 @@ import dataclasses
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -418,6 +421,44 @@ def test_cli_relative_out_dir_is_under_the_working_directory(tmp_path, monkeypat
     cfg_path = write_config(tmp_path, minimal_config(rounds=1, out_dir="nested/run"))
     assert main(["run", "--config", str(cfg_path)]) == EXIT_OK
     assert (tmp_path / "nested" / "run" / "rounds.csv").exists()
+
+
+STREAM_DIGEST = """\
+import hashlib, sys
+from fedphish.data import load_jsonl
+from fedphish.preproc import PreprocConfig
+data = load_jsonl(sys.argv[1], "html", preproc_cfg=PreprocConfig(char_len=64, word_len=16, dom_len=16))
+print(hashlib.sha256(b"".join(data[k].tobytes() for k in ("char", "word", "dom"))).hexdigest())
+"""
+
+
+def test_cli_run_reads_and_writes_utf8_under_the_c_locale(tmp_path):
+    # a non-ASCII config name and page text: the C locale with UTF-8 mode
+    # off must give the streams and files of a UTF-8-mode run
+    pages = tmp_path / "pages.jsonl"
+    pages.write_text("".join(
+        json.dumps({"label": i % 2, "html": f"<p>Giriş yapın İstanbul café {i}</p><b>güvenli</b>"},
+                   ensure_ascii=False) + "\n" for i in range(4)), encoding="utf-8")
+    cfg = minimal_config(name="sécurité", clients=[{"id": "h", "datasets": [
+        {"modality": "html", "path": str(pages), "train_range": [0, 2], "test_range": [2, 4]}]}])
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg, ensure_ascii=False), encoding="utf-8")
+    base = {k: v for k, v in os.environ.items()
+            if not k.startswith("LC_") and k not in ("LANG", "PYTHONUTF8", "PYTHONIOENCODING")}
+    base["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    runs = {}
+    for mode, env in (("c", {"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}),
+                      ("utf8", {"PYTHONUTF8": "1"})):
+        env = {**base, **env}
+        out = tmp_path / mode
+        run = subprocess.run([sys.executable, "-m", "fedphish.cli", "run", "--config", str(cfg_path),
+                              "--out", str(out)], env=env, capture_output=True, timeout=300)
+        assert run.returncode == EXIT_OK, run.stderr.decode(errors="replace")
+        digest = subprocess.run([sys.executable, "-c", STREAM_DIGEST, str(pages)], env=env,
+                                capture_output=True, timeout=300)
+        assert digest.returncode == 0, digest.stderr.decode(errors="replace")
+        runs[mode] = (digest.stdout, (out / "rounds.csv").read_bytes(), (out / "final.ckpt").read_bytes())
+    assert runs["c"] == runs["utf8"]
 
 
 def test_cli_run_bad_html_line_exit_one(tmp_path, capsys):

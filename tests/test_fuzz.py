@@ -1,8 +1,8 @@
 """Fuzz tests: a bundled config with one value replaced, deleted or retyped
 either parses and builds its clients, or is rejected the way ``fedphish
 run`` exits 1 (a ``ValueError`` or ``OSError``, before any output); a JSONL
-file with one line mutated either loads, or is rejected naming
-``path: line N``. Nothing here trains.
+file with one line mutated, or holding bytes that are not UTF-8, either
+loads, or is rejected naming ``path: line N``. Nothing here trains.
 
 The replacement pool holds no size between about 10**4 and 2**62: such a
 size is valid and only asks for a lot of memory or time, which is a
@@ -132,6 +132,29 @@ def test_mutated_jsonl_loads_or_names_its_line(tmp_path_factory, case):
     else:
         assert len(data["y"]) <= len(lines)
         assert all(np.isfinite(v).all() for k, v in data.items() if v.dtype.kind == "f")
+
+
+@pytest.mark.parametrize("modality", sorted(LINES))
+@pytest.mark.parametrize("bad", [b"\xff", b"\xc3", b"\xed\xa0\x80"], ids=["ff", "cut", "surrogate"])
+@pytest.mark.parametrize("i", [0, 2])
+def test_jsonl_line_that_is_not_utf8_is_named(tmp_path, modality, bad, i):
+    lines = [json.dumps(obj).encode() for obj in LINES[modality]]
+    lines[i] = lines[i][:-1] + bad + lines[i][-1:]
+    path = tmp_path / "bad.jsonl"
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: line {i + 1}: not UTF-8 "):
+        load_jsonl(path, modality, preproc_cfg=PCFG, embed_dim=DIM)
+
+
+def test_jsonl_html_with_a_lone_surrogate_escape_loads(tmp_path):
+    # json.dumps writes the lone surrogate as a "\\ud800" escape, which
+    # json.loads turns back into one
+    path = tmp_path / "pages.jsonl"
+    path.write_text("".join(json.dumps({"label": y, "html": html}) + "\n"
+                            for y, html in ((1, "<p>a\ud800b</p>"), (0, "<p>ab</p>"))))
+    data = load_jsonl(path, "html", preproc_cfg=PCFG)
+    for stream in ("char", "word", "dom"):
+        assert np.array_equal(data[stream][0], data[stream][1])
 
 
 @pytest.mark.parametrize("modality", sorted(LINES))

@@ -1,13 +1,20 @@
 """HTML preprocessing: normalization, scanning, hashing and the streams."""
 
+import re
+import string
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedphish.preproc import (
+    _ASCII_TOKEN_RE,
     CHAR_PAD,
     HtmlStreams,
     PreprocConfig,
     _bucket,
+    _is_token_char,
     _scan,
     char_stream,
     fnv1a64,
@@ -327,3 +334,173 @@ def test_streams_validate_rejects_bad_pad_suffix():
     with pytest.raises(ValueError):
         HtmlStreams(s.char_ids, bad, s.dom_ids).validate(CFG)
 
+
+
+def test_normalize_drops_lone_surrogates():
+    # json.loads makes a lone surrogate of a "\\ud800" escape; UTF-8 holds none
+    for raw in ("a\ud800b", "a\udfffb", "\udc80a\ud800\udbffb"):
+        assert normalize_html(raw) == "ab"
+        s, t = preprocess(raw, CFG), preprocess("ab", CFG)
+        for name in ("char_ids", "word_ids", "dom_ids"):
+            assert np.array_equal(getattr(s, name), getattr(t, name))
+
+
+def test_raw_text_close_is_found_in_the_page_own_offsets():
+    # "İ".lower() is two characters; a close tag searched in a lowered copy
+    # would land one character late per "İ" and swallow what follows
+    tail = "<script>x</script><b>shown</b><i>also</i>"
+    assert list(_scan("İ" * 12 + tail)) == [
+        ("text", "İ" * 12), ("tag", "script"), ("tag", "b"), ("text", "shown"),
+        ("tag", "i"), ("text", "also")]
+    dotted, plain = preprocess("İ" * 12 + tail, CFG), preprocess("I" * 12 + tail, CFG)
+    assert np.array_equal(dotted.dom_ids, plain.dom_ids)
+    assert np.array_equal(dotted.word_ids[1:], plain.word_ids[1:])
+
+
+def test_raw_text_close_matches_ascii_case_only():
+    # the Kelvin sign and the long s fold to k and s only outside ASCII rules
+    assert list(_scan("<STYLE>a</sTyLe>b")) == [("tag", "style"), ("text", "b")]
+    assert list(_scan("<script>a</ſcript>b")) == [("tag", "script")]
+
+
+# ---------------------------------------------------------------------------
+# the per-character scanner and tokenizer: the reference that the
+# find-and-regex scanner and the ASCII token regex are compared against
+# ---------------------------------------------------------------------------
+
+_RAW_TEXT_TAGS = frozenset({"script", "style", "template"})
+_TAG_NAME_RE = re.compile(r"[a-zA-Z][a-zA-Z0-9:_-]*")
+_ASCII_LOWER = str.maketrans(string.ascii_uppercase, string.ascii_lowercase)
+
+
+def scan_reference(html: str):
+    """The scanner one character at a time. A raw-text element's close tag
+    is searched in a copy lowered in ASCII only, which keeps every offset."""
+    n = len(html)
+    lower = html.translate(_ASCII_LOWER)
+    i = 0
+    text_start = 0
+    while i < n:
+        if html[i] != "<":
+            i += 1
+            continue
+        nxt = html[i + 1] if i + 1 < n else ""
+        if nxt.isascii() and nxt.isalpha():
+            if text_start < i:
+                yield ("text", html[text_start:i])
+            m = _TAG_NAME_RE.match(html, i + 1)
+            name = m.group(0).lower()
+            j = m.end()
+            # skip attributes; '>' inside quoted values does not close the tag
+            quote = ""
+            self_closing = False
+            while j < n:
+                ch = html[j]
+                if quote:
+                    if ch == quote:
+                        quote = ""
+                elif ch in ("'", '"'):
+                    quote = ch
+                elif ch == ">":
+                    self_closing = html[j - 1] == "/"
+                    j += 1
+                    break
+                j += 1
+            else:
+                # unterminated tag swallows the rest of the document
+                yield ("tag", name)
+                return
+            yield ("tag", name)
+            if name in _RAW_TEXT_TAGS and not self_closing:
+                close = lower.find(f"</{name}", j)
+                if close < 0:
+                    return
+                end = html.find(">", close)
+                j = n if end < 0 else end + 1
+            i = j
+            text_start = i
+        elif nxt == "/":
+            if text_start < i:
+                yield ("text", html[text_start:i])
+            end = html.find(">", i)
+            i = n if end < 0 else end + 1
+            text_start = i
+        elif nxt == "!" or nxt == "?":
+            if text_start < i:
+                yield ("text", html[text_start:i])
+            if html.startswith("<!--", i):
+                end = html.find("-->", i + 4)
+                i = n if end < 0 else end + 3
+            else:
+                end = html.find(">", i)
+                i = n if end < 0 else end + 1
+            text_start = i
+        else:
+            i += 1  # literal '<' in text
+    if text_start < n:
+        yield ("text", html[text_start:n])
+
+
+def tokenize_reference(text: str) -> list[str]:
+    """Maximal runs of token characters, one character at a time."""
+    tokens, run = [], ""
+    for ch in text + " ":
+        if _is_token_char(ch):
+            run += ch
+        elif run:
+            tokens.append(run.lower())
+            run = ""
+    return tokens
+
+
+def preprocess_reference(html: str, cfg: PreprocConfig) -> HtmlStreams:
+    norm = normalize_html(html)
+    events = list(scan_reference(norm))
+    words = [t for kind, seg in events if kind == "text" for t in tokenize_reference(seg)]
+    names = [name for kind, name in events if kind == "tag"][: cfg.dom_len]
+    doms = np.full(cfg.dom_len, cfg.dom_buckets, dtype=np.int64)
+    doms[: len(names)] = [fnv1a64_reference(name.encode()) % cfg.dom_buckets for name in names]
+    return HtmlStreams(char_stream(norm, cfg), word_stream(words, cfg), doms)
+
+
+def test_ascii_token_regex_is_the_token_char_rule_on_ascii():
+    for code in range(128):
+        ch = chr(code)
+        assert bool(_ASCII_TOKEN_RE.fullmatch(ch)) == _is_token_char(ch), repr(ch)
+
+
+def test_cached_bucket_is_fnv_mod():
+    for buckets in (2, 61, 257, 8190, 131071):
+        for tok in ("", "a", "login", "i̇stanbul", "用户", "a_b2", "login"):
+            assert _bucket(tok, buckets) == fnv1a64_reference(tok.encode("utf-8")) % buckets
+
+
+# markup pieces that steer the scanner into each of its branches and edges
+FRAGMENTS = [
+    "<", ">", "/", "=", " ", '"', "'", "<a", "<DIV", '<b x="1>2">', "<i y='>' z=\"'\">",
+    '<p a="', "<p a='", "<br/>", "<img src=a/>", "</", "</div>", "</p ", "</>",
+    "<!--", "-->", "<!doctype html>", "<!x", "<?xml ?>", "<?",
+    "<script>", "<SCRIPT>", "<ScRiPt/>", "<script a='</script>'>", "</script>", "</SCRIPT >",
+    "</scrİpt>", "<style>", "</Style>", "<template>", "</TEMPLATE>",
+    "word", "Log-in", "x_y2", "İ", "K", "ſ", "e\u0301", "\u200d", "\u200c", "\u200b", "\ufeff",
+    "é", "Ω", "漢字", "١٢", "½", "\ud800", "\udfff", "\t", "\n", "\r", "\x00", "\x85",
+]
+PAGES = st.lists(st.one_of(st.sampled_from(FRAGMENTS), st.text(max_size=4)), max_size=40).map("".join)
+CONFIGS = {
+    "paper": CFG,
+    "desk": PreprocConfig(char_len=64, word_len=16, dom_len=16, word_buckets=257, dom_buckets=61),
+    "tiny": PreprocConfig(char_len=4, word_len=2, dom_len=2, word_buckets=3, dom_buckets=2),
+}
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(PAGES)
+def test_scan_and_streams_match_the_per_character_reference(page):
+    assert list(_scan(page)) == list(scan_reference(page))
+    norm = normalize_html(page)
+    assert normalize_html(norm) == norm
+    assert list(_scan(norm)) == list(scan_reference(norm))
+    for cfg in CONFIGS.values():
+        got, want = preprocess(page, cfg), preprocess_reference(page, cfg)
+        for name in ("char_ids", "word_ids", "dom_ids"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
