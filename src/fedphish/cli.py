@@ -33,8 +33,8 @@ log = logging.getLogger("fedphish")
 
 def cmd_run(args) -> int:
     from .config import build_clients, config_hash, parse_config
-    from .federation import run_experiment, save_checkpoint
-    from .metrics import write_round_csv
+    from .federation import run_experiment
+    from .runfiles import save_checkpoint, write_round_csv
 
     try:
         cfg = parse_config(args.config)

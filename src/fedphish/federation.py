@@ -35,15 +35,12 @@ index, round), and weighted sums run in sorted client order.
 from __future__ import annotations
 
 import functools
-import json
 import logging
-import math
-import os
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import runfiles
 from .heads import (
     FUSION_PREFIX,
     HTML_PREFIX,
@@ -55,7 +52,7 @@ from .heads import (
     focal_mean,
     focal_terms,
 )
-from .metrics import Metrics, RoundEntry, RoundLog, atomic_write, compute_metrics, confusion
+from .metrics import Metrics, RoundEntry, RoundLog, compute_metrics, confusion
 from .numerics import (
     GradientError,
     Tensor,
@@ -65,7 +62,7 @@ from .numerics import (
     make_optimizer,
     zero_grads,
 )
-from .rules import check, check_fields, setting
+from .rules import check_fields, setting
 
 __all__ = [
     "ClientReport",
@@ -82,8 +79,6 @@ __all__ = [
     "client_train",
     "client_evaluate",
     "run_experiment",
-    "save_checkpoint",
-    "load_checkpoint",
 ]
 
 log = logging.getLogger(__name__)
@@ -93,8 +88,6 @@ _ROLE_PREFIX = {"image": IMAGE_PREFIX, "html": HTML_PREFIX, "url": URL_PREFIX, "
 # the experts a batch of each kind runs, the one that scores it last; a
 # client trains its kinds in this order
 EXPERTS = {"image": ("image",), "html": ("html",), "url": ("url",), "pair": ("image", "html", "fusion")}
-
-CHECKPOINT_MAGIC = b"FPCK"
 
 # the weight of each branch's own loss in a pair batch's loss
 AUX_WEIGHT = 0.3
@@ -515,108 +508,6 @@ def run_experiment(
     return ExperimentResult(params=params, rounds=logs)
 
 
-# ---------------------------------------------------------------------------
-# checkpoints
-# ---------------------------------------------------------------------------
-
-def save_checkpoint(path, params: dict[str, np.ndarray], run_id: str,
-                    round_index: int, cfg_hash: str) -> None:
-    """Manifest header plus (name, shape, little-endian float64) records,
-    written with ``atomic_write``."""
-    manifest = json.dumps(
-        {"run_id": run_id, "round": round_index, "config_hash": cfg_hash,
-         "n_params": len(params)},
-        sort_keys=True,
-    ).encode()
-    with atomic_write(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<I", len(manifest)))
-        fh.write(manifest)
-        for name in sorted(params):
-            # asarray, not ascontiguousarray: the latter promotes 0-d to 1-d
-            arr = np.asarray(params[name], dtype="<f8")
-            encoded = name.encode()
-            fh.write(struct.pack("<H", len(encoded)))
-            fh.write(encoded)
-            fh.write(struct.pack("<B", arr.ndim))
-            fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape) if arr.ndim else b"")
-            fh.write(_raw_bytes(arr))
-
-
-def _raw_bytes(arr: np.ndarray) -> memoryview:
-    """The bytes of ``arr`` in C order; no copy when it is C-contiguous."""
-    return memoryview(arr.reshape(-1).view(np.uint8))
-
-
-def _truncated(fh, path) -> ValueError:
-    return ValueError(f"{path}: checkpoint truncated at byte {fh.tell()}")
-
-
-def _read_exact(fh, n: int, path) -> bytes:
-    data = fh.read(n)
-    if len(data) != n:
-        raise _truncated(fh, path)
-    return data
-
-
-def _read_array(fh, shape: tuple[int, ...], path) -> np.ndarray:
-    """The next ``shape`` little-endian float64 values, read straight into
-    a new array. A record longer than the rest of the file is truncated
-    before anything is allocated for it."""
-    if 8 * math.prod(shape) > os.fstat(fh.fileno()).st_size - fh.tell():
-        fh.seek(0, os.SEEK_END)
-        raise _truncated(fh, path)
-    arr = np.empty(shape, dtype="<f8")
-    if fh.readinto(_raw_bytes(arr)) != arr.nbytes:
-        raise _truncated(fh, path)
-    return arr.astype(np.float64, copy=False)
-
-
-def _decode(raw: bytes, path, what: str) -> str:
-    try:
-        return raw.decode()
-    except UnicodeDecodeError as exc:
-        raise ValueError(f"{path}: checkpoint {what} is not UTF-8 ({exc})") from exc
-
-
-_MANIFEST_FIELDS = {"run_id": "a string", "round": "an integer >= 0",
-                    "config_hash": "a string", "n_params": "an integer >= 0"}
-
-
-def _read_manifest(fh, path) -> dict:
-    """The manifest: a JSON object whose ``_MANIFEST_FIELDS`` each pass
-    their rule."""
-    (mlen,) = struct.unpack("<I", _read_exact(fh, 4, path))
-    try:
-        manifest = json.loads(_decode(_read_exact(fh, mlen, path), path, "manifest"))
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}: checkpoint manifest is not JSON ({exc})") from exc
-    if not isinstance(manifest, dict):
-        raise ValueError(f"{path}: checkpoint manifest must be a JSON object, "
-                         f"got a {type(manifest).__name__}")
-    for key, rule in _MANIFEST_FIELDS.items():
-        check(f"{path}: checkpoint manifest {key}", manifest.get(key), rule)
-    return manifest
-
-
-def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
-    """The manifest and the parameters of a checkpoint file. A file that is
-    not a well-formed checkpoint, one with two records of one name included,
-    raises ``ValueError`` naming ``path``."""
-    with open(path, "rb") as fh:
-        if _read_exact(fh, 4, path) != CHECKPOINT_MAGIC:
-            raise ValueError(f"{path} is not a checkpoint file")
-        manifest = _read_manifest(fh, path)
-        params: dict[str, np.ndarray] = {}
-        for _ in range(manifest["n_params"]):
-            (nlen,) = struct.unpack("<H", _read_exact(fh, 2, path))
-            name = _decode(_read_exact(fh, nlen, path), path, "parameter name")
-            if name in params:
-                raise ValueError(f"{path}: checkpoint holds two records named {name!r}")
-            (ndim,) = struct.unpack("<B", _read_exact(fh, 1, path))
-            shape = struct.unpack(f"<{ndim}I", _read_exact(fh, 4 * ndim, path)) if ndim else ()
-            params[name] = _read_array(fh, shape, path)
-        trailing = len(fh.read())
-    if trailing:
-        raise ValueError(f"{path}: {trailing} trailing bytes after the last record")
-    return manifest, params
+# perfbench calls and wraps these by this module's attribute; each is the runfiles function
+save_checkpoint = runfiles.save_checkpoint
+load_checkpoint = runfiles.load_checkpoint

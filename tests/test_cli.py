@@ -374,7 +374,7 @@ def test_cli_run_writes_csv_and_checkpoint(tmp_path):
     lines = csv_path.read_text().splitlines()
     assert lines[0].startswith("round,client_id,head")
     assert len(lines) == 3  # 2 rounds x 1 client x 1 head
-    from fedphish.federation import load_checkpoint
+    from fedphish.runfiles import load_checkpoint
 
     manifest, params = load_checkpoint(out / "final.ckpt")
     assert manifest["run_id"] == "mini"

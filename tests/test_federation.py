@@ -10,6 +10,8 @@ import pytest
 from test_heads import tensors
 
 import fedphish.federation as federation
+import fedphish.metrics as metrics
+import fedphish.runfiles as runfiles
 from fedphish.data import synth_embeddings, synth_image_tokens
 from fedphish.federation import (
     ClientData,
@@ -22,10 +24,8 @@ from fedphish.federation import (
     client_train,
     expert_logits,
     group_of,
-    load_checkpoint,
     proximal_term,
     run_experiment,
-    save_checkpoint,
     select_clients,
 )
 from fedphish.heads import (
@@ -37,6 +37,7 @@ from fedphish.heads import (
     focal_loss,
 )
 from fedphish.numerics import Adam, Tensor, TouchedRows, backward, clip_global_norm, zero_grads
+from fedphish.runfiles import load_checkpoint, save_checkpoint
 
 
 def report(cid, value, **weights):
@@ -1088,6 +1089,27 @@ def test_checkpoint_rejects_garbage(tmp_path):
     path.write_bytes(b"not a checkpoint")
     with pytest.raises(ValueError):
         load_checkpoint(path)
+
+
+@pytest.mark.parametrize("shape", [(1,) * 100, (0, 2**32 - 1, 2**32 - 1)],
+                         ids=["too-many-dims", "too-many-elements"])
+def test_checkpoint_shape_numpy_cannot_hold_is_named(tmp_path, shape):
+    # each record is no longer than the file, but numpy allocates no array of its shape
+    path = tmp_path / "bad.ckpt"
+    manifest = manifest_with(n_params=1)
+    record = struct.pack(f"<H1sB{len(shape)}I", 1, b"a", len(shape), *shape)
+    path.write_bytes(b"FPCK" + struct.pack("<I", len(manifest)) + manifest + record
+                     + bytes(8 * int(np.prod(shape))))
+    with pytest.raises(ValueError, match="bad.ckpt: checkpoint record of shape"):
+        load_checkpoint(path)
+
+
+def test_benchmark_names_are_the_runfiles_functions():
+    # perfbench calls and wraps the file functions by these module attributes
+    assert federation.save_checkpoint is runfiles.save_checkpoint
+    assert federation.load_checkpoint is runfiles.load_checkpoint
+    assert metrics.write_round_csv is runfiles.write_round_csv
+    assert metrics.read_round_csv is runfiles.read_round_csv
 
 
 GOOD_MANIFEST = {"run_id": "r", "round": 0, "config_hash": "0123456789abcdef", "n_params": 0}

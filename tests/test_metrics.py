@@ -1,6 +1,8 @@
 """Confusion counts, derived metrics and the round CSV format."""
 
 import csv
+import errno
+import re
 
 import numpy as np
 import pytest
@@ -12,9 +14,8 @@ from fedphish.metrics import (
     RoundLog,
     compute_metrics,
     confusion,
-    read_round_csv,
-    write_round_csv,
 )
+from fedphish.runfiles import read_round_csv, save_checkpoint, write_round_csv
 
 
 def recount_oracle(preds, labels):
@@ -159,15 +160,43 @@ def test_csv_round_trips_at_six_decimals(tmp_path):
 
 
 def test_csv_write_error_names_path(tmp_path):
-    bad = tmp_path / "missing_dir" / "x.csv"
-    with pytest.raises(OSError, match="x.csv"):
-        write_round_csv([], bad)
+    # a round log and a checkpoint alike: the target is named, not its
+    # temporary file, and the errno is kept
+    writes = {"x.csv": lambda p: write_round_csv([], p),
+              "x.ckpt": lambda p: save_checkpoint(p, {}, run_id="r", round_index=0, cfg_hash="h")}
+    for name, write in writes.items():
+        bad = tmp_path / "missing_dir" / name
+        with pytest.raises(OSError, match=f"cannot write {re.escape(str(bad))}: ") as info:
+            write(bad)
+        assert info.value.errno == errno.ENOENT
+
+
+@pytest.mark.parametrize("content", [
+    b"name,score\nx,1\n", b"", b"FPCK\x8e\x00\x00\x00{",
+    b"round,client_id,head,loss,accuracy,precision,recall,fpr\r\n0," + b"a" * 2**18,
+], ids=["other-header", "empty", "not-utf8", "cell-over-csv-limit"])
+def test_csv_that_is_no_round_log_is_named(tmp_path, content):
+    path = tmp_path / "other.csv"
+    path.write_bytes(content)
+    with pytest.raises(ValueError, match="other.csv: not a round log"):
+        read_round_csv(path)
+
+
+@pytest.mark.parametrize("row", ["x,a,url,0.5,1,1,1,0", "0,a,url,0.5,1,1,1", "0,a,url,0.5,1,1,1,0,9"],
+                         ids=["bad-cell", "short", "long"])
+def test_csv_bad_row_names_its_line(tmp_path, row):
+    path = tmp_path / "rounds.csv"
+    write_round_csv(make_logs(), path)
+    with open(path, "a", newline="", encoding="utf-8") as fh:
+        fh.write(row + "\r\n")
+    with pytest.raises(ValueError, match="rounds.csv: line 6: "):
+        read_round_csv(path)
 
 
 @pytest.mark.parametrize("error", [RuntimeError("boom"), OSError(28, "No space left on device")],
                          ids=["runtime", "oserror"])
 def test_csv_write_that_raises_keeps_the_old_file(tmp_path, monkeypatch, error):
-    import fedphish.metrics
+    import fedphish.runfiles
 
     path = tmp_path / "rounds.csv"
     write_round_csv(make_logs()[:1], path)
@@ -186,7 +215,7 @@ def test_csv_write_that_raises_keeps_the_old_file(tmp_path, monkeypatch, error):
         def writerows(self, rows):
             raise error
 
-    monkeypatch.setattr(fedphish.metrics.csv, "writer", Failing)
+    monkeypatch.setattr(fedphish.runfiles.csv, "writer", Failing)
     with pytest.raises(type(error)):
         write_round_csv(make_logs(), path)
     assert path.read_bytes() == old

@@ -10,9 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from fedphish.federation import ClientReport, aggregate, load_checkpoint, save_checkpoint
+from fedphish.federation import ClientReport, aggregate
 from fedphish.numerics import Tensor, TouchedRows, backward, embedding
 from fedphish.numerics.tensor import stable_sigmoid
+from fedphish.runfiles import load_checkpoint, save_checkpoint
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
 

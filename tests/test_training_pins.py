@@ -23,7 +23,7 @@ import pytest
 
 from fedphish.config import build_clients, bundled_config_names, bundled_config_path, parse_config
 from fedphish.federation import run_experiment
-from fedphish.metrics import write_round_csv
+from fedphish.runfiles import write_round_csv
 
 # config name -> (rounds.csv sha256, final parameters sha256)
 PINS = {
