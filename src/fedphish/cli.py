@@ -67,6 +67,7 @@ def cmd_run(args) -> int:
 
 def cmd_synth(args) -> int:
     from .data import synth_embeddings, synth_pages
+    from .runfiles import atomic_write
 
     if args.kind == "embeddings":
         data = synth_embeddings(args.n, dim=args.dim, separation=args.separation, seed=args.seed)
@@ -74,7 +75,8 @@ def cmd_synth(args) -> int:
     else:
         labels, pages = synth_pages(args.n, seed=args.seed)
         rows = ({"label": int(y), "html": html} for y, html in zip(labels, pages))
-    with open(args.out, "w", encoding="utf-8") as fh:
+    # a write that fails leaves the old file, never a shorter dataset
+    with atomic_write(args.out, "w", encoding="utf-8") as fh:
         for row in rows:
             fh.write(json.dumps(row) + "\n")
     print(f"wrote {args.n} {args.kind} samples to {args.out}")

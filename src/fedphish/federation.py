@@ -28,8 +28,9 @@ batch from per-row focal terms, so its numbers have the bits of one forward
 per batch.
 
 Everything is deterministic: clients train one after another in sorted
-client-id order, client RNG streams are seeded by (global seed, client
-index, round), and weighted sums run in sorted client order.
+client-id order, client RNG streams are seeded by (global seed, the
+client's index among the training clients, round), and weighted sums run in
+sorted client order.
 """
 
 from __future__ import annotations
@@ -478,14 +479,15 @@ def run_experiment(
     if len(set(ids)) != len(ids):
         raise ValueError("duplicate client ids")
     clients = sorted(clients, key=lambda c: c.client_id)
+    # a client's RNG index counts training clients only, so an evaluation-only
+    # client cannot move the others' batch order or dropout
+    trainers = [c for c in clients if c.train]
     params = model.init_params(cfg.seed)
     logs: list[RoundLog] = []
 
     for round_index in range(cfg.rounds):
         reports: list[ClientReport] = []
-        for index, client in enumerate(clients):
-            if not client.train:
-                continue
+        for index, client in enumerate(trainers):
             rng = _client_rng(cfg.seed, index, round_index)
             try:
                 reports.append(client_train(client, params, model, cfg, rng))

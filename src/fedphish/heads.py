@@ -7,11 +7,13 @@ draw order. ``ModelSpec.init_params`` draws the four tables in ``heads()``
 order from one generator, and ``ModelSpec.param_shapes`` reads the same
 tables without drawing, so the model can be sized before any array exists.
 
-Widths and vocabulary sizes are configuration, so the gradient checks and
-scenario runs can use small dims; the defaults are the paper's values. What
-the paper fixes is a constant here: two encoder blocks in the image head,
-dropout 0.2 in every head, the url head's initial cosine scale 10, the
-fusion gate's 8 hidden units, the focal gamma 2, and two classes.
+A head is its own settings: the fields of a frozen ``ImageHead``,
+``HtmlHead`` or ``UrlHead`` are its widths and vocabulary sizes, so the
+gradient checks and scenario runs can use small dims; the defaults are the
+paper's values. ``ModelSpec`` holds the three heads it runs. What the paper
+fixes is a constant here: two encoder blocks in the image head, dropout 0.2
+in every head, the url head's initial cosine scale 10, the fusion gate's 8
+hidden units, the focal gamma 2, and two classes.
 """
 
 from __future__ import annotations
@@ -41,9 +43,6 @@ from .numerics import (
 from .preproc import CHAR_PAD, PreprocConfig
 
 __all__ = [
-    "ImageHeadConfig",
-    "HtmlHeadConfig",
-    "UrlHeadConfig",
     "ModelSpec",
     "ImageHead",
     "HtmlHead",
@@ -75,45 +74,6 @@ GATE_HIDDEN = 8  # the fusion gate MLP is 4 -> GATE_HIDDEN -> 1
 def table_rows(pad_id: int) -> int:
     """Rows of an embedding table whose last row is the stream's PAD id."""
     return pad_id + 1
-
-
-# ---------------------------------------------------------------------------
-# configuration
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ImageHeadConfig:
-    d_model: int = 768
-    n_heads: int = 8
-    ff_dim: int = 1024
-    classifier_hidden: int = 512
-
-    def __post_init__(self):
-        if self.d_model % self.n_heads != 0:
-            raise ValueError(
-                f"d_model {self.d_model} not divisible by {self.n_heads} heads"
-            )
-
-
-@dataclass(frozen=True)
-class HtmlHeadConfig:
-    char_vocab: int = table_rows(CHAR_PAD)
-    char_embed: int = 64
-    conv_sizes: tuple[int, ...] = (2, 3, 4, 5, 6, 7, 8, 9)
-    conv_filters: int = 16
-    char_fc: int = 128
-    word_vocab: int = table_rows(PreprocConfig.word_buckets)
-    word_embed: int = 128
-    dom_vocab: int = table_rows(PreprocConfig.dom_buckets)
-    dom_embed: int = 64
-    lstm_hidden: int = 64
-    classifier_hidden: int = 512
-
-
-@dataclass(frozen=True)
-class UrlHeadConfig:
-    in_dim: int = 768
-    hidden: int = 512
 
 
 # ---------------------------------------------------------------------------
@@ -168,15 +128,24 @@ def _classifier_forward(params, prefix, x, train, rng):
 # image head
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True)
 class ImageHead:
     """Two summary tokens, a stack of pre-norm encoder blocks, max pooling,
     then the shared classifier shape."""
 
-    def __init__(self, cfg: ImageHeadConfig):
-        self.cfg = cfg
+    d_model: int = 768
+    n_heads: int = 8
+    ff_dim: int = 1024
+    classifier_hidden: int = 512
+
+    def __post_init__(self):
+        if self.d_model % self.n_heads != 0:
+            raise ValueError(
+                f"d_model {self.d_model} not divisible by {self.n_heads} heads"
+            )
 
     def param_specs(self) -> dict:
-        d, ff = self.cfg.d_model, self.cfg.ff_dim
+        d, ff = self.d_model, self.ff_dim
         specs = {}
         for blk in range(IMAGE_BLOCKS):
             base = f"{IMAGE_PREFIX}block{blk}."
@@ -192,7 +161,7 @@ class ImageHead:
             specs[base + "ff.b1"] = ((ff,), 0.0)
             specs[base + "ff.w2"] = ((ff, d), _xavier)
             specs[base + "ff.b2"] = ((d,), 0.0)
-        return specs | _classifier_specs(IMAGE_PREFIX + "cls.", d, self.cfg.classifier_hidden)
+        return specs | _classifier_specs(IMAGE_PREFIX + "cls.", d, self.classifier_hidden)
 
     def summary_tokens(self, tokens: Tensor) -> Tensor:
         """Two non-learnable global tokens, both the token-wise max, prepended
@@ -209,7 +178,7 @@ class ImageHead:
         for blk in range(IMAGE_BLOCKS):
             base = f"{IMAGE_PREFIX}block{blk}."
             block = {k[len(base):]: v for k, v in params.items() if k.startswith(base)}
-            x = mhsa_block(x, block, self.cfg.n_heads, DROPOUT, train, rng)
+            x = mhsa_block(x, block, self.n_heads, DROPOUT, train, rng)
         pooled = x.max(axis=1)
         return _classifier_forward(params, IMAGE_PREFIX + "cls.", pooled, train, rng)
 
@@ -218,6 +187,7 @@ class ImageHead:
 # html head
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True)
 class HtmlHead:
     """Char conv branch plus word and DOM BiLSTM branches with attention
     pooling, concatenated into the shared classifier shape.
@@ -232,38 +202,45 @@ class HtmlHead:
     its row's position there.
     """
 
-    def __init__(self, cfg: HtmlHeadConfig):
-        self.cfg = cfg
+    char_vocab: int = table_rows(CHAR_PAD)
+    char_embed: int = 64
+    conv_sizes: tuple[int, ...] = (2, 3, 4, 5, 6, 7, 8, 9)
+    conv_filters: int = 16
+    char_fc: int = 128
+    word_vocab: int = table_rows(PreprocConfig.word_buckets)
+    word_embed: int = 128
+    dom_vocab: int = table_rows(PreprocConfig.dom_buckets)
+    dom_embed: int = 64
+    lstm_hidden: int = 64
+    classifier_hidden: int = 512
 
     def param_specs(self) -> dict:
-        cfg = self.cfg
-        h4, state = 4 * cfg.lstm_hidden, 2 * cfg.lstm_hidden  # gates; a [fwd, bwd] state
-        specs = {TABLE_OF_STREAM["char"]: ((cfg.char_vocab, cfg.char_embed), _small_normal)}
-        for k in cfg.conv_sizes:
-            specs[HTML_PREFIX + f"char.conv{k}.w"] = ((k, cfg.char_embed, cfg.conv_filters), _xavier)
-            specs[HTML_PREFIX + f"char.conv{k}.b"] = ((cfg.conv_filters,), 0.0)
-        conv_out = len(cfg.conv_sizes) * cfg.conv_filters
-        specs[HTML_PREFIX + "char.fc.w"] = ((conv_out, cfg.char_fc), _xavier)
-        specs[HTML_PREFIX + "char.fc.b"] = ((cfg.char_fc,), 0.0)
+        h4, state = 4 * self.lstm_hidden, 2 * self.lstm_hidden  # gates; a [fwd, bwd] state
+        specs = {TABLE_OF_STREAM["char"]: ((self.char_vocab, self.char_embed), _small_normal)}
+        for k in self.conv_sizes:
+            specs[HTML_PREFIX + f"char.conv{k}.w"] = ((k, self.char_embed, self.conv_filters), _xavier)
+            specs[HTML_PREFIX + f"char.conv{k}.b"] = ((self.conv_filters,), 0.0)
+        conv_out = len(self.conv_sizes) * self.conv_filters
+        specs[HTML_PREFIX + "char.fc.w"] = ((conv_out, self.char_fc), _xavier)
+        specs[HTML_PREFIX + "char.fc.b"] = ((self.char_fc,), 0.0)
 
-        for branch, vocab, emb in (("word", cfg.word_vocab, cfg.word_embed),
-                                   ("dom", cfg.dom_vocab, cfg.dom_embed)):
+        for branch, vocab, emb in (("word", self.word_vocab, self.word_embed),
+                                   ("dom", self.dom_vocab, self.dom_embed)):
             specs[TABLE_OF_STREAM[branch]] = ((vocab, emb), _small_normal)
             for direction in ("fwd", "bwd"):
                 base = HTML_PREFIX + f"{branch}.{direction}."
                 specs[base + "wx"] = ((emb, h4), _recurrent)
-                specs[base + "wh"] = ((cfg.lstm_hidden, h4), _recurrent)
+                specs[base + "wh"] = ((self.lstm_hidden, h4), _recurrent)
                 specs[base + "b"] = ((h4,), 0.0)
             specs[HTML_PREFIX + f"{branch}.score"] = ((state,), _small_normal)
         # the classifier reads the char features and each branch's pooled state
-        return specs | _classifier_specs(HTML_PREFIX + "cls.", cfg.char_fc + 2 * state, cfg.classifier_hidden)
+        return specs | _classifier_specs(HTML_PREFIX + "cls.", self.char_fc + 2 * state, self.classifier_hidden)
 
     def forward(self, params, batch, train: bool = False, rng=None) -> Tensor:
         """Logits of the id streams ``batch["char"]``, ``batch["word"]`` and
         ``batch["dom"]``, each [B, T]."""
-        cfg = self.cfg
-        conv_w = {k: params[HTML_PREFIX + f"char.conv{k}.w"] for k in cfg.conv_sizes}
-        conv_b = {k: params[HTML_PREFIX + f"char.conv{k}.b"] for k in cfg.conv_sizes}
+        conv_w = {k: params[HTML_PREFIX + f"char.conv{k}.w"] for k in self.conv_sizes}
+        conv_b = {k: params[HTML_PREFIX + f"char.conv{k}.b"] for k in self.conv_sizes}
         char_table = params[TABLE_OF_STREAM["char"]]
         char_feat = multiscale_conv_encode(
             batch["char"], char_table, conv_w, conv_b, char_table.shape[0] - 1
@@ -294,6 +271,7 @@ class HtmlHead:
 # url head
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True)
 class UrlHead:
     """LayerNorm, weight-normalized affine, GELU, dropout, cosine classifier
     with a learnable positive scale.
@@ -306,24 +284,22 @@ class UrlHead:
     embeddings are data, so no gradient is computed for them.
     """
 
-    def __init__(self, cfg: UrlHeadConfig):
-        self.cfg = cfg
+    in_dim: int = 768
+    hidden: int = 512
 
     def param_specs(self) -> dict:
-        cfg = self.cfg
-
         def column_norms(rng, shape, drawn):
             # the gain starts at the column norm, so the initial map equals v
             v = drawn[URL_PREFIX + "fc.v"]
             return np.sqrt((v * v).sum(axis=0))
 
         return {
-            URL_PREFIX + "ln.gamma": ((cfg.in_dim,), 1.0),
-            URL_PREFIX + "ln.beta": ((cfg.in_dim,), 0.0),
-            URL_PREFIX + "fc.v": ((cfg.in_dim, cfg.hidden), _xavier),
-            URL_PREFIX + "fc.g": ((cfg.hidden,), column_norms),
-            URL_PREFIX + "fc.b": ((cfg.hidden,), 0.0),
-            URL_PREFIX + "cls.w": ((cfg.hidden, 2), _xavier),
+            URL_PREFIX + "ln.gamma": ((self.in_dim,), 1.0),
+            URL_PREFIX + "ln.beta": ((self.in_dim,), 0.0),
+            URL_PREFIX + "fc.v": ((self.in_dim, self.hidden), _xavier),
+            URL_PREFIX + "fc.g": ((self.hidden,), column_norms),
+            URL_PREFIX + "fc.b": ((self.hidden,), 0.0),
+            URL_PREFIX + "cls.w": ((self.hidden, 2), _xavier),
             # exp parameterization keeps the scale strictly positive
             URL_PREFIX + "cls.log_scale": ((), np.log(URL_INIT_SCALE)),
         }
@@ -387,6 +363,9 @@ class FusionHead:
 
         combined = alpha * log_softmax(scaled_i, axis=-1) + (1.0 - alpha) * log_softmax(scaled_h, axis=-1)
         return log_softmax(combined, axis=-1), alpha
+
+
+FUSION = FusionHead()
 
 
 # ---------------------------------------------------------------------------
@@ -455,33 +434,33 @@ def focal_loss(logits: Tensor, labels: np.ndarray) -> Tensor:
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """The configurations of the image, html and url heads of one federated
-    model; the fusion head has no setting."""
+    """The image, html and url heads of one federated model; the fusion head
+    has no setting, so every model shares ``FUSION``."""
 
-    image: ImageHeadConfig = field(default_factory=ImageHeadConfig)
-    html: HtmlHeadConfig = field(default_factory=HtmlHeadConfig)
-    url: UrlHeadConfig = field(default_factory=UrlHeadConfig)
+    image: ImageHead = field(default_factory=ImageHead)
+    html: HtmlHead = field(default_factory=HtmlHead)
+    url: UrlHead = field(default_factory=UrlHead)
 
     @staticmethod
     def paper(word_buckets: int = PreprocConfig.word_buckets,
               dom_buckets: int = PreprocConfig.dom_buckets) -> "ModelSpec":
         """The paper's dims, with word and DOM tables sized for these bucket
         counts (a bucket count is its stream's PAD id)."""
-        return ModelSpec(html=HtmlHeadConfig(word_vocab=table_rows(word_buckets),
-                                             dom_vocab=table_rows(dom_buckets)))
+        return ModelSpec(html=HtmlHead(word_vocab=table_rows(word_buckets),
+                                       dom_vocab=table_rows(dom_buckets)))
 
     @staticmethod
     def desk() -> "ModelSpec":
         """Small shapes for gradient checks and unit tests; its html tables
         are too small for preprocessed pages, so no config can select it."""
         return ModelSpec(
-            image=ImageHeadConfig(d_model=16, n_heads=4, ff_dim=16, classifier_hidden=8),
-            html=HtmlHeadConfig(
+            image=ImageHead(d_model=16, n_heads=4, ff_dim=16, classifier_hidden=8),
+            html=HtmlHead(
                 char_vocab=33, char_embed=4, conv_sizes=(2, 3), conv_filters=2,
                 char_fc=8, word_vocab=17, word_embed=4, dom_vocab=9, dom_embed=4,
                 lstm_hidden=3, classifier_hidden=8,
             ),
-            url=UrlHeadConfig(in_dim=16, hidden=16),
+            url=UrlHead(in_dim=16, hidden=16),
         )
 
     @staticmethod
@@ -491,7 +470,7 @@ class ModelSpec:
         desk = ModelSpec.desk()
         return ModelSpec(
             image=desk.image,
-            html=HtmlHeadConfig(
+            html=HtmlHead(
                 char_vocab=table_rows(CHAR_PAD), char_embed=8, conv_sizes=(2, 3, 4),
                 conv_filters=4, char_fc=16, word_vocab=table_rows(word_buckets), word_embed=16,
                 dom_vocab=table_rows(dom_buckets), dom_embed=8, lstm_hidden=8,
@@ -501,12 +480,8 @@ class ModelSpec:
         )
 
     def heads(self) -> dict[str, object]:
-        return {
-            "image": ImageHead(self.image),
-            "html": HtmlHead(self.html),
-            "url": UrlHead(self.url),
-            "fusion": FusionHead(),
-        }
+        """The four heads by role, in draw order; no head is built."""
+        return {"image": self.image, "html": self.html, "url": self.url, "fusion": FUSION}
 
     def param_specs(self) -> dict:
         """The four heads' tables in ``heads()`` order, the draw order."""

@@ -80,24 +80,16 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 class Tensor:
     """A float64 ndarray plus the graph edge needed for backprop."""
 
-    __slots__ = ("_data", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data = data
+        # always an ndarray: 0-d arithmetic degrades to immutable numpy
+        # scalars, which would silently break in-place updates
+        self.data: np.ndarray = np.asarray(data, dtype=np.float64)
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
         self._parents: tuple[Tensor, ...] = ()
         self._backward: Callable[[np.ndarray], tuple[np.ndarray | None, ...]] | None = None
-
-    @property
-    def data(self) -> np.ndarray:
-        return self._data
-
-    @data.setter
-    def data(self, value) -> None:
-        # always an ndarray: 0-d arithmetic degrades to immutable numpy
-        # scalars, which would silently break in-place updates
-        self._data = np.asarray(value, dtype=np.float64)
 
     # -- introspection -------------------------------------------------
 
@@ -128,7 +120,7 @@ class Tensor:
         out = Tensor.__new__(Tensor)
         if type(data) is not np.ndarray or data.dtype != np.float64:
             data = np.asarray(data, dtype=np.float64)
-        out._data = data
+        out.data = data
         out.grad = None
         out.requires_grad = False
         out._parents = ()

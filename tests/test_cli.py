@@ -2,6 +2,7 @@
 
 import contextlib
 import dataclasses
+import errno
 import hashlib
 import io
 import json
@@ -534,6 +535,34 @@ def test_cli_synth_html_roundtrips_through_loader(tmp_path):
     assert len(data["y"]) == 50
     for char, word, dom in zip(data["char"], data["word"], data["dom"]):
         HtmlStreams(char_ids=char, word_ids=word, dom_ids=dom).validate(cfg)
+
+
+def test_cli_synth_failed_write_leaves_the_old_file(tmp_path, monkeypatch, capsys):
+    # a disk that fills on the third row must not leave a shorter dataset
+    # that load_jsonl would read without complaint
+    out = tmp_path / "rows.jsonl"
+    assert main(["synth", "embeddings", "--n", "2", "--dim", "4", "--out", str(out)]) == EXIT_OK
+    out.write_text(out.read_text().splitlines()[0] + "\n")
+    old = out.read_bytes()
+    dumps, calls = json.dumps, []
+
+    def filling_dumps(obj):
+        calls.append(obj)
+        if len(calls) == 3:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return dumps(obj)
+
+    monkeypatch.setattr(json, "dumps", filling_dumps)
+    assert main(["synth", "embeddings", "--n", "5", "--dim", "4", "--out", str(out)]) == EXIT_RUNTIME
+    monkeypatch.undo()
+    assert out.read_bytes() == old
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["rows.jsonl"]
+    assert f"cannot write {out}" in capsys.readouterr().err
+
+    missing = tmp_path / "missing_dir" / "rows.jsonl"
+    assert main(["synth", "html", "--n", "2", "--out", str(missing)]) == EXIT_RUNTIME
+    assert f"cannot write {missing}" in capsys.readouterr().err
+    assert not missing.parent.exists()
 
 
 @pytest.mark.parametrize("kind, flag, value, message", [

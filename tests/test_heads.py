@@ -25,13 +25,10 @@ from fedphish.heads import (
     URL_PREFIX,
     FusionHead,
     HtmlHead,
-    HtmlHeadConfig,
     ImageHead,
-    ImageHeadConfig,
     ModelSpec,
     TABLE_OF_STREAM,
     UrlHead,
-    UrlHeadConfig,
     _stats_columns,
     draw_params,
     focal_loss,
@@ -88,6 +85,14 @@ def test_init_params_draws_are_pinned_and_shaped_by_the_table(profile):
     assert digest.hexdigest() == DRAW_DIGESTS[profile]
     shapes = spec.param_shapes()
     assert list(shapes.items()) == [(name, arr.shape) for name, arr in params.items()]
+    # a head is its settings: heads() builds nothing, it hands out the spec's
+    # own heads and the one fusion head every model shares
+    heads = spec.heads()
+    assert list(heads) == ["image", "html", "url", "fusion"]
+    assert heads["image"] is spec.image
+    assert heads["html"] is spec.html
+    assert heads["url"] is spec.url
+    assert heads["fusion"] is ModelSpec.desk().heads()["fusion"]
 
 
 # ---------------------------------------------------------------------------
@@ -95,7 +100,7 @@ def test_init_params_draws_are_pinned_and_shaped_by_the_table(profile):
 # ---------------------------------------------------------------------------
 
 def test_image_summary_tokens_single_token():
-    head = ImageHead(ImageHeadConfig(d_model=4, n_heads=2, ff_dim=4, classifier_hidden=4))
+    head = ImageHead(d_model=4, n_heads=2, ff_dim=4, classifier_hidden=4)
     x = Tensor(np.array([[[1.0, -2.0, 3.0, 0.5]]]))
     out = head.summary_tokens(x).data
     assert out.shape == (1, 3, 4)
@@ -130,7 +135,7 @@ def test_image_head_rejects_empty_sequence():
 
 def test_image_config_rejects_bad_head_count():
     with pytest.raises(ValueError, match="d_model 10 not divisible by 4 heads"):
-        ImageHeadConfig(d_model=10, n_heads=4)
+        ImageHead(d_model=10, n_heads=4)
 
 
 # ---------------------------------------------------------------------------
@@ -269,12 +274,11 @@ def test_html_head_identical_streams_identical_logits():
     from fedphish.preproc import PreprocConfig, preprocess
 
     pcfg = PreprocConfig(char_len=64, word_len=16, dom_len=8, word_buckets=16, dom_buckets=8)
-    hcfg = HtmlHeadConfig(
+    head = HtmlHead(
         char_vocab=257, char_embed=4, conv_sizes=(2, 3), conv_filters=2, char_fc=8,
         word_vocab=17, word_embed=4, dom_vocab=9, dom_embed=4, lstm_hidden=3,
         classifier_hidden=8,
     )
-    head = HtmlHead(hcfg)
     rng = np.random.default_rng(6)
     params = head_params(head, rng)
     base = "<p>pay now</p><script>" + "a" * 64
@@ -302,8 +306,7 @@ def test_paper_tables_hold_the_default_preprocessed_ids_plus_pad():
 # ---------------------------------------------------------------------------
 
 def test_url_head_cosine_extremes():
-    cfg = UrlHeadConfig(in_dim=6, hidden=4)
-    head = UrlHead(cfg)
+    head = UrlHead(in_dim=6, hidden=4)
     params = head_params(head, np.random.default_rng(7))
     x = np.random.default_rng(8).normal(size=(1, 6))
 
@@ -325,8 +328,7 @@ def test_url_head_cosine_extremes():
 
 
 def test_url_head_logits_bounded_by_scale():
-    cfg = UrlHeadConfig(in_dim=16, hidden=8)
-    head = UrlHead(cfg)
+    head = UrlHead(in_dim=16, hidden=8)
     params = head_params(head, np.random.default_rng(9))
     rng = np.random.default_rng(10)
     scale = float(np.exp(params[URL_PREFIX + "cls.log_scale"].data))
@@ -336,8 +338,7 @@ def test_url_head_logits_bounded_by_scale():
 
 
 def test_url_head_input_scale_removed_by_layer_norm():
-    cfg = UrlHeadConfig(in_dim=16, hidden=8)
-    head = UrlHead(cfg)
+    head = UrlHead(in_dim=16, hidden=8)
     params = head_params(head, np.random.default_rng(11))  # gamma=1, beta=0 at init
     x = np.random.default_rng(12).normal(size=(1, 16))
     a = head.forward(params, {"x": x}).data
@@ -347,8 +348,7 @@ def test_url_head_input_scale_removed_by_layer_norm():
 
 
 def test_url_head_zero_feature_guard():
-    cfg = UrlHeadConfig(in_dim=4, hidden=3)
-    head = UrlHead(cfg)
+    head = UrlHead(in_dim=4, hidden=3)
     params = head_params(head, np.random.default_rng(13))
     params[URL_PREFIX + "fc.g"] = Tensor(np.zeros(3), requires_grad=True)
     params[URL_PREFIX + "fc.b"] = Tensor(np.zeros(3), requires_grad=True)

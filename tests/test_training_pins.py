@@ -21,7 +21,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fedphish.config import build_clients, bundled_config_names, bundled_config_path, parse_config
+from fedphish.config import (
+    build_clients,
+    bundled_config_names,
+    bundled_config_path,
+    config_hash,
+    parse_config,
+)
 from fedphish.federation import run_experiment
 from fedphish.runfiles import write_round_csv
 
@@ -126,6 +132,50 @@ def config_path(name, tmp_path):
     path = tmp_path / f"{name}.json"
     path.write_text(json.dumps(raw))
     return path
+
+
+# config name -> config_hash of its resolved config, the digest that
+# final.ckpt's manifest carries; a checkpoint is tied to it, so a change that
+# renames, reorders or regroups a setting moves it
+CONFIG_HASHES = {
+    "ablation_fusion_2clients": "c112f275fb13bde9",
+    "ablation_html_2clients": "929c64bec5421e3b",
+    "ablation_image_2clients": "3f0127e1c6bd4550",
+    "ablation_url_2clients": "c7d85c160e297582",
+    "four_clients_fusion_html": "b94871698dc3f0e2",
+    "four_clients_html_cross": "d70b2bd2d00981f6",
+    "four_clients_html_cross_fedprox": "49329ff81b721570",
+    "four_clients_html_cross_noniid": "1189fdf0ec462c57",
+    "four_clients_html_url": "6959aa7bd97478a2",
+    "four_clients_image_html": "c7e0d3beb9cc6ef9",
+    "four_clients_viewer": "e59eb34ce6ba8999",
+    "six_clients": "23ebb0990b9790cb",
+}
+
+
+def test_every_bundled_config_hash_is_pinned():
+    got = {name: config_hash(parse_config(bundled_config_path(name))) for name in bundled_config_names()}
+    assert got == CONFIG_HASHES
+
+
+def test_an_evaluation_only_clients_id_does_not_move_training(tmp_path):
+    # four_clients_viewer's viewer sorts last; renamed to sort first, it
+    # must leave every trainer's RNG stream, and so every bit, where it was
+    raw = json.loads(bundled_config_path("four_clients_viewer").read_text())
+    (viewer,) = [c for c in raw["clients"] if c["id"] == "viewer"]
+    viewer["id"] = "aaa_viewer"
+    path = tmp_path / "renamed.json"
+    path.write_text(json.dumps(raw))
+    runs = []
+    for cfg in (parse_config(bundled_config_path("four_clients_viewer")), parse_config(path)):
+        result = run_experiment(cfg.model, replace(cfg.train, rounds=1, epochs=1), build_clients(cfg))
+        rows = sorted((e.client_id.removeprefix("aaa_"), e.head, e.loss, e.metrics)
+                      for log in result.rounds for e in log.entries)
+        runs.append((result.params, rows))
+    (base, base_rows), (renamed, renamed_rows) = runs
+    assert base.keys() == renamed.keys()
+    assert all(np.array_equal(base[k], renamed[k]) for k in base)
+    assert renamed_rows == base_rows
 
 
 @pytest.mark.parametrize("name", sorted(PINS))
