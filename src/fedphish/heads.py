@@ -7,6 +7,12 @@ draw order. ``ModelSpec.init_params`` draws the four tables in ``heads()``
 order from one generator, and ``ModelSpec.param_shapes`` reads the same
 tables without drawing, so the model can be sized before any array exists.
 
+The image, html and url experts end in the same MLP tail: layer norm, an
+affine map, GELU, dropout and an output map. Each tail is one graph node,
+``mlp_tail`` over the array parts of those primitives. The image and html
+heads share it as ``_classifier_forward``, with an affine output; the url
+head is its tail alone, with a weight-normed affine and cosine logits.
+
 A head is its own settings: the fields of a frozen ``ImageHead``,
 ``HtmlHead`` or ``UrlHead`` are its widths and vocabulary sizes, so the
 gradient checks and scenario runs can use small dims; the defaults are the
@@ -29,16 +35,13 @@ from .numerics import (
     attention_pool,
     bilstm_sequence,
     concat,
-    cosine_logits,
-    dropout,
     embedding,
-    gelu,
-    layer_norm,
+    layer_norm,  # no head calls it; perfbench's numerics.layer_norm span wraps this name
     log_softmax,
     log_softmax_parts,
     mhsa_block,
+    mlp_tail,
     multiscale_conv_encode,
-    weight_norm,
 )
 from .preproc import CHAR_PAD, PreprocConfig
 
@@ -117,11 +120,14 @@ def _classifier_specs(prefix: str, in_dim: int, hidden: int) -> dict:
     }
 
 
+def _take(params, prefix: str, *names: str) -> tuple[Tensor, ...]:
+    return tuple(params[prefix + name] for name in names)
+
+
 def _classifier_forward(params, prefix, x, train, rng):
-    h = layer_norm(x, params[prefix + "ln.gamma"], params[prefix + "ln.beta"])
-    h = gelu(affine(h, params[prefix + "fc1.w"], params[prefix + "fc1.b"]))
-    h = dropout(h, DROPOUT, rng, train)
-    return affine(h, params[prefix + "fc2.w"], params[prefix + "fc2.b"])
+    return mlp_tail(x, _take(params, prefix, "ln.gamma", "ln.beta"),
+                    _take(params, prefix, "fc1.w", "fc1.b"),
+                    _take(params, prefix, "fc2.w", "fc2.b"), DROPOUT, rng, train)
 
 
 # ---------------------------------------------------------------------------
@@ -278,10 +284,9 @@ class UrlHead:
 
     The paper's url expert is a small head over fixed GraphCodeBERT
     embeddings, so per-node overhead, not arithmetic, sets its step time.
-    Layer norm, the weight normalisation, the product and its bias, GELU,
-    dropout and the cosine classifier are one graph node each: seven in
-    training, six in evaluation, where dropout is the identity. The input
-    embeddings are data, so no gradient is computed for them.
+    The whole head is one ``mlp_tail`` graph node, in training and in
+    evaluation alike. The input embeddings are data, so no gradient is
+    computed for them.
     """
 
     in_dim: int = 768
@@ -306,14 +311,10 @@ class UrlHead:
 
     def forward(self, params, batch, train: bool = False, rng=None) -> Tensor:
         """Logits of the url embeddings ``batch["x"]``, [B, in_dim]."""
-        emb = Tensor(batch["x"])
-        h = layer_norm(emb, params[URL_PREFIX + "ln.gamma"], params[URL_PREFIX + "ln.beta"])
-        w = weight_norm(params[URL_PREFIX + "fc.v"], params[URL_PREFIX + "fc.g"])
-        f = gelu(h @ w + params[URL_PREFIX + "fc.b"])
-        f = dropout(f, DROPOUT, rng, train)
-        return cosine_logits(
-            f, params[URL_PREFIX + "cls.w"], params[URL_PREFIX + "cls.log_scale"], 1e-12
-        )
+        return mlp_tail(Tensor(batch["x"]), _take(params, URL_PREFIX, "ln.gamma", "ln.beta"),
+                        _take(params, URL_PREFIX, "fc.v", "fc.g", "fc.b"),
+                        _take(params, URL_PREFIX, "cls.w", "cls.log_scale"), DROPOUT, rng, train,
+                        cosine_floor=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ from .layers import (
     log_softmax,
     log_softmax_parts,
     mhsa_block,
+    mlp_tail,
     multiscale_conv_encode,
     softmax,
     weight_norm,
@@ -57,6 +58,7 @@ __all__ = [
     "log_softmax_parts",
     "make_optimizer",
     "mhsa_block",
+    "mlp_tail",
     "multiscale_conv_encode",
     "softmax",
     "weight_norm",

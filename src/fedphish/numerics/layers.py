@@ -8,17 +8,26 @@ training mode. Every input is batched: sequences are [B, L, d] tensors or
 compositions of ``Tensor`` operations, one graph node per operation. The
 rest are single nodes with hand-written backwards:
 
-- ``layer_norm``, ``gelu`` and ``log_softmax``, because every classifier
-  head runs them and as compositions they cost 11, 5 and 6 nodes each,
-  and the url head's ``weight_norm`` and ``cosine_logits``, which replace
-  compositions of 6 and 5 nodes: in a small head such as the url expert,
-  the per-node Python overhead, not the arithmetic, sets the step time.
-  Each runs the numpy operations of the composition it replaces in the
-  same order, forward and backward. An input that the composition reached
-  along k paths is listed k times among the node's parents, with one
-  gradient term per path, so ``backward`` adds the terms in the
-  composition's order and every gradient in the graph stays bitwise the
-  composition's;
+- ``layer_norm``, ``gelu`` and ``log_softmax``, because every head runs
+  them and as compositions they cost 11, 5 and 6 nodes each, and the url
+  head's ``weight_norm`` and ``cosine_logits``, which replace compositions
+  of 6 and 5 nodes: in a small head such as the url expert, the per-node
+  Python overhead, not the arithmetic, sets the step time. Each runs the
+  numpy operations of the composition it replaces in the same order,
+  forward and backward. An input that the composition reached along k
+  paths is listed k times among the node's parents, with one gradient term
+  per path, so ``backward`` adds the terms in the composition's order and
+  every gradient in the graph stays bitwise the composition's. Layer norm,
+  weight norm, GELU and cosine logits are each written once, as an array
+  part (``_layer_norm_part``, ``_weight_norm_part``, ``_gelu_part``,
+  ``_cosine_part``) that returns its output and a closure giving those
+  per-path terms; the public function is one node over its part;
+- ``mlp_tail``, the tail the image, html and url experts end in: layer
+  norm, an affine map, GELU, dropout and an output map, seven nodes as a
+  chain of the ones above. It runs the parts in order as one node, and its
+  backward calls their closures in reverse, adding a multi-path input's
+  terms left to right as ``backward`` would, so its output and gradients
+  are bitwise the chain's;
 - ``bilstm_sequence``, because an unrolled cell costs about twenty nodes
   per time step. It runs every direction of every sequence it is given,
   for the html head both directions of the word and the DOM stream, as one
@@ -53,6 +62,7 @@ __all__ = [
     "weight_norm",
     "gelu",
     "dropout",
+    "mlp_tail",
     "mhsa_block",
     "bilstm_sequence",
     "attention_pool",
@@ -72,27 +82,38 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return x @ w + b
 
 
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize the last axis to zero mean / unit population variance."""
+def _layer_norm_part(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float):
+    """``layer_norm`` on arrays: the output, and the map from an output
+    gradient and whether x, gamma and beta each want theirs to the terms of
+    (x, x, gamma, beta)."""
     inv_n = 1.0 / x.shape[-1]
-    centered = x.data - x.data.sum(axis=-1, keepdims=True) * inv_n
+    centered = x - x.sum(axis=-1, keepdims=True) * inv_n
     std = np.sqrt((centered * centered).sum(axis=-1, keepdims=True) * inv_n + eps)
     xhat = centered / std
 
-    def bw(g: np.ndarray):
-        g_gamma = _unbroadcast(g * xhat, gamma.shape) if gamma.requires_grad else None
-        g_beta = _unbroadcast(g, beta.shape) if beta.requires_grad else None
-        if not x.requires_grad:
+    def bw(g: np.ndarray, need_x: bool, need_gamma: bool, need_beta: bool):
+        g_gamma = _unbroadcast(g * xhat, gamma.shape) if need_gamma else None
+        g_beta = _unbroadcast(g, beta.shape) if need_beta else None
+        if not need_x:
             return None, None, g_gamma, g_beta
-        g_xhat = g * gamma.data
+        g_xhat = g * gamma
         g_std = (-g_xhat * centered / (std * std)).sum(axis=-1, keepdims=True)
         g_sq = g_std * 0.5 / std * inv_n * centered  # through the variance, once per factor
         g_centered = g_xhat / std + g_sq + g_sq
         g_mean = (-g_centered).sum(axis=-1, keepdims=True) * inv_n
         return g_centered, np.broadcast_to(g_mean, x.shape), g_gamma, g_beta
 
+    return xhat * gamma + beta, bw
+
+
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
+    """Normalize the last axis to zero mean / unit population variance."""
+    out, bw = _layer_norm_part(x.data, gamma.data, beta.data, eps)
     # x twice: through the centering and through the mean
-    return Tensor._node(xhat * gamma.data + beta.data, (x, x, gamma, beta), bw)
+    return Tensor._node(
+        out, (x, x, gamma, beta),
+        lambda g: bw(g, x.requires_grad, gamma.requires_grad, beta.requires_grad),
+    )
 
 
 def softmax(z: Tensor, axis: int = -1) -> Tensor:
@@ -135,67 +156,174 @@ def _unit(x: np.ndarray, axis: int, floor: float):
     return x / denom, bw
 
 
-def cosine_logits(f: Tensor, w: Tensor, log_scale: Tensor, floor: float) -> Tensor:
-    """Cosine classifier: the rows of ``f`` [B, d] and the columns of ``w``
-    [d, C], each divided by its L2 norm (by ``floor`` where the norm is
-    below it), multiplied, and scaled by ``exp(log_scale)``."""
-    f_hat, f_bw = _unit(f.data, 1, floor)
-    w_hat, w_bw = _unit(w.data, 0, floor)
+def _cosine_part(f: np.ndarray, w: np.ndarray, log_scale: np.ndarray, floor: float):
+    """``cosine_logits`` on arrays: the output, and the map from an output
+    gradient to the terms of (f, f, f, w, w, w, log_scale)."""
+    f_hat, f_bw = _unit(f, 1, floor)
+    w_hat, w_bw = _unit(w, 0, floor)
     cos = f_hat @ w_hat
-    scale = np.exp(log_scale.data)
+    scale = np.exp(log_scale)
 
     def bw(g: np.ndarray):
         g_cos = g * scale
         g_log_scale = _unbroadcast(g * cos, log_scale.shape) * scale
         return (*f_bw(g_cos @ w_hat.T), *w_bw(f_hat.T @ g_cos), g_log_scale)
 
+    return cos * scale, bw
+
+
+def cosine_logits(f: Tensor, w: Tensor, log_scale: Tensor, floor: float) -> Tensor:
+    """Cosine classifier: the rows of ``f`` [B, d] and the columns of ``w``
+    [d, C], each divided by its L2 norm (by ``floor`` where the norm is
+    below it), multiplied, and scaled by ``exp(log_scale)``."""
+    out, bw = _cosine_part(f.data, w.data, log_scale.data, floor)
     # f and w three times each: as the dividend and as both factors of the squares
-    return Tensor._node(cos * scale, (f, f, f, w, w, w, log_scale), bw)
+    return Tensor._node(out, (f, f, f, w, w, w, log_scale), bw)
+
+
+def _weight_norm_part(v: np.ndarray, g: np.ndarray):
+    """``weight_norm`` on arrays: the output, and the map from an output
+    gradient to the terms of (v, v, v, g)."""
+    norm = np.sqrt((v * v).sum(axis=0, keepdims=True))
+    gain = g.reshape(1, -1)
+    scale = gain / norm
+
+    def bw(grad: np.ndarray):
+        g_scale = _unbroadcast(grad * v, scale.shape)
+        g_norm = -g_scale * gain / (norm * norm)
+        g_sq = g_norm * 0.5 / norm * v  # through the squares, once per factor
+        return grad * scale, g_sq, g_sq, (g_scale / norm).reshape(g.shape)
+
+    return v * scale, bw
 
 
 def weight_norm(v: Tensor, g: Tensor) -> Tensor:
     """Weight normalisation (Salimans & Kingma, arXiv:1602.07868): column j
     of ``v`` [d, h] divided by its L2 norm and multiplied by ``g[j]``,
     ``v * (g / ||v||)``. A zero column gives NaN, as the composition does."""
-    norm = np.sqrt((v.data * v.data).sum(axis=0, keepdims=True))
-    gain = g.data.reshape(1, -1)
-    scale = gain / norm
-
-    def bw(grad: np.ndarray):
-        g_scale = _unbroadcast(grad * v.data, scale.shape)
-        g_norm = -g_scale * gain / (norm * norm)
-        g_sq = g_norm * 0.5 / norm * v.data  # through the squares, once per factor
-        return grad * scale, g_sq, g_sq, (g_scale / norm).reshape(g.shape)
-
+    out, bw = _weight_norm_part(v.data, g.data)
     # v three times: as the factor and as both factors of the squares
-    return Tensor._node(v.data * scale, (v, v, v, g), bw)
+    return Tensor._node(out, (v, v, v, g), bw)
 
 
 _INV_SQRT_2 = 1.0 / np.sqrt(2.0)
 _TWO_OVER_SQRT_PI = 2.0 / np.sqrt(np.pi)
 
 
-def gelu(x: Tensor) -> Tensor:
-    """x * Phi(x) with the exact Gaussian CDF (erf form)."""
-    u = x.data * _INV_SQRT_2
+def _gelu_part(x: np.ndarray):
+    """``gelu`` on arrays: the output, and the map from an output gradient
+    to the terms of (x, x)."""
+    u = x * _INV_SQRT_2
     two_cdf = erf(u) + 1.0
 
     def bw(g: np.ndarray):
         half = g * 0.5
-        return half * two_cdf, half * x.data * _TWO_OVER_SQRT_PI * np.exp(-u * u) * _INV_SQRT_2
+        return half * two_cdf, half * x * _TWO_OVER_SQRT_PI * np.exp(-u * u) * _INV_SQRT_2
 
+    return x * two_cdf * 0.5, bw
+
+
+def gelu(x: Tensor) -> Tensor:
+    """x * Phi(x) with the exact Gaussian CDF (erf form)."""
+    out, bw = _gelu_part(x.data)
     # x twice: as the factor and inside the CDF
-    return Tensor._node(x.data * two_cdf * 0.5, (x, x), bw)
+    return Tensor._node(out, (x, x), bw)
+
+
+def _keep_mask(shape: tuple[int, ...], p: float, rng: np.random.Generator | None,
+               train: bool) -> np.ndarray | None:
+    """The inverted-dropout factors for an output of ``shape``: 0 or
+    1/(1-p) per entry, drawn from ``rng``; None where dropout is the
+    identity."""
+    if not train or p <= 0.0:
+        return None
+    if rng is None:
+        raise ValueError("training-mode dropout needs an RNG")
+    return (rng.random(shape) >= p).astype(np.float64) / (1.0 - p)
 
 
 def dropout(x: Tensor, p: float, rng: np.random.Generator | None, train: bool) -> Tensor:
     """Inverted dropout: scales by 1/(1-p) at train time, identity otherwise."""
-    if not train or p <= 0.0:
-        return x
-    if rng is None:
-        raise ValueError("training-mode dropout needs an RNG")
-    keep = (rng.random(x.shape) >= p).astype(np.float64) / (1.0 - p)
-    return x * Tensor(keep)
+    keep = _keep_mask(x.shape, p, rng, train)
+    return x if keep is None else x * Tensor(keep)
+
+
+def mlp_tail(
+    x: Tensor,
+    ln: tuple[Tensor, Tensor],
+    fc: tuple[Tensor, ...],
+    out: tuple[Tensor, Tensor],
+    p: float,
+    rng: np.random.Generator | None,
+    train: bool,
+    cosine_floor: float | None = None,
+) -> Tensor:
+    """The tail the image, html and url experts end in, as one graph node:
+    ``x`` [B, d] through ``layer_norm`` with ``ln`` = (gamma, beta), an
+    affine map, ``gelu``, ``dropout`` with rate ``p`` and an output map.
+
+    ``fc`` is the affine map's (w, b), or (v, g, b) for the weight
+    ``weight_norm(v, g)``. ``out`` is (w, b) for an affine output, or
+    (w, log_scale) for ``cosine_logits`` with ``cosine_floor``.
+
+    Forward and backward run the array parts of those primitives in the
+    composition's order, and the dropout mask is the same draw from
+    ``rng``. A multi-path input of a part inside the node gets its terms
+    added left to right, as ``backward`` adds a parent's; ``x`` is listed
+    twice among the parents, for layer norm's two terms. So the output and
+    every gradient are bitwise the composition's, and as there, a gradient
+    that no parent needs is not computed.
+    """
+    gamma, beta = ln
+    h, ln_bw = _layer_norm_part(x.data, gamma.data, beta.data, 1e-5)
+    b1 = fc[-1]
+    if len(fc) == 3:
+        w1, wn_bw = _weight_norm_part(fc[0].data, fc[1].data)
+    else:
+        w1 = fc[0].data
+    z = h @ w1 + b1.data
+    f, gelu_bw = _gelu_part(z)
+    keep = _keep_mask(f.shape, p, rng, train)
+    if keep is not None:
+        f = f * keep
+    w2, last = out
+    if cosine_floor is None:
+        y = f @ w2.data + last.data
+    else:
+        y, cos_bw = _cosine_part(f, w2.data, last.data, cosine_floor)
+
+    def bw(g: np.ndarray):
+        need_h = x.requires_grad or gamma.requires_grad or beta.requires_grad
+        need_w1 = any(t.requires_grad for t in fc[:-1])
+        need_f = need_h or need_w1 or b1.requires_grad
+        if cosine_floor is None:
+            g_f = g @ w2.data.T if need_f else None
+            g_out = (f.T @ g if w2.requires_grad else None,
+                     _unbroadcast(g, last.shape) if last.requires_grad else None)
+        else:
+            f1, f2, f3, w2_1, w2_2, w2_3, g_log_scale = cos_bw(g)
+            g_f = f1 + f2 + f3 if need_f else None
+            g_out = (w2_1 + w2_2 + w2_3, g_log_scale)
+        if g_f is None:
+            return (None,) * (4 + len(fc)) + g_out
+        if keep is not None:
+            g_f = g_f * keep
+        cdf_term, pdf_term = gelu_bw(g_f)
+        g_z = cdf_term + pdf_term
+        g_w1 = h.T @ g_z if need_w1 else None
+        if len(fc) == 2:
+            g_fc = (g_w1,)
+        elif g_w1 is None:
+            g_fc = (None, None)
+        else:
+            v_1, v_2, v_3, g_gain = wn_bw(g_w1)
+            g_fc = (v_1 + v_2 + v_3, g_gain)
+        g_b1 = _unbroadcast(g_z, b1.shape) if b1.requires_grad else None
+        g_ln = (ln_bw(g_z @ w1.T, x.requires_grad, gamma.requires_grad, beta.requires_grad)
+                if need_h else (None,) * 4)
+        return (*g_ln, *g_fc, g_b1, *g_out)
+
+    return Tensor._node(y, (x, x, gamma, beta, *fc, w2, last), bw)
 
 
 def mhsa_block(

@@ -7,7 +7,9 @@ arithmetic stays in 64-bit precision.
 
 A closure computes only the gradients its parents need: for a parent that
 does not require a gradient, such as a constant or a batch of input data,
-it returns ``None`` instead of doing that parent's arithmetic.
+it returns ``None`` instead of doing that parent's arithmetic. For every
+parent that does, it returns a gradient: ``backward`` takes one for each
+node it reaches, and a node left without one is a ``KeyError``.
 
 Values and gradients are dense arrays. A client trains each embedding table
 as a compact table of only the rows its data can look up, so a table's
@@ -96,10 +98,6 @@ class Tensor:
     @property
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
-
-    @property
-    def ndim(self) -> int:
-        return self.data.ndim
 
     @property
     def size(self) -> int:
@@ -262,15 +260,11 @@ class Tensor:
     # -- shape ----------------------------------------------------------
 
     def reshape(self, *shape) -> "Tensor":
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
         return self._node(
             self.data.reshape(shape), (self,), lambda g: (g.reshape(self.shape),)
         )
 
     def transpose(self, *axes) -> "Tensor":
-        if len(axes) == 1 and isinstance(axes[0], (tuple, list)):
-            axes = tuple(axes[0])
         inv = np.argsort(axes)
         return self._node(
             self.data.transpose(axes), (self,), lambda g: (g.transpose(inv),)
@@ -344,9 +338,7 @@ def backward(loss: Tensor) -> None:
 
     grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
     for node in reversed(order):
-        g = grads.pop(id(node), None)
-        if g is None:
-            continue
+        g = grads.pop(id(node))
         if node._backward is None:
             if node.requires_grad:
                 node.grad = g if node.grad is None else np.asarray(node.grad + g)

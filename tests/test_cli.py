@@ -405,6 +405,17 @@ def test_cli_run_invalid_config_exit_one(tmp_path):
     assert main(["run", "--config", str(cfg_path)]) == EXIT_VALIDATION
 
 
+@pytest.mark.parametrize("text, message", [(None, "config file not found"), ("{\"seed\": 1", "invalid JSON")],
+                         ids=["missing", "not-json"])
+def test_cli_run_unreadable_config_exit_one(tmp_path, capsys, text, message):
+    cfg_path = tmp_path / "cfg.json"
+    if text is not None:
+        cfg_path.write_text(text)
+    assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == EXIT_VALIDATION
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_run_fault_after_build_exit_two(tmp_path, monkeypatch, capsys):
     # a ValueError inside the experiment is a program fault, not a rejected config
     def broken_aggregate(*args, **kwargs):

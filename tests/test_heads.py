@@ -12,6 +12,7 @@ from test_numerics import (
     layer_norm_composition,
     log_softmax_composition,
     mean,
+    mlp_tail_composition,
     power,
     weight_norm_composition,
 )
@@ -20,8 +21,10 @@ import fedphish.federation
 import fedphish.heads
 from fedphish.federation import batch_loss, proximal_term
 from fedphish.heads import (
+    DROPOUT,
     FUSION_PREFIX,
     HTML_PREFIX,
+    IMAGE_PREFIX,
     URL_PREFIX,
     FusionHead,
     HtmlHead,
@@ -30,6 +33,7 @@ from fedphish.heads import (
     TABLE_OF_STREAM,
     UrlHead,
     _stats_columns,
+    _take,
     draw_params,
     focal_loss,
 )
@@ -38,6 +42,7 @@ from fedphish.numerics import (
     backward,
     finite_difference_check,
     layers,
+    mlp_tail,
     zero_grads,
 )
 
@@ -510,6 +515,82 @@ def test_focal_node_finite_differences():
         assert err < 1e-4, f"seed {seed}: {err}"
 
 
+# the parameter prefix of each head's MLP tail: the image and html
+# classifiers, and the whole url head
+TAIL_PREFIX = {"image": IMAGE_PREFIX + "cls.", "html": HTML_PREFIX + "cls.", "url": URL_PREFIX}
+
+
+def tail_arguments(kind, params):
+    """``mlp_tail``'s parameter tuples and keywords for ``kind``'s tail."""
+    prefix = TAIL_PREFIX[kind]
+    if kind == "url":
+        return (_take(params, prefix, "ln.gamma", "ln.beta"),
+                _take(params, prefix, "fc.v", "fc.g", "fc.b"),
+                _take(params, prefix, "cls.w", "cls.log_scale")), {"cosine_floor": 1e-12}
+    return (_take(params, prefix, "ln.gamma", "ln.beta"), _take(params, prefix, "fc1.w", "fc1.b"),
+            _take(params, prefix, "fc2.w", "fc2.b")), {}
+
+
+def assert_bitwise(got, ref, what):
+    got, ref = np.asarray(got), np.asarray(ref)
+    assert (got.shape, got.tobytes()) == (ref.shape, ref.tobytes()), what
+
+
+@pytest.mark.parametrize("train", [True, False], ids=["train", "eval"])
+@pytest.mark.parametrize("profile", ["desk", "desk_pages"])
+@pytest.mark.parametrize("kind", ["image", "html", "url"])
+def test_fused_tail_is_bitwise_its_composition(kind, profile, train):
+    # the fused node against the chain of primitives it replaces, on the same
+    # inputs and dropout generator: the output, every parameter's gradient
+    # and the classifier input's gradient have the same bytes, and the
+    # generator is left in the same state. The url embeddings are data, as
+    # in the head. Parameters are moved off their initial values (gain 1,
+    # bias 0), so that every gradient term is a generic float
+    head = getattr(ModelSpec, profile)().heads()[kind]
+    rng = np.random.default_rng(61)
+    arrays = {k: v + rng.normal(scale=0.3, size=v.shape)
+              for k, v in draw_params(head.param_specs(), rng).items()}
+    (ln, _, _), _ = tail_arguments(kind, arrays)
+    x_data = rng.normal(scale=2.0, size=(32, ln[0].shape[0]))
+    upstream = rng.normal(size=(32, 2))
+
+    def run(tail):
+        params = tensors(arrays)
+        x = Tensor(x_data, requires_grad=kind != "url")
+        drops = np.random.default_rng(62)
+        args, keywords = tail_arguments(kind, params)
+        out = tail(x, *args, DROPOUT, drops, train, **keywords)
+        backward((out * Tensor(upstream)).sum())
+        grads = {k: p.grad for k, p in params.items() if p.grad is not None}
+        return out.data, grads, x.grad, drops.bit_generator.state
+
+    out, grads, x_grad, state = run(mlp_tail)
+    ref_out, ref_grads, ref_x_grad, ref_state = run(mlp_tail_composition)
+    assert_bitwise(out, ref_out, "output")
+    assert grads.keys() == ref_grads.keys() == {k for k in arrays if k.startswith(TAIL_PREFIX[kind])}
+    for name in grads:
+        assert_bitwise(grads[name], ref_grads[name], name)
+    if kind == "url":
+        assert x_grad is None and ref_x_grad is None
+    else:
+        assert_bitwise(x_grad, ref_x_grad, "classifier input")
+    assert state == ref_state
+
+
+@pytest.mark.parametrize("kind", ["image", "html", "url"])
+def test_a_training_tail_without_an_rng_raises_the_dropout_error(kind):
+    spec, params = desk_params(seed=6)
+    rng = np.random.default_rng(7)
+    batch = {"x": rng.normal(size=(3, 4, 16)), "char": rng.integers(0, 33, size=(3, 32)),
+             "word": rng.integers(0, 17, size=(3, 8)), "dom": rng.integers(0, 9, size=(3, 8))}
+    if kind == "url":
+        batch["x"] = rng.normal(size=(3, 16))
+    head = spec.heads()[kind]
+    assert head.forward(params, batch, train=False, rng=None).shape == (3, 2)
+    with pytest.raises(ValueError, match="training-mode dropout needs an RNG"):
+        head.forward(params, batch, train=True, rng=None)
+
+
 @pytest.mark.parametrize("kind", ["image", "html", "url", "pair"])
 def test_batch_loss_gradients_match_compositions(kind, monkeypatch):
     # every fused primitive swapped back for its old composition: the loss
@@ -530,12 +611,15 @@ def test_batch_loss_gradients_match_compositions(kind, monkeypatch):
         return loss.data, {k: np.array(p.grad) for k, p in params.items() if p.grad is not None}
 
     loss, grads = loss_and_grads()
+    # the heads' fused tails become chains of the primitives, and those
+    # become their compositions
+    monkeypatch.setattr(fedphish.heads, "mlp_tail", mlp_tail_composition)
+    monkeypatch.setattr(layers, "layer_norm", layer_norm_composition)
+    monkeypatch.setattr(layers, "gelu", gelu_composition)
+    monkeypatch.setattr(layers, "weight_norm", weight_norm_composition)
+    monkeypatch.setattr(layers, "cosine_logits", cosine_logits_composition)
     for module in (layers, fedphish.heads):
-        monkeypatch.setattr(module, "layer_norm", layer_norm_composition)
-        monkeypatch.setattr(module, "gelu", gelu_composition)
         monkeypatch.setattr(module, "log_softmax", log_softmax_composition)
-    monkeypatch.setattr(fedphish.heads, "weight_norm", weight_norm_composition)
-    monkeypatch.setattr(fedphish.heads, "cosine_logits", cosine_logits_composition)
     monkeypatch.setattr(fedphish.federation, "focal_loss", focal_loss_composition)
     ref_loss, ref_grads = loss_and_grads()
     assert np.array_equal(loss, ref_loss)

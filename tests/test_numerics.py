@@ -26,6 +26,7 @@ from fedphish.numerics import (
     layer_norm,
     log_softmax,
     mhsa_block,
+    mlp_tail,
     multiscale_conv_encode,
     softmax,
     weight_norm,
@@ -756,6 +757,8 @@ MULTI_PARENT_OPS = {
     "matmul": (lambda a, b: a @ b, [(3, 4), (4, 2)]),
     "matmul_shared": (lambda a, b: a @ b, [(2, 3, 4), (4, 2)]),
     "layer_norm": (layer_norm, [(3, 5), (5,), (5,)]),
+    "mlp_tail": (lambda x, g, b, w1, b1, w2, b2: mlp_tail(x, (g, b), (w1, b1), (w2, b2), 0.0, None, False),
+                 [(3, 5), (5,), (5,), (5, 4), (4,), (4, 2), (2,)]),
 }
 
 
@@ -785,6 +788,13 @@ def test_backprop_rejects_nan_loss():
     x = Tensor(np.array([np.nan]), requires_grad=True)
     with pytest.raises(GradientError):
         backward(x.sum())
+
+
+def test_backprop_rejects_a_non_scalar_loss():
+    x = Tensor(np.ones((2, 3)), requires_grad=True)
+    with pytest.raises(ValueError, match=r"scalar loss, got shape \(2, 3\)"):
+        backward(x * 2.0)
+    assert x.grad is None
 
 
 def test_backprop_reused_node_accumulates():
@@ -1273,6 +1283,13 @@ def test_dropout_eval_is_noop_and_train_scales():
     assert abs(y.mean() - 1.0) < 0.05
 
 
+@pytest.mark.parametrize("bad", [-1, 4])
+def test_embedding_rejects_an_id_outside_the_table(bad):
+    table = Tensor(np.zeros((4, 2)), requires_grad=True)
+    with pytest.raises(ValueError, match="ids out of range for embedding table with 4 rows"):
+        embedding(table, np.array([[0, bad]]))
+
+
 def test_embedding_gradient_scatter_adds():
     table = Tensor(np.zeros((4, 2)), requires_grad=True)
     ids = np.array([1, 1, 3])
@@ -1440,6 +1457,21 @@ def weight_norm_composition(v, g):
 def cosine_logits_composition(f, w, log_scale, floor):
     """The url head's cosine classifier as it was built, five nodes."""
     return (l2_normalize(f, 1, floor) @ l2_normalize(w, 0, floor)) * log_scale.exp()
+
+
+def mlp_tail_composition(x, ln, fc, out, p, rng, train, cosine_floor=None):
+    """``mlp_tail`` as the chain of Tensor-level primitives it fuses, one
+    node or composition each. They are looked up in ``layers`` when called,
+    so a test that swaps one there for its composition swaps it here too."""
+    h = layers.layer_norm(x, *ln)
+    if len(fc) == 3:
+        h = h @ layers.weight_norm(fc[0], fc[1]) + fc[2]
+    else:
+        h = layers.affine(h, *fc)
+    f = layers.dropout(layers.gelu(h), p, rng, train)
+    if cosine_floor is None:
+        return layers.affine(f, *out)
+    return layers.cosine_logits(f, *out, cosine_floor)
 
 
 def forward_and_grads(fn, arrays, seed=0):
