@@ -7,7 +7,8 @@ the modality:
 
 - url: "x" [N, dim] embeddings;
 - image: "x" [N, L, dim] token sequences;
-- html: "char", "word" and "dom" [N, stream length] preprocessed id streams;
+- html: "char", "word" and "dom" [N, stream length], each page's streams
+  under the keys ``preprocess`` returns them by;
 - pair: an image and an html payload of the same page, so "x", "char",
   "word" and "dom".
 
@@ -65,10 +66,8 @@ def _html_rows(n: int, cfg: PreprocConfig) -> dict[str, np.ndarray]:
 
 
 def _put_page(rows: dict[str, np.ndarray], i: int, html: str, cfg: PreprocConfig) -> None:
-    streams = preprocess(html, cfg)
-    rows["char"][i] = streams.char_ids
-    rows["word"][i] = streams.word_ids
-    rows["dom"][i] = streams.dom_ids
+    for key, ids in preprocess(html, cfg).items():
+        rows[key][i] = ids
 
 
 _NUMBER_TYPES = {int, float}  # not bool: json reads true as a bool, which numpy takes as 1.0

@@ -14,7 +14,6 @@ from .layers import (
     affine,
     attention_pool,
     bilstm_sequence,
-    cosine_logits,
     dropout,
     embedding,
     gelu,
@@ -25,7 +24,6 @@ from .layers import (
     mlp_tail,
     multiscale_conv_encode,
     softmax,
-    weight_norm,
 )
 from .optim import Adam, clip_global_norm, make_optimizer
 from .tensor import (
@@ -48,7 +46,6 @@ __all__ = [
     "bilstm_sequence",
     "clip_global_norm",
     "concat",
-    "cosine_logits",
     "dropout",
     "embedding",
     "finite_difference_check",
@@ -61,6 +58,5 @@ __all__ = [
     "mlp_tail",
     "multiscale_conv_encode",
     "softmax",
-    "weight_norm",
     "zero_grads",
 ]

@@ -9,25 +9,25 @@ compositions of ``Tensor`` operations, one graph node per operation. The
 rest are single nodes with hand-written backwards:
 
 - ``layer_norm``, ``gelu`` and ``log_softmax``, because every head runs
-  them and as compositions they cost 11, 5 and 6 nodes each, and the url
-  head's ``weight_norm`` and ``cosine_logits``, which replace compositions
-  of 6 and 5 nodes: in a small head such as the url expert, the per-node
-  Python overhead, not the arithmetic, sets the step time. Each runs the
-  numpy operations of the composition it replaces in the same order,
-  forward and backward. An input that the composition reached along k
-  paths is listed k times among the node's parents, with one gradient term
-  per path, so ``backward`` adds the terms in the composition's order and
-  every gradient in the graph stays bitwise the composition's. Layer norm,
-  weight norm, GELU and cosine logits are each written once, as an array
-  part (``_layer_norm_part``, ``_weight_norm_part``, ``_gelu_part``,
-  ``_cosine_part``) that returns its output and a closure giving those
-  per-path terms; the public function is one node over its part;
+  them and as compositions they cost 11, 5 and 6 nodes each: in a small
+  head such as the url expert, the per-node Python overhead, not the
+  arithmetic, sets the step time. Each runs the numpy operations of its
+  composition in the same order, forward and backward. An input that the
+  composition reached along k paths is listed k times among the node's
+  parents, with one gradient term per path, so ``backward`` adds the terms
+  in the composition's order and every gradient in the graph stays bitwise
+  the composition's. Layer norm and GELU are each written once, as an
+  array part (``_layer_norm_part``, ``_gelu_part``) that returns its output
+  and a closure giving those per-path terms; the public function is one
+  node over its part;
 - ``mlp_tail``, the tail the image, html and url experts end in: layer
-  norm, an affine map, GELU, dropout and an output map, seven nodes as a
-  chain of the ones above. It runs the parts in order as one node, and its
-  backward calls their closures in reverse, adding a multi-path input's
-  terms left to right as ``backward`` would, so its output and gradients
-  are bitwise the chain's;
+  norm, an affine map, GELU, dropout and an output map. The url expert's
+  affine weight is weight-normalised and its output map is cosine logits;
+  those two exist only as array parts (``_weight_norm_part``,
+  ``_cosine_part``) of this node. It runs the parts in order as one node,
+  and its backward calls their closures in reverse, adding a multi-path
+  input's terms left to right as ``backward`` would, so its output and
+  gradients are bitwise a chain of one node per primitive;
 - ``bilstm_sequence``, because an unrolled cell costs about twenty nodes
   per time step. It runs every direction of every sequence it is given,
   for the html head both directions of the word and the DOM stream, as one
@@ -58,8 +58,6 @@ __all__ = [
     "softmax",
     "log_softmax",
     "log_softmax_parts",
-    "cosine_logits",
-    "weight_norm",
     "gelu",
     "dropout",
     "mlp_tail",
@@ -157,8 +155,12 @@ def _unit(x: np.ndarray, axis: int, floor: float):
 
 
 def _cosine_part(f: np.ndarray, w: np.ndarray, log_scale: np.ndarray, floor: float):
-    """``cosine_logits`` on arrays: the output, and the map from an output
-    gradient to the terms of (f, f, f, w, w, w, log_scale)."""
+    """Cosine logits: the rows of ``f`` [B, d] and the columns of ``w``
+    [d, C], each divided by its L2 norm (by ``floor`` where the norm is
+    below it), multiplied, and scaled by ``exp(log_scale)``. Returns the
+    output, and the map from an output gradient to the terms of
+    (f, f, f, w, w, w, log_scale): ``f`` and ``w`` each as the dividend and
+    as both factors of the squares."""
     f_hat, f_bw = _unit(f, 1, floor)
     w_hat, w_bw = _unit(w, 0, floor)
     cos = f_hat @ w_hat
@@ -172,18 +174,12 @@ def _cosine_part(f: np.ndarray, w: np.ndarray, log_scale: np.ndarray, floor: flo
     return cos * scale, bw
 
 
-def cosine_logits(f: Tensor, w: Tensor, log_scale: Tensor, floor: float) -> Tensor:
-    """Cosine classifier: the rows of ``f`` [B, d] and the columns of ``w``
-    [d, C], each divided by its L2 norm (by ``floor`` where the norm is
-    below it), multiplied, and scaled by ``exp(log_scale)``."""
-    out, bw = _cosine_part(f.data, w.data, log_scale.data, floor)
-    # f and w three times each: as the dividend and as both factors of the squares
-    return Tensor._node(out, (f, f, f, w, w, w, log_scale), bw)
-
-
 def _weight_norm_part(v: np.ndarray, g: np.ndarray):
-    """``weight_norm`` on arrays: the output, and the map from an output
-    gradient to the terms of (v, v, v, g)."""
+    """Weight normalisation (Salimans & Kingma, arXiv:1602.07868): column j
+    of ``v`` [d, h] divided by its L2 norm and multiplied by ``g[j]``,
+    ``v * (g / ||v||)``; a zero column gives NaN. Returns the output, and
+    the map from an output gradient to the terms of (v, v, v, g): ``v`` as
+    the factor and as both factors of the squares."""
     norm = np.sqrt((v * v).sum(axis=0, keepdims=True))
     gain = g.reshape(1, -1)
     scale = gain / norm
@@ -195,15 +191,6 @@ def _weight_norm_part(v: np.ndarray, g: np.ndarray):
         return grad * scale, g_sq, g_sq, (g_scale / norm).reshape(g.shape)
 
     return v * scale, bw
-
-
-def weight_norm(v: Tensor, g: Tensor) -> Tensor:
-    """Weight normalisation (Salimans & Kingma, arXiv:1602.07868): column j
-    of ``v`` [d, h] divided by its L2 norm and multiplied by ``g[j]``,
-    ``v * (g / ||v||)``. A zero column gives NaN, as the composition does."""
-    out, bw = _weight_norm_part(v.data, g.data)
-    # v three times: as the factor and as both factors of the squares
-    return Tensor._node(out, (v, v, v, g), bw)
 
 
 _INV_SQRT_2 = 1.0 / np.sqrt(2.0)
@@ -263,16 +250,21 @@ def mlp_tail(
     affine map, ``gelu``, ``dropout`` with rate ``p`` and an output map.
 
     ``fc`` is the affine map's (w, b), or (v, g, b) for the weight
-    ``weight_norm(v, g)``. ``out`` is (w, b) for an affine output, or
-    (w, log_scale) for ``cosine_logits`` with ``cosine_floor``.
+    normalised by ``_weight_norm_part``. ``out`` is (w, b) for an affine
+    output, or (w, log_scale) for the cosine logits of ``_cosine_part``
+    with ``cosine_floor``.
 
     Forward and backward run the array parts of those primitives in the
     composition's order, and the dropout mask is the same draw from
     ``rng``. A multi-path input of a part inside the node gets its terms
     added left to right, as ``backward`` adds a parent's; ``x`` is listed
     twice among the parents, for layer norm's two terms. So the output and
-    every gradient are bitwise the composition's, and as there, a gradient
-    that no parent needs is not computed.
+    every gradient are bitwise the composition's.
+
+    A gradient that no parent needs is skipped, with two exceptions in the
+    url tail: the weight norm computes the gradients of both ``v`` and
+    ``g`` when either needs one, and the cosine logits always compute the
+    terms of all their inputs, so ``w`` and ``log_scale`` always get one.
     """
     gamma, beta = ln
     h, ln_bw = _layer_norm_part(x.data, gamma.data, beta.data, 1e-5)

@@ -5,11 +5,12 @@ maps the output gradient to parent gradients. ``backward(loss)`` walks that
 graph once in reverse topological order; the graph itself is the tape. All
 arithmetic stays in 64-bit precision.
 
-A closure computes only the gradients its parents need: for a parent that
-does not require a gradient, such as a constant or a batch of input data,
-it returns ``None`` instead of doing that parent's arithmetic. For every
-parent that does, it returns a gradient: ``backward`` takes one for each
-node it reaches, and a node left without one is a ``KeyError``.
+A closure may skip the gradients its parents do not need: for a parent
+that does not require a gradient, such as a constant or a batch of input
+data, it may return ``None`` instead of doing that parent's arithmetic,
+and ``backward`` drops whatever it returns there. For every parent that
+does, it returns a gradient: ``backward`` takes one for each node it
+reaches, and a node left without one is a ``KeyError``.
 
 Values and gradients are dense arrays. A client trains each embedding table
 as a compact table of only the rows its data can look up, so a table's

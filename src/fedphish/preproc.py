@@ -1,5 +1,6 @@
 """Deterministic transformation of raw HTML into three fixed-length index
-streams: UTF-8 character bytes, hashed visible words, hashed DOM tag names.
+streams, keyed as a batch keys them: "char", the UTF-8 bytes; "word", the
+hashed visible words; and "dom", the hashed DOM tag names.
 
 The whole pipeline is a pure function of its input: same page in, same
 streams out, byte for byte. Scanning is single-pass and tolerant; malformed
@@ -28,7 +29,6 @@ from .rules import BUCKETS, check_fields, setting
 
 __all__ = [
     "PreprocConfig",
-    "HtmlStreams",
     "fnv1a64",
     "normalize_html",
     "char_stream",
@@ -78,37 +78,6 @@ class PreprocConfig:
     def lengths(self) -> dict[str, int]:
         """The length of each id stream of a page, by stream name."""
         return {"char": self.char_len, "word": self.word_len, "dom": self.dom_len}
-
-
-@dataclass(frozen=True)
-class HtmlStreams:
-    """Fixed-length index triple for one page.
-
-    PAD ids (256 / word_buckets / dom_buckets) occur only as a contiguous
-    suffix; everything before them is real content in document order.
-    """
-
-    char_ids: np.ndarray
-    word_ids: np.ndarray
-    dom_ids: np.ndarray
-
-    def validate(self, cfg: PreprocConfig) -> None:
-        """Raise if any length, range or PAD-suffix invariant is violated."""
-        specs = [
-            ("char", self.char_ids, cfg.char_len, CHAR_PAD),
-            ("word", self.word_ids, cfg.word_len, cfg.word_buckets),
-            ("dom", self.dom_ids, cfg.dom_len, cfg.dom_buckets),
-        ]
-        for name, ids, length, pad in specs:
-            if len(ids) != length:
-                raise ValueError(f"{name} stream has length {len(ids)}, expected {length}")
-            if ids.min(initial=0) < 0 or ids.max(initial=0) > pad:
-                raise ValueError(f"{name} stream has ids outside [0, {pad}]")
-            is_pad = ids == pad
-            if is_pad.any():
-                first = int(np.argmax(is_pad))
-                if not is_pad[first:].all():
-                    raise ValueError(f"{name} stream PAD is not a contiguous suffix")
 
 
 def fnv1a64(data: bytes) -> int:
@@ -246,8 +215,14 @@ def _padded(ids: list[int], length: int, pad: int) -> np.ndarray:
     return out
 
 
-def preprocess(html: str, cfg: PreprocConfig | None = None) -> HtmlStreams:
-    """Normalize, then derive all three streams in one pass over the markup."""
+def preprocess(html: str, cfg: PreprocConfig | None = None) -> dict[str, np.ndarray]:
+    """Normalize, then derive all three streams in one pass over the markup.
+
+    Returns the streams by the keys of ``cfg.lengths()``: "char", "word"
+    and "dom", each an int64 array of that length. A stream's PAD id
+    (256, word_buckets or dom_buckets) occurs only as a contiguous suffix;
+    everything before it is real content in document order.
+    """
     cfg = cfg or PreprocConfig()
     norm = normalize_html(html)
 
@@ -260,8 +235,8 @@ def preprocess(html: str, cfg: PreprocConfig | None = None) -> HtmlStreams:
         elif len(words) < cfg.word_len:
             tokens = tokenize_words(value)[: cfg.word_len - len(words)]
             words += [_bucket(tok, cfg.word_buckets) for tok in tokens]
-    return HtmlStreams(
-        char_ids=char_stream(norm, cfg),
-        word_ids=_padded(words, cfg.word_len, cfg.word_buckets),
-        dom_ids=_padded(doms, cfg.dom_len, cfg.dom_buckets),
-    )
+    return {
+        "char": char_stream(norm, cfg),
+        "word": _padded(words, cfg.word_len, cfg.word_buckets),
+        "dom": _padded(doms, cfg.dom_len, cfg.dom_buckets),
+    }

@@ -13,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from test_preproc import assert_valid_streams
 
 from fedphish.cli import EXIT_OK, EXIT_RUNTIME, EXIT_VALIDATION, main
 from fedphish.config import (
@@ -27,7 +28,7 @@ from fedphish.config import (
 )
 from fedphish.federation import TrainConfig
 from fedphish.heads import ModelSpec
-from fedphish.preproc import HtmlStreams, PreprocConfig
+from fedphish.preproc import PreprocConfig
 
 
 def write_config(tmp_path, obj, name="cfg.json"):
@@ -334,6 +335,11 @@ def test_twelve_scenarios_bundled():
     assert "ablation_url_2clients" in names
 
 
+def test_bundled_config_path_of_an_unknown_name_raises():
+    with pytest.raises(ConfigError, match="no bundled config named 'no_such_scenario'"):
+        bundled_config_path("no_such_scenario")
+
+
 @pytest.mark.parametrize("name", bundled_config_names())
 def test_bundled_configs_parse_and_build(name):
     cfg = parse_config(bundled_config_path(name))
@@ -426,6 +432,36 @@ def test_cli_run_fault_after_build_exit_two(tmp_path, monkeypatch, capsys):
     assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == EXIT_RUNTIME
     assert "report is missing" in capsys.readouterr().err
     assert not (tmp_path / "out" / "rounds.csv").exists()
+
+
+def test_cli_run_every_client_failing_exit_two(tmp_path, monkeypatch, capsys):
+    # every trainer's data is NaN, so round 0 has no report to aggregate
+    def nan_clients(cfg):
+        clients = build_clients(cfg)
+        for client in clients:
+            for data in client.train.values():
+                data["x"][:] = np.nan
+        return clients
+
+    monkeypatch.setattr("fedphish.config.build_clients", nan_clients)
+    cfg_path = write_config(tmp_path, minimal_config(rounds=2))
+    assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == EXIT_RUNTIME
+    assert "runtime failure: round 0: every training client failed" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "rounds.csv").exists()
+
+
+def test_cli_run_path_range_past_the_file_exit_one(tmp_path, capsys):
+    data_path = tmp_path / "urls.jsonl"
+    data_path.write_text("".join(
+        json.dumps({"label": i % 2, "embedding": [float(i)] * 16}) + "\n" for i in range(10)))
+    cfg = minimal_config()
+    cfg["clients"][0]["datasets"][0] = {
+        "modality": "url", "path": str(data_path), "train_range": [0, 6], "test_range": [6, 12],
+    }
+    cfg_path = write_config(tmp_path, cfg)
+    assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == EXIT_VALIDATION
+    assert f"error: {data_path}: test range [6, 12) does not fit 10 samples" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_relative_out_dir_is_under_the_working_directory(tmp_path, monkeypatch):
@@ -544,8 +580,8 @@ def test_cli_synth_html_roundtrips_through_loader(tmp_path):
     cfg = PreprocConfig(char_len=256, word_len=32, dom_len=16)
     data = load_jsonl(out, "html", preproc_cfg=cfg)
     assert len(data["y"]) == 50
-    for char, word, dom in zip(data["char"], data["word"], data["dom"]):
-        HtmlStreams(char_ids=char, word_ids=word, dom_ids=dom).validate(cfg)
+    for i in range(50):
+        assert_valid_streams(data[i], cfg)
 
 
 def test_cli_synth_failed_write_leaves_the_old_file(tmp_path, monkeypatch, capsys):

@@ -5,6 +5,7 @@ import re
 
 import numpy as np
 import pytest
+from test_preproc import assert_valid_streams
 
 from fedphish.data import (
     Dataset,
@@ -15,12 +16,7 @@ from fedphish.data import (
     synth_image_tokens,
     synth_paired,
 )
-from fedphish.preproc import HtmlStreams, PreprocConfig, fnv1a64
-
-
-def page(data, i):
-    """Row ``i`` of an html or pair dataset as the preprocessor's streams."""
-    return HtmlStreams(char_ids=data["char"][i], word_ids=data["word"][i], dom_ids=data["dom"][i])
+from fedphish.preproc import PreprocConfig, fnv1a64
 
 
 # ---------------------------------------------------------------------------
@@ -49,6 +45,13 @@ def test_load_rejects_wrong_embedding_length(tmp_path):
         load_jsonl(path, "url")
 
 
+def test_load_rejects_unknown_modality(tmp_path):
+    path = tmp_path / "p.jsonl"
+    write_lines(path, [{"label": 1, "html": "<p>verify</p>"}])
+    with pytest.raises(ValueError, match="unknown modality 'pair'"):
+        load_jsonl(path, "pair")
+
+
 def test_load_rejects_bad_json_with_line_number(tmp_path):
     path = tmp_path / "u.jsonl"
     path.write_text('{"label": 1, "embedding": [0.1]}\nnot json\n')
@@ -70,7 +73,7 @@ def test_load_html_runs_preprocessing(tmp_path):
     cfg = PreprocConfig(char_len=64, word_len=8, dom_len=8)
     data = load_jsonl(path, "html", preproc_cfg=cfg)
     assert data["char"].shape == (1, 64) and data["word"].shape == data["dom"].shape == (1, 8)
-    page(data, 0).validate(cfg)
+    assert_valid_streams(data[0], cfg)
     assert data["word"][0, 0] == fnv1a64(b"verify") % cfg.word_buckets
 
 
@@ -239,7 +242,7 @@ def test_synth_html_streams_valid_and_deterministic():
     a = synth_html(30, seed=6, preproc_cfg=cfg)
     b = synth_html(30, seed=6, preproc_cfg=cfg)
     for i in range(30):
-        page(a, i).validate(cfg)
+        assert_valid_streams(a[i], cfg)
     assert all(np.array_equal(a[key], b[key]) for key in ("char", "word", "dom", "y"))
 
 

@@ -1017,6 +1017,29 @@ def test_nan_client_dropped_and_other_owner_aggregates(caplog, monkeypatch):
         assert np.array_equal(res.params[k], alone.params[k]), k
 
 
+def test_a_round_where_every_training_client_fails_ends_the_run(caplog):
+    # a round with no report to aggregate ends the run and names the round,
+    # and an evaluation-only client does not save it. The data turns NaN
+    # after round 0, so round 0 trains and round 1 fails
+    spec = ModelSpec.desk()
+    cfg = TrainConfig(rounds=3, epochs=1, batch_size=16, seed=18)
+    trainers = [desk_url_client("a", seed=60), desk_url_client("b", seed=61)]
+    viewer = ClientData(client_id="z", val={"url": synth_embeddings(32, dim=16, seed=63)})
+    hooked = []
+
+    def poison(round_index, params, log):
+        hooked.append(round_index)
+        for client in trainers:
+            client.train["url"]["x"][:] = np.nan
+
+    with caplog.at_level(logging.ERROR, logger="fedphish.federation"):
+        with pytest.raises(RuntimeError, match=r"^round 1: every training client failed$"):
+            run_experiment(spec, cfg, [*trainers, viewer], round_hook=poison)
+    assert hooked == [0]
+    failures = [r.getMessage() for r in caplog.records]
+    assert failures == ["client a failed in round 1", "client b failed in round 1"]
+
+
 def test_programming_error_in_training_propagates(monkeypatch):
     def broken(*args, **kwargs):
         raise TypeError("bug in our own code")

@@ -7,14 +7,12 @@ import math
 import numpy as np
 import pytest
 from test_numerics import (
-    cosine_logits_composition,
     gelu_composition,
     layer_norm_composition,
     log_softmax_composition,
     mean,
     mlp_tail_composition,
     power,
-    weight_norm_composition,
 )
 
 import fedphish.federation
@@ -289,10 +287,10 @@ def test_html_head_identical_streams_identical_logits():
     base = "<p>pay now</p><script>" + "a" * 64
     s1 = preprocess(base + "AAA</script>", pcfg)
     s2 = preprocess(base + "BBB</script>", pcfg)
-    assert np.array_equal(s1.char_ids, s2.char_ids)
-    assert np.array_equal(s1.word_ids, s2.word_ids)
-    l1, l2 = (head.forward(params, {"char": s.char_ids[None], "word": s.word_ids[None],
-                                    "dom": s.dom_ids[None]}).data for s in (s1, s2))
+    assert np.array_equal(s1["char"], s2["char"])
+    assert np.array_equal(s1["word"], s2["word"])
+    l1, l2 = (head.forward(params, {key: ids[None] for key, ids in s.items()}).data
+              for s in (s1, s2))
     assert np.array_equal(l1, l2)
 
 
@@ -616,8 +614,6 @@ def test_batch_loss_gradients_match_compositions(kind, monkeypatch):
     monkeypatch.setattr(fedphish.heads, "mlp_tail", mlp_tail_composition)
     monkeypatch.setattr(layers, "layer_norm", layer_norm_composition)
     monkeypatch.setattr(layers, "gelu", gelu_composition)
-    monkeypatch.setattr(layers, "weight_norm", weight_norm_composition)
-    monkeypatch.setattr(layers, "cosine_logits", cosine_logits_composition)
     for module in (layers, fedphish.heads):
         monkeypatch.setattr(module, "log_softmax", log_softmax_composition)
     monkeypatch.setattr(fedphish.federation, "focal_loss", focal_loss_composition)

@@ -18,7 +18,6 @@ from fedphish.numerics import (
     bilstm_sequence,
     clip_global_norm,
     concat,
-    cosine_logits,
     dropout,
     embedding,
     finite_difference_check,
@@ -29,7 +28,6 @@ from fedphish.numerics import (
     mlp_tail,
     multiscale_conv_encode,
     softmax,
-    weight_norm,
     zero_grads,
 )
 from fedphish.numerics import layers, optim
@@ -76,8 +74,8 @@ def mean(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 def l2_normalize(x: Tensor, axis: int, floor: float) -> Tensor:
     """``x`` divided by its L2 norm along ``axis``, or by ``floor`` where the
     norm is below it, as one node on ``layers._unit``, the normalisation
-    that ``cosine_logits`` runs on both its inputs; below the floor the
-    gradient is the plain ``1 / floor`` scaling."""
+    that the url tail's cosine logits run on both their inputs; below the
+    floor the gradient is the plain ``1 / floor`` scaling."""
     out, bw = layers._unit(x.data, axis, floor)
     # x three times: as the dividend and as both factors of the squares
     return Tensor._node(out, (x, x, x), bw)
@@ -1235,21 +1233,15 @@ def test_primitive_gradients_over_twenty_seeds():
         )
         assert err < 1e-4, f"conv seed {seed}: {err}"
 
-        v = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
-        gain = Tensor(1.0 + rng.normal(scale=0.1, size=3), requires_grad=True)
+        # the url tail: weight-normalised hidden layer, cosine logits; its
+        # input is data, as in the head
+        names = ("gamma", "beta", "v", "g", "b", "w", "log_scale")
+        tail = dict(zip(names, (Tensor(a, requires_grad=True)
+                                for a in url_tail_arrays(rng, 3, 5, 4, 2)[1:])))
         err = finite_difference_check(
-            lambda: power(Tensor(x[:, :4]) @ weight_norm(v, gain), 2.0).sum(), {"v": v, "g": gain}
+            lambda: power(url_tail(Tensor(x[:, :5]), *tail.values()), 2.0).sum(), tail
         )
-        assert err < 1e-4, f"weight_norm seed {seed}: {err}"
-
-        f = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
-        cw = Tensor(rng.normal(size=(4, 2)), requires_grad=True)
-        log_scale = Tensor(np.array(rng.normal(scale=0.5)), requires_grad=True)
-        err = finite_difference_check(
-            lambda: power(cosine_logits(f, cw, log_scale, 1e-12), 2.0).sum(),
-            {"f": f, "w": cw, "log_scale": log_scale},
-        )
-        assert err < 1e-4, f"cosine_logits seed {seed}: {err}"
+        assert err < 1e-4, f"url tail seed {seed}: {err}"
 
 
 def test_mhsa_gradients_over_twenty_seeds():
@@ -1460,18 +1452,42 @@ def cosine_logits_composition(f, w, log_scale, floor):
 
 
 def mlp_tail_composition(x, ln, fc, out, p, rng, train, cosine_floor=None):
-    """``mlp_tail`` as the chain of Tensor-level primitives it fuses, one
-    node or composition each. They are looked up in ``layers`` when called,
-    so a test that swaps one there for its composition swaps it here too."""
+    """``mlp_tail`` as the chain of primitives it fuses, one node or
+    composition each. Layer norm, affine, GELU and dropout are looked up in
+    ``layers`` when called, so a test that swaps one there for its
+    composition swaps it here too; the url tail's weight norm and cosine
+    logits are their compositions."""
     h = layers.layer_norm(x, *ln)
     if len(fc) == 3:
-        h = h @ layers.weight_norm(fc[0], fc[1]) + fc[2]
+        h = h @ weight_norm_composition(fc[0], fc[1]) + fc[2]
     else:
         h = layers.affine(h, *fc)
     f = layers.dropout(layers.gelu(h), p, rng, train)
     if cosine_floor is None:
         return layers.affine(f, *out)
-    return layers.cosine_logits(f, *out, cosine_floor)
+    return cosine_logits_composition(f, *out, cosine_floor)
+
+
+def url_tail(x, gamma, beta, v, g, b, w, log_scale, p=0.0, rng=None, train=False,
+             tail=mlp_tail):
+    """The url expert's tail on its eight inputs: layer norm, an affine map
+    of weight ``v * (g / ||v||)``, GELU, dropout and cosine logits."""
+    return tail(x, (gamma, beta), (v, g, b), (w, log_scale), p, rng, train, cosine_floor=1e-12)
+
+
+def url_tail_composition(*inputs, **keywords):
+    return url_tail(*inputs, **keywords, tail=mlp_tail_composition)
+
+
+def url_tail_arrays(rng, batch, d, hidden, classes):
+    """Inputs of ``url_tail``: x [batch, d], layer norm gain and bias, v
+    [d, hidden], gain g and bias b, class weights [hidden, classes] and a
+    0-d log scale."""
+    return [rng.normal(scale=rng.uniform(0.1, 10.0), size=(batch, d)),
+            1.0 + rng.normal(scale=0.3, size=d), rng.normal(scale=0.3, size=d),
+            rng.normal(scale=rng.uniform(0.1, 10.0), size=(d, hidden)),
+            1.0 + rng.normal(scale=0.3, size=hidden), rng.normal(scale=0.3, size=hidden),
+            rng.normal(size=(hidden, classes)), np.array(rng.normal(scale=2.0))]
 
 
 def forward_and_grads(fn, arrays, seed=0):
@@ -1604,14 +1620,41 @@ def random_shape(rng, ndim):
     return tuple(int(n) for n in rng.integers(1, 10, size=ndim))
 
 
-def test_weight_norm_node_matches_composition():
+def test_url_tail_matches_composition():
+    # the weight norm and the cosine logits inside the url tail, over
+    # random widths
     rng = np.random.default_rng(48)
     for seed in range(12):
-        d, h = random_shape(rng, 2)
-        v = rng.normal(scale=rng.uniform(0.1, 10.0), size=(d, h))
-        assert_matches_composition(
-            weight_norm, weight_norm_composition, [v, rng.normal(size=h)], seed
-        )
+        arrays = url_tail_arrays(rng, *random_shape(rng, 4))
+        assert_matches_composition(url_tail, url_tail_composition, arrays, seed)
+
+
+def test_weight_norm_node_matches_composition():
+    # the weight-normalised hidden layer alone: an mlp_tail with (v, g, b)
+    # and an affine output, over random widths
+    def tail(fn):
+        return lambda x, gamma, beta, v, g, b, w, c: fn(
+            x, (gamma, beta), (v, g, b), (w, c), 0.0, None, False)
+
+    rng = np.random.default_rng(30)
+    for seed in range(12):
+        batch, d, hidden, classes = random_shape(rng, 4)
+        arrays = url_tail_arrays(rng, batch, d, hidden, classes)[:7] + [rng.normal(size=classes)]
+        assert_matches_composition(tail(mlp_tail), tail(mlp_tail_composition), arrays, seed)
+
+
+def test_cosine_logits_node_matches_composition():
+    # the cosine logits alone: an mlp_tail with an affine hidden layer and
+    # (w, log_scale) as its output map, over random widths
+    def tail(fn):
+        return lambda x, gamma, beta, w1, b1, w, log_scale: fn(
+            x, (gamma, beta), (w1, b1), (w, log_scale), 0.0, None, False, cosine_floor=1e-12)
+
+    rng = np.random.default_rng(50)
+    for seed in range(12):
+        x, gamma, beta, w1, _, b1, w, log_scale = url_tail_arrays(rng, *random_shape(rng, 4))
+        arrays = [x, gamma, beta, w1, b1, w, log_scale]
+        assert_matches_composition(tail(mlp_tail), tail(mlp_tail_composition), arrays, seed)
 
 
 def seeded(out: Tensor, upstream: np.ndarray) -> Tensor:
@@ -1621,66 +1664,83 @@ def seeded(out: Tensor, upstream: np.ndarray) -> Tensor:
 
 
 def test_weight_norm_zero_column_matches_composition():
-    # column 1 has norm 0: g / 0 and 0 * inf give NaN in both versions,
-    # forward and backward, and the other columns stay finite
+    # column 1 of v has norm 0: g / 0 and 0 * inf give NaN in the url tail
+    # and in its composition alike, forward and backward; through the
+    # cosine's row norms the NaN hidden unit reaches every logit
     rng = np.random.default_rng(49)
-    v, gain = rng.normal(size=(5, 3)), rng.normal(size=3)
-    v[:, 1] = 0.0
-    upstream = rng.normal(size=(5, 3))
+    arrays = url_tail_arrays(rng, 5, 4, 3, 2)
+    arrays[3][:, 1] = 0.0
+    upstream = rng.normal(size=(5, 2))
     results = []
-    for fn in (weight_norm, weight_norm_composition):
-        leaves = [Tensor(v.copy(), requires_grad=True), Tensor(gain.copy(), requires_grad=True)]
+    for fn in (url_tail, url_tail_composition):
+        leaves = [Tensor(a.copy(), requires_grad=True) for a in arrays]
         with np.errstate(divide="ignore", invalid="ignore"):
             out = fn(*leaves)
             backward(seeded(out, upstream))
         results.append([out.data] + [leaf.grad for leaf in leaves])
     for got, ref in zip(*results):
         assert np.array_equal(got, ref, equal_nan=True)
-    out, d_v, d_gain = results[0]
-    assert np.isnan(out[:, 1]).all() and np.isfinite(out[:, [0, 2]]).all()
-    assert np.isnan(d_v[:, 1]).all() and np.isfinite(d_v[:, [0, 2]]).all()
-    assert np.isnan(d_gain[1]) and np.isfinite(d_gain[[0, 2]]).all()
-
-
-def cosine_arrays(rng, batch, d, classes):
-    return [rng.normal(scale=rng.uniform(0.1, 10.0), size=(batch, d)),
-            rng.normal(size=(d, classes)), np.array(rng.normal(scale=2.0))]
-
-
-def test_cosine_logits_node_matches_composition():
-    rng = np.random.default_rng(50)
-    for seed in range(12):
-        arrays = cosine_arrays(rng, *random_shape(rng, 3))
-        assert_matches_composition(
-            lambda f, w, s: cosine_logits(f, w, s, 1e-12),
-            lambda f, w, s: cosine_logits_composition(f, w, s, 1e-12), arrays, seed,
-        )
+    out, d_v = results[0][0], results[0][4]
+    assert np.isnan(out).all() and np.isnan(d_v[:, 1]).all()
+    arrays[3][:, 1] = 1.0
+    assert np.isfinite(url_tail(*map(Tensor, arrays)).data).all()
 
 
 def test_cosine_logits_below_floor_matches_composition():
-    # feature rows 0 and 2 (norms ~1e-14 and 0) and class column 1 (~1e-15)
-    # are below the floor and divided by it
+    # in the url tail, the feature rows that dropout zeroes (norm 0) and
+    # class column 1 (norm ~1e-15) are below the floor and divided by it
     rng = np.random.default_rng(51)
-    f, w, log_scale = cosine_arrays(rng, 4, 6, 3)
-    f[0] *= 1e-14
-    f[2] = 0.0
-    w[:, 1] *= 1e-15
-    assert_matches_composition(
-        lambda f, w, s: cosine_logits(f, w, s, 1e-12),
-        lambda f, w, s: cosine_logits_composition(f, w, s, 1e-12), [f, w, log_scale],
-    )
-    out = cosine_logits(Tensor(f), Tensor(w), Tensor(log_scale), 1e-12).data
-    unit_w = w / np.maximum(np.sqrt((w * w).sum(axis=0, keepdims=True)), 1e-12)
-    assert np.allclose(out[0], (f[0] / 1e-12) @ unit_w * np.exp(log_scale), rtol=1e-13, atol=0)
-    assert np.array_equal(out[2], np.zeros(3))
+    arrays = url_tail_arrays(rng, 8, 5, 2, 3)
+    w = arrays[6].copy()
+    arrays[6][:, 1] *= 1e-15
+
+    def dropped(tail):
+        return lambda *t: tail(*t, p=0.5, rng=np.random.default_rng(9), train=True)
+
+    assert_matches_composition(dropped(url_tail), dropped(url_tail_composition), arrays)
+    out = dropped(url_tail)(*map(Tensor, arrays)).data
+    zero_rows = (out == 0.0).all(axis=1)
+    assert zero_rows.any() and not zero_rows.all()
+    # against the same tail with column 1 at full size, divided by its norm
+    full = dropped(url_tail)(*map(Tensor, arrays[:6]), Tensor(w), Tensor(arrays[7])).data
+    norm = np.sqrt((w[:, 1] * w[:, 1]).sum())
+    assert np.allclose(out[:, 1], full[:, 1] * (norm * 1e-15 / 1e-12), rtol=1e-10, atol=0)
+    assert np.allclose(out[:, [0, 2]], full[:, [0, 2]], rtol=1e-14, atol=0)
 
 
 def test_cosine_logits_scale_gradient_is_a_0d_array():
     # clip_global_norm takes only ndarray gradients, 0-d included
     rng = np.random.default_rng(52)
-    leaves = [Tensor(a, requires_grad=True) for a in cosine_arrays(rng, 3, 4, 2)]
-    backward(cosine_logits(*leaves, 1e-12).sum())
-    assert type(leaves[2].grad) is np.ndarray and leaves[2].grad.shape == ()
+    leaves = [Tensor(a, requires_grad=True) for a in url_tail_arrays(rng, 3, 4, 3, 2)]
+    backward(url_tail(*leaves).sum())
+    assert type(leaves[7].grad) is np.ndarray and leaves[7].grad.shape == ()
+
+
+@pytest.mark.parametrize("op,constant", [("mlp_tail", {0, 1, 2, 3, 4}), ("url_tail", {0, 1, 2, 3, 4, 5}),
+                                         ("url_tail", {3, 4})],
+                         ids=["mlp_tail-only-output-map", "url_tail-only-output-map", "url_tail-v-and-g"])
+def test_tail_closure_returns_none_for_constant_inputs(op, constant):
+    # with the input, layer norm and hidden layer all constant only the
+    # output map gets gradients, and a url tail with v and g constant gives
+    # neither one; every other term is the one all-trained inputs get
+    fn, shapes = (MULTI_PARENT_OPS["mlp_tail"] if op == "mlp_tail" else
+                  (url_tail, [(3, 5), (5,), (5,), (5, 4), (4,), (4,), (4, 2), ()]))
+    rng = np.random.default_rng(55)
+    arrays = [rng.uniform(0.5, 2.0, size=shape) for shape in shapes]
+
+    def closure_terms(constant):
+        leaves = [Tensor(a, requires_grad=i not in constant) for i, a in enumerate(arrays)]
+        out = fn(*leaves)
+        upstream = np.random.default_rng(56).normal(size=out.shape)
+        return [leaves.index(p) for p in out._parents], out._backward(upstream)
+
+    which, full = closure_terms(set())
+    _, terms = closure_terms(constant)
+    for leaf, term, ref in zip(which, terms, full):
+        if leaf in constant:
+            assert term is None
+        else:
+            assert np.array_equal(term, ref)
 
 
 def test_single_node_primitives_finite_differences():
@@ -1700,3 +1760,33 @@ def test_single_node_primitives_finite_differences():
         for name, (loss_fn, params) in losses.items():
             err = finite_difference_check(loss_fn, params)
             assert err < 1e-4, f"{name} seed {seed}: {err}"
+
+
+# ---------------------------------------------------------------------------
+# tooling
+# ---------------------------------------------------------------------------
+
+def test_every_numerics_export_is_used_in_the_program():
+    # a primitive that only the tests call is a second implementation to
+    # keep in step. A use is a name, an attribute or an import in the
+    # syntax tree of a module other than numerics/__init__.py, so neither a
+    # docstring mention, an ``__all__`` string nor the name's own def counts
+    import ast
+    from pathlib import Path
+
+    import fedphish
+    import fedphish.numerics
+
+    root = Path(fedphish.__file__).parent
+    used = set()
+    for path in root.rglob("*.py"):
+        if path == root / "numerics" / "__init__.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name.rpartition(".")[2])
+    assert sorted(set(fedphish.numerics.__all__) - used) == []

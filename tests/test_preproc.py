@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from fedphish.preproc import (
     _ASCII_TOKEN_RE,
     CHAR_PAD,
-    HtmlStreams,
     PreprocConfig,
     _bucket,
     _is_token_char,
@@ -24,6 +23,22 @@ from fedphish.preproc import (
 )
 
 CFG = PreprocConfig()
+STREAMS = ("char", "word", "dom")
+
+
+def assert_valid_streams(streams, cfg: PreprocConfig) -> None:
+    """Each of the "char", "word" and "dom" streams of ``streams`` has its
+    length in ``cfg``, ids in [0, PAD], and PAD only as a contiguous suffix.
+    Other keys, such as a dataset row's label, are ignored."""
+    pads = {"char": CHAR_PAD, "word": cfg.word_buckets, "dom": cfg.dom_buckets}
+    for name, length in cfg.lengths().items():
+        ids, pad = streams[name], pads[name]
+        assert len(ids) == length, f"{name} stream has length {len(ids)}, expected {length}"
+        assert ids.min(initial=0) >= 0 and ids.max(initial=0) <= pad, (
+            f"{name} stream has ids outside [0, {pad}]")
+        is_pad = ids == pad
+        assert not is_pad.any() or is_pad[int(np.argmax(is_pad)):].all(), (
+            f"{name} stream PAD is not a contiguous suffix")
 
 
 # ---------------------------------------------------------------------------
@@ -257,33 +272,33 @@ def test_dom_stream_table1_tag_order():
 
 def test_preprocess_empty_input_all_pad():
     s = preprocess("", CFG)
-    assert (s.char_ids == CHAR_PAD).all()
-    assert (s.word_ids == CFG.word_buckets).all()
-    assert (s.dom_ids == CFG.dom_buckets).all()
+    assert list(s) == list(CFG.lengths())
+    assert (s["char"] == CHAR_PAD).all()
+    assert (s["word"] == CFG.word_buckets).all()
+    assert (s["dom"] == CFG.dom_buckets).all()
 
 
 def test_preprocess_deterministic():
     html = "<html><body onload='x<y'>Sign in <b>now</b><script>s</script></body>"
     a = preprocess(html, CFG)
     b = preprocess(html, CFG)
-    assert np.array_equal(a.char_ids, b.char_ids)
-    assert np.array_equal(a.word_ids, b.word_ids)
-    assert np.array_equal(a.dom_ids, b.dom_ids)
+    for name in STREAMS:
+        assert np.array_equal(a[name], b[name])
 
 
 def test_preprocess_long_page_has_no_char_pad():
     html = "<html>" + "word " * 2000
     s = preprocess(html, CFG)
-    assert (s.char_ids != CHAR_PAD).all()
+    assert (s["char"] != CHAR_PAD).all()
 
 
 def test_preprocess_matches_individual_ops():
     html = "<html><body>Hello <i>there</i> user_1</body></html>"
     s = preprocess(html, CFG)
     norm = normalize_html(html)
-    assert np.array_equal(s.char_ids, char_stream(norm, CFG))
-    assert np.array_equal(s.word_ids, word_stream(tokenize_words(extract_visible_text(norm)), CFG))
-    assert np.array_equal(s.dom_ids, dom_stream(norm, CFG))
+    assert np.array_equal(s["char"], char_stream(norm, CFG))
+    assert np.array_equal(s["word"], word_stream(tokenize_words(extract_visible_text(norm)), CFG))
+    assert np.array_equal(s["dom"], dom_stream(norm, CFG))
 
 
 def random_html(rng) -> str:
@@ -314,8 +329,7 @@ def test_preprocess_fuzz_invariants_hold():
     rng = np.random.default_rng(2)
     cfg = PreprocConfig(char_len=128, word_len=32, dom_len=32)
     for _ in range(500):
-        s = preprocess(random_html(rng), cfg)
-        s.validate(cfg)
+        assert_valid_streams(preprocess(random_html(rng), cfg), cfg)
 
 
 def test_preprocess_never_raises_on_arbitrary_bytes():
@@ -323,16 +337,15 @@ def test_preprocess_never_raises_on_arbitrary_bytes():
     for _ in range(200):
         blob = bytes(rng.integers(0, 256, size=rng.integers(0, 300)).tolist())
         text = blob.decode("utf-8", errors="replace")
-        preprocess(text, CFG).validate(CFG)
+        assert_valid_streams(preprocess(text, CFG), CFG)
 
 
 def test_streams_validate_rejects_bad_pad_suffix():
     s = preprocess("", CFG)
-    bad = s.word_ids.copy()
-    bad[0] = CFG.word_buckets
-    bad[1] = 5
-    with pytest.raises(ValueError):
-        HtmlStreams(s.char_ids, bad, s.dom_ids).validate(CFG)
+    s["word"][0] = CFG.word_buckets
+    s["word"][1] = 5
+    with pytest.raises(AssertionError, match="word stream PAD"):
+        assert_valid_streams(s, CFG)
 
 
 
@@ -341,8 +354,8 @@ def test_normalize_drops_lone_surrogates():
     for raw in ("a\ud800b", "a\udfffb", "\udc80a\ud800\udbffb"):
         assert normalize_html(raw) == "ab"
         s, t = preprocess(raw, CFG), preprocess("ab", CFG)
-        for name in ("char_ids", "word_ids", "dom_ids"):
-            assert np.array_equal(getattr(s, name), getattr(t, name))
+        for name in STREAMS:
+            assert np.array_equal(s[name], t[name])
 
 
 def test_raw_text_close_is_found_in_the_page_own_offsets():
@@ -353,8 +366,8 @@ def test_raw_text_close_is_found_in_the_page_own_offsets():
         ("text", "İ" * 12), ("tag", "script"), ("tag", "b"), ("text", "shown"),
         ("tag", "i"), ("text", "also")]
     dotted, plain = preprocess("İ" * 12 + tail, CFG), preprocess("I" * 12 + tail, CFG)
-    assert np.array_equal(dotted.dom_ids, plain.dom_ids)
-    assert np.array_equal(dotted.word_ids[1:], plain.word_ids[1:])
+    assert np.array_equal(dotted["dom"], plain["dom"])
+    assert np.array_equal(dotted["word"][1:], plain["word"][1:])
 
 
 def test_raw_text_close_matches_ascii_case_only():
@@ -453,14 +466,14 @@ def tokenize_reference(text: str) -> list[str]:
     return tokens
 
 
-def preprocess_reference(html: str, cfg: PreprocConfig) -> HtmlStreams:
+def preprocess_reference(html: str, cfg: PreprocConfig) -> dict[str, np.ndarray]:
     norm = normalize_html(html)
     events = list(scan_reference(norm))
     words = [t for kind, seg in events if kind == "text" for t in tokenize_reference(seg)]
     names = [name for kind, name in events if kind == "tag"][: cfg.dom_len]
     doms = np.full(cfg.dom_len, cfg.dom_buckets, dtype=np.int64)
     doms[: len(names)] = [fnv1a64_reference(name.encode()) % cfg.dom_buckets for name in names]
-    return HtmlStreams(char_stream(norm, cfg), word_stream(words, cfg), doms)
+    return {"char": char_stream(norm, cfg), "word": word_stream(words, cfg), "dom": doms}
 
 
 def test_ascii_token_regex_is_the_token_char_rule_on_ascii():
@@ -502,5 +515,5 @@ def test_scan_and_streams_match_the_per_character_reference(page):
     assert list(_scan(norm)) == list(scan_reference(norm))
     for cfg in CONFIGS.values():
         got, want = preprocess(page, cfg), preprocess_reference(page, cfg)
-        for name in ("char_ids", "word_ids", "dom_ids"):
-            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+        for name in STREAMS:
+            assert np.array_equal(got[name], want[name]), name
