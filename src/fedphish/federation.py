@@ -261,16 +261,16 @@ def _batches(n: int, batch_size: int, rng: np.random.Generator):
         yield order[start : start + batch_size]
 
 
-def expert_logits(heads, kind: str, params, batch, train: bool = False,
-                  rng=None) -> dict[str, Tensor]:
+def expert_logits(heads, kind: str, params, batch, rng=None) -> dict[str, Tensor]:
     """The logits of every expert in ``EXPERTS[kind]`` on one stacked batch,
-    run in that order; the fusion head fuses the image and html logits."""
+    run in that order; the fusion head fuses the image and html logits. The
+    heads train, with dropout from ``rng``, when one is given."""
     logits = {}
     for role in EXPERTS[kind]:
         if role == "fusion":
             logits[role], _ = heads[role].forward(params, logits["image"], logits["html"])
         else:
-            logits[role] = heads[role].forward(params, batch, train=train, rng=rng)
+            logits[role] = heads[role].forward(params, batch, rng=rng)
     return logits
 
 
@@ -285,7 +285,7 @@ def batch_loss(heads, kind: str, params, batch, rng) -> Tensor:
     gradients (``proximal_term``).
     """
     labels = batch["y"]
-    logits = expert_logits(heads, kind, params, batch, train=True, rng=rng)
+    logits = expert_logits(heads, kind, params, batch, rng=rng)
     loss = focal_loss(logits[EXPERTS[kind][-1]], labels)
     if kind != "pair":
         return loss

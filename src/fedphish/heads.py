@@ -124,10 +124,10 @@ def _take(params, prefix: str, *names: str) -> tuple[Tensor, ...]:
     return tuple(params[prefix + name] for name in names)
 
 
-def _classifier_forward(params, prefix, x, train, rng):
+def _classifier_forward(params, prefix, x, rng):
     return mlp_tail(x, _take(params, prefix, "ln.gamma", "ln.beta"),
                     _take(params, prefix, "fc1.w", "fc1.b"),
-                    _take(params, prefix, "fc2.w", "fc2.b"), DROPOUT, rng, train)
+                    _take(params, prefix, "fc2.w", "fc2.b"), DROPOUT, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -175,8 +175,9 @@ class ImageHead:
         first = tokens.max(axis=-2, keepdims=True)
         return concat([first, first, tokens], axis=-2)
 
-    def forward(self, params, batch, train: bool = False, rng=None) -> Tensor:
-        """Logits of the image tokens ``batch["x"]``, [B, L, d_model]."""
+    def forward(self, params, batch, rng=None) -> Tensor:
+        """Logits of the image tokens ``batch["x"]``, [B, L, d_model];
+        training, with dropout from ``rng``, when one is given."""
         tokens = Tensor(batch["x"])
         if tokens.shape[1] < 1:
             raise ValueError("image head needs at least one token")
@@ -184,9 +185,9 @@ class ImageHead:
         for blk in range(IMAGE_BLOCKS):
             base = f"{IMAGE_PREFIX}block{blk}."
             block = {k[len(base):]: v for k, v in params.items() if k.startswith(base)}
-            x = mhsa_block(x, block, self.n_heads, DROPOUT, train, rng)
+            x = mhsa_block(x, block, self.n_heads, DROPOUT, rng)
         pooled = x.max(axis=1)
-        return _classifier_forward(params, IMAGE_PREFIX + "cls.", pooled, train, rng)
+        return _classifier_forward(params, IMAGE_PREFIX + "cls.", pooled, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -242,9 +243,10 @@ class HtmlHead:
         # the classifier reads the char features and each branch's pooled state
         return specs | _classifier_specs(HTML_PREFIX + "cls.", self.char_fc + 2 * state, self.classifier_hidden)
 
-    def forward(self, params, batch, train: bool = False, rng=None) -> Tensor:
+    def forward(self, params, batch, rng=None) -> Tensor:
         """Logits of the id streams ``batch["char"]``, ``batch["word"]`` and
-        ``batch["dom"]``, each [B, T]."""
+        ``batch["dom"]``, each [B, T]; training, with dropout from ``rng``,
+        when one is given."""
         conv_w = {k: params[HTML_PREFIX + f"char.conv{k}.w"] for k in self.conv_sizes}
         conv_b = {k: params[HTML_PREFIX + f"char.conv{k}.b"] for k in self.conv_sizes}
         char_table = params[TABLE_OF_STREAM["char"]]
@@ -270,7 +272,7 @@ class HtmlHead:
             )
             start = stop
         features = concat(feats, axis=1)
-        return _classifier_forward(params, HTML_PREFIX + "cls.", features, train, rng)
+        return _classifier_forward(params, HTML_PREFIX + "cls.", features, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -309,12 +311,12 @@ class UrlHead:
             URL_PREFIX + "cls.log_scale": ((), np.log(URL_INIT_SCALE)),
         }
 
-    def forward(self, params, batch, train: bool = False, rng=None) -> Tensor:
-        """Logits of the url embeddings ``batch["x"]``, [B, in_dim]."""
+    def forward(self, params, batch, rng=None) -> Tensor:
+        """Logits of the url embeddings ``batch["x"]``, [B, in_dim];
+        training, with dropout from ``rng``, when one is given."""
         return mlp_tail(Tensor(batch["x"]), _take(params, URL_PREFIX, "ln.gamma", "ln.beta"),
                         _take(params, URL_PREFIX, "fc.v", "fc.g", "fc.b"),
-                        _take(params, URL_PREFIX, "cls.w", "cls.log_scale"), DROPOUT, rng, train,
-                        cosine_floor=1e-12)
+                        _take(params, URL_PREFIX, "cls.w", "cls.log_scale"), DROPOUT, rng, cosine_floor=1e-12)
 
 
 # ---------------------------------------------------------------------------

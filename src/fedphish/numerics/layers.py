@@ -1,8 +1,8 @@
 """Layer primitives used by the four model heads.
 
 Everything here is a pure function from (inputs, parameter tensors) to an
-output tensor; dropout is the only stochastic piece and is a no-op outside
-training mode. Every input is batched: sequences are [B, L, d] tensors or
+output tensor; dropout is the only stochastic piece and is a no-op without
+an RNG. Every input is batched: sequences are [B, L, d] tensors or
 [B, L] id arrays, and a single page is a batch of one. ``affine``,
 ``softmax``, ``dropout``, ``mhsa_block`` and ``attention_pool`` are
 compositions of ``Tensor`` operations, one graph node per operation. The
@@ -82,16 +82,16 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
 def _layer_norm_part(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float):
     """``layer_norm`` on arrays: the output, and the map from an output
-    gradient and whether x, gamma and beta each want theirs to the terms of
+    gradient and whether x wants its gradient to the terms of
     (x, x, gamma, beta)."""
     inv_n = 1.0 / x.shape[-1]
     centered = x - x.sum(axis=-1, keepdims=True) * inv_n
     std = np.sqrt((centered * centered).sum(axis=-1, keepdims=True) * inv_n + eps)
     xhat = centered / std
 
-    def bw(g: np.ndarray, need_x: bool, need_gamma: bool, need_beta: bool):
-        g_gamma = _unbroadcast(g * xhat, gamma.shape) if need_gamma else None
-        g_beta = _unbroadcast(g, beta.shape) if need_beta else None
+    def bw(g: np.ndarray, need_x: bool):
+        g_gamma = _unbroadcast(g * xhat, gamma.shape)
+        g_beta = _unbroadcast(g, beta.shape)
         if not need_x:
             return None, None, g_gamma, g_beta
         g_xhat = g * gamma
@@ -108,10 +108,7 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     """Normalize the last axis to zero mean / unit population variance."""
     out, bw = _layer_norm_part(x.data, gamma.data, beta.data, eps)
     # x twice: through the centering and through the mean
-    return Tensor._node(
-        out, (x, x, gamma, beta),
-        lambda g: bw(g, x.requires_grad, gamma.requires_grad, beta.requires_grad),
-    )
+    return Tensor._node(out, (x, x, gamma, beta), lambda g: bw(g, x.requires_grad))
 
 
 def softmax(z: Tensor, axis: int = -1) -> Tensor:
@@ -217,21 +214,20 @@ def gelu(x: Tensor) -> Tensor:
     return Tensor._node(out, (x, x), bw)
 
 
-def _keep_mask(shape: tuple[int, ...], p: float, rng: np.random.Generator | None,
-               train: bool) -> np.ndarray | None:
+def _keep_mask(shape: tuple[int, ...], p: float,
+               rng: np.random.Generator | None) -> np.ndarray | None:
     """The inverted-dropout factors for an output of ``shape``: 0 or
     1/(1-p) per entry, drawn from ``rng``; None where dropout is the
-    identity."""
-    if not train or p <= 0.0:
+    identity, without an RNG or at ``p`` 0."""
+    if rng is None or p <= 0.0:
         return None
-    if rng is None:
-        raise ValueError("training-mode dropout needs an RNG")
     return (rng.random(shape) >= p).astype(np.float64) / (1.0 - p)
 
 
-def dropout(x: Tensor, p: float, rng: np.random.Generator | None, train: bool) -> Tensor:
-    """Inverted dropout: scales by 1/(1-p) at train time, identity otherwise."""
-    keep = _keep_mask(x.shape, p, rng, train)
+def dropout(x: Tensor, p: float, rng: np.random.Generator | None) -> Tensor:
+    """Inverted dropout: zeroes each entry with probability ``p`` and scales
+    the rest by 1/(1-p), drawn from ``rng``; a no-op without an RNG."""
+    keep = _keep_mask(x.shape, p, rng)
     return x if keep is None else x * Tensor(keep)
 
 
@@ -242,7 +238,6 @@ def mlp_tail(
     out: tuple[Tensor, Tensor],
     p: float,
     rng: np.random.Generator | None,
-    train: bool,
     cosine_floor: float | None = None,
 ) -> Tensor:
     """The tail the image, html and url experts end in, as one graph node:
@@ -261,10 +256,8 @@ def mlp_tail(
     twice among the parents, for layer norm's two terms. So the output and
     every gradient are bitwise the composition's.
 
-    A gradient that no parent needs is skipped, with two exceptions in the
-    url tail: the weight norm computes the gradients of both ``v`` and
-    ``g`` when either needs one, and the cosine logits always compute the
-    terms of all their inputs, so ``w`` and ``log_scale`` always get one.
+    Every parameter gets its gradient; only ``x``'s terms are skipped when
+    ``x`` requires none, as for the url head's input embeddings.
     """
     gamma, beta = ln
     h, ln_bw = _layer_norm_part(x.data, gamma.data, beta.data, 1e-5)
@@ -275,7 +268,7 @@ def mlp_tail(
         w1 = fc[0].data
     z = h @ w1 + b1.data
     f, gelu_bw = _gelu_part(z)
-    keep = _keep_mask(f.shape, p, rng, train)
+    keep = _keep_mask(f.shape, p, rng)
     if keep is not None:
         f = f * keep
     w2, last = out
@@ -285,35 +278,25 @@ def mlp_tail(
         y, cos_bw = _cosine_part(f, w2.data, last.data, cosine_floor)
 
     def bw(g: np.ndarray):
-        need_h = x.requires_grad or gamma.requires_grad or beta.requires_grad
-        need_w1 = any(t.requires_grad for t in fc[:-1])
-        need_f = need_h or need_w1 or b1.requires_grad
         if cosine_floor is None:
-            g_f = g @ w2.data.T if need_f else None
-            g_out = (f.T @ g if w2.requires_grad else None,
-                     _unbroadcast(g, last.shape) if last.requires_grad else None)
+            g_f = g @ w2.data.T
+            g_out = (f.T @ g, _unbroadcast(g, last.shape))
         else:
             f1, f2, f3, w2_1, w2_2, w2_3, g_log_scale = cos_bw(g)
-            g_f = f1 + f2 + f3 if need_f else None
+            g_f = f1 + f2 + f3
             g_out = (w2_1 + w2_2 + w2_3, g_log_scale)
-        if g_f is None:
-            return (None,) * (4 + len(fc)) + g_out
         if keep is not None:
             g_f = g_f * keep
         cdf_term, pdf_term = gelu_bw(g_f)
         g_z = cdf_term + pdf_term
-        g_w1 = h.T @ g_z if need_w1 else None
+        g_w1 = h.T @ g_z
         if len(fc) == 2:
             g_fc = (g_w1,)
-        elif g_w1 is None:
-            g_fc = (None, None)
         else:
             v_1, v_2, v_3, g_gain = wn_bw(g_w1)
             g_fc = (v_1 + v_2 + v_3, g_gain)
-        g_b1 = _unbroadcast(g_z, b1.shape) if b1.requires_grad else None
-        g_ln = (ln_bw(g_z @ w1.T, x.requires_grad, gamma.requires_grad, beta.requires_grad)
-                if need_h else (None,) * 4)
-        return (*g_ln, *g_fc, g_b1, *g_out)
+        g_ln = ln_bw(g_z @ w1.T, x.requires_grad)
+        return (*g_ln, *g_fc, _unbroadcast(g_z, b1.shape), *g_out)
 
     return Tensor._node(y, (x, x, gamma, beta, *fc, w2, last), bw)
 
@@ -323,7 +306,6 @@ def mhsa_block(
     p: dict[str, Tensor],
     n_heads: int,
     dropout_p: float = 0.0,
-    train: bool = False,
     rng: np.random.Generator | None = None,
 ) -> Tensor:
     """Pre-norm transformer encoder block over [B, L, d].
@@ -331,7 +313,8 @@ def mhsa_block(
     Multi-head self-attention plus residual, then a GELU feed-forward plus
     residual. No positional encoding, so the block is permutation
     equivariant over L. Parameter keys: ln1/ln2 (gamma, beta), wq..wo with
-    biases, ff w1/b1/w2/b2.
+    biases, ff w1/b1/w2/b2. Dropout at ``dropout_p`` applies only with an
+    RNG.
     """
     B, L, d = x.shape
     if d % n_heads != 0:
@@ -353,12 +336,12 @@ def mhsa_block(
     attn = softmax(scores, axis=-1)
     ctx = (attn @ v).transpose(0, 2, 1, 3).reshape(B, L, d)
     ctx = affine(ctx, p["attn.wo"], p["attn.bo"])
-    x = x + dropout(ctx, dropout_p, rng, train)
+    x = x + dropout(ctx, dropout_p, rng)
 
     h = layer_norm(x, p["ln2.gamma"], p["ln2.beta"])
     h = gelu(affine(h, p["ff.w1"], p["ff.b1"]))
     h = affine(h, p["ff.w2"], p["ff.b2"])
-    return x + dropout(h, dropout_p, rng, train)
+    return x + dropout(h, dropout_p, rng)
 
 
 def bilstm_sequence(xs: Sequence[Tensor], p: Sequence[dict[str, Tensor]]) -> Tensor:

@@ -6,11 +6,15 @@ graph once in reverse topological order; the graph itself is the tape. All
 arithmetic stays in 64-bit precision.
 
 A closure may skip the gradients its parents do not need: for a parent
-that does not require a gradient, such as a constant or a batch of input
-data, it may return ``None`` instead of doing that parent's arithmetic,
-and ``backward`` drops whatever it returns there. For every parent that
-does, it returns a gradient: ``backward`` takes one for each node it
-reaches, and a node left without one is a ``KeyError``.
+that does not require a gradient, it may return ``None`` instead of doing
+that parent's arithmetic, and ``backward`` drops whatever it returns
+there. The ``Tensor`` operations skip any such parent. A node with a
+hand-written backward skips at most its data input, as ``layer_norm`` and
+``mlp_tail`` skip ``x``: every program path trains all of a head's
+parameters or builds no graph. For
+every parent that needs one, a closure returns a gradient: ``backward``
+takes one for each node it reaches, and a node left without one is a
+``KeyError``.
 
 Values and gradients are dense arrays. A client trains each embedding table
 as a compact table of only the rows its data can look up, so a table's
@@ -233,7 +237,8 @@ class Tensor:
         """Max along one axis; ties share the gradient equally."""
         out = self.data.max(axis=axis, keepdims=True)
         mask = (self.data == out).astype(np.float64)
-        mask /= mask.sum(axis=axis, keepdims=True)
+        with np.errstate(invalid="ignore"):  # a NaN row has no max: 0 / 0, a NaN mask
+            mask /= mask.sum(axis=axis, keepdims=True)
 
         def bw(g: np.ndarray):
             gg = g if keepdims else np.expand_dims(g, axis)

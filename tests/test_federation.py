@@ -684,8 +684,8 @@ def test_pair_loss_is_the_fused_loss_plus_both_branch_losses():
         return loss.data, grads, rng.bit_generator.state
 
     def by_hand(rng):
-        l_i = expert_logits(heads, "image", params, batch, train=True, rng=rng)["image"]
-        l_h = expert_logits(heads, "html", params, batch, train=True, rng=rng)["html"]
+        l_i = expert_logits(heads, "image", params, batch, rng=rng)["image"]
+        l_h = expert_logits(heads, "html", params, batch, rng=rng)["html"]
         fused, _ = heads["fusion"].forward(params, l_i, l_h)
         return focal_loss(fused, labels) + 0.3 * (
             focal_loss(l_i, labels) + focal_loss(l_h, labels))
@@ -890,7 +890,7 @@ def forward_rows(monkeypatch) -> list[int]:
     the row count of each forward ``client_evaluate`` runs."""
     rows = []
 
-    def counting(heads, kind, params, batch, train=False, rng=None):
+    def counting(heads, kind, params, batch, rng=None):
         rows.append(len(batch["y"]))
         return {federation.EXPERTS[kind][-1]: Tensor(np.zeros((len(batch["y"]), 2)))}
 
@@ -993,16 +993,16 @@ def test_evaluation_only_client_is_scored_every_round_and_never_trained(monkeypa
         run_experiment(spec, cfg, [viewer])
 
 
-def test_nan_client_dropped_and_other_owner_aggregates(caplog, monkeypatch):
-    spec = ModelSpec.desk()
+def assert_nan_client_dropped(caplog, monkeypatch, spec, kind, good, poisoned):
+    # ``poisoned`` trains on NaN inputs: it fails with a GradientError each
+    # round, and the model is the one ``good`` trains alone
     cfg = TrainConfig(rounds=2, epochs=1, batch_size=16, seed=18)
-    good = desk_url_client("a", seed=60)
-    poisoned = desk_url_client("b", seed=61)
-    poisoned.train["url"]["x"] = np.full_like(poisoned.train["url"]["x"], np.nan)
-    owners = []  # per round: the url owners among the reports aggregated
+    poisoned.train[kind]["x"] = np.full_like(poisoned.train[kind]["x"], np.nan)
+    role = federation.EXPERTS[kind][-1]
+    owners = []  # per round: the owners of the kind's last head among the reports aggregated
 
     def recording_aggregate(params, reports):
-        owners.append([r.client_id for _, r in select_clients("url", reports)])
+        owners.append([r.client_id for _, r in select_clients(role, reports)])
         return aggregate(params, reports)
 
     monkeypatch.setattr(federation, "aggregate", recording_aggregate)
@@ -1015,6 +1015,25 @@ def test_nan_client_dropped_and_other_owner_aggregates(caplog, monkeypatch):
     alone = run_experiment(spec, cfg, [good])
     for k in res.params:
         assert np.array_equal(res.params[k], alone.params[k]), k
+
+
+def test_nan_client_dropped_and_other_owner_aggregates(caplog, monkeypatch):
+    assert_nan_client_dropped(caplog, monkeypatch, ModelSpec.desk(), "url",
+                              desk_url_client("a", seed=60), desk_url_client("b", seed=61))
+
+
+def desk_image_client(cid, seed):
+    tokens = synth_image_tokens(32, length=4, dim=16, separation=6.0, seed=seed)
+    return ClientData(client_id=cid, train={"image": tokens}, val={"image": tokens})
+
+
+@pytest.mark.parametrize("kind", ["image", "pair"])
+def test_nan_image_or_pair_client_dropped_and_other_owner_aggregates(caplog, monkeypatch, kind):
+    # a NaN token row has no max: the image head's max-pools give NaN with
+    # no warning, so the client is dropped as a NaN url client is
+    make_client = desk_image_client if kind == "image" else pair_client
+    assert_nan_client_dropped(caplog, monkeypatch, ModelSpec.desk_pages(), kind,
+                              make_client("a", seed=60), make_client("b", seed=61))
 
 
 def test_a_round_where_every_training_client_fails_ends_the_run(caplog):

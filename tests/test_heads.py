@@ -539,11 +539,12 @@ def assert_bitwise(got, ref, what):
 @pytest.mark.parametrize("kind", ["image", "html", "url"])
 def test_fused_tail_is_bitwise_its_composition(kind, profile, train):
     # the fused node against the chain of primitives it replaces, on the same
-    # inputs and dropout generator: the output, every parameter's gradient
-    # and the classifier input's gradient have the same bytes, and the
-    # generator is left in the same state. The url embeddings are data, as
-    # in the head. Parameters are moved off their initial values (gain 1,
-    # bias 0), so that every gradient term is a generic float
+    # inputs and, in training, the same dropout generator: the output, every
+    # parameter's gradient and the classifier input's gradient have the same
+    # bytes, and the generator is left in the same state. Evaluation passes
+    # no generator. The url embeddings are data, as in the head. Parameters
+    # are moved off their initial values (gain 1, bias 0), so that every
+    # gradient term is a generic float
     head = getattr(ModelSpec, profile)().heads()[kind]
     rng = np.random.default_rng(61)
     arrays = {k: v + rng.normal(scale=0.3, size=v.shape)
@@ -555,12 +556,12 @@ def test_fused_tail_is_bitwise_its_composition(kind, profile, train):
     def run(tail):
         params = tensors(arrays)
         x = Tensor(x_data, requires_grad=kind != "url")
-        drops = np.random.default_rng(62)
+        drops = np.random.default_rng(62) if train else None
         args, keywords = tail_arguments(kind, params)
-        out = tail(x, *args, DROPOUT, drops, train, **keywords)
+        out = tail(x, *args, DROPOUT, drops, **keywords)
         backward((out * Tensor(upstream)).sum())
         grads = {k: p.grad for k, p in params.items() if p.grad is not None}
-        return out.data, grads, x.grad, drops.bit_generator.state
+        return out.data, grads, x.grad, drops.bit_generator.state if train else None
 
     out, grads, x_grad, state = run(mlp_tail)
     ref_out, ref_grads, ref_x_grad, ref_state = run(mlp_tail_composition)
@@ -576,7 +577,9 @@ def test_fused_tail_is_bitwise_its_composition(kind, profile, train):
 
 
 @pytest.mark.parametrize("kind", ["image", "html", "url"])
-def test_a_training_tail_without_an_rng_raises_the_dropout_error(kind):
+def test_a_head_forward_drops_out_exactly_when_given_an_rng(kind):
+    # without an RNG a forward is the same bytes every time; each RNG draws
+    # its own dropout masks, so two of them give two outputs
     spec, params = desk_params(seed=6)
     rng = np.random.default_rng(7)
     batch = {"x": rng.normal(size=(3, 4, 16)), "char": rng.integers(0, 33, size=(3, 32)),
@@ -584,9 +587,11 @@ def test_a_training_tail_without_an_rng_raises_the_dropout_error(kind):
     if kind == "url":
         batch["x"] = rng.normal(size=(3, 16))
     head = spec.heads()[kind]
-    assert head.forward(params, batch, train=False, rng=None).shape == (3, 2)
-    with pytest.raises(ValueError, match="training-mode dropout needs an RNG"):
-        head.forward(params, batch, train=True, rng=None)
+    plain = head.forward(params, batch).data
+    assert_bitwise(head.forward(params, batch, rng=None).data, plain, "forward without an RNG")
+    dropped = [head.forward(params, batch, rng=np.random.default_rng(s)).data for s in (8, 9)]
+    assert not np.array_equal(dropped[0], dropped[1])
+    assert not np.array_equal(dropped[0], plain)
 
 
 @pytest.mark.parametrize("kind", ["image", "html", "url", "pair"])
