@@ -172,7 +172,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="run an experiment config")
-    p_run.add_argument("--config", required=True, help="path to a JSON experiment config")
+    p_run.add_argument("--config", required=True,
+                       help="path to a JSON experiment config; its default model_profile, "
+                            "paper, computes in float32, and desk_pages in float64")
     p_run.add_argument("--out", default=None, help="output directory (overrides config)")
     p_run.add_argument("--seed", type=int, default=None, help="override the config seed")
     p_run.set_defaults(fn=cmd_run)

@@ -11,8 +11,10 @@ the keys of its source: a synth block accepts kind and the settings its
 modality's kind reads; the ranges, shuffle_seed and preshuffled belong to
 path datasets. A client with validation data only evaluates, and some client
 must train. Either model profile sizes its html word and DOM tables from
-the preproc bucket counts. A config whose parameters and data arrays exceed
-physical memory is rejected from their shapes, before any array exists.
+the preproc bucket counts; the default ``paper`` profile computes in
+float32, and ``desk_pages`` in float64. A config whose parameters and data
+arrays exceed physical memory is rejected from their shapes, before any
+array exists.
 """
 
 from __future__ import annotations
@@ -217,8 +219,9 @@ def parse_config(path) -> ExperimentConfig:
     if not any(spec.sizes()[0] for spec in all_specs):
         raise ConfigError(f"{path}: no client has training data")
 
-    # sized from the shapes alone, before any array exists; every value takes 8 bytes
-    param_bytes = 8 * sum(math.prod(shape) for shape in model.param_shapes().values())
+    # sized from the shapes alone, before any array exists; a parameter takes
+    # its dtype's bytes, and a data value 8, as it is built before its cast
+    param_bytes = np.dtype(model.dtype).itemsize * sum(map(math.prod, model.param_shapes().values()))
     data_bytes = 8 * sum(sum(spec.sizes()) * _row_values(spec, model, preproc) for spec in all_specs)
     memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     if param_bytes + data_bytes > memory:
@@ -281,13 +284,18 @@ def _path_split(spec: DatasetSpec, cfg: ExperimentConfig):
 
 
 def build_clients(cfg: ExperimentConfig) -> list[ClientData]:
-    """Materialize every client's train and validation arrays."""
+    """Materialize every client's train and validation arrays. Float
+    payloads ("x") are cast to the model's dtype once, here; ids and labels
+    stay int64."""
     clients = []
     for cspec in cfg.clients:
         train: dict = {}
         val: dict = {}
         for dspec in cspec.datasets:
             tr, te = (_synth_split if dspec.synth is not None else _path_split)(dspec, cfg)
+            for part in (tr, te):
+                if "x" in part:
+                    part["x"] = part["x"].astype(cfg.model.dtype, copy=False)
             if len(tr["y"]):
                 train[dspec.modality] = tr
             if len(te["y"]):

@@ -104,7 +104,8 @@ EVAL_VALUES = 2**13
 # tile may round differently from the same row in a whole tile. Batches are
 # merged only when their size is a multiple of 16, which OpenBLAS's Haswell
 # (4 x 8) and AVX-512 (16 x 2) double tiles divide, so that every row keeps
-# the bits of its own batch's forward.
+# the bits of its own batch's forward. The float32 evaluation tests check
+# the same for the single-precision tiles.
 ROW_TILE = 16
 
 

@@ -16,7 +16,10 @@ head is its tail alone, with a weight-normed affine and cosine logits.
 A head is its own settings: the fields of a frozen ``ImageHead``,
 ``HtmlHead`` or ``UrlHead`` are its widths and vocabulary sizes, so the
 gradient checks and scenario runs can use small dims; the defaults are the
-paper's values. ``ModelSpec`` holds the three heads it runs. What the paper
+paper's values. ``ModelSpec`` holds the three heads it runs and the dtype
+the model computes in: float32 in the ``paper`` profile, where the round is
+bound by GEMMs and by bytes moved, and float64 in the ``desk`` profiles
+that the gradient checks and every bundled scenario use. What the paper
 fixes is a constant here: two encoder blocks in the image head, dropout 0.2
 in every head, the url head's initial cosine scale 10, the fusion gate's 8
 hidden units, the focal gamma 2, and two classes.
@@ -99,14 +102,18 @@ def _small_normal(rng: np.random.Generator, shape, drawn) -> np.ndarray:
     return rng.normal(0.0, 0.02, size=shape)
 
 
-def draw_params(specs: dict, rng: np.random.Generator) -> dict[str, np.ndarray]:
-    """The float64 arrays of a table of name -> (shape, initializer), in the
-    table's order. An initializer is a constant to fill, or a draw
-    ``init(rng, shape, the arrays drawn before it)``."""
+def draw_params(specs: dict, rng: np.random.Generator, dtype=np.float64) -> dict[str, np.ndarray]:
+    """The arrays of a table of name -> (shape, initializer), in the table's
+    order, as ``dtype``. An initializer is a constant to fill, or a draw
+    ``init(rng, shape, the float64 arrays drawn before it)``. Every array is
+    drawn in float64 and then cast, so the ``dtype`` arrays are the float64
+    ones rounded; the float64 arrays are dropped when the call returns."""
     drawn: dict[str, np.ndarray] = {}
+    out: dict[str, np.ndarray] = {}
     for name, (shape, init) in specs.items():
         drawn[name] = np.full(shape, init) if isinstance(init, float) else init(rng, shape, drawn)
-    return drawn
+        out[name] = drawn[name].astype(dtype, copy=False)
+    return out
 
 
 def _classifier_specs(prefix: str, in_dim: int, hidden: int) -> dict:
@@ -397,7 +404,7 @@ def focal_terms(z: np.ndarray, labels: np.ndarray) -> np.ndarray:
     return weight * picked
 
 
-def focal_mean(terms: np.ndarray) -> np.float64:
+def focal_mean(terms: np.ndarray) -> np.floating:
     """The focal loss of the rows whose ``focal_terms`` these are."""
     return -(terms.sum() * (1.0 / terms.size))
 
@@ -409,7 +416,7 @@ def focal_loss(logits: Tensor, labels: np.ndarray) -> Tensor:
     operations of the log-softmax, pick, power and mean composition in that
     composition's order, with one gradient term per path to the logits, as
     ``log_softmax`` does. Where a sample is saturated (``1 - p_t`` is
-    exactly 0 in float64), its gradient is the limit 0. Its value is
+    exactly 0 in the logits' dtype), its gradient is the limit 0. Its value is
     ``focal_mean`` of the batch's ``focal_terms``.
     """
     z = logits.data
@@ -423,7 +430,7 @@ def focal_loss(logits: Tensor, labels: np.ndarray) -> Tensor:
         g_mean = -inv_n * g
         slope = np.where(live, q, 1.0) ** (FOCAL_GAMMA - 1.0)
         d_picked = np.where(live, g_mean * weight - g_mean * picked * FOCAL_GAMMA * slope * p, 0.0)
-        direct = np.zeros(z.shape)
+        direct = np.zeros(z.shape, z.dtype)
         direct[np.arange(labels.size), labels] = d_picked
         return direct, -d_picked[:, None] / total * exps
 
@@ -437,25 +444,30 @@ def focal_loss(logits: Tensor, labels: np.ndarray) -> Tensor:
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """The image, html and url heads of one federated model; the fusion head
-    has no setting, so every model shares ``FUSION``."""
+    """The image, html and url heads of one federated model, and the dtype
+    its parameters, data and arithmetic take ("float32" or "float64"); the
+    fusion head has no setting, so every model shares ``FUSION``."""
 
     image: ImageHead = field(default_factory=ImageHead)
     html: HtmlHead = field(default_factory=HtmlHead)
     url: UrlHead = field(default_factory=UrlHead)
+    dtype: str = "float64"
 
     @staticmethod
     def paper(word_buckets: int = PreprocConfig.word_buckets,
               dom_buckets: int = PreprocConfig.dom_buckets) -> "ModelSpec":
         """The paper's dims, with word and DOM tables sized for these bucket
-        counts (a bucket count is its stream's PAD id)."""
+        counts (a bucket count is its stream's PAD id), computing in
+        float32: at these dims a round is bound by GEMMs and by bytes moved,
+        which float32 halves."""
         return ModelSpec(html=HtmlHead(word_vocab=table_rows(word_buckets),
-                                       dom_vocab=table_rows(dom_buckets)))
+                                       dom_vocab=table_rows(dom_buckets)), dtype="float32")
 
     @staticmethod
     def desk() -> "ModelSpec":
-        """Small shapes for gradient checks and unit tests; its html tables
-        are too small for preprocessed pages, so no config can select it."""
+        """Small shapes for gradient checks and unit tests, in float64; its
+        html tables are too small for preprocessed pages, so no config can
+        select it."""
         return ModelSpec(
             image=ImageHead(d_model=16, n_heads=4, ff_dim=16, classifier_hidden=8),
             html=HtmlHead(
@@ -469,7 +481,8 @@ class ModelSpec:
     @staticmethod
     def desk_pages(word_buckets: int = 257, dom_buckets: int = 61) -> "ModelSpec":
         """Desk dims with an html head sized for real preprocessed pages
-        (full byte vocabulary; a bucket count is its stream's PAD id)."""
+        (full byte vocabulary; a bucket count is its stream's PAD id), in
+        float64."""
         desk = ModelSpec.desk()
         return ModelSpec(
             image=desk.image,
@@ -486,16 +499,20 @@ class ModelSpec:
         """The four heads by role, in draw order; no head is built."""
         return {"image": self.image, "html": self.html, "url": self.url, "fusion": FUSION}
 
-    def param_specs(self) -> dict:
-        """The four heads' tables in ``heads()`` order, the draw order."""
-        return {k: v for head in self.heads().values() for k, v in head.param_specs().items()}
-
     def param_shapes(self) -> dict[str, tuple[int, ...]]:
         """Every parameter's shape, keyed by prefixed name, sorted; nothing
         is allocated."""
-        return {name: shape for name, (shape, _) in sorted(self.param_specs().items())}
+        return dict(sorted((name, shape) for head in self.heads().values()
+                           for name, (shape, _) in head.param_specs().items()))
 
     def init_params(self, seed: int) -> dict[str, np.ndarray]:
-        """All four heads' parameters as float64 arrays, keyed by prefixed
-        name, sorted."""
-        return dict(sorted(draw_params(self.param_specs(), np.random.default_rng(seed)).items()))
+        """All four heads' parameters as arrays of the model's dtype, keyed
+        by prefixed name, sorted. The heads draw in ``heads()`` order from
+        one generator, in float64 whatever the dtype, so a float32 model is
+        the float64 one rounded. Each head's tables are cast when the head
+        is drawn, so the float64 arrays held at once are one head's."""
+        rng = np.random.default_rng(seed)
+        params: dict[str, np.ndarray] = {}
+        for head in self.heads().values():
+            params |= draw_params(head.param_specs(), rng, np.dtype(self.dtype))
+        return dict(sorted(params.items()))

@@ -1,12 +1,14 @@
 """Tensor math: reverse-mode autodiff, layer primitives, the optimizer.
 
-Arrays, gradients and optimizer state are dense float64. The optimizer
-holds a client's trained parameters and both Adam moments as three flat
-vectors, one slice per parameter, and updates them a fixed-size chunk at a
-time. A client trains a compact table, the rows of an embedding table its
-data can look up, and reports it as ``TouchedRows``: those rows' new
-values, the other rows of the table unchanged. The server writes those rows
-into the global table in place.
+Arrays, gradients and optimizer state are dense, in the dtype of the
+parameters and inputs: float32 or float64, float64 for anything else. A
+graph computes in one dtype throughout, and a Python scalar never changes
+it. The optimizer holds a client's trained parameters and both Adam
+moments as three flat vectors, one slice per parameter, and updates them a
+fixed-size chunk at a time. A client trains a compact table, the rows of an
+embedding table its data can look up, and reports it as ``TouchedRows``:
+those rows' new values, the other rows of the table unchanged. The server
+writes those rows into the global table in place.
 """
 
 from .gradcheck import finite_difference_check

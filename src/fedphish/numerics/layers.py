@@ -41,10 +41,15 @@ rest are single nodes with hand-written backwards:
 A table gradient is dense over the table it is given. Training gives a
 compact table, the rows a client's data can look up, so that costs the
 rows the client reaches, not the vocabulary.
+
+Every primitive computes in its input's dtype, float32 or float64: each
+buffer it allocates takes that dtype, and its constants are Python floats,
+which NumPy casts to the array's dtype rather than promoting the array.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
@@ -190,8 +195,8 @@ def _weight_norm_part(v: np.ndarray, g: np.ndarray):
     return v * scale, bw
 
 
-_INV_SQRT_2 = 1.0 / np.sqrt(2.0)
-_TWO_OVER_SQRT_PI = 2.0 / np.sqrt(np.pi)
+_INV_SQRT_2 = 1.0 / math.sqrt(2.0)
+_TWO_OVER_SQRT_PI = 2.0 / math.sqrt(math.pi)
 
 
 def _gelu_part(x: np.ndarray):
@@ -214,20 +219,20 @@ def gelu(x: Tensor) -> Tensor:
     return Tensor._node(out, (x, x), bw)
 
 
-def _keep_mask(shape: tuple[int, ...], p: float,
+def _keep_mask(x: np.ndarray, p: float,
                rng: np.random.Generator | None) -> np.ndarray | None:
-    """The inverted-dropout factors for an output of ``shape``: 0 or
+    """The inverted-dropout factors for ``x``, in its shape and dtype: 0 or
     1/(1-p) per entry, drawn from ``rng``; None where dropout is the
     identity, without an RNG or at ``p`` 0."""
     if rng is None or p <= 0.0:
         return None
-    return (rng.random(shape) >= p).astype(np.float64) / (1.0 - p)
+    return (rng.random(x.shape) >= p).astype(x.dtype) / (1.0 - p)
 
 
 def dropout(x: Tensor, p: float, rng: np.random.Generator | None) -> Tensor:
     """Inverted dropout: zeroes each entry with probability ``p`` and scales
     the rest by 1/(1-p), drawn from ``rng``; a no-op without an RNG."""
-    keep = _keep_mask(x.shape, p, rng)
+    keep = _keep_mask(x.data, p, rng)
     return x if keep is None else x * Tensor(keep)
 
 
@@ -268,7 +273,7 @@ def mlp_tail(
         w1 = fc[0].data
     z = h @ w1 + b1.data
     f, gelu_bw = _gelu_part(z)
-    keep = _keep_mask(f.shape, p, rng)
+    keep = _keep_mask(f, p, rng)
     if keep is not None:
         f = f * keep
     w2, last = out
@@ -332,7 +337,7 @@ def mhsa_block(
         return t.reshape(B, L, n_heads, dh).transpose(0, 2, 1, 3)  # [B, H, L, dh]
 
     q, k, v = split_heads(q), split_heads(k), split_heads(v)
-    scores = (q @ k.swapaxes(-1, -2)) * (1.0 / np.sqrt(dh))
+    scores = (q @ k.swapaxes(-1, -2)) * (1.0 / math.sqrt(dh))
     attn = softmax(scores, axis=-1)
     ctx = (attn @ v).transpose(0, 2, 1, 3).reshape(B, L, d)
     ctx = affine(ctx, p["attn.wo"], p["attn.bo"])
@@ -380,19 +385,20 @@ def bilstm_sequence(xs: Sequence[Tensor], p: Sequence[dict[str, Tensor]]) -> Ten
     n_scans, steps = len(scans), lengths[longest_first[0]]
     active = [sum(lengths[k] > t for k, _, _ in scans) for t in range(steps)]
     flat = [x.data.reshape(B * T, x.shape[2]) for x, T in zip(xs, lengths)]
+    dtype = flat[0].dtype
 
     # [T, scan, B, ...] in scan order; cells and states have a leading zero
     # step, the initial c and h, so [t] is the value before step t
-    xw = np.zeros((steps, n_scans, B, 4 * hidden))
+    xw = np.zeros((steps, n_scans, B, 4 * hidden), dtype)
     for s, (k, order, _) in enumerate(scans):
         proj = (flat[k] @ weights[s][0].data).reshape(B, lengths[k], 4 * hidden)
         xw[: lengths[k], s] = proj[:, order].swapaxes(0, 1)
     wh = np.stack([w[1].data for w in weights])
     bias = np.stack([w[2].data for w in weights])[:, None, :]
-    gates = np.zeros((steps, n_scans, B, 4, hidden))
-    cells = np.zeros((steps + 1, n_scans, B, hidden))
-    tanh_c = np.zeros((steps, n_scans, B, hidden))
-    states = np.zeros((steps + 1, n_scans, B, hidden))
+    gates = np.zeros((steps, n_scans, B, 4, hidden), dtype)
+    cells = np.zeros((steps + 1, n_scans, B, hidden), dtype)
+    tanh_c = np.zeros((steps, n_scans, B, hidden), dtype)
+    states = np.zeros((steps + 1, n_scans, B, hidden), dtype)
     for t, a in enumerate(active):
         z = xw[t, :a] + states[t, :a] @ wh[:a]
         z += bias[:a]
@@ -404,7 +410,7 @@ def bilstm_sequence(xs: Sequence[Tensor], p: Sequence[dict[str, Tensor]]) -> Ten
         c += act[:, :, 0] * act[:, :, 2]
         np.multiply(act[:, :, 3], np.tanh(c, out=tanh_c[t, :a]), out=states[t + 1, :a])
 
-    out = np.empty((B, seams[-1], 2 * hidden))
+    out = np.empty((B, seams[-1], 2 * hidden), dtype)
     for s, (k, order, cols) in enumerate(scans):
         out[:, seams[k] : seams[k + 1], cols] = states[1 : lengths[k] + 1, s][order].swapaxes(0, 1)
 
@@ -416,14 +422,14 @@ def bilstm_sequence(xs: Sequence[Tensor], p: Sequence[dict[str, Tensor]]) -> Ten
         )
         dz_dh = tanh_c * o * (1.0 - o)
         dc_dh = o * (1.0 - tanh_c * tanh_c)
-        g_scan = np.zeros((steps, n_scans, B, hidden))
+        g_scan = np.zeros((steps, n_scans, B, hidden), dtype)
         for s, (k, order, cols) in enumerate(scans):
             g_scan[: lengths[k], s] = g[:, seams[k] : seams[k + 1], cols][:, order].swapaxes(0, 1)
-        dz = np.zeros((steps, n_scans, B, 4, hidden))
+        dz = np.zeros((steps, n_scans, B, 4, hidden), dtype)
         whT = wh.swapaxes(1, 2)
         # written by prefix: a scan's entries stay zero until its last step
-        dh_next = np.zeros((n_scans, B, hidden))
-        dc_next = np.zeros((n_scans, B, hidden))
+        dh_next = np.zeros((n_scans, B, hidden), dtype)
+        dc_next = np.zeros((n_scans, B, hidden), dtype)
         for t in range(steps - 1, -1, -1):
             a = active[t]
             dh = g_scan[t, :a] + dh_next[:a]
@@ -454,21 +460,24 @@ def attention_pool(states: Tensor, score_vec: Tensor, valid_mask: np.ndarray) ->
     """
     B, L, d = states.shape
     scores = (states @ score_vec.reshape(d, 1)).reshape(B, L)
-    offset = np.where(valid_mask, 0.0, MASK_OFFSET)
+    dtype = states.data.dtype
+    offset = np.where(valid_mask, 0.0, np.asarray(MASK_OFFSET, dtype))
     weights = softmax(scores + Tensor(offset), axis=-1)
     if not valid_mask.any(axis=1).all():
         # fully padded rows: zero output, no gradient into their states
-        weights = weights * Tensor(valid_mask.astype(np.float64))
+        weights = weights * Tensor(valid_mask.astype(dtype))
     return (weights.reshape(B, 1, L) @ states).reshape(B, d)
 
 
 def _scatter_rows(ids: np.ndarray, g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """The gradient of a table of ``shape``: each ``g[i]`` scatter-added
-    into row ``ids[i]``, in position order."""
-    # bincount adds in input order, as np.add.at would, and is faster
+    """The gradient of a table of ``shape``, in ``g``'s dtype: each ``g[i]``
+    scatter-added into row ``ids[i]``, in position order."""
+    # bincount adds in input order, as np.add.at would, and is faster; it
+    # adds in float64, so a float32 gradient is rounded once at the end
     width = int(np.prod(shape[1:]))
     flat = (ids.reshape(-1, 1) * width + np.arange(width)).reshape(-1)
-    return np.bincount(flat, weights=g.reshape(-1), minlength=shape[0] * width).reshape(shape)
+    rows = np.bincount(flat, weights=g.reshape(-1), minlength=shape[0] * width)
+    return rows.astype(g.dtype, copy=False).reshape(shape)
 
 
 def _check_ids(table: Tensor, ids: np.ndarray) -> None:
@@ -546,7 +555,7 @@ def multiscale_conv_encode(
             bi, ti, fi = np.nonzero(hit)
             share = 1.0 / hit.sum(axis=1)[bi, fi]
             # [windows, F]: each max window's gradient, in its filter's column
-            dz = np.zeros((bi.size, n_filters[i]))
+            dz = np.zeros((bi.size, n_filters[i]), g.dtype)
             dz[np.arange(bi.size), fi] = share * gk[bi, fi]
             pos = ti[:, None] + np.arange(k)  # [windows, k]
             windows = emb[bi[:, None], pos].reshape(bi.size, k * e)

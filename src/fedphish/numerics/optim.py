@@ -1,11 +1,12 @@
 """Gradient clipping and the Adam optimizer over one flat state per client.
 
-``Adam`` holds the parameters it trains as three flat float64 vectors,
-theta, m and v, in sorted-name order, and points each parameter's Tensor at
-its slice of theta. A step updates runs of neighbouring parameters that
-share a step count, ``CHUNK`` elements at a time: it gathers the gradient
-pieces of a chunk into a scratch buffer, multiplies them by the clip factor
-from ``clip_global_norm``, and runs the per-array update on the chunk.
+``Adam`` holds the parameters it trains as three flat vectors, theta, m and
+v, in sorted-name order and in the parameters' one dtype, float32 or
+float64, and points each parameter's Tensor at its slice of theta. A step
+updates runs of neighbouring parameters that share a step count, ``CHUNK``
+elements at a time: it gathers the gradient pieces of a chunk into a
+scratch buffer, multiplies them by the clip factor from
+``clip_global_norm``, and runs the per-array update on the chunk.
 Every element gets the same operations in the same order as an update of
 its own array, so the bits do not depend on the chunking.
 
@@ -58,21 +59,28 @@ class Adam:
 
     Construction copies every parameter into the flat theta once and points
     its Tensor at its slice, so training never writes the arrays it was
-    given. ``m[name]`` and ``v[name]`` are views of the flat moments, and
-    step counters are tracked per name, so heads trained in separate phases
-    keep independent bias corrections. Moments are uninitialised until a
-    parameter's first step writes them, so no page of them is read before
-    it is written. The ``last`` step writes no moment at step 1, since no
-    later step reads it; after it, ``step`` raises.
+    given. The parameters share one dtype, which the flat state and scratch
+    take; parameters of two dtypes raise ``ValueError``. ``m[name]`` and
+    ``v[name]`` are views of the flat moments, and step counters are tracked
+    per name, so heads trained in separate phases keep independent bias
+    corrections. Moments are uninitialised until a parameter's first step
+    writes them, so no page of them is read before it is written. The
+    ``last`` step writes no moment at step 1, since no later step reads it;
+    after it, ``step`` raises.
     """
 
     def __init__(self, params: dict[str, Tensor], lr: float = 1e-3):
         self.params = params
         self.lr = lr
         names = sorted(params)
+        dtypes = {params[k].data.dtype for k in names}
+        if len(dtypes) > 1:
+            raise ValueError(f"Adam over parameters of dtypes {sorted(map(str, dtypes))}; "
+                             "they must share one")
+        dtype = dtypes.pop() if dtypes else np.float64
         bounds = [0, *itertools.accumulate(params[k].size for k in names)]
         self._slots = list(zip(names, bounds[:-1], bounds[1:]))  # each name's range in the flat vectors
-        self.theta, self._m, self._v = (np.empty(bounds[-1]) for _ in range(3))
+        self.theta, self._m, self._v = (np.empty(bounds[-1], dtype) for _ in range(3))
         self.m, self.v = {}, {}
         for k, start, stop in self._slots:
             p = params[k]
@@ -82,7 +90,7 @@ class Adam:
             self.m[k] = self._m[start:stop].reshape(shape)
             self.v[k] = self._v[start:stop].reshape(shape)
         self.t = dict.fromkeys(names, 0)
-        self._scratch = np.empty((2, min(bounds[-1], CHUNK)))
+        self._scratch = np.empty((2, min(bounds[-1], CHUNK)), dtype)
         self._ended = False
 
     def step(self, *, scale: float = 1.0, last: bool = False) -> None:

@@ -1,9 +1,15 @@
-"""Reverse-mode automatic differentiation over float64 arrays.
+"""Reverse-mode automatic differentiation over float32 or float64 arrays.
 
 Every operation builds a graph node holding its parents and a closure that
 maps the output gradient to parent gradients. ``backward(loss)`` walks that
-graph once in reverse topological order; the graph itself is the tape. All
-arithmetic stays in 64-bit precision.
+graph once in reverse topological order; the graph itself is the tape.
+
+A tensor keeps the dtype of a float32 or float64 array and holds anything
+else as float64, so a graph computes in the dtype of its parameters and
+inputs. A Python scalar operand takes the dtype of the tensor it meets:
+under NumPy's promotion rules (NEP 50) a float64 0-d array or ``np.float64``
+scalar would turn a float32 result into float64, and a Python float does
+not.
 
 A closure may skip the gradients its parents do not need: for a parent
 that does not require a gradient, it may return ``None`` instead of doing
@@ -84,15 +90,22 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad
 
 
+def _float_array(data) -> np.ndarray:
+    """``data`` as an ndarray: a float32 array keeps its dtype, anything
+    else is float64."""
+    data = np.asarray(data)
+    return data if data.dtype == np.float64 or data.dtype == np.float32 else data.astype(np.float64)
+
+
 class Tensor:
-    """A float64 ndarray plus the graph edge needed for backprop."""
+    """A float32 or float64 ndarray plus the graph edge needed for backprop."""
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
     def __init__(self, data, requires_grad: bool = False):
         # always an ndarray: 0-d arithmetic degrades to immutable numpy
         # scalars, which would silently break in-place updates
-        self.data: np.ndarray = np.asarray(data, dtype=np.float64)
+        self.data: np.ndarray = _float_array(data)
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
         self._parents: tuple[Tensor, ...] = ()
@@ -113,16 +126,17 @@ class Tensor:
 
     # -- graph construction ---------------------------------------------
 
-    @staticmethod
-    def _lift(x) -> "Tensor":
-        return x if isinstance(x, Tensor) else Tensor(x)
+    def _lift(self, x) -> "Tensor":
+        """``x`` as the other operand of this tensor: a constant that is not
+        a tensor takes this tensor's dtype."""
+        return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=self.data.dtype))
 
     @staticmethod
     def _node(data, parents, backward_fn) -> "Tensor":
         # built field by field: every graph operation passes through here
         out = Tensor.__new__(Tensor)
-        if type(data) is not np.ndarray or data.dtype != np.float64:
-            data = np.asarray(data, dtype=np.float64)
+        if type(data) is not np.ndarray or (data.dtype != np.float64 and data.dtype != np.float32):
+            data = _float_array(data)
         out.data = data
         out.grad = None
         out.requires_grad = False
@@ -236,7 +250,7 @@ class Tensor:
     def max(self, axis: int, keepdims: bool = False) -> "Tensor":
         """Max along one axis; ties share the gradient equally."""
         out = self.data.max(axis=axis, keepdims=True)
-        mask = (self.data == out).astype(np.float64)
+        mask = (self.data == out).astype(self.data.dtype)
         with np.errstate(invalid="ignore"):  # a NaN row has no max: 0 / 0, a NaN mask
             mask /= mask.sum(axis=axis, keepdims=True)
 
@@ -287,7 +301,7 @@ class Tensor:
         )
 
         def bw(g: np.ndarray):
-            buf = np.zeros(self.shape, dtype=np.float64)
+            buf = np.zeros(self.shape, dtype=self.data.dtype)
             if advanced:
                 np.add.at(buf, key, g)
             else:
@@ -299,7 +313,6 @@ class Tensor:
 
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     """Concatenate along ``axis``; gradient splits back at the seams."""
-    tensors = [Tensor._lift(t) for t in tensors]
     sizes = [t.shape[axis] for t in tensors]
     offsets = np.cumsum([0] + sizes)
 

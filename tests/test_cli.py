@@ -284,6 +284,16 @@ def test_config_hash_covers_every_setting(tmp_path):
     assert hashed(out_dir="a") == hashed(out_dir="b")
 
 
+def test_config_hash_covers_the_model_dtype(tmp_path):
+    cfg = parse_config(write_config(tmp_path, minimal_config()))
+    assert cfg.model.dtype == "float64"
+    as32 = dataclasses.replace(cfg, model=dataclasses.replace(cfg.model, dtype="float32"))
+    assert config_hash(as32) != config_hash(cfg)
+    # the profile sets the dtype: the paper profile computes in float32
+    paper = parse_config(write_config(tmp_path, minimal_config(model_profile="paper")))
+    assert paper.model.dtype == "float32"
+
+
 def test_parse_mu_propagates(tmp_path):
     cfg = parse_config(write_config(tmp_path, minimal_config(mu=0.02)))
     assert cfg.train.mu == 0.02

@@ -4,6 +4,7 @@ import json
 import logging
 import struct
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -865,17 +866,20 @@ def desk_pages_val(kind, n, seed):
     return synth_paired(n, seed=seed, image_length=4, image_dim=16, preproc_cfg=pcfg)
 
 
-@pytest.mark.parametrize("batch_size", [16, 32, 7])
-@pytest.mark.parametrize("kind, n", [("url", 600), ("url", 257), ("image", 300), ("html", 203),
-                                     ("html", 33), ("pair", 150), ("pair", 33), ("url", 5)])
-def test_evaluate_equals_per_batch_forwards_bitwise(kind, n, batch_size):
-    spec = ModelSpec.desk_pages()
+EVAL_CASES = [("url", 600), ("url", 257), ("image", 300), ("html", 203),
+              ("html", 33), ("pair", 150), ("pair", 33), ("url", 5)]
+
+
+def assert_evaluate_equals_per_batch_forwards(spec, kind, n, batch_size):
     params = spec.init_params(n)
     cfg = TrainConfig(rounds=1, batch_size=batch_size)
     # two draws: whether a row in a partial BLAS tile rounds differently
     # depends on its values
     for seed in (0, n):
-        client = ClientData(client_id="c", train={}, val={kind: desk_pages_val(kind, n, seed)})
+        val = desk_pages_val(kind, n, seed)
+        if "x" in val:  # as build_clients casts it
+            val["x"] = val["x"].astype(spec.dtype)
+        client = ClientData(client_id="c", train={}, val={kind: val})
         got = client_evaluate(params, client, spec, cfg)
         want = per_batch_evaluate(params, client, spec, cfg)
         assert got.keys() == want.keys()
@@ -883,6 +887,21 @@ def test_evaluate_equals_per_batch_forwards_bitwise(kind, n, batch_size):
             assert type(loss) is float
             assert struct.pack("<d", loss) == struct.pack("<d", want[head][0]), (head, seed)
             assert m == want[head][1], (head, seed)
+
+
+@pytest.mark.parametrize("batch_size", [16, 32, 7])
+@pytest.mark.parametrize("kind, n", EVAL_CASES)
+def test_evaluate_equals_per_batch_forwards_bitwise(kind, n, batch_size):
+    assert_evaluate_equals_per_batch_forwards(ModelSpec.desk_pages(), kind, n, batch_size)
+
+
+@pytest.mark.parametrize("batch_size", [16, 32, 7])
+@pytest.mark.parametrize("kind, n", EVAL_CASES)
+def test_evaluate_equals_per_batch_forwards_bitwise_in_float32(kind, n, batch_size):
+    # ROW_TILE holds for OpenBLAS's single-precision tiles too, so a float32
+    # model merges evaluation forwards as a float64 one does
+    spec = replace(ModelSpec.desk_pages(), dtype="float32")
+    assert_evaluate_equals_per_batch_forwards(spec, kind, n, batch_size)
 
 
 def forward_rows(monkeypatch) -> list[int]:
@@ -1089,6 +1108,24 @@ def test_checkpoint_round_trip(tmp_path):
     assert set(loaded) == set(params)
     for k in params:
         assert np.array_equal(loaded[k], params[k])
+
+
+def test_checkpoint_of_a_float32_model_is_float64_on_disk_and_exact(tmp_path):
+    params = replace(ModelSpec.desk(), dtype="float32").init_params(18)
+    # the extremes of float32 too: its largest and smallest normal values and
+    # a subnormal, each exact in float64
+    params["extremes"] = np.array([np.finfo(np.float32).max, np.finfo(np.float32).tiny,
+                                   np.float32(1e-45), -0.0], dtype=np.float32)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, params, run_id="trial", round_index=0, cfg_hash="0123456789abcdef")
+    _, loaded = load_checkpoint(path)
+    assert loaded.keys() == params.keys()
+    for k, v in params.items():
+        assert loaded[k].dtype == np.float64
+        want = v.astype(np.float64)
+        assert loaded[k].tobytes() == want.tobytes(), k
+        # and back: float32 -> float64 -> float32 gives the same bits
+        assert loaded[k].astype(np.float32).tobytes() == v.tobytes(), k
 
 
 def test_checkpoint_bytes_match_the_record_format(tmp_path):

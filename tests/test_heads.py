@@ -3,6 +3,7 @@ gated fusion."""
 
 import hashlib
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -66,9 +67,10 @@ def desk_params(seed=0):
 # parameter tables
 # ---------------------------------------------------------------------------
 
-# sha256 over init_params(0), in sorted name order: each name and shape, then
-# the little-endian float64 bytes. Taken from the per-head draw code that
-# the parameter tables replaced, so every checkpoint keeps its bits.
+# sha256 over init_params(0) of the profile at float64, in sorted name
+# order: each name and shape, then the little-endian float64 bytes. Taken
+# from the per-head draw code that the parameter tables replaced, so every
+# checkpoint keeps its bits.
 DRAW_DIGESTS = {
     "paper": "30f9b9e18ad893822171a41123bc11160b3e056ce89de50471c1126049f6d4fe",
     "desk": "eea1ff78619344f69a313b187e04f9db298d01d677f9eefe9ce800f3a4c22d5b",
@@ -78,8 +80,10 @@ DRAW_DIGESTS = {
 
 @pytest.mark.parametrize("profile", sorted(DRAW_DIGESTS))
 def test_init_params_draws_are_pinned_and_shaped_by_the_table(profile):
+    # the paper profile computes in float32; its draws are these rounded
+    # (test_each_profile_sets_its_dtype_and_float32_rounds_the_float64_draws)
     spec = getattr(ModelSpec, profile)()
-    params = spec.init_params(0)
+    params = replace(spec, dtype="float64").init_params(0)
     digest = hashlib.sha256()
     for name, arr in params.items():
         assert type(arr) is np.ndarray and arr.dtype == np.float64, name
@@ -734,6 +738,115 @@ def test_pull_is_the_gradient_of_the_proximal_term():
             down[i] -= h
             central[i] = (value(k, up) - value(k, down)) / (2 * h)
         assert np.max(np.abs(p.grad - central) / np.maximum(1e-8, np.abs(central))) < 1e-6, k
+
+
+# ---------------------------------------------------------------------------
+# the compute dtype
+# ---------------------------------------------------------------------------
+
+def test_each_profile_sets_its_dtype_and_float32_rounds_the_float64_draws():
+    assert ModelSpec.paper().dtype == "float32"
+    assert ModelSpec.desk().dtype == ModelSpec.desk_pages().dtype == "float64"
+    # the paper model is the float64 one rounded, every array: the url gain
+    # included, though it is computed from the float64 v
+    drawn = replace(ModelSpec.paper(), dtype="float64").init_params(0)
+    rounded = ModelSpec.paper().init_params(0)
+    assert list(rounded) == list(drawn)
+    for name, arr in rounded.items():
+        assert arr.dtype == np.float32, name
+        assert np.array_equal(arr, drawn[name].astype(np.float32)), name
+
+
+def reachable_nodes(out):
+    """Every node reachable from ``out``, constants included."""
+    seen, stack, nodes = set(), [out], []
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            nodes.append(node)
+            stack.extend(node._parents)
+    return nodes
+
+
+@pytest.mark.parametrize("kind", ["image", "html", "url", "pair"])
+def test_a_float32_model_computes_in_float32_forward_and_backward(kind):
+    # NumPy promotes float32 with a float64 0-d array or np.float64 scalar
+    # to float64 (NEP 50), so one stray constant would turn the rest of the
+    # graph float64; the fusion head's 1.0 / exp(log_t) and 1.0 - alpha are
+    # Python scalars met by tensors
+    spec = replace(ModelSpec.desk(), dtype="float32")
+    params = tensors(spec.init_params(41))
+    assert all(p.data.dtype == np.float32 for p in params.values())
+    rng = np.random.default_rng(40)
+    # float32 payloads, as build_clients casts them
+    if kind == "url":
+        batch = {"x": rng.normal(size=(2, 16)).astype(np.float32)}
+    else:
+        batch = {"x": rng.normal(size=(2, 4, 16)).astype(np.float32),
+                 "char": rng.integers(0, 33, size=(2, 32)),
+                 "word": rng.integers(0, 17, size=(2, 8)),
+                 "dom": rng.integers(0, 9, size=(2, 8))}
+    batch["y"] = np.array([0, 1])
+    loss = batch_loss(spec.heads(), kind, params, batch, np.random.default_rng(42))
+    nodes = reachable_nodes(loss)
+    assert [n.data.dtype for n in nodes] == [np.float32] * len(nodes)
+    # every gradient term any closure returns
+    terms = []
+    for node in nodes:
+        if node._backward is not None:
+            def recording(g, fn=node._backward):
+                out = fn(g)
+                terms.extend(np.asarray(t).dtype for t in out if t is not None)
+                return out
+            node._backward = recording
+    backward(loss)
+    assert terms and set(terms) == {np.dtype(np.float32)}
+    grads = [p.grad for p in params.values() if p.grad is not None]
+    assert grads and all(g.dtype == np.float32 for g in grads)
+    # the evaluation forward, without an RNG
+    logits = fedphish.federation.expert_logits(spec.heads(), kind, params, batch)
+    for out in logits.values():
+        assert all(n.data.dtype == np.float32 for n in reachable_nodes(out))
+
+
+# The float32 gate: each parameter tensor's float32 gradient is within
+# 1e-4 of the float64 gradient of the same batch, in relative L2 norm. The
+# float32 unit roundoff is 2**-24, about 6e-8; the loss reaches a parameter
+# through at most a few hundred rounded operations and sums of at most a
+# few hundred terms, so errors of order 1e3 roundoffs are expected. Across
+# gradcheck's seeds 0-4 the largest was 8.8e-6 (an html DOM LSTM bias) and
+# most were near 1e-6; 1e-4 leaves a tenfold margin, while a lost term or a
+# float32 overflow or cancellation shows as an error of order 1. The
+# finite-difference gates stay in float64 at their 1e-4.
+FLOAT32_GRADIENT_RTOL = 1e-4
+
+
+@pytest.mark.parametrize("kind", ["image", "html", "url", "pair"])
+def test_float32_gradients_match_float64_gradients_of_the_same_batch(kind):
+    spec = ModelSpec.desk()
+    for seed in range(3):
+        # gradcheck's generic point: the draws plus N(0, 0.1) jitter
+        jitter = np.random.default_rng(5000 + seed)
+        point = {k: v + jitter.normal(scale=0.1, size=v.shape)
+                 for k, v in spec.init_params(seed).items()}
+        rng = np.random.default_rng(1000 + seed)
+        page = {"x": rng.normal(size=(2, 4, 16)), "char": rng.integers(0, 33, size=(2, 32)),
+                "word": rng.integers(0, 17, size=(2, 8)), "dom": rng.integers(0, 9, size=(2, 8))}
+        batch = {"x": rng.normal(size=(2, 16))} if kind == "url" else page
+        batch["y"] = rng.integers(0, 2, size=2)
+        grads = {}
+        for dtype in (np.float64, np.float32):
+            params = {k: Tensor(v.astype(dtype), requires_grad=True) for k, v in point.items()}
+            cast = {k: v.astype(dtype) if k == "x" else v for k, v in batch.items()}
+            backward(batch_loss(spec.heads(), kind, params, cast, np.random.default_rng(seed)))
+            grads[dtype] = {k: p.grad for k, p in params.items() if p.grad is not None}
+        want, got = grads[np.float64], grads[np.float32]
+        assert got.keys() == want.keys()
+        for name, g in want.items():
+            assert got[name].dtype == np.float32
+            err = np.linalg.norm(got[name] - g)
+            assert err <= FLOAT32_GRADIENT_RTOL * np.linalg.norm(g), (seed, name, err)
 
 
 # ---------------------------------------------------------------------------

@@ -136,6 +136,54 @@ def conv_pool_oracle(ids, table, w, b):
 
 
 # ---------------------------------------------------------------------------
+# dtype
+# ---------------------------------------------------------------------------
+
+def test_a_tensor_keeps_float32_or_float64_and_holds_anything_else_as_float64():
+    assert Tensor(np.ones(2, np.float32)).data.dtype == np.float32
+    assert Tensor(np.float32(1.0)).data.dtype == np.float32
+    for data in (np.ones(2), np.ones(2, np.float16), np.arange(2), [1, 2], 1.0, True):
+        assert Tensor(data).data.dtype == np.float64, data
+    a64 = np.ones(3)
+    assert Tensor(a64).data is a64  # no copy
+    node = Tensor._node(np.float32(2.0), (Tensor(1.0, requires_grad=True),), lambda g: (g,))
+    assert node.data.dtype == np.float32 and node.data.shape == ()
+
+
+def test_a_scalar_constant_takes_the_dtype_of_the_tensor_it_meets():
+    # NumPy promotes float32 with a float64 0-d array to float64 (NEP 50);
+    # a constant that is not a tensor is cast to the tensor's dtype first
+    x = np.array([0.5, -2.0, 3.0], np.float32)
+    t = Tensor(x, requires_grad=True)
+    ops = {"t + 1.0": (t + 1.0, x + 1.0), "1.0 + t": (1.0 + t, 1.0 + x),
+           "t - 1.0": (t - 1.0, x - 1.0), "1.0 - t": (1.0 - t, 1.0 - x),
+           "t * 0.1": (t * 0.1, x * 0.1), "0.1 * t": (0.1 * t, 0.1 * x),
+           "t / 3.0": (t / 3.0, x / 3.0), "1.0 / t": (1.0 / t, 1.0 / x),
+           "t * np.float64": (t * np.float64(0.1), x * np.float32(0.1)),
+           "t + 0-d float64": (t + np.array(0.1), x + np.float32(0.1))}
+    for name, (out, want) in ops.items():
+        assert out.data.dtype == np.float32, name
+        assert out.data.tobytes() == want.tobytes(), name
+    loss = sum(((out * out).sum() for out, _ in ops.values()), Tensor(np.float32(0.0)))
+    backward(loss)
+    assert loss.data.dtype == t.grad.dtype == np.float32
+
+
+def test_a_float32_attention_pool_masks_in_float32():
+    # MASK_OFFSET, -1e30, is a finite float32; exp of it minus the max is 0
+    states = Tensor(np.random.default_rng(3).normal(size=(2, 3, 4)).astype(np.float32),
+                    requires_grad=True)
+    score = Tensor(np.ones(4, np.float32), requires_grad=True)
+    valid = np.array([[True, False, True], [False, False, False]])
+    out = attention_pool(states, score, valid)
+    assert out.data.dtype == np.float32 and np.isfinite(out.data).all()
+    assert np.array_equal(out.data[1], np.zeros(4, np.float32))
+    backward((out * out).sum())
+    assert states.grad.dtype == score.grad.dtype == np.float32
+    assert not states.grad[0, 1].any() and not states.grad[1].any()
+
+
+# ---------------------------------------------------------------------------
 # affine
 # ---------------------------------------------------------------------------
 
@@ -886,17 +934,18 @@ def test_adam_deterministic():
     assert np.array_equal(outs[0], outs[1])
 
 
-def test_adam_matches_textbook_formula_bitwise():
-    # Kingma & Ba (2014), Algorithm 1, written out with fresh arrays per step
+def assert_adam_is_the_textbook_formula(dtype):
+    # Kingma & Ba (2014), Algorithm 1, written out with fresh arrays per step;
+    # the constants are Python floats, which keep a float32 array float32
     rng = np.random.default_rng(29)
     b1, b2, eps, lr = 0.9, 0.999, 1e-8, 0.01
     assert (optim.BETA1, optim.BETA2, optim.EPS) == (b1, b2, eps)
-    init = rng.normal(size=(3, 4))
+    init = rng.normal(size=(3, 4)).astype(dtype)
     p = Tensor(init.copy(), requires_grad=True)
     opt = Adam({"p": p}, lr=lr)
-    theta, m, v = init.copy(), np.zeros((3, 4)), np.zeros((3, 4))
+    theta, m, v = init.copy(), np.zeros((3, 4), dtype), np.zeros((3, 4), dtype)
     for t in range(1, 6):
-        g = rng.normal(size=(3, 4))
+        g = rng.normal(size=(3, 4)).astype(dtype)
         p.grad = g.copy()
         opt.step()
         m = b1 * m + (1.0 - b1) * g
@@ -904,9 +953,26 @@ def test_adam_matches_textbook_formula_bitwise():
         m_hat = m / (1.0 - b1**t)
         v_hat = v / (1.0 - b2**t)
         theta = theta - lr * m_hat / (np.sqrt(v_hat) + eps)
+        assert theta.dtype == dtype
+        assert p.data.dtype == opt.m["p"].dtype == opt.v["p"].dtype == dtype
         assert np.array_equal(p.data, theta)
         assert np.array_equal(opt.m["p"], m) and np.array_equal(opt.v["p"], v)
         assert np.array_equal(p.grad, g)
+
+
+def test_adam_matches_textbook_formula_bitwise():
+    assert_adam_is_the_textbook_formula(np.float64)
+
+
+def test_adam_over_float32_parameters_is_the_float32_textbook_formula_bitwise():
+    assert_adam_is_the_textbook_formula(np.float32)
+
+
+def test_adam_over_parameters_of_two_dtypes_raises():
+    params = {"a": Tensor(np.ones(2, np.float32), requires_grad=True),
+              "b": Tensor(np.ones(2), requires_grad=True)}
+    with pytest.raises(ValueError, match=r"dtypes \['float32', 'float64'\]; they must share one"):
+        Adam(params, lr=0.01)
 
 
 def test_adam_first_step_gives_signed_zero_moments_as_the_textbook():

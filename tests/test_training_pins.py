@@ -134,22 +134,51 @@ def config_path(name, tmp_path):
     return path
 
 
+# config name -> (rounds.csv sha256, final parameters sha256) of the config
+# with its model at float32, the paper profile's dtype, run as the configs
+# in PINS are. No bundled config computes in float32; this pin keeps float32
+# outputs from drifting silently. The viewer evaluates every head, fusion
+# included, and its url and image payloads are cast when the clients are built.
+FLOAT32_PINS = {
+    "four_clients_viewer": (
+        "1a42466fbd32fb9c5df66dcb54feaf35ddf8893975cad685f91efca1781b0044",
+        "ff53e8b63f847cd3d3ed098376e3602ffc31f0b902d1374776aa1bd7f2ac3bdb",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FLOAT32_PINS))
+def test_a_float32_run_of_a_bundled_config_is_pinned(name, tmp_path):
+    cfg = parse_config(bundled_config_path(name))
+    cfg = replace(cfg, model=replace(cfg.model, dtype="float32"))
+    clients = build_clients(cfg)
+    for arrays in (a for c in clients for a in (*c.train.values(), *c.val.values())):
+        for key, value in arrays.items():
+            assert value.dtype == (np.float32 if key == "x" else np.int64), key
+    result = run_experiment(cfg.model, replace(cfg.train, rounds=2, epochs=1), clients)
+    assert {v.dtype for v in result.params.values()} == {np.dtype(np.float32)}
+    csv_path = tmp_path / "rounds.csv"
+    write_round_csv(result.rounds, csv_path)
+    got = (hashlib.sha256(csv_path.read_bytes()).hexdigest(), params_digest(result.params))
+    assert got == FLOAT32_PINS[name]
+
+
 # config name -> config_hash of its resolved config, the digest that
 # final.ckpt's manifest carries; a checkpoint is tied to it, so a change that
 # renames, reorders or regroups a setting moves it
 CONFIG_HASHES = {
-    "ablation_fusion_2clients": "c112f275fb13bde9",
-    "ablation_html_2clients": "929c64bec5421e3b",
-    "ablation_image_2clients": "3f0127e1c6bd4550",
-    "ablation_url_2clients": "c7d85c160e297582",
-    "four_clients_fusion_html": "b94871698dc3f0e2",
-    "four_clients_html_cross": "d70b2bd2d00981f6",
-    "four_clients_html_cross_fedprox": "49329ff81b721570",
-    "four_clients_html_cross_noniid": "1189fdf0ec462c57",
-    "four_clients_html_url": "6959aa7bd97478a2",
-    "four_clients_image_html": "c7e0d3beb9cc6ef9",
-    "four_clients_viewer": "e59eb34ce6ba8999",
-    "six_clients": "23ebb0990b9790cb",
+    "ablation_fusion_2clients": "c137ea7bdfe38b22",
+    "ablation_html_2clients": "1c6fd92ef70555e0",
+    "ablation_image_2clients": "2a02d1bf849d7248",
+    "ablation_url_2clients": "1279af1b5d4165da",
+    "four_clients_fusion_html": "70cc53dc4a1590e8",
+    "four_clients_html_cross": "f0f7bc914a53d3c6",
+    "four_clients_html_cross_fedprox": "53664545b3296bf0",
+    "four_clients_html_cross_noniid": "3d3d591ffb3dcbb5",
+    "four_clients_html_url": "dc09cff7ad216d96",
+    "four_clients_image_html": "1ac1dfa84d456a26",
+    "four_clients_viewer": "4ae25859cfd41e01",
+    "six_clients": "6b12172106518fe9",
 }
 
 

@@ -9,6 +9,8 @@ The program set is:
   ``rounds.csv`` and ``final.ckpt`` read back;
 - ``fedphish synth`` of both kinds;
 - a run over path datasets, the url and html files that ``synth`` wrote;
+- a run of the ``paper`` profile, the one that computes in float32: an
+  html, an image and a url client, 1 round of one batch each;
 - ``fedphish gradcheck --seeds 1``.
 
 Every output goes to a temporary directory that is removed afterwards. A
@@ -94,13 +96,14 @@ def run_cli(*argv: str) -> None:
         sys.exit(f"fedphish {' '.join(argv)} exited {code}:\n{out.buffer.getvalue().decode()}")
 
 
-def run_config(raw: dict, work: Path) -> None:
-    """Run a config at 2 rounds and read its round CSV and checkpoint back."""
+def run_config(raw: dict, work: Path, rounds: int = 2) -> None:
+    """Run a config at ``rounds`` rounds and read its round CSV and
+    checkpoint back."""
     from fedphish.runfiles import load_checkpoint, read_round_csv
 
     name = raw["name"]
     config = work / f"{name}.json"
-    config.write_text(json.dumps({**raw, "rounds": 2}), encoding="utf-8")
+    config.write_text(json.dumps({**raw, "rounds": rounds}), encoding="utf-8")
     out = work / name
     run_cli("run", "--config", str(config), "--out", str(out))
     read_round_csv(out / "rounds.csv")
@@ -125,6 +128,19 @@ def path_config(work: Path) -> dict:
                         client("html_a", "html", "pages.jsonl")]}
 
 
+def paper_config() -> dict:
+    """The paper profile at its default widths and tables, with short html
+    streams: one client per modality, each one batch of 16."""
+    def client(modality: str, kind: str) -> dict:
+        return {"id": f"{modality}_only", "datasets": [{"modality": modality, "synth": {
+            "kind": kind, "train_n": 16, "test_n": 16, "seed": 3}}]}
+
+    return {"name": "paper_float32", "seed": 5, "epochs": 1, "batch_size": 16, "lr": 0.0001,
+            "model_profile": "paper", "preproc": {"char_len": 256, "word_len": 32, "dom_len": 32},
+            "clients": [client("html", "html"), client("image", "image_tokens"),
+                        client("url", "embeddings")]}
+
+
 def run_program(work: Path) -> None:
     from fedphish.config import bundled_config_names, bundled_config_path
 
@@ -132,6 +148,7 @@ def run_program(work: Path) -> None:
         raw = json.loads(bundled_config_path(name).read_text(encoding="utf-8"))
         run_config({**raw, "name": name}, work)
     run_config(path_config(work), work)
+    run_config(paper_config(), work, rounds=1)
     run_cli("gradcheck", "--seeds", "1")
 
 
